@@ -256,7 +256,7 @@ func runExample1(rows int) (*benchResult, error) {
 }
 
 func runProver() (*benchResult, error) {
-	fmt.Println("implication cost vs mentioned attributes (the search is ~3^n; co-NP-complete in general)")
+	fmt.Println("implication cost vs mentioned attributes on a plain chain (≤ 3^n patterns, co-NP-complete in general; propagation decides every link on a two-attribute prefix, so these grow polynomially)")
 	fmt.Printf("%8s %14s %14s\n", "attrs", "implied", "refuted")
 	res := &benchResult{Experiment: "prover"}
 	for n := 4; n <= 12; n += 2 {
@@ -501,13 +501,28 @@ func runBatch(seed int64) (*benchResult, error) {
 	}, nil
 }
 
+// underContext puts a list under a context attribute: [ctx, l...]. The
+// search experiments name the context so that it sorts after every other
+// attribute of its instance; the prover assigns signs in name order and cuts
+// a subtree as soon as an assigned prefix decides an OD, so an OD led by the
+// last attribute can be decided on no prefix at all. With the context tied
+// such ODs constrain exactly as their context-free forms do (with it strict
+// they all hold), and the questions built from them still enumerate the full
+// sign tree — the searches the worker pool exists for. Without the context
+// the same instances fall to propagation in a few hundred nodes.
+func underContext(ctx core.Attribute, l core.List) core.List {
+	return append(core.List{ctx}, l...)
+}
+
 // deepSwapQuestion builds one refuted implication whose every counterexample
 // needs a Greater sign on the second-sorted attribute — the region the
-// sequential depth-first search reaches last. With k padding attributes the
-// sequential search grinds ≈ 3.5·3^k nodes before refuting; a prefix-sharded
-// worker pool with cancel-on-first-witness finds the counterexample near the
-// start of a late block and stops the whole pool, so the speedup holds even
-// without spare cores. tag disambiguates attribute names across instances.
+// sequential depth-first search reaches last — with every OD under the
+// context <tag>_zz. With k padding attributes the sequential search grinds
+// ≈ 3.5·3^(k+1) nodes in each of its k+2 widening rounds; a prefix-sharded
+// worker pool with cancel-on-first-witness finds each round's candidate near
+// the start of a late block and stops the whole pool, so the speedup holds
+// even without spare cores. tag disambiguates attribute names across
+// instances.
 func deepSwapQuestion(tag string, k int) (m []core.OD, target core.OD) {
 	pad := make(core.List, k)
 	for i := range pad {
@@ -515,23 +530,28 @@ func deepSwapQuestion(tag string, k int) (m []core.OD, target core.OD) {
 	}
 	aa := core.Attribute(tag + "_aa")
 	ab := core.Attribute(tag + "_ab")
+	zz := core.Attribute(tag + "_zz")
 	lhs := append(core.List{aa}, pad...)
-	m = append(m, core.NewOD(lhs, append(lhs.Clone(), ab)))
+	m = append(m, core.NewOD(underContext(zz, lhs), underContext(zz, append(lhs.Clone(), ab))))
 	for _, p := range pad {
-		m = append(m, core.NewOD(core.List{ab}, core.List{p}))
+		m = append(m, core.NewOD(underContext(zz, core.List{ab}), underContext(zz, core.List{p})))
 	}
-	return m, core.NewOD(lhs, core.List{ab})
+	return m, core.NewOD(underContext(zz, lhs), underContext(zz, core.List{ab}))
 }
 
-// chainTailQuestion builds a transitive chain and the reversal of its last
-// link: refuted, with the counterexample (Less down the whole chain, Equal
-// on the tail) sitting roughly 40% into the sequential enumeration.
+// chainTailQuestion builds a transitive chain of n-1 attributes under the
+// context <tag>_zz and the reversal of its last link: refuted, with the
+// counterexample (Less down the whole chain, Equal on the tail) sitting
+// roughly 40% into the sequential enumeration.
 func chainTailQuestion(tag string, n int) (m []core.OD, target core.OD) {
-	attr := func(i int) core.Attribute { return core.Attribute(fmt.Sprintf("%s_a%02d", tag, i)) }
-	for i := 0; i+1 < n; i++ {
-		m = append(m, core.NewOD(core.List{attr(i)}, core.List{attr(i + 1)}))
+	zz := core.Attribute(tag + "_zz")
+	link := func(i int) core.List {
+		return underContext(zz, core.List{core.Attribute(fmt.Sprintf("%s_a%02d", tag, i))})
 	}
-	return m, core.NewOD(core.List{attr(n - 1)}, core.List{attr(n - 2)})
+	for i := 0; i+2 < n; i++ {
+		m = append(m, core.NewOD(link(i), link(i+1)))
+	}
+	return m, core.NewOD(link(n-2), link(n-3))
 }
 
 // runParallel measures what the goroutine-split search buys on refuted-heavy,
@@ -546,7 +566,7 @@ func runParallel(seed int64) (*benchResult, error) {
 	const (
 		deepSwaps  = 24
 		chainTails = 8
-		padAttrs   = 10 // 12-attr universe: ≈ 3.5·3^10 ≈ 207k nodes sequential
+		padAttrs   = 9 // 12-attr universe with the context: ≈ 0.8M nodes per question sequential
 		chainLen   = 12
 	)
 	parallelWorkers := runtime.GOMAXPROCS(0)
@@ -1173,24 +1193,29 @@ func runSaturation(seed int64) (*benchResult, error) {
 		return resp.StatusCode, nil
 	}
 
-	// Per-stage schema: disjoint chains s<stage>_c<chain>_a0 ↦ … and a
-	// question pool of distinct FD-form spans [a_lo] ↦ [a_lo, a_hi] — each is
-	// implied through the chain but only the pattern search can say so
-	// (closure membership cannot, Theorem 13's FD detour), and implied
-	// verdicts have no counterexample witness the negative closure could
-	// generalize, so every distinct question pays a genuine search.
+	// Per-stage schema: disjoint chains s<stage>_c<chain>_a0 ↦ … each under
+	// its own context attribute s<stage>_c<chain>_zz (see underContext: the
+	// context sorts last, so propagation cannot cut and the searches stay
+	// exhaustive), and a question pool of distinct FD-form spans
+	// [zz, a_lo] ↦ [zz, a_lo, a_hi] — each is implied through the chain but
+	// only the pattern search can say so (closure membership cannot,
+	// Theorem 13's FD detour), and implied verdicts have no counterexample
+	// witness the negative closure could generalize, so every distinct
+	// question pays a genuine search of 3^(span+2)/2 patterns — past the
+	// fan-out budget from span 6 up, so most of them draw on the pool.
 	attr := func(stage, c, i int) string { return fmt.Sprintf("s%d_c%d_a%d", stage, c, i) }
+	zz := func(stage, c int) string { return fmt.Sprintf("s%d_c%d_zz", stage, c) }
 	questions := make(map[int][]string)
 	for si, conc := range stages {
 		var decl []string
 		for c := 0; c < chainsPerStage; c++ {
 			for i := 0; i+1 < chainAttrs; i++ {
-				decl = append(decl, fmt.Sprintf("[%s] -> [%s]", attr(si, c, i), attr(si, c, i+1)))
+				decl = append(decl, fmt.Sprintf("[%s, %s] -> [%s, %s]", zz(si, c), attr(si, c, i), zz(si, c), attr(si, c, i+1)))
 			}
 			for lo := 0; lo < chainAttrs; lo++ {
 				for hi := lo + minSpan; hi < chainAttrs; hi++ {
 					questions[si] = append(questions[si],
-						fmt.Sprintf("[%s] -> [%s, %s]", attr(si, c, lo), attr(si, c, lo), attr(si, c, hi)))
+						fmt.Sprintf("[%s, %s] -> [%s, %s, %s]", zz(si, c), attr(si, c, lo), zz(si, c), attr(si, c, lo), attr(si, c, hi)))
 				}
 			}
 		}
@@ -1286,6 +1311,9 @@ func runSaturation(seed int64) (*benchResult, error) {
 		kneeInflation, poolCap, satInflation, 2*poolCap)
 	if ps.Peak > int64(ps.Capacity) {
 		return nil, fmt.Errorf("pool peak %d exceeded capacity %d", ps.Peak, ps.Capacity)
+	}
+	if ps.Peak == 0 {
+		return nil, fmt.Errorf("no search of the ramp fanned out: the questions no longer load the pool, so its bound was not tested")
 	}
 	if kneeInflation > 16 {
 		// A warning, not an error: CI evaluates the JSON, humans the text.

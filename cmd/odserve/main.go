@@ -146,8 +146,10 @@ func run(args []string, ready chan<- string) (err error) {
 	}()
 	logRecovery(rt)
 
+	var tailer *replica.Tailer
 	if *follow != "" {
-		tailer, terr := replica.New(replica.Options{
+		var terr error
+		tailer, terr = replica.New(replica.Options{
 			Leader:       *follow,
 			Router:       rt,
 			PollInterval: *pollInterval,
@@ -234,6 +236,11 @@ func run(args []string, ready chan<- string) (err error) {
 	case <-ctx.Done():
 	}
 	log.Printf("shutting down, draining for up to %v", *drain)
+	if tailer != nil {
+		// Stop replicating before draining: the signal may have reached the
+		// leader too, and its drain waits on every connection we keep open.
+		tailer.Close()
+	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -39,21 +39,49 @@ func (s Sign) String() string {
 // Pattern satisfies M while falsifying φ. internal/prover exploits this.
 type Pattern struct {
 	universe List
-	pos      map[Attribute]int
+	pos      map[Attribute]int // nil up to patternScanMax attributes: index scans the universe
 	signs    []Sign
 }
+
+// patternScanMax is the universe size up to which a pattern resolves
+// attributes by scanning its universe instead of carrying an index map. The
+// prover's counterexamples span at most its attribute guard (14 by default)
+// and are retained by the thousand in verdict caches, where a map per
+// pattern cost several times the pattern itself; a scan over this many
+// short strings is as fast as hashing one.
+const patternScanMax = 16
 
 // NewPattern creates the all-Equal pattern over the given universe. The
 // universe must not repeat attributes.
 func NewPattern(universe List) (*Pattern, error) {
-	if universe.HasDuplicates() {
-		return nil, fmt.Errorf("core: pattern universe %v repeats an attribute", universe)
+	p := &Pattern{universe: universe.Clone(), signs: make([]Sign, len(universe))}
+	if len(universe) <= patternScanMax {
+		for i, a := range universe {
+			if universe[:i].Contains(a) {
+				return nil, fmt.Errorf("core: pattern universe %v repeats an attribute", universe)
+			}
+		}
+		return p, nil
 	}
-	pos := make(map[Attribute]int, len(universe))
+	p.pos = make(map[Attribute]int, len(universe))
 	for i, a := range universe {
-		pos[a] = i
+		if _, dup := p.pos[a]; dup {
+			return nil, fmt.Errorf("core: pattern universe %v repeats an attribute", universe)
+		}
+		p.pos[a] = i
 	}
-	return &Pattern{universe: universe.Clone(), pos: pos, signs: make([]Sign, len(universe))}, nil
+	return p, nil
+}
+
+// index returns a's position in the universe, or -1.
+func (p *Pattern) index(a Attribute) int {
+	if p.pos == nil {
+		return p.universe.Index(a)
+	}
+	if i, ok := p.pos[a]; ok {
+		return i
+	}
+	return -1
 }
 
 // MustPattern is NewPattern that panics on error, for literals in tests.
@@ -72,7 +100,7 @@ func (p *Pattern) Universe() List { return p.universe }
 // universe read as Equal: a two-row relation extended with tied columns has
 // the same OD behaviour.
 func (p *Pattern) Sign(a Attribute) Sign {
-	if i, ok := p.pos[a]; ok {
+	if i := p.index(a); i >= 0 {
 		return p.signs[i]
 	}
 	return Equal
@@ -81,8 +109,8 @@ func (p *Pattern) Sign(a Attribute) Sign {
 // SetSign records the sign for attribute a; it returns an error if a is not
 // in the universe.
 func (p *Pattern) SetSign(a Attribute, s Sign) error {
-	i, ok := p.pos[a]
-	if !ok {
+	i := p.index(a)
+	if i < 0 {
 		return fmt.Errorf("core: attribute %s not in pattern universe %v", a, p.universe)
 	}
 	p.signs[i] = s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,39 @@ func TestPatternBasics(t *testing.T) {
 	}
 	if !p.Universe().Equal(L("A", "B", "C")) {
 		t.Error("Universe wrong")
+	}
+}
+
+// TestPatternIndexBothSides drives attribute resolution on both sides of
+// patternScanMax: small universes scan, large ones carry an index map, and
+// the two must be indistinguishable — duplicates rejected, absent attributes
+// tied, SetSign refusing strangers.
+func TestPatternIndexBothSides(t *testing.T) {
+	for _, n := range []int{1, patternScanMax, patternScanMax + 1, 3 * patternScanMax} {
+		universe := make(List, n)
+		for i := range universe {
+			universe[i] = Attribute(fmt.Sprintf("a%03d", i))
+		}
+		p := MustPattern(universe)
+		if (p.pos != nil) != (n > patternScanMax) {
+			t.Errorf("n=%d: index map present = %v", n, p.pos != nil)
+		}
+		last := universe[n-1]
+		if err := p.SetSign(last, Greater); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if p.Sign(last) != Greater || p.Sign("stranger") != Equal {
+			t.Errorf("n=%d: Sign readback wrong", n)
+		}
+		if err := p.SetSign("stranger", Less); err == nil {
+			t.Errorf("n=%d: SetSign accepted an attribute outside the universe", n)
+		}
+		if q := p.Clone(); q.Sign(last) != Greater || p.Neg().Sign(last) != Less {
+			t.Errorf("n=%d: Clone/Neg lost the sign", n)
+		}
+		if _, err := NewPattern(append(universe.Clone(), last)); err == nil {
+			t.Errorf("n=%d: duplicate universe accepted", n+1)
+		}
 	}
 }
 

@@ -14,14 +14,44 @@
 // to "=" without affecting any comparison). The search space is therefore
 // 3^n for n mentioned attributes. General OD implication is co-NP-complete
 // (shown in the authors' follow-on work), so an exponent in n is expected.
-// Two reductions keep n small in practice: a pattern and its negation
-// satisfy the same ODs, so the search fixes the first non-equal sign to
-// "<", halving the space; and the search runs against a lazily widened
+// Three reductions keep the search small in practice: a pattern and its
+// negation satisfy the same ODs, so the search fixes the first non-equal
+// sign to "<", halving the space; the search runs against a lazily widened
 // working subset of M — it starts from the question's own attributes alone
 // and draws in an OD only when a candidate counterexample actually needs it
 // (see decide) — so n tracks the question, not the size of the prescribed
 // set, and cascades of entangled constraints cannot inflate the universe
-// past what the answer requires.
+// past what the answer requires; and the search propagates constraints: it
+// assigns signs attribute by attribute in name order and, after each
+// assignment, re-evaluates three-valued the working ODs mentioning that
+// attribute, cutting the subtree as soon as one can no longer be satisfied
+// or the question can no longer be falsified. Cuts remove only subtrees
+// without counterexamples, so verdicts — and the first counterexample found
+// — are those of the exhaustive enumeration (kept in oracle_test.go as the
+// reference the kernel is fuzzed against), while a typical 12-attribute
+// question visits hundreds of nodes instead of 3^12/2. What no prefix can
+// decide — every OD led by the attribute that sorts last — still costs the
+// full tree; the attribute guard and the worker pool are for those.
+//
+// The node counter (Counters.Nodes, Verdict.Cost) counts every partial
+// assignment the search placed, including the ones cut on arrival, plus one
+// per OD of M examined while validating a candidate.
+//
+// Representation: New compiles M once — attributes interned to positions in
+// the sorted universe, every OD to position lists — and a decide works on
+// integers only: bitsets for the split closure and the working universe, a
+// position-indexed sign array for validating candidates against all of M,
+// per-round slot lists for the search. It allocates a handful of tables per
+// decide and nothing per search node.
+//
+// Witnesses are stored compact, omitted attributes tie, and they are
+// expanded at the edge: a refuting Verdict carries its counterexample over
+// the attributes the decide entangled (at most the attribute guard), which
+// is what caches retain; Pattern.Sign, HoldsOD, the catalog's negative
+// closure and the wire format all read an absent attribute as Equal.
+// ImpliesWitness(Ctx) — the entry point of odprove and the odlib facade,
+// whose callers realize the witness as a relation with every column —
+// lifts it onto the full universe of M and the question.
 //
 // Second, by Theorem 15 an OD can only fail via a split (an FD violation) or
 // a swap. The split half reduces to Armstrong closure over the FDs implied
@@ -30,6 +60,7 @@
 // counterexample without any search.
 //
 // Searches accept a context.Context and may be cancelled mid-enumeration;
-// with WithWorkers the sign-enumeration tree is split across a goroutine
-// pool that aborts wholesale on the first counterexample found.
+// with WithWorkers a search that has spent its inline node budget is split
+// by sign prefix across a goroutine pool that aborts wholesale on the first
+// counterexample found.
 package prover

@@ -3,24 +3,33 @@ package prover
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"odlib/internal/core"
-	"odlib/internal/fd"
 )
 
 // DefaultMaxAttrs bounds the number of distinct attributes a single
-// implication question may mention. 3^14 patterns check in well under a
-// second; raise the bound explicitly via WithMaxAttrs if needed. Since the
-// working set widens lazily, the bound is measured against the attributes a
-// question actually needs, not against every constraint that shares an
-// attribute with it.
+// implication question may entangle. The search cuts a subtree as soon as an
+// assigned prefix decides a working OD, so most 14-attribute questions visit
+// a few thousand nodes; the bound is for the ones no prefix decides — every
+// OD led by an attribute that sorts last — which still enumerate all 3^14/2
+// patterns (tens of milliseconds). Raise it explicitly via WithMaxAttrs if
+// needed. Since the working set widens lazily, the bound is measured against
+// the attributes a question actually needs, not against every constraint
+// that shares an attribute with it.
 const DefaultMaxAttrs = 14
 
 // Verdict is a decided implication answer M ⊨ X ↦ Y: either implied, or
 // refuted with a two-row counterexample pattern. Verdicts are what the
 // prover memoizes; callers must treat the witness as read-only, since the
 // same Verdict may be served to many callers from a shared cache.
+//
+// The witness is compact: its universe is the attributes the decide
+// entangled (at most the attribute guard), and every attribute it omits
+// ties — Pattern.Sign, HoldsOD and the wire contract already read absent
+// attributes as Equal. Callers that want every column of M (a realized
+// relation) go through Prover.ImpliesWitnessCtx, which expands at the edge.
 //
 // Cost records how expensive the verdict was to compute — search nodes
 // explored divided by the number of entangled attributes, floored at 1 — so
@@ -55,9 +64,10 @@ func (c mapCache) Put(key string, v Verdict)      { c[key] = v }
 // per-generation prover it builds), so observers see cumulative work survive
 // catalog mutations. All fields are atomic; the zero value is ready to use.
 type Counters struct {
-	// Nodes counts sign-enumeration tree nodes visited plus widening
-	// validations — the unit the cancellation tests watch to assert an
-	// aborted search stopped burning work.
+	// Nodes counts sign-enumeration tree nodes visited — each partial
+	// assignment the search placed, including the ones propagation cut on
+	// arrival — plus widening validations: the unit the cancellation tests
+	// watch to assert an aborted search stopped burning work.
 	Nodes atomic.Uint64
 	// Searches counts decide calls that reached the search machinery
 	// (i.e. were not answered by a cache in front of the prover).
@@ -94,8 +104,9 @@ func (c *Counters) Snapshot() CounterStats {
 // injected via WithCache may be.
 type Prover struct {
 	ods      []core.OD
-	fds      []fd.FD
-	universe core.List
+	universe core.List                // M's attributes, sorted
+	index    map[core.Attribute]int32 // attribute → position in universe
+	cods     []compiledOD             // ods over universe positions
 	maxAttrs int
 	workers  int
 	pool     *Pool
@@ -124,9 +135,9 @@ func WithCache(c VerdictCache) Option {
 // WithWorkers sets the goroutine count for the parallel pattern search.
 // n <= 1 keeps the search sequential (the default); larger n splits the
 // sign-enumeration tree into contiguous prefix blocks, one goroutine per
-// block, cancelling the whole pool on the first counterexample. Small
-// questions run sequentially regardless — forking goroutines for a few
-// thousand nodes costs more than it saves.
+// block, cancelling the whole pool on the first counterexample. A search
+// only fans out once it has spent fanOutAfterNodes inline — forking
+// goroutines for a few thousand nodes costs more than it saves.
 func WithWorkers(n int) Option {
 	return func(p *Prover) {
 		if n > maxWorkers {
@@ -156,14 +167,17 @@ func WithPool(pool *Pool) Option {
 	return func(p *Prover) { p.pool = pool }
 }
 
-// New creates a prover for the OD set M.
+// New creates a prover for the OD set M, compiling it once: every decide
+// afterwards runs on attribute positions, not names.
 func New(m []core.OD, opts ...Option) *Prover {
 	ods := make([]core.OD, len(m))
 	copy(ods, m)
+	universe, index, cods := compile(ods)
 	p := &Prover{
 		ods:      ods,
-		fds:      fd.FromODs(ods),
-		universe: core.AttrsOf(ods).Sorted(),
+		universe: universe,
+		index:    index,
+		cods:     cods,
 		maxAttrs: DefaultMaxAttrs,
 		workers:  1,
 		cache:    make(mapCache),
@@ -196,24 +210,29 @@ func (p *Prover) ImpliesCtx(ctx context.Context, od core.OD) (bool, error) {
 }
 
 // ImpliesWitness reports whether M ⊨ od; when it does not, it also returns a
-// two-row counterexample pattern that satisfies M and falsifies od.
+// two-row counterexample pattern that satisfies M and falsifies od, over
+// every attribute of M and od.
 func (p *Prover) ImpliesWitness(od core.OD) (bool, *core.Pattern, error) {
 	return p.ImpliesWitnessCtx(context.Background(), od)
 }
 
 // ImpliesWitnessCtx is ImpliesWitness honoring cancellation. Cache hits
 // answer without consulting the context; cancelled searches are never cached.
+// The cache holds compact verdicts; this is the edge that expands them.
 func (p *Prover) ImpliesWitnessCtx(ctx context.Context, od core.OD) (bool, *core.Pattern, error) {
 	key := od.Key()
-	if v, ok := p.cache.Get(key); ok {
-		return v.Implied, v.Witness, nil
+	v, ok := p.cache.Get(key)
+	if !ok {
+		var err error
+		if v, err = p.decide(ctx, od); err != nil {
+			return false, nil, err
+		}
+		p.cache.Put(key, v)
 	}
-	v, err := p.decide(ctx, od)
-	if err != nil {
-		return false, nil, err
+	if v.Implied {
+		return true, nil, nil
 	}
-	p.cache.Put(key, v)
-	return v.Implied, v.Witness, nil
+	return false, p.expandWitness(v.Witness, od), nil
 }
 
 // DecideCtx answers M ⊨ od without consulting or filling the verdict cache;
@@ -266,13 +285,10 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 		return Verdict{Implied: implied, Witness: w, Cost: max(cost, 1)}
 	}
 
-	working := make([]core.OD, 0, 4)
-	inWorking := make([]bool, len(p.ods))
-
 	// The split-half test (Theorem 15) is loop-invariant: the FD closure
 	// depends only on the question and M's FDs, not on the working set.
-	closure := fd.Closure(od.LHS.Set(), p.fds)
-	splitRefuted := !od.RHS.Set().SubsetOf(closure)
+	d := p.newDecideState(od)
+	splitRefuted := !bitsCover(d.closure, d.q.rhs)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -281,94 +297,74 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 			}
 			return Verdict{}, err
 		}
-		attrs := core.AttrsOf(working).Union(od.Attrs()).Sorted()
-		if len(attrs) > p.maxAttrs {
+		n := d.layout()
+		if n > p.maxAttrs {
 			return Verdict{}, fmt.Errorf(
 				"prover: question needs %d entangled attributes, exceeding the limit of %d (raise with WithMaxAttrs)",
-				len(attrs), p.maxAttrs)
+				n, p.maxAttrs)
 		}
 
-		// widen moves the first OD of M rejecting the candidate into the
-		// working set. Such an OD cannot already be in the working set: the
-		// candidate was constructed to satisfy every working OD.
-		widen := func(w *core.Pattern) bool {
-			for i, m := range p.ods {
-				explored++
-				if !inWorking[i] && !w.HoldsOD(m) {
-					inWorking[i] = true
-					working = append(working, m)
-					if p.counters != nil {
-						p.counters.Widenings.Add(1)
-					}
-					return true
-				}
-			}
-			return false
-		}
-
-		// Split half: when the FD set(X) → set(Y) is not implied, the
-		// Ullman two-row table over the closure of set(X) — Less on every
-		// universe attribute outside the closure — is a candidate
-		// counterexample that needs no search. The closure ran over all of
-		// M's FDs, so no working OD can reject the table; one entirely
-		// outside the universe may, and triggers widening.
+		var signs []core.Sign
 		if splitRefuted {
-			w := core.MustPattern(attrs)
-			for _, a := range attrs {
-				if !closure.Contains(a) {
-					if err := w.SetSign(a, core.Less); err != nil {
-						return Verdict{}, err
-					}
+			// Split half: when the FD set(X) → set(Y) is not implied, the
+			// Ullman two-row table over the closure of set(X) — Less on every
+			// universe attribute outside the closure — is a candidate
+			// counterexample that needs no search. The closure ran over all of
+			// M's FDs, so no working OD can reject the table; one entirely
+			// outside the universe may, and triggers widening.
+			signs = d.signs
+			for slot, id := range d.ids {
+				signs[slot] = core.Equal
+				if !bitHas(d.closure, id) {
+					signs[slot] = core.Less
 				}
 			}
-			if widen(w) {
-				continue
+		} else {
+			// Swap half: two-row pattern search against the working set —
+			// parallel across prefix-sharded subtrees when configured.
+			d.compileRound()
+			found, nodes, err := p.runSearch(ctx, d)
+			explored += nodes
+			if err != nil {
+				if p.counters != nil {
+					p.counters.Cancelled.Add(1)
+				}
+				return Verdict{}, err
 			}
-			return verdict(false, p.expandWitness(w, od), len(attrs)), nil
+			if found == nil {
+				return verdict(true, nil, n), nil
+			}
+			signs = found
 		}
 
-		// Swap half: exhaustive two-row pattern search against the working
-		// set — parallel across prefix-sharded subtrees when configured.
-		pat := core.MustPattern(attrs)
-		cods := make([]compiledOD, 0, len(working)+1)
-		for _, m := range working {
-			cods = append(cods, compileOD(m, pat))
+		// A candidate is believed only once all of M accepts it; the first
+		// OD rejecting it joins the working set and the round repeats.
+		grew, visited := d.widen(signs)
+		explored += visited
+		if !grew {
+			return verdict(false, d.witness(signs), n), nil
 		}
-		target := compileOD(od, pat)
-		found, nodes, err := p.runSearch(ctx, pat, cods, target)
-		explored += nodes
-		if err != nil {
-			if p.counters != nil {
-				p.counters.Cancelled.Add(1)
-			}
-			return Verdict{}, err
+		if p.counters != nil {
+			p.counters.Widenings.Add(1)
 		}
-		if found == nil {
-			return verdict(true, nil, len(attrs)), nil
-		}
-		if widen(found) {
-			continue
-		}
-		return verdict(false, p.expandWitness(found, od), len(attrs)), nil
 	}
 }
 
-// expandWitness lifts a validated counterexample onto the full universe of
-// M and the question, filling the attributes the restricted search never
+// expandWitness lifts a compact counterexample onto the full universe of M
+// and the question, filling the attributes the restricted search never
 // assigned with Equal — the extension under which the candidate was
 // validated. Callers that realize the witness as a relation (odprove, the
-// /prove endpoint) then get every mentioned attribute as a column.
+// odlib facade) then get every mentioned attribute as a column.
 func (p *Prover) expandWitness(w *core.Pattern, od core.OD) *core.Pattern {
-	attrs := core.AttrsOf(p.ods).Union(od.Attrs()).Sorted()
+	attrs := p.universe
+	if extras := p.outside(od); len(extras) > 0 {
+		attrs = attrs.Concat(extras)
+		sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
+	}
 	out := core.MustPattern(attrs)
-	for _, a := range attrs {
-		if s := w.Sign(a); s != core.Equal {
-			// Attributes can never vanish between the restricted and the
-			// full universe, so SetSign cannot fail.
-			if err := out.SetSign(a, s); err != nil {
-				panic(err)
-			}
-		}
+	signs := out.Signs()
+	for i, a := range attrs {
+		signs[i] = w.Sign(a)
 	}
 	return out
 }
@@ -426,41 +422,6 @@ func (p *Prover) EquivalentSets(other []core.OD) (bool, error) {
 	if ok, err := p.ImpliesAll(other); err != nil || !ok {
 		return false, err
 	}
-	q := New(other, WithMaxAttrs(p.maxAttrs))
+	q := New(other, WithMaxAttrs(p.maxAttrs), WithWorkers(p.workers), WithPool(p.pool), WithCounters(p.counters))
 	return q.ImpliesAll(p.ods)
-}
-
-// compiledOD holds an OD with both sides resolved to sign-array indexes, so
-// the inner search loop runs on plain slices.
-type compiledOD struct {
-	lhs, rhs []int
-}
-
-func compileOD(od core.OD, pat *core.Pattern) compiledOD {
-	idx := func(l core.List) []int {
-		out := make([]int, 0, len(l))
-		for _, a := range l {
-			out = append(out, pat.Universe().Index(a))
-		}
-		return out
-	}
-	return compiledOD{lhs: idx(od.LHS), rhs: idx(od.RHS)}
-}
-
-func cmpSigns(signs []core.Sign, idx []int) core.Sign {
-	for _, i := range idx {
-		if s := signs[i]; s != core.Equal {
-			return s
-		}
-	}
-	return core.Equal
-}
-
-func (c compiledOD) holds(signs []core.Sign) bool {
-	cx := cmpSigns(signs, c.lhs)
-	cy := cmpSigns(signs, c.rhs)
-	if cx == core.Equal {
-		return cy == core.Equal
-	}
-	return cy == core.Equal || cy == cx
 }

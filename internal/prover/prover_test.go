@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -320,5 +321,71 @@ func TestCacheAndAccessors(t *testing.T) {
 	b, _ := p.Implies(od) // cached path
 	if !a || !b {
 		t.Error("cached result differs")
+	}
+}
+
+// TestWitnessCompactStoredExpandedAtEdge pins the witness contract: a
+// verdict — what DecideCtx returns and what caches hold — carries the
+// counterexample over the attributes the decide entangled, every omitted
+// attribute tying; ImpliesWitness lifts it onto every attribute of M and the
+// question, on cache misses and hits alike.
+func TestWitnessCompactStoredExpandedAtEdge(t *testing.T) {
+	var m []core.OD
+	for i := 0; i < 30; i++ { // 60 attributes the question never touches
+		m = append(m, mustParse(t, fmt.Sprintf("[x%02d] -> [y%02d]", i, i))...)
+	}
+	m = append(m, mustParse(t, "[A] -> [B]")...)
+	q := core.NewOD(L("B", "Q"), L("A")) // Q is outside M's universe
+	cache := make(mapCache)
+	p := New(m, WithCache(cache))
+
+	v, err := p.DecideCtx(t.Context(), q)
+	if err != nil || v.Implied {
+		t.Fatalf("DecideCtx: implied=%v err=%v, want refuted", v.Implied, err)
+	}
+	checkWitness(t, m, q, v.Witness)
+	if got := v.Witness.Universe(); !got.Equal(L("A", "B", "Q")) {
+		t.Errorf("stored witness spans %v, want the entangled [A, B, Q]", got)
+	}
+
+	full := append(p.Universe().Clone(), "Q")
+	for _, pass := range []string{"miss", "hit"} {
+		ok, w, err := p.ImpliesWitness(q)
+		if err != nil || ok {
+			t.Fatalf("%s: ok=%v err=%v, want refuted", pass, ok, err)
+		}
+		checkWitness(t, m, q, w)
+		if !w.Universe().SetEqual(full) || len(w.Universe()) != len(full) {
+			t.Errorf("%s: edge witness spans %d attributes, want all %d of M and the question", pass, len(w.Universe()), len(full))
+		}
+		if stored := cache[q.Key()].Witness; len(stored.Universe()) != 3 {
+			t.Errorf("%s: cache holds a witness over %v, want it compact", pass, stored.Universe())
+		}
+	}
+}
+
+// TestEquivalentSetsCountsBothDirections: the reverse prover shares the
+// receiver's counters (and pool and workers), so the reverse direction's
+// searches are observable like the forward one's.
+func TestEquivalentSetsCountsBothDirections(t *testing.T) {
+	var c Counters
+	p := New(mustParse(t, "[A] -> [B]"), WithCounters(&c))
+	other := mustParse(t, "[A] -> [A, B]; [A] ~ [B]") // three ODs
+	if ok, err := p.EquivalentSets(other); err != nil || !ok {
+		t.Fatalf("Theorem 15 equivalence: ok=%v err=%v", ok, err)
+	}
+	if got := c.Searches.Load(); got != 4 {
+		t.Errorf("%d searches counted, want 3 forward + 1 reverse", got)
+	}
+}
+
+// TestMaxAttrsGuardDegenerate: a guard of zero or below refuses every
+// question that mentions an attribute, as an error like any other overflow.
+func TestMaxAttrsGuardDegenerate(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		p := New(mustParse(t, "[A] -> [B]"), WithMaxAttrs(n))
+		if _, err := p.Implies(core.NewOD(L("A"), L("B"))); err == nil {
+			t.Errorf("WithMaxAttrs(%d): expected attribute-limit error", n)
+		}
 	}
 }

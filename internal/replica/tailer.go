@@ -91,17 +91,20 @@ func (t *Tailer) Start() {
 	go t.run()
 }
 
-// Close stops the tail loop and waits for it to exit. Safe to call without
-// Start and more than once.
+// Close stops the tail loop, waits for it to exit and drops the client's
+// idle connections to the leader. Safe to call without Start and more than
+// once. The connections matter to a leader that is draining at the same
+// moment: one the transport dialed but never used looks new, not idle, to
+// the leader's http.Server.Shutdown, which would wait five seconds on it.
 func (t *Tailer) Close() {
 	t.stopOnce.Do(func() { close(t.stop) })
-	if !t.started {
-		return
+	if t.started {
+		select {
+		case <-t.done:
+		case <-time.After(5 * time.Second):
+		}
 	}
-	select {
-	case <-t.done:
-	case <-time.After(5 * time.Second):
-	}
+	t.opt.Client.CloseIdleConnections()
 }
 
 func (t *Tailer) run() {

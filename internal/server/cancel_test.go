@@ -15,13 +15,17 @@ import (
 	"odlib/internal/router"
 )
 
-// heavyChainServer boots an ephemeral daemon holding a 16-attribute
-// transitive chain (attribute guard raised to match). Span questions
-// [ci] -> [cj] sit in the eagerly maintained closure and answer in O(1), so
-// the heavy questions here are order-compatibility forms [ci] ~ [cj]:
-// implied, outside the closure, and each direction must exhaust the
-// ~3^16-node sign tree — the better part of a second of search, long
-// enough to cancel mid-flight even on a loaded single-core box.
+// heavyChainServer boots an ephemeral daemon holding a 15-link transitive
+// chain c00 ↦ … ↦ c14 under the context attribute zz — 16 attributes, the
+// attribute guard raised to match. zz leads both sides of every link and
+// sorts last, so the search assigns it last and propagation can decide no
+// link on any shorter prefix (a plain chain falls in a few hundred nodes).
+// Span questions [zz, ci] -> [zz, cj] sit in the eagerly maintained closure
+// and answer in O(1), so the heavy questions here are order-compatibility
+// forms [zz, ci] ~ [zz, cj]: implied, outside the closure, and each
+// direction must exhaust the ~3^16-node sign tree — the better part of a
+// second of search, long enough to cancel mid-flight even on a loaded
+// single-core box.
 func heavyChainServer(t *testing.T, opts ...Option) *httptest.Server {
 	t.Helper()
 	rt, err := router.Open(router.Options{
@@ -35,8 +39,8 @@ func heavyChainServer(t *testing.T, opts ...Option) *httptest.Server {
 	t.Cleanup(ts.Close)
 
 	var decl []string
-	for i := 0; i+1 < 16; i++ {
-		decl = append(decl, fmt.Sprintf("[c%02d] -> [c%02d]", i, i+1))
+	for i := 0; i+1 < 15; i++ {
+		decl = append(decl, fmt.Sprintf("[zz, c%02d] -> [zz, c%02d]", i, i+1))
 	}
 	body, _ := json.Marshal(map[string]any{"declare": decl})
 	resp, err := ts.Client().Post(ts.URL+"/ods/batch", "application/json", bytes.NewReader(body))
@@ -79,7 +83,7 @@ func TestProveClientDisconnectStopsSearch(t *testing.T) {
 	ts := heavyChainServer(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(map[string]string{"statement": "[c00] ~ [c15]"})
+	body, _ := json.Marshal(map[string]string{"statement": "[zz, c00] ~ [zz, c14]"})
 	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/prove", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +138,7 @@ func TestProveClientDisconnectStopsSearch(t *testing.T) {
 // must be 504 with the timeout surfaced, not a hung connection.
 func TestProveTimeout(t *testing.T) {
 	ts := heavyChainServer(t, WithProveTimeout(5*time.Millisecond))
-	body, _ := json.Marshal(map[string]string{"statement": "[c00] ~ [c15]"})
+	body, _ := json.Marshal(map[string]string{"statement": "[zz, c00] ~ [zz, c14]"})
 	resp, err := ts.Client().Post(ts.URL+"/prove", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +170,7 @@ func TestProveTimeout(t *testing.T) {
 // mix real verdicts with deadline errors dressed as statement faults.
 func TestBatchProveServerTimeout(t *testing.T) {
 	ts := heavyChainServer(t, WithProveTimeout(10*time.Millisecond))
-	stmts := []string{"[c00] ~ [c15]", "[c01] ~ [c14]"}
+	stmts := []string{"[zz, c00] ~ [zz, c14]", "[zz, c01] ~ [zz, c13]"}
 	body, _ := json.Marshal(map[string]any{"statements": stmts})
 	resp, err := ts.Client().Post(ts.URL+"/prove/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -185,7 +189,7 @@ func TestBatchProveServerTimeout(t *testing.T) {
 // drains instead of deciding the remaining statements.
 func TestBatchProveCancellation(t *testing.T) {
 	ts := heavyChainServer(t)
-	stmts := []string{"[c00] ~ [c15]", "[c01] ~ [c14]", "[c02] ~ [c13]"}
+	stmts := []string{"[zz, c00] ~ [zz, c14]", "[zz, c01] ~ [zz, c13]", "[zz, c02] ~ [zz, c12]"}
 	body, _ := json.Marshal(map[string]any{"statements": stmts})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()

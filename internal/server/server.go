@@ -483,10 +483,11 @@ type proveRequest struct {
 // witnessJSON is a two-row counterexample: the sign pattern per attribute
 // and a concrete integer realization. Only discriminating attributes — those
 // where the two rows differ — are serialized; every omitted attribute ties.
-// The prover expands witnesses onto the full universe of the shard's
-// constraint set, so without the projection a single refutation against a
-// wide catalog would ship kilobytes of constant columns per statement —
-// ruinous for /prove/batch responses.
+// That is the prover's own witness contract one step further: its verdicts
+// hold the counterexample over the attributes the decide entangled and
+// leave the rest of the shard's universe tied, and the wire drops the
+// entangled attributes that tie as well, so a refutation never ships
+// constant columns.
 type witnessJSON struct {
 	Pattern string            `json:"pattern"`
 	Signs   map[string]string `json:"signs"`
@@ -507,10 +508,8 @@ func witnessOf(p *core.Pattern) *witnessJSON {
 	if p == nil {
 		return nil
 	}
-	// Project onto discriminating attributes — indexing the signs slice
-	// directly, since Pattern.Sign is a linear universe scan and witnesses
-	// expand onto the whole constraint universe. A refuting pattern always
-	// has at least one non-Equal sign, so the projection is never empty.
+	// Project onto discriminating attributes. A refuting pattern always has
+	// at least one non-Equal sign, so the projection is never empty.
 	var kept core.List
 	var keptSigns []core.Sign
 	signs := p.Signs()
