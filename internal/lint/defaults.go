@@ -12,9 +12,10 @@ package lint
 // locks of strictly higher rank.
 //
 //	Router.mu → Router.pollMu → Shard.mu → Store.compactMu → Shard.applyMu
-//	  → Shard.replMu → FollowerStore.mu → Store.mu → wal.ioMu → wal.mu
+//	  → FollowerStore.mu → Store.mu → wal.ioMu → wal.mu
 //
-// The ranks are spaced so a future lock can slot between neighbors without
+// The segment log under wal and FollowerStore (store.segLog) has no lock of
+// its own: wal.mu or FollowerStore.mu guards it. The ranks are spaced so a future lock can slot between neighbors without
 // renumbering everything.
 var DefaultLockOrder = LockOrderConfig{
 	Ranks: map[string]int{
@@ -23,7 +24,6 @@ var DefaultLockOrder = LockOrderConfig{
 		"odlib/internal/router.Shard.mu":        20,
 		"odlib/internal/store.Store.compactMu":  30,
 		"odlib/internal/router.Shard.applyMu":   40,
-		"odlib/internal/router.Shard.replMu":    50,
 		"odlib/internal/store.FollowerStore.mu": 55,
 		"odlib/internal/store.Store.mu":         60,
 		"odlib/internal/store.wal.ioMu":         70,
@@ -52,6 +52,7 @@ var DefaultLockOrder = LockOrderConfig{
 			"odlib/internal/store.wal.mu",
 		},
 		"odlib/internal/store.FollowerStore.Next":            {"odlib/internal/store.FollowerStore.mu"},
+		"odlib/internal/store.FollowerStore.NoteLeader":      {"odlib/internal/store.FollowerStore.mu"},
 		"odlib/internal/store.FollowerStore.Ingest":          {"odlib/internal/store.FollowerStore.mu"},
 		"odlib/internal/store.FollowerStore.TruncateTail":    {"odlib/internal/store.FollowerStore.mu"},
 		"odlib/internal/store.FollowerStore.Seal":            {"odlib/internal/store.FollowerStore.mu"},

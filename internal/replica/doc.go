@@ -4,8 +4,10 @@
 // The tailer polls GET /segments for every shard's applied watermark,
 // generation and live segment list, then fetches segment bytes with plain
 // ranged reads (GET /segments/{shard}/{n}?offset=...) and feeds them to the
-// follower router, which persists them (store.FollowerStore), CRC-verifies
-// frames, and applies each record to its catalog with the same
+// follower router, which takes them into the shard's store.FollowerStore
+// (persisted when the follower has a data dir, parsed and dropped when it is
+// a pure cache — one code path either way), CRC-verifies frames, and
+// applies each record to its catalog with the same
 // one-record-one-Apply discipline as the leader's live path — so the
 // follower's generation is numerically the leader's at the same applied seq,
 // and "generation lag" is an exact, observable contract rather than an

@@ -165,70 +165,74 @@ func TestFaultMatrixFollowerKillMidReplay(t *testing.T) {
 }
 
 func TestFaultMatrixTornSegmentFetch(t *testing.T) {
-	lf := newLeader(t, store.Options{})
-	oracle := newOracle(t)
-	declareRecorded(lf, oracle, matrixDeclares...)
+	eachFollowerDir(t, func(t *testing.T, dir string) {
+		lf := newLeader(t, store.Options{})
+		oracle := newOracle(t)
+		declareRecorded(lf, oracle, matrixDeclares...)
 
-	// Every fetch is cut after 7 bytes — mid-frame, always. Each pass still
-	// banks the verified prefix and resumes, so the follower grinds forward
-	// through the fault and converges without the transport ever healing.
-	flaky := newFlaky(nil)
-	flaky.truncateBodies(`^/segments/.+/\d+$`, 7)
-	ff := newFollower(t, lf.URL(), &http.Client{Transport: flaky}, 0)
-	for i := 0; i < 500; i++ {
-		if err := ff.pass(); err == nil {
-			break
+		// Every fetch is cut after 7 bytes — mid-frame, always. Each pass still
+		// banks the verified prefix and resumes, so the follower grinds forward
+		// through the fault and converges without the transport ever healing.
+		flaky := newFlaky(nil)
+		flaky.truncateBodies(`^/segments/.+/\d+$`, 7)
+		ff := newFollowerAt(t, dir, lf.URL(), &http.Client{Transport: flaky}, 0)
+		for i := 0; i < 500; i++ {
+			if err := ff.pass(); err == nil {
+				break
+			}
+			// The oracle applies once the shard exists on the follower — before
+			// the first applied record there is no generation to hold it to.
+			if _, _, _, watermark := ff.rt.FollowerNext(matrixSchema); watermark > 0 {
+				oracle.check(ff.rt)
+			}
 		}
-		// The oracle applies once the shard exists on the follower — before
-		// the first applied record there is no generation to hold it to.
-		if _, _, _, watermark := ff.rt.FollowerNext(matrixSchema); watermark > 0 {
-			oracle.check(ff.rt)
+		if flaky.faultHits() == 0 {
+			t.Fatal("truncation fault never fired")
 		}
-	}
-	if flaky.faultHits() == 0 {
-		t.Fatal("truncation fault never fired")
-	}
-	ff.sync()
-	assertConverged(t, lf.Router(), ff.rt, matrixSchema, matrixProbes)
+		ff.sync()
+		assertConverged(t, lf.Router(), ff.rt, matrixSchema, matrixProbes)
+	})
 }
 
 func TestFaultMatrixCompactionDeletesUnfetchedSegment(t *testing.T) {
-	lf := newLeader(t, store.Options{SegmentRecords: 1})
-	oracle := newOracle(t)
-	declareRecorded(lf, oracle, matrixDeclares[:2]...)
+	eachFollowerDir(t, func(t *testing.T, dir string) {
+		lf := newLeader(t, store.Options{SegmentRecords: 1})
+		oracle := newOracle(t)
+		declareRecorded(lf, oracle, matrixDeclares[:2]...)
 
-	flaky := newFlaky(nil)
-	ff := newFollower(t, lf.URL(), &http.Client{Transport: flaky}, 0)
-	ff.sync()
+		flaky := newFlaky(nil)
+		ff := newFollowerAt(t, dir, lf.URL(), &http.Client{Transport: flaky}, 0)
+		ff.sync()
 
-	// Hold compaction while more history accumulates, so its segments are
-	// still listed when the follower polls…
-	resume := lf.Router().ShardStore(matrixSchema).StallCompaction()
-	declareRecorded(lf, oracle, matrixDeclares[2:]...)
+		// Hold compaction while more history accumulates, so its segments are
+		// still listed when the follower polls…
+		resume := lf.Router().ShardStore(matrixSchema).StallCompaction()
+		declareRecorded(lf, oracle, matrixDeclares[2:]...)
 
-	// …then compact them away between the follower's poll and its fetch:
-	// the hook fires on the first segment fetch, at which point the poll
-	// response is already in hand and stale.
-	var once sync.Once
-	flaky.onRequest(func(r *http.Request) {
-		if !segmentFetchPat.MatchString(r.URL.Path) {
-			return
-		}
-		once.Do(func() {
-			resume()
-			if _, err := lf.Router().SnapshotOne(matrixSchema); err != nil {
-				t.Errorf("compacting leader: %v", err)
+		// …then compact them away between the follower's poll and its fetch:
+		// the hook fires on the first segment fetch, at which point the poll
+		// response is already in hand and stale.
+		var once sync.Once
+		flaky.onRequest(func(r *http.Request) {
+			if !segmentFetchPat.MatchString(r.URL.Path) {
+				return
 			}
+			once.Do(func() {
+				resume()
+				if _, err := lf.Router().SnapshotOne(matrixSchema); err != nil {
+					t.Errorf("compacting leader: %v", err)
+				}
+			})
 		})
-	})
-	ff.sync()
-	flaky.onRequest(nil)
+		ff.sync()
+		flaky.onRequest(nil)
 
-	if boots := ff.rt.ReplicaStatuses()[matrixSchema].Bootstraps; boots == 0 {
-		t.Fatal("follower converged without bootstrapping; the compaction race never happened")
-	}
-	assertConverged(t, lf.Router(), ff.rt, matrixSchema, matrixProbes)
-	oracle.check(ff.rt)
+		if boots := ff.rt.ReplicaStatuses()[matrixSchema].Bootstraps; boots == 0 {
+			t.Fatal("follower converged without bootstrapping; the compaction race never happened")
+		}
+		assertConverged(t, lf.Router(), ff.rt, matrixSchema, matrixProbes)
+		oracle.check(ff.rt)
+	})
 }
 
 func TestFaultMatrixLagBoundViolation(t *testing.T) {

@@ -145,8 +145,23 @@ type followerFixture struct {
 
 func newFollower(t *testing.T, leaderURL string, client *http.Client, maxLag int) *followerFixture {
 	t.Helper()
+	return newFollowerAt(t, t.TempDir(), leaderURL, client, maxLag)
+}
+
+// eachFollowerDir runs fn for both follower kinds: durable (a data dir) and
+// pure-cache (dir == "", nothing persisted). Whatever a fault does to one it
+// must do to the other — they run the same log code.
+func eachFollowerDir(t *testing.T, fn func(t *testing.T, dir string)) {
+	t.Run("durable", func(t *testing.T) { fn(t, t.TempDir()) })
+	t.Run("pure-cache", func(t *testing.T) { fn(t, "") })
+}
+
+// newFollowerAt is newFollower over a chosen data dir; empty means a
+// pure-cache follower, whose Restart re-tails from scratch.
+func newFollowerAt(t *testing.T, dir, leaderURL string, client *http.Client, maxLag int) *followerFixture {
+	t.Helper()
 	ff := &followerFixture{
-		t: t, dir: t.TempDir(), leader: leaderURL, client: client,
+		t: t, dir: dir, leader: leaderURL, client: client,
 		maxLag: maxLag, interval: 5 * time.Millisecond,
 	}
 	ff.open()

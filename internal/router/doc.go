@@ -28,6 +28,14 @@
 // commit failure) is gone, and with it the rollback machinery. Reads never
 // take shard mutexes at all; they ride the catalog's snapshot path.
 //
+// A follower router (Options.Follower) opens a store.FollowerStore per shard
+// instead — with a data dir a durable one, without one a pure cache, the
+// same type either way — and its replication surface (replica.go) is a thin
+// pass-through: bytes go to the shard's FollowerStore, the records it parses
+// apply to the catalog in seq order under the apply lock. The store keeps
+// the fetch cursor, the leader's last-polled position and the counters, so
+// the shard needs no lock of its own for them.
+//
 // Prove traffic accepts a context.Context and threads it into the
 // catalog's tier chain, so an HTTP client disconnect or prove deadline
 // aborts the in-flight pattern search.

@@ -84,17 +84,6 @@ func (r *Router) SegmentSnapshot(schema string) (store.Snapshot, bool, error) {
 
 // ---- follower side ----
 
-// ephSegment is the in-memory ingest state of a pure-cache follower shard
-// (no data dir): the byte-offset bookkeeping FollowerStore would otherwise
-// keep on disk. Guarded by the shard's replMu.
-type ephSegment struct {
-	open    bool
-	index   uint64
-	size    int64
-	pending []byte
-	lastIdx uint64 // highest sealed index, to reject out-of-order opens
-}
-
 // ReplicaStatus is one follower shard's replication position: where it is,
 // where the leader was at the last successful poll, and the lag between the
 // two in both records and generations. Because follower generations align
@@ -164,44 +153,38 @@ func (r *Router) NoteLeader(schema string, leaderSeq, leaderGen uint64) error {
 	if err != nil {
 		return err
 	}
-	sh.replMu.Lock()
-	sh.leaderSeq = leaderSeq
-	sh.leaderGen = leaderGen
-	sh.replMu.Unlock()
+	sh.fs.NoteLeader(leaderSeq, leaderGen)
 	return nil
 }
 
-// replicaStatus assembles one shard's ReplicaStatus.
+// replicaStatus assembles one shard's ReplicaStatus: the applied position
+// from the catalog side, the leader's position and the fetch counters from
+// the follower store, which keeps them the same way with or without a
+// directory.
 func (r *Router) replicaStatus(sh *Shard) ReplicaStatus {
 	sh.applyMu.Lock()
 	applied := sh.nextApply - 1
 	gen := sh.cat.Generation()
 	sh.applyMu.Unlock()
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
+	fst := sh.fs.Stats()
 	rs := ReplicaStatus{
 		AppliedSeq:       applied,
 		Generation:       gen,
-		LeaderSeq:        sh.leaderSeq,
-		LeaderGeneration: sh.leaderGen,
-		SegmentsFetched:  sh.fetches,
-		BytesFetched:     sh.fetchedB,
-		SegmentsSealed:   sh.seals,
-		Bootstraps:       sh.bootstraps,
-	}
-	if sh.fs != nil {
-		fst := sh.fs.Stats()
-		rs.SegmentsSealed = fst.SegmentsSealed
-		rs.BytesFetched = fst.BytesFetched
+		LeaderSeq:        fst.LeaderSeq,
+		LeaderGeneration: fst.LeaderGen,
+		SegmentsFetched:  fst.SegmentsFetched,
+		BytesFetched:     fst.BytesFetched,
+		SegmentsSealed:   fst.SegmentsSealed,
+		Bootstraps:       fst.SnapshotsInstalled,
 	}
 	// The follower can transiently run AHEAD of the last-polled leader
 	// numbers (bytes already shipped for records the poll predates); lag
 	// clamps at zero rather than wrapping.
-	if sh.leaderSeq > applied {
-		rs.LagRecords = sh.leaderSeq - applied
+	if rs.LeaderSeq > applied {
+		rs.LagRecords = rs.LeaderSeq - applied
 	}
-	if sh.leaderGen > gen {
-		rs.LagGenerations = sh.leaderGen - gen
+	if rs.LeaderGeneration > gen {
+		rs.LagGenerations = rs.LeaderGeneration - gen
 	}
 	return rs
 }
@@ -266,8 +249,8 @@ type IngestResult struct {
 	LocalSize int64
 }
 
-// FollowerIngest feeds fetched segment bytes into a follower shard: persist
-// (or buffer, on a pure-cache follower), parse complete frames, and apply
+// FollowerIngest feeds fetched segment bytes into a follower shard: take
+// them into the shard's log, parse the frames they complete, and apply
 // each new record to the catalog under the apply lock with the same
 // one-record-one-Apply discipline as the leader's live path. Records at or
 // below the watermark (refetch overlap, or records a bootstrap snapshot
@@ -284,23 +267,10 @@ func (r *Router) FollowerIngest(schema string, index uint64, off int64, b []byte
 	if err != nil {
 		return IngestResult{}, err
 	}
-	var recs []store.Record
-	var ingestErr error
-	if sh.fs != nil {
-		recs, ingestErr = sh.fs.Ingest(index, off, b)
-		if ingestErr != nil && len(recs) == 0 && !isBadFrame(ingestErr) {
-			return IngestResult{}, ingestErr
-		}
-	} else {
-		recs, ingestErr = sh.ephIngest(index, off, b)
-		if ingestErr != nil && len(recs) == 0 && !isBadFrame(ingestErr) {
-			return IngestResult{}, ingestErr
-		}
+	recs, ingestErr := sh.fs.Ingest(index, off, b)
+	if ingestErr != nil && len(recs) == 0 && !isBadFrame(ingestErr) {
+		return IngestResult{}, ingestErr
 	}
-	sh.replMu.Lock()
-	sh.fetches++
-	sh.fetchedB += uint64(len(b))
-	sh.replMu.Unlock()
 
 	res := IngestResult{}
 	sh.applyMu.Lock()
@@ -325,15 +295,13 @@ func (r *Router) FollowerIngest(schema string, index uint64, off int64, b []byte
 	if isBadFrame(ingestErr) {
 		// Drop the poisoned tail so the next fetch resumes at a frame
 		// boundary with clean bytes.
-		if sh.fs != nil {
-			if terr := sh.fs.TruncateTail(); terr != nil {
-				return res, terr
-			}
-		} else {
-			sh.ephTruncate()
+		if terr := sh.fs.TruncateTail(); terr != nil {
+			return res, terr
 		}
 	}
-	res.LocalSize = sh.localSize(index)
+	if idx, size, open, _ := sh.fs.Next(); open && idx == index {
+		res.LocalSize = size
+	}
 	return res, ingestErr
 }
 
@@ -341,122 +309,28 @@ func isBadFrame(err error) bool {
 	return err != nil && errors.Is(err, store.ErrBadFrame)
 }
 
-// localSize reports the open segment's local byte size when it matches
-// index, else zero.
-func (sh *Shard) localSize(index uint64) int64 {
-	if sh.fs != nil {
-		idx, size, open, _ := sh.fs.Next()
-		if open && idx == index {
-			return size
-		}
-		return 0
-	}
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
-	if sh.eph != nil && sh.eph.open && sh.eph.index == index {
-		return sh.eph.size
-	}
-	return 0
-}
-
-// ephIngest is the pure-cache counterpart of FollowerStore.Ingest: the same
-// offset discipline against an in-memory buffer that only retains the
-// unparsed tail.
-func (sh *Shard) ephIngest(index uint64, off int64, b []byte) ([]store.Record, error) {
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
-	e := sh.eph
-	if !e.open {
-		if off != 0 {
-			return nil, fmt.Errorf("%w: opening segment %d at offset %d", store.ErrIngestGap, index, off)
-		}
-		if index <= e.lastIdx && e.lastIdx > 0 {
-			return nil, fmt.Errorf("%w: segment %d is not after sealed segment %d", store.ErrIngestGap, index, e.lastIdx)
-		}
-		e.open, e.index, e.size, e.pending = true, index, 0, nil
-	}
-	if index != e.index {
-		return nil, fmt.Errorf("%w: got segment %d while segment %d is still open", store.ErrIngestGap, index, e.index)
-	}
-	switch {
-	case off > e.size:
-		return nil, fmt.Errorf("%w: segment %d offset %d past local size %d", store.ErrIngestGap, index, off, e.size)
-	case off < e.size:
-		skip := e.size - off
-		if skip >= int64(len(b)) {
-			return nil, nil
-		}
-		b = b[skip:]
-	}
-	e.size += int64(len(b))
-	e.pending = append(e.pending, b...)
-	recs, consumed, err := store.DecodeFrames(e.pending)
-	e.pending = e.pending[consumed:]
-	return recs, err
-}
-
-// ephTruncate discards the in-memory unparsed tail after a bad frame.
-func (sh *Shard) ephTruncate() {
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
-	if sh.eph != nil {
-		sh.eph.size -= int64(len(sh.eph.pending))
-		sh.eph.pending = nil
-	}
-}
-
 // FollowerNext reports where fetching should resume for a shard: the open
 // segment and its local size when one is open, plus the applied watermark.
 func (r *Router) FollowerNext(schema string) (index uint64, size int64, open bool, watermark uint64) {
 	sh := r.shard(schema)
-	if sh == nil {
+	if sh == nil || sh.fs == nil {
 		return 0, 0, false, 0
 	}
 	sh.applyMu.Lock()
 	watermark = sh.nextApply - 1
 	sh.applyMu.Unlock()
-	if sh.fs != nil {
-		index, size, open, _ = sh.fs.Next()
-		return index, size, open, watermark
-	}
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
-	if sh.eph != nil && sh.eph.open {
-		return sh.eph.index, sh.eph.size, true, watermark
-	}
-	return 0, 0, false, watermark
+	index, size, open, _ = sh.fs.Next()
+	return index, size, open, watermark
 }
 
 // FollowerSeal marks a shard's open segment complete at the leader's sealed
 // size (byte-for-byte identical by construction).
 func (r *Router) FollowerSeal(schema string, index uint64, size int64) error {
 	sh := r.shard(schema)
-	if sh == nil {
-		return fmt.Errorf("router: sealing segment on unknown shard %q", schema)
+	if sh == nil || sh.fs == nil {
+		return fmt.Errorf("router: sealing segment on unknown follower shard %q", schema)
 	}
-	if sh.fs != nil {
-		if err := sh.fs.Seal(index, size); err != nil {
-			return err
-		}
-	} else {
-		sh.replMu.Lock()
-		e := sh.eph
-		if e == nil || !e.open || e.index != index {
-			sh.replMu.Unlock()
-			return fmt.Errorf("router: sealing segment %d which is not open on shard %q", index, schema)
-		}
-		if len(e.pending) > 0 || e.size != size {
-			sh.replMu.Unlock()
-			return fmt.Errorf("router: sealing segment %d at %d local bytes (pending %d) but leader sealed at %d",
-				index, e.size, len(e.pending), size)
-		}
-		e.open, e.lastIdx, e.pending = false, index, nil
-		sh.replMu.Unlock()
-	}
-	sh.replMu.Lock()
-	sh.seals++
-	sh.replMu.Unlock()
-	return nil
+	return sh.fs.Seal(index, size)
 }
 
 // FollowerSealOpen retires a shard's open segment at its current size — the
@@ -465,20 +339,10 @@ func (r *Router) FollowerSeal(schema string, index uint64, size int64) error {
 // the unapplied remainder is covered by the snapshot about to install).
 func (r *Router) FollowerSealOpen(schema string) error {
 	sh := r.shard(schema)
-	if sh == nil {
+	if sh == nil || sh.fs == nil {
 		return nil
 	}
-	if sh.fs != nil {
-		return sh.fs.SealOpen()
-	}
-	sh.replMu.Lock()
-	defer sh.replMu.Unlock()
-	if sh.eph != nil && sh.eph.open {
-		sh.eph.open = false
-		sh.eph.lastIdx = sh.eph.index
-		sh.eph.pending = nil
-	}
-	return nil
+	return sh.fs.SealOpen()
 }
 
 // FollowerBootstrap jumps a follower shard to a leader snapshot: install it
@@ -502,23 +366,11 @@ func (r *Router) FollowerBootstrap(schema string, snap store.Snapshot) error {
 		return fmt.Errorf("router: bootstrap snapshot at seq %d is behind shard %q watermark %d",
 			snap.Seq, sh.name, sh.nextApply-1)
 	}
-	if sh.fs != nil {
-		if err := sh.fs.InstallSnapshot(snap); err != nil {
-			return err
-		}
-	} else {
-		sh.replMu.Lock()
-		if sh.eph != nil {
-			sh.eph.open = false
-			sh.eph.pending = nil
-		}
-		sh.replMu.Unlock()
+	if err := sh.fs.InstallSnapshot(snap); err != nil {
+		return err
 	}
 	sh.cat.ResetTo(snap.Gen, snap.ODs)
 	sh.nextApply = snap.Seq + 1
 	sh.applyCond.Broadcast()
-	sh.replMu.Lock()
-	sh.bootstraps++
-	sh.replMu.Unlock()
 	return nil
 }

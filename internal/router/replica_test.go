@@ -319,3 +319,77 @@ func TestFollowerStatsReportLag(t *testing.T) {
 		t.Fatalf("lag records = %d, want 2", st.Replica.LagRecords)
 	}
 }
+
+// TestFollowerKindsReportTheSameCounters: a durable and a pure-cache
+// follower fed the same fetches — a re-sent overlap and a retired open
+// segment included — report identical replica counters, and both carry the
+// follower block on Stats (what /healthz serves).
+func TestFollowerKindsReportTheSameCounters(t *testing.T) {
+	leader, err := Open(Options{DataDir: t.TempDir(), Store: store.Options{SegmentRecords: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for _, stmt := range []string{"[a] -> [b]", "[b] -> [c]", "[c] -> [d]"} {
+		if _, err := leader.Declare("s", ods(t, stmt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss := leader.SegmentState()["s"]
+	if len(ss.Segments) != 2 || !ss.Segments[0].Sealed {
+		t.Fatalf("leader segments = %+v, want one sealed and one open", ss.Segments)
+	}
+
+	statuses := map[string]ReplicaStatus{}
+	for kind, dir := range map[string]string{"durable": t.TempDir(), "pure-cache": ""} {
+		follower, err := Open(Options{DataDir: dir, Follower: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer follower.Close()
+		sealed, open := ss.Segments[0], ss.Segments[1]
+		b, _, err := leader.ReadSegment("s", sealed.Index, 0, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range [][]byte{b[:len(b)/2], b} { // the second fetch re-sends the first half
+			if _, err := follower.FollowerIngest("s", sealed.Index, 0, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := follower.FollowerSeal("s", sealed.Index, sealed.Size); err != nil {
+			t.Fatal(err)
+		}
+		if b, _, err = leader.ReadSegment("s", open.Index, 0, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := follower.FollowerIngest("s", open.Index, 0, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := follower.FollowerSealOpen("s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := follower.FollowerBootstrap("s", store.Snapshot{Seq: 3, Gen: 3, ODs: ods(t, "[a] -> [b]", "[b] -> [c]", "[c] -> [d]")}); err != nil {
+			t.Fatal(err)
+		}
+
+		st := follower.Stats()["s"]
+		if st.Follower == nil || st.Replica == nil {
+			t.Fatalf("%s follower Stats = %+v, want both the follower and the replica block", kind, st)
+		}
+		if st.Follower.SnapshotsInstalled != st.Replica.Bootstraps || st.Follower.BytesFetched != st.Replica.BytesFetched {
+			t.Fatalf("%s: follower block %+v and replica block %+v disagree", kind, *st.Follower, *st.Replica)
+		}
+		statuses[kind] = *st.Replica
+	}
+	want := ReplicaStatus{
+		AppliedSeq: 3, Generation: 3, SegmentsFetched: 3,
+		BytesFetched:   uint64(ss.Segments[0].Size + ss.Segments[1].Size),
+		SegmentsSealed: 2, Bootstraps: 1,
+	}
+	for kind, got := range statuses {
+		if got != want {
+			t.Errorf("%s follower reports %+v, want %+v", kind, got, want)
+		}
+	}
+}

@@ -125,18 +125,9 @@ type Shard struct {
 	cat  *catalog.Catalog
 	st   *store.Store // nil when the router is ephemeral or a follower
 
-	// Follower-mode state: fs persists fetched segments (nil on a pure-cache
-	// follower, which parses into eph instead); replMu guards the leader's
-	// last-polled position and the fetch counters.
-	fs         *store.FollowerStore
-	eph        *ephSegment
-	replMu     sync.Mutex
-	leaderSeq  uint64
-	leaderGen  uint64
-	fetches    uint64
-	fetchedB   uint64
-	seals      uint64
-	bootstraps uint64
+	// fs is a follower shard's log, replication cursor and fetch counters —
+	// set on every follower shard; without a data dir it persists nothing.
+	fs *store.FollowerStore
 
 	// tel and backpressure are copied from the router's Options at open, so
 	// the hot mutation path never reaches back through the router.
@@ -216,8 +207,8 @@ func Open(opt Options) (*Router, error) {
 // ValidSchema checks a schema name: lowercase letters, digits and
 // underscores, not digit-initial. Lowercase-only keeps one shard per
 // directory even on case-insensitive filesystems (macOS APFS default),
-// where "Sales" and "sales" would otherwise open the same wal.log from two
-// independent shards; and no name can collide with the default shard's
+// where "Sales" and "sales" would otherwise open the same WAL segments from
+// two independent shards; and no name can collide with the default shard's
 // "@default" directory.
 func ValidSchema(name string) error {
 	if name == DefaultShard {
@@ -262,30 +253,23 @@ func (r *Router) openShard(name string) (*Shard, error) {
 		backpressure: r.opt.BackpressureSegments,
 	}
 	sh.applyCond = sync.NewCond(&sh.applyMu)
+	dir := ""
+	if r.opt.DataDir != "" {
+		dir = filepath.Join(r.opt.DataDir, name)
+		if name == DefaultShard {
+			dir = filepath.Join(r.opt.DataDir, dirDefault)
+		}
+	}
 	switch {
 	case r.opt.Follower:
-		if r.opt.DataDir != "" {
-			dir := name
-			if dir == DefaultShard {
-				dir = dirDefault
-			}
-			fs, snap, replay, err := store.OpenFollower(filepath.Join(r.opt.DataDir, dir))
-			if err != nil {
-				return nil, fmt.Errorf("router: opening follower shard %q: %w", name, err)
-			}
-			seq := recoverCatalog(sh.cat, snap, replay)
-			sh.fs = fs
-			sh.nextApply = seq + 1
-		} else {
-			sh.eph = &ephSegment{}
-			sh.nextApply = 1
+		fs, snap, replay, err := store.OpenFollower(dir)
+		if err != nil {
+			return nil, fmt.Errorf("router: opening follower shard %q: %w", name, err)
 		}
-	case r.opt.DataDir != "":
-		dir := name
-		if dir == DefaultShard {
-			dir = dirDefault
-		}
-		st, snap, replay, err := store.Open(filepath.Join(r.opt.DataDir, dir), r.opt.Store)
+		sh.fs = fs
+		sh.nextApply = recoverCatalog(sh.cat, snap, replay) + 1
+	case dir != "":
+		st, snap, replay, err := store.Open(dir, r.opt.Store)
 		if err != nil {
 			return nil, fmt.Errorf("router: opening shard %q: %w", name, err)
 		}
@@ -836,10 +820,8 @@ func (r *Router) Stats() map[string]ShardStats {
 			}
 		}
 		if r.opt.Follower {
-			if sh.fs != nil {
-				fst := sh.fs.Stats()
-				ss.Follower = &fst
-			}
+			fst := sh.fs.Stats()
+			ss.Follower = &fst
 			rs := r.replicaStatus(sh)
 			ss.Replica = &rs
 			if err := r.CheckReadLag(name, 0); err != nil {

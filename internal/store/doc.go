@@ -11,15 +11,38 @@
 //	wal-000001.log  length-prefixed JSON frames, one per mutation batch
 //	wal-000002.log  … appends go to the highest-index (active) segment
 //	snapshot.json   latest snapshot {seq, ods}, replaced by atomic rename
-//	wal.log         pre-segment log of upgraded deployments, read once
+//
+// A directory that still holds the single-file wal.log of a pre-segment
+// release is refused at open: it is no longer read, and opening around it
+// would silently ignore acknowledged records.
+//
+// One unexported primitive, segLog, owns everything about segments: their
+// names, the recovery scan and its torn-tail rule, how bytes reach the open
+// segment, what sealing guarantees (fsync + close + directory fsync), the
+// truncation back to a frame boundary, the deletion of snapshot-covered
+// segments and the SegmentInfo listing. Three policies sit on it:
+//
+//   - Store and its wal, the leader: Store numbers the records, the wal
+//     group-commits them and rotates at the size/record thresholds and when
+//     a snapshot covers the open segment.
+//   - FollowerStore with a directory, the durable follower: ingests bytes a
+//     leader already framed, at the offset they were fetched from.
+//   - FollowerStore without one (OpenFollower("")), the pure-cache follower:
+//     the same ingest protocol, cursor and counters over a segLog that
+//     persists nothing.
+//
+// Open and OpenFollower share one recovery (recoverShard), and recovery and
+// replication share one frame decoder (DecodeFrames): a segment is recovered
+// by feeding its bytes, in bounded chunks, through the loop that ingests
+// fetched bytes.
 //
 // Frame format: 4-byte little-endian payload length, 4-byte little-endian
 // CRC32 (IEEE) of the payload, then the JSON payload. The active segment
 // seals and rotates at a size/record threshold; sealed segments are
 // immutable, and sealing always fsyncs (even with per-commit fsync off) so
 // the hard errors below are sound. On open the segments are scanned in log
-// order; a short, corrupt
-// or CRC-mismatched frame in the LAST segment marks a torn tail — truncated
+// order; a short, corrupt or CRC-mismatched frame in the LAST segment marks
+// a torn tail — truncated
 // away, the prefix-consistency a crashed group commit can leave behind — but
 // the same damage mid-log, or a sequence gap past the snapshot (a missing
 // middle segment), is a hard error: acknowledged records are gone and

@@ -33,15 +33,9 @@ type SegmentInfo struct {
 // metadata; the files themselves may shrink in count (compaction) after it
 // returns, which fetchers discover as ErrNoSegment.
 func (s *Store) SegmentInfos() []SegmentInfo {
-	w := s.wal
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	infos := make([]SegmentInfo, 0, len(w.sealed)+1)
-	for _, sg := range w.sealed {
-		infos = append(infos, segInfo(sg, true))
-	}
-	infos = append(infos, segInfo(w.active, false))
-	return infos
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return s.wal.log.infos()
 }
 
 func segInfo(sg segment, sealed bool) SegmentInfo {
@@ -67,37 +61,16 @@ func (s *Store) ReadSegmentAt(index uint64, off, maxBytes int64) ([]byte, Segmen
 	if off < 0 || maxBytes <= 0 {
 		return nil, SegmentInfo{}, fmt.Errorf("store: bad segment read bounds off=%d max=%d", off, maxBytes)
 	}
-	w := s.wal
-	w.mu.Lock()
-	var info SegmentInfo
-	found := false
-	for _, sg := range w.sealed {
-		if sg.index == index {
-			info, found = segInfo(sg, true), true
-			break
-		}
-	}
-	if !found && w.active.index == index {
-		info, found = segInfo(w.active, false), true
-	}
-	var path string
-	if found {
-		// Re-derive the path from metadata rather than holding the file: the
-		// committer owns the active file handle and sealed files are closed.
-		if info.Sealed {
-			for _, sg := range w.sealed {
-				if sg.index == index {
-					path = sg.path
-				}
-			}
-		} else {
-			path = w.active.path
-		}
-	}
-	w.mu.Unlock()
+	// Only metadata is read under the lock; the file is opened by path
+	// afterwards — the committer owns the open segment's handle and sealed
+	// files are closed.
+	s.wal.mu.Lock()
+	sg, sealed, found := s.wal.log.find(index)
+	s.wal.mu.Unlock()
 	if !found {
 		return nil, SegmentInfo{}, fmt.Errorf("%w: index %d", ErrNoSegment, index)
 	}
+	info := segInfo(sg, sealed)
 	if off >= info.Size {
 		return nil, info, nil
 	}
@@ -105,7 +78,7 @@ func (s *Store) ReadSegmentAt(index uint64, off, maxBytes int64) ([]byte, Segmen
 	if n > maxBytes {
 		n = maxBytes
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(sg.path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			// Compaction unlinked it after the metadata read; same contract

@@ -1,213 +1,85 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 )
-
-// ErrBadFrame reports a CRC-invalid or undecodable frame in fetched segment
-// bytes. Unlike a SHORT frame (simply not enough bytes yet — more arrive on
-// the next fetch), a bad frame means the local tail diverged from the
-// leader's segment (a torn local write, or corruption in flight that slipped
-// past transport checks). The fix is mechanical: TruncateTail back to the
-// last parsed frame boundary and refetch from there.
-var ErrBadFrame = errors.New("store: bad WAL frame in fetched segment bytes")
 
 // ErrIngestGap reports an ingest whose byte offset or segment index does not
 // continue the local log — the tailer must refetch from the follower's own
 // watermark instead.
 var ErrIngestGap = errors.New("store: segment ingest does not continue the local log")
 
-// DecodeFrames parses complete frames from the front of b, returning the
-// decoded records and how many bytes they consumed. A trailing incomplete
-// frame is not an error — consumed simply stops before it. A frame that is
-// complete but invalid (oversized length word, CRC mismatch, undecodable
-// payload) returns the records parsed before it along with ErrBadFrame.
-func DecodeFrames(b []byte) (recs []Record, consumed int64, err error) {
-	for {
-		rest := b[consumed:]
-		if len(rest) < frameHeaderLen {
-			return recs, consumed, nil
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if n > maxRecordBytes {
-			return recs, consumed, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
-		}
-		if len(rest) < frameHeaderLen+int(n) {
-			return recs, consumed, nil
-		}
-		payload := rest[frameHeaderLen : frameHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return recs, consumed, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, consumed, fmt.Errorf("%w: %w", ErrBadFrame, err)
-		}
-		recs = append(recs, rec)
-		consumed += frameHeaderLen + int64(n)
-	}
-}
-
-// FollowerStats is a point-in-time summary of a follower store.
+// FollowerStats is a point-in-time summary of a follower store: where the
+// local log stands, where the leader stood at the last poll, and what
+// replication has cost so far. The counters mean the same on a durable and a
+// pure-cache follower: BytesFetched counts bytes newly taken (re-sent overlap
+// excluded), SegmentsSealed counts Seal and SealOpen alike. On a pure-cache
+// follower Segments and WALBytes describe the open segment's fetch cursor
+// only — sealed segments are not kept.
 type FollowerStats struct {
 	SnapshotSeq        uint64 `json:"snapshotSeq"`
 	SnapshotGen        uint64 `json:"snapshotGen"`
 	LastSeq            uint64 `json:"lastSeq"`
+	LeaderSeq          uint64 `json:"leaderSeq"`
+	LeaderGen          uint64 `json:"leaderGen"`
 	Segments           int    `json:"segments"`
 	WALBytes           int64  `json:"walBytes"`
+	SegmentsFetched    uint64 `json:"segmentsFetched"`
 	BytesFetched       uint64 `json:"bytesFetched"`
 	SegmentsSealed     uint64 `json:"segmentsSealed"`
 	SnapshotsInstalled uint64 `json:"snapshotsInstalled"`
 }
 
-// FollowerStore is the durability engine of one REPLICA shard: segment bytes
-// fetched from a leader are persisted verbatim (same file names, same frame
-// format, same snapshot protocol), so a follower's directory is
-// byte-compatible with recovery — OpenFollower after a crash resumes from
-// the local applied watermark, and the directory could even be opened by a
-// normal Store to promote the replica. Unlike Store there is no group
-// committer and no compactor: one tailer goroutine calls Ingest/Seal/
-// InstallSnapshot, and fsync happens only at segment seal and snapshot
-// install (follower durability is reconstructible from the leader, so
-// per-ingest fsync would buy latency for nothing).
+// FollowerStore is the follower's policy on a shard's segment log: segment
+// bytes fetched from a leader are ingested verbatim at the offset they were
+// fetched from (same file names, same frame format, same snapshot protocol),
+// so a follower's directory is byte-compatible with recovery — OpenFollower
+// after a crash resumes from the local applied watermark, and the directory
+// could even be opened by a normal Store to promote the replica. Opened with
+// no directory it is a pure cache: the same cursor, checks and counters over
+// a log that persists nothing. Unlike Store there is no group committer and
+// no compactor: one tailer goroutine calls Ingest/Seal/InstallSnapshot, and
+// fsync happens only at segment seal and snapshot install (follower
+// durability is reconstructible from the leader, so per-ingest fsync would
+// buy latency for nothing).
 type FollowerStore struct {
-	dir string
-
 	mu      sync.Mutex
-	sealed  []segment // fully fetched segments, ascending index
-	cur     *os.File  // segment currently being fetched; nil between segments
-	curSeg  segment   // metadata of cur; size counts every byte on disk
-	pending []byte    // bytes of cur past the last parsed frame boundary
-	lastSeq uint64    // seq of the last record parsed from the local log
+	log     *segLog
+	lastSeq uint64 // seq of the last record parsed from the local log
 	snapSeq uint64
 	snapGen uint64
 	closed  bool
 
+	// The leader's applied seq and generation as of the last successful poll.
+	leaderSeq uint64
+	leaderGen uint64
+
+	fetches            uint64
 	bytesFetched       uint64
 	segmentsSealed     uint64
 	snapshotsInstalled uint64
 }
 
-// OpenFollower recovers a follower store from dir (created if absent) the
-// same way Open recovers a leader store: sweep temp files, load the
-// snapshot, scan segments in log order truncating a torn tail in the LAST
-// segment only, hard-error on mid-log damage or a sequence gap past the
-// snapshot. It returns the snapshot and the records after it, in log order,
-// for the caller to rebuild its catalog from; the last segment (if any)
-// stays open for further Ingest calls at its current size.
+// OpenFollower recovers a follower store from dir (created if absent) with
+// the recovery Open runs on a leader store, and returns the snapshot and the
+// records after it, in log order, for the caller to rebuild its catalog
+// from; the last segment (if any) stays open for further Ingest calls at its
+// current size. An empty dir opens a pure-cache follower: nothing to
+// recover, nothing persisted.
 func OpenFollower(dir string) (*FollowerStore, Snapshot, []Record, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, Snapshot{}, nil, err
+	if dir == "" {
+		return &FollowerStore{log: &segLog{}}, Snapshot{}, nil, nil
 	}
-	if err := sweepTemp(dir); err != nil {
-		return nil, Snapshot{}, nil, err
-	}
-	snap, _, err := loadSnapshot(dir)
+	l, snap, replay, _, err := recoverShard(dir)
 	if err != nil {
 		return nil, Snapshot{}, nil, err
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, Snapshot{}, nil, err
+	fs := &FollowerStore{log: l, snapSeq: snap.Seq, snapGen: snap.Gen, lastSeq: snap.Seq}
+	if n := len(replay); n > 0 {
+		fs.lastSeq = replay[n-1].Seq
 	}
-	var segs []segment
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if idx, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segment{index: idx, path: filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-
-	fs := &FollowerStore{dir: dir, snapSeq: snap.Seq, snapGen: snap.Gen, lastSeq: snap.Seq}
-	var recs []Record
-	for i := range segs {
-		sg := &segs[i]
-		f, err := os.OpenFile(sg.path, os.O_RDWR, 0o644)
-		if err != nil {
-			fs.closeLocked()
-			return nil, Snapshot{}, nil, err
-		}
-		srecs, goodOff, err := scanWAL(f)
-		if err != nil {
-			f.Close()
-			fs.closeLocked()
-			return nil, Snapshot{}, nil, err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			fs.closeLocked()
-			return nil, Snapshot{}, nil, err
-		}
-		if leftover := st.Size() - goodOff; leftover > 0 {
-			if i != len(segs)-1 {
-				f.Close()
-				fs.closeLocked()
-				return nil, Snapshot{}, nil, fmt.Errorf(
-					"store: follower WAL segment %s carries %d torn bytes mid-log — corruption, not a crash artifact", sg.path, leftover)
-			}
-			// A kill mid-ingest tears the tail exactly like a leader crash
-			// tears a group commit; cut back to the frame boundary and the
-			// tailer refetches from there.
-			if err := f.Truncate(goodOff); err != nil {
-				f.Close()
-				fs.closeLocked()
-				return nil, Snapshot{}, nil, fmt.Errorf("store: truncating torn follower tail: %w", err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				fs.closeLocked()
-				return nil, Snapshot{}, nil, err
-			}
-		}
-		sg.size = goodOff
-		sg.records = uint64(len(srecs))
-		if len(srecs) > 0 {
-			sg.firstSeq = srecs[0].Seq
-			sg.lastSeq = srecs[len(srecs)-1].Seq
-		}
-		recs = append(recs, srecs...)
-		if i == len(segs)-1 {
-			fs.cur = f
-			fs.curSeg = *sg
-		} else {
-			f.Close()
-			fs.sealed = append(fs.sealed, *sg)
-		}
-	}
-	if err := syncDir(dir); err != nil {
-		fs.closeLocked()
-		return nil, Snapshot{}, nil, err
-	}
-
-	// Same airtight-past-the-snapshot rule as Open: replay only records after
-	// the snapshot, and a gap there means acknowledged leader state is gone.
-	replay := recs[:0:0]
-	seq := snap.Seq
-	for _, rec := range recs {
-		if rec.Seq <= snap.Seq {
-			continue
-		}
-		if rec.Seq != seq+1 {
-			fs.closeLocked()
-			return nil, Snapshot{}, nil, fmt.Errorf(
-				"store: follower WAL record gap in %s: expected seq %d, found %d", dir, seq+1, rec.Seq)
-		}
-		replay = append(replay, rec)
-		seq = rec.Seq
-	}
-	fs.lastSeq = seq
 	return fs, snap, replay, nil
 }
 
@@ -217,13 +89,18 @@ func OpenFollower(dir string) (*FollowerStore, Snapshot, []Record, error) {
 func (fs *FollowerStore) Next() (index uint64, size int64, open bool, lastSeq uint64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.cur != nil {
-		return fs.curSeg.index, fs.curSeg.size, true, fs.lastSeq
-	}
-	return 0, 0, false, fs.lastSeq
+	return fs.log.cur.index, fs.log.cur.size, fs.log.cur.index != 0, fs.lastSeq
 }
 
-// Ingest persists fetched segment bytes at byte offset off of segment index
+// NoteLeader records the leader's applied seq and generation as the last
+// successful poll reported them.
+func (fs *FollowerStore) NoteLeader(seq, gen uint64) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.leaderSeq, fs.leaderGen = seq, gen
+}
+
+// Ingest takes fetched segment bytes at byte offset off of segment index
 // and parses the complete frames they finish, returning the newly parsed
 // records in order. Offsets must continue the local bytes exactly (overlap
 // with already-held bytes is tolerated and skipped; a gap is ErrIngestGap).
@@ -237,52 +114,36 @@ func (fs *FollowerStore) Ingest(index uint64, off int64, b []byte) ([]Record, er
 	if fs.closed {
 		return nil, errors.New("store: follower store is closed")
 	}
-	if fs.cur == nil {
+	l := fs.log
+	if l.cur.index == 0 {
 		if off != 0 {
 			return nil, fmt.Errorf("%w: opening segment %d at offset %d", ErrIngestGap, index, off)
 		}
-		if n := len(fs.sealed); n > 0 && index <= fs.sealed[n-1].index {
-			return nil, fmt.Errorf("%w: segment %d is not after sealed segment %d", ErrIngestGap, index, fs.sealed[n-1].index)
+		if index <= l.last {
+			return nil, fmt.Errorf("%w: segment %d is not after segment %d", ErrIngestGap, index, l.last)
 		}
-		path := filepath.Join(fs.dir, segmentName(index))
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
+		if err := l.rotate(index); err != nil {
 			return nil, err
 		}
-		fs.cur = f
-		fs.curSeg = segment{index: index, path: path}
-		fs.pending = nil
 	}
-	if index != fs.curSeg.index {
-		return nil, fmt.Errorf("%w: got segment %d while segment %d is still open", ErrIngestGap, index, fs.curSeg.index)
+	if index != l.cur.index {
+		return nil, fmt.Errorf("%w: got segment %d while segment %d is still open", ErrIngestGap, index, l.cur.index)
 	}
-	switch {
-	case off > fs.curSeg.size:
-		return nil, fmt.Errorf("%w: segment %d offset %d past local size %d", ErrIngestGap, index, off, fs.curSeg.size)
-	case off < fs.curSeg.size:
-		skip := fs.curSeg.size - off
-		if skip >= int64(len(b)) {
-			return nil, nil
-		}
-		b = b[skip:]
+	if off > l.cur.size {
+		return nil, fmt.Errorf("%w: segment %d offset %d past local size %d", ErrIngestGap, index, off, l.cur.size)
 	}
-	if len(b) == 0 {
+	fs.fetches++
+	held := l.cur.size - off // a re-sent overlap: bytes of b the log already has
+	if held >= int64(len(b)) {
 		return nil, nil
 	}
-	if _, err := fs.cur.WriteAt(b, fs.curSeg.size); err != nil {
+	b = b[held:]
+	if err := l.write(b); err != nil {
 		return nil, fmt.Errorf("store: writing fetched segment bytes: %w", err)
 	}
-	fs.curSeg.size += int64(len(b))
 	fs.bytesFetched += uint64(len(b))
-	fs.pending = append(fs.pending, b...)
-	recs, consumed, err := DecodeFrames(fs.pending)
-	fs.pending = fs.pending[consumed:]
+	recs, err := l.feed(b)
 	for _, rec := range recs {
-		fs.curSeg.records++
-		if fs.curSeg.firstSeq == 0 {
-			fs.curSeg.firstSeq = rec.Seq
-		}
-		fs.curSeg.lastSeq = rec.Seq
 		if rec.Seq > fs.lastSeq {
 			fs.lastSeq = rec.Seq
 		}
@@ -295,17 +156,7 @@ func (fs *FollowerStore) Ingest(index uint64, off int64, b []byte) ([]Record, er
 func (fs *FollowerStore) TruncateTail() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.cur == nil || len(fs.pending) == 0 {
-		fs.pending = nil
-		return nil
-	}
-	good := fs.curSeg.size - int64(len(fs.pending))
-	if err := fs.cur.Truncate(good); err != nil {
-		return err
-	}
-	fs.curSeg.size = good
-	fs.pending = nil
-	return nil
+	return fs.log.truncateTail()
 }
 
 // Seal marks the open segment complete at exactly size bytes — the size the
@@ -315,99 +166,83 @@ func (fs *FollowerStore) TruncateTail() error {
 func (fs *FollowerStore) Seal(index uint64, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.cur == nil || fs.curSeg.index != index {
+	l := fs.log
+	if index == 0 || l.cur.index != index {
 		return fmt.Errorf("store: sealing segment %d which is not open", index)
 	}
-	if len(fs.pending) > 0 {
-		return fmt.Errorf("store: sealing segment %d with %d unparsed pending bytes", index, len(fs.pending))
+	if len(l.tail) > 0 {
+		return fmt.Errorf("store: sealing segment %d with %d unparsed pending bytes", index, len(l.tail))
 	}
-	if fs.curSeg.size != size {
-		return fmt.Errorf("store: sealing segment %d at %d bytes but leader sealed it at %d", index, fs.curSeg.size, size)
+	if l.cur.size != size {
+		return fmt.Errorf("store: sealing segment %d at %d bytes but leader sealed it at %d", index, l.cur.size, size)
 	}
-	return fs.sealCurLocked()
+	return fs.sealLocked()
 }
 
-// SealOpen unconditionally seals the open segment at its current size (a
+// SealOpen unconditionally seals the open segment at its last whole frame (a
 // no-op when none is open). Used when the leader has already retired the
 // segment: every record the follower parsed from it is applied, so the local
 // copy is complete enough, and fetching the remainder is impossible.
 func (fs *FollowerStore) SealOpen() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.cur == nil {
+	if fs.log.cur.index == 0 {
 		return nil
 	}
-	if len(fs.pending) > 0 {
-		// Drop the torn tail first so recovery sees a clean sealed segment.
-		good := fs.curSeg.size - int64(len(fs.pending))
-		if err := fs.cur.Truncate(good); err != nil {
-			return err
-		}
-		fs.curSeg.size = good
-		fs.pending = nil
-	}
-	return fs.sealCurLocked()
+	return fs.sealLocked()
 }
 
-func (fs *FollowerStore) sealCurLocked() error {
-	if err := fs.cur.Sync(); err != nil {
+// sealLocked seals the open segment, first dropping any torn tail so
+// recovery sees a clean sealed segment.
+func (fs *FollowerStore) sealLocked() error {
+	if err := fs.log.truncateTail(); err != nil {
 		return err
 	}
-	if err := fs.cur.Close(); err != nil {
+	if err := fs.log.rotate(0); err != nil {
 		return err
 	}
-	if err := syncDir(fs.dir); err != nil {
-		return err
-	}
-	fs.sealed = append(fs.sealed, fs.curSeg)
-	fs.cur = nil
-	fs.curSeg = segment{}
 	fs.segmentsSealed++
 	return nil
 }
 
 // InstallSnapshot durably replaces the follower's snapshot (the bootstrap
 // path when the leader compacted away segments the follower still needed)
-// and deletes local segments the snapshot covers. The tailer only bootstraps
-// when every unfetched record is at or below the snapshot seq, so a local
-// segment with records past snap.Seq is a protocol violation, not a cleanup
-// candidate.
+// and deletes the local segments, all of which it covers. The tailer only
+// bootstraps when every unfetched record is at or below the snapshot seq, so
+// local records past snap.Seq are a protocol violation, not a cleanup
+// candidate. A failure part-way (the snapshot landed, a segment would not
+// unlink) leaves a state a retry with the same snapshot completes.
 func (fs *FollowerStore) InstallSnapshot(snap Snapshot) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return errors.New("store: follower store is closed")
 	}
-	if fs.curSeg.lastSeq > snap.Seq || (len(fs.sealed) > 0 && fs.sealed[len(fs.sealed)-1].lastSeq > snap.Seq) {
+	if fs.lastSeq > snap.Seq {
 		return fmt.Errorf("store: snapshot at seq %d does not cover local records up to %d", snap.Seq, fs.lastSeq)
 	}
-	if err := writeSnapshot(fs.dir, snap); err != nil {
-		return err
+	l := fs.log
+	if l.dir != "" {
+		if err := writeSnapshot(l.dir, snap); err != nil {
+			return err
+		}
 	}
-	fs.snapSeq = snap.Seq
-	fs.snapGen = snap.Gen
-	fs.snapshotsInstalled++
-	if snap.Seq > fs.lastSeq {
-		fs.lastSeq = snap.Seq
-	}
-	// Everything on disk is now covered; drop it all so recovery replays
+	fs.snapSeq, fs.snapGen, fs.lastSeq = snap.Seq, snap.Gen, snap.Seq
+	// Everything local is now covered; drop it all so recovery replays
 	// snapshot + nothing instead of snapshot + stale prefix.
-	if fs.cur != nil {
-		fs.cur.Close()
-		if err := os.Remove(fs.curSeg.path); err != nil {
-			return err
-		}
-		fs.cur = nil
-		fs.curSeg = segment{}
-		fs.pending = nil
-	}
-	for _, sg := range fs.sealed {
-		if err := os.Remove(sg.path); err != nil {
+	if l.cur.index != 0 {
+		if err := fs.sealLocked(); err != nil {
 			return err
 		}
 	}
-	fs.sealed = nil
-	return syncDir(fs.dir)
+	removed, err := l.dropCovered(snap.Seq)
+	if err == nil && removed > 0 {
+		err = syncDir(l.dir)
+	}
+	if err == nil {
+		fs.snapshotsInstalled++
+	}
+	return err
 }
 
 // Stats returns current counters as one consistent reading.
@@ -418,18 +253,14 @@ func (fs *FollowerStore) Stats() FollowerStats {
 		SnapshotSeq:        fs.snapSeq,
 		SnapshotGen:        fs.snapGen,
 		LastSeq:            fs.lastSeq,
-		Segments:           len(fs.sealed),
+		LeaderSeq:          fs.leaderSeq,
+		LeaderGen:          fs.leaderGen,
+		SegmentsFetched:    fs.fetches,
 		BytesFetched:       fs.bytesFetched,
 		SegmentsSealed:     fs.segmentsSealed,
 		SnapshotsInstalled: fs.snapshotsInstalled,
 	}
-	for _, sg := range fs.sealed {
-		st.WALBytes += sg.size
-	}
-	if fs.cur != nil {
-		st.Segments++
-		st.WALBytes += fs.curSeg.size
-	}
+	st.Segments, st.WALBytes, _ = fs.log.totals()
 	return st
 }
 
@@ -437,16 +268,9 @@ func (fs *FollowerStore) Stats() FollowerStats {
 func (fs *FollowerStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.closeLocked()
-}
-
-func (fs *FollowerStore) closeLocked() error {
 	if fs.closed {
 		return nil
 	}
 	fs.closed = true
-	if fs.cur != nil {
-		return fs.cur.Close()
-	}
-	return nil
+	return fs.log.close()
 }

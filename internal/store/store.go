@@ -156,69 +156,93 @@ type Store struct {
 	started     bool
 }
 
-// Open recovers a shard store from dir (created if absent): sweep stranded
-// temp files, load the latest snapshot, then scan the WAL segments in log
-// order — truncating a torn tail in the last segment only — and return the
-// records with sequence numbers after the snapshot, in log order. The caller
-// applies the snapshot ODs and then the records to an empty catalog, without
-// re-logging either (catalog.Apply), to reach exactly the pre-crash state.
-//
-// A gap in the surviving record sequence past the snapshot is a hard error:
-// compaction deletes only snapshot-covered segment prefixes, so a missing
-// middle segment means acknowledged mutations are gone and recovering
-// around the hole would silently serve a state that never existed.
-func Open(dir string, opt Options) (*Store, Snapshot, []Record, error) {
+// recoverShard is the recovery every shard directory gets, leader's or
+// follower's: create dir if absent, sweep stranded temp files, load the
+// latest snapshot, scan the segments in log order (openSegLog: a torn tail
+// is cut in the last segment only), make the directory entries durable, and
+// keep the records with sequence numbers after the snapshot (replayAfter).
+func recoverShard(dir string) (l *segLog, snap Snapshot, replay []Record, torn int64, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, Snapshot{}, nil, err
-	}
-	if opt.SegmentBytes == 0 {
-		opt.SegmentBytes = DefaultSegmentBytes
+		return nil, Snapshot{}, nil, 0, err
 	}
 	if err := sweepTemp(dir); err != nil {
-		return nil, Snapshot{}, nil, err
+		return nil, Snapshot{}, nil, 0, err
 	}
-	snap, _, err := loadSnapshot(dir)
+	if snap, _, err = loadSnapshot(dir); err != nil {
+		return nil, Snapshot{}, nil, 0, err
+	}
+	l, recs, torn, err := openSegLog(dir)
 	if err != nil {
-		return nil, Snapshot{}, nil, err
+		return nil, Snapshot{}, nil, 0, err
 	}
-	w, recs, torn, err := openSegments(dir, opt)
+	// File fsyncs cover contents, not the directory entries naming them —
+	// without these, a power cut after the first acknowledged append could
+	// lose the whole log file. A directory without segments has no entry to
+	// protect yet: its first one comes from rotate, which fsyncs it.
+	if l.cur.index != 0 {
+		err = syncDir(dir)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(dir))
+	}
+	if err == nil {
+		replay, err = replayAfter(snap.Seq, recs)
+	}
 	if err != nil {
-		return nil, Snapshot{}, nil, err
+		l.close()
+		return nil, Snapshot{}, nil, 0, fmt.Errorf("store: recovering %s: %w", dir, err)
 	}
-	// Make the (possibly just created) shard directory and segment entries
-	// durable: file fsyncs cover contents, not the directory entries naming
-	// them — without this, a power cut after the first acknowledged append
-	// on a fresh shard could lose the whole log file.
-	if err := syncDir(dir); err != nil {
-		w.close()
-		return nil, Snapshot{}, nil, err
-	}
-	if err := syncDir(filepath.Dir(dir)); err != nil {
-		w.close()
-		return nil, Snapshot{}, nil, err
-	}
-	// Replay strictly after the snapshot: a crash between snapshot rename
-	// and segment deletion legitimately leaves covered records in the log
-	// (possibly with gaps — deletions may partially survive a crash). Past
-	// the snapshot, the sequence must be airtight.
+	return l, snap, replay, torn, nil
+}
+
+// replayAfter keeps the records a snapshot at snapSeq does not cover. A crash
+// between snapshot rename and segment deletion legitimately leaves covered
+// records in the log (possibly with gaps — deletions may partially survive a
+// crash), so those are skipped unexamined. Past the snapshot the sequence
+// must be airtight: compaction deletes only snapshot-covered segment
+// prefixes, so a gap there means acknowledged mutations are gone, and
+// recovering around the hole would silently serve a state that never existed.
+func replayAfter(snapSeq uint64, recs []Record) ([]Record, error) {
 	replay := recs[:0:0]
-	seq := snap.Seq
+	seq := snapSeq
 	for _, rec := range recs {
-		if rec.Seq <= snap.Seq {
+		if rec.Seq <= snapSeq {
 			continue
 		}
 		if rec.Seq != seq+1 {
-			w.close()
-			return nil, Snapshot{}, nil, fmt.Errorf(
-				"store: WAL record gap in %s: expected seq %d, found %d — a middle segment is missing or lost",
-				dir, seq+1, rec.Seq)
+			return nil, fmt.Errorf("WAL record gap: expected seq %d, found %d — a middle segment is missing or lost", seq+1, rec.Seq)
 		}
 		replay = append(replay, rec)
 		seq = rec.Seq
 	}
+	return replay, nil
+}
+
+// Open recovers a shard store from dir (recoverShard) and returns the
+// snapshot and the records after it, in log order. The caller applies the
+// snapshot ODs and then the records to an empty catalog, without re-logging
+// either (catalog.Apply), to reach exactly the pre-crash state.
+func Open(dir string, opt Options) (*Store, Snapshot, []Record, error) {
+	if opt.SegmentBytes == 0 {
+		opt.SegmentBytes = DefaultSegmentBytes
+	}
+	l, snap, replay, torn, err := recoverShard(dir)
+	if err != nil {
+		return nil, Snapshot{}, nil, err
+	}
+	if l.cur.index == 0 {
+		// A fresh shard: appends need an open segment.
+		if err := l.rotate(1); err != nil {
+			return nil, Snapshot{}, nil, err
+		}
+	}
+	seq := snap.Seq
+	if n := len(replay); n > 0 {
+		seq = replay[n-1].Seq
+	}
 	s := &Store{
 		dir:           dir,
-		wal:           w,
+		wal:           newWAL(l, opt),
 		opt:           opt,
 		seq:           seq,
 		snapshotSeq:   snap.Seq,
@@ -230,7 +254,7 @@ func Open(dir string, opt Options) (*Store, Snapshot, []Record, error) {
 			SnapshotODs: len(snap.ODs),
 			Replayed:    len(replay),
 			TornBytes:   torn,
-			Segments:    len(w.sealed) + 1,
+			Segments:    len(l.sealed) + 1,
 		},
 	}
 	return s, snap, replay, nil

@@ -294,7 +294,7 @@ func TestStickyWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Yank the file out from under the committer.
-	if err := s.wal.f.Close(); err != nil {
+	if err := s.wal.log.f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	p, _, err := s.Append(OpDeclare, mustODs(t, "[A] -> [B]"))
@@ -346,7 +346,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 
 // frameEnds parses raw WAL segment bytes and returns the byte offset at
 // which each frame ends, mirroring the on-disk format independently of
-// scanWAL.
+// DecodeFrames.
 func frameEnds(t *testing.T, raw []byte) []int64 {
 	t.Helper()
 	var ends []int64
@@ -782,52 +782,32 @@ func TestWritersNotBlockedDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFileWALUpgrade: a data dir written by the pre-segment
-// store (one wal.log) must recover cleanly — the legacy log is read first,
-// sealed forever, and compaction eventually deletes it.
-func TestLegacySingleFileWALUpgrade(t *testing.T) {
+// TestLegacySingleFileWALRefused: a data dir written by the pre-segment
+// store (one wal.log) is refused by both openers, with an error naming the
+// file — opening around it would silently ignore its acknowledged records.
+func TestLegacySingleFileWALRefused(t *testing.T) {
 	dir := t.TempDir()
 	// Forge a legacy log: frames are format-identical, only the name differs.
 	s := populateSegments(t, dir, 3, 0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(dir, segmentName(1)), filepath.Join(dir, legacyWALName)); err != nil {
+	if err := os.Rename(filepath.Join(dir, segmentName(1)), filepath.Join(dir, "wal.log")); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, _, replay, err := Open(dir, Options{})
+	if _, _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "wal.log") {
+		t.Fatalf("Open of a legacy directory = %v, want a refusal naming wal.log", err)
+	}
+	if _, _, _, err := OpenFollower(dir); err == nil || !strings.Contains(err.Error(), "wal.log") {
+		t.Fatalf("OpenFollower of a legacy directory = %v, want a refusal naming wal.log", err)
+	}
+	// Refusing must not have touched the directory.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay) != 3 {
-		t.Fatalf("recovered %d records from legacy wal.log, want 3", len(replay))
-	}
-	// Appends go to a fresh numbered segment, never back into wal.log.
-	legacySize := func() int64 {
-		st, err := os.Stat(filepath.Join(dir, legacyWALName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Size()
-	}
-	before := legacySize()
-	if got := appendWait(t, s2, "[L] -> [M]"); got != 4 {
-		t.Fatalf("post-upgrade append got seq %d, want 4", got)
-	}
-	if legacySize() != before {
-		t.Fatal("append wrote into the legacy wal.log")
-	}
-	// A full compaction retires the legacy log entirely.
-	s2.StartCompactor(fixedSource(4, mustODs(t, "[S0] -> [S3]", "[L] -> [M]")))
-	if _, err := s2.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWALName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal.log survived a covering compaction (stat err %v)", err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		t.Fatalf("refused open left %v behind", entries)
 	}
 }
 

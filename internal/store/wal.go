@@ -1,17 +1,7 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,90 +33,31 @@ type Record struct {
 	Removes []core.OD `json:"removes,omitempty"`
 }
 
-// maxRecordBytes bounds a frame's payload. append enforces it on the write
-// side, so on the read side a longer length word can only be corruption and
-// is treated as a torn tail. The bound comfortably exceeds anything a
-// size-capped HTTP batch can expand to (the server caps bodies at 8 MiB and
-// statement expansion is a small constant factor); without the write-side
-// check, an oversized record would be acknowledged durable and then silently
-// truncated away on the next open.
-const maxRecordBytes = 64 << 20
-
-// frameHeaderLen is the length + CRC prefix of every frame.
-const frameHeaderLen = 8
-
-// legacyWALName is the single-file log of pre-segment deployments. Recovery
-// reads it as the oldest (sealed) segment, so an upgraded daemon replays its
-// old log once and compaction eventually deletes it; nothing ever appends to
-// it again.
-const legacyWALName = "wal.log"
-
-// segmentName renders a segment file name; indexes are monotonic per shard
-// and zero-padded so lexicographic order equals log order.
-func segmentName(index uint64) string {
-	return fmt.Sprintf("wal-%06d.log", index)
-}
-
-// parseSegmentName extracts a segment index, reporting whether the name is a
-// segment file at all.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	if digits == "" {
-		return 0, false
-	}
-	var idx uint64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		idx = idx*10 + uint64(c-'0')
-	}
-	return idx, true
-}
-
-// segment is the metadata of one log segment. firstSeq/lastSeq are zero
-// while the segment holds no records. Sealed segments are immutable on disk;
-// only the active (highest-index) segment ever takes appends.
-type segment struct {
-	index    uint64 // 0 only for the legacy single-file log
-	path     string
-	size     int64
-	records  uint64
-	firstSeq uint64
-	lastSeq  uint64
-}
-
-// wal is the segmented append-only log of one shard. Appends go to the
-// active segment; when it crosses the size/record threshold the committer
-// seals it and rotates to a fresh file. Sealed segments are immutable, which
-// is what lets the background compactor delete the ones a durable snapshot
-// fully covers without ever touching the writer path.
+// wal is the leader's policy on the shard's segment log. The store hands it
+// records in seq order; it decides when their bytes reach the log — staged
+// records group-commit with one write and at most one fsync — and when the
+// open segment seals: at the size/record thresholds, or when a snapshot
+// covers it. Sealed segments are immutable, which is what lets the
+// background compactor delete the ones a durable snapshot fully covers
+// without ever touching the writer path.
 type wal struct {
-	dir        string
 	fsync      bool
 	segBytes   int64
 	segRecords uint64
 	tel        *Telemetry
 
-	// ioMu serializes every file operation — batch writes, sealing,
-	// rotation, the final close — so the committer and the compactor never
-	// interleave I/O on the active segment. Lock order: ioMu before mu.
+	// ioMu serializes every operation on the open segment's file — batch
+	// writes, sealing, rotation, the final close — so the committer and the
+	// compactor never interleave I/O on it. Lock order: ioMu before mu.
 	ioMu sync.Mutex
 
 	mu        sync.Mutex
-	f         *os.File // active segment file; swapped only under ioMu
-	active    segment
-	sealed    []segment // ascending index order; compaction pops the front
+	log       *segLog   // its open segment changes only with ioMu held as well
 	cur       *walBatch // accumulating batch, not yet picked up
-	inflight  *walBatch // batch the committer is writing
 	err       error     // sticky write/sync/rotate failure
 	closed    bool
 	batches   uint64
 	rotations uint64
-	removed   uint64 // segments deleted by compaction over this wal's life
 
 	kick  chan struct{}
 	stopc chan struct{}
@@ -171,198 +102,21 @@ func (p *Pending) Wait() error {
 	return p.b.err
 }
 
-// openSegments scans every log segment in dir in log order (legacy wal.log
-// first, then wal-NNNNNN.log ascending), truncates a torn tail in the LAST
-// segment only — the one a crash can legitimately tear — and reopens that
-// segment for appends (or creates a fresh one when none is appendable). A
-// torn frame in a sealed segment is a hard error: sealed segments are
-// written completely before the next one opens, so mid-log damage is disk
-// corruption, not a crash artifact. It returns the recovered records across
-// all segments in log order and how many trailing bytes were cut.
-func openSegments(dir string, opt Options) (*wal, []Record, int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var segs []segment
-	legacy := false
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if e.Name() == legacyWALName {
-			legacy = true
-			continue
-		}
-		if idx, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, segment{index: idx, path: filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	if legacy {
-		segs = append([]segment{{index: 0, path: filepath.Join(dir, legacyWALName)}}, segs...)
-	}
-
-	// The highest-index numbered segment is reopened as the active one; the
-	// legacy log is never appended to again (it predates sealing, so leaving
-	// it sealed lets compaction retire it like any other covered segment).
-	activeAt := -1
-	if n := len(segs); n > 0 && segs[n-1].index > 0 {
-		activeAt = n - 1
-	}
-
-	var recs []Record
-	var torn int64
-	var activeFile *os.File
-	for i := range segs {
-		sg := &segs[i]
-		f, err := os.OpenFile(sg.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		srecs, goodOff, err := scanWAL(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, 0, err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, nil, 0, err
-		}
-		if leftover := st.Size() - goodOff; leftover > 0 {
-			if i != len(segs)-1 {
-				f.Close()
-				return nil, nil, 0, fmt.Errorf(
-					"store: sealed WAL segment %s carries %d torn bytes mid-log; segments seal only after complete writes, so this is corruption, not a crash artifact",
-					sg.path, leftover)
-			}
-			if err := f.Truncate(goodOff); err != nil {
-				f.Close()
-				return nil, nil, 0, fmt.Errorf("store: truncating torn WAL tail: %w", err)
-			}
-			torn = leftover
-		}
-		sg.size = goodOff
-		sg.records = uint64(len(srecs))
-		if len(srecs) > 0 {
-			sg.firstSeq = srecs[0].Seq
-			sg.lastSeq = srecs[len(srecs)-1].Seq
-		}
-		recs = append(recs, srecs...)
-		// Re-establish the durability barrier every segment rests on: what
-		// the scan just saw — including a fresh torn-tail truncation — must
-		// survive power loss, because a segment left behind as sealed (the
-		// legacy wal.log especially, which nothing ever syncs again) makes
-		// later recoveries hard-error on any damage. Clean pages make this
-		// fsync a no-op; a resurrected torn tail would make it a permanent
-		// startup failure.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, 0, fmt.Errorf("store: fsyncing recovered WAL segment %s: %w", sg.path, err)
-		}
-		if i == activeAt {
-			if _, err := f.Seek(goodOff, io.SeekStart); err != nil {
-				f.Close()
-				return nil, nil, 0, err
-			}
-			activeFile = f
-		} else {
-			f.Close()
-		}
-	}
-
-	var active segment
-	var sealed []segment
-	if activeAt >= 0 {
-		active = segs[activeAt]
-		sealed = append(sealed, segs[:activeAt]...)
-	} else {
-		sealed = append(sealed, segs...)
-		next := uint64(1)
-		if n := len(segs); n > 0 {
-			next = segs[n-1].index + 1
-		}
-		path := filepath.Join(dir, segmentName(next))
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		active = segment{index: next, path: path}
-		activeFile = f
-	}
-
+// newWAL starts the group committer over a recovered log whose last segment
+// is open for appends.
+func newWAL(l *segLog, opt Options) *wal {
 	w := &wal{
-		dir:        dir,
 		fsync:      opt.Fsync,
 		segBytes:   opt.SegmentBytes,
 		segRecords: uint64(opt.SegmentRecords),
 		tel:        opt.Telemetry,
-		f:          activeFile,
-		active:     active,
-		sealed:     sealed,
+		log:        l,
 		kick:       make(chan struct{}, 1),
 		stopc:      make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	go w.commit()
-	return w, recs, torn, nil
-}
-
-// scanWAL reads frames from the start of f, stopping at the first torn or
-// corrupt one, and returns the decoded records plus the offset of the last
-// valid frame's end.
-func scanWAL(f *os.File) ([]Record, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
-	}
-	r := bufio.NewReader(f)
-	var recs []Record
-	var off int64
-	for {
-		var hdr [frameHeaderLen]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break // clean end or torn header
-			}
-			return nil, 0, err
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecordBytes {
-			break // corrupt length word
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break // torn payload
-			}
-			return nil, 0, err
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // bit rot or a torn rewrite
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // CRC-valid but undecodable: treat as tail corruption
-		}
-		recs = append(recs, rec)
-		off += frameHeaderLen + int64(n)
-	}
-	return recs, off, nil
-}
-
-// encodeFrame renders one record as a wire frame.
-func encodeFrame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
-	return frame, nil
+	return w
 }
 
 // append stages a record into the current group-commit batch and returns a
@@ -380,10 +134,10 @@ func (w *wal) append(rec Record) (*Pending, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return nil, fmt.Errorf("store: WAL %s is closed", w.dir)
+		return nil, fmt.Errorf("store: WAL %s is closed", w.log.dir)
 	}
 	if w.err != nil {
-		return nil, fmt.Errorf("store: WAL %s failed earlier: %w", w.dir, w.err)
+		return nil, fmt.Errorf("store: WAL %s failed earlier: %w", w.log.dir, w.err)
 	}
 	if w.cur == nil {
 		w.cur = &walBatch{done: make(chan struct{}), firstSeq: rec.Seq}
@@ -424,9 +178,7 @@ func (w *wal) commitOne() {
 	w.mu.Lock()
 	b := w.cur
 	w.cur = nil
-	w.inflight = b
 	sticky := w.err
-	f := w.f
 	w.mu.Unlock()
 	if b == nil {
 		return
@@ -441,13 +193,13 @@ func (w *wal) commitOne() {
 		if w.tel != nil {
 			start = time.Now()
 		}
-		_, err = f.Write(b.buf)
+		err = w.log.write(b.buf)
 		if err == nil && w.fsync {
 			var fstart time.Time
 			if w.tel != nil {
 				fstart = time.Now()
 			}
-			err = f.Sync()
+			err = w.log.sync()
 			if w.tel != nil && w.tel.FsyncSeconds != nil {
 				w.tel.FsyncSeconds(time.Since(fstart).Seconds())
 			}
@@ -468,86 +220,49 @@ func (w *wal) commitOne() {
 			w.err = err
 		}
 	} else {
-		// Metadata advances only on success: it describes what a recovery
-		// scan of the segment will actually find.
-		w.active.size += int64(len(b.buf))
-		w.active.records += b.n
-		if w.active.firstSeq == 0 {
-			w.active.firstSeq = b.firstSeq
-		}
-		w.active.lastSeq = b.lastSeq
+		w.log.grew(int64(len(b.buf)), b.n, b.firstSeq, b.lastSeq)
 		w.batches++
 		rotate = w.rotationDueLocked()
 	}
-	w.inflight = nil
 	w.mu.Unlock()
 	b.err = err
 	close(b.done)
 	if rotate {
+		w.mu.Lock()
 		w.rotateLocked()
+		w.mu.Unlock()
 	}
 }
 
 // rotationDueLocked reports whether the active segment has crossed its
 // size or record threshold. Caller holds w.mu.
 func (w *wal) rotationDueLocked() bool {
-	if w.active.records == 0 {
+	open := w.log.cur
+	if open.records == 0 {
 		return false
 	}
-	if w.segBytes > 0 && w.active.size >= w.segBytes {
+	if w.segBytes > 0 && open.size >= w.segBytes {
 		return true
 	}
-	return w.segRecords > 0 && w.active.records >= w.segRecords
+	return w.segRecords > 0 && open.records >= w.segRecords
 }
 
-// rotateLocked seals the active segment (sync + close) and opens the next
-// one. Caller holds ioMu — the committer between batches, or the compactor
-// through rotateForCompaction. Any failure poisons the log: a WAL that can
-// no longer seal durably or grow a fresh segment must stop acknowledging.
+// rotateLocked seals the open segment and opens the next one. Caller holds
+// ioMu — the committer between batches, or the compactor through
+// rotateForCompaction — and mu: ioMu already keeps every commit out, so
+// holding mu across the rotation's file I/O as well delays no write that
+// could have proceeded. Any failure poisons the log: a WAL that can no
+// longer seal durably or grow a fresh segment must stop acknowledging.
 func (w *wal) rotateLocked() {
-	w.mu.Lock()
 	if w.closed || w.err != nil {
-		w.mu.Unlock()
 		return
 	}
-	f, active := w.f, w.active
-	w.mu.Unlock()
-	// Sealing is a durability barrier REGARDLESS of the per-commit fsync
-	// knob: recovery hard-errors on sealed-segment damage, which is sound
-	// only if a sealed segment's bytes are guaranteed to survive power
-	// loss. One fsync per rotation, not per commit, so -fsync=false keeps
-	// its throughput win.
-	if err := f.Sync(); err != nil {
-		w.poison(fmt.Errorf("store: sealing WAL segment %s: %w", active.path, err))
-		return
+	if w.err = w.log.rotate(w.log.cur.index + 1); w.err == nil {
+		w.rotations++
 	}
-	if err := f.Close(); err != nil {
-		w.poison(fmt.Errorf("store: sealing WAL segment %s: %w", active.path, err))
-		return
-	}
-	next := active.index + 1
-	path := filepath.Join(w.dir, segmentName(next))
-	nf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		w.poison(fmt.Errorf("store: opening WAL segment %s: %w", path, err))
-		return
-	}
-	// The new segment's directory entry must be durable before any append is
-	// acknowledged out of it.
-	if err := syncDir(w.dir); err != nil {
-		nf.Close()
-		w.poison(fmt.Errorf("store: fsyncing WAL dir after rotation: %w", err))
-		return
-	}
-	w.mu.Lock()
-	w.sealed = append(w.sealed, active)
-	w.active = segment{index: next, path: path}
-	w.f = nf
-	w.rotations++
-	w.mu.Unlock()
 }
 
-// rotateForCompaction seals the active segment when a snapshot at seq fully
+// rotateForCompaction seals the open segment when a snapshot at seq fully
 // covers its contents, so the compactor can delete it like any other covered
 // segment — the segmented equivalent of the old truncate-to-zero reset.
 // Records staged but not yet committed always carry seqs beyond any
@@ -557,48 +272,23 @@ func (w *wal) rotateForCompaction(seq uint64) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.mu.Lock()
-	due := w.active.records > 0 && w.active.lastSeq <= seq && !w.closed && w.err == nil
-	w.mu.Unlock()
-	if due {
+	defer w.mu.Unlock()
+	if open := w.log.cur; open.records > 0 && open.lastSeq <= seq {
 		w.rotateLocked()
 	}
 }
 
-// dropCovered deletes sealed segments whose every record a durable snapshot
-// at seq covers, oldest first, unregistering each only after its unlink
-// succeeds — so metadata never claims less than the disk holds. Covered
-// segments form a prefix of the sealed list (seqs ascend across segments);
-// deletion stops at the first segment with live records.
+// dropCovered deletes the sealed segments a durable snapshot at seq covers
+// and makes the deletions durable with one directory fsync, taken outside mu
+// so writers staging behind a compaction wait for unlinks at most.
 func (w *wal) dropCovered(seq uint64) (int, error) {
-	removed := 0
-	for {
-		w.mu.Lock()
-		if len(w.sealed) == 0 {
-			w.mu.Unlock()
-			break
-		}
-		sg := w.sealed[0]
-		if sg.records > 0 && sg.lastSeq > seq {
-			w.mu.Unlock()
-			break
-		}
-		w.mu.Unlock()
-		if err := os.Remove(sg.path); err != nil {
-			return removed, err
-		}
-		w.mu.Lock()
-		w.sealed = w.sealed[1:]
-		w.removed++
-		w.mu.Unlock()
-		removed++
+	w.mu.Lock()
+	removed, err := w.log.dropCovered(seq)
+	w.mu.Unlock()
+	if err != nil || removed == 0 {
+		return removed, err
 	}
-	if removed == 0 {
-		return 0, nil
-	}
-	// One directory fsync covers the batch of unlinks; a crash before it can
-	// resurrect any subset of the deleted (fully covered) segments, which
-	// recovery skips past the snapshot anyway.
-	return removed, syncDir(w.dir)
+	return removed, syncDir(w.log.dir)
 }
 
 // poison records a sticky failure: the in-flight batch may still complete,
@@ -628,7 +318,7 @@ func (w *wal) close() error {
 	<-w.done
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	return w.f.Close()
+	return w.log.close()
 }
 
 // stats returns one consistent reading of sizes, counters and the sticky
@@ -638,21 +328,13 @@ func (w *wal) stats(coveredSeq uint64) walStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := walStats{
-		segments: len(w.sealed) + 1,
-		batches:  w.batches,
-		rotation: w.rotations,
-		removed:  w.removed,
-		err:      w.err,
+		lagSegments: w.log.lag(coveredSeq),
+		batches:     w.batches,
+		rotation:    w.rotations,
+		removed:     w.log.removed,
+		err:         w.err,
 	}
-	for _, sg := range w.sealed {
-		st.size += sg.size
-		st.records += sg.records
-		if sg.records > 0 && sg.lastSeq > coveredSeq {
-			st.lagSegments++
-		}
-	}
-	st.size += w.active.size
-	st.records += w.active.records
+	st.segments, st.size, st.records = w.log.totals()
 	return st
 }
 
@@ -661,11 +343,5 @@ func (w *wal) stats(coveredSeq uint64) walStats {
 func (w *wal) lagSegments(coveredSeq uint64) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	lag := 0
-	for _, sg := range w.sealed {
-		if sg.records > 0 && sg.lastSeq > coveredSeq {
-			lag++
-		}
-	}
-	return lag
+	return w.log.lag(coveredSeq)
 }
