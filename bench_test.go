@@ -16,7 +16,6 @@ import (
 	"odlib/internal/inference"
 	"odlib/internal/monotone"
 	"odlib/internal/plan"
-	"odlib/internal/polar"
 	"odlib/internal/prover"
 	"odlib/internal/rewrite"
 	"odlib/internal/warehouse"
@@ -359,23 +358,6 @@ func BenchmarkDiscover(b *testing.B) {
 		res, err := discover.Discover(sub, discover.Options{MaxLHS: 1, MaxRHS: 2})
 		if err != nil || len(res.ODs) == 0 {
 			b.Fatalf("res=%v err=%v", res, err)
-		}
-	}
-}
-
-// E17 — polarized implication (the [19] extension).
-func BenchmarkPolarProver(b *testing.B) {
-	m := []polar.OD{
-		{LHS: polar.L("A"), RHS: polar.L("-B")},
-		{LHS: polar.L("-B"), RHS: polar.L("C")},
-	}
-	q := polar.OD{LHS: polar.L("A"), RHS: polar.L("C")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := polar.NewProver(m)
-		ok, err := p.Implies(q)
-		if err != nil || !ok {
-			b.Fatalf("ok=%v err=%v", ok, err)
 		}
 	}
 }

@@ -136,40 +136,24 @@ func New(opts ...Option) *Catalog {
 // Add declares ODs, returning how many were new. Declarations are
 // canonicalized (per-side normalization) and deduplicated; trivial ODs are
 // dropped silently since they constrain nothing. When anything was added
-// the transitive closure is rebuilt, the generation advances and every
-// memoized verdict is invalidated.
+// the generation advances, every memoized verdict is invalidated and the
+// transitive closure is extended incrementally: existing derived ODs are
+// reused as passive composition partners and only the new edges work the
+// fixpoint.
 func (c *Catalog) Add(ods ...core.OD) int {
-	n, _ := c.AddStamped(ods...)
-	return n
-}
-
-// AddStamped is Add plus the post-mutation catalog stats, captured under the
-// same lock acquisition — the returned generation is the one this mutation
-// produced (or left in place, when nothing was effectively added), which a
-// separate Stats call cannot guarantee under concurrent mutation. The
-// closure is extended incrementally: existing derived ODs are reused as
-// passive composition partners and only the new edges work the fixpoint.
-func (c *Catalog) AddStamped(ods ...core.OD) (int, Stats) {
-	added, _, _, _, st := c.ApplyEffective([]Mutation{{ODs: ods}})
-	return added, st
+	added, _, _, _, _ := c.ApplyEffective([]Mutation{{ODs: ods}})
+	return added
 }
 
 // Remove withdraws declared ODs (canonicalized before lookup), returning how
 // many were present. Derived closure ODs cannot be removed directly — they
-// vanish when the declarations entailing them do.
+// vanish when the declarations entailing them do. Closure maintenance is
+// incremental: only derived ODs whose source backward-reaches a removed
+// premise in the inflated-edge graph are revisited (see shrinkClosure); the
+// rest of the closure is reused verbatim instead of recomputed.
 func (c *Catalog) Remove(ods ...core.OD) int {
-	n, _ := c.RemoveStamped(ods...)
-	return n
-}
-
-// RemoveStamped is Remove plus the post-mutation catalog stats, captured
-// under the same lock acquisition. Closure maintenance is incremental: only
-// derived ODs whose source backward-reaches a removed premise in the
-// inflated-edge graph are revisited (see shrinkClosure); the rest of the
-// closure is reused verbatim instead of recomputed.
-func (c *Catalog) RemoveStamped(ods ...core.OD) (int, Stats) {
-	_, removed, _, _, st := c.ApplyEffective([]Mutation{{Remove: true, ODs: ods}})
-	return removed, st
+	_, removed, _, _, _ := c.ApplyEffective([]Mutation{{Remove: true, ODs: ods}})
+	return removed
 }
 
 // Mutation is one step of a batch application: declare or withdraw ODs.
@@ -558,17 +542,12 @@ type ProveResult struct {
 	Err     error
 }
 
-// ProveEach decides many statements — each a conjunction of ODs, as produced
-// by core.ParseStatement — against a single catalog snapshot: one read-lock
-// acquisition and one constraint generation for the whole batch, which is
-// what lets /prove/batch amortize snapshot and transport costs across
-// statements while staying atomic.
-func (c *Catalog) ProveEach(qs [][]core.OD) ([]ProveResult, uint64) {
-	return c.ProveEachCtx(context.Background(), qs)
-}
-
-// ProveEachCtx is ProveEach honoring cancellation. Once the context dies,
-// the in-flight search aborts and every remaining statement reports the
+// ProveEachCtx decides many statements — each a conjunction of ODs, as
+// produced by core.ParseStatement — against a single catalog snapshot: one
+// read-lock acquisition and one constraint generation for the whole batch,
+// which is what lets /prove/batch amortize snapshot and transport costs
+// across statements while staying atomic. Once the context dies, the
+// in-flight search aborts and every remaining statement reports the
 // context's error — the batch drains fast instead of burning search nodes
 // for a client that has hung up.
 func (c *Catalog) ProveEachCtx(ctx context.Context, qs [][]core.OD) ([]ProveResult, uint64) {

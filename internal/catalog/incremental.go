@@ -4,7 +4,7 @@ import "odlib/internal/core"
 
 // Incremental closure maintenance. The transitive closure is the least set
 // containing the inflated declared edges and closed under key-matched
-// composition (transitiveClosure). That characterization — a set closure, not
+// composition (seededFixpoint). That characterization — a set closure, not
 // a particular derivation order — is what makes the incremental paths below
 // exact rather than approximate:
 //
@@ -20,12 +20,38 @@ import "odlib/internal/core"
 // Both return a fresh odSet and never mutate their inputs: readers hold the
 // old closure outside the catalog lock.
 
-// seededFixpoint runs the transitive-closure work loop with two seed
-// classes: passive edges land in the result and the composition indexes but
-// are never themselves popped (sound because the passive set is closed under
-// composition among its own members — it is a closure, or a source-filtered
-// restriction of one, see shrinkClosure), while active edges work the
-// fixpoint as in transitiveClosure. Active seeds must be canonical and
+// transitiveClosure computes, from scratch, the fixpoint of the declared set
+// under inflation and the Transitivity axiom (OD2): every inflated
+// declaration is an active seed of seededFixpoint and nothing is passive.
+func transitiveClosure(declared []core.OD) *odSet {
+	n := 0
+	for _, od := range declared {
+		n += len(od.RHS)
+	}
+	seeds := make([]core.OD, 0, n)
+	for _, od := range declared {
+		seeds = append(seeds, inflateOne(canon(od))...)
+	}
+	return seededFixpoint(nil, seeds)
+}
+
+// seededFixpoint is the one transitive-closure work loop: from X ↦ Y and
+// Y ↦ Z derive X ↦ Z (OD2), lists matched exactly as in Hyrise's
+// build_transitive_od_closure. Seeding with inflated edges lets chains
+// connect through prefixes — [A] ↦ [B, C] and [B] ↦ [D] yield [A] ↦ [B] and
+// hence [A] ↦ [D]. The result contains only non-trivial canonical ODs and
+// every one of them is implied by the seeds, so closure membership is a
+// sound constant-time fast path for implication.
+//
+// The closure stays polynomial: every derived OD pairs a left side with a
+// right side already present in the inflated input, so its size is at most
+// quadratic in the number of distinct sides.
+//
+// There are two seed classes: passive edges land in the result and the
+// composition indexes but are never themselves popped (sound because the
+// passive set is closed under composition among its own members — it is a
+// closure, or a source-filtered restriction of one, see shrinkClosure),
+// while active edges work the fixpoint. Active seeds must be canonical;
 // non-trivial is enforced here.
 func seededFixpoint(passive []core.OD, active []core.OD) *odSet {
 	set := newODSet()
@@ -56,9 +82,14 @@ func seededFixpoint(passive []core.OD, active []core.OD) *odSet {
 	for len(work) > 0 {
 		od := work[len(work)-1]
 		work = work[:len(work)-1]
+		// Derived ODs recombine sides that entered through inflateOne(canon),
+		// so they are canonical already — no re-normalization needed inside
+		// the fixpoint, which runs under the catalog's write lock.
+		// od as the left link: od = X ↦ Y with some Y ↦ Z present.
 		for _, right := range byLHS[od.RHS.Key()] {
 			insert(core.OD{LHS: od.LHS, RHS: right.RHS})
 		}
+		// od as the right link: some W ↦ X present with od = X ↦ Y.
 		for _, left := range byRHS[od.LHS.Key()] {
 			insert(core.OD{LHS: left.LHS, RHS: od.RHS})
 		}

@@ -78,52 +78,3 @@ func Deflate(ods []core.OD) []core.OD {
 	core.SortODs(out)
 	return out
 }
-
-// transitiveClosure computes the fixpoint of the declared set under
-// inflation and the Transitivity axiom (OD2): from X ↦ Y and Y ↦ Z derive
-// X ↦ Z, lists matched exactly as in Hyrise's build_transitive_od_closure.
-// Inflating first lets chains connect through prefixes — [A] ↦ [B, C] and
-// [B] ↦ [D] yield [A] ↦ [B] and hence [A] ↦ [D]. The result contains only
-// non-trivial canonical ODs and every one of them is implied by the input,
-// so closure membership is a sound constant-time fast path for implication.
-//
-// The closure stays polynomial: every derived OD pairs a left side with a
-// right side already present in the inflated input, so its size is at most
-// quadratic in the number of distinct sides.
-func transitiveClosure(declared []core.OD) *odSet {
-	set := newODSet()
-	byLHS := make(map[string][]core.OD) // LHS key -> ODs with that left side
-	byRHS := make(map[string][]core.OD) // RHS key -> ODs with that right side
-	var work []core.OD
-
-	insert := func(od core.OD) {
-		if od.Trivial() || !set.add(od) {
-			return
-		}
-		byLHS[od.LHS.Key()] = append(byLHS[od.LHS.Key()], od)
-		byRHS[od.RHS.Key()] = append(byRHS[od.RHS.Key()], od)
-		work = append(work, od)
-	}
-
-	for _, od := range declared {
-		for _, d := range inflateOne(canon(od)) {
-			insert(d)
-		}
-	}
-	for len(work) > 0 {
-		od := work[len(work)-1]
-		work = work[:len(work)-1]
-		// Derived ODs recombine sides that entered through inflateOne(canon),
-		// so they are canonical already — no re-normalization needed inside
-		// the fixpoint, which runs under the catalog's write lock.
-		// od as the left link: od = X ↦ Y with some Y ↦ Z present.
-		for _, right := range byLHS[od.RHS.Key()] {
-			insert(core.OD{LHS: od.LHS, RHS: right.RHS})
-		}
-		// od as the right link: some W ↦ X present with od = X ↦ Y.
-		for _, left := range byRHS[od.LHS.Key()] {
-			insert(core.OD{LHS: left.LHS, RHS: od.RHS})
-		}
-	}
-	return set
-}

@@ -8,6 +8,7 @@ import (
 
 	"odlib/internal/core"
 	"odlib/internal/prover"
+	"odlib/internal/warehouse"
 )
 
 // TestPipelineDifferentialClosure is the randomized differential test: the
@@ -74,6 +75,38 @@ func TestPipelineDifferentialClosure(t *testing.T) {
 		if pipe.Stats.DataChecks+pipe.Stats.ClosurePruned+pipe.Stats.RefutationPruned > pipe.Stats.Candidates {
 			t.Fatalf("trial %d: stats overflow candidates: %+v", trial, pipe.Stats)
 		}
+	}
+
+	// The data-check floor, on the one-year date dimension: over the same
+	// candidate space the pipeline's pruning must keep at least half of the
+	// sequential baseline's candidates away from the data (878 vs 7,979
+	// when written). Both are exact counts, the same at any worker count
+	// (TestPipelineSchedulerIndependence).
+	cfg := warehouse.DefaultConfig()
+	cfg.Days, cfg.FactRows = 365, 0
+	w, err := warehouse.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates, err := w.DateDimRelation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxLHS: 2, MaxRHS: 3}
+	seq, err := Discover(dates, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(pipe.Stats.Candidates) != seq.Candidates {
+		t.Fatalf("date dimension: candidates %d vs %d", pipe.Stats.Candidates, seq.Candidates)
+	}
+	if 2*pipe.Stats.DataChecks > uint64(seq.DataChecks) {
+		t.Fatalf("date dimension: pipeline checked %d candidates against the data, sequential %d: less than a 2x cut",
+			pipe.Stats.DataChecks, seq.DataChecks)
 	}
 }
 

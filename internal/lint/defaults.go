@@ -73,7 +73,6 @@ var DefaultCtxFlow = CtxFlowConfig{
 	Bless: map[string]bool{
 		"odlib/internal/catalog.Catalog.ImpliesWitness":     true,
 		"odlib/internal/catalog.Catalog.ImpliesAllWitness":  true,
-		"odlib/internal/catalog.Catalog.ProveEach":          true,
 		"odlib/internal/catalog.Catalog.ReduceOrderStamped": true,
 		"odlib/internal/prover.Prover.Implies":              true,
 		"odlib/internal/prover.Prover.ImpliesWitness":       true,

@@ -313,7 +313,10 @@ func TestApplyBatchGroupsPerShard(t *testing.T) {
 }
 
 func TestProveBatchOrderAndGrouping(t *testing.T) {
-	r, err := Open(Options{})
+	proveCalls := map[string]int{} // ProveBatch observes on the caller's goroutine
+	r, err := Open(Options{ShardByPrefix: true, Telemetry: &Telemetry{
+		ProveSeconds: func(shard string, _ float64) { proveCalls[shard]++ },
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +346,43 @@ func TestProveBatchOrderAndGrouping(t *testing.T) {
 	}
 	if verdicts[0].Generation != verdicts[1].Generation {
 		t.Fatal("same-shard batch statements answered under different generations")
+	}
+	if len(proveCalls) != 1 || proveCalls["x"] != 1 {
+		t.Fatalf("2 statements on one shard: prove calls = %v, want one on x", proveCalls)
+	}
+
+	// The batching floor: N statements over k shards cost k catalog
+	// snapshots — one ProveSeconds observation per shard group, never one
+	// per statement — and come back in statement order.
+	if _, err := r.Declare("p", ods(t, "[p_a] -> [p_b]")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Declare("q", ods(t, "[q_a] -> [q_b]")); err != nil {
+		t.Fatal(err)
+	}
+	clear(proveCalls)
+	mixed := [][]core.OD{
+		ods(t, "[p_a] -> [p_b]"),
+		ods(t, "[q_b] -> [q_a]"),
+		ods(t, "[p_b] -> [p_a]"),
+		ods(t, "[q_a] -> [q_b]"),
+		ods(t, "[p_a, p_b] -> [p_b]"),
+	}
+	verdicts, err = r.ProveBatch(context.Background(), DefaultShard, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		schema  string
+		implied bool
+	}{{"p", true}, {"q", false}, {"p", false}, {"q", true}, {"p", true}} {
+		if verdicts[i].Schema != want.schema || verdicts[i].Result.Implied != want.implied {
+			t.Fatalf("verdict %d = shard %q implied %v, want %q %v",
+				i, verdicts[i].Schema, verdicts[i].Result.Implied, want.schema, want.implied)
+		}
+	}
+	if len(proveCalls) != 2 || proveCalls["p"] != 1 || proveCalls["q"] != 1 {
+		t.Fatalf("5 statements over 2 shards: prove calls = %v, want one per shard", proveCalls)
 	}
 }
 

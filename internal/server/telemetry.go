@@ -147,7 +147,7 @@ func (t *Telemetry) observeDiscover(st discover.PipelineStats) {
 
 // Registry exposes the underlying registry — the GET /metrics handler, and
 // the hook pkg/odclient's MetricsRegistry option plugs into when a client
-// shares the process (odbench does).
+// shares the process.
 func (t *Telemetry) Registry() *metrics.Registry { return t.reg }
 
 // CatalogOptions returns the catalog options every shard should carry: the

@@ -4,9 +4,9 @@ package odclient
 // exports its counters through: ask for a counter or histogram by name, get
 // back an observation function. It is satisfied structurally by
 // odlib/internal/metrics.Registry (odserve's own registry — handy when the
-// client runs in the same process, as odbench does) and trivially adaptable
-// to any other metrics library. Every series is created at client
-// construction, so a scrape sees the full set at zero before traffic.
+// client runs in the same process) and trivially adaptable to any other
+// metrics library. Every series is created at client construction, so a
+// scrape sees the full set at zero before traffic.
 type MetricsRegistry interface {
 	// Counter registers (or looks up) a monotonic counter and returns its
 	// add function; calls with the same name must return an equivalent add.

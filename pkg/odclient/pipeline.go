@@ -11,9 +11,9 @@ import (
 // individual Prove/Declare/Remove calls from many goroutines accumulate in
 // one background loop for up to a window (or a statement budget) and flush
 // as per-schema batch requests — one round trip, one shard snapshot, one WAL
-// group commit for the whole burst, exactly the economy odbench -experiment
-// batch measures server-side, now available to callers that cannot batch by
-// hand because their statements originate in independent optimizer sessions.
+// group commit for the whole burst, exactly the economy the batch endpoints
+// give server-side, now available to callers that cannot batch by hand
+// because their statements originate in independent optimizer sessions.
 //
 // The jobs channel is unbuffered on purpose: an enqueue blocks until the
 // loop has the job in hand, so stop() can never strand a submitted job in a
