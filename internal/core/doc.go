@@ -16,4 +16,32 @@
 // described by one comparison sign per attribute, which makes Pattern the
 // semantic ground truth used by the implication prover (internal/prover) and
 // the completeness constructions (internal/armstrong).
+//
+// # Rank views
+//
+// Checking an OD against data is "order the rows by X, scan adjacent pairs"
+// (Theorem 15 reduces a violation to a split or a swap between two rows), and
+// Relation does both on dense integers. Each column has a rank view: one
+// int32 per row, the dense rank of that row's cell among the column's
+// distinct values, so that two cells of a column compare exactly as their
+// ranks do. The contract:
+//
+//   - Order is Value.Compare's: Null first, then Int and Float on one
+//     numeric line (Int(1) and Float(1) share a rank), then String. The view
+//     presumes Compare is a total preorder on the column, which it is for
+//     every column free of NaN and of Int/Float mixtures beyond ±2⁵³.
+//   - Per column and lazy: a view is built — the one place cell values are
+//     still compared — on the first ordered use of its column; columns no
+//     list mentions are never ranked.
+//   - Immutable once built, so readers share a relation across goroutines
+//     without locks; racing first uses converge on one published view.
+//   - Dropped by AddRow. Bulk loads use NewRelationRows, which builds the
+//     rows in one allocation and never invalidates.
+//
+// SortedIndexOn is a stable least-significant-digit counting sort over the
+// views, O(|X|·(n + cardinality)) with pooled scratch, and SortPartitionOn,
+// Satisfies and SatisfiesWith compare int32 ranks where they used to compare
+// Values. CompareOn and SatisfiesNaive still read the cells directly: they
+// are the definitions, and the tests hold the rank kernel to them and to
+// the comparator sort it replaced (rank_oracle_test.go).
 package core

@@ -29,23 +29,26 @@ type SortedPartition struct {
 // SortPartitionOn sorts the relation once by ≼x and materializes the
 // partition structure every RHS candidate over the context x can reuse.
 func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
-	idx, err := r.SortedIndexOn(x)
+	cols, _, err := r.ranksOn(x, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &SortedPartition{Context: x.Clone(), Index: idx}
-	if len(idx) == 0 {
+	s := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(s)
+	order := s.order(len(r.rows), cols)
+	p := &SortedPartition{Context: x.Clone(), Index: make([]int, len(order))}
+	if len(order) == 0 {
 		return p, nil
 	}
-	p.Tie = make([]bool, len(idx)-1)
+	p.Tie = make([]bool, len(order)-1)
 	p.Groups = 1
-	for k := 0; k+1 < len(idx); k++ {
-		c, err := r.CompareOn(idx[k], idx[k+1], x)
-		if err != nil {
-			return nil, err
+	for k, i := range order {
+		p.Index[k] = int(i)
+		if k == 0 {
+			continue
 		}
-		p.Tie[k] = c == 0
-		if c != 0 {
+		p.Tie[k-1] = cmpRanks(cols, order[k-1], i) == 0
+		if !p.Tie[k-1] {
 			p.Groups++
 		}
 	}
@@ -60,17 +63,13 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 	if !p.Context.Equal(od.LHS) {
 		return false, nil, fmt.Errorf("core: partition context %v does not match LHS %v", p.Context, od.LHS)
 	}
-	for _, a := range od.RHS {
-		if !r.HasAttr(a) {
-			return false, nil, fmt.Errorf("core: attribute %s not in schema %v", a, r.attrs)
-		}
+	_, ry, err := r.ranksOn(nil, od.RHS)
+	if err != nil {
+		return false, nil, err
 	}
 	for k := 0; k+1 < len(p.Index); k++ {
 		s, t := p.Index[k], p.Index[k+1]
-		cy, err := r.CompareOn(s, t, od.RHS)
-		if err != nil {
-			return false, nil, err
-		}
+		cy := cmpRanks(ry, int32(s), int32(t))
 		switch {
 		case p.Tie[k] && cy != 0:
 			if cy > 0 {

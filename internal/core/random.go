@@ -7,15 +7,14 @@ import "math/rand"
 // coincidental ties (and hence interesting OD interactions) likely, which is
 // what property tests want.
 func RandRelation(rng *rand.Rand, attrs List, rows, domain int) *Relation {
-	r := MustRelation(attrs)
-	for i := 0; i < rows; i++ {
-		vals := make([]Value, len(attrs))
+	r, err := NewRelationRows(attrs, rows, func(_ int, vals []Value) error {
 		for j := range vals {
 			vals[j] = Int(int64(rng.Intn(domain)))
 		}
-		if err := r.AddRow(vals...); err != nil {
-			panic(err)
-		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
 	return r
 }

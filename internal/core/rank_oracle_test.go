@@ -1,0 +1,361 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// The differential oracle of the rank kernel: the comparator implementations
+// SortedIndexOn, SortPartitionOn, Satisfies and SatisfiesWith had before they
+// moved onto rank views, kept verbatim. They compare Values through
+// CompareOn and sort with sort.SliceStable; the kernel must agree with them
+// element for element.
+
+func sortedIndexOnCmp(r *Relation, x List) ([]int, error) {
+	cols := make([]int, len(x))
+	for i, a := range x {
+		c, err := r.Col(a)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = c
+	}
+	idx := make([]int, len(r.rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ra, rb := r.rows[idx[a]], r.rows[idx[b]]
+		for _, c := range cols {
+			if cmp := ra[c].Compare(rb[c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	return idx, nil
+}
+
+func sortPartitionOnCmp(r *Relation, x List) (*SortedPartition, error) {
+	idx, err := sortedIndexOnCmp(r, x)
+	if err != nil {
+		return nil, err
+	}
+	p := &SortedPartition{Context: x.Clone(), Index: idx}
+	if len(idx) == 0 {
+		return p, nil
+	}
+	p.Tie = make([]bool, len(idx)-1)
+	p.Groups = 1
+	for k := 0; k+1 < len(idx); k++ {
+		c, err := r.CompareOn(idx[k], idx[k+1], x)
+		if err != nil {
+			return nil, err
+		}
+		p.Tie[k] = c == 0
+		if c != 0 {
+			p.Groups++
+		}
+	}
+	return p, nil
+}
+
+func satisfiesWithCmp(r *Relation, od OD, p *SortedPartition) (bool, *Violation, error) {
+	for k := 0; k+1 < len(p.Index); k++ {
+		s, t := p.Index[k], p.Index[k+1]
+		cy, err := r.CompareOn(s, t, od.RHS)
+		if err != nil {
+			return false, nil, err
+		}
+		switch {
+		case p.Tie[k] && cy != 0:
+			if cy > 0 {
+				s, t = t, s
+			}
+			return false, &Violation{OD: od, Kind: Split, S: s, T: t}, nil
+		case !p.Tie[k] && cy > 0:
+			return false, &Violation{OD: od, Kind: Swap, S: s, T: t}, nil
+		}
+	}
+	return true, nil, nil
+}
+
+func satisfiesCmp(r *Relation, od OD) (bool, *Violation, error) {
+	p, err := sortPartitionOnCmp(r, od.LHS)
+	if err != nil {
+		return false, nil, err
+	}
+	return satisfiesWithCmp(r, od, p)
+}
+
+// randMixedRelation draws a relation whose columns each follow one of six
+// shapes — Int, Float, String, Int and Float mixed (so Int(1) and Float(1)
+// must share a rank), every kind mixed with Null, or constant — over domains
+// small enough that duplicates and ties are the common case.
+func randMixedRelation(rng *rand.Rand, attrs List, rows int) *Relation {
+	shapes := make([]int, len(attrs))
+	for c := range shapes {
+		shapes[c] = rng.Intn(6)
+	}
+	cell := func(shape int) Value {
+		v := rng.Intn(4)
+		switch shape {
+		case 0:
+			return Int(int64(v) - 1)
+		case 1:
+			return Float(float64(v)/2 - 0.5)
+		case 2:
+			return Str(string(rune('a' + v)))
+		case 3:
+			if rng.Intn(2) == 0 {
+				return Int(int64(v))
+			}
+			return Float(float64(v) / 2)
+		case 4:
+			return []Value{Null(), Int(int64(v)), Float(float64(v) / 2), Str(string(rune('a' + v)))}[rng.Intn(4)]
+		default:
+			return Str("k")
+		}
+	}
+	r, err := NewRelationRows(attrs, rows, func(_ int, row []Value) error {
+		for c := range row {
+			row[c] = cell(shapes[c])
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func sameViolation(a, b *Violation) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.S == b.S && a.T == b.T
+}
+
+// TestRankKernelAgainstComparator: on 600 seeded random relations of every
+// column shape, 0 to 12 rows, and contexts of length 0 to 3 with repeated
+// attributes, the rank kernel returns exactly what the comparator code
+// returned — the same order, the same tie structure, the same verdict and
+// the same witness rows.
+func TestRankKernelAgainstComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	universe := L("A", "B", "C", "D")
+	for trial := 0; trial < 600; trial++ {
+		rows := trial % 4 // 0-, 1-, 2- and 3-row relations get a quarter of the trials between them
+		if trial%4 == 3 {
+			rows = 3 + rng.Intn(10)
+		}
+		r := randMixedRelation(rng, universe, rows)
+		for q := 0; q < 6; q++ {
+			od := RandOD(rng, universe, 3)
+			ctx := fmt.Sprintf("trial %d, %s\n%s", trial, od, r)
+
+			want, err := sortPartitionOnCmp(r, od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := r.SortedIndexOn(od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(idx, want.Index) {
+				t.Fatalf("SortedIndexOn = %v, comparator sort %v\n%s", idx, want.Index, ctx)
+			}
+			got, err := r.SortPartitionOn(od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Tie, want.Tie) || got.Groups != want.Groups {
+				t.Fatalf("SortPartitionOn = %+v, comparator %+v\n%s", got, want, ctx)
+			}
+
+			wantOK, wantV, err := satisfiesCmp(r, od)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotOK, gotV, err := r.Satisfies(od)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK != wantOK || !sameViolation(gotV, wantV) {
+				t.Fatalf("Satisfies = %v %+v, comparator %v %+v\n%s", gotOK, gotV, wantOK, wantV, ctx)
+			}
+			gotOK, gotV, err = r.SatisfiesWith(od, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK != wantOK || !sameViolation(gotV, wantV) {
+				t.Fatalf("SatisfiesWith = %v %+v, comparator %v %+v\n%s", gotOK, gotV, wantOK, wantV, ctx)
+			}
+		}
+	}
+}
+
+// TestAddRowDropsRankView: a row added after the view was built is seen by
+// the next ordered operation.
+func TestAddRowDropsRankView(t *testing.T) {
+	r := mustRel(t, L("A", "B"), []int64{1, 1}, []int64{2, 2})
+	od := NewOD(L("A"), L("B"))
+	if ok, _, err := r.Satisfies(od); err != nil || !ok {
+		t.Fatalf("[A] -> [B] should hold before the swap row: ok=%v err=%v", ok, err)
+	}
+	if err := r.AddIntRow(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	ok, v, err := r.Satisfies(od)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || v.Kind != Swap || v.T != 2 {
+		t.Fatalf("after AddRow(3, 0): Satisfies = %v %+v, want a swap against row 2", ok, v)
+	}
+	idx, err := r.SortedIndexOn(L("B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(idx, []int{2, 0, 1}) {
+		t.Fatalf("after AddRow: SortedIndexOn(B) = %v, want [2 0 1]", idx)
+	}
+}
+
+// TestRankViewConcurrentFirstUse: goroutines racing on a fresh relation's
+// first ordered use each get the comparator's answer (run under -race).
+func TestRankViewConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	universe := L("A", "B", "C", "D")
+	for trial := 0; trial < 20; trial++ {
+		r := randMixedRelation(rng, universe, 64)
+		x := L("B", "A", "D")
+		od := NewOD(x, L("C"))
+		want, err := sortedIndexOnCmp(r, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOK, wantV, err := satisfiesCmp(r, od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				idx, err := r.SortedIndexOn(x)
+				if err != nil || !slices.Equal(idx, want) {
+					t.Errorf("trial %d: SortedIndexOn = %v, %v; want %v", trial, idx, err, want)
+				}
+				ok, v, err := r.Satisfies(od)
+				if err != nil || ok != wantOK || !sameViolation(v, wantV) {
+					t.Errorf("trial %d: Satisfies = %v %+v, %v; want %v %+v", trial, ok, v, err, wantOK, wantV)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// fuzzTable decodes bytes into a relation of at most 8 rows over at most 4
+// columns and one OD over its attributes. Byte 0 is the row count, byte 1
+// the column count, bytes 2 and 3 the side lengths (0 to 3), then one byte
+// per side attribute, then one byte per cell, row-major: the low two bits
+// pick the kind, the next three the value. Missing bytes read as zero.
+func fuzzTable(data []byte) (*Relation, OD) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	rows, cols := next()%9, 1+next()%4
+	attrs := L("A", "B", "C", "D")[:cols]
+	side := func(n int) List {
+		x := make(List, n)
+		for i := range x {
+			x[i] = attrs[next()%cols]
+		}
+		return x
+	}
+	nx, ny := next()%4, next()%4
+	od := NewOD(side(nx), side(ny))
+	r, err := NewRelationRows(attrs, rows, func(_ int, row []Value) error {
+		for c := range row {
+			b := next()
+			v := b >> 2 & 7
+			row[c] = []Value{Int(int64(v)), Float(float64(v) / 2), Str(string(rune('a' + v))), Null()}[b&3]
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return r, od
+}
+
+// fuzzSeed encodes an all-integer table and an OD given as column indices in
+// fuzzTable's format.
+func fuzzSeed(cols int, lhs, rhs []byte, rows ...[]byte) []byte {
+	data := []byte{byte(len(rows)), byte(cols - 1), byte(len(lhs)), byte(len(rhs))}
+	data = append(append(data, lhs...), rhs...)
+	for _, row := range rows {
+		for _, v := range row {
+			data = append(data, v<<2)
+		}
+	}
+	return data
+}
+
+// FuzzSatisfiesAgainstNaive: Satisfies' verdict equals the quadratic
+// Definition-4 check's, and a violation it returns is a violation by
+// Definitions 13 and 14 directly — the two checkers may pick different
+// pairs, so the witness is checked against the definitions, not against the
+// naive checker's.
+func FuzzSatisfiesAgainstNaive(f *testing.F) {
+	// The paper's Example 1 — a date table (year, quarter, month) on which
+	// [month] orders [quarter] — then a split and a swap.
+	f.Add(fuzzSeed(3, []byte{2}, []byte{1},
+		[]byte{0, 0, 0}, []byte{0, 0, 1}, []byte{0, 0, 2}, []byte{0, 1, 3},
+		[]byte{0, 1, 4}, []byte{0, 1, 5}, []byte{0, 2, 6}, []byte{0, 2, 7}))
+	f.Add(fuzzSeed(2, []byte{0}, []byte{1}, []byte{1, 1}, []byte{1, 2}))
+	f.Add(fuzzSeed(2, []byte{0}, []byte{1}, []byte{1, 2}, []byte{2, 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, od := fuzzTable(data)
+		want, _, err := r.SatisfiesNaive(od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, v, err := r.Satisfies(od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: Satisfies = %v, SatisfiesNaive = %v\n%s", od, got, want, r)
+		}
+		if got {
+			return
+		}
+		cx, _ := r.CompareOn(v.S, v.T, od.LHS)
+		cy, _ := r.CompareOn(v.S, v.T, od.RHS)
+		switch v.Kind {
+		case Split: // the rows tie on X and differ on Y
+			if cx != 0 || cy == 0 {
+				t.Fatalf("%s: split witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
+			}
+		case Swap: // strictly ordered by X, strictly reversed on Y
+			if cx >= 0 || cy <= 0 {
+				t.Fatalf("%s: swap witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
+			}
+		default:
+			t.Fatalf("%s: violation of kind %v", od, v.Kind)
+		}
+	})
+}

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
+
+// colRanks is one column's rank view: rank[i] is the dense rank of row i's
+// cell among the column's distinct values in Value.Compare order, so two
+// cells of the column compare exactly as their ranks do. start[k] counts the
+// rows ranked below k — the counting sort's bucket offsets, which depend on
+// the column alone and never on the order being refined; len(start)-1 is the
+// column's cardinality. A colRanks is immutable once built.
+type colRanks struct {
+	rank  []int32
+	start []int32
+}
+
+// ranksOf returns column c's rank view, building it on first use. Concurrent
+// first uses may each build the view; one is published and all callers
+// converge on it.
+func (r *Relation) ranksOf(c int) *colRanks {
+	views := r.views.Load()
+	if views == nil {
+		fresh := make([]atomic.Pointer[colRanks], len(r.attrs))
+		r.views.CompareAndSwap(nil, &fresh)
+		views = r.views.Load()
+	}
+	v := &(*views)[c]
+	if cr := v.Load(); cr != nil {
+		return cr
+	}
+	v.CompareAndSwap(nil, r.buildRanks(c))
+	return v.Load()
+}
+
+// ranksOn resolves the attributes of the lists x and y to their columns' rank
+// views, in list order (repeats included), failing on the first attribute —
+// x's before y's — the schema lacks.
+func (r *Relation) ranksOn(x, y List) (rx, ry []*colRanks, err error) {
+	cols := make([]*colRanks, 0, len(x)+len(y))
+	for _, side := range [2]List{x, y} {
+		for _, a := range side {
+			c, err := r.Col(a)
+			if err != nil {
+				return nil, nil, err
+			}
+			cols = append(cols, r.ranksOf(c))
+		}
+	}
+	return cols[:len(x):len(x)], cols[len(x):], nil
+}
+
+// buildRanks numbers column c's distinct cells densely in Value.Compare
+// order — the only place discovery's data plane still looks at values. A
+// column of integers spanning less than four times the row count (surrogate
+// keys, calendar parts, codes: most of what discovery sees) is ranked through
+// a presence table without a comparison; any other column is sorted once.
+func (r *Relation) buildRanks(c int) *colRanks {
+	n := len(r.rows)
+	s := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(s)
+	if lo, span, ok := r.intSpan(c); ok && span < 4*uint64(n) {
+		s.a = sized(s.a, int(span)+1)
+		table := s.a
+		clear(table)
+		for _, row := range r.rows {
+			table[uint64(row[c].Int)-lo] = 1
+		}
+		card := int32(0)
+		for v, present := range table {
+			if present != 0 {
+				table[v] = card
+				card++
+			}
+		}
+		cr := newColRanks(n, card)
+		for i, row := range r.rows {
+			cr.rank[i] = table[uint64(row[c].Int)-lo]
+		}
+		return cr.withStarts()
+	}
+	s.a, s.b = sized(s.a, n), sized(s.b, n)
+	order, ranks := s.a, s.b
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return r.rows[a][c].Compare(r.rows[b][c]) })
+	card := int32(0)
+	for k, i := range order {
+		if k > 0 && r.rows[order[k-1]][c].Compare(r.rows[i][c]) != 0 {
+			card++
+		}
+		ranks[i] = card
+	}
+	if n > 0 {
+		card++
+	}
+	cr := newColRanks(n, card)
+	copy(cr.rank, ranks)
+	return cr.withStarts()
+}
+
+// newColRanks allocates the view of an n-row column of the given cardinality,
+// both arrays in one block.
+func newColRanks(n int, card int32) *colRanks {
+	buf := make([]int32, n+int(card)+1)
+	return &colRanks{rank: buf[:n:n], start: buf[n:]}
+}
+
+// withStarts derives the bucket offsets from the filled-in ranks.
+func (cr *colRanks) withStarts() *colRanks {
+	for _, rk := range cr.rank {
+		cr.start[rk+1]++
+	}
+	for k := 1; k < len(cr.start); k++ {
+		cr.start[k] += cr.start[k-1]
+	}
+	return cr
+}
+
+// intSpan reports whether every cell of column c is an Int and, if so, the
+// smallest one and the distance to the largest, both in two's complement so
+// the distance cannot overflow. An empty column is not an integer column.
+func (r *Relation) intSpan(c int) (lo, span uint64, ok bool) {
+	if len(r.rows) == 0 {
+		return 0, 0, false
+	}
+	minV, maxV := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, row := range r.rows {
+		v := row[c]
+		if v.Kind != KindInt {
+			return 0, 0, false
+		}
+		minV, maxV = min(minV, v.Int), max(maxV, v.Int)
+	}
+	return uint64(minV), uint64(maxV) - uint64(minV), true
+}
+
+// cmpRanks compares rows s and t lexicographically along the rank columns:
+// Relation.CompareOn on integers.
+func cmpRanks(cols []*colRanks, s, t int32) int {
+	for _, c := range cols {
+		if a, b := c.rank[s], c.rank[t]; a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// sortScratch holds the buffers of one rank sort. They are pooled: a sort
+// allocates nothing once the pool has warmed to the relation's size.
+type sortScratch struct {
+	a, b, next []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// sized returns buf resliced to n elements, reallocated only when too small;
+// the contents are unspecified.
+func sized(buf []int32, n int) []int32 {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// order returns the row ids 0..n-1 ordered by the rank columns, most
+// significant first, ties in row order: a stable least-significant-digit
+// counting sort, O(len(cols)·(n + cardinality)). The result aliases the
+// scratch and is valid until the scratch is reused.
+func (s *sortScratch) order(n int, cols []*colRanks) []int32 {
+	s.a, s.b = sized(s.a, n), sized(s.b, n)
+	src, dst := s.a, s.b
+	for i := range src {
+		src[i] = int32(i)
+	}
+	for k := len(cols) - 1; k >= 0; k-- {
+		c := cols[k]
+		if len(c.start) <= 2 {
+			continue // a constant column orders nothing
+		}
+		s.next = append(s.next[:0], c.start...)
+		for _, i := range src {
+			rk := c.rank[i]
+			dst[s.next[rk]] = i
+			s.next[rk]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}

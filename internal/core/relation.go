@@ -2,18 +2,28 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Relation is a relation instance: a schema (an attribute list, fixing column
 // order) and a sequence of rows. The paper states its definitions over sets
 // of tuples but notes that multisets change nothing; Relation allows
 // duplicate rows.
+//
+// Ordered operations (SortedIndexOn, SortPartitionOn, Satisfies,
+// SatisfiesWith) run on a per-column rank view — dense int32 ranks in
+// Value.Compare order — built lazily on the first ordered use of a column,
+// immutable from then on and dropped by AddRow. Readers may share a relation
+// across goroutines; AddRow may not run beside them.
 type Relation struct {
 	attrs List
 	pos   map[Attribute]int
 	rows  [][]Value
+	// views holds one rank view per column, each nil until the column's
+	// first ordered use; the slice itself appears with the first view and
+	// AddRow drops it whole.
+	views atomic.Pointer[[]atomic.Pointer[colRanks]]
 }
 
 // NewRelation creates an empty relation over the given schema. It returns an
@@ -27,6 +37,28 @@ func NewRelation(attrs List) (*Relation, error) {
 		pos[a] = i
 	}
 	return &Relation{attrs: attrs.Clone(), pos: pos}, nil
+}
+
+// NewRelationRows creates a relation of n rows over the given schema in one
+// step: the bulk form of NewRelation followed by n AddRows, with one backing
+// allocation for all cells and no per-row copy. fill is called once per row,
+// in order, to set the row's cells (all Null on entry); the first error it
+// returns aborts the construction.
+func NewRelationRows(attrs List, n int, fill func(i int, row []Value) error) (*Relation, error) {
+	r, err := NewRelation(attrs)
+	if err != nil {
+		return nil, err
+	}
+	w := len(attrs)
+	cells := make([]Value, n*w)
+	r.rows = make([][]Value, n)
+	for i := range r.rows {
+		r.rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		if err := fill(i, r.rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // MustRelation is NewRelation that panics on schema errors; it is intended
@@ -69,6 +101,9 @@ func (r *Relation) AddRow(vals ...Value) error {
 	row := make([]Value, len(vals))
 	copy(row, vals)
 	r.rows = append(r.rows, row)
+	if r.views.Load() != nil {
+		r.views.Store(nil)
+	}
 	return nil
 }
 
@@ -97,10 +132,6 @@ func (r *Relation) Value(i int, a Attribute) (Value, error) {
 // duplicates removed) with the corresponding values of every row.
 func (r *Relation) Project(x List) (*Relation, error) {
 	x = x.Normalize()
-	out, err := NewRelation(x)
-	if err != nil {
-		return nil, err
-	}
 	cols := make([]int, len(x))
 	for i, a := range x {
 		c, err := r.Col(a)
@@ -109,24 +140,22 @@ func (r *Relation) Project(x List) (*Relation, error) {
 		}
 		cols[i] = c
 	}
-	for _, row := range r.rows {
-		vals := make([]Value, len(cols))
+	return NewRelationRows(x, len(r.rows), func(k int, vals []Value) error {
 		for i, c := range cols {
-			vals[i] = row[c]
+			vals[i] = r.rows[k][c]
 		}
-		out.rows = append(out.rows, vals)
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
-	out := MustRelation(r.attrs)
-	out.rows = make([][]Value, len(r.rows))
-	for i, row := range r.rows {
-		c := make([]Value, len(row))
-		copy(c, row)
-		out.rows[i] = c
+	out, err := NewRelationRows(r.attrs, len(r.rows), func(i int, row []Value) error {
+		copy(row, r.rows[i])
+		return nil
+	})
+	if err != nil {
+		panic(err) // unreachable: r's own schema is duplicate-free
 	}
 	return out
 }
@@ -169,29 +198,19 @@ func (r *Relation) EqOn(i, j int, x List) (bool, error) {
 }
 
 // SortedIndexOn returns the row indices of r ordered by ≼X. The sort is
-// stable, so rows tied on X keep their relative order.
+// stable, so rows tied on X keep their relative order. It is a counting sort
+// over the columns' rank views: O(|X|·(n + cardinality)), no value compared.
 func (r *Relation) SortedIndexOn(x List) ([]int, error) {
-	cols := make([]int, len(x))
-	for i, a := range x {
-		c, err := r.Col(a)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	cols, _, err := r.ranksOn(x, nil)
+	if err != nil {
+		return nil, err
 	}
+	s := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(s)
 	idx := make([]int, len(r.rows))
-	for i := range idx {
-		idx[i] = i
+	for k, i := range s.order(len(r.rows), cols) {
+		idx[k] = int(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := r.rows[idx[a]], r.rows[idx[b]]
-		for _, c := range cols {
-			if cmp := ra[c].Compare(rb[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
 	return idx, nil
 }
 

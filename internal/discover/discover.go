@@ -32,6 +32,39 @@ func (o *Options) defaults() {
 	}
 }
 
+// maxCandidates bounds the candidate space — left-hand lists times right-hand
+// lists. The pipeline keeps one byte of refutation state per pair, and a
+// space this large is hours of inference besides.
+const maxCandidates = 1 << 24
+
+// CheckSize reports whether a relation of n attributes is within the bounds:
+// the MaxAttrs guard, and the candidate space MaxLHS and MaxRHS span over n
+// attributes. It returns the error Discover and Pipeline refuse the relation
+// with, for callers that must refuse before they start.
+func (o Options) CheckSize(n int) error {
+	o.defaults()
+	if n > o.MaxAttrs {
+		return fmt.Errorf("discover: %d attributes exceed the limit of %d", n, o.MaxAttrs)
+	}
+	lhs, rhs := listCount(n, o.MaxLHS), listCount(n, o.MaxRHS)
+	if lhs*rhs > maxCandidates {
+		return fmt.Errorf("discover: lists of up to %d and %d of %d attributes span more than %d candidates",
+			o.MaxLHS, o.MaxRHS, n, maxCandidates)
+	}
+	return nil
+}
+
+// listCount returns the number of duplicate-free lists of at most maxLen out
+// of n attributes, saturating just past maxCandidates.
+func listCount(n, maxLen int) int {
+	count, ofLen := 1, 1
+	for k := 0; k < min(maxLen, n) && count <= maxCandidates; k++ {
+		ofLen *= n - k
+		count += ofLen
+	}
+	return min(count, maxCandidates+1)
+}
+
 // Result holds the discovery outcome.
 type Result struct {
 	Constants   core.List // attributes with a single value in the instance
@@ -50,8 +83,8 @@ type Result struct {
 func Discover(r *core.Relation, opts Options) (*Result, error) {
 	opts.defaults()
 	attrs := r.Attrs()
-	if len(attrs) > opts.MaxAttrs {
-		return nil, fmt.Errorf("discover: %d attributes exceed the limit of %d", len(attrs), opts.MaxAttrs)
+	if err := opts.CheckSize(len(attrs)); err != nil {
+		return nil, err
 	}
 	res := &Result{}
 
@@ -159,24 +192,8 @@ func CompatiblePairs(r *core.Relation) ([][2]core.Attribute, error) {
 	return out, nil
 }
 
-// enumerateLists yields all duplicate-free lists of length 1..maxLen over
-// the attributes, plus the empty list.
+// enumerateLists yields all duplicate-free lists of length 0..maxLen over
+// the attributes, in the pipeline lattice's id order.
 func enumerateLists(attrs core.List, maxLen int) []core.List {
-	out := []core.List{nil}
-	var rec func(cur core.List)
-	rec = func(cur core.List) {
-		if len(cur) >= maxLen {
-			return
-		}
-		for _, a := range attrs {
-			if cur.Contains(a) {
-				continue
-			}
-			next := cur.Concat(core.List{a})
-			out = append(out, next)
-			rec(next)
-		}
-	}
-	rec(nil)
-	return out
+	return newLattice(attrs, maxLen, 0).lists
 }

@@ -22,4 +22,19 @@
 // not minimized within a level. All pruning decisions depend only on
 // previous levels' committed state, so the data-check counts are identical
 // across worker schedules.
+//
+// # The lattice's id scheme
+//
+// The pipeline's pruning plane runs on integers. The duplicate-free lists
+// over the schema, up to the longer side bound, are enumerated once and
+// numbered by length, then by schema position — id 0 is the empty list, ids
+// below start[ℓ+1] are the lists of at most ℓ attributes — and parent[id]
+// names the list minus its last attribute. A candidate X ↦ Y is the pair
+// (id of X, id of Y); it is trivial exactly when Y is a prefix of X; its two
+// propagation parents are (X, parent[Y]) and (parent[X], Y); and what is
+// known to fail is one core.ViolationKind byte at slot lhs·|RHS ids| + rhs
+// of a flat table written only between levels. No OD or list key string is
+// built for a candidate, and an OD value only for those that survive to the
+// catalog. Data checks run on core's rank views: a context is one counting
+// sort, a candidate one scan of int32 ranks.
 package discover

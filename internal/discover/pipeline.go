@@ -2,7 +2,6 @@ package discover
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,14 +39,21 @@ type PipelineOptions struct {
 // scheduler-independent: which candidates reach the data depends only on the
 // previous levels' committed results, never on worker interleaving, so two
 // runs over the same relation perform the identical data checks.
+//
+// RowsScanned, CacheHits and CacheMisses are logical counts, defined by what
+// the algorithm asks for and not by how core's rank kernel carries it out: a
+// context's first use is one miss and charges two passes over the relation
+// (one to sort, one to mark ties), every data check charges one, and a
+// context answered from the cache charges none — however many counting-sort
+// passes or rank-view builds that took.
 type PipelineStats struct {
 	Candidates       uint64 `json:"candidates"`       // non-trivial candidates enumerated
 	ClosurePruned    uint64 `json:"closurePruned"`    // implied by the accepted set's closure; hold by inference
 	RefutationPruned uint64 `json:"refutationPruned"` // refuted by prefix propagation; fail by inference
 	DataChecks       uint64 `json:"dataChecks"`       // candidates that reached the data
-	RowsScanned      uint64 `json:"rowsScanned"`      // full-relation passes × rows, across sorts and scans
-	CacheHits        uint64 `json:"cacheHits"`        // context cache hits (sorts avoided)
-	CacheMisses      uint64 `json:"cacheMisses"`      // context cache misses (sorts performed)
+	RowsScanned      uint64 `json:"rowsScanned"`      // logical passes × rows: two per cache miss, one per data check
+	CacheHits        uint64 `json:"cacheHits"`        // context requests answered from the cache (sorts avoided)
+	CacheMisses      uint64 `json:"cacheMisses"`      // context requests that sorted (first uses, and any past the cache bound)
 	Accepted         uint64 `json:"accepted"`         // ODs found to hold and committed
 	Levels           int    `json:"levels"`           // lattice levels traversed
 }
@@ -66,22 +72,55 @@ type PipelineResult struct {
 	Stats PipelineStats
 }
 
-// candidate is one lattice node: an OD plus its precomputed pruning keys.
-type candidate struct {
-	od core.OD
-	// rhsPrefix keys the immediate RHS-prefix X ↦ Y[:|Y|-1] (empty when
-	// |Y| = 1: the prefix is trivial and cannot be refuted).
-	rhsPrefix string
-	// lhsPrefix keys the immediate LHS-prefix X[:|X|-1] ↦ Y (empty when X
-	// is already empty).
-	lhsPrefix string
+// lattice is the candidate space in dense-integer form. Every duplicate-free
+// list over the schema up to the longer of the two side bounds is enumerated
+// once and numbered by (length, then schema-position order), so the lists
+// admissible on either side are a prefix of the id space and a candidate
+// X ↦ Y is the pair (id of X, id of Y). Nothing in the pruning plane touches
+// an attribute name: triviality is a prefix test on the lists, the two
+// propagation parents are (X, parent[Y]) and (parent[X], Y), and the
+// refutation state is one byte per candidate.
+type lattice struct {
+	lists  []core.List // id → list; id 0 is the empty list
+	parent []int32     // id → id of the list minus its last attribute
+	start  []int32     // lists of length ℓ are the ids start[ℓ] ≤ id < start[ℓ+1]
+
+	maxLHS, maxRHS int   // side bounds, in attributes
+	nRHS           int32 // ids below nRHS are right-hand sides; a candidate's slot is lhs·nRHS + rhs
+	// refuted[slot] is the violation kind a candidate is known to fail by,
+	// zero while it is not known to fail. It is written only between
+	// levels, by the coordinating goroutine.
+	refuted []core.ViolationKind
+}
+
+// newLattice enumerates the lists and sizes the refutation table for
+// left-hand sides up to maxLHS and right-hand sides up to maxRHS attributes;
+// Options.CheckSize bounds the table.
+func newLattice(attrs core.List, maxLHS, maxRHS int) *lattice {
+	// No duplicate-free list is longer than the schema.
+	maxLHS, maxRHS = min(maxLHS, len(attrs)), min(maxRHS, len(attrs))
+	la := &lattice{lists: []core.List{nil}, parent: []int32{0}, start: []int32{0, 1}, maxLHS: maxLHS, maxRHS: maxRHS}
+	for length := 1; length <= max(maxLHS, maxRHS); length++ {
+		for p := la.start[length-1]; p < la.start[length]; p++ {
+			for _, a := range attrs {
+				if !la.lists[p].Contains(a) {
+					la.lists = append(la.lists, la.lists[p].Concat(core.List{a}))
+					la.parent = append(la.parent, p)
+				}
+			}
+		}
+		la.start = append(la.start, int32(len(la.lists)))
+	}
+	la.nRHS = la.start[maxRHS+1]
+	la.refuted = make([]core.ViolationKind, la.start[maxLHS+1]*la.nRHS)
+	return la
 }
 
 // contextGroup is the unit of parallel work: every candidate of one level
 // sharing a left-hand context, answered over one cached sorted partition.
 type contextGroup struct {
-	lhs   core.List
-	cands []candidate
+	lhs  int32
+	rhss []int32
 }
 
 // groupOutcome is what a worker reports back for one context group.
@@ -94,11 +133,11 @@ type groupOutcome struct {
 	err      error
 }
 
-// refutation records a candidate known to fail, with the violation kind that
-// decides how it propagates: splits poison every RHS extension, swaps poison
-// RHS and LHS extensions both.
+// refutation records a candidate of the group found to fail on the data, with
+// the violation kind that decides how it propagates: splits poison every RHS
+// extension, swaps poison RHS and LHS extensions both.
 type refutation struct {
-	key  string
+	rhs  int32
 	kind core.ViolationKind
 }
 
@@ -116,8 +155,8 @@ type refutation struct {
 func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*PipelineResult, error) {
 	opts.defaults()
 	attrs := r.Attrs()
-	if len(attrs) > opts.MaxAttrs {
-		return nil, fmt.Errorf("discover: %d attributes exceed the limit of %d", len(attrs), opts.MaxAttrs)
+	if err := opts.CheckSize(len(attrs)); err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -142,34 +181,29 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 
 	res := &PipelineResult{}
 	cache := core.NewSortCache(r, opts.CacheContexts)
-	refuted := make(map[string]core.ViolationKind)
-
-	// Bucket the enumerated lists by length once; level ℓ pairs every LHS of
-	// length i with every RHS of length ℓ-i ≥ 1.
-	lhsByLen := listsByLen(enumerateLists(attrs, opts.MaxLHS))
-	rhsByLen := listsByLen(enumerateLists(attrs, opts.MaxRHS))
+	la := newLattice(attrs, opts.MaxLHS, opts.MaxRHS)
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS
 	for level := 1; level <= maxLevel; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		groups := levelGroups(lhsByLen, rhsByLen, level, refuted, &res.Stats)
+		groups := la.levelGroups(level, &res.Stats)
 		res.Stats.Levels = level
 		if len(groups) == 0 {
 			continue
 		}
 
 		outcomes := runGroups(ctx, groups, workers, func(g *contextGroup) groupOutcome {
-			return validateGroup(ctx, r, cat, cache, g, opts.KeepRedundant)
+			return validateGroup(ctx, r, cat, cache, la, g, opts.KeepRedundant)
 		})
 
 		// Commit the level: accepted ODs enter the catalog in one Apply
 		// (one incremental closure extension), refutations extend the
-		// propagation map, and accepted ODs stream out in deterministic
+		// propagation table, and accepted ODs stream out in deterministic
 		// order.
 		var accepted []core.OD
-		for _, out := range outcomes {
+		for i, out := range outcomes {
 			if out.err != nil {
 				return nil, out.err
 			}
@@ -178,7 +212,7 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 			res.Stats.RowsScanned += out.rows
 			accepted = append(accepted, out.accepted...)
 			for _, rf := range out.refuted {
-				refuted[rf.key] = rf.kind
+				la.refuted[groups[i].lhs*la.nRHS+rf.rhs] = rf.kind
 			}
 		}
 		if len(accepted) == 0 {
@@ -206,20 +240,12 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 	return res, nil
 }
 
-// listsByLen buckets enumerated lists by their length.
-func listsByLen(lists []core.List) map[int][]core.List {
-	out := make(map[int][]core.List)
-	for _, l := range lists {
-		out[len(l)] = append(out[len(l)], l)
-	}
-	return out
-}
-
-// levelGroups enumerates the level's non-trivial candidates, applies the
+// levelGroups enumerates the level's non-trivial candidates — every LHS of
+// length i paired with every RHS of length level-i ≥ 1 — applies the
 // refutation-propagation prune (recording the propagated refutations so the
 // next level can chain on them), and groups the survivors by left-hand
-// context. Pruning here needs no data and no locks: the refuted map is only
-// written between levels.
+// context. Pruning here needs no data, no locks and no strings: the
+// refutation table is only written between levels.
 //
 // The propagation rules are the set-based lattice prunes, sound by the
 // prefix semantics of lexicographic order:
@@ -231,79 +257,65 @@ func listsByLen(lists []core.List) map[int][]core.List {
 //
 // Splits do not propagate to LHS extensions — the violating pair ties on X
 // and the extension may break the tie either way.
-func levelGroups(lhsByLen, rhsByLen map[int][]core.List, level int,
-	refuted map[string]core.ViolationKind, stats *PipelineStats) []*contextGroup {
+func (la *lattice) levelGroups(level int, stats *PipelineStats) []*contextGroup {
 	var groups []*contextGroup
-	byContext := make(map[string]*contextGroup)
-	for lhsLen := 0; lhsLen <= level-1; lhsLen++ {
+	for lhsLen := max(0, level-la.maxRHS); lhsLen <= min(level-1, la.maxLHS); lhsLen++ {
 		rhsLen := level - lhsLen
-		rhss := rhsByLen[rhsLen]
-		for _, lhs := range lhsByLen[lhsLen] {
+		for lhs := la.start[lhsLen]; lhs < la.start[lhsLen+1]; lhs++ {
 			var g *contextGroup
-			for _, rhs := range rhss {
-				od := core.NewOD(lhs, rhs)
-				if od.Trivial() {
+			for rhs := la.start[rhsLen]; rhs < la.start[rhsLen+1]; rhs++ {
+				// Both lists are duplicate-free, so the OD is trivial
+				// exactly when Y is a prefix of X.
+				if la.lists[lhs].HasPrefix(la.lists[rhs]) {
 					continue
 				}
 				stats.Candidates++
-				c := candidate{od: od}
-				if rhsLen > 1 {
-					c.rhsPrefix = core.NewOD(lhs, rhs.Prefix(rhsLen-1)).Key()
-				}
-				if lhsLen > 0 {
-					c.lhsPrefix = core.NewOD(lhs.Prefix(lhsLen-1), rhs).Key()
-				}
-				if kind, dead := propagates(c, refuted); dead {
+				if kind := la.propagated(lhs, rhs); kind != 0 {
 					stats.RefutationPruned++
-					refuted[od.Key()] = kind
+					la.refuted[lhs*la.nRHS+rhs] = kind
 					continue
 				}
 				if g == nil {
-					if g = byContext[lhs.Key()]; g == nil {
-						g = &contextGroup{lhs: lhs}
-						byContext[lhs.Key()] = g
-						groups = append(groups, g)
-					}
+					g = &contextGroup{lhs: lhs}
+					groups = append(groups, g)
 				}
-				g.cands = append(g.cands, c)
+				g.rhss = append(g.rhss, rhs)
 			}
 		}
 	}
 	return groups
 }
 
-// propagates reports whether a candidate is refuted by prefix propagation,
-// and with which violation kind it should be recorded onward.
-func propagates(c candidate, refuted map[string]core.ViolationKind) (core.ViolationKind, bool) {
+// propagated returns the violation kind a candidate inherits from a refuted
+// prefix candidate, or zero when neither immediate prefix refutes it.
+func (la *lattice) propagated(lhs, rhs int32) core.ViolationKind {
 	// An LHS-propagated swap stays a swap; prefer it when both prefixes
-	// prune, since swaps poison more of the lattice above.
-	if c.lhsPrefix != "" {
-		if kind, ok := refuted[c.lhsPrefix]; ok && kind == core.Swap {
-			return core.Swap, true
-		}
+	// prune, since swaps poison more of the lattice above. The empty LHS has
+	// no prefix (it is its own parent, and the slot is the candidate's own).
+	if la.refuted[la.parent[lhs]*la.nRHS+rhs] == core.Swap {
+		return core.Swap
 	}
-	if c.rhsPrefix != "" {
-		if kind, ok := refuted[c.rhsPrefix]; ok {
-			return kind, true
-		}
-	}
-	return 0, false
+	// A one-attribute RHS has the empty prefix, whose slot no candidate ever
+	// writes: X ↦ [] is trivial.
+	return la.refuted[lhs*la.nRHS+la.parent[rhs]]
 }
 
 // validateGroup answers one context group: closure-prune each candidate
 // through the catalog, then check the survivors against the data over the
 // context's cached sorted partition.
 func validateGroup(ctx context.Context, r *core.Relation, cat *catalog.Catalog,
-	cache *core.SortCache, g *contextGroup, keepRedundant bool) groupOutcome {
+	cache *core.SortCache, la *lattice, g *contextGroup, keepRedundant bool) groupOutcome {
 	var out groupOutcome
 	var part *core.SortedPartition
-	for _, c := range g.cands {
+	lhs := la.lists[g.lhs]
+	for _, rhs := range g.rhss {
 		if err := ctx.Err(); err != nil {
 			out.err = err
 			return out
 		}
+		od := core.NewOD(lhs, la.lists[rhs])
 		if !keepRedundant {
-			implied, err := cat.ImpliesCtx(ctx, c.od)
+			implied, err := cat.ImpliesCtx(ctx, od)
 			if err != nil {
 				out.err = err
 				return out
@@ -314,7 +326,7 @@ func validateGroup(ctx context.Context, r *core.Relation, cat *catalog.Catalog,
 			}
 		}
 		if part == nil {
-			p, err := cache.Get(g.lhs)
+			p, err := cache.Get(lhs)
 			if err != nil {
 				out.err = err
 				return out
@@ -323,15 +335,15 @@ func validateGroup(ctx context.Context, r *core.Relation, cat *catalog.Catalog,
 		}
 		out.checks++
 		out.rows += uint64(r.Len())
-		holds, v, err := r.SatisfiesWith(c.od, part)
+		holds, v, err := r.SatisfiesWith(od, part)
 		if err != nil {
 			out.err = err
 			return out
 		}
 		if holds {
-			out.accepted = append(out.accepted, c.od)
+			out.accepted = append(out.accepted, od)
 		} else {
-			out.refuted = append(out.refuted, refutation{key: c.od.Key(), kind: v.Kind})
+			out.refuted = append(out.refuted, refutation{rhs: rhs, kind: v.Kind})
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 
 	"odlib/internal/core"
@@ -13,19 +12,20 @@ import (
 // discoverRequest carries a relation instance inline and the discovery
 // bounds. Rows are positional over Attrs; cell values are JSON numbers or
 // strings, and each column must be uniformly numeric or uniformly textual
-// (an all-integral numeric column is compared as integers). Declare feeds
-// every accepted OD back into the target shard through the batch-declare
-// path once discovery completes.
+// (a numeric column is compared as integers while every cell is an integer
+// within ±2⁵³, as floats otherwise). Declare feeds every accepted OD back
+// into the target shard through the batch-declare path once discovery
+// completes.
 type discoverRequest struct {
-	Schema        string   `json:"schema,omitempty"`
-	Attrs         []string `json:"attrs"`
-	Rows          [][]any  `json:"rows"`
-	MaxLHS        int      `json:"maxLHS,omitempty"`
-	MaxRHS        int      `json:"maxRHS,omitempty"`
-	MaxAttrs      int      `json:"maxAttrs,omitempty"`
-	Workers       int      `json:"workers,omitempty"`
-	KeepRedundant bool     `json:"keepRedundant,omitempty"`
-	Declare       bool     `json:"declare,omitempty"`
+	Schema        string       `json:"schema,omitempty"`
+	Attrs         []string     `json:"attrs"`
+	Rows          instanceRows `json:"rows"`
+	MaxLHS        int          `json:"maxLHS,omitempty"`
+	MaxRHS        int          `json:"maxRHS,omitempty"`
+	MaxAttrs      int          `json:"maxAttrs,omitempty"`
+	Workers       int          `json:"workers,omitempty"`
+	KeepRedundant bool         `json:"keepRedundant,omitempty"`
+	Declare       bool         `json:"declare,omitempty"`
 }
 
 // discoverSummary is the final NDJSON line of a discovery stream.
@@ -36,10 +36,11 @@ type discoverSummary struct {
 	Declared  *mutationJSON          `json:"declared,omitempty"`
 }
 
-// relationOf validates the inline instance and builds the relation. Column
-// kinds are inferred up front — any string makes the column textual, any
-// fractional number makes it float, otherwise integer — so every cell of a
-// column compares under one kind.
+// relationOf validates the inline instance against its schema and builds
+// the relation. Each column compares under one kind, settled while the rows
+// were decoded: textual if its cells are strings, float if any number has a
+// fraction or lies beyond ±2⁵³ — where distinct integers on the wire would
+// collapse in the conversion — and integer otherwise.
 func relationOf(req *discoverRequest) (*core.Relation, error) {
 	if len(req.Attrs) == 0 {
 		return nil, fmt.Errorf("no attributes given")
@@ -48,59 +49,24 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 	for i, a := range req.Attrs {
 		attrs[i] = core.Attribute(a)
 	}
-	r, err := core.NewRelation(attrs)
-	if err != nil {
-		return nil, err
+	t := &req.Rows
+	if t.n > 0 && t.width != len(attrs) {
+		return nil, fmt.Errorf("rows have %d cells, schema has %d attributes", t.width, len(attrs))
 	}
-	kinds := make([]core.Kind, len(attrs))
-	for i := range kinds {
-		kinds[i] = core.KindInt
-	}
-	for ri, row := range req.Rows {
-		if len(row) != len(attrs) {
-			return nil, fmt.Errorf("row %d has %d cells, schema has %d attributes", ri, len(row), len(attrs))
-		}
-		for ci, cell := range row {
-			switch v := cell.(type) {
-			case string:
-				kinds[ci] = core.KindString
-			case float64:
-				if kinds[ci] == core.KindString {
-					return nil, fmt.Errorf("row %d, attribute %s: number in a textual column", ri, attrs[ci])
-				}
-				if v != math.Trunc(v) {
-					kinds[ci] = core.KindFloat
-				}
+	return core.NewRelationRows(attrs, t.n, func(ri int, vals []core.Value) error {
+		k := ri * t.width
+		for ci, kind := range t.cols {
+			switch {
+			case kind.str:
+				vals[ci] = core.Str(t.strs[k+ci])
+			case kind.float:
+				vals[ci] = core.Float(t.nums[k+ci])
 			default:
-				return nil, fmt.Errorf("row %d, attribute %s: unsupported value %v", ri, attrs[ci], cell)
+				vals[ci] = core.Int(int64(t.nums[k+ci]))
 			}
 		}
-	}
-	for ri, row := range req.Rows {
-		vals := make([]core.Value, len(row))
-		for ci, cell := range row {
-			switch v := cell.(type) {
-			case string:
-				if kinds[ci] != core.KindString {
-					return nil, fmt.Errorf("row %d, attribute %s: string in a numeric column", ri, attrs[ci])
-				}
-				vals[ci] = core.Str(v)
-			case float64:
-				switch kinds[ci] {
-				case core.KindString:
-					return nil, fmt.Errorf("row %d, attribute %s: number in a textual column", ri, attrs[ci])
-				case core.KindFloat:
-					vals[ci] = core.Float(v)
-				default:
-					vals[ci] = core.Int(int64(v))
-				}
-			}
-		}
-		if err := r.AddRow(vals...); err != nil {
-			return nil, fmt.Errorf("row %d: %w", ri, err)
-		}
-	}
-	return r, nil
+		return nil
+	})
 }
 
 // handleDiscover runs the parallel discovery pipeline over an inline
@@ -115,6 +81,18 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	var req discoverRequest
 	if !decodeBody(w, r, &req) {
+		return
+	}
+	opts := discover.Options{
+		MaxLHS:        req.MaxLHS,
+		MaxRHS:        req.MaxRHS,
+		MaxAttrs:      req.MaxAttrs,
+		KeepRedundant: req.KeepRedundant,
+	}
+	// The size bounds are checked here, not left to the pipeline: once
+	// NDJSON is flowing the status code is spent.
+	if err := opts.CheckSize(len(req.Attrs)); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	rel, err := relationOf(&req)
@@ -149,12 +127,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.proveCtx(r)
 	defer cancel()
 	res, err := discover.Pipeline(ctx, rel, discover.PipelineOptions{
-		Options: discover.Options{
-			MaxLHS:        req.MaxLHS,
-			MaxRHS:        req.MaxRHS,
-			MaxAttrs:      req.MaxAttrs,
-			KeepRedundant: req.KeepRedundant,
-		},
+		Options: opts,
 		Workers: workers,
 		Pool:    s.discoverPool,
 		OnFound: func(od core.OD) {

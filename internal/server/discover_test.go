@@ -177,10 +177,38 @@ func TestDiscoverEndpointBadRequests(t *testing.T) {
 		"mixed column":  {"attrs": []string{"a"}, "rows": [][]any{{1}, {"x"}}},
 		"bool cell":     {"attrs": []string{"a"}, "rows": [][]any{{true}}},
 		"unknown field": {"attrs": []string{"a"}, "rows": [][]any{{1}}, "bogus": 1},
+		"too many attrs": {"attrs": []string{"a", "b", "c", "d", "e", "f", "g", "h"},
+			"rows": [][]any{{1, 2, 3, 4, 5, 6, 7, 8}}},
+		"too many candidates": {"attrs": []string{"a", "b", "c", "d", "e", "f", "g"},
+			"rows": [][]any{{1, 2, 3, 4, 5, 6, 7}}, "maxLHS": 7, "maxRHS": 7},
 	} {
 		code, _, _ := postNDJSON(t, ts.URL+"/discover", req)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: code = %d, want 400", name, code)
 		}
+	}
+}
+
+// TestDiscoverEndpointHugeIntegers: integers beyond ±2⁵³ are not exactly
+// representable in the float64 the decoder produces, and from 2⁶³ their
+// int64 conversion saturates to one value; such a column is compared as
+// float, so distinct cells stay distinct — a is not a constant and the swap
+// between a and b is seen.
+func TestDiscoverEndpointHugeIntegers(t *testing.T) {
+	ts, _, _, _ := newTelemetryServer(t, "", store.Options{}, 0)
+	code, _, lines := postNDJSON(t, ts.URL+"/discover", map[string]any{
+		"attrs": []string{"a", "b"},
+		"rows":  [][]any{{1e19, 3}, {2e19, 2}, {3e19, 1}},
+	})
+	if code != 200 || len(lines) == 0 {
+		t.Fatalf("code=%d lines=%v", code, lines)
+	}
+	for _, l := range lines[:len(lines)-1] {
+		if od := l["od"]; od == "[a] -> [b]" || od == "[] -> [a]" {
+			t.Fatalf("accepted %v, which the data violates", od)
+		}
+	}
+	if consts, _ := lines[len(lines)-1]["constants"].([]any); len(consts) != 0 {
+		t.Fatalf("constants = %v, want none", consts)
 	}
 }

@@ -32,4 +32,12 @@
 // tier chain: a client that disconnects mid-/prove aborts the in-flight
 // pattern search instead of leaving it burning CPU, and WithProveTimeout
 // bounds every search server-side (a deadline answers 504).
+//
+// POST /discover carries a relation inline. Its "rows" member is decoded by
+// the package's own json.Unmarshaler (rows.go) straight into flat typed
+// cells, inside the same strict decodeBody every endpoint uses; it accepts
+// and refuses exactly what the [][]any decode it replaced did (rows_test.go
+// holds it to that, on a corpus and under fuzzing), and every size bound —
+// attributes, candidate space — is checked before the NDJSON stream opens,
+// so a refused request is a 400, never an error line under a 200.
 package server
