@@ -27,28 +27,19 @@ const (
 type Catalog struct {
 	mu       sync.RWMutex
 	declared *odSet
-	closure  *odSet // inflated transitive closure of declared (non-trivial ODs only)
-	gen      uint64 // bumped on every effective mutation
+	cur      *generation // what every read works against; replaced, never modified
 	maxAttrs int
 	workers  int
 	pool     *prover.Pool
 	observe  func(tier string, seconds float64)
 	memo     *VerdictMemo
 	neg      *negSet
-	prov     *prover.Prover       // prover over the current declared set, memo-backed
-	cons     *rewrite.Constraints // rewrite constraints sharing prov
 
 	// tiers counts verdict fast-path hits; counters aggregates search
 	// effort. Both live on the catalog, not the per-generation prover, so
 	// they survive rebuilds and report cumulative work on /healthz.
 	tiers    tierCounters
 	counters prover.Counters
-
-	// Sorted listings precomputed per generation, so Declared/Snapshot/
-	// Listing copy a slice under the read lock instead of re-sorting and
-	// re-deflating immutable state on every call.
-	declaredList []core.OD
-	deflatedList []core.OD
 }
 
 // tierCounters tallies verdict tier hits atomically.
@@ -118,7 +109,6 @@ func WithTierLatency(fn func(tier string, seconds float64)) Option {
 func New(opts ...Option) *Catalog {
 	c := &Catalog{
 		declared: newODSet(),
-		closure:  newODSet(),
 		maxAttrs: prover.DefaultMaxAttrs,
 		workers:  runtime.GOMAXPROCS(0),
 		neg:      newNegSet(DefaultNegativeCapacity),
@@ -129,7 +119,7 @@ func New(opts ...Option) *Catalog {
 	if c.memo == nil {
 		c.memo = NewVerdictMemo(DefaultMemoCapacity)
 	}
-	c.rebuildLocked()
+	c.rebuildLocked(0)
 	return c
 }
 
@@ -220,100 +210,119 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 			netRemoved = append(netRemoved, e.od)
 		}
 	}
-	switch {
-	case added == 0 && removed == 0:
-	case removed == 0:
-		c.gen = c.memo.Invalidate()
-		c.neg.advance(c.gen, netAdded)
-		c.closure = extendClosure(c.closure, netAdded)
-		c.refreshLocked()
-	case added == 0:
-		c.gen = c.memo.Invalidate()
-		c.neg.advance(c.gen, nil)
-		c.closure = shrinkClosure(c.closure, netRemoved, c.declared.slice())
-		c.refreshLocked()
-	default:
-		// Mixed batches interleave adds and removes; one full recompute is
-		// still a single rebuild for the whole batch. Negative-closure
-		// witnesses only need checking against what was net added — the
-		// removals cannot invalidate them.
-		c.gen = c.memo.Invalidate()
-		c.neg.advance(c.gen, netAdded)
-		c.rebuildLocked()
+	if added > 0 || removed > 0 {
+		gen := c.memo.Invalidate()
+		// Negative-closure witnesses only need checking against what was net
+		// added (nothing, for pure removals) — removals cannot invalidate them.
+		c.neg.advance(gen, netAdded)
+		switch {
+		case removed == 0:
+			c.refreshLocked(gen, extendClosure(c.cur.closure, netAdded))
+		case added == 0:
+			c.refreshLocked(gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.slice()))
+		default:
+			// Mixed batches interleave adds and removes; one full recompute
+			// is still a single rebuild for the whole batch.
+			c.rebuildLocked(gen)
+		}
 	}
 	return added, removed, netAdded, netRemoved, c.statsLocked()
 }
 
-// rebuildLocked recomputes the closure from scratch and refreshes the
-// derived read state.
-func (c *Catalog) rebuildLocked() {
-	c.closure = transitiveClosure(c.declared.slice())
-	c.refreshLocked()
+// rebuildLocked recomputes the closure from scratch and publishes it as
+// generation gen.
+func (c *Catalog) rebuildLocked(gen uint64) {
+	c.refreshLocked(gen, transitiveClosure(c.declared.slice()))
 }
 
-// refreshLocked rebuilds the derived read state — sorted listings and the
-// memo-backed prover and rewrite constraints — from the declared set and the
-// (already maintained) closure. Everything built here is immutable
-// afterwards (a later mutation assigns fresh values instead of modifying
-// these), which is what lets readers snapshot it and work outside the lock.
-// The prover's cache view is pinned to the current generation; the shared
-// tier/effort counters ride along so statistics survive the rebuild.
-func (c *Catalog) refreshLocked() {
+// refreshLocked builds and publishes generation gen from the declared set
+// and its (already maintained) closure: sorted listings, the prover, the
+// rewrite constraints that ask it through the tier chain, and the memo view
+// pinned to gen. The shared tier/effort counters ride along so statistics
+// survive the rebuild.
+func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 	declared := c.declared.slice()
-	c.declaredList = declared
-	c.deflatedList = Deflate(c.closure.slice())
-	c.prov = prover.New(declared,
-		prover.WithMaxAttrs(c.maxAttrs),
-		prover.WithWorkers(c.workers),
-		prover.WithPool(c.pool),
-		prover.WithCounters(&c.counters),
-		prover.WithCache(c.memo.At(c.gen)))
-	c.cons = rewrite.NewConstraints(nil, declared).UseProver(c.prov)
-}
-
-// snapshot captures the current immutable read state under a brief shared
-// lock. The returned pieces are never modified after construction, so the
-// caller can prove and rewrite against them with no lock held. The memo
-// view, negative closure and tier counters are shared mutable state with
-// their own synchronization; the generation pins which of their entries
-// this snapshot may believe.
-type snapshot struct {
-	gen     uint64
-	closure *odSet
-	prov    *prover.Prover
-	cons    *rewrite.Constraints
-	memo    MemoView
-	neg     *negSet
-	tiers   *tierCounters
-	observe func(tier string, seconds float64)
-}
-
-func (c *Catalog) snapshot() snapshot {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return snapshot{
-		gen:     c.gen,
-		closure: c.closure,
-		prov:    c.prov,
-		cons:    c.cons,
-		memo:    c.memo.At(c.gen),
+	g := &generation{
+		gen:      gen,
+		declared: declared,
+		closure:  closure,
+		deflated: Deflate(closure.slice()),
+		prov: prover.New(declared,
+			prover.WithMaxAttrs(c.maxAttrs),
+			prover.WithWorkers(c.workers),
+			prover.WithPool(c.pool),
+			prover.WithCounters(&c.counters)),
+		memo:    c.memo.At(gen),
 		neg:     c.neg,
 		tiers:   &c.tiers,
 		observe: c.observe,
 	}
+	g.cons = rewrite.NewConstraints(nil, declared).UseOracle(g)
+	c.cur = g
 }
 
-// impliesWitness decides one question against the snapshot and reports
+// generation is the catalog's whole read state at one generation number.
+// Nothing in it is modified once refreshLocked has published it — a mutation
+// publishes a fresh value instead — so a reader copies the pointer under a
+// brief shared lock and then proves and rewrites with no lock held. memo,
+// neg and tiers are handles on state shared across generations, with their
+// own synchronization; gen pins which of their entries this generation may
+// believe.
+type generation struct {
+	gen      uint64
+	declared []core.OD // canonical sorted order
+	closure  *odSet    // inflated transitive closure of declared (non-trivial ODs only)
+	deflated []core.OD // the closure as listed: deflated, sorted
+	prov     *prover.Prover
+	cons     *rewrite.Constraints // over declared; its Oracle is this generation
+	memo     MemoView
+	neg      *negSet
+	tiers    *tierCounters
+	observe  func(tier string, seconds float64)
+}
+
+// snapshot returns the current generation; the shared lock orders the read
+// after the write that published it.
+func (c *Catalog) snapshot() *generation {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.cur
+}
+
+// OrdersBy implements rewrite.Oracle, which is how a reduction's questions
+// descend the same tier chain, under the same counters, as a prove's.
+func (g *generation) OrdersBy(ctx context.Context, x, y core.List) (bool, error) {
+	ok, _, _, err := g.impliesWitness(ctx, core.NewOD(x, y))
+	return ok, err
+}
+
+// prove decides a conjunction of ODs: it ends at the first refutation or
+// error, and Tier is the most expensive tier it touched on the way.
+func (g *generation) prove(ctx context.Context, ods []core.OD) ProveResult {
+	res := ProveResult{Implied: true}
+	for _, od := range ods {
+		ok, w, tier, err := g.impliesWitness(ctx, od)
+		if tierRank(tier) > tierRank(res.Tier) {
+			res.Tier = tier
+		}
+		if err != nil || !ok {
+			return ProveResult{Witness: w, Tier: res.Tier, Err: err}
+		}
+	}
+	return res
+}
+
+// impliesWitness decides one question against the generation and reports
 // which verdict tier answered it. With a tier-latency observer installed,
 // the decision is timed and reported under that tier — cancelled searches
 // included, since their latency is exactly what saturation diagnostics need.
-func (s snapshot) impliesWitness(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
-	if s.observe == nil {
-		return s.decide(ctx, od)
+func (g *generation) impliesWitness(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
+	if g.observe == nil {
+		return g.decide(ctx, od)
 	}
 	start := time.Now()
-	ok, w, tier, err := s.decide(ctx, od)
-	s.observe(tier, time.Since(start).Seconds())
+	ok, w, tier, err := g.decide(ctx, od)
+	g.observe(tier, time.Since(start).Seconds())
 	return ok, w, tier, err
 }
 
@@ -323,33 +332,33 @@ func (s snapshot) impliesWitness(ctx context.Context, od core.OD) (bool, *core.P
 // finally the prover's pattern search — whose verdict is stored back into
 // the memo and, on refutation, the negative closure. Each tier taken bumps
 // its hit counter.
-func (s snapshot) decide(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
+func (g *generation) decide(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
 	od = canon(od)
 	if od.Trivial() {
-		s.tiers.trivial.Add(1)
+		g.tiers.trivial.Add(1)
 		return true, nil, TierTrivial, nil
 	}
-	if s.closure.has(od) {
-		s.tiers.closure.Add(1)
+	if g.closure.has(od) {
+		g.tiers.closure.Add(1)
 		return true, nil, TierClosure, nil
 	}
 	key := od.Key()
-	if w, ok := s.neg.get(key, s.gen); ok {
-		s.tiers.negative.Add(1)
+	if w, ok := g.neg.get(key, g.gen); ok {
+		g.tiers.negative.Add(1)
 		return false, w, TierNegative, nil
 	}
-	if v, ok := s.memo.Get(key); ok {
-		s.tiers.memo.Add(1)
+	if v, ok := g.memo.Get(key); ok {
+		g.tiers.memo.Add(1)
 		return v.Implied, v.Witness, TierMemo, nil
 	}
-	s.tiers.search.Add(1)
-	v, err := s.prov.DecideCtx(ctx, od)
+	g.tiers.search.Add(1)
+	v, err := g.prov.DecideCtx(ctx, od)
 	if err != nil {
 		return false, nil, TierSearch, err
 	}
-	s.memo.Put(key, v)
+	g.memo.Put(key, v)
 	if !v.Implied {
-		s.neg.put(key, od, v.Witness, s.gen)
+		g.neg.put(key, od, v.Witness, g.gen)
 	}
 	return v.Implied, v.Witness, TierSearch, nil
 }
@@ -375,9 +384,7 @@ func tierRank(tier string) int {
 
 // Declared returns the declared ODs in canonical sorted order.
 func (c *Catalog) Declared() []core.OD {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]core.OD(nil), c.declaredList...)
+	return append([]core.OD(nil), c.snapshot().declared...)
 }
 
 // Snapshot returns the deflated transitive closure in canonical sorted
@@ -385,9 +392,7 @@ func (c *Catalog) Declared() []core.OD {
 // transitivity, compacted back so no listed OD is a prefix-weakening of a
 // sibling.
 func (c *Catalog) Snapshot() []core.OD {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]core.OD(nil), c.deflatedList...)
+	return append([]core.OD(nil), c.snapshot().deflated...)
 }
 
 // Has reports whether od (canonicalized) is trivial or a member of the
@@ -395,21 +400,12 @@ func (c *Catalog) Snapshot() []core.OD {
 // constant-time filter in front of Implies.
 func (c *Catalog) Has(od core.OD) bool {
 	od = canon(od)
-	if od.Trivial() {
-		return true
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.closure.has(od)
+	return od.Trivial() || c.snapshot().closure.has(od)
 }
 
 // Generation returns the mutation counter. Two reads returning the same
 // generation bracket a window with no effective mutation.
-func (c *Catalog) Generation() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
+func (c *Catalog) Generation() uint64 { return c.snapshot().gen }
 
 // Listing is a mutually consistent snapshot of the catalog's constraints:
 // declared set, deflated closure and the generation both belong to.
@@ -419,17 +415,15 @@ type Listing struct {
 	Closure    []core.OD
 }
 
-// Listing returns declared ODs, closure and generation under one read-lock
-// acquisition, so the three always describe the same catalog state —
-// separate Declared/Snapshot/Generation calls can each observe a different
+// Listing returns declared ODs, closure and generation of one catalog state
+// — separate Declared/Snapshot/Generation calls can each observe a different
 // one under concurrent mutation.
 func (c *Catalog) Listing() Listing {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	g := c.snapshot()
 	return Listing{
-		Generation: c.gen,
-		Declared:   append([]core.OD(nil), c.declaredList...),
-		Closure:    append([]core.OD(nil), c.deflatedList...),
+		Generation: g.gen,
+		Declared:   append([]core.OD(nil), g.declared...),
+		Closure:    append([]core.OD(nil), g.deflated...),
 	}
 }
 
@@ -455,9 +449,9 @@ func (c *Catalog) statsLocked() Stats {
 	eff := c.counters.Snapshot()
 	return Stats{
 		Declared:   c.declared.len(),
-		Closure:    c.closure.len(),
+		Closure:    c.cur.closure.len(),
 		Negative:   c.neg.size(),
-		Generation: c.gen,
+		Generation: c.cur.gen,
 		Memo:       c.memo.Stats(),
 		Tiers: TierStats{
 			Trivial:  c.tiers.trivial.Load(),
@@ -469,7 +463,7 @@ func (c *Catalog) statsLocked() Stats {
 		Prover: ProverStats{
 			// The prover clamps the configured value into its valid range;
 			// report the effective parallelism, not the raw option.
-			Workers:   uint64(c.prov.Workers()),
+			Workers:   uint64(c.cur.prov.Workers()),
 			Nodes:     eff.Nodes,
 			Searches:  eff.Searches,
 			Cancelled: eff.Cancelled,
@@ -517,17 +511,9 @@ func (c *Catalog) ImpliesAllWitness(ods []core.OD) (bool, *core.Pattern, uint64,
 
 // ImpliesAllWitnessCtx is ImpliesAllWitness honoring cancellation.
 func (c *Catalog) ImpliesAllWitnessCtx(ctx context.Context, ods []core.OD) (bool, *core.Pattern, uint64, error) {
-	s := c.snapshot()
-	for _, od := range ods {
-		ok, w, _, err := s.impliesWitness(ctx, od)
-		if err != nil {
-			return false, nil, s.gen, err
-		}
-		if !ok {
-			return false, w, s.gen, nil
-		}
-	}
-	return true, nil, s.gen, nil
+	g := c.snapshot()
+	res := g.prove(ctx, ods)
+	return res.Implied, res.Witness, g.gen, res.Err
 }
 
 // ProveResult is one verdict of a batch prove: implied, refuted with a
@@ -551,28 +537,12 @@ type ProveResult struct {
 // context's error — the batch drains fast instead of burning search nodes
 // for a client that has hung up.
 func (c *Catalog) ProveEachCtx(ctx context.Context, qs [][]core.OD) ([]ProveResult, uint64) {
-	s := c.snapshot()
+	g := c.snapshot()
 	out := make([]ProveResult, len(qs))
 	for i, ods := range qs {
-		res := ProveResult{Implied: true}
-		for _, od := range ods {
-			ok, w, tier, err := s.impliesWitness(ctx, od)
-			if tierRank(tier) > tierRank(res.Tier) {
-				res.Tier = tier
-			}
-			if err != nil {
-				res.Err = err
-				res.Implied, res.Witness = false, nil
-				break
-			}
-			if !ok {
-				res.Implied, res.Witness = false, w
-				break
-			}
-		}
-		out[i] = res
+		out[i] = g.prove(ctx, ods)
 	}
-	return out, s.gen
+	return out, g.gen
 }
 
 // ImpliesAll reports whether every OD of the slice is implied, atomically.
@@ -608,9 +578,9 @@ func (c *Catalog) ReduceOrderStamped(order core.List) (rewrite.Result, uint64, e
 // ReduceOrderStampedCtx is ReduceOrderStamped honoring cancellation of the
 // implication searches the reduction runs.
 func (c *Catalog) ReduceOrderStampedCtx(ctx context.Context, order core.List) (rewrite.Result, uint64, error) {
-	s := c.snapshot()
-	res, err := rewrite.ReduceOrderCtx(ctx, order, s.cons)
-	return res, s.gen, err
+	g := c.snapshot()
+	res, err := rewrite.ReduceOrderCtx(ctx, order, g.cons)
+	return res, g.gen, err
 }
 
 // ReduceGroupBy minimizes a GROUP BY list under the catalog's constraints
@@ -623,8 +593,8 @@ func (c *Catalog) ReduceGroupBy(group core.List) rewrite.Result {
 // ReduceGroupByStamped is ReduceGroupBy plus the generation of the
 // constraint set the reduction ran against.
 func (c *Catalog) ReduceGroupByStamped(group core.List) (rewrite.Result, uint64) {
-	s := c.snapshot()
-	return rewrite.ReduceGroupBy(group, s.cons), s.gen
+	g := c.snapshot()
+	return rewrite.ReduceGroupBy(group, g.cons), g.gen
 }
 
 // Covers reports whether a stream ordered by have satisfies ORDER BY want

@@ -22,14 +22,21 @@
 //	memo         the bounded, generation-stamped verdict memo
 //	search       the prover's (optionally parallel) pattern search
 //
+// The chain is the one way to ask. Implies, the batch proves and the
+// questions a rewrite asks (ReduceOrder, Covers, Equivalent) all descend
+// it: the catalog's current generation is the rewriter's rewrite.Oracle,
+// and the prover behind the last tier is a pure function that keeps no
+// verdict of its own.
+//
 // All methods are safe for concurrent use. Mutations (Add, Remove) hold an
-// exclusive lock and eagerly rebuild the closure and a fresh prover pinned
-// to the new generation; reads grab that immutable state under a brief
-// shared lock and then decide outside any lock, so one expensive prove can
-// never stall mutations — or, through a pending writer, the whole daemon.
-// Memo entries carry the generation of the snapshot that computed them, so
-// a verdict finishing after a mutation lands under its own (dead)
-// generation rather than poisoning the new one. The Ctx method variants
+// exclusive lock, eagerly rebuild the closure and publish one immutable
+// generation value — listings, closure, a fresh prover, the rewrite
+// constraints, the memo view pinned to the new generation number; reads
+// copy that pointer under a brief shared lock and then decide outside any
+// lock, so one expensive prove can never stall mutations — or, through a
+// pending writer, the whole daemon. Memo entries carry the generation that
+// computed them, so a verdict finishing after a mutation lands under its
+// own (dead) generation rather than poisoning the new one. The Ctx method variants
 // thread a context.Context into the search, so callers (the HTTP layer,
 // with client disconnects and prove deadlines) can abort in-flight work.
 package catalog

@@ -54,7 +54,7 @@ func TestIncrementalRemoveMatchesRecompute(t *testing.T) {
 		check := func(step string) {
 			t.Helper()
 			cat.mu.RLock()
-			got := cat.closure
+			got := cat.cur.closure
 			declared := cat.declared.slice()
 			cat.mu.RUnlock()
 			want := transitiveClosure(declared)

@@ -18,19 +18,19 @@ const memoShards = 16
 
 // VerdictMemo is a bounded, sharded, generation-stamped verdict store.
 //
-// The memo itself is not a prover.VerdictCache; At(gen) returns one — a view
-// pinned to a generation. Every entry records the generation of the view
-// that stored it, and a view only ever reads entries carrying its own
-// generation. Provers therefore memoize safely against an immutable
-// constraint snapshot without any lock held across the (exponential) decide:
-// a verdict computed against generation g and stored after the catalog has
+// The memo is read and written through At(gen), a view pinned to one
+// generation. Every entry records the generation of the view that stored
+// it, and a view only ever reads entries carrying its own generation. The
+// tier chain therefore memoizes safely against an immutable catalog
+// generation without any lock held across the (exponential) decide: a
+// verdict computed against generation g and stored after the catalog has
 // moved to g+1 lands under stamp g, where no g+1 reader can see it.
 //
 // Invalidate advances the current generation — an O(1) mutation cost paid
 // instead on later writes, which evict entries from older generations first
 // when a shard fills, then the cheapest live verdicts (see Put). The catalog
-// invalidates on every effective constraint mutation and pins each rebuilt
-// prover to the new generation via At.
+// invalidates on every effective constraint mutation and hands each
+// generation it publishes its own view via At.
 //
 // The memo and its views are safe for concurrent use.
 type VerdictMemo struct {
@@ -74,8 +74,9 @@ func (m *VerdictMemo) shard(key string) *memoShard {
 	return &m.shards[core.HashString(key)%memoShards]
 }
 
-// MemoView is a prover.VerdictCache pinned to one generation of the memo:
-// it reads and writes only entries stamped with that generation.
+// MemoView is the memo as one generation sees it: it reads and writes only
+// entries stamped with that generation. The memo tier of the verdict chain
+// is its one product caller.
 type MemoView struct {
 	m   *VerdictMemo
 	gen uint64
@@ -84,8 +85,8 @@ type MemoView struct {
 // At returns the memo's cache view for the given generation.
 func (m *VerdictMemo) At(gen uint64) MemoView { return MemoView{m: m, gen: gen} }
 
-// Get implements prover.VerdictCache. Entries stored under a different
-// generation read as misses.
+// Get returns the verdict stored under key (core.OD.Key of the canonical
+// question). Entries stored under a different generation read as misses.
 func (v MemoView) Get(key string) (prover.Verdict, bool) {
 	s := v.m.shard(key)
 	s.mu.Lock()
@@ -99,10 +100,9 @@ func (v MemoView) Get(key string) (prover.Verdict, bool) {
 	return e.v, true
 }
 
-// Put implements prover.VerdictCache. Generations only increase, so the
-// rules are monotonic and race-free without consulting the current
-// generation for the common paths: a Put never displaces an entry from a
-// newer generation, and eviction (shard full) removes strictly older
+// Put stores a verdict. Generations only increase, so the rules are
+// monotonic and race-free without consulting the current generation for the
+// common paths: a Put never displaces an entry from a newer generation, and eviction (shard full) removes strictly older
 // entries first — they can never be read again. When the shard is still
 // full, a view that is still current evicts cost-aware: the cheapest
 // resident verdict (prover.Verdict.Cost, recorded when the verdict was

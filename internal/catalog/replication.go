@@ -20,15 +20,14 @@ import "odlib/internal/core"
 func (c *Catalog) SeedGeneration(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen <= c.gen {
+	if gen <= c.cur.gen {
 		return
 	}
 	c.memo.seed(gen)
-	c.gen = gen
 	// The declared set is unchanged, so every negative-closure witness stays
 	// valid; advancing with no additions just restamps the validity window.
-	c.neg.advance(c.gen, nil)
-	c.refreshLocked()
+	c.neg.advance(gen, nil)
+	c.refreshLocked(gen, c.cur.closure)
 }
 
 // ResetTo replaces the entire declared set with ods at generation gen — the
@@ -68,17 +67,18 @@ func (c *Catalog) ResetTo(gen uint64, ods []core.OD) Stats {
 		}
 	}
 	c.declared = next
+	at := c.cur.gen
 	switch {
-	case gen > c.gen:
+	case gen > at:
 		c.memo.seed(gen)
-		c.gen = gen
+		at = gen
 	case changed:
-		c.gen = c.memo.Invalidate()
+		at = c.memo.Invalidate()
 	}
 	if changed || gen > 0 {
-		c.neg.advance(c.gen, netAdded)
+		c.neg.advance(at, netAdded)
 	}
-	c.rebuildLocked()
+	c.rebuildLocked(at)
 	return c.statsLocked()
 }
 

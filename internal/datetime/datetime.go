@@ -40,7 +40,8 @@ func DeclaredODs() []core.OD {
 	return out
 }
 
-// Hierarchy answers questions about the date OD graph.
+// Hierarchy answers questions about the date OD graph. It is safe for
+// concurrent use.
 type Hierarchy struct {
 	p *prover.Prover
 }

@@ -78,7 +78,7 @@ func (p *Planner) PlanDateRange(q DateRangeQuery, stats *engine.Stats) (*Plan, e
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	licensed, err := p.C.Prover().Equivalent(core.List{q.DimPK}, core.List{q.DimNatural})
+	licensed, err := rewrite.Equivalent(core.List{q.DimPK}, core.List{q.DimNatural}, p.C)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -347,6 +348,44 @@ func TestDateRangeRewrite(t *testing.T) {
 	rowsE, err := planE.Execute(&sE)
 	if err != nil || len(rowsE) != 0 {
 		t.Errorf("empty range should produce no rows: %v %v", rowsE, err)
+	}
+}
+
+// dateOracle affirms [d_date_sk] <-> [d_date] and nothing else, counting what
+// it is asked: the shape of a remote catalog behind rewrite.UseOracle.
+type dateOracle struct{ asked int }
+
+func (o *dateOracle) OrdersBy(_ context.Context, x, y core.List) (bool, error) {
+	o.asked++
+	return x.Equal(L("d_date_sk")) && y.Equal(L("d_date")) ||
+		x.Equal(L("d_date")) && y.Equal(L("d_date_sk")), nil
+}
+
+// TestDateRangeRewriteAsksTheOracle: the planner's licence question goes
+// through the Constraints' Oracle like every other rewrite question. The
+// Constraints carry no local ODs at all, so only the oracle can license the
+// rewrite — a planner that built its own prover over C.ODs would fall back
+// to the join plan without asking.
+func TestDateRangeRewriteAsksTheOracle(t *testing.T) {
+	fact, dim := dateWarehouse(t, 60, 300)
+	q := DateRangeQuery{
+		Fact: fact, Dim: dim,
+		FactFK: "ss_sold_date_sk", DimPK: "d_date_sk", DimNatural: "d_date",
+		Lo: core.Int(20200010), Hi: core.Int(20200020),
+		GroupBy: L("ss_item"),
+		Aggs:    []engine.Agg{{Kind: engine.Sum, Attr: "ss_qty", As: "qty"}},
+	}
+	o := &dateOracle{}
+	p := NewPlanner(rewrite.NewConstraints(nil, nil).UseOracle(o))
+	plan, err := p.PlanDateRange(q, &engine.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Rewrites) == 0 || plan.Rewrites[0] != "date-surrogate-range" {
+		t.Errorf("oracle-licensed rewrite did not fire:\n%s", plan.Explain())
+	}
+	if o.asked == 0 {
+		t.Error("the planner never asked the installed oracle")
 	}
 }
 

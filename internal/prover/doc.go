@@ -19,7 +19,7 @@
 // sign to "<", halving the space; the search runs against a lazily widened
 // working subset of M — it starts from the question's own attributes alone
 // and draws in an OD only when a candidate counterexample actually needs it
-// (see decide) — so n tracks the question, not the size of the prescribed
+// (see DecideCtx) — so n tracks the question, not the size of the prescribed
 // set, and cascades of entangled constraints cannot inflate the universe
 // past what the answer requires; and the search propagates constraints: it
 // assigns signs attribute by attribute in name order and, after each
@@ -44,10 +44,16 @@
 // per-round slot lists for the search. It allocates a handful of tables per
 // decide and nothing per search node.
 //
+// A Prover is a pure decision procedure: New compiles M, nothing is written
+// afterwards, no verdict is remembered, and every method is safe for
+// concurrent use. Remembering answers is the business of whoever asks —
+// internal/catalog keeps a closure, a negative closure and a memo in front
+// of DecideCtx and counts which of them answered.
+//
 // Witnesses are stored compact, omitted attributes tie, and they are
 // expanded at the edge: a refuting Verdict carries its counterexample over
 // the attributes the decide entangled (at most the attribute guard), which
-// is what caches retain; Pattern.Sign, HoldsOD, the catalog's negative
+// is what the catalog's tiers retain; Pattern.Sign, HoldsOD, the catalog's negative
 // closure and the wire format all read an absent attribute as Equal.
 // ImpliesWitness(Ctx) — the entry point of odprove and the odlib facade,
 // whose callers realize the witness as a relation with every column —

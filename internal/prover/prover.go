@@ -21,9 +21,10 @@ import (
 const DefaultMaxAttrs = 14
 
 // Verdict is a decided implication answer M ⊨ X ↦ Y: either implied, or
-// refuted with a two-row counterexample pattern. Verdicts are what the
-// prover memoizes; callers must treat the witness as read-only, since the
-// same Verdict may be served to many callers from a shared cache.
+// refuted with a two-row counterexample pattern. The prover keeps none of
+// them; callers that do (internal/catalog's memo and negative closure) must
+// treat the witness as read-only, since one stored Verdict is served to many
+// callers.
 //
 // The witness is compact: its universe is the attributes the decide
 // entangled (at most the attribute guard), and every attribute it omits
@@ -41,24 +42,6 @@ type Verdict struct {
 	Cost    uint64
 }
 
-// VerdictCache memoizes implication verdicts, keyed by core.OD.Key(). The
-// prover consults Get before deciding and calls Put after. Implementations
-// may drop entries at any time (bounded caches) and may be shared between
-// provers over the same OD set — internal/catalog supplies a concurrency-safe,
-// generation-stamped one so that repeated questions against an unchanged
-// catalog skip the exponential pattern search entirely.
-type VerdictCache interface {
-	Get(key string) (Verdict, bool)
-	Put(key string, v Verdict)
-}
-
-// mapCache is the default verdict cache: a plain map, unbounded and not safe
-// for concurrent use.
-type mapCache map[string]Verdict
-
-func (c mapCache) Get(key string) (Verdict, bool) { v, ok := c[key]; return v, ok }
-func (c mapCache) Put(key string, v Verdict)      { c[key] = v }
-
 // Counters aggregates search effort across decides. A single Counters value
 // can be shared by many provers (internal/catalog threads one through every
 // per-generation prover it builds), so observers see cumulative work survive
@@ -69,8 +52,8 @@ type Counters struct {
 	// arrival — plus widening validations: the unit the cancellation tests
 	// watch to assert an aborted search stopped burning work.
 	Nodes atomic.Uint64
-	// Searches counts decide calls that reached the search machinery
-	// (i.e. were not answered by a cache in front of the prover).
+	// Searches counts decides: every question put to a prover, as opposed
+	// to the ones a tier in front of it (internal/catalog) answered.
 	Searches atomic.Uint64
 	// Cancelled counts decides aborted by context cancellation or deadline.
 	Cancelled atomic.Uint64
@@ -98,10 +81,11 @@ func (c *Counters) Snapshot() CounterStats {
 
 // Prover answers implication questions against a fixed OD set M.
 //
-// Deciding is a pure function of the (immutable) OD set; the only mutable
-// state is the verdict cache. A Prover is therefore safe for concurrent use
-// exactly when its verdict cache is: the default map cache is not, a cache
-// injected via WithCache may be.
+// Deciding is a pure function of the OD set and the question: a Prover
+// remembers no verdict, nothing in it is written after New, and it is safe
+// for concurrent use. (The shared Counters and Pool it may be handed are
+// atomic and synchronized respectively.) Whoever wants a repeated question
+// answered without a second search keeps the Verdict — internal/catalog does.
 type Prover struct {
 	ods      []core.OD
 	universe core.List                // M's attributes, sorted
@@ -110,7 +94,6 @@ type Prover struct {
 	maxAttrs int
 	workers  int
 	pool     *Pool
-	cache    VerdictCache
 	counters *Counters
 }
 
@@ -120,16 +103,6 @@ type Option func(*Prover)
 // WithMaxAttrs overrides the attribute-count guard.
 func WithMaxAttrs(n int) Option {
 	return func(p *Prover) { p.maxAttrs = n }
-}
-
-// WithCache replaces the default in-memory verdict cache. Passing a
-// concurrency-safe cache makes the Prover safe for concurrent use.
-func WithCache(c VerdictCache) Option {
-	return func(p *Prover) {
-		if c != nil {
-			p.cache = c
-		}
-	}
 }
 
 // WithWorkers sets the goroutine count for the parallel pattern search.
@@ -180,7 +153,6 @@ func New(m []core.OD, opts ...Option) *Prover {
 		cods:     cods,
 		maxAttrs: DefaultMaxAttrs,
 		workers:  1,
-		cache:    make(mapCache),
 	}
 	for _, o := range opts {
 		o(p)
@@ -205,8 +177,8 @@ func (p *Prover) Implies(od core.OD) (bool, error) {
 // ImpliesCtx is Implies honoring cancellation: when ctx is cancelled the
 // search aborts and the context's error is returned.
 func (p *Prover) ImpliesCtx(ctx context.Context, od core.OD) (bool, error) {
-	ok, _, err := p.ImpliesWitnessCtx(ctx, od)
-	return ok, err
+	v, err := p.DecideCtx(ctx, od)
+	return v.Implied, err
 }
 
 // ImpliesWitness reports whether M ⊨ od; when it does not, it also returns a
@@ -216,36 +188,23 @@ func (p *Prover) ImpliesWitness(od core.OD) (bool, *core.Pattern, error) {
 	return p.ImpliesWitnessCtx(context.Background(), od)
 }
 
-// ImpliesWitnessCtx is ImpliesWitness honoring cancellation. Cache hits
-// answer without consulting the context; cancelled searches are never cached.
-// The cache holds compact verdicts; this is the edge that expands them.
+// ImpliesWitnessCtx is ImpliesWitness honoring cancellation. A decide's
+// witness is compact; this is the edge that expands it.
 func (p *Prover) ImpliesWitnessCtx(ctx context.Context, od core.OD) (bool, *core.Pattern, error) {
-	key := od.Key()
-	v, ok := p.cache.Get(key)
-	if !ok {
-		var err error
-		if v, err = p.decide(ctx, od); err != nil {
-			return false, nil, err
-		}
-		p.cache.Put(key, v)
-	}
-	if v.Implied {
-		return true, nil, nil
+	v, err := p.DecideCtx(ctx, od)
+	if err != nil || v.Implied {
+		return v.Implied, nil, err
 	}
 	return false, p.expandWitness(v.Witness, od), nil
 }
 
-// DecideCtx answers M ⊨ od without consulting or filling the verdict cache;
-// the caller owns memoization. internal/catalog uses it so its tier chain —
-// closure membership, negative closure, memo — accounts each layer exactly
-// once and stores the verdict itself.
-func (p *Prover) DecideCtx(ctx context.Context, od core.OD) (Verdict, error) {
-	return p.decide(ctx, od)
-}
-
-// decide answers M ⊨ od by lazily widened restriction: it reasons over a
-// working subset W ⊆ M — initially empty, so the first search universe is
-// exactly the question's own attributes — and grows W only when forced. The
+// DecideCtx answers M ⊨ od with the whole Verdict — compact witness and
+// cost — which is what a caller that stores verdicts wants (the search tier
+// of internal/catalog's chain); every other entry point is a view of it.
+//
+// It decides by lazily widened restriction: it reasons over a working
+// subset W ⊆ M — initially empty, so the first search universe is exactly
+// the question's own attributes — and grows W only when forced. The
 // loop invariant that makes this exact rests on how patterns extend: an
 // attribute outside a pattern's universe reads as Equal, and an OD none of
 // whose attributes carry a non-Equal sign is satisfied. So:
@@ -266,8 +225,9 @@ func (p *Prover) DecideCtx(ctx context.Context, od core.OD) (Verdict, error) {
 // needed two attributes.
 //
 // The returned Verdict's Cost counts the work done — search nodes plus
-// candidate validations — per entangled attribute, for cache eviction policy.
-func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
+// candidate validations — per entangled attribute, for the eviction policy of
+// whoever stores it.
+func (p *Prover) DecideCtx(ctx context.Context, od core.OD) (Verdict, error) {
 	if p.counters != nil {
 		p.counters.Searches.Add(1)
 	}

@@ -3,6 +3,7 @@ package prover
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"odlib/internal/core"
@@ -318,17 +319,17 @@ func TestCacheAndAccessors(t *testing.T) {
 	}
 	od := core.NewOD(L("A"), L("B"))
 	a, _ := p.Implies(od)
-	b, _ := p.Implies(od) // cached path
+	b, _ := p.Implies(od) // decided again: the prover keeps no verdict
 	if !a || !b {
-		t.Error("cached result differs")
+		t.Error("re-asked result differs")
 	}
 }
 
 // TestWitnessCompactStoredExpandedAtEdge pins the witness contract: a
-// verdict — what DecideCtx returns and what caches hold — carries the
-// counterexample over the attributes the decide entangled, every omitted
-// attribute tying; ImpliesWitness lifts it onto every attribute of M and the
-// question, on cache misses and hits alike.
+// verdict — what DecideCtx returns and what the catalog's tiers hold —
+// carries the counterexample over the attributes the decide entangled, every
+// omitted attribute tying; ImpliesWitness lifts it onto every attribute of M
+// and the question, every time it is asked.
 func TestWitnessCompactStoredExpandedAtEdge(t *testing.T) {
 	var m []core.OD
 	for i := 0; i < 30; i++ { // 60 attributes the question never touches
@@ -336,8 +337,7 @@ func TestWitnessCompactStoredExpandedAtEdge(t *testing.T) {
 	}
 	m = append(m, mustParse(t, "[A] -> [B]")...)
 	q := core.NewOD(L("B", "Q"), L("A")) // Q is outside M's universe
-	cache := make(mapCache)
-	p := New(m, WithCache(cache))
+	p := New(m)
 
 	v, err := p.DecideCtx(t.Context(), q)
 	if err != nil || v.Implied {
@@ -349,7 +349,7 @@ func TestWitnessCompactStoredExpandedAtEdge(t *testing.T) {
 	}
 
 	full := append(p.Universe().Clone(), "Q")
-	for _, pass := range []string{"miss", "hit"} {
+	for _, pass := range []string{"first", "re-asked"} {
 		ok, w, err := p.ImpliesWitness(q)
 		if err != nil || ok {
 			t.Fatalf("%s: ok=%v err=%v, want refuted", pass, ok, err)
@@ -357,9 +357,6 @@ func TestWitnessCompactStoredExpandedAtEdge(t *testing.T) {
 		checkWitness(t, m, q, w)
 		if !w.Universe().SetEqual(full) || len(w.Universe()) != len(full) {
 			t.Errorf("%s: edge witness spans %d attributes, want all %d of M and the question", pass, len(w.Universe()), len(full))
-		}
-		if stored := cache[q.Key()].Witness; len(stored.Universe()) != 3 {
-			t.Errorf("%s: cache holds a witness over %v, want it compact", pass, stored.Universe())
 		}
 	}
 }
@@ -388,4 +385,153 @@ func TestMaxAttrsGuardDegenerate(t *testing.T) {
 			t.Errorf("WithMaxAttrs(%d): expected attribute-limit error", n)
 		}
 	}
+}
+
+// TestDemandDrivenRestriction checks that a small question against a large
+// constraint set only pays for (and is only limited by) the ODs actually
+// entangled with it — the schema-wide-catalog scenario, where the declared
+// set spans far more than DefaultMaxAttrs attributes.
+func TestDemandDrivenRestriction(t *testing.T) {
+	var m []core.OD
+	for i := 0; i+1 < 40; i++ {
+		m = append(m, core.NewOD(
+			core.L(fmt.Sprintf("A%d", i)), core.L(fmt.Sprintf("A%d", i+1))))
+	}
+	p := New(m)
+	ok, err := p.Implies(core.NewOD(core.L("A0"), core.L("A0", "A1")))
+	if err != nil {
+		t.Fatalf("2-attribute question against a 40-attribute chain: %v", err)
+	}
+	if !ok {
+		t.Fatal("[A0] -> [A0, A1] should be implied by [A0] -> [A1]")
+	}
+	// Refutation stays local too, and the witness must survive validation
+	// against the whole chain.
+	ok, w, err := p.ImpliesWitness(core.NewOD(core.L("A1"), core.L("A0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || w == nil {
+		t.Fatalf("[A1] -> [A0] should be refuted with a witness, got %v %v", ok, w)
+	}
+	if !w.HoldsAll(m) {
+		t.Fatalf("witness %v does not satisfy the full chain", w)
+	}
+	// A question genuinely spanning the chain widens until it exceeds the
+	// guard; the error names the entangled attribute count.
+	if _, err := p.Implies(core.NewOD(core.L("A0"), core.L("A39"))); err == nil {
+		t.Fatal("end-to-end chain question should exceed the attribute guard")
+	}
+}
+
+// TestDisjointConstraintsIrrelevant cross-checks the component restriction's
+// completeness: adding constraints over disjoint attributes never changes an
+// answer, in either direction.
+func TestDisjointConstraintsIrrelevant(t *testing.T) {
+	base, err := core.ParseStatements("[A] -> [B]; [C] -> [A]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise, err := core.ParseStatements("[U] -> [V]; [] -> [W]; [V] ~ [U]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"[C] -> [B]", "[A] -> [A, B]", "[B] -> [A]", "[A, C] <-> [C]",
+	}
+	for _, q := range queries {
+		ods, err := core.ParseStatement(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(base).ImpliesAll(ods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(append(append([]core.OD{}, base...), noise...)).ImpliesAll(ods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: disjoint noise flipped the answer from %v to %v", q, want, got)
+		}
+	}
+}
+
+// TestRefutationReaskedKeepsWitness: the prover remembers nothing, so a
+// re-asked refutation is decided again — and comes back with a valid
+// counterexample both times.
+func TestRefutationReaskedKeepsWitness(t *testing.T) {
+	m, err := core.ParseStatements("[A] -> [B]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(m)
+	q := core.NewOD(core.L("B"), core.L("A"))
+	for i := 0; i < 2; i++ {
+		ok, w, err := p.ImpliesWitness(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatalf("[B] -> [A] should not be implied by [A] -> [B]")
+		}
+		if w == nil {
+			t.Fatalf("iteration %d: refutation lost its witness", i)
+		}
+		if !w.HoldsAll(m) || w.HoldsOD(q) {
+			t.Fatalf("iteration %d: witness %v is not a counterexample", i, w)
+		}
+	}
+}
+
+// TestProverConcurrentUse pins the type's contract — a Prover is safe for
+// concurrent use, with no option to ask for it: 8 goroutines put overlapping
+// questions (every pair of a chain, both directions) and distinct ones (the
+// same pairs behind a per-goroutine attribute M never mentions) to one
+// prover through the verdict-only and the witness entry points, and every
+// verdict is checked. Run under -race: the default verdict cache this
+// package used to carry was a bare map.
+func TestProverConcurrentUse(t *testing.T) {
+	const n = 6
+	attr := func(i int) core.Attribute { return core.Attribute(fmt.Sprintf("a%d", i)) }
+	var m []core.OD
+	for i := 0; i+1 < n; i++ {
+		m = append(m, core.NewOD(core.List{attr(i)}, core.List{attr(i + 1)}))
+	}
+	p := New(m)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := core.Attribute(fmt.Sprintf("g%d", g))
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					for _, q := range []core.OD{
+						core.NewOD(core.List{attr(i)}, core.List{attr(j)}),
+						core.NewOD(core.List{own, attr(i)}, core.List{own, attr(j)}),
+					} {
+						want := i <= j // the chain orders forwards only
+						ok, err := p.Implies(q)
+						if err != nil || ok != want {
+							t.Errorf("goroutine %d: Implies(%s) = %v, %v; want %v", g, q, ok, err, want)
+							return
+						}
+						ok, w, err := p.ImpliesWitness(q)
+						if err != nil || ok != want {
+							t.Errorf("goroutine %d: ImpliesWitness(%s) = %v, %v; want %v", g, q, ok, err, want)
+							return
+						}
+						if !ok && (w == nil || !w.HoldsAll(m) || w.HoldsOD(q)) {
+							t.Errorf("goroutine %d: %s refuted by %v, which is no counterexample", g, q, w)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

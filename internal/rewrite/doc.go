@@ -20,12 +20,13 @@
 // return machine-checkable proofs of the equivalence on request.
 //
 // The rewriter itself is pure list surgery; every OD elimination is
-// justified by one "does X order Y?" question, asked through the Oracle
-// seam. By default a local prover answers (UseProver shares a memoized
-// one — the catalog pins its generation-stamped memo view this way);
-// UseOracle swaps in any other answerer, which is how pkg/odclient runs
-// these same sweeps against a remote constraint catalog. A Constraints
-// value describes one constraint state and is safe for concurrent use once
-// its prover or oracle is installed; the lazy first Prover build is not
-// locked.
+// justified by one "does X order Y?" question, and every such question is
+// asked through the Oracle seam — there is no other way to a prover. Three
+// implementers answer it: by default the Constraints' own prover, compiled
+// on first use; inside the daemon the constraint catalog's current
+// generation (internal/catalog), so a rewrite's questions descend the same
+// verdict tiers, under the same counters, as a prove; and pkg/odclient's
+// Reasoner, which is how these same sweeps run against a remote catalog.
+// UseOracle installs the latter two. A Constraints value describes one
+// constraint state and is safe for concurrent use whenever its Oracle is.
 package rewrite

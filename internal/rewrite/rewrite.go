@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"odlib/internal/core"
 	"odlib/internal/fd"
@@ -14,22 +15,25 @@ import (
 // rewriter: functional dependencies and order dependencies. The zero value
 // means no knowledge.
 //
-// A Constraints value is safe for concurrent use once its prover has been
-// materialized (call Prover once, or install one via UseProver) and that
-// prover itself is concurrency-safe; the lazy first build is not locked.
+// A Constraints value describes one constraint state and, once built and
+// handed its Oracle, is safe for concurrent use whenever that Oracle is (the
+// default one is).
 type Constraints struct {
 	FDs []fd.FD
 	ODs []core.OD
 
-	prov   *prover.Prover
-	oracle Oracle
+	oracle Oracle // UseOracle's; nil means localProver
+	once   sync.Once
+	prov   *prover.Prover // over ODs, compiled by the first Prover call
 }
 
 // Oracle answers the implication questions a reduction asks. The rewriter
 // itself is pure list surgery; every elimination it performs is justified by
-// one "does X order Y?" question, and an Oracle is whoever answers them — a
-// local prover by default, a remote constraint catalog (pkg/odclient) when
-// the optimizer runs apart from the daemon that owns the constraints.
+// one "does X order Y?" question, and an Oracle is whoever answers them: the
+// Constraints' own prover by default, the constraint catalog's current
+// generation inside the daemon (internal/catalog — the questions descend its
+// verdict tiers), a remote catalog (pkg/odclient) when the optimizer runs
+// apart from the daemon that owns the constraints.
 type Oracle interface {
 	// OrdersBy reports whether the constraint set implies x ↦ y.
 	// Cancelling ctx aborts the underlying decision.
@@ -45,47 +49,48 @@ func NewConstraints(fds []fd.FD, ods []core.OD) *Constraints {
 	return &Constraints{FDs: all, ODs: ods}
 }
 
-// UseProver installs a pre-built prover, overriding the lazily constructed
-// one. The prover must have been built over the same OD set. This is how a
-// verdict cache reaches the rewriter: callers construct a prover with
-// prover.WithCache and share it (and hence its memoized verdicts) across
-// many reductions — the constraint catalog pins one generation-stamped
-// memo view this way.
-func (c *Constraints) UseProver(p *prover.Prover) *Constraints {
-	c.prov = p
-	return c
-}
-
 // UseOracle routes the rewriter's implication questions through o instead of
-// the local prover: the seam that lets every existing rewrite call site run
-// against a remote catalog. The FD sweep still runs locally over c.FDs (FD
-// implication is cheap closure computation, not worth a round trip); only
-// the exponential OD questions cross the seam. The oracle must answer for
-// the same constraint set c was built over, or reductions lose their
-// order-equivalence guarantee.
+// the local prover: the seam that lets every rewrite and planner call site
+// run against a catalog, in process or remote. The FD sweep still runs
+// locally over c.FDs (FD implication is cheap closure computation, not worth
+// a round trip); only the exponential OD questions cross the seam. The
+// oracle must answer for the same constraint set c was built over, or
+// reductions lose their order-equivalence guarantee. Install it before the
+// value is shared.
 func (c *Constraints) UseOracle(o Oracle) *Constraints {
 	c.oracle = o
 	return c
 }
 
-// Prover returns a (cached) implication prover over the OD set.
+// Prover returns the implication prover over the OD set, compiled on the
+// first call. It is what the default Oracle asks; an installed Oracle does
+// not change it.
 func (c *Constraints) Prover() *prover.Prover {
-	if c.prov == nil {
-		c.prov = prover.New(c.ODs)
-	}
+	c.once.Do(func() { c.prov = prover.New(c.ODs) })
 	return c.prov
 }
 
-// ordersBy reports whether the declared ODs imply X ↦ Y. Cancelling ctx
-// aborts the underlying implication search.
+// localProver is the default Oracle: the Constraints' own prover.
+type localProver struct{ c *Constraints }
+
+// OrdersBy implements Oracle. With no ODs implication is triviality, so no
+// prover is compiled and the attribute guard never meets the question.
+func (l localProver) OrdersBy(ctx context.Context, x, y core.List) (bool, error) {
+	od := core.NewOD(x, y)
+	if len(l.c.ODs) == 0 {
+		return od.Trivial(), nil
+	}
+	return l.c.Prover().ImpliesCtx(ctx, od)
+}
+
+// ordersBy asks the Oracle whether the constraints imply X ↦ Y. Cancelling
+// ctx aborts the underlying decision.
 func (c *Constraints) ordersBy(ctx context.Context, x, y core.List) (bool, error) {
-	if c.oracle != nil {
-		return c.oracle.OrdersBy(ctx, x, y)
+	o := c.oracle
+	if o == nil {
+		o = localProver{c}
 	}
-	if len(c.ODs) == 0 {
-		return core.NewOD(x, y).Trivial(), nil
-	}
-	return c.Prover().ImpliesCtx(ctx, core.NewOD(x, y))
+	return o.OrdersBy(ctx, x, y)
 }
 
 // Step records one segment elimination performed by a reduction, with the
@@ -175,26 +180,20 @@ func ReduceOrderCtx(ctx context.Context, order core.List, c *Constraints) (Resul
 // Equivalent reports whether the constraints imply ORDER BY a and ORDER BY b
 // produce identical orderings (a ↔ b).
 //
-// With an Oracle installed the two directions are two separate OrdersBy
-// calls, which against a remote catalog under concurrent mutation may be
-// answered by different constraint generations — like every oracle-backed
-// sweep, a Constraints value describes one constraint state and callers
-// mutating that state concurrently get no atomicity across questions. For
-// a generation-atomic remote equivalence check, ask the daemon one "<->"
-// statement instead (odclient's Reasoner.Equivalent does exactly that).
+// The two directions are two separate Oracle questions, which against a
+// remote catalog under concurrent mutation may be answered by different
+// constraint generations — like every oracle-backed sweep, a Constraints
+// value describes one constraint state and callers mutating that state
+// concurrently get no atomicity across questions. For a generation-atomic
+// remote equivalence check, ask the daemon one "<->" statement instead
+// (odclient's Reasoner.Equivalent does exactly that).
 func Equivalent(a, b core.List, c *Constraints) (bool, error) {
-	if c.oracle != nil {
-		ctx := context.Background()
-		ok, err := c.ordersBy(ctx, a, b)
-		if err != nil || !ok {
-			return false, err
-		}
-		return c.ordersBy(ctx, b, a)
+	ctx := context.Background()
+	ok, err := c.ordersBy(ctx, a, b)
+	if err != nil || !ok {
+		return false, err
 	}
-	if len(c.ODs) == 0 {
-		return a.Normalize().Equal(b.Normalize()), nil
-	}
-	return c.Prover().Equivalent(a, b)
+	return c.ordersBy(ctx, b, a)
 }
 
 // Covers reports whether a tuple stream ordered by "have" satisfies an

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"odlib/internal/core"
@@ -253,4 +254,26 @@ func TestReduceOrderSoundRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConstraintsConcurrentFirstUse: a fresh Constraints shared before
+// anything has asked it a question — the first questions race to compile the
+// local prover, and every reduction still comes out right. Run under -race.
+func TestConstraintsConcurrentFirstUse(t *testing.T) {
+	c := NewConstraints(nil, mustODs(t, "[month] -> [quarter]"))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := ReduceOrder(L("year", "quarter", "month"), c)
+			if err != nil || !res.Reduced.Equal(L("year", "month")) {
+				t.Errorf("ReduceOrder = %v, %v", res.Reduced, err)
+			}
+			if ok, err := Equivalent(L("month", "quarter"), L("month"), c); err != nil || !ok {
+				t.Errorf("Equivalent = %v, %v", ok, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

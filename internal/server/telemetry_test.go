@@ -209,6 +209,65 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRewriteMovesTierTelemetry: /rewrite's implication questions descend
+// the verdict tiers like /prove's, so one rewrite on a warmed shard — every
+// answer already sits in front of the search — moves /healthz's tiers and
+// the per-tier latency histogram by the same amount, and no search runs.
+func TestRewriteMovesTierTelemetry(t *testing.T) {
+	ts, _, _, _ := newTelemetryServer(t, "", store.Options{}, 0)
+	if code := call(t, ts, "POST", "/ods", map[string]any{
+		"schema": "sales", "statements": []string{"[month] -> [quarter]"},
+	}, nil); code != 200 {
+		t.Fatalf("declare = %d", code)
+	}
+	rewrite := func() {
+		t.Helper()
+		var rw rewriteResponse
+		if code := call(t, ts, "POST", "/rewrite", map[string]string{
+			"schema": "sales", "order": "[year, quarter, month]",
+		}, &rw); code != 200 || rw.Reduced != "[year, month]" {
+			t.Fatalf("rewrite = %d %+v", code, rw)
+		}
+	}
+	// observed returns the shard's tier hits as /healthz reports them and
+	// the histogram's observation count summed over the five tiers.
+	observed := func() (catalog.TierStats, float64) {
+		t.Helper()
+		var h healthz
+		if code := call(t, ts, "GET", "/healthz", nil, &h); code != 200 {
+			t.Fatalf("healthz = %d", code)
+		}
+		fams := scrape(t, ts)
+		var timed float64
+		for _, tier := range []string{"trivial", "closure", "negative", "memo", "search"} {
+			v, ok := sampleValue(fams, "odserve_verdict_tier_seconds",
+				"odserve_verdict_tier_seconds_count", map[string]string{"tier": tier})
+			if !ok {
+				t.Fatalf("tier %q missing from odserve_verdict_tier_seconds", tier)
+			}
+			timed += v
+		}
+		return h.Shards["sales"].Catalog.Tiers, timed
+	}
+	sum := func(s catalog.TierStats) uint64 { return s.Trivial + s.Closure + s.Negative + s.Memo + s.Search }
+
+	rewrite() // warm-up
+	before, timedBefore := observed()
+	rewrite()
+	after, timedAfter := observed()
+
+	asked := sum(after) - sum(before)
+	if asked == 0 {
+		t.Errorf("a rewrite left /healthz tiers flat: %+v", after)
+	}
+	if after.Search != before.Search {
+		t.Errorf("a warmed-up rewrite searched %d times", after.Search-before.Search)
+	}
+	if got := timedAfter - timedBefore; got != float64(asked) {
+		t.Errorf("odserve_verdict_tier_seconds_count moved by %v for %d questions", got, asked)
+	}
+}
+
 // TestMetricsScrapeUnderTraffic hammers an instrumented daemon with
 // concurrent mutations and proves while scraping /metrics the whole time:
 // every scrape must parse strictly (the parser enforces bucket monotonicity

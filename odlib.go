@@ -73,7 +73,8 @@ func ParseConstraints(text string) ([]OD, error) { return core.ParseStatements(t
 func NewRelation(attrs List) (*Relation, error) { return core.NewRelation(attrs) }
 
 // Reasoner decides logical implication for a fixed OD set. It is sound and
-// complete: refutations come with two-row counterexamples.
+// complete: refutations come with two-row counterexamples. A Reasoner holds
+// no state beyond the compiled constraints and is safe for concurrent use.
 type Reasoner struct {
 	p *prover.Prover
 }

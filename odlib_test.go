@@ -1,6 +1,8 @@
 package odlib
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -125,4 +127,64 @@ func TestFacadeDiscoverAndProve(t *testing.T) {
 	if err != nil || !concl.Equal(NewOD(L("A"), L("B", "C"))) {
 		t.Errorf("proved %s, err %v", concl, err)
 	}
+}
+
+// TestReasonerConcurrentUse: one Reasoner shared by 8 goroutines, each
+// asking questions the others ask too and questions only it asks, through
+// every method of the facade; every answer is checked. Run under -race.
+func TestReasonerConcurrentUse(t *testing.T) {
+	constraints, err := ParseConstraints("[day] -> [month]; [month] -> [quarter]; [quarter] -> [year]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReasoner(constraints)
+	levels := []string{"day", "month", "quarter", "year"}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := fmt.Sprintf("g%d", g)
+			for i, fine := range levels {
+				for j, coarse := range levels {
+					for _, q := range []OD{
+						NewOD(L(fine), L(coarse)),
+						NewOD(L(own, fine), L(own, coarse)),
+					} {
+						want := i <= j // finer levels order coarser ones, never the reverse
+						ok, err := r.Implies(q)
+						if err != nil || ok != want {
+							t.Errorf("goroutine %d: Implies(%s) = %v, %v; want %v", g, q, ok, err, want)
+							return
+						}
+						cx, err := r.Counterexample(q)
+						if err != nil || (cx == nil) != want {
+							t.Errorf("goroutine %d: Counterexample(%s) = %v, %v; want one: %v", g, q, cx, err, !want)
+							return
+						}
+						if cx != nil {
+							if holds, _, err := cx.SatisfiesAll(constraints); err != nil || !holds {
+								t.Errorf("goroutine %d: counterexample to %s violates the constraints", g, q)
+								return
+							}
+						}
+					}
+					eq, err := r.Equivalent(L(fine, coarse), L(coarse, fine))
+					if err != nil || !eq {
+						// One orders the other, so the two concatenations are
+						// interchangeable whichever is finer.
+						t.Errorf("goroutine %d: Equivalent(%s, %s) = %v, %v", g, fine, coarse, eq, err)
+						return
+					}
+					oc, err := r.OrderCompatible(L(own, fine), L(own, coarse))
+					if err != nil || !oc {
+						t.Errorf("goroutine %d: OrderCompatible(%s, %s) = %v, %v", g, fine, coarse, oc, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
