@@ -127,12 +127,16 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 
 	// The found set lives in a catalog: each acceptance extends the closure
 	// incrementally and invalidates only the memo, instead of rebuilding a
-	// prover over the whole set per acceptance.
-	cat := catalog.New(catalog.WithMaxAttrs(len(attrs) + 1))
-	cat.Add(res.ODs...)
+	// prover over the whole set per acceptance. KeepRedundant asks it
+	// nothing, so that run keeps none.
+	var cat *catalog.Catalog
+	if !opts.KeepRedundant {
+		cat = catalog.New(catalog.WithMaxAttrs(len(attrs) + 1))
+		cat.Add(res.ODs...)
+	}
 	for _, c := range cands {
 		res.Candidates++
-		if !opts.KeepRedundant {
+		if cat != nil {
 			implied, err := cat.Implies(c.od)
 			if err != nil {
 				return nil, err
@@ -151,7 +155,9 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 			continue
 		}
 		res.ODs = append(res.ODs, c.od)
-		cat.Add(c.od)
+		if cat != nil {
+			cat.Add(c.od)
+		}
 	}
 	return res, nil
 }

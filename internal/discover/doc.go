@@ -10,18 +10,35 @@
 // fresh sort-and-scan, yielding a minimal generating set.
 //
 // Pipeline is the parallel, level-wise engine. Each lattice level is pruned
-// three ways before touching data — the catalog's incremental closure
-// (holds by inference), refutation propagation through lexicographic
-// prefixes (fails by inference: a refuted X ↦ Y poisons every X ↦ YW, and a
-// swap additionally poisons every XW ↦ Y), and triviality — then the
-// survivors are grouped by left-hand context and fanned across a bounded
-// worker pool. Each context sorts the relation once into a cached
-// core.SortedPartition and answers all its right-hand candidates from that
-// order. Accepted ODs commit per level in one catalog Apply; the result is
-// complete for the enumerated space (its closure equals Discover's) though
-// not minimized within a level. All pruning decisions depend only on
-// previous levels' committed state, so the data-check counts are identical
-// across worker schedules.
+// three ways before touching data — the closure of the accepted set (holds
+// by inference), refutation propagation through lexicographic prefixes
+// (fails by inference: a refuted X ↦ Y poisons every X ↦ YW, and a swap
+// additionally poisons every XW ↦ Y), and triviality — then the survivors
+// are grouped by left-hand context and fanned across a bounded worker pool.
+// Each context sorts the relation once into a cached core.SortedPartition
+// and answers all its right-hand candidates from that order. Accepted ODs
+// commit per level, between levels; the result is complete for the
+// enumerated space (its closure equals Discover's) though not minimized
+// within a level. All pruning decisions depend only on previous levels'
+// committed state, so the data-check counts are identical across worker
+// schedules.
+//
+// # Closure pruning by model checking
+//
+// "Does the accepted set imply this candidate?" is asked once per candidate
+// that survives the other two prunes, against a theory that changes only
+// at the level commits. For schemas of at most maxTableAttrs attributes —
+// every one the default MaxAttrs guard admits — Pipeline does not search for
+// the answer: it keeps the theory as its models (models.go). The 3ⁿ two-row
+// sign patterns are bit positions, one plane holds those satisfying every
+// accepted OD, accepting an OD clears its falsifiers, and a candidate is
+// implied iff no surviving pattern falsifies it — the prover's completeness
+// argument read as a data structure, ≈ 0.1 µs a question. Wider schemas keep
+// the accepted set in a private internal/catalog and descend its tier chain
+// per candidate (one Apply per level), as every run once did; the split is on
+// schema width alone. KeepRedundant asks no question, so it builds neither.
+// Discover never uses the table: it is the independent witness the pipeline
+// is differentially tested against.
 //
 // # The lattice's id scheme
 //
@@ -34,7 +51,8 @@
 // propagation parents are (X, parent[Y]) and (parent[X], Y); and what is
 // known to fail is one core.ViolationKind byte at slot lhs·|RHS ids| + rhs
 // of a flat table written only between levels. No OD or list key string is
-// built for a candidate, and an OD value only for those that survive to the
-// catalog. Data checks run on core's rank views: a context is one counting
+// built for a candidate — pos[id] is the list as schema positions, which is
+// all the model table reads — and one key per accepted OD, for the commit
+// order. Data checks run on core's rank views: a context is one counting
 // sort, a candidate one scan of int32 ranks.
 package discover

@@ -3,7 +3,9 @@ package discover
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"odlib/internal/catalog"
@@ -22,6 +24,8 @@ type PipelineOptions struct {
 	// Pool, when non-nil, is shared with the pruning catalog's implication
 	// searches — the same discipline every prover in the daemon follows, so
 	// discovery never oversubscribes a machine that is also serving proves.
+	// Only relations wider than maxTableAttrs prune through a catalog;
+	// narrower ones ask the model table, which searches nothing.
 	Pool *prover.Pool
 
 	// CacheContexts bounds how many sorted partitions the context cache
@@ -82,6 +86,7 @@ type PipelineResult struct {
 // refutation state is one byte per candidate.
 type lattice struct {
 	lists  []core.List // id → list; id 0 is the empty list
+	pos    [][]uint8   // id → the list as schema positions, the model table's index
 	parent []int32     // id → id of the list minus its last attribute
 	start  []int32     // lists of length ℓ are the ids start[ℓ] ≤ id < start[ℓ+1]
 
@@ -99,12 +104,13 @@ type lattice struct {
 func newLattice(attrs core.List, maxLHS, maxRHS int) *lattice {
 	// No duplicate-free list is longer than the schema.
 	maxLHS, maxRHS = min(maxLHS, len(attrs)), min(maxRHS, len(attrs))
-	la := &lattice{lists: []core.List{nil}, parent: []int32{0}, start: []int32{0, 1}, maxLHS: maxLHS, maxRHS: maxRHS}
+	la := &lattice{lists: []core.List{nil}, pos: [][]uint8{nil}, parent: []int32{0}, start: []int32{0, 1}, maxLHS: maxLHS, maxRHS: maxRHS}
 	for length := 1; length <= max(maxLHS, maxRHS); length++ {
 		for p := la.start[length-1]; p < la.start[length]; p++ {
-			for _, a := range attrs {
+			for i, a := range attrs {
 				if !la.lists[p].Contains(a) {
 					la.lists = append(la.lists, la.lists[p].Concat(core.List{a}))
+					la.pos = append(la.pos, append(la.pos[p][:length-1:length-1], uint8(i)))
 					la.parent = append(la.parent, p)
 				}
 			}
@@ -141,18 +147,33 @@ type refutation struct {
 	kind core.ViolationKind
 }
 
+// pruning is the accepted set in the form closure pruning asks it: the model
+// table for schemas of at most maxTableAttrs attributes, a catalog for wider
+// ones, and neither under KeepRedundant, which asks no question.
+type pruning struct {
+	table *modelTable
+	cat   *catalog.Catalog
+}
+
 // Pipeline discovers the ODs of the instance with the level-wise parallel
 // algorithm: candidates are generated lattice level by level; each level is
 // pruned against the closure of everything accepted so far (asking the
-// catalog before ever touching data) and against refutations propagated from
-// prefix candidates; the survivors are validated in parallel, grouped by
-// left-hand context so each context sorts the relation once and answers all
-// its candidates from the cached order. Accepted ODs enter the catalog in one
-// incremental Apply per level — the closure extends, nothing is rebuilt.
+// accepted set's model table — past maxTableAttrs attributes, a catalog —
+// before ever touching data) and against refutations propagated from prefix
+// candidates; the survivors are validated in parallel, grouped by left-hand
+// context so each context sorts the relation once and answers all its
+// candidates from the cached order. Accepted ODs enter the pruning state once
+// per level, between levels — the theory extends, nothing is rebuilt.
 //
 // Cancelling ctx aborts the run between candidates and returns the context's
 // error; partial results are discarded.
 func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*PipelineResult, error) {
+	return pipeline(ctx, r, opts, len(r.Attrs()) <= maxTableAttrs)
+}
+
+// pipeline is Pipeline with the pruning path named by the caller, so tests can
+// hold the two to the same run: the split is on schema width alone.
+func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTable bool) (*PipelineResult, error) {
 	opts.defaults()
 	attrs := r.Attrs()
 	if err := opts.CheckSize(len(attrs)); err != nil {
@@ -163,21 +184,28 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// The pruning catalog: accepted ODs go in via Apply, implication
-	// questions come out of the tier chain (closure first, search last).
-	// Search parallelism within one question stays at 1 — the pipeline's
-	// parallelism is across candidates — but the searches draw any extra
-	// goroutines they are granted from the shared pool.
-	catOpts := []catalog.Option{
-		catalog.WithMaxAttrs(len(attrs) + 1),
-		catalog.WithWorkers(1),
+	var pr pruning
+	switch {
+	case opts.KeepRedundant:
+	case useTable:
+		pr.table = newModelTable(attrs)
+	default:
+		// The pruning catalog: accepted ODs go in via Apply, implication
+		// questions come out of the tier chain (closure first, search last).
+		// Search parallelism within one question stays at 1 — the pipeline's
+		// parallelism is across candidates — but the searches draw any extra
+		// goroutines they are granted from the shared pool.
+		catOpts := []catalog.Option{
+			catalog.WithMaxAttrs(len(attrs) + 1),
+			catalog.WithWorkers(1),
+		}
+		if opts.Pool != nil {
+			catOpts = append(catOpts,
+				catalog.WithWorkers(workers),
+				catalog.WithSearchPool(opts.Pool))
+		}
+		pr.cat = catalog.New(catOpts...)
 	}
-	if opts.Pool != nil {
-		catOpts = append(catOpts,
-			catalog.WithWorkers(workers),
-			catalog.WithSearchPool(opts.Pool))
-	}
-	cat := catalog.New(catOpts...)
 
 	res := &PipelineResult{}
 	cache := core.NewSortCache(r, opts.CacheContexts)
@@ -195,13 +223,13 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 		}
 
 		outcomes := runGroups(ctx, groups, workers, func(g *contextGroup) groupOutcome {
-			return validateGroup(ctx, r, cat, cache, la, g, opts.KeepRedundant)
+			return validateGroup(ctx, r, pr, cache, la, g)
 		})
 
-		// Commit the level: accepted ODs enter the catalog in one Apply
-		// (one incremental closure extension), refutations extend the
-		// propagation table, and accepted ODs stream out in deterministic
-		// order.
+		// Commit the level: accepted ODs enter the pruning state (the
+		// table's alive plane, or one catalog Apply — one incremental
+		// closure extension), refutations extend the propagation table,
+		// and accepted ODs stream out in deterministic order.
 		var accepted []core.OD
 		for i, out := range outcomes {
 			if out.err != nil {
@@ -218,8 +246,15 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 		if len(accepted) == 0 {
 			continue
 		}
-		core.SortODs(accepted)
-		cat.Apply([]catalog.Mutation{{ODs: accepted}})
+		sortByKey(accepted)
+		switch {
+		case pr.table != nil:
+			for _, od := range accepted {
+				pr.table.accept(od)
+			}
+		case pr.cat != nil:
+			pr.cat.Apply([]catalog.Mutation{{ODs: accepted}})
+		}
 		res.Stats.Accepted += uint64(len(accepted))
 		for _, od := range accepted {
 			if od.LHS.Empty() && len(od.RHS) == 1 {
@@ -238,6 +273,25 @@ func Pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions) (*Pip
 	res.Stats.RowsScanned += 2 * misses * uint64(r.Len())
 	sort.Slice(res.Constants, func(i, j int) bool { return res.Constants[i] < res.Constants[j] })
 	return res, nil
+}
+
+// sortByKey puts a level's accepted ODs in core.SortODs' order — by canonical
+// string; the ODs of a level are distinct, so the order is total — rendering
+// each key once instead of twice per comparison. Under KeepRedundant a level
+// of the date dimension accepts over a thousand.
+func sortByKey(ods []core.OD) {
+	type keyed struct {
+		key string
+		od  core.OD
+	}
+	byKey := make([]keyed, len(ods))
+	for i, od := range ods {
+		byKey[i] = keyed{od.Key(), od}
+	}
+	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range byKey {
+		ods[i] = k.od
+	}
 }
 
 // levelGroups enumerates the level's non-trivial candidates — every LHS of
@@ -301,29 +355,37 @@ func (la *lattice) propagated(lhs, rhs int32) core.ViolationKind {
 }
 
 // validateGroup answers one context group: closure-prune each candidate
-// through the catalog, then check the survivors against the data over the
-// context's cached sorted partition.
-func validateGroup(ctx context.Context, r *core.Relation, cat *catalog.Catalog,
-	cache *core.SortCache, la *lattice, g *contextGroup, keepRedundant bool) groupOutcome {
+// against the accepted set, then check the survivors against the data over
+// the context's cached sorted partition.
+func validateGroup(ctx context.Context, r *core.Relation, pr pruning,
+	cache *core.SortCache, la *lattice, g *contextGroup) groupOutcome {
 	var out groupOutcome
 	var part *core.SortedPartition
 	lhs := la.lists[g.lhs]
+	var le []uint64 // the models the group's left-hand side orders
+	if pr.table != nil {
+		le = pr.table.under(la.pos[g.lhs])
+	}
 	for _, rhs := range g.rhss {
 		if err := ctx.Err(); err != nil {
 			out.err = err
 			return out
 		}
 		od := core.NewOD(lhs, la.lists[rhs])
-		if !keepRedundant {
-			implied, err := cat.ImpliesCtx(ctx, od)
-			if err != nil {
+		implied := false
+		switch {
+		case pr.table != nil:
+			implied = pr.table.orders(le, la.pos[rhs])
+		case pr.cat != nil:
+			var err error
+			if implied, err = pr.cat.ImpliesCtx(ctx, od); err != nil {
 				out.err = err
 				return out
 			}
-			if implied {
-				out.pruned++
-				continue
-			}
+		}
+		if implied {
+			out.pruned++
+			continue
 		}
 		if part == nil {
 			p, err := cache.Get(lhs)

@@ -2,8 +2,10 @@ package discover
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"odlib/internal/core"
@@ -146,20 +148,22 @@ func TestPipelineSchedulerIndependence(t *testing.T) {
 }
 
 // TestPipelineStress hammers the worker pool under -race: a shared prover
-// pool, many workers, a bounded cache, and a streaming callback all at once.
+// pool, many workers, a bounded cache, and a streaming callback all at once —
+// on alternate trials over the model table the workers read unlocked, and
+// over the catalog whose searches are what draw on the pool.
 func TestPipelineStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := prover.NewPool(4)
 	for trial := 0; trial < 8; trial++ {
 		r := core.RandRelation(rng, core.L("A", "B", "C", "D", "E"), 64, 3)
 		var streamed []core.OD
-		res, err := Pipeline(context.Background(), r, PipelineOptions{
+		res, err := pipeline(context.Background(), r, PipelineOptions{
 			Options:       Options{MaxLHS: 2, MaxRHS: 2},
 			Workers:       8,
 			Pool:          pool,
 			CacheContexts: 4,
 			OnFound:       func(od core.OD) { streamed = append(streamed, od) },
-		})
+		}, trial%2 == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,5 +195,100 @@ func TestPipelineGuard(t *testing.T) {
 	r := core.MustRelation(attrs)
 	if _, err := Pipeline(context.Background(), r, PipelineOptions{}); err == nil {
 		t.Fatal("expected the MaxAttrs guard to reject 8 attributes")
+	}
+}
+
+// TestPipelinePruningPathsAgree runs the model table and the catalog over the
+// same inputs. Their verdicts are the same theorem's, so the two runs must be
+// the same run: identical counters, identical ODs in identical order.
+func TestPipelinePruningPathsAgree(t *testing.T) {
+	type input struct {
+		name string
+		r    *core.Relation
+		opts Options
+	}
+	var inputs []input
+	rng := rand.New(rand.NewSource(19))
+	universe := core.L("A", "B", "C", "D", "E", "F")
+	for trial := 0; trial < 25; trial++ {
+		attrs := universe[:4+rng.Intn(3)]
+		r := core.RandRelation(rng, attrs, 2+rng.Intn(30), 1+rng.Intn(4))
+		inputs = append(inputs, input{fmt.Sprintf("trial %d", trial), r, Options{MaxLHS: 2, MaxRHS: 2}})
+	}
+	cfg := warehouse.DefaultConfig()
+	cfg.Days, cfg.FactRows = 365, 0
+	w, err := warehouse.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates, err := w.DateDimRelation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"date dimension", dates, Options{MaxLHS: 2, MaxRHS: 3}})
+
+	for _, in := range inputs {
+		opts := PipelineOptions{Options: in.opts}
+		table, err := pipeline(context.Background(), in.r, opts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := pipeline(context.Background(), in.r, opts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table.Stats != cat.Stats {
+			t.Fatalf("%s: stats differ between pruning paths:\n  table: %+v\ncatalog: %+v", in.name, table.Stats, cat.Stats)
+		}
+		if !slices.EqualFunc(table.ODs, cat.ODs, core.OD.Equal) {
+			t.Fatalf("%s: accepted ODs differ between pruning paths:\n  table: %v\ncatalog: %v", in.name, table.ODs, cat.ODs)
+		}
+	}
+}
+
+// TestPipelineWideRelation holds the catalog path to the sequential baseline
+// where Pipeline still takes it: past maxTableAttrs attributes, which no run
+// under the default MaxAttrs guard reaches. Half the columns are monotone in
+// another, so there is a closure to prune by.
+func TestPipelineWideRelation(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	attrs := core.L("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9")
+	if len(attrs) <= maxTableAttrs {
+		t.Fatalf("%d attributes no longer reach the catalog path", len(attrs))
+	}
+	r, err := core.NewRelationRows(attrs, 40, func(_ int, vals []core.Value) error {
+		for j := 0; j < len(vals); j += 2 {
+			v := int64(rng.Intn(12))
+			vals[j], vals[j+1] = core.Int(v), core.Int(v/3)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxAttrs: 10, MaxLHS: 1, MaxRHS: 2}
+	seq, err := Discover(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := Pipeline(context.Background(), r, PipelineOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe.Stats.ClosurePruned == 0 || pipe.Stats.Accepted == 0 {
+		t.Fatalf("wide relation exercises no inference: %+v", pipe.Stats)
+	}
+	if int(pipe.Stats.Candidates) != seq.Candidates {
+		t.Fatalf("candidates %d vs %d", pipe.Stats.Candidates, seq.Candidates)
+	}
+	for _, side := range []struct {
+		name     string
+		from, to []core.OD
+	}{{"sequential", seq.ODs, pipe.ODs}, {"pipeline", pipe.ODs, seq.ODs}} {
+		if ok, err := prover.New(side.from).ImpliesAll(side.to); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			t.Fatalf("%s closure does not cover the other result\nseq: %v\npipe: %v", side.name, seq.ODs, pipe.ODs)
+		}
 	}
 }

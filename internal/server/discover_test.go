@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"odlib/internal/catalog"
 	"odlib/internal/store"
 )
 
@@ -164,6 +165,66 @@ func TestDiscoverEndpointNoDeclare(t *testing.T) {
 		if g != 0 {
 			t.Fatalf("shard %q mutated: generation %d", name, g)
 		}
+	}
+}
+
+// TestDiscoverLeavesTierTelemetryFlat: discovery's inference is its own — a
+// model table (a private catalog past nine attributes) that no shard owns —
+// so a /discover that declares nothing moves neither /healthz's verdict tiers
+// nor its search counters, however much it prunes by closure. That pruning is
+// reported where discovery reports: the stats line and
+// odserve_discover_closure_pruned_total.
+func TestDiscoverLeavesTierTelemetryFlat(t *testing.T) {
+	ts, _, _, _ := newTelemetryServer(t, "", store.Options{}, 0)
+	// Live counters first: a declare and a prove only the search can refute.
+	if code := call(t, ts, "POST", "/ods", map[string]any{
+		"schema": "cal", "statements": []string{"[month] -> [quarter]"},
+	}, nil); code != 200 {
+		t.Fatalf("declare = %d", code)
+	}
+	if code := call(t, ts, "POST", "/prove", map[string]any{
+		"schema": "cal", "statement": "[quarter, half] -> [month]",
+	}, nil); code != 200 {
+		t.Fatalf("prove = %d", code)
+	}
+	totals := func() (catalog.TierStats, uint64, uint64) {
+		t.Helper()
+		var h healthzResponse
+		if code := call(t, ts, "GET", "/healthz", nil, &h); code != 200 {
+			t.Fatalf("healthz = %d", code)
+		}
+		return h.Totals.Tiers, h.Totals.Searches, h.Totals.Nodes
+	}
+	tiers, searches, nodes := totals()
+	if tiers == (catalog.TierStats{}) || nodes == 0 {
+		t.Fatalf("the prove moved nothing: tiers %+v, searchNodes %d", tiers, nodes)
+	}
+
+	code, _, lines := postNDJSON(t, ts.URL+"/discover", map[string]any{
+		"schema": "cal",
+		"attrs":  []string{"month", "quarter", "half", "era"},
+		"rows": [][]any{
+			{1, 1, 1, 9}, {2, 1, 1, 9}, {3, 1, 1, 9},
+			{4, 2, 1, 9}, {5, 2, 1, 9}, {6, 2, 1, 9},
+			{7, 3, 2, 9}, {8, 3, 2, 9}, {10, 4, 2, 9},
+		},
+	})
+	if code != 200 || len(lines) == 0 {
+		t.Fatalf("POST /discover = %d, %d lines", code, len(lines))
+	}
+	stats, _ := lines[len(lines)-1]["stats"].(map[string]any)
+	pruned, _ := stats["closurePruned"].(float64)
+	if pruned == 0 {
+		t.Fatalf("the run pruned nothing by closure: %v", lines[len(lines)-1])
+	}
+
+	if t2, s2, n2 := totals(); t2 != tiers || s2 != searches || n2 != nodes {
+		t.Errorf("a non-declaring /discover moved /healthz: tiers %+v → %+v, searches %d → %d, searchNodes %d → %d",
+			tiers, t2, searches, s2, nodes, n2)
+	}
+	name := "odserve_discover_closure_pruned_total"
+	if v, ok := sampleValue(scrape(t, ts), name, name, nil); !ok || v != pruned {
+		t.Errorf("%s = %v (present=%v), stats line says %v", name, v, ok, pruned)
 	}
 }
 

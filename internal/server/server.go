@@ -65,7 +65,9 @@ func WithDiscoverWorkers(n int) Option {
 // runs: the pipeline's pruning catalog draws its implication-search
 // goroutines from the same budget every serving prove draws from, so a
 // discovery run never oversubscribes a machine that is also answering
-// proves.
+// proves. Only relations wider than 9 attributes prune through a catalog;
+// narrower ones — all the default maxAttrs admits — search nothing and
+// leave the pool alone.
 func WithDiscoverPool(pool *prover.Pool) Option {
 	return func(s *Server) { s.discoverPool = pool }
 }
