@@ -130,3 +130,55 @@ func BenchmarkReduceOrderMemoized(b *testing.B) {
 		b.Fatalf("%d searches during a warmed-up loop", got-searches)
 	}
 }
+
+// chainODs declares chains disjoint chains of links single-attribute links
+// each, [cK_i] -> [cK_i+1]; a chain's closure is every forward span.
+func chainODs(chains, links int) []core.OD {
+	attr := func(c, i int) core.List { return core.L(fmt.Sprintf("c%d_%d", c, i)) }
+	var out []core.OD
+	for c := 0; c < chains; c++ {
+		for i := 0; i < links; i++ {
+			out = append(out, core.NewOD(attr(c, i), attr(c, i+1)))
+		}
+	}
+	return out
+}
+
+// isolatedOD is [name_a] -> [name_b], an OD that composes with nothing else.
+func isolatedOD(name string) core.OD {
+	return core.NewOD(core.L(name+"_a"), core.L(name+"_b"))
+}
+
+// churnShard is the shard bench/'s mutate-churn writes to: 64 chains of 4
+// links plus a window of 64 isolated extras — 320 declared, closure 704.
+func churnShard() []core.OD {
+	out := chainODs(64, 4)
+	for k := 0; k < 64; k++ {
+		out = append(out, isolatedOD(fmt.Sprintf("x%d", k)))
+	}
+	return out
+}
+
+// benchApplyPair measures one effective Add plus one effective Remove of an
+// isolated OD on top of the standing set, mutate-churn's primary operation.
+func benchApplyPair(b *testing.B, standing []core.OD) {
+	c := New()
+	c.Add(standing...)
+	isolated := isolatedOD("y")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Add(isolated) != 1 || c.Remove(isolated) != 1 {
+			b.Fatal("mutation was not effective")
+		}
+	}
+}
+
+// BenchmarkApplyChurn320 is the pair on mutate-churn's shard, where the
+// closure (704) is barely larger than the declared set.
+func BenchmarkApplyChurn320(b *testing.B) { benchApplyPair(b, churnShard()) }
+
+// BenchmarkApplyDense8x40 is the pair on 8 chains of 40 links — closure
+// 6,560 over 320 declared, the shape where extending and shrinking the
+// closure incrementally beats recomputing it.
+func BenchmarkApplyDense8x40(b *testing.B) { benchApplyPair(b, chainODs(8, 40)) }

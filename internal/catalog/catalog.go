@@ -181,10 +181,11 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 	}
 	net := make(map[string]*effect)
 	touch := func(od core.OD, d int) {
-		e, ok := net[od.Key()]
+		key := od.Key()
+		e, ok := net[key]
 		if !ok {
 			e = &effect{od: od}
-			net[od.Key()] = e
+			net[key] = e
 		}
 		e.delta += d
 	}
@@ -219,7 +220,7 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 		case removed == 0:
 			c.refreshLocked(gen, extendClosure(c.cur.closure, netAdded))
 		case added == 0:
-			c.refreshLocked(gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.slice()))
+			c.refreshLocked(gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.unordered()))
 		default:
 			// Mixed batches interleave adds and removes; one full recompute
 			// is still a single rebuild for the whole batch.
@@ -232,21 +233,22 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 // rebuildLocked recomputes the closure from scratch and publishes it as
 // generation gen.
 func (c *Catalog) rebuildLocked(gen uint64) {
-	c.refreshLocked(gen, transitiveClosure(c.declared.slice()))
+	c.refreshLocked(gen, transitiveClosure(c.declared.unordered()))
 }
 
 // refreshLocked builds and publishes generation gen from the declared set
-// and its (already maintained) closure: sorted listings, the prover, the
+// and its (already maintained) closure: the declared list, the prover, the
 // rewrite constraints that ask it through the tier chain, and the memo view
-// pinned to gen. The shared tier/effort counters ride along so statistics
-// survive the rebuild.
+// pinned to gen. Sorting the declared set is the only ordering a mutation
+// pays for — it is what Declared lists and what fixes the prover's compile
+// order; the closure is published as the unordered set it is. The shared
+// tier/effort counters ride along so statistics survive the rebuild.
 func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 	declared := c.declared.slice()
 	g := &generation{
 		gen:      gen,
 		declared: declared,
 		closure:  closure,
-		deflated: Deflate(closure.slice()),
 		prov: prover.New(declared,
 			prover.WithMaxAttrs(c.maxAttrs),
 			prover.WithWorkers(c.workers),
@@ -271,8 +273,7 @@ func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 type generation struct {
 	gen      uint64
 	declared []core.OD // canonical sorted order
-	closure  *odSet    // inflated transitive closure of declared (non-trivial ODs only)
-	deflated []core.OD // the closure as listed: deflated, sorted
+	closure  *odSet    // inflated transitive closure of declared (non-trivial ODs only); listers deflate it
 	prov     *prover.Prover
 	cons     *rewrite.Constraints // over declared; its Oracle is this generation
 	memo     MemoView
@@ -390,9 +391,11 @@ func (c *Catalog) Declared() []core.OD {
 // Snapshot returns the deflated transitive closure in canonical sorted
 // order: every declared OD plus everything derivable by inflation and
 // transitivity, compacted back so no listed OD is a prefix-weakening of a
-// sibling.
+// sibling. The deflation runs on each call, outside the catalog lock, over
+// the generation's immutable closure — the lister pays for it, not every
+// mutation.
 func (c *Catalog) Snapshot() []core.OD {
-	return append([]core.OD(nil), c.snapshot().deflated...)
+	return Deflate(c.snapshot().closure.unordered())
 }
 
 // Has reports whether od (canonicalized) is trivial or a member of the
@@ -417,13 +420,14 @@ type Listing struct {
 
 // Listing returns declared ODs, closure and generation of one catalog state
 // — separate Declared/Snapshot/Generation calls can each observe a different
-// one under concurrent mutation.
+// one under concurrent mutation. The closure is deflated on each call, as in
+// Snapshot.
 func (c *Catalog) Listing() Listing {
 	g := c.snapshot()
 	return Listing{
 		Generation: g.gen,
 		Declared:   append([]core.OD(nil), g.declared...),
-		Closure:    append([]core.OD(nil), g.deflated...),
+		Closure:    Deflate(g.closure.unordered()),
 	}
 }
 

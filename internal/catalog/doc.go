@@ -29,14 +29,18 @@
 // verdict of its own.
 //
 // All methods are safe for concurrent use. Mutations (Add, Remove) hold an
-// exclusive lock, eagerly rebuild the closure and publish one immutable
-// generation value — listings, closure, a fresh prover, the rewrite
-// constraints, the memo view pinned to the new generation number; reads
-// copy that pointer under a brief shared lock and then decide outside any
-// lock, so one expensive prove can never stall mutations — or, through a
-// pending writer, the whole daemon. Memo entries carry the generation that
-// computed them, so a verdict finishing after a mutation lands under its
-// own (dead) generation rather than poisoning the new one. The Ctx method variants
-// thread a context.Context into the search, so callers (the HTTP layer,
-// with client disconnects and prove deadlines) can abort in-flight work.
+// exclusive lock, eagerly maintain the closure and publish one immutable
+// generation value — the declared list in canonical order, the closure as
+// an unordered set, a fresh prover, the rewrite constraints, the memo view
+// pinned to the new generation number; reads copy that pointer under a
+// brief shared lock and then decide outside any lock, so one expensive
+// prove can never stall mutations — or, through a pending writer, the whole
+// daemon. Canonical order (core.SortODs) is a listing concern: a mutation
+// sorts the declared set once and nothing else, and Snapshot and Listing
+// deflate and order the closure when called, on the caller's goroutine.
+// Memo entries carry the generation that computed them, so a verdict
+// finishing after a mutation lands under its own (dead) generation rather
+// than poisoning the new one. The Ctx method variants thread a
+// context.Context into the search, so callers (the HTTP layer, with client
+// disconnects and prove deadlines) can abort in-flight work.
 package catalog

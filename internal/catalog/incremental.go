@@ -105,7 +105,7 @@ func extendClosure(base *odSet, added []core.OD) *odSet {
 	for _, od := range added {
 		seeds = append(seeds, inflateOne(od)...)
 	}
-	return seededFixpoint(base.slice(), seeds)
+	return seededFixpoint(base.unordered(), seeds)
 }
 
 // shrinkClosure returns the transitive closure after withdrawing removed
@@ -156,7 +156,7 @@ func shrinkClosure(old *odSet, removed, remaining []core.OD) *odSet {
 	}
 
 	var passive []core.OD
-	for _, od := range old.slice() {
+	for _, od := range old.unordered() {
 		if !affected[od.LHS.Key()] {
 			passive = append(passive, od)
 		}

@@ -3,6 +3,8 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"odlib/internal/core"
@@ -61,6 +63,28 @@ func TestIncrementalRemoveMatchesRecompute(t *testing.T) {
 			if !closureEqual(got, want) {
 				t.Fatalf("seed %d, %s: incremental closure has %d ODs, recompute %d\nincremental: %v\nrecompute: %v",
 					seed, step, got.len(), want.len(), got.slice(), want.slice())
+			}
+
+			// The listing is derived from that closure on demand: deflated, in
+			// canonical order, and the caller's own copy every time.
+			listed := Deflate(want.unordered())
+			l1, l2 := cat.Listing(), cat.Listing()
+			if !slices.EqualFunc(l1.Closure, listed, core.OD.Equal) {
+				t.Fatalf("seed %d, %s: Listing().Closure = %v, want Deflate of the recompute %v", seed, step, l1.Closure, listed)
+			}
+			if snap := cat.Snapshot(); !slices.EqualFunc(snap, listed, core.OD.Equal) {
+				t.Fatalf("seed %d, %s: Snapshot() = %v, want %v", seed, step, snap, listed)
+			}
+			if !slices.EqualFunc(l1.Declared, declared, core.OD.Equal) ||
+				!slices.IsSortedFunc(l1.Declared, func(a, b core.OD) int { return strings.Compare(a.Key(), b.Key()) }) {
+				t.Fatalf("seed %d, %s: Listing().Declared = %v, want the declared set in canonical order", seed, step, l1.Declared)
+			}
+			if !slices.EqualFunc(l1.Declared, l2.Declared, core.OD.Equal) || !slices.EqualFunc(l1.Closure, l2.Closure, core.OD.Equal) {
+				t.Fatalf("seed %d, %s: two listings of one generation differ", seed, step)
+			}
+			if len(l1.Declared) > 0 && &l1.Declared[0] == &l2.Declared[0] ||
+				len(l1.Closure) > 0 && &l1.Closure[0] == &l2.Closure[0] {
+				t.Fatalf("seed %d, %s: two listings share a backing array", seed, step)
 			}
 		}
 
@@ -185,4 +209,46 @@ func TestApplyEffectiveNetAndInverse(t *testing.T) {
 	if after := core.ODsString(cat.Declared()); after != before {
 		t.Fatalf("inverse did not restore the declared set: %s != %s", after, before)
 	}
+}
+
+// TestApplyChurnAllocations pins what one mutation costs on mutate-churn's
+// shard as a count: adding or removing an isolated OD re-indexes the closure
+// but orders nothing except the declared set, each key rendered once. With
+// rendering inside the sort comparator, and the closure sorted twice and
+// deflated per mutation, one mutation was ≈ 163,000 allocations.
+func TestApplyChurnAllocations(t *testing.T) {
+	cat := New()
+	cat.Add(churnShard()...)
+	fromScratch := func() []core.OD {
+		return Deflate(transitiveClosure(cat.Declared()).unordered())
+	}
+	checkpoint := func(step string, closure int) {
+		t.Helper()
+		if st := cat.Stats(); st.Closure != closure {
+			t.Fatalf("%s: closure %d, want %d", step, st.Closure, closure)
+		}
+		if got, want := cat.Listing().Closure, fromScratch(); !slices.EqualFunc(got, want, core.OD.Equal) {
+			t.Fatalf("%s: listing differs from a from-scratch closure:\n%v\n%v", step, got, want)
+		}
+	}
+	isolated := func(k int) core.OD { return isolatedOD(fmt.Sprintf("y%d", k)) }
+
+	checkpoint("churn shard", 704)
+	cat.Add(isolated(0))
+	checkpoint("after add", 705)
+	cat.Remove(isolated(0))
+	checkpoint("after remove", 704)
+
+	// AllocsPerRun calls its function runs+1 times; each call must be an
+	// effective mutation, so the adds walk k up and the removes walk it down.
+	const runs, limit = 3, 12500
+	k := 0
+	adds := testing.AllocsPerRun(runs, func() { k++; cat.Add(isolated(k)) })
+	checkpoint("after the measured adds", 704+runs+1)
+	removes := testing.AllocsPerRun(runs, func() { cat.Remove(isolated(k)); k-- })
+	checkpoint("after the measured removes", 704)
+	if adds > limit || removes > limit {
+		t.Errorf("one add %.0f allocations, one remove %.0f; want at most %d each", adds, removes, limit)
+	}
+	t.Logf("one add %.0f allocations, one remove %.0f", adds, removes)
 }

@@ -57,15 +57,9 @@ func (c *Catalog) ResetTo(gen uint64, ods []core.OD) Stats {
 			netAdded = append(netAdded, od)
 		}
 	}
-	changed := len(netAdded) > 0
-	if !changed {
-		for _, od := range old.slice() {
-			if !next.has(od) {
-				changed = true
-				break
-			}
-		}
-	}
+	// With nothing net added, next is a subset of old: an OD left the set
+	// exactly when the sizes differ.
+	changed := len(netAdded) > 0 || next.len() != old.len()
 	c.declared = next
 	at := c.cur.gen
 	switch {

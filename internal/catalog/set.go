@@ -61,12 +61,19 @@ func (s *odSet) remove(od core.OD) bool {
 // len returns the number of ODs in the set.
 func (s *odSet) len() int { return s.n }
 
-// slice returns the ODs in canonical sorted order.
-func (s *odSet) slice() []core.OD {
+// unordered returns the ODs in no particular order (the map's), for the
+// set-to-set plumbing whose result is a set whatever order it was fed in.
+func (s *odSet) unordered() []core.OD {
 	out := make([]core.OD, 0, s.n)
 	for _, bucket := range s.buckets {
 		out = append(out, bucket...)
 	}
+	return out
+}
+
+// slice returns the ODs in canonical sorted order, for what is listed.
+func (s *odSet) slice() []core.OD {
+	out := s.unordered()
 	core.SortODs(out)
 	return out
 }

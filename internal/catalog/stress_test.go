@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,6 +64,31 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			}
 		}(int64(r))
 	}
+
+	// The lister: Listing derives the closure's deflated form on the reader's
+	// goroutine while Apply publishes generations. Whatever generation it
+	// sees, the two halves belong to it: every declared OD is listed in the
+	// closure, as itself or as the sibling that subsumes it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l := c.Listing()
+			for _, d := range l.Declared {
+				if !slices.ContainsFunc(l.Closure, func(m core.OD) bool {
+					return m.LHS.Equal(d.LHS) && m.RHS.HasPrefix(d.RHS)
+				}) {
+					t.Errorf("generation %d lists %s as declared but not in its closure %v", l.Generation, d, l.Closure)
+					return
+				}
+			}
+		}
+	}()
 
 	// Noise writers: churn unrelated constraints.
 	for w := 0; w < 2; w++ {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -87,10 +87,26 @@ func AttrsOf(ods []OD) AttrSet {
 	return s
 }
 
-// SortODs orders a slice of ODs by their canonical string, for deterministic
-// output.
+// SortODs puts ods in canonical order — ascending Key, the rendered string —
+// which is the order of every listing and the only OD order in the tree. It is
+// a decorate-sort: each key is rendered once (n renderings, a few allocations
+// each) and the comparisons run on the kept strings, because rendering inside
+// the comparator costs two Key calls per comparison, ≈ 11·n·log₂n allocations.
+// ODs whose keys are equal render alike, so listings are the same bytes
+// whichever way such a tie falls.
 func SortODs(ods []OD) {
-	sort.Slice(ods, func(i, j int) bool { return ods[i].Key() < ods[j].Key() })
+	type keyed struct {
+		key string
+		od  OD
+	}
+	byKey := make([]keyed, len(ods))
+	for i, od := range ods {
+		byKey[i] = keyed{od.Key(), od}
+	}
+	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range byKey {
+		ods[i] = k.od
+	}
 }
 
 // ODsString renders a set of ODs on one line, e.g. "{[A] -> [B]; [B] -> [C]}".
@@ -228,16 +244,10 @@ func (r *Relation) SatisfiesAll(ods []OD) (bool, *Violation, error) {
 
 // OrderCompatible reports whether r ⊨ X ~ Y, i.e. r satisfies XY ↔ YX.
 func (r *Relation) OrderCompatible(x, y List) (bool, *Violation, error) {
-	return r.SatisfiesAll2(OrderCompat(x, y))
+	return r.SatisfiesAll(OrderCompat(x, y))
 }
 
 // Equivalent reports whether r ⊨ X ↔ Y.
 func (r *Relation) Equivalent(x, y List) (bool, *Violation, error) {
-	return r.SatisfiesAll2(Equivalence(x, y))
-}
-
-// SatisfiesAll2 is SatisfiesAll for the two-element slices produced by
-// Equivalence and OrderCompat; it exists only to keep call sites readable.
-func (r *Relation) SatisfiesAll2(ods []OD) (bool, *Violation, error) {
-	return r.SatisfiesAll(ods)
+	return r.SatisfiesAll(Equivalence(x, y))
 }

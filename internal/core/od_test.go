@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -262,4 +263,42 @@ func TestEquivalentHelper(t *testing.T) {
 	if !ok {
 		t.Error("[A] <-> [B,A] should hold here")
 	}
+}
+
+// TestSortODsOrder pins SortODs to the order of the comparator it replaced,
+// a.Key() < b.Key(), on names that contain the rendering's own punctuation,
+// and pins its price as a count: one key rendering per OD, so allocations
+// are linear in the input (rendering inside the comparator was ≈ 11·n·log₂n).
+func TestSortODsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	universe := L("a", "b", "c", "a, b", "a]", "] -> [", "-", "->", " ", "a b", "[", "")
+	const n = 2000
+	ods := make([]OD, n)
+	for i := range ods {
+		if i > 0 && rng.Intn(8) == 0 {
+			ods[i] = ods[rng.Intn(i)] // duplicates
+			continue
+		}
+		ods[i] = RandOD(rng, universe, 4) // sides may be empty or repeat an attribute
+	}
+
+	want := append([]OD(nil), ods...)
+	sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+	got := append([]OD(nil), ods...)
+	SortODs(got)
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("position %d: SortODs has %q, the reference comparator %q", i, got[i].Key(), want[i].Key())
+		}
+	}
+
+	scratch := make([]OD, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		copy(scratch, ods)
+		SortODs(scratch)
+	})
+	if allocs > 8*n {
+		t.Errorf("SortODs over %d ODs: %.0f allocations, want at most %d (8 per OD)", n, allocs, 8*n)
+	}
+	t.Logf("SortODs over %d ODs: %.0f allocations (%.1f per OD)", n, allocs, allocs/n)
 }

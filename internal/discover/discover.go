@@ -2,7 +2,6 @@ package discover
 
 import (
 	"fmt"
-	"sort"
 
 	"odlib/internal/catalog"
 	"odlib/internal/core"
@@ -103,27 +102,18 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 	rhsLists := enumerateLists(attrs, opts.MaxRHS)
 
 	// Level-wise: shorter candidates first, so minimization prefers small
-	// generators.
-	type cand struct {
-		od   core.OD
-		size int
-	}
-	var cands []cand
+	// generators; within a size, canonical order.
+	bySize := make([][]core.OD, opts.MaxLHS+opts.MaxRHS+1)
 	for _, lhs := range lhsLists {
 		for _, rhs := range rhsLists {
 			od := core.NewOD(lhs, rhs)
 			if od.Trivial() {
 				continue
 			}
-			cands = append(cands, cand{od, len(lhs) + len(rhs)})
+			size := len(lhs) + len(rhs)
+			bySize[size] = append(bySize[size], od)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].size != cands[j].size {
-			return cands[i].size < cands[j].size
-		}
-		return cands[i].od.Key() < cands[j].od.Key()
-	})
 
 	// The found set lives in a catalog: each acceptance extends the closure
 	// incrementally and invalidates only the memo, instead of rebuilding a
@@ -134,29 +124,32 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 		cat = catalog.New(catalog.WithMaxAttrs(len(attrs) + 1))
 		cat.Add(res.ODs...)
 	}
-	for _, c := range cands {
-		res.Candidates++
-		if cat != nil {
-			implied, err := cat.Implies(c.od)
+	for _, cands := range bySize {
+		core.SortODs(cands)
+		for _, od := range cands {
+			res.Candidates++
+			if cat != nil {
+				implied, err := cat.Implies(od)
+				if err != nil {
+					return nil, err
+				}
+				if implied {
+					continue
+				}
+			}
+			res.DataChecks++
+			res.RowsScanned += 2 * int64(r.Len()) // one sort pass, one scan pass
+			holds, _, err := r.Satisfies(od)
 			if err != nil {
 				return nil, err
 			}
-			if implied {
+			if !holds {
 				continue
 			}
-		}
-		res.DataChecks++
-		res.RowsScanned += 2 * int64(r.Len()) // one sort pass, one scan pass
-		holds, _, err := r.Satisfies(c.od)
-		if err != nil {
-			return nil, err
-		}
-		if !holds {
-			continue
-		}
-		res.ODs = append(res.ODs, c.od)
-		if cat != nil {
-			cat.Add(c.od)
+			res.ODs = append(res.ODs, od)
+			if cat != nil {
+				cat.Add(od)
+			}
 		}
 	}
 	return res, nil

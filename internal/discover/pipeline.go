@@ -3,9 +3,7 @@ package discover
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"odlib/internal/catalog"
@@ -27,11 +25,6 @@ type PipelineOptions struct {
 	// Only relations wider than maxTableAttrs prune through a catalog;
 	// narrower ones ask the model table, which searches nothing.
 	Pool *prover.Pool
-
-	// CacheContexts bounds how many sorted partitions the context cache
-	// retains; zero selects unbounded (the context count is itself bounded
-	// by the LHS enumeration, which MaxAttrs and MaxLHS keep small).
-	CacheContexts int
 
 	// OnFound, when non-nil, is called with each accepted OD as its lattice
 	// level commits — the streaming hook. Calls arrive from the coordinating
@@ -57,7 +50,7 @@ type PipelineStats struct {
 	DataChecks       uint64 `json:"dataChecks"`       // candidates that reached the data
 	RowsScanned      uint64 `json:"rowsScanned"`      // logical passes × rows: two per cache miss, one per data check
 	CacheHits        uint64 `json:"cacheHits"`        // context requests answered from the cache (sorts avoided)
-	CacheMisses      uint64 `json:"cacheMisses"`      // context requests that sorted (first uses, and any past the cache bound)
+	CacheMisses      uint64 `json:"cacheMisses"`      // context requests that sorted: each context's first use
 	Accepted         uint64 `json:"accepted"`         // ODs found to hold and committed
 	Levels           int    `json:"levels"`           // lattice levels traversed
 }
@@ -208,7 +201,7 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	}
 
 	res := &PipelineResult{}
-	cache := core.NewSortCache(r, opts.CacheContexts)
+	cache := core.NewSortCache(r, 0)
 	la := newLattice(attrs, opts.MaxLHS, opts.MaxRHS)
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS
@@ -246,7 +239,7 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 		if len(accepted) == 0 {
 			continue
 		}
-		sortByKey(accepted)
+		core.SortODs(accepted)
 		switch {
 		case pr.table != nil:
 			for _, od := range accepted {
@@ -273,25 +266,6 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	res.Stats.RowsScanned += 2 * misses * uint64(r.Len())
 	sort.Slice(res.Constants, func(i, j int) bool { return res.Constants[i] < res.Constants[j] })
 	return res, nil
-}
-
-// sortByKey puts a level's accepted ODs in core.SortODs' order — by canonical
-// string; the ODs of a level are distinct, so the order is total — rendering
-// each key once instead of twice per comparison. Under KeepRedundant a level
-// of the date dimension accepts over a thousand.
-func sortByKey(ods []core.OD) {
-	type keyed struct {
-		key string
-		od  core.OD
-	}
-	byKey := make([]keyed, len(ods))
-	for i, od := range ods {
-		byKey[i] = keyed{od.Key(), od}
-	}
-	slices.SortFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
-	for i, k := range byKey {
-		ods[i] = k.od
-	}
 }
 
 // levelGroups enumerates the level's non-trivial candidates — every LHS of

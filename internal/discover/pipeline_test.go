@@ -148,7 +148,7 @@ func TestPipelineSchedulerIndependence(t *testing.T) {
 }
 
 // TestPipelineStress hammers the worker pool under -race: a shared prover
-// pool, many workers, a bounded cache, and a streaming callback all at once —
+// pool, many workers, the shared sort cache, and a streaming callback all at once —
 // on alternate trials over the model table the workers read unlocked, and
 // over the catalog whose searches are what draw on the pool.
 func TestPipelineStress(t *testing.T) {
@@ -158,11 +158,10 @@ func TestPipelineStress(t *testing.T) {
 		r := core.RandRelation(rng, core.L("A", "B", "C", "D", "E"), 64, 3)
 		var streamed []core.OD
 		res, err := pipeline(context.Background(), r, PipelineOptions{
-			Options:       Options{MaxLHS: 2, MaxRHS: 2},
-			Workers:       8,
-			Pool:          pool,
-			CacheContexts: 4,
-			OnFound:       func(od core.OD) { streamed = append(streamed, od) },
+			Options: Options{MaxLHS: 2, MaxRHS: 2},
+			Workers: 8,
+			Pool:    pool,
+			OnFound: func(od core.OD) { streamed = append(streamed, od) },
 		}, trial%2 == 0)
 		if err != nil {
 			t.Fatal(err)

@@ -522,3 +522,34 @@ func TestHealthzFlipsOnWALFailure(t *testing.T) {
 		t.Fatalf("read on degraded shard = %d %+v", code, prove)
 	}
 }
+
+// TestClosureCountIsInflated pins which closure each surface sizes: a
+// mutation response and /healthz count the inflated transitive closure the
+// tier chain consults, GET /ods lists the deflated one.
+func TestClosureCountIsInflated(t *testing.T) {
+	ts := newTestServer(t, router.Options{})
+
+	var changed struct {
+		Declared int `json:"declared"`
+		Closure  int `json:"closure"`
+	}
+	code := call(t, ts, "POST", "/ods", map[string]any{"statements": []string{"[a] -> [b, c]"}}, &changed)
+	if code != 200 || changed.Declared != 1 || changed.Closure != 2 {
+		t.Fatalf("declare = %d %+v, want declared 1 and closure 2 ([a] -> [b] and [a] -> [b, c])", code, changed)
+	}
+
+	var health healthz
+	if code := call(t, ts, "GET", "/healthz", nil, &health); code != 200 || health.Totals.Closure != 2 {
+		t.Fatalf("healthz = %d, totals.closure %d, want the inflated 2", code, health.Totals.Closure)
+	}
+
+	var list struct {
+		Closure []string `json:"closure"`
+	}
+	if code := call(t, ts, "GET", "/ods?schema=", nil, &list); code != 200 {
+		t.Fatalf("list = %d", code)
+	}
+	if len(list.Closure) != 1 || list.Closure[0] != "[a] -> [b, c]" {
+		t.Fatalf("listed closure = %v, want the deflated [a] -> [b, c] only", list.Closure)
+	}
+}
