@@ -5,6 +5,7 @@ package odlib
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -172,7 +173,7 @@ func benchmarkExample1(b *testing.B, withOD bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var stats engine.Stats
-		pl, err := planner.PlanQuery(q, &stats)
+		pl, err := planner.PlanQuery(context.Background(), q, &stats)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func BenchmarkExample5Taxes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var stats engine.Stats
-		pl, err := planner.PlanQuery(q, &stats)
+		pl, err := planner.PlanQuery(context.Background(), q, &stats)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func benchmarkSuite(b *testing.B, extension bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ms, err := warehouse.RunSuite(w, queries)
+		ms, err := warehouse.RunSuite(context.Background(), w, queries)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +394,9 @@ func BenchmarkReduceOrderFDOnly(b *testing.B) {
 	order := core.L("year", "quarter", "month", "x", "day")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rewrite.ReduceOrderFD(order, c)
+		if _, err := rewrite.ReduceOrderFD(context.Background(), order, c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

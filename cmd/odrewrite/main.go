@@ -1,6 +1,7 @@
 // Command odrewrite minimizes ORDER BY and GROUP BY lists under declared
 // dependencies, applying the paper's ReduceOrder⁺ (FD elimination plus the
 // order-dependency Left Eliminate of Theorem 8) and explaining each step.
+// An -fd joins the -m statements as the OD it is ({X} -> {Y} is [X] -> [X, Y]).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +31,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("odrewrite", flag.ContinueOnError)
 	inline := fs.String("m", "", "OD constraint statements, ';'-separated")
-	fdFlag := fs.String("fd", "", "FD constraints, ';'-separated, e.g. {month} -> {quarter}")
+	fdFlag := fs.String("fd", "", "FD constraints, ';'-separated, e.g. {month} -> {quarter} (read as [month] -> [month, quarter])")
 	orderFlag := fs.String("order", "", "ORDER BY list to reduce")
 	groupFlag := fs.String("group", "", "GROUP BY list to reduce")
 	proof := fs.Bool("proof", false, "emit the machine-checkable equivalence proof")
@@ -83,7 +85,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		res := rewrite.ReduceGroupBy(group, c)
+		res, err := rewrite.ReduceGroupBy(context.Background(), group, c)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("GROUP BY %v  =>  GROUP BY %v\n", res.Input, res.Reduced)
 		for _, s := range res.Steps {
 			fmt.Printf("  drop %v by %s via %v\n", s.Seg, s.Rule, s.By)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -71,7 +72,7 @@ func main() {
 	} {
 		var stats engine.Stats
 		p := plan.NewPlanner(mode.c)
-		pl, err := p.PlanQuery(query, &stats)
+		pl, err := p.PlanQuery(context.Background(), query, &stats)
 		if err != nil {
 			log.Fatal(err)
 		}

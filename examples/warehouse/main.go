@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	fmt.Println("declared constraints verified against the dimension instance")
 	fmt.Println()
 
-	ms, err := warehouse.RunSuite(w, w.Queries18())
+	ms, err := warehouse.RunSuite(context.Background(), w, w.Queries18())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package odlib
 // and the completeness construction round-trips through discovery.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestDeclaredConstraintsDriveThePlanner(t *testing.T) {
 	// The planner picks the constraint up from the table itself.
 	p := plan.NewPlanner(plan.ConstraintsFromTables(tbl))
 	var stats engine.Stats
-	pl, err := p.PlanQuery(plan.Query{
+	pl, err := p.PlanQuery(context.Background(), plan.Query{
 		Table:   tbl,
 		OrderBy: core.L("year", "quarter", "month"),
 	}, &stats)

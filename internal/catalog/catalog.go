@@ -569,36 +569,27 @@ func (c *Catalog) OrderCompatible(x, y core.List) (bool, error) {
 // ReduceOrder minimizes an ORDER BY list with ReduceOrder⁺ under the
 // catalog's constraints, sharing the verdict memo with Implies.
 func (c *Catalog) ReduceOrder(order core.List) (rewrite.Result, error) {
-	res, _, err := c.ReduceOrderStamped(order)
+	res, _, err := c.ReduceOrderStampedCtx(context.Background(), order)
 	return res, err
 }
 
-// ReduceOrderStamped is ReduceOrder plus the generation of the constraint
-// set the reduction ran against.
-func (c *Catalog) ReduceOrderStamped(order core.List) (rewrite.Result, uint64, error) {
-	return c.ReduceOrderStampedCtx(context.Background(), order)
-}
-
-// ReduceOrderStampedCtx is ReduceOrderStamped honoring cancellation of the
-// implication searches the reduction runs.
+// ReduceOrderStampedCtx is ReduceOrder plus the generation of the constraint
+// set the reduction ran against, honoring cancellation of the implication
+// searches the reduction runs.
 func (c *Catalog) ReduceOrderStampedCtx(ctx context.Context, order core.List) (rewrite.Result, uint64, error) {
 	g := c.snapshot()
 	res, err := rewrite.ReduceOrderCtx(ctx, order, g.cons)
 	return res, g.gen, err
 }
 
-// ReduceGroupBy minimizes a GROUP BY list under the catalog's constraints
-// (FD reasoning over the ODs' implied FDs).
-func (c *Catalog) ReduceGroupBy(group core.List) rewrite.Result {
-	res, _ := c.ReduceGroupByStamped(group)
-	return res
-}
-
-// ReduceGroupByStamped is ReduceGroupBy plus the generation of the
-// constraint set the reduction ran against.
-func (c *Catalog) ReduceGroupByStamped(group core.List) (rewrite.Result, uint64) {
+// ReduceGroupByStamped minimizes a GROUP BY list under the catalog's
+// constraints — each elimination an FD-form question down the tier chain —
+// and returns the generation of the constraint set the reduction ran
+// against.
+func (c *Catalog) ReduceGroupByStamped(ctx context.Context, group core.List) (rewrite.Result, uint64, error) {
 	g := c.snapshot()
-	return rewrite.ReduceGroupBy(group, g.cons), g.gen
+	res, err := rewrite.ReduceGroupBy(ctx, group, g.cons)
+	return res, g.gen, err
 }
 
 // Covers reports whether a stream ordered by have satisfies ORDER BY want

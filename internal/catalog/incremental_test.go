@@ -241,7 +241,7 @@ func TestApplyChurnAllocations(t *testing.T) {
 
 	// AllocsPerRun calls its function runs+1 times; each call must be an
 	// effective mutation, so the adds walk k up and the removes walk it down.
-	const runs, limit = 3, 12500
+	const runs, limit = 3, 11000
 	k := 0
 	adds := testing.AllocsPerRun(runs, func() { k++; cat.Add(isolated(k)) })
 	checkpoint("after the measured adds", 704+runs+1)

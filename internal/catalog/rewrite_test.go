@@ -233,4 +233,15 @@ func TestEmptyCatalogRewriteAsksTheChainToo(t *testing.T) {
 	if errRewrite == nil || errImplies == nil || errRewrite.Error() != errImplies.Error() {
 		t.Errorf("past the guard: ReduceOrder says %v, Implies says %v; want the same error", errRewrite, errImplies)
 	}
+	// A GROUP BY asks FD-form questions of the same chain: counted below the
+	// guard, refused past it.
+	before := cat.Stats().Tiers.Search
+	res, _, err = cat.ReduceGroupByStamped(context.Background(), core.L("a", "b", "c"))
+	if err != nil || !res.Reduced.Equal(core.L("a", "b", "c")) || cat.Stats().Tiers.Search == before {
+		t.Errorf("ReduceGroupByStamped = %v, %v with %d searches; want the list back and its questions counted",
+			res.Reduced, err, cat.Stats().Tiers.Search-before)
+	}
+	if _, _, errGroup := cat.ReduceGroupByStamped(context.Background(), wide); errGroup == nil || errGroup.Error() != errImplies.Error() {
+		t.Errorf("past the guard: ReduceGroupByStamped says %v, Implies says %v; want the same error", errGroup, errImplies)
+	}
 }

@@ -3,7 +3,6 @@ package fd
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"odlib/internal/core"
 )
@@ -21,11 +20,13 @@ func New(lhs, rhs core.List) FD {
 // String renders the FD as "{A, B} -> {C}".
 func (f FD) String() string { return f.LHS.String() + " -> " + f.RHS.String() }
 
-// Trivial reports whether the FD holds in every relation (RHS ⊆ LHS).
-func (f FD) Trivial() bool { return f.RHS.SubsetOf(f.LHS) }
-
-// Attrs returns all attributes mentioned by the FD.
-func (f FD) Attrs() core.AttrSet { return f.LHS.Union(f.RHS) }
+// OD returns the FD as the order dependency it is (Theorem 13): X ↦ XY, with
+// each side listed in sorted order — by Permutation (Theorem 14) every list
+// order of the two sets states the same dependency.
+func (f FD) OD() core.OD {
+	x := f.LHS.Sorted()
+	return core.NewOD(x, x.Concat(f.RHS.Sorted()))
+}
 
 // FromOD returns the FD implied by an OD (Lemma 1): set(X) → set(Y).
 func FromOD(od core.OD) FD { return New(od.LHS, od.RHS) }
@@ -69,12 +70,6 @@ func Implies(fds []FD, f FD) bool {
 	return f.RHS.SubsetOf(Closure(f.LHS, fds))
 }
 
-// ImpliesOD reports whether the FDs imply the FD corresponding to an OD,
-// i.e. whether the "split" half of the OD (X ↦ XY, Theorem 15) follows.
-func ImpliesOD(fds []FD, od core.OD) bool {
-	return Implies(fds, FromOD(od))
-}
-
 // Equivalent reports whether two FD sets imply each other.
 func Equivalent(a, b []FD) bool {
 	for _, f := range a {
@@ -104,7 +99,7 @@ func MinimalCover(fds []FD) []FD {
 			work = append(work, FD{LHS: f.LHS.Clone(), RHS: core.NewAttrSet(a)})
 		}
 	}
-	sortFDs(work)
+	sort.Slice(work, func(i, j int) bool { return work[i].String() < work[j].String() })
 	// 2. Remove extraneous left-hand attributes.
 	for i := range work {
 		for _, a := range work[i].LHS.Sorted() {
@@ -126,10 +121,6 @@ func MinimalCover(fds []FD) []FD {
 		}
 	}
 	return out
-}
-
-func sortFDs(fds []FD) {
-	sort.Slice(fds, func(i, j int) bool { return fds[i].String() < fds[j].String() })
 }
 
 // Satisfies reports whether relation r satisfies the FD, returning a witness
@@ -164,13 +155,4 @@ func Satisfies(r *core.Relation, f FD) (bool, [2]int, error) {
 		}
 	}
 	return true, [2]int{}, nil
-}
-
-// String renders a set of FDs.
-func String(fds []FD) string {
-	parts := make([]string, len(fds))
-	for i, f := range fds {
-		parts[i] = f.String()
-	}
-	return "{" + strings.Join(parts, "; ") + "}"
 }

@@ -62,14 +62,8 @@ func TestFDBasics(t *testing.T) {
 	if f.String() != "{A, B} -> {C}" {
 		t.Errorf("String = %q", f.String())
 	}
-	if f.Trivial() {
-		t.Error("not trivial")
-	}
-	if !New(L("A", "B"), L("A")).Trivial() {
-		t.Error("should be trivial")
-	}
-	if !f.Attrs().Equal(core.NewAttrSet("A", "B", "C")) {
-		t.Error("Attrs wrong")
+	if got := New(L("B", "A"), L("D", "C")).OD(); got.String() != "[A, B] -> [A, B, C, D]" {
+		t.Errorf("OD = %v", got)
 	}
 	od := core.NewOD(L("B", "A"), L("C", "C"))
 	if got := FromOD(od); !got.LHS.Equal(core.NewAttrSet("A", "B")) || !got.RHS.Equal(core.NewAttrSet("C")) {
@@ -77,9 +71,6 @@ func TestFDBasics(t *testing.T) {
 	}
 	if got := FromODs([]core.OD{od}); len(got) != 1 {
 		t.Errorf("FromODs = %v", got)
-	}
-	if got := String([]FD{f}); got != "{{A, B} -> {C}}" {
-		t.Errorf("set String = %q", got)
 	}
 }
 
@@ -104,13 +95,13 @@ func TestMinimalCover(t *testing.T) {
 	}
 	mc := MinimalCover(fds)
 	if !Equivalent(fds, mc) {
-		t.Fatalf("cover not equivalent: %s vs %s", String(fds), String(mc))
+		t.Fatalf("cover not equivalent: %v vs %v", fds, mc)
 	}
 	for _, f := range mc {
 		if len(f.RHS) != 1 {
 			t.Errorf("non-singleton RHS in cover: %s", f)
 		}
-		if f.Trivial() {
+		if f.RHS.SubsetOf(f.LHS) {
 			t.Errorf("trivial FD in cover: %s", f)
 		}
 	}
@@ -143,7 +134,7 @@ func TestMinimalCoverQuick(t *testing.T) {
 		}
 		mc := MinimalCover(fds)
 		if !Equivalent(fds, mc) {
-			t.Fatalf("cover not equivalent: %s vs %s", String(fds), String(mc))
+			t.Fatalf("cover not equivalent: %v vs %v", fds, mc)
 		}
 	}
 }
@@ -194,7 +185,11 @@ func TestFDODCorrespondence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fdHolds != odHolds {
+		sortedHolds, _, err := r.Satisfies(New(x, y).OD())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fdHolds != odHolds || fdHolds != sortedHolds {
 			t.Fatalf("Theorem 13 violated for X=%v Y=%v on\n%s", x, y, r)
 		}
 	}

@@ -66,22 +66,23 @@ var DefaultLockOrder = LockOrderConfig{
 
 // DefaultCtxFlow blesses the functions allowed to mint fresh contexts:
 // the ctx-less compatibility wrappers (each is a one-line delegation to its
-// *Ctx twin), the replica tailer's own poll goroutine, and the client
-// pipeliner's flush (the batch is shared work, deliberately detached from
-// any single caller's context).
+// *Ctx twin; rewrite's FD-asking entry points and the planner's have no
+// such twin — they take a ctx), the replica tailer's own poll goroutine,
+// and the client pipeliner's flush (the batch is shared work, deliberately
+// detached from any single caller's context).
 var DefaultCtxFlow = CtxFlowConfig{
 	Bless: map[string]bool{
-		"odlib/internal/catalog.Catalog.ImpliesWitness":     true,
-		"odlib/internal/catalog.Catalog.ImpliesAllWitness":  true,
-		"odlib/internal/catalog.Catalog.ReduceOrderStamped": true,
-		"odlib/internal/prover.Prover.Implies":              true,
-		"odlib/internal/prover.Prover.ImpliesWitness":       true,
-		"odlib/internal/prover.Prover.ImpliesAll":           true,
-		"odlib/internal/rewrite.ReduceOrder":                true,
-		"odlib/internal/rewrite.Equivalent":                 true,
-		"odlib/internal/rewrite.Covers":                     true,
-		"odlib/internal/replica.Tailer.run":                 true,
-		"odlib/pkg/odclient.pipeliner.flush":                true,
+		"odlib/internal/catalog.Catalog.ImpliesWitness":    true,
+		"odlib/internal/catalog.Catalog.ImpliesAllWitness": true,
+		"odlib/internal/catalog.Catalog.ReduceOrder":       true,
+		"odlib/internal/prover.Prover.Implies":             true,
+		"odlib/internal/prover.Prover.ImpliesWitness":      true,
+		"odlib/internal/prover.Prover.ImpliesAll":          true,
+		"odlib/internal/rewrite.ReduceOrder":               true,
+		"odlib/internal/rewrite.Equivalent":                true,
+		"odlib/internal/rewrite.Covers":                    true,
+		"odlib/internal/replica.Tailer.run":                true,
+		"odlib/pkg/odclient.pipeliner.flush":               true,
 	},
 }
 

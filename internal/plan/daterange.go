@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 
 	"odlib/internal/core"
@@ -74,7 +75,7 @@ func (p *Planner) PlanDateRangeBaseline(q DateRangeQuery, stats *engine.Stats) (
 // natural range into a surrogate-key range, then range-scans the fact
 // table's surrogate-key index with no join at all. When the equivalence is
 // not known, it falls back to the baseline plan and says so.
-func (p *Planner) PlanDateRange(q DateRangeQuery, stats *engine.Stats) (*Plan, error) {
+func (p *Planner) PlanDateRange(ctx context.Context, q DateRangeQuery, stats *engine.Stats) (*Plan, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +141,7 @@ func (p *Planner) PlanDateRange(q DateRangeQuery, stats *engine.Stats) (*Plan, e
 	streamed := false
 	ordered := false
 	if len(q.GroupBy) > 0 && len(ids) > 0 {
-		okG, err := rewrite.GroupBySatisfiedBy(factIx.Key, q.GroupBy, p.C)
+		okG, err := rewrite.GroupBySatisfiedBy(ctx, factIx.Key, q.GroupBy, p.C)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -65,13 +66,13 @@ func ConstraintsFromTables(tables ...*engine.Table) *rewrite.Constraints {
 // PlanQuery builds a physical plan for a single-table query. Planning
 // minimizes sorts: ORDER BY and GROUP BY lists are reduced first, then an
 // index able to serve the reduced order (and group contiguity) is sought.
-func (p *Planner) PlanQuery(q Query, stats *engine.Stats) (*Plan, error) {
+func (p *Planner) PlanQuery(ctx context.Context, q Query, stats *engine.Stats) (*Plan, error) {
 	if q.Table == nil {
 		return nil, fmt.Errorf("plan: query has no table")
 	}
 	plan := &Plan{}
 
-	orderRes, err := rewrite.ReduceOrder(q.OrderBy, p.C)
+	orderRes, err := rewrite.ReduceOrderCtx(ctx, q.OrderBy, p.C)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +87,10 @@ func (p *Planner) PlanQuery(q Query, stats *engine.Stats) (*Plan, error) {
 	// drives partition-satisfaction tests, where only the partition — not
 	// the column set — matters (Section 2.2).
 	group := q.GroupBy.Normalize()
-	groupRes := rewrite.ReduceGroupBy(q.GroupBy, p.C)
+	groupRes, err := rewrite.ReduceGroupBy(ctx, q.GroupBy, p.C)
+	if err != nil {
+		return nil, err
+	}
 	if len(groupRes.Steps) > 0 {
 		plan.Rewrites = append(plan.Rewrites, "reduce-group")
 		plan.Steps = append(plan.Steps,
@@ -105,7 +109,7 @@ func (p *Planner) PlanQuery(q Query, stats *engine.Stats) (*Plan, error) {
 			continue
 		}
 		if len(group) > 0 {
-			okG, err := rewrite.GroupBySatisfiedBy(key, group, p.C)
+			okG, err := rewrite.GroupBySatisfiedBy(ctx, key, group, p.C)
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +144,7 @@ func (p *Planner) PlanQuery(q Query, stats *engine.Stats) (*Plan, error) {
 			// otherwise hash.
 			if len(order) > 0 {
 				sortList := order
-				okG, err := rewrite.GroupBySatisfiedBy(sortList, group, p.C)
+				okG, err := rewrite.GroupBySatisfiedBy(ctx, sortList, group, p.C)
 				if err != nil {
 					return nil, err
 				}

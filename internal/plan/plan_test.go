@@ -84,7 +84,7 @@ func TestExample1Plan(t *testing.T) {
 
 	withOD := NewPlanner(rewrite.NewConstraints(nil, mustODs(t, "[month] -> [quarter]")))
 	var sOD engine.Stats
-	planOD, err := withOD.PlanQuery(q, &sOD)
+	planOD, err := withOD.PlanQuery(context.Background(), q, &sOD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestExample1Plan(t *testing.T) {
 
 	baseline := NewPlanner(nil)
 	var sBase engine.Stats
-	planBase, err := baseline.PlanQuery(q, &sBase)
+	planBase, err := baseline.PlanQuery(context.Background(), q, &sBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExample5Plan(t *testing.T) {
 	withOD := NewPlanner(rewrite.NewConstraints(nil,
 		mustODs(t, "[income] -> [bracket]; [income] -> [payable]")))
 	var sOD engine.Stats
-	planOD, err := withOD.PlanQuery(q, &sOD)
+	planOD, err := withOD.PlanQuery(context.Background(), q, &sOD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestExample5Plan(t *testing.T) {
 
 	baseline := NewPlanner(nil)
 	var sBase engine.Stats
-	planBase, err := baseline.PlanQuery(q, &sBase)
+	planBase, err := baseline.PlanQuery(context.Background(), q, &sBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPlanQueryFilterAndProject(t *testing.T) {
 	tbl := salesTable(t, 1)
 	p := NewPlanner(nil)
 	var s engine.Stats
-	plan, err := p.PlanQuery(Query{
+	plan, err := p.PlanQuery(context.Background(), Query{
 		Table:  tbl,
 		Filter: []engine.Cond{{Attr: "month", Op: engine.Le, Val: core.Int(2)}},
 		Select: L("month", "amount"),
@@ -233,7 +233,7 @@ func TestPlanQueryFilterAndProject(t *testing.T) {
 			t.Fatalf("bad row %v", r)
 		}
 	}
-	if _, err := p.PlanQuery(Query{}, nil); err == nil {
+	if _, err := p.PlanQuery(context.Background(), Query{}, nil); err == nil {
 		t.Error("query without table must fail")
 	}
 }
@@ -287,7 +287,7 @@ func TestDateRangeRewrite(t *testing.T) {
 		mustODs(t, "[d_date_sk] <-> [d_date]")))
 
 	var sRw engine.Stats
-	planRw, err := licensed.PlanDateRange(q, &sRw)
+	planRw, err := licensed.PlanDateRange(context.Background(), q, &sRw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestDateRangeRewrite(t *testing.T) {
 	// An unlicensed planner must fall back to the join plan.
 	unlicensed := NewPlanner(nil)
 	var sNo engine.Stats
-	planNo, err := unlicensed.PlanDateRange(q, &sNo)
+	planNo, err := unlicensed.PlanDateRange(context.Background(), q, &sNo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestDateRangeRewrite(t *testing.T) {
 	// Empty range.
 	q.Lo, q.Hi = core.Int(20300000), core.Int(20300010)
 	var sE engine.Stats
-	planE, err := licensed.PlanDateRange(q, &sE)
+	planE, err := licensed.PlanDateRange(context.Background(), q, &sE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestDateRangeRewriteAsksTheOracle(t *testing.T) {
 	}
 	o := &dateOracle{}
 	p := NewPlanner(rewrite.NewConstraints(nil, nil).UseOracle(o))
-	plan, err := p.PlanDateRange(q, &engine.Stats{})
+	plan, err := p.PlanDateRange(context.Background(), q, &engine.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,14 +392,14 @@ func TestDateRangeRewriteAsksTheOracle(t *testing.T) {
 func TestDateRangeValidation(t *testing.T) {
 	fact, dim := dateWarehouse(t, 10, 10)
 	p := NewPlanner(nil)
-	if _, err := p.PlanDateRange(DateRangeQuery{}, nil); err == nil {
+	if _, err := p.PlanDateRange(context.Background(), DateRangeQuery{}, nil); err == nil {
 		t.Error("missing tables must fail")
 	}
 	q := DateRangeQuery{
 		Fact: fact, Dim: dim,
 		FactFK: "nope", DimPK: "d_date_sk", DimNatural: "d_date",
 	}
-	if _, err := p.PlanDateRange(q, nil); err == nil {
+	if _, err := p.PlanDateRange(context.Background(), q, nil); err == nil {
 		t.Error("missing fact FK must fail")
 	}
 	q.FactFK = "ss_sold_date_sk"
@@ -416,7 +416,7 @@ func TestPlanGroupOnlyUsesStreamWithIndex(t *testing.T) {
 	c := rewrite.NewConstraints([]fd.FD{fd.New(L("month"), L("quarter"))}, nil)
 	p := NewPlanner(c)
 	var s engine.Stats
-	plan, err := p.PlanQuery(Query{
+	plan, err := p.PlanQuery(context.Background(), Query{
 		Table:   tbl,
 		GroupBy: L("year", "quarter", "month"),
 		Aggs:    []engine.Agg{{Kind: engine.Count, As: "n"}},

@@ -19,9 +19,12 @@
 // stream ordered by L′ satisfies an ORDER BY L and vice versa. Reductions
 // return machine-checkable proofs of the equivalence on request.
 //
-// The rewriter itself is pure list surgery; every OD elimination is
-// justified by one "does X order Y?" question, and every such question is
-// asked through the Oracle seam — there is no other way to a prover. Three
+// The rewriter itself is pure list surgery; every elimination is justified
+// by one "does X order Y?" question — an FD is the OD X ↦ XY (Theorem 13),
+// so "does set(X) determine a?" is asked as "does X order X·a?" and
+// Constraints holds ODs only — and every such question is asked through the
+// Oracle seam: there is no other way to a prover, nor a second decision
+// procedure beside it. Three
 // implementers answer it: by default the Constraints' own prover, compiled
 // on first use; inside the daemon the constraint catalog's current
 // generation (internal/catalog), so a rewrite's questions descend the same

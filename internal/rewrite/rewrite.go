@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"odlib/internal/core"
@@ -12,14 +13,13 @@ import (
 )
 
 // Constraints carries the declared dependency knowledge available to the
-// rewriter: functional dependencies and order dependencies. The zero value
-// means no knowledge.
+// rewriter: a set of order dependencies. A functional dependency is the OD
+// X ↦ XY (Theorem 13) and is held as one. The zero value means no knowledge.
 //
 // A Constraints value describes one constraint state and, once built and
 // handed its Oracle, is safe for concurrent use whenever that Oracle is (the
 // default one is).
 type Constraints struct {
-	FDs []fd.FD
 	ODs []core.OD
 
 	oracle Oracle // UseOracle's; nil means localProver
@@ -40,23 +40,24 @@ type Oracle interface {
 	OrdersBy(ctx context.Context, x, y core.List) (bool, error)
 }
 
-// NewConstraints bundles FDs and ODs. Each OD also contributes its implied
-// FD (Lemma 1), so OD knowledge strengthens FD-based reduction too.
+// NewConstraints bundles FDs and ODs into one OD set: each FD joins the ODs
+// in its FD form (fd.FD.OD). Each OD's implied FD (Lemma 1) needs no stating
+// — it follows from the OD — so with no FDs this is the given slice.
 func NewConstraints(fds []fd.FD, ods []core.OD) *Constraints {
-	all := make([]fd.FD, 0, len(fds)+len(ods))
-	all = append(all, fds...)
-	all = append(all, fd.FromODs(ods)...)
-	return &Constraints{FDs: all, ODs: ods}
+	all := slices.Clip(ods) // appending must not write into the caller's array
+	for _, f := range fds {
+		all = append(all, f.OD())
+	}
+	return &Constraints{ODs: all}
 }
 
 // UseOracle routes the rewriter's implication questions through o instead of
 // the local prover: the seam that lets every rewrite and planner call site
-// run against a catalog, in process or remote. The FD sweep still runs
-// locally over c.FDs (FD implication is cheap closure computation, not worth
-// a round trip); only the exponential OD questions cross the seam. The
-// oracle must answer for the same constraint set c was built over, or
-// reductions lose their order-equivalence guarantee. Install it before the
-// value is shared.
+// run against a catalog, in process or remote. Every question a reduction
+// asks crosses the seam, FD steps included (they are asked as FD-form ODs),
+// so a reduction reads c.ODs only for Proof and Check. The oracle must
+// answer for the same constraint set c was built over, or reductions lose
+// their order-equivalence guarantee. Install it before the value is shared.
 func (c *Constraints) UseOracle(o Oracle) *Constraints {
 	c.oracle = o
 	return c
@@ -93,6 +94,12 @@ func (c *Constraints) ordersBy(ctx context.Context, x, y core.List) (bool, error
 	return o.OrdersBy(ctx, x, y)
 }
 
+// determines asks whether set(x) functionally determines set(y), as the
+// FD-form OD question x ↦ x·y it is (Theorem 13).
+func (c *Constraints) determines(ctx context.Context, x, y core.List) (bool, error) {
+	return c.ordersBy(ctx, x, x.Concat(y))
+}
+
 // Step records one segment elimination performed by a reduction, with the
 // rule that justified it.
 type Step struct {
@@ -112,19 +119,28 @@ type Result struct {
 	Steps   []Step
 }
 
+// dropDetermined is the FD step every sweep shares: when set(by) functionally
+// determines the attribute at position i it is eliminated, the step recorded.
+func (r *Result) dropDetermined(ctx context.Context, c *Constraints, i int, by core.List) (bool, error) {
+	seg := r.Reduced[i : i+1]
+	ok, err := c.determines(ctx, by, seg)
+	if err == nil && ok {
+		r.Steps = append(r.Steps, Step{Seg: seg.Clone(), Pos: i, Rule: "fd-eliminate", By: by.Clone()})
+		r.Reduced = r.Reduced.Prefix(i).Concat(r.Reduced.Suffix(i + 1))
+	}
+	return ok, err
+}
+
 // ReduceOrderFD is ReduceOrder of [17]: right-to-left, drop an attribute
 // when the prefix set to its left functionally determines it.
-func ReduceOrderFD(order core.List, c *Constraints) Result {
+func ReduceOrderFD(ctx context.Context, order core.List, c *Constraints) (Result, error) {
 	res := Result{Input: order, Reduced: order.Normalize()}
 	for i := len(res.Reduced) - 1; i >= 0; i-- {
-		a := res.Reduced[i]
-		prefix := res.Reduced.Prefix(i)
-		if fd.Implies(c.FDs, fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
-			res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: prefix.Clone()})
-			res.Reduced = res.Reduced.Prefix(i).Concat(res.Reduced.Suffix(i + 1))
+		if _, err := res.dropDetermined(ctx, c, i, res.Reduced.Prefix(i)); err != nil {
+			return res, err
 		}
 	}
-	return res
+	return res, nil
 }
 
 // ReduceOrder is ReduceOrder+ of Section 2.3: the FD sweep of
@@ -136,19 +152,16 @@ func ReduceOrder(order core.List, c *Constraints) (Result, error) {
 }
 
 // ReduceOrderCtx is ReduceOrder honoring cancellation: the implication
-// searches behind the OD step abort when ctx dies, surfacing its error.
+// searches behind either step abort when ctx dies, surfacing its error.
 func ReduceOrderCtx(ctx context.Context, order core.List, c *Constraints) (Result, error) {
 	res := Result{Input: order, Reduced: order.Normalize()}
 	for changed := true; changed; {
 		changed = false
 		for i := len(res.Reduced) - 1; i >= 0 && !changed; i-- {
-			a := res.Reduced[i]
 			prefix := res.Reduced.Prefix(i)
-			if fd.Implies(c.FDs, fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
-				res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: prefix.Clone()})
-				res.Reduced = prefix.Concat(res.Reduced.Suffix(i + 1))
-				changed = true
-				break
+			var err error
+			if changed, err = res.dropDetermined(ctx, c, i, prefix); err != nil {
+				return res, err
 			}
 			// OD step (Theorem 8): drop the segment starting at i when a
 			// list immediately to its right orders the whole segment. The
@@ -204,27 +217,24 @@ func Covers(have, want core.List, c *Constraints) (bool, error) {
 	return c.ordersBy(context.Background(), have, want)
 }
 
-// ReduceGroupBy minimizes a GROUP BY attribute set using FDs: an attribute
+// ReduceGroupBy minimizes a GROUP BY attribute set: an attribute
 // functionally determined by the remaining ones is redundant for
 // partitioning. The attributes keep their given order. This is the classic
 // FD-based group-by simplification of [17]; unlike order reduction it may
 // use determinants on either side.
-func ReduceGroupBy(group core.List, c *Constraints) Result {
+func ReduceGroupBy(ctx context.Context, group core.List, c *Constraints) (Result, error) {
 	res := Result{Input: group, Reduced: group.Normalize()}
 	for changed := true; changed; {
 		changed = false
-		for i := len(res.Reduced) - 1; i >= 0; i-- {
-			a := res.Reduced[i]
+		for i := len(res.Reduced) - 1; i >= 0 && !changed; i-- {
 			rest := res.Reduced.Prefix(i).Concat(res.Reduced.Suffix(i + 1))
-			if fd.Implies(c.FDs, fd.FD{LHS: rest.Set(), RHS: core.NewAttrSet(a)}) {
-				res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: rest.Clone()})
-				res.Reduced = rest
-				changed = true
-				break
+			var err error
+			if changed, err = res.dropDetermined(ctx, c, i, rest); err != nil {
+				return res, err
 			}
 		}
 	}
-	return res
+	return res, nil
 }
 
 // GroupBySatisfiedBy reports whether a stream ordered by "order" can compute
@@ -235,12 +245,15 @@ func ReduceGroupBy(group core.List, c *Constraints) Result {
 // day therefore satisfies GROUP BY year, quarter, month given the FD
 // month → quarter (Section 2.2: "group divisions can be found on the fly in
 // the stream"), while sorting by year alone does not.
-func GroupBySatisfiedBy(order core.List, group core.List, c *Constraints) (bool, error) {
-	g := group.Set()
+func GroupBySatisfiedBy(ctx context.Context, order core.List, group core.List, c *Constraints) (bool, error) {
 	for i := 0; i <= len(order); i++ {
-		p := order.Prefix(i).Set()
-		if fd.Implies(c.FDs, fd.FD{LHS: p, RHS: g}) && fd.Implies(c.FDs, fd.FD{LHS: g, RHS: p}) {
-			return true, nil
+		p := order.Prefix(i)
+		ok, err := c.determines(ctx, p, group)
+		if err == nil && ok {
+			ok, err = c.determines(ctx, group, p)
+		}
+		if err != nil || ok {
+			return ok, err
 		}
 	}
 	return false, nil

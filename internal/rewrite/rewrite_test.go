@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -28,11 +29,18 @@ func mustODs(t *testing.T, text string) []core.OD {
 func TestExample1OrderBy(t *testing.T) {
 	fdOnly := NewConstraints([]fd.FD{fd.New(L("month"), L("quarter"))}, nil)
 
-	got := ReduceOrderFD(L("year", "month", "quarter"), fdOnly)
+	ctx := context.Background()
+	got, err := ReduceOrderFD(ctx, L("year", "month", "quarter"), fdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !got.Reduced.Equal(L("year", "month")) {
 		t.Errorf("FD reduce of [year,month,quarter] = %v", got.Reduced)
 	}
-	got = ReduceOrderFD(L("year", "quarter", "month"), fdOnly)
+	got, err = ReduceOrderFD(ctx, L("year", "quarter", "month"), fdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !got.Reduced.Equal(L("year", "quarter", "month")) {
 		t.Errorf("FD reduce must not touch [year,quarter,month]: %v", got.Reduced)
 	}
@@ -137,12 +145,18 @@ func TestEquivalentAndCovers(t *testing.T) {
 
 func TestReduceGroupBy(t *testing.T) {
 	c := NewConstraints([]fd.FD{fd.New(L("month"), L("quarter"))}, nil)
-	res := ReduceGroupBy(L("year", "quarter", "month"), c)
+	res, err := ReduceGroupBy(context.Background(), L("year", "quarter", "month"), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Reduced.Equal(L("year", "month")) {
 		t.Errorf("group-by should drop quarter anywhere: %v", res.Reduced)
 	}
 	// Unlike order reduction, position does not matter for group-by.
-	res = ReduceGroupBy(L("quarter", "year", "month"), c)
+	res, err = ReduceGroupBy(context.Background(), L("quarter", "year", "month"), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Reduced.Equal(L("year", "month")) {
 		t.Errorf("group-by reduce = %v", res.Reduced)
 	}
@@ -151,18 +165,18 @@ func TestReduceGroupBy(t *testing.T) {
 func TestGroupBySatisfiedBy(t *testing.T) {
 	c := NewConstraints([]fd.FD{fd.New(L("month"), L("quarter"))}, nil)
 	// Sorting by year, month refines the partition year, quarter, month.
-	ok, err := GroupBySatisfiedBy(L("year", "month"), L("year", "quarter", "month"), c)
+	ok, err := GroupBySatisfiedBy(context.Background(), L("year", "month"), L("year", "quarter", "month"), c)
 	if err != nil || !ok {
 		t.Errorf("stream group-by should be satisfied: %v %v", ok, err)
 	}
 	// Sorting by year alone does not.
-	ok, err = GroupBySatisfiedBy(L("year"), L("year", "month"), c)
+	ok, err = GroupBySatisfiedBy(context.Background(), L("year"), L("year", "month"), c)
 	if err != nil || ok {
 		t.Errorf("year alone cannot partition by month: %v %v", ok, err)
 	}
 	// Sorting by a strengthening works (year, month, day).
 	c2 := NewConstraints(nil, nil)
-	ok, err = GroupBySatisfiedBy(L("year", "month", "day"), L("year", "month"), c2)
+	ok, err = GroupBySatisfiedBy(context.Background(), L("year", "month", "day"), L("year", "month"), c2)
 	if err != nil || !ok {
 		t.Errorf("strengthened sort should satisfy group-by: %v %v", ok, err)
 	}

@@ -15,7 +15,6 @@ import (
 	"odlib/internal/catalog"
 	"odlib/internal/core"
 	"odlib/internal/prover"
-	"odlib/internal/rewrite"
 	"odlib/internal/router"
 )
 
@@ -728,17 +727,16 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var out rewrite.Result
-	var gen uint64
+	ctx, cancel := s.proveCtx(r)
+	defer cancel()
+	reduce := cat.ReduceOrderStampedCtx
 	if group {
-		out, gen = cat.ReduceGroupByStamped(list)
-	} else {
-		ctx, cancel := s.proveCtx(r)
-		defer cancel()
-		if out, gen, err = cat.ReduceOrderStampedCtx(ctx, list); err != nil {
-			writeSearchError(w, r, err)
-			return
-		}
+		reduce = cat.ReduceGroupByStamped
+	}
+	out, gen, err := reduce(ctx, list)
+	if err != nil {
+		writeSearchError(w, r, err)
+		return
 	}
 	resp := rewriteResponse{
 		Input:      out.Input.String(),

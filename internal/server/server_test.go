@@ -16,13 +16,13 @@ import (
 
 // newTestServer boots an httptest server over a fresh router; dataDir == ""
 // runs in-memory.
-func newTestServer(t *testing.T, opt router.Options) *httptest.Server {
+func newTestServer(t *testing.T, opt router.Options, sopts ...Option) *httptest.Server {
 	t.Helper()
 	rt, err := router.Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(rt))
+	ts := httptest.NewServer(New(rt, sopts...))
 	t.Cleanup(func() {
 		ts.Close()
 		rt.Close()

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,8 +16,10 @@ import (
 	"log/slog"
 
 	"odlib/internal/catalog"
+	"odlib/internal/core"
 	"odlib/internal/metrics"
 	"odlib/internal/prover"
+	"odlib/internal/rewrite"
 	"odlib/internal/router"
 	"odlib/internal/store"
 	"odlib/pkg/odclient"
@@ -265,6 +269,110 @@ func TestRewriteMovesTierTelemetry(t *testing.T) {
 	}
 	if got := timedAfter - timedBefore; got != float64(asked) {
 		t.Errorf("odserve_verdict_tier_seconds_count moved by %v for %d questions", got, asked)
+	}
+}
+
+// seamCounter is a rewrite.Oracle over a local prover that counts what it is
+// asked: a reduction's questions, observed at the seam.
+type seamCounter struct {
+	p     *prover.Prover
+	asked uint64
+}
+
+func (o *seamCounter) OrdersBy(ctx context.Context, x, y core.List) (bool, error) {
+	o.asked++
+	return o.p.ImpliesCtx(ctx, core.NewOD(x, y))
+}
+
+// TestRewriteGroupByMeetsTheGuard: a "groupBy" is a run of FD-form chain
+// questions like any other, so it is counted, guarded and timed out like
+// them — a reduction that asks N questions moves /healthz tiers by N, one
+// whose question entangles more than -maxattrs attributes answers the 422
+// body /prove gives that question, and a -prove-timeout expiry answers what
+// "order" answers.
+func TestRewriteGroupByMeetsTheGuard(t *testing.T) {
+	boot := func(maxAttrs int, opts ...Option) *httptest.Server {
+		t.Helper()
+		return newTestServer(t, router.Options{Catalog: []catalog.Option{catalog.WithMaxAttrs(maxAttrs)}}, opts...)
+	}
+	post := func(ts *httptest.Server, path string, body map[string]any) (int, string) {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	declared := []string{"[month] -> [quarter]", "[quarter, month] -> [season]"}
+	const group = "[year, season, quarter, month, day]"
+
+	// Counted: N questions at the seam are N tier hits, asked cold or warm.
+	ods, err := core.ParseStatements(strings.Join(declared, "; "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seam := &seamCounter{p: prover.New(ods)}
+	list, _ := core.ParseList(group)
+	want, err := rewrite.ReduceGroupBy(context.Background(), list, rewrite.NewConstraints(nil, ods).UseOracle(seam))
+	if err != nil || len(want.Steps) != 2 {
+		t.Fatalf("fixture: reduced to %v by %v (%v), want two eliminations", want.Reduced, want.Steps, err)
+	}
+	ts := boot(14)
+	if code, body := post(ts, "/ods", map[string]any{"statements": declared}); code != 200 {
+		t.Fatalf("declare = %d %s", code, body)
+	}
+	tierSum := func() uint64 {
+		t.Helper()
+		var h healthz
+		if code := call(t, ts, "GET", "/healthz", nil, &h); code != 200 {
+			t.Fatalf("healthz = %d", code)
+		}
+		s := h.Shards[""].Catalog.Tiers
+		return s.Trivial + s.Closure + s.Negative + s.Memo + s.Search
+	}
+	for _, step := range []string{"cold", "warm"} {
+		before := tierSum()
+		var rw rewriteResponse
+		if code := call(t, ts, "POST", "/rewrite", map[string]string{"groupBy": group}, &rw); code != 200 ||
+			rw.Reduced != want.Reduced.String() || len(rw.Steps) != len(want.Steps) {
+			t.Fatalf("%s groupBy = %d %+v, want %v", step, code, rw, want.Reduced)
+		}
+		if d := tierSum() - before; d != seam.asked {
+			t.Errorf("%s groupBy: %d tier hits for a reduction of %d questions", step, d, seam.asked)
+		}
+	}
+
+	// Guarded: the first question of either reduction of [a, b, c, d] is
+	// [a, b, c] -> [a, b, c, d], four attributes against a limit of three.
+	ts = boot(3)
+	wantCode, wantBody := post(ts, "/prove", map[string]any{"statement": "[a, b, c] -> [a, b, c, d]"})
+	if wantCode != http.StatusUnprocessableEntity {
+		t.Fatalf("prove past the guard = %d %s", wantCode, wantBody)
+	}
+	for _, field := range []string{"groupBy", "order"} {
+		if code, body := post(ts, "/rewrite", map[string]any{field: "[a, b, c, d]"}); code != wantCode || body != wantBody {
+			t.Errorf("%s past the guard = %d %s, want /prove's %d %s", field, code, body, wantCode, wantBody)
+		}
+	}
+
+	// Timed out: a deadline that has passed before the first question
+	// reaches the search fails it there, the same way for both lists.
+	ts = boot(14, WithProveTimeout(time.Nanosecond))
+	if code, body := post(ts, "/ods", map[string]any{"statements": declared}); code != 200 {
+		t.Fatalf("declare = %d %s", code, body)
+	}
+	wantCode, wantBody = post(ts, "/rewrite", map[string]any{"order": group})
+	if wantCode != http.StatusGatewayTimeout || !strings.Contains(wantBody, "timed out") {
+		t.Fatalf("order past the deadline = %d %s, want 504", wantCode, wantBody)
+	}
+	if code, body := post(ts, "/rewrite", map[string]any{"groupBy": group}); code != wantCode || body != wantBody {
+		t.Errorf("groupBy past the deadline = %d %s, want order's %d %s", code, body, wantCode, wantBody)
 	}
 }
 

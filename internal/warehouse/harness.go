@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -42,7 +43,7 @@ func (m Measurement) TimeGain() float64 {
 // RunSuite plans and executes every query both ways — the oblivious join
 // plan and the OD-licensed rewrite — verifies that the answers agree, and
 // returns the measurements.
-func RunSuite(w *Warehouse, queries []BenchQuery) ([]Measurement, error) {
+func RunSuite(ctx context.Context, w *Warehouse, queries []BenchQuery) ([]Measurement, error) {
 	planner := plan.NewPlanner(Constraints())
 	out := make([]Measurement, 0, len(queries))
 	for _, bq := range queries {
@@ -60,7 +61,7 @@ func RunSuite(w *Warehouse, queries []BenchQuery) ([]Measurement, error) {
 		m.BaselineTime = time.Since(t0)
 
 		t1 := time.Now()
-		rwPlan, err := planner.PlanDateRange(bq.Q, &m.RewrittenStats)
+		rwPlan, err := planner.PlanDateRange(ctx, bq.Q, &m.RewrittenStats)
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: %s rewrite: %w", bq.Name, err)
 		}

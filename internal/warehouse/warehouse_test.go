@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestSuite13(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := RunSuite(w, w.Queries13())
+	ms, err := RunSuite(context.Background(), w, w.Queries13())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestSuiteExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := RunSuite(w, w.QueriesExtension())
+	ms, err := RunSuite(context.Background(), w, w.QueriesExtension())
 	if err != nil {
 		t.Fatal(err)
 	}

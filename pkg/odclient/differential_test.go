@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,20 +81,49 @@ func expandWitness(t *testing.T, projected *core.Relation, declared []core.OD, p
 	return rel
 }
 
+// requestLog is a transport that records what the client puts on the wire,
+// as "METHOD /path" counts.
+type requestLog struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.seen[r.Method+" "+r.URL.Path]++
+	l.mu.Unlock()
+	return l.next.RoundTrip(r)
+}
+
+// reset returns what was recorded since the last reset.
+func (l *requestLog) reset() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seen := l.seen
+	l.seen = map[string]int{}
+	return seen
+}
+
 // TestRemoteVerdictsMatchLocalCatalog is the adapter's differential
 // harness: for random constraint sets, every implication verdict obtained
 // through the remote Reasoner — and every ORDER BY reduction obtained
-// through the remote Constraints adapter — must be identical to what a
-// local catalog over the same declared set answers. The client runs with
-// every mechanism on (coalescing, pipelining, cache), so the equivalence
-// holds through the full stack, not just the plain wire path.
+// through the remote Constraints adapter or Client.ReduceOrder — must be
+// identical to what a local catalog over the same declared set answers, and
+// a Client.ReduceOrder puts nothing but proves on the wire: FD steps and OD
+// steps alike are the daemon's answers, so no listing is read. The client
+// runs with every mechanism on (coalescing, pipelining, cache), so the
+// equivalence holds through the full stack, not just the plain wire path.
 func TestRemoteVerdictsMatchLocalCatalog(t *testing.T) {
 	ts, _ := newDaemon(t, router.Options{})
+	wire := &requestLog{next: ts.Client().Transport, seen: map[string]int{}}
 	c := newTestClient(t, ts,
+		WithHTTPClient(&http.Client{Transport: wire}),
 		WithPipelining(time.Millisecond, 32),
 		WithCache(1024, -1))
 	ctx := context.Background()
 
+	proves := 0 // requests Client.ReduceOrder sent
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		schema := fmt.Sprintf("s%d", seed)
@@ -167,7 +199,25 @@ func TestRemoteVerdictsMatchLocalCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: local reduce: %v", seed, err)
 			}
-			gotRes, err := rewrite.ReduceOrderCtx(ctx, order, cons)
+			// Client.ReduceOrder is the same reduction, step for step, and
+			// whatever the verdict cache does not already hold it asks as
+			// proves — nothing else goes on the wire.
+			wire.reset()
+			gotRes, err := c.ReduceOrder(ctx, schema, order)
+			if err != nil {
+				t.Fatalf("seed %d: Client.ReduceOrder: %v", seed, err)
+			}
+			if !gotRes.Reduced.Equal(wantRes.Reduced) || !reflect.DeepEqual(gotRes.Steps, wantRes.Steps) {
+				t.Fatalf("seed %d: Client.ReduceOrder %v: %v by %+v, local %v by %+v",
+					seed, order, gotRes.Reduced, gotRes.Steps, wantRes.Reduced, wantRes.Steps)
+			}
+			for req, n := range wire.reset() {
+				if req != "POST /prove" && req != "POST /prove/batch" {
+					t.Fatalf("seed %d: Client.ReduceOrder %v sent %d %s, want nothing but proves", seed, order, n, req)
+				}
+				proves += n
+			}
+			gotRes, err = rewrite.ReduceOrderCtx(ctx, order, cons)
 			if err != nil {
 				t.Fatalf("seed %d: remote reduce: %v", seed, err)
 			}
@@ -176,14 +226,17 @@ func TestRemoteVerdictsMatchLocalCatalog(t *testing.T) {
 					seed, order, gotRes.Reduced, wantRes.Reduced)
 			}
 			// And the daemon-side /rewrite endpoint agrees with both.
-			wire, err := c.Rewrite(ctx, schema, order.String())
+			rw, err := c.Rewrite(ctx, schema, order.String())
 			if err != nil {
 				t.Fatalf("seed %d: wire rewrite: %v", seed, err)
 			}
-			if wire.Reduced != wantRes.Reduced.String() {
+			if rw.Reduced != wantRes.Reduced.String() {
 				t.Fatalf("seed %d: /rewrite %v: %s != %s",
-					seed, order, wire.Reduced, wantRes.Reduced)
+					seed, order, rw.Reduced, wantRes.Reduced)
 			}
 		}
+	}
+	if proves == 0 {
+		t.Fatal("Client.ReduceOrder never asked the daemon anything")
 	}
 }

@@ -33,8 +33,10 @@
 // Counterexample, Equivalent, OrderCompatible) against a remote shard and
 // implements rewrite.Oracle, so Client.Constraints can hand existing
 // rewrite/planner call sites a *rewrite.Constraints whose implication
-// questions travel to the daemon — remote verdicts are differentially
-// tested to match local catalog verdicts.
+// questions — FD steps and OD steps alike — travel to the daemon, and
+// Client.ReduceOrder reduces a list from prove requests alone. Remote
+// verdicts and reductions are differentially tested to match the local
+// catalog's.
 //
 // A Client is safe for concurrent use and meant to be shared process-wide:
 // sharing is what makes coalescing, pipelining and the cache effective.

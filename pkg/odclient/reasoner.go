@@ -75,16 +75,14 @@ func (r *Reasoner) proveStmt(ctx context.Context, stmt string) (bool, error) {
 }
 
 // Constraints builds a *rewrite.Constraints over the shard's current
-// declared set: the declared ODs are fetched once (for the FD sweep, which
-// runs locally — FD implication is cheap closure computation), while the
-// exponential OD implication questions are answered remotely through the
-// Reasoner oracle. Existing call sites — rewrite.ReduceOrder, the planner —
-// accept the result unchanged; they cannot tell the catalog is remote.
-//
-// The FD set is pinned to the listing's generation; like any Constraints
-// value, it describes one constraint state. Rebuild after mutating the
-// shard. The oracle side needs no rebuild — its answers are always the
-// daemon's current ones, and the verdict cache keeps them generation-fresh.
+// declared set. Every implication question a reduction asks — FD steps and
+// OD steps alike — is answered remotely through the Reasoner oracle, always
+// from the daemon's current constraints, with the verdict cache keeping the
+// answers generation-fresh; the declared ODs are fetched once only so that
+// Result.Proof and Result.Check have their assumptions. Existing call sites
+// — rewrite.ReduceOrder, the planner — accept the result unchanged; they
+// cannot tell the catalog is remote. Rebuild after mutating the shard if
+// Proof or Check will be called.
 func (c *Client) Constraints(ctx context.Context, schema string) (*rewrite.Constraints, error) {
 	l, err := c.Listing(ctx, schema)
 	if err != nil {
@@ -105,11 +103,8 @@ func (c *Client) Constraints(ctx context.Context, schema string) (*rewrite.Const
 // asking the remote catalog only the implication questions the sweep needs
 // — the coalesced, cached alternative to the daemon's own /rewrite
 // endpoint (which Client.Rewrite exposes) for optimizers that want the
-// Steps structure as Go values rather than wire JSON.
+// Steps structure as Go values rather than wire JSON. The only requests it
+// sends are proves: a reduction reads no constraint listing.
 func (c *Client) ReduceOrder(ctx context.Context, schema string, order core.List) (rewrite.Result, error) {
-	cons, err := c.Constraints(ctx, schema)
-	if err != nil {
-		return rewrite.Result{}, err
-	}
-	return rewrite.ReduceOrderCtx(ctx, order, cons)
+	return rewrite.ReduceOrderCtx(ctx, order, rewrite.NewConstraints(nil, nil).UseOracle(c.Reasoner(schema)))
 }
