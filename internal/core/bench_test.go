@@ -69,3 +69,20 @@ func BenchmarkSatisfiesAllTwoRows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSortCacheRefine is the same context through a SortCache that
+// already holds [r3] and [r1]: the refinement alone.
+func BenchmarkSortCacheRefine(b *testing.B) {
+	r := RandRelation(rand.New(rand.NewSource(1)), L("r0", "r1", "r2", "r3", "r4", "r5"), 4000, 50)
+	c := NewSortCache(r)
+	x := L("r3", "r1")
+	if _, err := c.Get(x); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.refine(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

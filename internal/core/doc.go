@@ -33,15 +33,31 @@
 //   - Per column and lazy: a view is built — the one place cell values are
 //     still compared — on the first ordered use of its column; columns no
 //     list mentions are never ranked.
+//   - Built from the column as a typed vector. A relation made by
+//     NewRelationColumns ranks the []int64, []float64 or []string it was
+//     given and lays its cells out as rows of Values only on the first
+//     value-level access (Row, Value, CompareOn, Project, Clone, String,
+//     AddRow); one made of rows gathers an all-integer column into scratch
+//     first. Either way a column of integers spanning less than four times
+//     the row count is ranked through a presence table, any other sorted once.
 //   - Immutable once built, so readers share a relation across goroutines
 //     without locks; racing first uses converge on one published view.
-//   - Dropped by AddRow. Bulk loads use NewRelationRows, which builds the
-//     rows in one allocation and never invalidates.
+//   - Dropped by AddRow. Bulk loads use NewRelationColumns or
+//     NewRelationRows, which build the relation in one step and never
+//     invalidate.
 //
 // SortedIndexOn is a stable least-significant-digit counting sort over the
 // views, O(|X|·(n + cardinality)) with pooled scratch, and SortPartitionOn,
 // Satisfies and SatisfiesWith compare int32 ranks where they used to compare
-// Values. CompareOn and SatisfiesNaive still read the cells directly: they
-// are the definitions, and the tests hold the rank kernel to them and to
-// the comparator sort it replaced (rank_oracle_test.go).
+// Values; a SortedPartition's row index is []int32. A SortCache sorts only
+// the empty and the one-attribute contexts: the partition of X·A is refined
+// from the partitions of X and of [A] it holds — the rows, in A's order, are
+// dealt into the classes of X, and neighbours tie on X·A when they tie on X
+// and on A — which is the sort's last pass alone, and shares X's arrays when
+// A is constant or every class of X is one row. Its hits and misses count
+// the contexts callers asked for; a prefix retained on the way is neither.
+// CompareOn and SatisfiesNaive still read the cells directly: they are the
+// definitions, and the tests hold the rank kernel — sorted and refined
+// partitions, row-built and columnar relations — to them and to the
+// comparator sort it replaced (rank_oracle_test.go).
 package core

@@ -171,7 +171,7 @@ func (r *Relation) Satisfies(od OD) (bool, *Violation, error) {
 	}
 	sc := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(sc)
-	order := sc.order(len(r.rows), rx)
+	order := sc.order(r.n, rx)
 	for k := 0; k+1 < len(order); k++ {
 		s, t := order[k], order[k+1]
 		tie := cmpRanks(rx, s, t) == 0
@@ -193,7 +193,7 @@ func (r *Relation) Satisfies(od OD) (bool, *Violation, error) {
 // against Definition 4. It is quadratic and exists to cross-validate
 // Satisfies in tests.
 func (r *Relation) SatisfiesNaive(od OD) (bool, *Violation, error) {
-	n := len(r.rows)
+	n := r.n
 	for _, a := range od.LHS.Concat(od.RHS) {
 		if !r.HasAttr(a) {
 			return false, nil, fmt.Errorf("core: attribute %s not in schema %v", a, r.attrs)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -17,7 +18,7 @@ type SortedPartition struct {
 	Context List
 	// Index holds the row indices in ≼Context order (stable, so rows tied
 	// on the context keep their relative order).
-	Index []int
+	Index []int32
 	// Tie[k] reports that rows Index[k] and Index[k+1] are equal on the
 	// context — they belong to the same partition group. len(Tie) is
 	// len(Index)-1 for non-empty relations, 0 otherwise.
@@ -35,20 +36,15 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 	}
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
-	order := s.order(len(r.rows), cols)
-	p := &SortedPartition{Context: x.Clone(), Index: make([]int, len(order))}
-	if len(order) == 0 {
+	p := &SortedPartition{Context: x.Clone(), Index: slices.Clone(s.order(r.n, cols))}
+	if r.n == 0 {
 		return p, nil
 	}
-	p.Tie = make([]bool, len(order)-1)
+	p.Tie = make([]bool, r.n-1)
 	p.Groups = 1
-	for k, i := range order {
-		p.Index[k] = int(i)
-		if k == 0 {
-			continue
-		}
-		p.Tie[k-1] = cmpRanks(cols, order[k-1], i) == 0
-		if !p.Tie[k-1] {
+	for k := range p.Tie {
+		p.Tie[k] = cmpRanks(cols, p.Index[k], p.Index[k+1]) == 0
+		if !p.Tie[k] {
 			p.Groups++
 		}
 	}
@@ -69,68 +65,160 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 	}
 	for k := 0; k+1 < len(p.Index); k++ {
 		s, t := p.Index[k], p.Index[k+1]
-		cy := cmpRanks(ry, int32(s), int32(t))
+		cy := cmpRanks(ry, s, t)
 		switch {
 		case p.Tie[k] && cy != 0:
 			if cy > 0 {
 				s, t = t, s
 			}
-			return false, &Violation{OD: od, Kind: Split, S: s, T: t}, nil
+			return false, &Violation{OD: od, Kind: Split, S: int(s), T: int(t)}, nil
 		case !p.Tie[k] && cy > 0:
-			return false, &Violation{OD: od, Kind: Swap, S: s, T: t}, nil
+			return false, &Violation{OD: od, Kind: Swap, S: int(s), T: int(t)}, nil
 		}
 	}
 	return true, nil, nil
 }
 
-// SortCache memoizes sorted partitions per context key so one relation sort
-// serves every candidate sharing a left-hand side. It is safe for concurrent
-// use; concurrent misses on the same context may sort twice but publish one
-// winner. A capacity bound keeps memory proportional to the contexts actually
-// revisited: once full, new contexts are computed but not retained.
+// SortCache memoizes sorted partitions per context key so one ordering of
+// the relation serves every candidate sharing a left-hand side, and the
+// ordering of a context X·A is refined from the cached partition of X rather
+// than sorted from scratch: only the empty and one-attribute contexts sort
+// the relation. A prefix nobody asked for is built on the way and retained.
+// It is safe for concurrent use; concurrent misses on the same context may
+// each build it but publish one winner.
+//
+// Hits and misses count the contexts callers asked Get for — a context's
+// first request is a miss, every later one a hit — whatever that took: a
+// prefix retained on the way to a longer context is neither, and when it is
+// asked for itself its first request is still a miss.
 type SortCache struct {
-	r   *Relation
-	cap int
+	r *Relation
 
 	mu sync.Mutex
-	m  map[string]*SortedPartition
+	m  map[string]*cachedPartition
 
 	hits, misses uint64
 }
 
-// NewSortCache builds a cache over r holding up to capacity contexts;
-// capacity <= 0 selects an unbounded cache.
-func NewSortCache(r *Relation, capacity int) *SortCache {
-	return &SortCache{r: r, cap: capacity, m: make(map[string]*SortedPartition)}
+// cachedPartition is a retained partition and whether a caller has asked for
+// its context yet.
+type cachedPartition struct {
+	p     *SortedPartition
+	asked bool
 }
 
-// Get returns the sorted partition for context x, sorting and caching on the
-// first request.
+// NewSortCache builds a cache over r.
+func NewSortCache(r *Relation) *SortCache {
+	return &SortCache{r: r, m: make(map[string]*cachedPartition)}
+}
+
+// Get returns the sorted partition for context x, building and caching it on
+// the first request.
 func (c *SortCache) Get(x List) (*SortedPartition, error) {
+	return c.get(x, true)
+}
+
+// get is Get for a caller's context (asked) and for the prefix a longer
+// context is refined from (not asked, and so not counted).
+func (c *SortCache) get(x List, asked bool) (*SortedPartition, error) {
 	key := x.Key()
 	c.mu.Lock()
-	if p, ok := c.m[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return p, nil
+	e := c.m[key]
+	if asked {
+		if e != nil && e.asked {
+			c.hits++
+		} else {
+			c.misses++
+		}
+		if e != nil {
+			e.asked = true
+		}
 	}
-	c.misses++
 	c.mu.Unlock()
-	p, err := c.r.SortPartitionOn(x)
+	if e != nil {
+		return e.p, nil
+	}
+	var p *SortedPartition
+	var err error
+	if len(x) <= 1 {
+		p, err = c.r.SortPartitionOn(x)
+	} else {
+		p, err = c.refine(x)
+	}
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if prev, ok := c.m[key]; ok {
-		p = prev // a concurrent miss won the publish; converge on it
-	} else if c.cap <= 0 || len(c.m) < c.cap {
-		c.m[key] = p
+	if prev := c.m[key]; prev != nil {
+		p = prev.p // a concurrent miss won the publish; converge on it
+		prev.asked = prev.asked || asked
+	} else {
+		c.m[key] = &cachedPartition{p: p, asked: asked}
 	}
 	c.mu.Unlock()
 	return p, nil
 }
 
-// Stats reports cache effectiveness: contexts retained, hits and misses.
+// refine builds the partition of the context x = X·A from the partitions of
+// X and of [A], both through the cache: the order of X·A is the order of X
+// with each class of X ordered, stably, by A, and two neighbours tie on X·A
+// when they tie on X and on A — the partition refinement of set-based OD
+// discovery, in place of a sort of the whole relation by every attribute of
+// x. It is the last pass of that sort alone: the rows, taken in A's order,
+// are dealt into the classes of X, so a class fills in A's order with ties in
+// row order — which is how every partition here orders its ties. Where A
+// cannot reorder anything — it is constant, or every class of X is one row —
+// the result shares X's arrays.
+func (c *SortCache) refine(x List) (*SortedPartition, error) {
+	px, err := c.get(x[:len(x)-1], false)
+	if err != nil {
+		return nil, err
+	}
+	pa, err := c.get(x[len(x)-1:], false)
+	if err != nil {
+		return nil, err
+	}
+	n := c.r.n
+	q := &SortedPartition{Context: x.Clone(), Index: px.Index, Tie: px.Tie, Groups: px.Groups}
+	if pa.Groups <= 1 || px.Groups == n {
+		return q, nil
+	}
+	s := scratchPool.Get().(*sortScratch)
+	defer scratchPool.Put(s)
+	// class[i] is the class of X row i belongs to, next[g] the slot the next
+	// row of class g goes to.
+	s.a, s.next = sized(s.a, n), sized(s.next, px.Groups)
+	class, next := s.a, s.next
+	g := int32(0)
+	next[0] = 0
+	for k, i := range px.Index {
+		if k > 0 && !px.Tie[k-1] {
+			g++
+			next[g] = int32(k)
+		}
+		class[i] = g
+	}
+	q.Index, q.Tie = make([]int32, n), make([]bool, n-1)
+	for _, i := range pa.Index {
+		g := class[i]
+		q.Index[next[g]] = i
+		next[g]++
+	}
+	rank := c.r.ranksOf(c.r.pos[x[len(x)-1]]).rank
+	for k, tied := range px.Tie {
+		switch {
+		case !tied:
+		case rank[q.Index[k]] == rank[q.Index[k+1]]:
+			q.Tie[k] = true
+		default:
+			q.Groups++
+		}
+	}
+	return q, nil
+}
+
+// Stats reports cache effectiveness: partitions retained (prefixes nobody
+// asked for included), and the hits and misses of the contexts asked for.
 func (c *SortCache) Stats() (size int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -45,7 +45,10 @@ func sortPartitionOnCmp(r *Relation, x List) (*SortedPartition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &SortedPartition{Context: x.Clone(), Index: idx}
+	p := &SortedPartition{Context: x.Clone(), Index: make([]int32, len(idx))}
+	for k, i := range idx {
+		p.Index[k] = int32(i)
+	}
 	if len(idx) == 0 {
 		return p, nil
 	}
@@ -66,7 +69,7 @@ func sortPartitionOnCmp(r *Relation, x List) (*SortedPartition, error) {
 
 func satisfiesWithCmp(r *Relation, od OD, p *SortedPartition) (bool, *Violation, error) {
 	for k := 0; k+1 < len(p.Index); k++ {
-		s, t := p.Index[k], p.Index[k+1]
+		s, t := int(p.Index[k]), int(p.Index[k+1])
 		cy, err := r.CompareOn(s, t, od.RHS)
 		if err != nil {
 			return false, nil, err
@@ -133,6 +136,10 @@ func randMixedRelation(rng *rand.Rand, attrs List, rows int) *Relation {
 	return r
 }
 
+func samePartition(a, b *SortedPartition) bool {
+	return a.Context.Equal(b.Context) && slices.Equal(a.Index, b.Index) && slices.Equal(a.Tie, b.Tie) && a.Groups == b.Groups
+}
+
 func sameViolation(a, b *Violation) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -144,7 +151,9 @@ func sameViolation(a, b *Violation) bool {
 // column shape, 0 to 12 rows, and contexts of length 0 to 3 with repeated
 // attributes, the rank kernel returns exactly what the comparator code
 // returned — the same order, the same tie structure, the same verdict and
-// the same witness rows.
+// the same witness rows — from a sort of the whole relation and from a
+// SortCache refining the context's prefix alike; then the refinement again on
+// relations of 200 to 2,000 rows, with classes of one row and of hundreds.
 func TestRankKernelAgainstComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	universe := L("A", "B", "C", "D")
@@ -166,15 +175,22 @@ func TestRankKernelAgainstComparator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(idx, want.Index) {
-				t.Fatalf("SortedIndexOn = %v, comparator sort %v\n%s", idx, want.Index, ctx)
+			if wantIdx, _ := sortedIndexOnCmp(r, od.LHS); !slices.Equal(idx, wantIdx) {
+				t.Fatalf("SortedIndexOn = %v, comparator sort %v\n%s", idx, wantIdx, ctx)
 			}
 			got, err := r.SortPartitionOn(od.LHS)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Index, want.Index) || !slices.Equal(got.Tie, want.Tie) || got.Groups != want.Groups {
+			if !samePartition(got, want) {
 				t.Fatalf("SortPartitionOn = %+v, comparator %+v\n%s", got, want, ctx)
+			}
+			refined, err := NewSortCache(r).Get(od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePartition(refined, want) {
+				t.Fatalf("SortCache.Get = %+v, comparator %+v\n%s", refined, want, ctx)
 			}
 
 			wantOK, wantV, err := satisfiesCmp(r, od)
@@ -195,6 +211,186 @@ func TestRankKernelAgainstComparator(t *testing.T) {
 			if gotOK != wantOK || !sameViolation(gotV, wantV) {
 				t.Fatalf("SatisfiesWith = %v %+v, comparator %v %+v\n%s", gotOK, gotV, wantOK, wantV, ctx)
 			}
+		}
+	}
+
+	// 200 to 2,000 rows over a key K (every class of it is one row: nothing
+	// to refine), a few groups G (classes of 25 rows and more), a column L of
+	// fewer values than a class of G has rows and a column H of more, a
+	// constant C (refines nothing) and a float column F. One cache per
+	// relation, so the contexts are refined from one another's retained
+	// prefixes, in a shuffled order.
+	wide := L("K", "G", "L", "H", "C", "F")
+	contexts := []List{
+		L("G", "L"), L("G", "H"), L("G", "F"), L("K", "L"), L("G", "C"), L("G", "C", "H"),
+		L("G", "L", "H"), L("G", "L", "H", "K"), L("L", "H"), L("H", "L", "G"), L("L", "G", "F", "H"),
+		L("G", "G"), L("G", "L", "G"), L("L", "L", "H"), L("C", "G", "L"), L("F", "L"),
+	}
+	for trial := 0; trial < 12; trial++ {
+		rows := 200 + rng.Intn(1801)
+		groups, low, high := 2+rng.Intn(7), 2+rng.Intn(6), rows/2+rng.Intn(rows)
+		keys := rng.Perm(rows)
+		r, err := NewRelationRows(wide, rows, func(i int, row []Value) error {
+			row[0], row[1], row[2] = Int(int64(keys[i])), Int(int64(rng.Intn(groups))), Str(string(rune('a'+rng.Intn(low))))
+			row[3], row[4], row[5] = Int(int64(rng.Intn(high))), Str("k"), Float(float64(rng.Intn(40))/4)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSortCache(r)
+		rng.Shuffle(len(contexts), func(i, j int) { contexts[i], contexts[j] = contexts[j], contexts[i] })
+		for _, x := range contexts {
+			want, err := sortPartitionOnCmp(r, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cache.Get(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePartition(got, want) {
+				t.Fatalf("trial %d (%d rows): SortCache.Get(%v) differs from the comparator sort: %d groups against %d",
+					trial, rows, x, got.Groups, want.Groups)
+			}
+			od := NewOD(x, L("H", "L"))
+			wantOK, wantV, err := satisfiesWithCmp(r, od, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+				t.Fatalf("trial %d: SatisfiesWith(%s) = %v %+v, %v; comparator %v %+v", trial, od, gotOK, gotV, err, wantOK, wantV)
+			}
+		}
+	}
+}
+
+// columnarTwin builds the table of r — whose every column must hold cells of
+// one kind, none Null — a second time, through NewRelationColumns.
+func columnarTwin(r *Relation) *Relation {
+	cols := make([]Column, len(r.Attrs()))
+	for i := 0; i < r.Len(); i++ {
+		for c, v := range r.Row(i) {
+			switch v.Kind {
+			case KindInt:
+				cols[c].Ints = append(cols[c].Ints, v.Int)
+			case KindFloat:
+				cols[c].Floats = append(cols[c].Floats, v.F)
+			default:
+				cols[c].Strs = append(cols[c].Strs, v.Str)
+			}
+		}
+	}
+	twin, err := NewRelationColumns(r.Attrs(), r.Len(), cols)
+	if err != nil {
+		panic(err)
+	}
+	return twin
+}
+
+// TestRelationColumnsMatchesRows: a relation built from typed columns and one
+// built row by row from the same cells are the same relation — the same rows,
+// the same rank view of every column (dense and sparse integers, floats,
+// strings), the same verdicts and witnesses — and AddRow on the columnar one
+// keeps every earlier row and drops the views.
+func TestRelationColumnsMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	attrs := L("A", "B", "C", "D", "E")
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		if trial%10 == 0 {
+			n = 0
+		}
+		// One kind per column: a dense integer range (ranked through the
+		// presence table), integers spread over ±2⁶² (sorted), floats,
+		// strings.
+		kinds := make([]int, len(attrs))
+		for c := range kinds {
+			kinds[c] = rng.Intn(4)
+		}
+		rows := MustRelation(attrs)
+		for i := 0; i < n; i++ {
+			row := make([]Value, len(attrs))
+			for c, k := range kinds {
+				switch v := rng.Intn(6); k {
+				case 0:
+					row[c] = Int(int64(v) - 2)
+				case 1:
+					row[c] = Int((int64(v) - 3) << 60)
+				case 2:
+					row[c] = Float(float64(v)/2 - 1)
+				default:
+					row[c] = Str(string(rune('a' + v)))
+				}
+			}
+			if err := rows.AddRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cols := columnarTwin(rows)
+		if cols.Len() != n {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, cols.Len(), n)
+		}
+		for c := range attrs {
+			got, want := cols.ranksOf(c), rows.ranksOf(c)
+			if !slices.Equal(got.rank, want.rank) || !slices.Equal(got.start, want.start) {
+				t.Fatalf("trial %d, column %s: ranks from the vector %v %v, from rows %v %v\n%s",
+					trial, attrs[c], got.rank, got.start, want.rank, want.start, rows)
+			}
+		}
+		if len(cols.rows) != 0 {
+			t.Fatalf("trial %d: ranking laid out the rows of Values", trial)
+		}
+		for q := 0; q < 6; q++ {
+			od := RandOD(rng, attrs, 3)
+			wantOK, wantV, err := rows.Satisfies(od)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK, gotV, err := cols.Satisfies(od); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+				t.Fatalf("trial %d: %s: columnar %v %+v, %v; by rows %v %+v\n%s", trial, od, gotOK, gotV, err, wantOK, wantV, rows)
+			}
+		}
+		sameRows := func(when string) {
+			t.Helper()
+			if cols.Len() != rows.Len() || cols.String() != rows.String() {
+				t.Fatalf("trial %d, %s:\n%s\nby rows:\n%s", trial, when, cols, rows)
+			}
+			for i := 0; i < rows.Len(); i++ {
+				if !slices.Equal(cols.Row(i), rows.Row(i)) {
+					t.Fatalf("trial %d, %s: Row(%d) = %v, by rows %v", trial, when, i, cols.Row(i), rows.Row(i))
+				}
+			}
+		}
+		sameRows("as built")
+
+		// A row that sorts first in every column it can be compared in.
+		extra := []Value{Null(), Int(-1 << 62), Float(-9), Str(""), Int(7)}
+		for _, r := range []*Relation{cols, rows} {
+			if err := r.AddRow(extra...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cols.views.Load() != nil {
+			t.Fatalf("trial %d: AddRow kept the rank views", trial)
+		}
+		sameRows("after AddRow")
+		for c := range attrs {
+			if got, want := cols.ranksOf(c), rows.ranksOf(c); !slices.Equal(got.rank, want.rank) {
+				t.Fatalf("trial %d, column %s after AddRow: ranks %v, by rows %v", trial, attrs[c], got.rank, want.rank)
+			}
+		}
+	}
+
+	for name, cols := range map[string][]Column{
+		"too few columns":  {{Ints: []int64{1, 2}}},
+		"short vector":     {{Ints: []int64{1, 2}}, {Strs: []string{"x"}}},
+		"two vectors":      {{Ints: []int64{1, 2}}, {Ints: []int64{1}, Floats: []float64{1}}},
+		"two full vectors": {{Ints: []int64{1, 2}}, {Ints: []int64{1, 2}, Strs: []string{"x", "y"}}},
+		"no vector":        {{Ints: []int64{1, 2}}, {}},
+	} {
+		if _, err := NewRelationColumns(L("A", "B"), 2, cols); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -329,33 +525,77 @@ func FuzzSatisfiesAgainstNaive(f *testing.F) {
 	f.Add(fuzzSeed(2, []byte{0}, []byte{1}, []byte{1, 2}, []byte{2, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, od := fuzzTable(data)
-		want, _, err := r.SatisfiesNaive(od)
+		checkAgainstNaive(t, r, od)
+		// The table again with every column held to the kind of its first
+		// cell (Null read as String), which typed columns can carry: built
+		// from rows and from columns, it gets one answer.
+		bits := func(v Value) int64 { // the three value bits fuzzTable made the cell of
+			switch v.Kind {
+			case KindInt:
+				return v.Int
+			case KindFloat:
+				return int64(2 * v.F)
+			case KindString:
+				return int64(v.Str[0] - 'a')
+			}
+			return 0
+		}
+		typed, err := NewRelationRows(r.Attrs(), r.Len(), func(i int, row []Value) error {
+			for c, v := range r.Row(i) {
+				switch r.Row(0)[c].Kind {
+				case KindInt:
+					row[c] = Int(bits(v))
+				case KindFloat:
+					row[c] = Float(float64(bits(v)) / 2)
+				default:
+					row[c] = Str(string(rune('a' + bits(v))))
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, v, err := r.Satisfies(od)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s: Satisfies = %v, SatisfiesNaive = %v\n%s", od, got, want, r)
-		}
-		if got {
-			return
-		}
-		cx, _ := r.CompareOn(v.S, v.T, od.LHS)
-		cy, _ := r.CompareOn(v.S, v.T, od.RHS)
-		switch v.Kind {
-		case Split: // the rows tie on X and differ on Y
-			if cx != 0 || cy == 0 {
-				t.Fatalf("%s: split witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
-			}
-		case Swap: // strictly ordered by X, strictly reversed on Y
-			if cx >= 0 || cy <= 0 {
-				t.Fatalf("%s: swap witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
-			}
-		default:
-			t.Fatalf("%s: violation of kind %v", od, v.Kind)
+		checkAgainstNaive(t, typed, od)
+		twin := columnarTwin(typed)
+		checkAgainstNaive(t, twin, od)
+		wantOK, wantV, _ := typed.Satisfies(od)
+		if gotOK, gotV, _ := twin.Satisfies(od); gotOK != wantOK || !sameViolation(gotV, wantV) {
+			t.Fatalf("%s: columnar %v %+v, by rows %v %+v\n%s", od, gotOK, gotV, wantOK, wantV, typed)
 		}
 	})
+}
+
+// checkAgainstNaive holds Satisfies on one relation to SatisfiesNaive and
+// its witness to Definitions 13 and 14.
+func checkAgainstNaive(t *testing.T, r *Relation, od OD) {
+	t.Helper()
+	want, _, err := r.SatisfiesNaive(od)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, v, err := r.Satisfies(od)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("%s: Satisfies = %v, SatisfiesNaive = %v\n%s", od, got, want, r)
+	}
+	if got {
+		return
+	}
+	cx, _ := r.CompareOn(v.S, v.T, od.LHS)
+	cy, _ := r.CompareOn(v.S, v.T, od.RHS)
+	switch v.Kind {
+	case Split: // the rows tie on X and differ on Y
+		if cx != 0 || cy == 0 {
+			t.Fatalf("%s: split witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
+		}
+	case Swap: // strictly ordered by X, strictly reversed on Y
+		if cx >= 0 || cy <= 0 {
+			t.Fatalf("%s: swap witness %d,%d has cx=%d cy=%d\n%s", od, v.S, v.T, cx, cy, r)
+		}
+	default:
+		t.Fatalf("%s: violation of kind %v", od, v.Kind)
+	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -59,15 +61,16 @@ func (r *Relation) ranksOn(x, y List) (rx, ry []*colRanks, err error) {
 // keys, calendar parts, codes: most of what discovery sees) is ranked through
 // a presence table without a comparison; any other column is sorted once.
 func (r *Relation) buildRanks(c int) *colRanks {
-	n := len(r.rows)
+	n := r.n
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
-	if lo, span, ok := r.intSpan(c); ok && span < 4*uint64(n) {
+	ints := r.intColumn(c, s)
+	if lo, span, ok := intSpan(ints); ok && span < 4*uint64(n) {
 		s.a = sized(s.a, int(span)+1)
 		table := s.a
 		clear(table)
-		for _, row := range r.rows {
-			table[uint64(row[c].Int)-lo] = 1
+		for _, v := range ints {
+			table[uint64(v)-lo] = 1
 		}
 		card := int32(0)
 		for v, present := range table {
@@ -77,8 +80,8 @@ func (r *Relation) buildRanks(c int) *colRanks {
 			}
 		}
 		cr := newColRanks(n, card)
-		for i, row := range r.rows {
-			cr.rank[i] = table[uint64(row[c].Int)-lo]
+		for i, v := range ints {
+			cr.rank[i] = table[uint64(v)-lo]
 		}
 		return cr.withStarts()
 	}
@@ -87,10 +90,11 @@ func (r *Relation) buildRanks(c int) *colRanks {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return r.rows[a][c].Compare(r.rows[b][c]) })
+	cmpCells := r.cellOrder(c, ints)
+	slices.SortFunc(order, cmpCells)
 	card := int32(0)
 	for k, i := range order {
-		if k > 0 && r.rows[order[k-1]][c].Compare(r.rows[i][c]) != 0 {
+		if k > 0 && cmpCells(order[k-1], i) != 0 {
 			card++
 		}
 		ranks[i] = card
@@ -101,6 +105,41 @@ func (r *Relation) buildRanks(c int) *colRanks {
 	cr := newColRanks(n, card)
 	copy(cr.rank, ranks)
 	return cr.withStarts()
+}
+
+// intColumn returns column c as one integer vector when every cell is an
+// Int — a columnar relation's own, or gathered into the scratch from a
+// relation of rows — and nil otherwise.
+func (r *Relation) intColumn(c int, s *sortScratch) []int64 {
+	if r.cols != nil {
+		return r.cols[c].Ints
+	}
+	s.ints = slices.Grow(s.ints[:0], r.n)[:r.n]
+	for i, row := range r.rows {
+		if row[c].Kind != KindInt {
+			return nil
+		}
+		s.ints[i] = row[c].Int
+	}
+	return s.ints
+}
+
+// cellOrder returns how two rows' cells of column c compare, as Value.Compare
+// has it; ints is the column's intColumn.
+func (r *Relation) cellOrder(c int, ints []int64) func(a, b int32) int {
+	switch {
+	case ints != nil:
+		return func(a, b int32) int { return cmp.Compare(ints[a], ints[b]) }
+	case r.cols == nil:
+		rows := r.rows
+		return func(a, b int32) int { return rows[a][c].Compare(rows[b][c]) }
+	case r.cols[c].Floats != nil:
+		floats := r.cols[c].Floats
+		return func(a, b int32) int { return cmpFloat(floats[a], floats[b]) }
+	default:
+		strs := r.cols[c].Strs
+		return func(a, b int32) int { return strings.Compare(strs[a], strs[b]) }
+	}
 }
 
 // newColRanks allocates the view of an n-row column of the given cardinality,
@@ -121,20 +160,16 @@ func (cr *colRanks) withStarts() *colRanks {
 	return cr
 }
 
-// intSpan reports whether every cell of column c is an Int and, if so, the
-// smallest one and the distance to the largest, both in two's complement so
-// the distance cannot overflow. An empty column is not an integer column.
-func (r *Relation) intSpan(c int) (lo, span uint64, ok bool) {
-	if len(r.rows) == 0 {
+// intSpan reports the smallest of the integers and the distance to the
+// largest, both in two's complement so the distance cannot overflow. No
+// integers — an empty column, or one that is not all Ints — have no span.
+func intSpan(ints []int64) (lo, span uint64, ok bool) {
+	if len(ints) == 0 {
 		return 0, 0, false
 	}
 	minV, maxV := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, row := range r.rows {
-		v := row[c]
-		if v.Kind != KindInt {
-			return 0, 0, false
-		}
-		minV, maxV = min(minV, v.Int), max(maxV, v.Int)
+	for _, v := range ints {
+		minV, maxV = min(minV, v), max(maxV, v)
 	}
 	return uint64(minV), uint64(maxV) - uint64(minV), true
 }
@@ -157,6 +192,7 @@ func cmpRanks(cols []*colRanks, s, t int32) int {
 // allocates nothing once the pool has warmed to the relation's size.
 type sortScratch struct {
 	a, b, next []int32
+	ints       []int64 // buildRanks: an integer column gathered from rows
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}

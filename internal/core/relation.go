@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -16,10 +17,21 @@ import (
 // Value.Compare order — built lazily on the first ordered use of a column,
 // immutable from then on and dropped by AddRow. Readers may share a relation
 // across goroutines; AddRow may not run beside them.
+//
+// A relation is built from rows of Values (AddRow, NewRelationRows) or from
+// typed columns (NewRelationColumns). A columnar relation ranks its columns
+// straight from the vectors and lays its cells out as rows only if something
+// asks for a Value: on the first Row, Value, CompareOn, Project, Clone,
+// String or AddRow.
 type Relation struct {
 	attrs List
 	pos   map[Attribute]int
-	rows  [][]Value
+	n     int // rows
+	// cols is a columnar relation's cells, nil for one built from rows and
+	// after AddRow; rows is filled from it, once, by table.
+	cols     []Column
+	rowsOnce sync.Once
+	rows     [][]Value
 	// views holds one rank view per column, each nil until the column's
 	// first ordered use; the slice itself appears with the first view and
 	// AddRow drops it whole.
@@ -49,16 +61,80 @@ func NewRelationRows(attrs List, n int, fill func(i int, row []Value) error) (*R
 	if err != nil {
 		return nil, err
 	}
-	w := len(attrs)
-	cells := make([]Value, n*w)
-	r.rows = make([][]Value, n)
-	for i := range r.rows {
-		r.rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
-		if err := fill(i, r.rows[i]); err != nil {
+	r.n, r.rows = n, blankRows(n, len(attrs))
+	for i, row := range r.rows {
+		if err := fill(i, row); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// blankRows lays out n rows of w Null cells over one backing allocation.
+func blankRows(n, w int) [][]Value {
+	cells := make([]Value, n*w)
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// Column is one attribute's cells as a typed vector, one element per row:
+// exactly one of the three is in use (any of them, all empty, for a relation
+// of no rows).
+type Column struct {
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+}
+
+// NewRelationColumns creates a relation of n rows from one typed vector per
+// attribute, which it keeps and never copies: the form a decoder that knows
+// each column's type delivers, at 8 or 16 bytes a cell where a Value takes
+// 40. Ordered operations rank the vectors directly; the rows of Values exist
+// from the first value-level access on.
+func NewRelationColumns(attrs List, n int, cols []Column) (*Relation, error) {
+	r, err := NewRelation(attrs)
+	if err != nil {
+		return nil, err
+	}
+	if len(cols) != len(attrs) {
+		return nil, fmt.Errorf("core: %d columns given, schema %v has %d attributes", len(cols), attrs, len(attrs))
+	}
+	for i, col := range cols {
+		lens := [3]int{len(col.Ints), len(col.Floats), len(col.Strs)}
+		if lens[0]+lens[1]+lens[2] != n || max(lens[0], lens[1], lens[2]) != n {
+			return nil, fmt.Errorf("core: column %s is not one vector of %d cells", attrs[i], n)
+		}
+	}
+	r.n, r.cols = n, cols
+	return r, nil
+}
+
+// table returns the rows of Values, laying a columnar relation's out on the
+// first call.
+func (r *Relation) table() [][]Value {
+	r.rowsOnce.Do(r.layOutRows)
+	return r.rows
+}
+
+func (r *Relation) layOutRows() {
+	if len(r.rows) == r.n {
+		return // built from rows
+	}
+	r.rows = blankRows(r.n, len(r.attrs))
+	for c, col := range r.cols {
+		for i, v := range col.Ints {
+			r.rows[i][c] = Int(v)
+		}
+		for i, v := range col.Floats {
+			r.rows[i][c] = Float(v)
+		}
+		for i, v := range col.Strs {
+			r.rows[i][c] = Str(v)
+		}
+	}
 }
 
 // MustRelation is NewRelation that panics on schema errors; it is intended
@@ -75,7 +151,7 @@ func MustRelation(attrs List) *Relation {
 func (r *Relation) Attrs() List { return r.attrs }
 
 // Len returns the number of rows.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.n }
 
 // HasAttr reports whether the schema contains attribute a.
 func (r *Relation) HasAttr(a Attribute) bool {
@@ -100,7 +176,8 @@ func (r *Relation) AddRow(vals ...Value) error {
 	}
 	row := make([]Value, len(vals))
 	copy(row, vals)
-	r.rows = append(r.rows, row)
+	r.rows = append(r.table(), row)
+	r.n, r.cols = r.n+1, nil // the vectors no longer hold every row
 	if r.views.Load() != nil {
 		r.views.Store(nil)
 	}
@@ -117,7 +194,7 @@ func (r *Relation) AddIntRow(vals ...int64) error {
 }
 
 // Row returns row i. The returned slice must not be modified.
-func (r *Relation) Row(i int) []Value { return r.rows[i] }
+func (r *Relation) Row(i int) []Value { return r.table()[i] }
 
 // Value returns the value of attribute a in row i.
 func (r *Relation) Value(i int, a Attribute) (Value, error) {
@@ -125,7 +202,7 @@ func (r *Relation) Value(i int, a Attribute) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return r.rows[i][c], nil
+	return r.table()[i][c], nil
 }
 
 // Project returns a new relation over the attributes of x (first occurrences,
@@ -140,9 +217,10 @@ func (r *Relation) Project(x List) (*Relation, error) {
 		}
 		cols[i] = c
 	}
-	return NewRelationRows(x, len(r.rows), func(k int, vals []Value) error {
+	rows := r.table()
+	return NewRelationRows(x, r.n, func(k int, vals []Value) error {
 		for i, c := range cols {
-			vals[i] = r.rows[k][c]
+			vals[i] = rows[k][c]
 		}
 		return nil
 	})
@@ -150,8 +228,9 @@ func (r *Relation) Project(x List) (*Relation, error) {
 
 // Clone returns a deep copy of the relation.
 func (r *Relation) Clone() *Relation {
-	out, err := NewRelationRows(r.attrs, len(r.rows), func(i int, row []Value) error {
-		copy(row, r.rows[i])
+	rows := r.table()
+	out, err := NewRelationRows(r.attrs, r.n, func(i int, row []Value) error {
+		copy(row, rows[i])
 		return nil
 	})
 	if err != nil {
@@ -165,7 +244,8 @@ func (r *Relation) Clone() *Relation {
 // X, and +1 otherwise. Comparing along the empty list yields 0: every tuple
 // is ≼[] every other.
 func (r *Relation) CompareOn(i, j int, x List) (int, error) {
-	ri, rj := r.rows[i], r.rows[j]
+	rows := r.table()
+	ri, rj := rows[i], rows[j]
 	for _, a := range x {
 		c, ok := r.pos[a]
 		if !ok {
@@ -207,8 +287,8 @@ func (r *Relation) SortedIndexOn(x List) ([]int, error) {
 	}
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
-	idx := make([]int, len(r.rows))
-	for k, i := range s.order(len(r.rows), cols) {
+	idx := make([]int, r.n)
+	for k, i := range s.order(r.n, cols) {
 		idx[k] = int(i)
 	}
 	return idx, nil
@@ -224,7 +304,7 @@ func (r *Relation) String() string {
 		b.WriteString(string(a))
 	}
 	b.WriteByte('\n')
-	for _, row := range r.rows {
+	for _, row := range r.table() {
 		for i, v := range row {
 			if i > 0 {
 				b.WriteByte('\t')

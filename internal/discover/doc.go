@@ -15,13 +15,13 @@
 // (fails by inference: a refuted X ↦ Y poisons every X ↦ YW, and a swap
 // additionally poisons every XW ↦ Y), and triviality — then the survivors
 // are grouped by left-hand context and fanned across a bounded worker pool.
-// Each context sorts the relation once into a cached core.SortedPartition
-// and answers all its right-hand candidates from that order. Accepted ODs
-// commit per level, between levels; the result is complete for the
-// enumerated space (its closure equals Discover's) though not minimized
-// within a level. All pruning decisions depend only on previous levels'
-// committed state, so the data-check counts are identical across worker
-// schedules.
+// Each context is ordered once into a cached core.SortedPartition — refined
+// from the partition of its prefix, not sorted anew — and answers all its
+// right-hand candidates from that order. Accepted ODs commit per level,
+// between levels; the result is complete for the enumerated space (its
+// closure equals Discover's) though not minimized within a level. All
+// pruning decisions depend only on previous levels' committed state, so the
+// data-check counts are identical across worker schedules.
 //
 // # Closure pruning by model checking
 //
@@ -53,6 +53,7 @@
 // of a flat table written only between levels. No OD or list key string is
 // built for a candidate — pos[id] is the list as schema positions, which is
 // all the model table reads — and one key per accepted OD, for the commit
-// order. Data checks run on core's rank views: a context is one counting
-// sort, a candidate one scan of int32 ranks.
+// order. Data checks run on core's rank views: a context is one refinement
+// of its prefix's partition (one counting sort, for a single attribute), a
+// candidate one scan of int32 ranks.
 package discover

@@ -201,7 +201,7 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	}
 
 	res := &PipelineResult{}
-	cache := core.NewSortCache(r, 0)
+	cache := core.NewSortCache(r)
 	la := newLattice(attrs, opts.MaxLHS, opts.MaxRHS)
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -37,10 +38,7 @@ type discoverSummary struct {
 }
 
 // relationOf validates the inline instance against its schema and builds
-// the relation. Each column compares under one kind, settled while the rows
-// were decoded: textual if its cells are strings, float if any number has a
-// fraction or lies beyond ±2⁵³ — where distinct integers on the wire would
-// collapse in the conversion — and integer otherwise.
+// the relation from the typed columns the rows were decoded into.
 func relationOf(req *discoverRequest) (*core.Relation, error) {
 	if len(req.Attrs) == 0 {
 		return nil, fmt.Errorf("no attributes given")
@@ -53,20 +51,10 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 	if t.n > 0 && t.width != len(attrs) {
 		return nil, fmt.Errorf("rows have %d cells, schema has %d attributes", t.width, len(attrs))
 	}
-	return core.NewRelationRows(attrs, t.n, func(ri int, vals []core.Value) error {
-		k := ri * t.width
-		for ci, kind := range t.cols {
-			switch {
-			case kind.str:
-				vals[ci] = core.Str(t.strs[k+ci])
-			case kind.float:
-				vals[ci] = core.Float(t.nums[k+ci])
-			default:
-				vals[ci] = core.Int(int64(t.nums[k+ci]))
-			}
-		}
-		return nil
-	})
+	if t.n == 0 {
+		return core.NewRelation(attrs)
+	}
+	return core.NewRelationColumns(attrs, t.n, t.columns())
 }
 
 // handleDiscover runs the parallel discovery pipeline over an inline
@@ -79,8 +67,16 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 // arrive as an {"error": ...} line terminating the stream rather than a
 // status code.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+	// The body is read whole, then scanned once (rows.go): a relation is
+	// most of a request, and a streaming decoder reads it three times.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeBodyError(w, err)
+		return
+	}
 	var req discoverRequest
-	if !decodeBody(w, r, &req) {
+	if err := decodeDiscoverBytes(body.Bytes(), &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	opts := discover.Options{

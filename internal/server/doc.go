@@ -33,11 +33,15 @@
 // pattern search instead of leaving it burning CPU, and WithProveTimeout
 // bounds every search server-side (a deadline answers 504).
 //
-// POST /discover carries a relation inline. Its "rows" member is decoded by
-// the package's own json.Unmarshaler (rows.go) straight into flat typed
-// cells, inside the same strict decodeBody every endpoint uses; it accepts
-// and refuses exactly what the [][]any decode it replaced did (rows_test.go
-// holds it to that, on a corpus and under fuzzing), and every size bound —
-// attributes, candidate space — is checked before the NDJSON stream opens,
-// so a refused request is a 400, never an error line under a 200.
+// POST /discover carries a relation inline, and most of its body is the
+// "rows" member. The handler reads the body whole and scans it once
+// (rows.go): the rows are decoded where they stand into one typed vector per
+// column, the rest of the object — a few hundred bytes — goes through the
+// same strict encoding/json decode every endpoint uses, and a body the scan
+// does not expect goes through it whole, so it accepts and refuses exactly
+// what the [][]any decode it replaced did (rows_test.go holds it to that, on
+// a corpus and under fuzzing of the rows value and of the whole body). Every
+// size bound — attributes, candidate space — is checked before the NDJSON
+// stream opens, so a refused request is a 400, never an error line under a
+// 200; a body of any endpoint past 8 MiB is a 413.
 package server

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"odlib/internal/core"
 )
 
 // maxExactInt bounds the integers a JSON number carries exactly: every
@@ -15,45 +18,68 @@ import (
 const maxExactInt = 1 << 53
 
 // instanceRows is the "rows" member of a discovery request — an array of
-// equally long arrays of numbers and strings — decoded straight into flat
-// typed cells. Left to encoding/json as [][]any, every number is boxed into
-// an interface and every row grown cell by cell through reflection, which
-// cost more than validating the relation did.
+// equally long arrays of numbers and strings — decoded straight into one
+// typed vector per column. Left to encoding/json as [][]any, every number is
+// boxed into an interface and every row grown cell by cell through
+// reflection, which cost more than validating the relation did.
 //
 // Decoding validates what can be judged without the schema: rows are arrays
 // of one width, cells are numbers or strings, and no column mixes the two.
 type instanceRows struct {
 	n, width int
-	cols     []columnKind
-	nums     []float64 // row-major; the numeric cells, zero under a string cell
-	strs     []string  // row-major; nil until the first string cell
+	cols     []rowsColumn
+	// err is why the value is no relation, kept by UnmarshalJSON for
+	// decodeDiscoverBytes to report.
+	err error
 }
 
-// columnKind is what the cells seen so far make of a column.
-type columnKind struct {
-	num, str bool // a number, a string was seen
-	float    bool // a number with a fraction, or an integer beyond ±2⁵³
+// rowsColumn is one column's cells so far: strs for a textual column, and
+// for a numeric one ints while every number was an integer an int64 carries
+// as written, floats from the first that was not — a fraction, an exponent
+// that leaves one, an integer beyond ±2⁵³, or -0, whose sign a float column
+// keeps. float says the column compares as floats: a fraction or an integer
+// beyond ±2⁵³ was seen, not merely a -0.
+type rowsColumn struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	float  bool
 }
 
-// UnmarshalJSON implements json.Unmarshaler. The decoder hands over a
-// syntactically valid value, so the walk below only has to tell the shapes
-// apart; a byte it does not expect is reported, never skipped.
+// UnmarshalJSON implements json.Unmarshaler: the path of a body the
+// top-level scan of decodeDiscoverBytes declined. Of a member given twice
+// encoding/json lets the last count, unless an earlier one was of the wrong
+// type; so a value that is no relation is refused on the spot only when it is
+// no array of arrays of JSON values either, and is otherwise kept with its
+// complaint, which holds if no later "rows" replaces it.
 func (t *instanceRows) UnmarshalJSON(b []byte) error {
+	if t.err = t.parse(&rowsParser{b: b}); t.err != nil {
+		var shape [][]any
+		if json.Unmarshal(b, &shape) != nil {
+			return t.err
+		}
+	}
+	return nil
+}
+
+// parse decodes the rows value at the cursor and leaves the cursor behind
+// it. Nothing has validated the bytes: parse holds the JSON grammar of what
+// it accepts itself, and a byte it does not expect is reported, never
+// skipped.
+func (t *instanceRows) parse(p *rowsParser) error {
 	*t = instanceRows{}
-	if string(bytes.TrimSpace(b)) == "null" { // as for any slice: no rows
+	if p.next() == 'n' && bytes.HasPrefix(p.b[p.i:], []byte("null")) { // as for any slice: no rows
+		p.i += len("null")
 		return nil
 	}
-	p := rowsParser{b: b}
 	if p.next() != '[' {
 		return fmt.Errorf("rows must be an array of rows")
 	}
 	p.i++
 	if p.next() == ']' {
+		p.i++
 		return nil
 	}
-	// Commas separate cells and rows alike (and may sit inside strings), so
-	// their count bounds the cell count from above.
-	t.nums = make([]float64, 0, bytes.Count(b, []byte{','})+1)
 	for {
 		if p.next() != '[' {
 			return fmt.Errorf("row %d is not an array", t.n)
@@ -67,7 +93,7 @@ func (t *instanceRows) UnmarshalJSON(b []byte) error {
 				}
 				p.i++
 			}
-			if err := t.cell(&p, col); err != nil {
+			if err := t.cell(p, col); err != nil {
 				return err
 			}
 			col++
@@ -75,6 +101,7 @@ func (t *instanceRows) UnmarshalJSON(b []byte) error {
 		p.i++
 		if t.n == 0 {
 			t.width = col
+			t.reserve(p.b[p.i:])
 		} else if col != t.width {
 			return fmt.Errorf("row %d has %d cells, row 0 has %d", t.n, col, t.width)
 		}
@@ -84,9 +111,6 @@ func (t *instanceRows) UnmarshalJSON(b []byte) error {
 			p.i++
 		case ']':
 			p.i++
-			if p.next() != 0 {
-				return fmt.Errorf("rows: unexpected %q after the array", p.b[p.i])
-			}
 			return nil
 		default:
 			return fmt.Errorf("row %d: unterminated rows array", t.n)
@@ -94,44 +118,67 @@ func (t *instanceRows) UnmarshalJSON(b []byte) error {
 	}
 }
 
+// reserve sizes the columns, once row 0 has fixed their number and kinds,
+// for the rows the remaining bytes can hold: every row closes a bracket and
+// takes two bytes a cell, which bounds what a hostile body can make it
+// allocate to a small multiple of its own length.
+func (t *instanceRows) reserve(rest []byte) {
+	rows := 1 + min(bytes.Count(rest, []byte{']'}), len(rest)/(2*t.width+2))
+	for i := range t.cols {
+		switch c := &t.cols[i]; {
+		case c.ints != nil:
+			c.ints = slices.Grow(c.ints, rows)
+		case c.floats != nil:
+			c.floats = slices.Grow(c.floats, rows)
+		default:
+			c.strs = slices.Grow(c.strs, rows)
+		}
+	}
+}
+
 // cell decodes the value at the cursor as the cell of column col of row t.n.
 func (t *instanceRows) cell(p *rowsParser, col int) error {
 	if t.n == 0 {
-		t.cols = append(t.cols, columnKind{})
+		t.cols = append(t.cols, rowsColumn{})
 	} else if col >= t.width {
 		return fmt.Errorf("row %d has more than %d cells, the width of row 0", t.n, t.width)
 	}
-	kind := &t.cols[col]
-	switch c := p.next(); {
-	case c == '"':
-		if kind.num {
+	c := &t.cols[col]
+	switch b := p.next(); {
+	case b == '"':
+		if c.ints != nil || c.floats != nil {
 			return fmt.Errorf("row %d, column %d: string in a numeric column", t.n, col)
 		}
 		s, err := p.str()
 		if err != nil {
 			return fmt.Errorf("row %d, column %d: %w", t.n, col, err)
 		}
-		kind.str = true
-		if t.strs == nil {
-			t.strs = make([]string, len(t.nums), cap(t.nums))
-		}
-		t.strs = append(t.strs, s)
-		t.nums = append(t.nums, 0)
-	case c == '-' || '0' <= c && c <= '9':
-		if kind.str {
+		c.strs = append(c.strs, s)
+	case b == '-' || '0' <= b && b <= '9':
+		if c.strs != nil {
 			return fmt.Errorf("row %d, column %d: number in a textual column", t.n, col)
 		}
-		v, err := p.num()
+		i, f, exact, err := p.num()
 		if err != nil {
 			return fmt.Errorf("row %d, column %d: %w", t.n, col, err)
 		}
-		kind.num = true
-		if v != math.Trunc(v) || math.Abs(v) > maxExactInt {
-			kind.float = true
-		}
-		t.nums = append(t.nums, v)
-		if t.strs != nil {
-			t.strs = append(t.strs, "")
+		switch {
+		case exact && c.floats == nil:
+			c.ints = append(c.ints, i)
+		case exact:
+			c.floats = append(c.floats, float64(i))
+		default:
+			if c.floats == nil {
+				c.floats = make([]float64, len(c.ints), cap(c.ints)+1)
+				for k, v := range c.ints {
+					c.floats[k] = float64(v)
+				}
+				c.ints = nil
+			}
+			c.floats = append(c.floats, f)
+			if f != math.Trunc(f) || math.Abs(f) > maxExactInt {
+				c.float = true
+			}
 		}
 	default:
 		return fmt.Errorf("row %d, column %d: unsupported value (cells are numbers or strings)", t.n, col)
@@ -139,7 +186,26 @@ func (t *instanceRows) cell(p *rowsParser, col int) error {
 	return nil
 }
 
-// rowsParser is a cursor over the JSON text of the rows.
+// columns hands the decoded cells over as core's typed columns. Each column
+// compares under one kind: textual if its cells are strings, float if any
+// number has a fraction or lies beyond ±2⁵³ — where distinct integers on the
+// wire would collapse in the conversion — and integer otherwise.
+func (t *instanceRows) columns() []core.Column {
+	cols := make([]core.Column, len(t.cols))
+	for i, c := range t.cols {
+		if c.floats != nil && !c.float { // integers all, one of them written -0 or 1e3
+			c.ints = make([]int64, len(c.floats))
+			for k, v := range c.floats {
+				c.ints[k] = int64(v)
+			}
+			c.floats = nil
+		}
+		cols[i] = core.Column{Ints: c.ints, Floats: c.floats, Strs: c.strs}
+	}
+	return cols
+}
+
+// rowsParser is a cursor over JSON text.
 type rowsParser struct {
 	b []byte
 	i int
@@ -157,16 +223,65 @@ func (p *rowsParser) next() byte {
 	return 0
 }
 
-// num reads the number at the cursor the way encoding/json reads one into a
-// float64.
-func (p *rowsParser) num() (float64, error) {
+// digits moves the cursor over a run of decimal digits and returns its
+// length.
+func (p *rowsParser) digits() int {
 	start := p.i
-	for ; p.i < len(p.b); p.i++ {
-		if c := p.b[p.i]; !('0' <= c && c <= '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
-			break
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i - start
+}
+
+// num reads the number at the cursor by JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, stopping where it stops
+// matching — what follows is the caller's to judge. An integer literal of at
+// most 15 digits (other than -0) is exact, and returned as i; any other
+// number is returned as f, read from the same bytes the way encoding/json
+// reads one into a float64.
+func (p *rowsParser) num() (i int64, f float64, exact bool, err error) {
+	start := p.i
+	if p.b[p.i] == '-' {
+		p.i++
+	}
+	intStart := p.i
+	switch n := p.digits(); {
+	case n == 0:
+		return 0, 0, false, fmt.Errorf("invalid number")
+	case n > 1 && p.b[intStart] == '0':
+		p.i = intStart + 1 // a leading zero is the whole integer part
+	}
+	exact = p.i-intStart <= 15
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if p.digits() == 0 {
+			return 0, 0, false, fmt.Errorf("invalid number")
+		}
+		exact = false
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		if p.digits() == 0 {
+			return 0, 0, false, fmt.Errorf("invalid number")
+		}
+		exact = false
+	}
+	if exact {
+		for _, d := range p.b[intStart:p.i] {
+			i = i*10 + int64(d-'0')
+		}
+		if intStart == start {
+			return i, 0, true, nil
+		}
+		if i != 0 {
+			return -i, 0, true, nil
 		}
 	}
-	return strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	f, err = strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	return 0, f, false, err
 }
 
 // str reads the string at the cursor. A string without escapes that is valid
@@ -176,9 +291,12 @@ func (p *rowsParser) str() (string, error) {
 	start := p.i
 	plain := true
 	for p.i++; p.i < len(p.b) && p.b[p.i] != '"'; p.i++ {
-		if p.b[p.i] == '\\' {
+		switch c := p.b[p.i]; {
+		case c == '\\':
 			plain = false
 			p.i++
+		case c < ' ':
+			return "", fmt.Errorf("control character in string")
 		}
 	}
 	if p.i >= len(p.b) {
@@ -191,4 +309,141 @@ func (p *rowsParser) str() (string, error) {
 	var s string
 	err := json.Unmarshal(p.b[start:p.i], &s)
 	return s, err
+}
+
+// key reads the object key at the cursor, a string, and returns its bytes. It
+// reports false unless the key is its own decoding in plain ASCII, so that
+// matching it to a field name is a matter of letter case alone.
+func (p *rowsParser) key() ([]byte, bool) {
+	start := p.i + 1
+	for p.i++; p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
+			p.i++
+			return p.b[start : p.i-1], true
+		case c == '\\' || c < ' ' || c >= utf8.RuneSelf:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// skipValue moves the cursor over the JSON value it stands on, knowing only
+// where strings and brackets end: whether what it skipped is JSON is for
+// whoever reads those bytes to say. It reports false when the text ends
+// inside the value.
+func (p *rowsParser) skipValue() bool {
+	depth := 0
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case '"':
+			for p.i++; p.i < len(p.b) && p.b[p.i] != '"'; p.i++ {
+				if p.b[p.i] == '\\' {
+					p.i++
+				}
+			}
+			if p.i >= len(p.b) {
+				return false
+			}
+			if depth == 0 {
+				p.i++
+				return true
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return true // the enclosing value's: a scalar ended before it
+			}
+			if depth--; depth == 0 {
+				p.i++
+				return true
+			}
+		case ',', ' ', '\t', '\r', '\n':
+			if depth == 0 {
+				return true
+			}
+		}
+		p.i++
+	}
+	return false
+}
+
+var rowsKey = []byte("rows")
+
+// scanDiscover decodes a discovery body in one scan of its top-level object:
+// keys are read, values skipped, the "rows" member — matched as
+// encoding/json matches a key to a field, whatever its letter case — is
+// decoded where it stands, and the object without it, a few hundred bytes
+// with null in its place, goes through encoding/json as every other request
+// body does, so unknown fields and wrongly typed members are refused by the
+// same code. It reports false, with req in no particular state, for anything
+// but the expected: no object, a key with an escape or beyond ASCII, "rows"
+// absent or given twice, any error. The caller then hands the whole body to
+// encoding/json, which owns the outcome and the message.
+func scanDiscover(body []byte, req *discoverRequest) bool {
+	p := rowsParser{b: body}
+	if p.next() != '{' {
+		return false
+	}
+	var rows instanceRows
+	from, to := -1, -1 // the span of the rows value
+	for sep := byte('{'); sep != '}'; {
+		p.i++
+		if p.next() != '"' {
+			return false // "{}" included: it has no rows
+		}
+		key, ok := p.key()
+		if !ok || p.next() != ':' {
+			return false
+		}
+		p.i++
+		p.next()
+		if bytes.EqualFold(key, rowsKey) {
+			if from >= 0 {
+				return false
+			}
+			from = p.i
+			if rows.parse(&p) != nil {
+				return false
+			}
+			to = p.i
+		} else if !p.skipValue() {
+			return false
+		}
+		if sep = p.next(); sep != ',' && sep != '}' {
+			return false
+		}
+	}
+	if from < 0 {
+		return false
+	}
+	rest := make([]byte, 0, from+len("null")+p.i+1-to)
+	rest = append(append(append(rest, body[:from]...), "null"...), body[to:p.i+1]...)
+	if strictDecode(rest, req) != nil {
+		return false
+	}
+	req.Rows = rows
+	return true
+}
+
+// strictDecode is decodeBody's decode over bytes in hand: unknown fields
+// refused, whatever follows the value ignored.
+func strictDecode(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// decodeDiscoverBytes decodes a discovery request body as decodeBody decodes
+// every other: strictly, ignoring what follows the object.
+func decodeDiscoverBytes(body []byte, req *discoverRequest) error {
+	if scanDiscover(body, req) {
+		return nil
+	}
+	*req = discoverRequest{}
+	if err := strictDecode(body, req); err != nil {
+		return err
+	}
+	return req.Rows.err
 }

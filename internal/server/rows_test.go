@@ -1,13 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"odlib/internal/core"
+	"odlib/internal/warehouse"
 )
 
 // relationOfAny is the differential oracle of the typed rows decoder: the
@@ -72,22 +74,18 @@ func relationOfAny(attrNames []string, rows [][]any) (*core.Relation, error) {
 	return r, nil
 }
 
-// decodeBothWays decodes one request body through the handler's types and
-// through the oracle's, each the way decodeBody does.
+// decodeBothWays decodes one request body as the handler does and through
+// the oracle's types, the way decodeBody does.
 func decodeBothWays(body []byte) (got, want *core.Relation, gotErr, wantErr error) {
 	var req discoverRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if gotErr = dec.Decode(&req); gotErr == nil {
+	if gotErr = decodeDiscoverBytes(body, &req); gotErr == nil {
 		got, gotErr = relationOf(&req)
 	}
 	var oracle struct {
 		discoverRequest
 		Rows [][]any `json:"rows"`
 	}
-	dec = json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if wantErr = dec.Decode(&oracle); wantErr == nil {
+	if wantErr = strictDecode(body, &oracle); wantErr == nil {
 		want, wantErr = relationOfAny(oracle.Attrs, oracle.Rows)
 	}
 	return got, want, gotErr, wantErr
@@ -172,4 +170,154 @@ func FuzzRowsDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows []byte) {
 		checkRowsBody(t, append(append([]byte(`{"attrs":["a","b"],"rows":`), rows...), '}'))
 	})
+}
+
+// bodyCorpus is whole bodies the one-scan decoder must judge as encoding/json
+// does: what the top-level scan takes, what it has to decline, and what
+// neither may accept.
+var bodyCorpus = []string{
+	`{"ROWS":[[1,2]],"attrs":["a","b"]}`,
+	`{"Rows":[[1,2]],"ATTRS":["a","b"]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"rows":[[3,4],[5,6]]}`,
+	`{"attrs":["a","b"],"rows":[[true]],"rows":[[3,4]]}`,
+	`{"attrs":["a","b"],"rows":[[3,4]],"Rows":null}`,
+	`{"attrs":["a","b"],"schema":{"rows":[[9,9]]},"rows":[[1,2]]}`,
+	`{"attrs":["a","b","rows",[[9,9]]],"rows":[[1,2]]}`,
+	`{"attrs":["a","b"],"ro\u0077s":[[1,2]]}`,
+	`{"attrs":["a","b"],"row\u017f":[[1,2]]}`,
+	"{\"attrs\":[\"a\",\"b\"],\"row\u017f\":[[1,2]]}",
+	`{"attrs":["a","b"],"rows":[[01,2]]}`,
+	`{"attrs":["a","b"],"rows":[[1.,2]]}`,
+	`{"attrs":["a","b"],"rows":[[-,2]]}`,
+	`{"attrs":["a","b"],"rows":[[1e,2]]}`,
+	`{"attrs":["a","b"],"rows":[[1e+,2]]}`,
+	`{"attrs":["a","b"],"rows":[[.5,2]]}`,
+	`{"attrs":["a","b"],"rows":[[+1,2]]}`,
+	`{"attrs":["a","b"],"rows":[[-0,2],[1.5,3]]}`,
+	`{"attrs":["a","b"],"rows":[[-0,2],[1,3]]}`,
+	`{"attrs":["a","b"],"rows":[[0.0,2],[-0.0,3]]}`,
+	`{"attrs":["a","b"],"rows":[[123456789012345,1],[1234567890123456,2],[-999999999999999,3]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]x]}`,
+	`{"attrs":["a","b"],"rows":[[1 2]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]]]}`,
+	`{"attrs":["a","b"],"rows":nul}`,
+	`{"attrs":["a","b"],"rows":nullx}`,
+	"{\"attrs\":[\"a\",\"b\"],\"rows\":[[\"x\x01y\",2]]}",
+	"{\"attrs\":[\"a\",\"b\"],\"rows\":[[\"x\\n\x01y\",2]]}",
+	"{\"attrs\":[\"a\",\"b\"],\"rows\":[[\"x\x7fy\",2]]}",
+	`{"attrs":["a","b"],"rows":[["\u12",2]]}`,
+	`{"attrs":["a","b"],"rows":[["\q",2]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]]} trailing`,
+	`{"attrs":["a","b"],"rows":[[1,2]]}{"attrs":["c"]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]]}]`,
+	"\n\t {\"attrs\" : [\"a\",\"b\"] , \"rows\" : [[1,2]] , \"maxLHS\" : 1 }\n",
+	`{"attrs":["a","b"],"rows":[[1,2]],}`,
+	`{"attrs":["a","b"],,"rows":[[1,2]]}`,
+	`{"attrs":["a","b"] "rows":[[1,2]]}`,
+	`{"attrs":["a","b"],"rows" [[1,2]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"maxLHS":1 2}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"maxLHS":"1"}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"maxLHS":1e400}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"schema":"s\"}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"schema":"a\"b,}{"}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"declare":tru}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"declare":true,"keepRedundant":false,"workers":2,"maxAttrs":3,"maxRHS":1}`,
+	`{"attrs":{"rows":1},"rows":[[1,2]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2]],"":0}`,
+	`{}`, `{ }`, `null`, `[]`, `5`, `"x"`, ``, ` `, `{`, `}`, `{"rows"`, `{"rows":`, `{"rows":[`,
+	"\xef\xbb\xbf{\"attrs\":[\"a\",\"b\"],\"rows\":[[1,2]]}",
+}
+
+// FuzzDiscoverBody lets the fuzzer write the whole body, not only the rows
+// value: the top-level scan — which member is "rows", where its value ends,
+// what it leaves to encoding/json — is held to the same oracle.
+func FuzzDiscoverBody(f *testing.F) {
+	for _, rows := range rowsCorpus {
+		f.Add([]byte(`{"attrs":["a","b"],"rows":` + rows + `}`))
+		f.Add([]byte(`{"rows":` + rows + `,"attrs":["a","b"],"maxLHS":1}`))
+	}
+	for _, body := range bodyCorpus {
+		f.Add([]byte(body))
+	}
+	// One body cut at every structural byte.
+	whole := `{"schema":"s","attrs":["a","b"],"rows":[[1,"x"],[2.5,"y,]"]],"maxLHS":1}`
+	for i := range whole {
+		if strings.ContainsRune(`{}[]:,"`, rune(whole[i])) {
+			f.Add([]byte(whole[:i]))
+			f.Add([]byte(whole[:i+1]))
+		}
+	}
+	f.Fuzz(checkRowsBody)
+}
+
+// TestScanTakesClientBodies holds the top-level scan to taking the bodies
+// clients send: a declined body is still answered, but at three scans
+// instead of one.
+func TestScanTakesClientBodies(t *testing.T) {
+	for _, body := range []string{
+		`{"attrs":["a","b"],"rows":[[1,2],[3,4]]}`,
+		` { "ROWS" : [ [ 1 , "x" ] ] , "attrs" : [ "a" , "b" ] , "maxLHS" : 1 , "declare" : false } tail`,
+		`{"schema":"a\"b,}{","attrs":["a"],"rows":null,"maxRHS":2}`,
+	} {
+		var req discoverRequest
+		if !scanDiscover([]byte(body), &req) {
+			t.Errorf("the top-level scan declined %s", body)
+		}
+	}
+}
+
+// benchBodies are the two bodies bench/'s discover-date workload posts: the
+// 1,826-day date dimension (7 columns) and a random 4,000 x 6 relation.
+func benchBodies(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	encode := func(r *core.Relation, maxLHS, maxRHS int) []byte {
+		rows := make([][]int64, r.Len())
+		for i := range rows {
+			for _, v := range r.Row(i) {
+				rows[i] = append(rows[i], v.Int)
+			}
+		}
+		body, err := json.Marshal(map[string]any{"attrs": r.Attrs(), "rows": rows, "maxLHS": maxLHS, "maxRHS": maxRHS})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body
+	}
+	cfg := warehouse.DefaultConfig()
+	cfg.Days, cfg.FactRows = 1826, 0
+	w, err := warehouse.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dates, err := w.DateDimRelation()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	random := core.RandRelation(rand.New(rand.NewSource(1)), core.L("r0", "r1", "r2", "r3", "r4", "r5"), 4000, 50)
+	return map[string][]byte{"date1826x7": encode(dates, 2, 3), "random4000x6": encode(random, 2, 2)}
+}
+
+// BenchmarkDiscoverDecode is the serial prefix of a /discover request, in
+// process: body bytes to a relation ready to rank, next to
+// internal/discover's BenchmarkPipeline*, which price what follows.
+func BenchmarkDiscoverDecode(b *testing.B) {
+	for name, body := range benchBodies(b) {
+		b.Run(name, func(b *testing.B) {
+			var req discoverRequest
+			if !scanDiscover(body, &req) {
+				b.Fatal("the top-level scan declined the body")
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var req discoverRequest
+				if err := decodeDiscoverBytes(body, &req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := relationOf(&req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

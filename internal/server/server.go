@@ -222,10 +222,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or decoded:
+// 413 when it ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
 }
 
 // odsRequest declares or withdraws constraints. Statements accepts the full
@@ -779,7 +790,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		writeBodyError(w, err)
 		return
 	}
 	if schema, ok := queryShard(r); ok {

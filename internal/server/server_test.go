@@ -396,6 +396,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyTooLargeIs413: a body past maxBodyBytes is told so — 413 with the
+// usual error shape, on every endpoint that reads one — and a body of exactly
+// that size is read and answered.
+func TestBodyTooLargeIs413(t *testing.T) {
+	ts := newTestServer(t, router.Options{})
+	// Valid JSON of a given size: the padding is white space inside the
+	// object, so the decoder cannot stop before it.
+	padded := func(member string, size int) *bytes.Reader {
+		return bytes.NewReader([]byte("{" + strings.Repeat(" ", size-len(member)-2) + member + "}"))
+	}
+	for path, member := range map[string]string{
+		"/prove":     `"statement":"[a] -> [b]"`,
+		"/ods/batch": `"declare":["[a] -> [b]"]`,
+		"/discover":  `"attrs":["a","b"],"rows":[[1,2],[2,3]]`,
+		"/snapshot":  `"schema":"s"`,
+	} {
+		for size, tooLarge := range map[int]bool{maxBodyBytes + 1: true, maxBodyBytes: false} {
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", padded(member, size))
+			if err != nil {
+				t.Fatalf("%s, %d bytes: %v", path, size, err)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			switch {
+			case !tooLarge && resp.StatusCode != http.StatusOK:
+				t.Errorf("%s, %d bytes: status = %d, want 200", path, size, resp.StatusCode)
+			case tooLarge && (resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == ""):
+				t.Errorf("%s, %d bytes: status = %d, error %q (%v); want 413 with a message", path, size, resp.StatusCode, e.Error, err)
+			}
+		}
+	}
+}
+
 // TestConcurrentTraffic exercises the daemon the way an optimizer fleet
 // would: many goroutines proving and rewriting while constraints churn,
 // against a durable sharded router.
