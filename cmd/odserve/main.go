@@ -76,7 +76,7 @@ func run(args []string, ready chan<- string) (err error) {
 	fs := flag.NewFlagSet("odserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	odsFile := fs.String("ods", "", "file of OD statements to preload (skipped when the data dir recovered state)")
-	memo := fs.Int("memo", catalog.DefaultMemoCapacity, "verdict memo capacity per shard")
+	memo := fs.Int("memo", catalog.DefaultMemoCapacity, "stored verdicts per shard, implied and refuted together")
 	maxAttrs := fs.Int("maxattrs", prover.DefaultMaxAttrs, "attribute limit per implication question")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	dataDir := fs.String("data-dir", "", "root of per-shard WAL+snapshot state; empty runs in-memory")

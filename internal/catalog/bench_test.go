@@ -40,7 +40,9 @@ func BenchmarkImpliesCold(b *testing.B) {
 }
 
 // BenchmarkCatalogImpliesMemoized is the repeated-query workload through the
-// catalog: after the first miss per question, every answer is a memo hit.
+// catalog: after the first miss per question every answer is one lookup in
+// the verdict store — alternately an implied verdict (tier memo) and a
+// refutation with its witness (tier negative).
 func BenchmarkCatalogImpliesMemoized(b *testing.B) {
 	m, implied, refuted := benchInstance(10)
 	c := New()
@@ -64,7 +66,7 @@ func BenchmarkCatalogImpliesMemoized(b *testing.B) {
 }
 
 // BenchmarkCatalogImpliesClosure measures the constant-time closure fast
-// path, which answers chain queries without prover or memo.
+// path, which answers chain queries without prover or verdict store.
 func BenchmarkCatalogImpliesClosure(b *testing.B) {
 	m, _, _ := benchInstance(10)
 	c := New()
@@ -80,7 +82,10 @@ func BenchmarkCatalogImpliesClosure(b *testing.B) {
 }
 
 // BenchmarkCatalogImpliesParallel is the memoized workload under reader
-// concurrency: shard locking should keep hits near the serial cost.
+// concurrency. Readers never exclude each other — a hit takes two shared
+// locks (the catalog's, to copy the generation pointer, and the store's) and
+// one atomic add (the tier's hit counter) — but every one of those writes a
+// cache line all readers share, which is what serialises them.
 func BenchmarkCatalogImpliesParallel(b *testing.B) {
 	m, implied, refuted := benchInstance(10)
 	c := New()
@@ -105,6 +110,46 @@ func BenchmarkCatalogImpliesParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCatalogImpliesFullStore asks only questions nobody asked before —
+// each one a search and a put — with the store half full at the end of the
+// run (below) and after 2.5 × its capacity in distinct questions has already
+// gone through it (full). A put into a full store samples evictionSample
+// residents, so the two cost the same; when it scanned for its victim the
+// second cost thirty to forty times the first.
+func BenchmarkCatalogImpliesFullStore(b *testing.B) {
+	const asked = DefaultMemoCapacity / 2
+	for _, tc := range []struct {
+		name    string
+		prefill int
+	}{{"below", 0}, {"full", 5 * asked}} {
+		b.Run(tc.name, func(b *testing.B) {
+			qs := make([]core.OD, tc.prefill+asked)
+			for i := range qs {
+				qs[i] = core.NewOD(core.L(fmt.Sprintf("x%d", i)), core.L(fmt.Sprintf("y%d", i)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := New(WithWorkers(1))
+				c.Add(core.NewOD(core.L("a"), core.L("b")))
+				for _, q := range qs[:tc.prefill] {
+					if _, err := c.Implies(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				for _, q := range qs[tc.prefill:] {
+					if _, err := c.Implies(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*asked), "ns/question")
+		})
+	}
 }
 
 // BenchmarkReduceOrderMemoized measures repeated ReduceOrder against an

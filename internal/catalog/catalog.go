@@ -23,7 +23,8 @@ const (
 	TierSearch   = "search"
 )
 
-// Catalog is a concurrent OD constraint catalog with memoized implication.
+// Catalog is a concurrent OD constraint catalog that remembers the verdicts
+// its searches reach.
 type Catalog struct {
 	mu       sync.RWMutex
 	declared *odSet
@@ -32,8 +33,7 @@ type Catalog struct {
 	workers  int
 	pool     *prover.Pool
 	observe  func(tier string, seconds float64)
-	memo     *VerdictMemo
-	neg      *negSet
+	verdicts *verdicts
 
 	// tiers counts verdict fast-path hits; counters aggregates search
 	// effort. Both live on the catalog, not the per-generation prover, so
@@ -68,9 +68,10 @@ type ProverStats struct {
 // Option configures a Catalog.
 type Option func(*Catalog)
 
-// WithMemoCapacity bounds the verdict memo to n entries.
+// WithMemoCapacity bounds the verdict store to n searched verdicts, implied
+// and refuted together; n <= 0 selects DefaultMemoCapacity.
 func WithMemoCapacity(n int) Option {
-	return func(c *Catalog) { c.memo = NewVerdictMemo(n) }
+	return func(c *Catalog) { c.verdicts = newVerdicts(n) }
 }
 
 // WithMaxAttrs overrides the prover's attribute-count guard for questions
@@ -111,13 +112,10 @@ func New(opts ...Option) *Catalog {
 		declared: newODSet(),
 		maxAttrs: prover.DefaultMaxAttrs,
 		workers:  runtime.GOMAXPROCS(0),
-		neg:      newNegSet(DefaultNegativeCapacity),
+		verdicts: newVerdicts(DefaultMemoCapacity),
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.memo == nil {
-		c.memo = NewVerdictMemo(DefaultMemoCapacity)
 	}
 	c.rebuildLocked(0)
 	return c
@@ -126,7 +124,8 @@ func New(opts ...Option) *Catalog {
 // Add declares ODs, returning how many were new. Declarations are
 // canonicalized (per-side normalization) and deduplicated; trivial ODs are
 // dropped silently since they constrain nothing. When anything was added
-// the generation advances, every memoized verdict is invalidated and the
+// the generation advances, stored refutations are revalidated against the
+// additions (stored implied verdicts stand: implication is monotone) and the
 // transitive closure is extended incrementally: existing derived ODs are
 // reused as passive composition partners and only the new edges work the
 // fixpoint.
@@ -137,10 +136,12 @@ func (c *Catalog) Add(ods ...core.OD) int {
 
 // Remove withdraws declared ODs (canonicalized before lookup), returning how
 // many were present. Derived closure ODs cannot be removed directly — they
-// vanish when the declarations entailing them do. Closure maintenance is
-// incremental: only derived ODs whose source backward-reaches a removed
-// premise in the inflated-edge graph are revisited (see shrinkClosure); the
-// rest of the closure is reused verbatim instead of recomputed.
+// vanish when the declarations entailing them do, and so does every stored
+// implied verdict (stored refutations stand: their witnesses satisfied the
+// larger set). Closure maintenance is incremental: only derived ODs whose
+// source backward-reaches a removed premise in the inflated-edge graph are
+// revisited (see shrinkClosure); the rest of the closure is reused verbatim
+// instead of recomputed.
 func (c *Catalog) Remove(ods ...core.OD) int {
 	_, removed, _, _, _ := c.ApplyEffective([]Mutation{{Remove: true, ODs: ods}})
 	return removed
@@ -153,7 +154,7 @@ type Mutation struct {
 }
 
 // Apply runs a sequence of declare/remove steps under one lock acquisition,
-// one memo invalidation and one closure refresh — the apply-without-relog
+// one generation bump and one closure refresh — the apply-without-relog
 // primitive behind WAL replay (internal/store hands the recovered records
 // straight here, nothing is re-logged) and the batch endpoints. Steps apply
 // in order, so a batch may declare and later withdraw the same OD. It
@@ -167,8 +168,9 @@ func (c *Catalog) Apply(muts []Mutation) (added, removed int, st Stats) {
 // holds ODs present after the batch that were absent before, netRemoved the
 // reverse. An OD declared and withdrawn within one batch appears in
 // neither. The net lists are what incremental maintenance keys on: the
-// closure extends or shrinks from them, and the negative closure revalidates
-// its witnesses against exactly the net-added ODs.
+// closure extends or shrinks from them, and the verdict store revalidates its
+// witnesses against exactly the net-added ODs and drops its implied verdicts
+// exactly when something was net removed.
 func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded, netRemoved []core.OD, st Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,10 +214,8 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 		}
 	}
 	if added > 0 || removed > 0 {
-		gen := c.memo.Invalidate()
-		// Negative-closure witnesses only need checking against what was net
-		// added (nothing, for pure removals) — removals cannot invalidate them.
-		c.neg.advance(gen, netAdded)
+		gen := c.cur.gen + 1
+		c.verdicts.advance(gen, netAdded, len(netRemoved) > 0)
 		switch {
 		case removed == 0:
 			c.refreshLocked(gen, extendClosure(c.cur.closure, netAdded))
@@ -237,12 +237,13 @@ func (c *Catalog) rebuildLocked(gen uint64) {
 }
 
 // refreshLocked builds and publishes generation gen from the declared set
-// and its (already maintained) closure: the declared list, the prover, the
-// rewrite constraints that ask it through the tier chain, and the memo view
-// pinned to gen. Sorting the declared set is the only ordering a mutation
-// pays for — it is what Declared lists and what fixes the prover's compile
-// order; the closure is published as the unordered set it is. The shared
-// tier/effort counters ride along so statistics survive the rebuild.
+// and its (already maintained) closure: the declared list, the prover and the
+// rewrite constraints that ask it through the tier chain. The caller has
+// already advanced the verdict store to gen. Sorting the declared set is the
+// only ordering a mutation pays for — it is what Declared lists and what
+// fixes the prover's compile order; the closure is published as the unordered
+// set it is. The shared tier/effort counters ride along so statistics survive
+// the rebuild.
 func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 	declared := c.declared.slice()
 	g := &generation{
@@ -254,10 +255,9 @@ func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 			prover.WithWorkers(c.workers),
 			prover.WithPool(c.pool),
 			prover.WithCounters(&c.counters)),
-		memo:    c.memo.At(gen),
-		neg:     c.neg,
-		tiers:   &c.tiers,
-		observe: c.observe,
+		verdicts: c.verdicts,
+		tiers:    &c.tiers,
+		observe:  c.observe,
 	}
 	g.cons = rewrite.NewConstraints(nil, declared).UseOracle(g)
 	c.cur = g
@@ -266,18 +266,18 @@ func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 // generation is the catalog's whole read state at one generation number.
 // Nothing in it is modified once refreshLocked has published it — a mutation
 // publishes a fresh value instead — so a reader copies the pointer under a
-// brief shared lock and then proves and rewrites with no lock held. memo,
-// neg and tiers are handles on state shared across generations, with their
-// own synchronization; gen pins which of their entries this generation may
-// believe.
+// brief shared lock and then proves and rewrites with no lock held. verdicts
+// and tiers are handles on state shared across generations, with their own
+// synchronization; the store answers and accepts only the generation it was
+// last advanced to, so a generation that has been superseded searches and
+// files nothing.
 type generation struct {
 	gen      uint64
 	declared []core.OD // canonical sorted order
 	closure  *odSet    // inflated transitive closure of declared (non-trivial ODs only); listers deflate it
 	prov     *prover.Prover
 	cons     *rewrite.Constraints // over declared; its Oracle is this generation
-	memo     MemoView
-	neg      *negSet
+	verdicts *verdicts
 	tiers    *tierCounters
 	observe  func(tier string, seconds float64)
 }
@@ -328,11 +328,10 @@ func (g *generation) impliesWitness(ctx context.Context, od core.OD) (bool, *cor
 }
 
 // decide descends the verdict tier chain, cheapest first: triviality,
-// positive transitive-closure membership, negative-closure membership
-// (refuted with a still-valid witness), the generation-pinned memo, and
-// finally the prover's pattern search — whose verdict is stored back into
-// the memo and, on refutation, the negative closure. Each tier taken bumps
-// its hit counter.
+// positive transitive-closure membership, one lookup in the verdict store (a
+// stored refutation answers as TierNegative with its witness, a stored
+// implied verdict as TierMemo), and finally the prover's pattern search,
+// whose verdict is filed in the store. Each tier taken bumps its hit counter.
 func (g *generation) decide(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
 	od = canon(od)
 	if od.Trivial() {
@@ -344,23 +343,20 @@ func (g *generation) decide(ctx context.Context, od core.OD) (bool, *core.Patter
 		return true, nil, TierClosure, nil
 	}
 	key := od.Key()
-	if w, ok := g.neg.get(key, g.gen); ok {
+	if implied, w, ok := g.verdicts.get(key, g.gen); ok {
+		if implied {
+			g.tiers.memo.Add(1)
+			return true, nil, TierMemo, nil
+		}
 		g.tiers.negative.Add(1)
 		return false, w, TierNegative, nil
-	}
-	if v, ok := g.memo.Get(key); ok {
-		g.tiers.memo.Add(1)
-		return v.Implied, v.Witness, TierMemo, nil
 	}
 	g.tiers.search.Add(1)
 	v, err := g.prov.DecideCtx(ctx, od)
 	if err != nil {
 		return false, nil, TierSearch, err
 	}
-	g.memo.Put(key, v)
-	if !v.Implied {
-		g.neg.put(key, od, v.Witness, g.gen)
-	}
+	g.verdicts.put(key, od, v, g.gen)
 	return v.Implied, v.Witness, TierSearch, nil
 }
 
@@ -451,19 +447,22 @@ func (c *Catalog) Stats() Stats {
 
 func (c *Catalog) statsLocked() Stats {
 	eff := c.counters.Snapshot()
+	memo, refuted := c.verdicts.stats()
+	tiers := TierStats{
+		Trivial:  c.tiers.trivial.Load(),
+		Closure:  c.tiers.closure.Load(),
+		Negative: c.tiers.negative.Load(),
+		Memo:     c.tiers.memo.Load(),
+		Search:   c.tiers.search.Load(),
+	}
+	memo.Hits, memo.Misses = tiers.Negative+tiers.Memo, tiers.Search
 	return Stats{
 		Declared:   c.declared.len(),
 		Closure:    c.cur.closure.len(),
-		Negative:   c.neg.size(),
+		Negative:   refuted,
 		Generation: c.cur.gen,
-		Memo:       c.memo.Stats(),
-		Tiers: TierStats{
-			Trivial:  c.tiers.trivial.Load(),
-			Closure:  c.tiers.closure.Load(),
-			Negative: c.tiers.negative.Load(),
-			Memo:     c.tiers.memo.Load(),
-			Search:   c.tiers.search.Load(),
-		},
+		Memo:       memo,
+		Tiers:      tiers,
 		Prover: ProverStats{
 			// The prover clamps the configured value into its valid range;
 			// report the effective parallelism, not the raw option.
@@ -489,8 +488,8 @@ func (c *Catalog) ImpliesCtx(ctx context.Context, od core.OD) (bool, error) {
 }
 
 // ImpliesWitness is Implies plus a two-row counterexample on refutation.
-// The witness may be served from the memo or the negative closure and
-// shared with other callers; it must be treated as read-only.
+// The witness may be served from the verdict store and shared with other
+// callers; it must be treated as read-only.
 func (c *Catalog) ImpliesWitness(od core.OD) (bool, *core.Pattern, error) {
 	return c.ImpliesWitnessCtx(context.Background(), od)
 }
@@ -567,7 +566,7 @@ func (c *Catalog) OrderCompatible(x, y core.List) (bool, error) {
 }
 
 // ReduceOrder minimizes an ORDER BY list with ReduceOrder⁺ under the
-// catalog's constraints, sharing the verdict memo with Implies.
+// catalog's constraints, sharing the verdict store with Implies.
 func (c *Catalog) ReduceOrder(order core.List) (rewrite.Result, error) {
 	res, _, err := c.ReduceOrderStampedCtx(context.Background(), order)
 	return res, err

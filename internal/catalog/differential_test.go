@@ -103,49 +103,60 @@ func TestTierChainMatchesDirectProver(t *testing.T) {
 	}
 }
 
-// TestNegativeClosureServesAndRevalidates pins the negative tier's life
-// cycle: a search refutation lands in the negative closure; re-asking is a
-// negative-tier hit; a mutation whose net-added ODs the witness still
-// satisfies keeps the entry alive across the generation bump (the memo, by
-// contrast, loses it); an addition the witness violates evicts it and the
-// question re-runs the search.
+// TestNegativeClosureServesAndRevalidates pins the life cycle of a stored
+// verdict, one rule per kind. A search refutation is filed with its witness
+// and re-asking is a negative-tier hit; a mutation whose net-added ODs the
+// witness still satisfies keeps it across the generation bump, a removal
+// always does, and an addition the witness violates evicts it so the
+// question re-runs the search. The mirror case: an implied verdict a search
+// found is a memo-tier hit when re-asked, outlives every addition, and is
+// asked of the search again after any removal.
 func TestNegativeClosureServesAndRevalidates(t *testing.T) {
 	cat := New()
 	cat.Add(mustOD(t, "[a] -> [b]"))
-	q := mustOD(t, "[b] -> [a]") // refuted: nothing orders a by b
-
-	assertTier := func(step string, want func(before, after Stats) bool) {
-		t.Helper()
-		before := cat.Stats()
-		ok, w, err := cat.ImpliesWitness(q)
-		if err != nil || ok {
-			t.Fatalf("%s: ok=%v err=%v, want refuted", step, ok, err)
-		}
-		checkCatalogWitness(t, cat.Declared(), q, w)
-		if after := cat.Stats(); !want(before, after) {
-			t.Fatalf("%s: tier deltas wrong: before=%+v after=%+v", step, before.Tiers, after.Tiers)
-		}
+	q := mustOD(t, "[b] -> [a]")       // refuted: nothing orders a by b
+	held := mustOD(t, "[a] -> [a, b]") // implied, but not a closure member: only a search finds it
+	if cat.Has(held) {
+		t.Fatal("setup: the implied question should not be answered by the closure fast path")
 	}
 
-	assertTier("first ask runs the search", func(b, a Stats) bool {
-		return a.Tiers.Search == b.Tiers.Search+1
-	})
-	assertTier("second ask hits the negative closure", func(b, a Stats) bool {
-		return a.Tiers.Negative == b.Tiers.Negative+1 && a.Tiers.Search == b.Tiers.Search
-	})
+	assertTier := func(step string, question core.OD, want func(before, after TierStats) bool) {
+		t.Helper()
+		before := cat.Stats()
+		ok, w, err := cat.ImpliesWitness(question)
+		if err != nil || ok != (question.Key() == held.Key()) {
+			t.Fatalf("%s: %s: ok=%v err=%v", step, question, ok, err)
+		}
+		if !ok {
+			checkCatalogWitness(t, cat.Declared(), question, w)
+		}
+		if after := cat.Stats(); !want(before.Tiers, after.Tiers) {
+			t.Fatalf("%s: %s: tier deltas wrong: before=%+v after=%+v", step, question, before.Tiers, after.Tiers)
+		}
+	}
+	searched := func(b, a TierStats) bool { return a.Search == b.Search+1 }
+	negativeHit := func(b, a TierStats) bool { return a.Negative == b.Negative+1 && a.Search == b.Search }
+	memoHit := func(b, a TierStats) bool { return a.Memo == b.Memo+1 && a.Search == b.Search }
+
+	assertTier("first ask runs the search", q, searched)
+	assertTier("second ask hits the negative closure", q, negativeHit)
+	assertTier("first ask runs the search", held, searched)
+	assertTier("second ask hits the memo", held, memoHit)
 
 	// [c] -> [d] does not constrain the witness (its attributes read Equal
-	// on it), so the entry survives the generation bump.
-	cat.Add(mustOD(t, "[c] -> [d]"))
-	assertTier("survives an unrelated addition", func(b, a Stats) bool {
-		return a.Tiers.Negative == b.Tiers.Negative+1 && a.Tiers.Search == b.Tiers.Search
-	})
+	// on it), so the refutation survives the generation bump; the implied
+	// verdict survives any addition. A removal can never invalidate a
+	// counterexample, and always sends an implied verdict back to the search.
+	for round := 0; round < 3; round++ {
+		cat.Add(mustOD(t, "[c] -> [d]"))
+		assertTier("survives an unrelated addition", q, negativeHit)
+		assertTier("survives an unrelated addition", held, memoHit)
 
-	// Removals can never invalidate a counterexample.
-	cat.Remove(mustOD(t, "[c] -> [d]"))
-	assertTier("survives a removal", func(b, a Stats) bool {
-		return a.Tiers.Negative == b.Tiers.Negative+1 && a.Tiers.Search == b.Tiers.Search
-	})
+		cat.Remove(mustOD(t, "[c] -> [d]"))
+		assertTier("survives a removal", q, negativeHit)
+		assertTier("is searched again after a removal", held, searched)
+		assertTier("and stored again", held, memoHit)
+	}
 
 	// [b] -> [a] itself — now the witness (which falsifies q by
 	// construction) cannot satisfy the grown set; the entry must go, and

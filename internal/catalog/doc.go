@@ -17,10 +17,11 @@
 //
 //	trivial      syntactic triviality, no state consulted
 //	closure      membership in the eagerly maintained transitive closure
-//	negative     the negative closure: refuted ODs with witnesses, kept
-//	             valid across mutations by incremental revalidation
-//	memo         the bounded, generation-stamped verdict memo
-//	search       the prover's (optionally parallel) pattern search
+//	negative     the verdict store holds a refutation, witness included
+//	memo         the same bounded store, the same one lookup: it holds an
+//	             implied verdict; each kind kept until a mutation can change it
+//	search       the prover's (optionally parallel) pattern search; the
+//	             verdict is filed in the store
 //
 // The chain is the one way to ask. Implies, the batch proves and the
 // questions a rewrite asks (ReduceOrder, Covers, Equivalent) all descend
@@ -31,16 +32,19 @@
 // All methods are safe for concurrent use. Mutations (Add, Remove) hold an
 // exclusive lock, eagerly maintain the closure and publish one immutable
 // generation value — the declared list in canonical order, the closure as
-// an unordered set, a fresh prover, the rewrite constraints, the memo view
-// pinned to the new generation number; reads copy that pointer under a
-// brief shared lock and then decide outside any lock, so one expensive
-// prove can never stall mutations — or, through a pending writer, the whole
-// daemon. Canonical order (core.SortODs) is a listing concern: a mutation
-// sorts the declared set once and nothing else, and Snapshot and Listing
-// deflate and order the closure when called, on the caller's goroutine.
-// Memo entries carry the generation that computed them, so a verdict
-// finishing after a mutation lands under its own (dead) generation rather
-// than poisoning the new one. The Ctx method variants thread a
+// an unordered set, a fresh prover, the rewrite constraints; reads copy that
+// pointer under a brief shared lock and then decide outside any lock, so one
+// expensive prove can never stall mutations — or, through a pending writer,
+// the whole daemon. Canonical order (core.SortODs) is a listing concern: a
+// mutation sorts the declared set once and nothing else, and Snapshot and
+// Listing deflate and order the closure when called, on the caller's
+// goroutine.
+//
+// The verdict store is valid for one generation and a mutation advances it
+// before publishing the next: stored refutations are revalidated against what
+// was net added, stored implied verdicts fall iff something was withdrawn,
+// and a search that finishes after a mutation files nothing rather than
+// poisoning the new generation. The Ctx method variants thread a
 // context.Context into the search, so callers (the HTTP layer, with client
 // disconnects and prove deadlines) can abort in-flight work.
 package catalog

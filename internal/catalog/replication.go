@@ -23,10 +23,9 @@ func (c *Catalog) SeedGeneration(gen uint64) {
 	if gen <= c.cur.gen {
 		return
 	}
-	c.memo.seed(gen)
-	// The declared set is unchanged, so every negative-closure witness stays
-	// valid; advancing with no additions just restamps the validity window.
-	c.neg.advance(gen, nil)
+	// The declared set is unchanged, so every stored verdict stands; the store
+	// is only restamped.
+	c.verdicts.advance(gen, nil, false)
 	c.refreshLocked(gen, c.cur.closure)
 }
 
@@ -35,13 +34,16 @@ func (c *Catalog) SeedGeneration(gen uint64) {
 // away on the leader and it must jump to the leader's snapshot instead. The
 // swap happens in place under the catalog lock, so concurrent readers keep
 // proving against their own immutable pre-reset snapshots and the next read
-// sees the new state. Negative-closure witnesses are revalidated against the
-// net-added ODs, exactly as a live Apply would.
+// sees the new state. The verdict store is told both directions, exactly as a
+// live Apply tells it: the net-added ODs, which stored witnesses are
+// revalidated against, and whether any OD left the set, which drops the
+// stored implied verdicts.
 //
 // On the aligned-generation trajectory a bootstrap only ever moves forward;
 // if the target generation does not advance the local one but the set
-// changed anyway (a diverged leader), the generation bumps locally so no
-// stale memoized verdict can be served for the new set.
+// changed anyway (a diverged leader), the generation bumps locally: the
+// verdict store tells a reader of the old set from a reader of the new one by
+// that number alone, so it must never name two constraint sets.
 func (c *Catalog) ResetTo(gen uint64, ods []core.OD) Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -57,21 +59,18 @@ func (c *Catalog) ResetTo(gen uint64, ods []core.OD) Stats {
 			netAdded = append(netAdded, od)
 		}
 	}
-	// With nothing net added, next is a subset of old: an OD left the set
-	// exactly when the sizes differ.
-	changed := len(netAdded) > 0 || next.len() != old.len()
+	// next = old − left + netAdded, so an OD left the set exactly when next
+	// is smaller than old plus what was added.
+	shrank := next.len() < old.len()+len(netAdded)
 	c.declared = next
 	at := c.cur.gen
 	switch {
 	case gen > at:
-		c.memo.seed(gen)
 		at = gen
-	case changed:
-		at = c.memo.Invalidate()
+	case shrank || len(netAdded) > 0:
+		at++
 	}
-	if changed || gen > 0 {
-		c.neg.advance(at, netAdded)
-	}
+	c.verdicts.advance(at, netAdded, shrank)
 	c.rebuildLocked(at)
 	return c.statsLocked()
 }

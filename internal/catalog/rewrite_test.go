@@ -143,8 +143,9 @@ func (o *countingOracle) OrdersBy(ctx context.Context, x, y core.List) (bool, er
 // TestRewriteQuestionsDescendTheTierChain pins that a rewrite's implication
 // questions are the catalog's questions: a reduction that asks N questions
 // at the Oracle seam moves the tier counters by exactly N, re-asked it moves
-// them by N again without one search, and after an unrelated declaration
-// (which wipes the memo) its refuted sub-questions are negative-closure hits.
+// them by N again without one search, and its stored verdicts outlive a
+// mutation by kind — after an unrelated declaration nothing searches again,
+// after its removal only the sub-questions a search had found implied do.
 func TestRewriteQuestionsDescendTheTierChain(t *testing.T) {
 	// The reduction drops quarter on a closure hit and season on an answer
 	// only a search finds ([month] -> [season] needs [month] <-> [quarter,
@@ -199,17 +200,32 @@ func TestRewriteQuestionsDescendTheTierChain(t *testing.T) {
 		t.Errorf("re-ask searched: tier %d -> %d, prover %d -> %d",
 			before.Tiers.Search, after.Tiers.Search, before.Prover.Searches, after.Prover.Searches)
 	}
-	if after.Tiers.Memo == before.Tiers.Memo || after.Tiers.Negative-before.Tiers.Negative != refuted {
+	searchImplied := after.Tiers.Memo - before.Tiers.Memo
+	if searchImplied == 0 || after.Tiers.Negative-before.Tiers.Negative != refuted {
 		t.Errorf("re-ask: tiers %+v -> %+v, want memo hits and %d negative-closure hits", before.Tiers, after.Tiers, refuted)
 	}
 
-	cat.Add(core.NewOD(core.L("unrelated_a"), core.L("unrelated_b")))
+	// An addition can only reject a witness, and this one mentions nothing a
+	// witness assigned: every stored verdict stands.
+	unrelated := core.NewOD(core.L("unrelated_a"), core.L("unrelated_b"))
+	cat.Add(unrelated)
 	before, after = reduce("after an unrelated add")
-	if d := after.Tiers.Negative - before.Tiers.Negative; d != refuted {
-		t.Errorf("after an unrelated add: %d negative-closure hits, want one per refuted question (%d)", d, refuted)
+	if after.Tiers.Search != before.Tiers.Search ||
+		after.Tiers.Memo-before.Tiers.Memo != searchImplied ||
+		after.Tiers.Negative-before.Tiers.Negative != refuted {
+		t.Errorf("after an unrelated add: tiers %+v -> %+v, want no search, %d memo hits and %d negative-closure hits",
+			before.Tiers, after.Tiers, searchImplied, refuted)
 	}
-	if after.Tiers.Memo != before.Tiers.Memo {
-		t.Errorf("after an unrelated add: %d memo hits from a wiped memo", after.Tiers.Memo-before.Tiers.Memo)
+
+	// A removal can only withdraw an implication: the implied verdicts a
+	// search found are asked of the search again, the refutations stand.
+	cat.Remove(unrelated)
+	before, after = reduce("after removing it")
+	if after.Tiers.Search-before.Tiers.Search != searchImplied ||
+		after.Tiers.Memo != before.Tiers.Memo ||
+		after.Tiers.Negative-before.Tiers.Negative != refuted {
+		t.Errorf("after removing it: tiers %+v -> %+v, want %d searches, no memo hit and %d negative-closure hits",
+			before.Tiers, after.Tiers, searchImplied, refuted)
 	}
 }
 

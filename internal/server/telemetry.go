@@ -225,7 +225,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 			}
 		})
 	reg.NewCounterFunc("odserve_search_widenings_total",
-		"Universe widenings (memo misses forcing a wider pattern search), by shard.",
+		"Working-set widenings (a candidate counterexample rejected by an OD outside the search, which then joins it), by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
 				emit([]string{shardLabel(name)}, float64(ss.Catalog.Prover.Widenings))

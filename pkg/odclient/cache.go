@@ -9,8 +9,7 @@ import (
 // generations is the client's view of each shard's constraint generation:
 // the highest stamp seen on any response, plus when it was last confirmed.
 // The verdict cache keys validity on this view — equal generation means the
-// shard saw no effective mutation since the verdict was computed, which is
-// exactly the server's own memo-invalidation rule, observed from outside.
+// shard saw no effective mutation since the verdict was computed.
 type generations struct {
 	mu   sync.Mutex
 	gen  map[string]uint64

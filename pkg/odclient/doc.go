@@ -18,9 +18,11 @@
 //     stamps them with, and served only while the shard's generation is
 //     unchanged; the client's view of "current" refreshes from every
 //     response it sees and, past a staleness bound, from the dedicated
-//     GET /generation poll (WithCache). Equal generation is the server's
-//     own memo-invalidation rule, observed from outside — a cache hit is
-//     exactly as fresh as the daemon's own memo.
+//     GET /generation poll (WithCache). Equal generation means the shard
+//     saw no effective mutation since the verdict was computed — a cache
+//     hit is exactly as fresh as an answer from the daemon. (The daemon's
+//     own verdict store knows what each mutation added or withdrew and
+//     keeps more across one; the client sees only the number.)
 //
 // Failure handling mirrors the server's cancellation semantics: direct
 // calls inherit the caller's context end to end (a cancelled context aborts
