@@ -70,19 +70,31 @@ func BenchmarkSatisfiesAllTwoRows(b *testing.B) {
 	}
 }
 
-// BenchmarkSortCacheRefine is the same context through a SortCache that
-// already holds [r3] and [r1]: the refinement alone.
+// BenchmarkSortCacheRefine is a discovery run's refinement traffic on the
+// same relation: each iteration refines all 30 two-attribute contexts from a
+// SortCache that already holds the six one-attribute ones. One context over
+// and over would let the branch predictor learn its ties.
 func BenchmarkSortCacheRefine(b *testing.B) {
-	r := RandRelation(rand.New(rand.NewSource(1)), L("r0", "r1", "r2", "r3", "r4", "r5"), 4000, 50)
+	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
+	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
 	c := NewSortCache(r)
-	x := L("r3", "r1")
-	if _, err := c.Get(x); err != nil {
-		b.Fatal(err)
+	var pairs []List
+	for _, a := range attrs {
+		if _, err := c.Get(List{a}); err != nil {
+			b.Fatal(err)
+		}
+		for _, z := range attrs {
+			if z != a {
+				pairs = append(pairs, List{a, z})
+			}
+		}
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := c.refine(x); err != nil {
-			b.Fatal(err)
+		for _, x := range pairs {
+			if _, err := c.refine(x); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -54,7 +54,10 @@
 // from the partitions of X and of [A] it holds — the rows, in A's order, are
 // dealt into the classes of X, and neighbours tie on X·A when they tie on X
 // and on A — which is the sort's last pass alone, and shares X's arrays when
-// A is constant or every class of X is one row. Its hits and misses count
+// A is constant or every class of X is one row. The tie pass (narrowTies,
+// which SortPartitionOn uses for a one-attribute context too) writes every
+// Tie[k] as "tied before and the same rank" with no branch on the data, and
+// counts the classes as rows minus ties. The cache's hits and misses count
 // the contexts callers asked for; a prefix retained on the way is neither.
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined

@@ -41,6 +41,13 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 		return p, nil
 	}
 	p.Tie = make([]bool, r.n-1)
+	if len(cols) == 1 {
+		for k := range p.Tie {
+			p.Tie[k] = true
+		}
+		p.Groups = r.n - narrowTies(p.Tie, p.Index, cols[0].rank)
+		return p, nil
+	}
 	p.Groups = 1
 	for k := range p.Tie {
 		p.Tie[k] = cmpRanks(cols, p.Index[k], p.Index[k+1]) == 0
@@ -198,23 +205,35 @@ func (c *SortCache) refine(x List) (*SortedPartition, error) {
 		}
 		class[i] = g
 	}
-	q.Index, q.Tie = make([]int32, n), make([]bool, n-1)
+	q.Index, q.Tie = make([]int32, n), slices.Clone(px.Tie)
 	for _, i := range pa.Index {
 		g := class[i]
 		q.Index[next[g]] = i
 		next[g]++
 	}
-	rank := c.r.ranksOf(c.r.pos[x[len(x)-1]]).rank
-	for k, tied := range px.Tie {
-		switch {
-		case !tied:
-		case rank[q.Index[k]] == rank[q.Index[k+1]]:
-			q.Tie[k] = true
-		default:
-			q.Groups++
-		}
-	}
+	q.Groups = n - narrowTies(q.Tie, q.Index, c.r.ranksOf(c.r.pos[x[len(x)-1]]).rank)
 	return q, nil
+}
+
+// narrowTies is the tie pass of a refinement: neighbours k and k+1 of idx
+// that tied (tie[k]) still tie when they share a rank. It rewrites every
+// tie[k] and returns how many remain set. Whether two neighbours share a rank
+// is a coin flip on most data, so the pass decides it without a branch.
+func narrowTies(tie []bool, idx []int32, rank []int32) (ties int) {
+	if len(tie) == 0 {
+		return 0
+	}
+	last := rank[idx[0]]
+	for k, i := range idx[1 : len(tie)+1] {
+		rk, was := rank[i], tie[k] // both loaded first: no branch guards a load
+		t := rk == last && was
+		tie[k] = t
+		if t {
+			ties++
+		}
+		last = rk
+	}
+	return ties
 }
 
 // Stats reports cache effectiveness: partitions retained (prefixes nobody

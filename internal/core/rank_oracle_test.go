@@ -523,9 +523,14 @@ func FuzzSatisfiesAgainstNaive(f *testing.F) {
 		[]byte{0, 1, 4}, []byte{0, 1, 5}, []byte{0, 2, 6}, []byte{0, 2, 7}))
 	f.Add(fuzzSeed(2, []byte{0}, []byte{1}, []byte{1, 1}, []byte{1, 2}))
 	f.Add(fuzzSeed(2, []byte{0}, []byte{1}, []byte{1, 2}, []byte{2, 1}))
+	// Contexts whose refinement shares its parent's arrays: the refining
+	// attribute B is constant, then the prefix A is a key.
+	f.Add(fuzzSeed(3, []byte{0, 1}, []byte{2}, []byte{2, 5, 1}, []byte{1, 5, 0}, []byte{2, 5, 3}, []byte{0, 5, 2}))
+	f.Add(fuzzSeed(3, []byte{0, 1}, []byte{2}, []byte{3, 1, 0}, []byte{1, 1, 2}, []byte{2, 0, 1}, []byte{0, 1, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, od := fuzzTable(data)
 		checkAgainstNaive(t, r, od)
+		checkRefined(t, r, r, od)
 		// The table again with every column held to the kind of its first
 		// cell (Null read as String), which typed columns can carry: built
 		// from rows and from columns, it gets one answer.
@@ -557,8 +562,10 @@ func FuzzSatisfiesAgainstNaive(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAgainstNaive(t, typed, od)
+		checkRefined(t, typed, typed, od)
 		twin := columnarTwin(typed)
 		checkAgainstNaive(t, twin, od)
+		checkRefined(t, twin, typed, od)
 		wantOK, wantV, _ := typed.Satisfies(od)
 		if gotOK, gotV, _ := twin.Satisfies(od); gotOK != wantOK || !sameViolation(gotV, wantV) {
 			t.Fatalf("%s: columnar %v %+v, by rows %v %+v\n%s", od, gotOK, gotV, wantOK, wantV, typed)
@@ -597,5 +604,30 @@ func checkAgainstNaive(t *testing.T, r *Relation, od OD) {
 		}
 	default:
 		t.Fatalf("%s: violation of kind %v", od, v.Kind)
+	}
+}
+
+// checkRefined holds the partition a SortCache refines for od's context, and
+// SatisfiesWith over it, to the comparator code run on oracle, a relation of
+// rows holding r's cells.
+func checkRefined(t *testing.T, r, oracle *Relation, od OD) {
+	t.Helper()
+	want, err := sortPartitionOnCmp(oracle, od.LHS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewSortCache(r).Get(od.LHS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePartition(got, want) {
+		t.Fatalf("SortCache.Get(%v) = %+v, comparator %+v\n%s", od.LHS, got, want, oracle)
+	}
+	wantOK, wantV, err := satisfiesCmp(oracle, od)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+		t.Fatalf("%s: SatisfiesWith over the refined partition = %v %+v, %v; comparator %v %+v\n%s", od, gotOK, gotV, err, wantOK, wantV, oracle)
 	}
 }

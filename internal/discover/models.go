@@ -1,6 +1,10 @@
 package discover
 
-import "odlib/internal/core"
+import (
+	"sync"
+
+	"odlib/internal/core"
+)
 
 // maxTableAttrs is the widest schema whose accepted set Pipeline keeps as a
 // model table; wider relations prune through a catalog. The table's planes
@@ -35,39 +39,71 @@ const maxTableAttrs = 9
 // discipline lattice.refuted follows.
 type modelTable struct {
 	pos    map[core.Attribute]uint8
-	lt, eq [][]uint64 // per attribute: the patterns where row 1 is below / ties row 2
+	lt, eq [][]uint64 // per attribute: the patterns where row 1 is below / ties row 2; shared, never written
 	alive  []uint64   // the patterns satisfying every accepted OD
 }
 
 // newModelTable builds the table of the empty theory over the schema: every
-// sign vector alive.
+// sign vector alive. Only alive is the table's own; the sign planes are the
+// width's.
 func newModelTable(attrs core.List) *modelTable {
-	n := len(attrs)
+	sp := planesOf(len(attrs))
+	t := &modelTable{pos: make(map[core.Attribute]uint8, len(attrs)), lt: sp.lt, eq: sp.eq}
+	for a, name := range attrs {
+		t.pos[name] = uint8(a)
+	}
+	t.alive = make([]uint64, (sp.patterns+63)/64)
+	for w := range t.alive {
+		t.alive[w] = ^uint64(0)
+	}
+	if tail := sp.patterns % 64; tail != 0 {
+		t.alive[len(t.alive)-1] = 1<<tail - 1
+	}
+	return t
+}
+
+// signPlanes are the lt and eq planes of every attribute of an n-attribute
+// schema. They depend on n alone, so each width's are built once, on first
+// use, and shared read-only by every table of that width, concurrent runs
+// included.
+type signPlanes struct {
+	patterns int // 3ⁿ
+	lt, eq   [][]uint64
+}
+
+var sharedPlanes [maxTableAttrs + 1]struct {
+	once sync.Once
+	sp   *signPlanes
+}
+
+// planesOf returns the sign planes of an n-attribute schema, n at most
+// maxTableAttrs.
+func planesOf(n int) *signPlanes {
+	e := &sharedPlanes[n]
+	e.once.Do(func() { e.sp = buildPlanes(n) })
+	return e.sp
+}
+
+// buildPlanes enumerates the 3ⁿ sign vectors, attribute a as base-3 digit a.
+func buildPlanes(n int) *signPlanes {
 	patterns := 1
-	for range attrs {
+	for range n {
 		patterns *= 3
 	}
 	words := (patterns + 63) / 64
-	planes := make([]uint64, (2*n+1)*words)
-	t := &modelTable{
-		pos:   make(map[core.Attribute]uint8, n),
-		lt:    make([][]uint64, n),
-		eq:    make([][]uint64, n),
-		alive: planes[2*n*words:],
-	}
-	for a, name := range attrs {
-		t.pos[name] = uint8(a)
-		t.lt[a], t.eq[a] = planes[2*a*words:][:words], planes[(2*a+1)*words:][:words]
+	planes := make([]uint64, 2*n*words)
+	sp := &signPlanes{patterns: patterns, lt: make([][]uint64, n), eq: make([][]uint64, n)}
+	for a := range n {
+		sp.lt[a], sp.eq[a] = planes[2*a*words:][:words], planes[(2*a+1)*words:][:words]
 	}
 	for p, digits := 0, make([]uint8, n); p < patterns; p++ {
 		w, bit := p>>6, uint64(1)<<(p&63)
-		t.alive[w] |= bit
 		for a, d := range digits {
 			switch d {
 			case 0:
-				t.lt[a][w] |= bit
+				sp.lt[a][w] |= bit
 			case 1:
-				t.eq[a][w] |= bit
+				sp.eq[a][w] |= bit
 			}
 		}
 		for a := 0; a < n; a++ { // digits = p+1 in base 3
@@ -77,7 +113,7 @@ func newModelTable(attrs core.List) *modelTable {
 			digits[a] = 0
 		}
 	}
-	return t
+	return sp
 }
 
 // positions resolves a list to schema positions, the form the planes are

@@ -16,7 +16,8 @@ type PipelineOptions struct {
 	Options
 
 	// Workers bounds the goroutines validating candidates against data;
-	// zero selects GOMAXPROCS.
+	// zero selects GOMAXPROCS, and no value starts more than GOMAXPROCS:
+	// the checks are CPU-bound, so more goroutines would only queue.
 	Workers int
 
 	// Pool, when non-nil, is shared with the pruning catalog's implication
@@ -172,10 +173,7 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	if err := opts.CheckSize(len(attrs)); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := workerCount(opts.Workers)
 
 	var pr pruning
 	switch {
@@ -383,6 +381,16 @@ func validateGroup(ctx context.Context, r *core.Relation, pr pruning,
 		}
 	}
 	return out
+}
+
+// workerCount is the validation parallelism a run asks for, as Workers
+// documents it: GOMAXPROCS unless fewer are asked for.
+func workerCount(asked int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if asked <= 0 {
+		return procs
+	}
+	return min(asked, procs)
 }
 
 // runGroups fans the groups out over a bounded worker set and collects every

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"odlib/internal/core"
 	"odlib/internal/prover"
@@ -115,7 +117,8 @@ func TestPipelineDifferentialClosure(t *testing.T) {
 // TestPipelineSchedulerIndependence backs the CI gate: every pruning counter
 // must be identical across worker counts, because which candidates reach the
 // data depends only on previous levels' committed state, never on worker
-// interleaving.
+// interleaving. GOMAXPROCS+2 workers asked for run as GOMAXPROCS, so that
+// case exercises the clamp.
 func TestPipelineSchedulerIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r := core.RandRelation(rng, core.L("A", "B", "C", "D", "E"), 40, 4)
@@ -143,6 +146,33 @@ func TestPipelineSchedulerIndependence(t *testing.T) {
 				t.Fatalf("OD order differs across schedules at %d: %s vs %s",
 					i, base.ODs[i], res.ODs[i])
 			}
+		}
+	}
+}
+
+// TestRunGroupsBoundedByGOMAXPROCS: however many workers a run asks for,
+// no more than GOMAXPROCS groups are ever validated at once — a request's
+// "workers" cannot start a goroutine per group.
+func TestRunGroupsBoundedByGOMAXPROCS(t *testing.T) {
+	groups := make([]*contextGroup, 1000)
+	for i := range groups {
+		groups[i] = &contextGroup{lhs: int32(i)}
+	}
+	var running, peak atomic.Int64
+	out := runGroups(context.Background(), groups, workerCount(1<<20), func(g *contextGroup) groupOutcome {
+		now := running.Add(1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Microsecond) // long enough for unbounded workers to pile up
+		running.Add(-1)
+		return groupOutcome{checks: uint64(g.lhs)}
+	})
+	if procs := int64(runtime.GOMAXPROCS(0)); peak.Load() > procs {
+		t.Fatalf("%d groups ran at once, GOMAXPROCS is %d", peak.Load(), procs)
+	}
+	for i, o := range out {
+		if o.checks != uint64(i) {
+			t.Fatalf("outcome %d belongs to group %d", i, o.checks)
 		}
 	}
 }

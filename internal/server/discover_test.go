@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -271,5 +272,47 @@ func TestDiscoverEndpointHugeIntegers(t *testing.T) {
 	}
 	if consts, _ := lines[len(lines)-1]["constants"].([]any); len(consts) != 0 {
 		t.Fatalf("constants = %v, want none", consts)
+	}
+}
+
+// TestDiscoverHugeWorkersSameStream: a request that asks for a million
+// workers streams the same NDJSON, byte for byte, as one that leaves workers
+// to the daemon. The bound on goroutines is TestRunGroupsBoundedByGOMAXPROCS's.
+func TestDiscoverHugeWorkersSameStream(t *testing.T) {
+	ts, _, _, _ := newTelemetryServer(t, "", store.Options{}, 0)
+	rows := make([][]int, 300)
+	for i := range rows {
+		month := 1 + i%12
+		rows[i] = []int{month, (month + 2) / 3, i * 7919 % 53, i % 5, 9}
+	}
+	stream := func(workers int) string {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{
+			"attrs":   []string{"month", "quarter", "r", "s", "era"},
+			"rows":    rows,
+			"maxLHS":  2,
+			"maxRHS":  2,
+			"workers": workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/discover", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers %d: POST /discover = %d, %v", workers, resp.StatusCode, err)
+		}
+		return string(out)
+	}
+	want := stream(0)
+	if !strings.Contains(want, `[month] -\u003e [quarter]`) { // encoding/json escapes '>'
+		t.Fatalf("the default run misses [month] -> [quarter]:\n%s", want)
+	}
+	if got := stream(1_000_000); got != want {
+		t.Fatalf("workers 1000000 streamed\n%s\nworkers 0 streamed\n%s", got, want)
 	}
 }

@@ -236,28 +236,42 @@ func (p *rowsParser) digits() int {
 // num reads the number at the cursor by JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, stopping where it stops
 // matching — what follows is the caller's to judge. An integer literal of at
-// most 15 digits (other than -0) is exact, and returned as i; any other
-// number is returned as f, read from the same bytes the way encoding/json
-// reads one into a float64.
+// most 15 digits (other than -0) is exact, and returned as i, accumulated
+// while its digits are scanned; any other number is returned as f, read from
+// the same bytes the way encoding/json reads one into a float64.
 func (p *rowsParser) num() (i int64, f float64, exact bool, err error) {
 	start := p.i
 	if p.b[p.i] == '-' {
 		p.i++
 	}
-	intStart := p.i
-	switch n := p.digits(); {
+	intStart, k := p.i, p.i
+	for ; k < len(p.b); k++ {
+		d := p.b[k] - '0'
+		if d > 9 {
+			break
+		}
+		i = i*10 + int64(d) // wraps past 18 digits, which are not exact
+	}
+	p.i = k
+	switch n := k - intStart; {
 	case n == 0:
 		return 0, 0, false, fmt.Errorf("invalid number")
 	case n > 1 && p.b[intStart] == '0':
-		p.i = intStart + 1 // a leading zero is the whole integer part
+		p.i, i = intStart+1, 0 // a leading zero is the whole integer part
 	}
-	exact = p.i-intStart <= 15
+	if p.i-intStart <= 15 && (p.i == len(p.b) || p.b[p.i] != '.' && p.b[p.i] != 'e' && p.b[p.i] != 'E') {
+		if intStart == start {
+			return i, 0, true, nil
+		}
+		if i != 0 {
+			return -i, 0, true, nil
+		}
+	}
 	if p.i < len(p.b) && p.b[p.i] == '.' {
 		p.i++
 		if p.digits() == 0 {
 			return 0, 0, false, fmt.Errorf("invalid number")
 		}
-		exact = false
 	}
 	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
 		p.i++
@@ -266,18 +280,6 @@ func (p *rowsParser) num() (i int64, f float64, exact bool, err error) {
 		}
 		if p.digits() == 0 {
 			return 0, 0, false, fmt.Errorf("invalid number")
-		}
-		exact = false
-	}
-	if exact {
-		for _, d := range p.b[intStart:p.i] {
-			i = i*10 + int64(d-'0')
-		}
-		if intStart == start {
-			return i, 0, true, nil
-		}
-		if i != 0 {
-			return -i, 0, true, nil
 		}
 	}
 	f, err = strconv.ParseFloat(string(p.b[start:p.i]), 64)

@@ -133,6 +133,7 @@ var rowsCorpus = []string{
 	`[[9007199254740992,1],[9007199254740993,2]]`,
 	`[[9007199254740991,1],[-9007199254740992,2]]`,
 	`[[1e19,3],[2e19,2],[3e19,1]]`,
+	`[[0,100000000000000],[10,999999999999999],[1E2,7]]`,
 	`[[1e400,1]]`, `[[-1e400,1]]`,
 	`[[1,2],[3]]`, `[[1],[2,3]]`, `[[1,2,3]]`, `[[]]`, `[[],[]]`, `[[1,2],[]]`,
 	`[[1,"x"],["y",2]]`, `[["x",1],[2,3]]`, `[[1,2],["x",3]]`,
