@@ -99,7 +99,15 @@ func fixtureLockOrder(importPath string) LockOrderConfig {
 
 func TestLockOrderPositive(t *testing.T) {
 	p := "fix/lockorder/positive"
-	pkg, diags := runFixture(t, p, LockOrder(fixtureLockOrder(p)))
+	cfg := fixtureLockOrder(p)
+	// Stale entries: a missing field, a field that is no mutex, a missing
+	// type, a missing method, and a summary listing an unranked lock.
+	cfg.Ranks[p+".S.gone"] = 30
+	cfg.Ranks[p+".S.n"] = 40
+	cfg.Ranks[p+".Gone.mu"] = 50
+	cfg.Acquires[p+".Ext.Gone"] = []string{p + ".S.a"}
+	cfg.Acquires[p+".Ext.Wait"] = []string{p + ".T.mu"}
+	pkg, diags := runFixture(t, p, LockOrder(cfg))
 	checkFixture(t, pkg, diags)
 }
 

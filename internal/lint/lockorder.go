@@ -3,7 +3,11 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // LockOrderConfig ranks the mutexes whose acquisition order is part of the
@@ -12,14 +16,16 @@ import (
 // already holds — is the deadlock shape the analyzer flags.
 type LockOrderConfig struct {
 	// Ranks maps lock keys (pkgpath.Type.field) to their position in the
-	// global acquisition order; lower ranks are acquired first. Locks not in
-	// the map are invisible to the analyzer.
+	// global acquisition order; lower ranks are acquired first. A mutex
+	// field of an analyzed package that has no rank is reported, and so is
+	// a key that names no mutex field of the package it names.
 	Ranks map[string]int
 	// Acquires summarizes functions outside the analyzed package: a call to
 	// the keyed function/method may acquire the listed locks while it runs.
 	// This is how cross-package contracts are encoded — e.g. that
 	// store.CompactNow re-enters the router's apply lock through its
-	// snapshot Source callback.
+	// snapshot Source callback. A key that names no function, or a listed
+	// lock with no rank, is reported when the key's package is analyzed.
 	Acquires map[string][]string
 	// Packages restricts the analysis to these import paths; empty analyzes
 	// every loaded package.
@@ -69,6 +75,7 @@ type lockOrder struct {
 }
 
 func (lo *lockOrder) run() {
+	lo.checkConfig()
 	lo.buildSummaries()
 	for _, f := range lo.pass.Files {
 		for _, decl := range f.Decls {
@@ -79,6 +86,84 @@ func (lo *lockOrder) run() {
 			lo.checkFunc(fd)
 		}
 	}
+}
+
+// checkConfig reports the drift that would otherwise blind the analyzer
+// silently: a mutex field of one of this package's named types with no rank,
+// a Ranks or Acquires key under this package's path that names no mutex
+// field or no function, and an Acquires entry listing an unranked lock. A
+// stale key has no source line of its own: it is reported at the package
+// clause.
+func (lo *lockOrder) checkConfig() {
+	pkg := lo.pass.Package
+	scope := pkg.Types.Scope()
+	for _, typeName := range scope.Names() {
+		tn, ok := scope.Lookup(typeName).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for fld := range st.Fields() {
+			if !isMutex(fld.Type()) {
+				continue
+			}
+			key := pkg.Path + "." + typeName + "." + fld.Name()
+			if fld.Embedded() {
+				lo.pass.Reportf(fld.Pos(), "embedded mutex in %s cannot be ranked; give the field a name", typeName)
+			} else if _, ranked := lo.cfg.Ranks[key]; !ranked {
+				lo.pass.Reportf(fld.Pos(), "mutex %s has no rank in the lock order", key)
+			}
+		}
+	}
+	clause := pkg.Files[0].Package
+	for _, key := range slices.Sorted(maps.Keys(lo.cfg.Ranks)) {
+		name, ok := strings.CutPrefix(key, pkg.Path+".")
+		if !ok {
+			continue
+		}
+		if v, ok := lookupMember(pkg.Types, name).(*types.Var); !ok || !isMutex(v.Type()) {
+			lo.pass.Reportf(clause, "Ranks key %s names no mutex field", key)
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(lo.cfg.Acquires)) {
+		name, ok := strings.CutPrefix(key, pkg.Path+".")
+		if !ok {
+			continue
+		}
+		if _, ok := lookupMember(pkg.Types, name).(*types.Func); !ok {
+			lo.pass.Reportf(clause, "Acquires key %s names no function", key)
+		}
+		for _, l := range lo.cfg.Acquires[key] {
+			if _, ranked := lo.cfg.Ranks[l]; !ranked {
+				lo.pass.Reportf(clause, "Acquires[%s] lists %s, which has no rank", key, l)
+			}
+		}
+	}
+}
+
+// lookupMember resolves a key's name within pkg — "Type.member" (a field or
+// method) or a package-level "name" — to its object; nil when none exists.
+func lookupMember(pkg *types.Package, name string) types.Object {
+	typeName, member, dotted := strings.Cut(name, ".")
+	obj := pkg.Scope().Lookup(typeName)
+	if !dotted {
+		return obj
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	obj, _, _ = types.LookupFieldOrMethod(tn.Type(), true, pkg, member)
+	return obj
+}
+
+// isMutex reports whether t is sync.Mutex or sync.RWMutex, or a pointer to one.
+func isMutex(t types.Type) bool {
+	name := qualifiedTypeName(t)
+	return name == "sync.Mutex" || name == "sync.RWMutex"
 }
 
 // buildSummaries computes, to a fixpoint over the package's internal call

@@ -1,5 +1,6 @@
 // Package negative holds lock use consistent with the fixture ranking
-// (S.a=10 before S.b=20).
+// (S.a=10 before S.b=20), and a package every key of that ranking names:
+// both fields of S and the summarized Ext.Do exist.
 package negative
 
 import "sync"
@@ -7,6 +8,27 @@ import "sync"
 type S struct {
 	a sync.Mutex
 	b sync.Mutex
+	n int // not a mutex: needs no rank
+}
+
+// Ext.Do is summarized as acquiring a.
+type Ext struct{}
+
+func (Ext) Do() {}
+
+// A summarized call taken before the later-ranked lock.
+func (s *S) ViaSummary(e Ext) {
+	e.Do()
+	s.b.Lock()
+	s.b.Unlock()
+}
+
+// A mutex that is no struct field is outside the ranking.
+func Local() int {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return 1
 }
 
 // Correct nesting order.

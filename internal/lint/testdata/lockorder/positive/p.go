@@ -1,12 +1,21 @@
 // Package positive holds lockorder violations. Fixture config ranks
-// S.a=10, S.b=20, and summarizes Ext.Do as acquiring S.a.
-package positive
+// S.a=10, S.b=20, and summarizes Ext.Do as acquiring S.a; the positive test
+// adds stale entries, which have no line of their own and are reported at
+// the package clause.
+package positive // want lockorder "S.gone names no mutex field" lockorder "S.n names no mutex field" lockorder "Gone.mu names no mutex field" lockorder "Ext.Gone names no function" lockorder "T.mu, which has no rank"
 
 import "sync"
 
 type S struct {
 	a sync.Mutex
 	b sync.Mutex
+	n int
+}
+
+// T's mutexes have no rank, so no acquisition of them could be checked.
+type T struct {
+	mu           sync.Mutex // want lockorder "T.mu has no rank"
+	sync.RWMutex            // want lockorder "embedded mutex in T"
 }
 
 // Inverted direct acquisition: b (20) held while taking a (10).
@@ -51,6 +60,8 @@ func (s *S) ViaCall() {
 type Ext struct{}
 
 func (Ext) Do() {}
+
+func (Ext) Wait() {}
 
 // Violation visible only through the configured cross-package-style summary.
 func (s *S) ViaSummary(e Ext) {

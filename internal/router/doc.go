@@ -14,8 +14,9 @@
 // independently. Requests that name no shard and requests for listings and
 // stats fan out across shards and merge.
 //
-// Mutations are staged (WAL append) under the shard's mutex so WAL order is
-// deterministic, but the catalog is only touched after the group commit
+// Mutations are staged (WAL append) under the store's own lock, which
+// numbers a record and stages its frame together, so WAL order is seq
+// order; but the catalog is only touched after the group commit
 // succeeds: each staged record holds an apply ticket (its WAL sequence
 // number), and durable mutations apply strictly in ticket order, so
 // in-memory apply order equals WAL order — the invariant replay depends on.

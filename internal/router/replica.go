@@ -14,8 +14,8 @@ import (
 // exactly (see catalog/replication.go for why record-at-a-time matters).
 
 // ShardSegments is one shard's shippable state as the leader reports it:
-// the applied watermark and generation (read atomically under the apply
-// lock, so they pair), the last durable snapshot cut, and the live segments.
+// the applied watermark and generation, the last durable snapshot cut (each
+// pair read in one critical section, so it pairs), and the live segments.
 type ShardSegments struct {
 	AppliedSeq  uint64              `json:"appliedSeq"`
 	Generation  uint64              `json:"generation"`
@@ -35,12 +35,12 @@ func (r *Router) SegmentState() map[string]ShardSegments {
 			continue
 		}
 		seq, gen := sh.appliedStateLite()
-		st := sh.st.Stats()
+		snapSeq, snapGen := sh.st.SnapshotGen()
 		out[name] = ShardSegments{
 			AppliedSeq:  seq,
 			Generation:  gen,
-			SnapshotSeq: st.SnapshotSeq,
-			SnapshotGen: sh.st.SnapshotGen(),
+			SnapshotSeq: snapSeq,
+			SnapshotGen: snapGen,
 			Segments:    sh.st.SegmentInfos(),
 		}
 	}
@@ -48,7 +48,7 @@ func (r *Router) SegmentState() map[string]ShardSegments {
 }
 
 // appliedStateLite reads the applied watermark and generation without
-// copying the declared set — the cheap pairing SegmentState needs per poll.
+// copying the declared set — the cheap pairing a poll or a lag check needs.
 func (sh *Shard) appliedStateLite() (uint64, uint64) {
 	sh.applyMu.Lock()
 	defer sh.applyMu.Unlock()
@@ -162,10 +162,7 @@ func (r *Router) NoteLeader(schema string, leaderSeq, leaderGen uint64) error {
 // the follower store, which keeps them the same way with or without a
 // directory.
 func (r *Router) replicaStatus(sh *Shard) ReplicaStatus {
-	sh.applyMu.Lock()
-	applied := sh.nextApply - 1
-	gen := sh.cat.Generation()
-	sh.applyMu.Unlock()
+	applied, gen := sh.appliedStateLite()
 	fst := sh.fs.Stats()
 	rs := ReplicaStatus{
 		AppliedSeq:       applied,
@@ -316,9 +313,7 @@ func (r *Router) FollowerNext(schema string) (index uint64, size int64, open boo
 	if sh == nil || sh.fs == nil {
 		return 0, 0, false, 0
 	}
-	sh.applyMu.Lock()
-	watermark = sh.nextApply - 1
-	sh.applyMu.Unlock()
+	watermark, _ = sh.appliedStateLite()
 	index, size, open, _ = sh.fs.Next()
 	return index, size, open, watermark
 }

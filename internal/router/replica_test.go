@@ -2,6 +2,9 @@ package router
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"odlib/internal/store"
@@ -391,5 +394,71 @@ func TestFollowerKindsReportTheSameCounters(t *testing.T) {
 		if got != want {
 			t.Errorf("%s follower reports %+v, want %+v", kind, got, want)
 		}
+	}
+}
+
+// TestSegmentStateSnapshotPair: GET /segments publishes the last snapshot's
+// seq and generation as one pair. Every declare here is distinct, so the
+// generation equals the seq at every cut, and a polled pair that differs
+// describes no snapshot — what a compaction landing between two separate
+// store reads would publish. One goroutine compacts in a loop, one polls in
+// a loop, and the test goroutine declares and polls.
+func TestSegmentStateSnapshotPair(t *testing.T) {
+	r, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var bad atomic.Value
+	poll := func() uint64 {
+		ss := r.SegmentState()["s"]
+		if ss.SnapshotGen != ss.SnapshotSeq {
+			bad.CompareAndSwap(nil, fmt.Sprintf("/segments paired snapshot seq %d with generation %d", ss.SnapshotSeq, ss.SnapshotGen))
+		}
+		return ss.SnapshotSeq
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.SnapshotOne("s"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				poll()
+			}
+		}
+	}()
+	var moved uint64
+	for i := 0; i < 100 && bad.Load() == nil; i++ {
+		if _, err := r.Declare("s", ods(t, fmt.Sprintf("[P%d] -> [P%d]", i, i+1))); err != nil {
+			t.Error(err)
+			break
+		}
+		moved = max(moved, poll())
+	}
+	close(stop)
+	wg.Wait()
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if moved == 0 {
+		t.Fatal("no snapshot was ever polled; the test exercised nothing")
 	}
 }

@@ -134,11 +134,6 @@ type Shard struct {
 	tel          *Telemetry
 	backpressure int
 
-	// mu serializes WAL staging so sequence numbers are handed out in a
-	// deterministic order; it is held only across the append, never across
-	// the group-commit wait or the catalog apply.
-	mu sync.Mutex
-
 	// applyMu + applyCond order post-commit catalog applies by WAL sequence
 	// number: nextApply is the ticket of the next record allowed to touch
 	// the catalog. Records whose commit failed release their ticket without
@@ -428,7 +423,7 @@ type MutationResult struct {
 }
 
 // Declare declares ODs on the schema's shard: WAL append (staged under the
-// shard mutex), then the durability wait with no lock held, then — only
+// store's lock), then the durability wait with no lock held, then — only
 // once durable — the catalog apply, in WAL order. The mutation is
 // acknowledged and becomes visible to readers together, after the commit.
 func (r *Router) Declare(schema string, ods []core.OD) (MutationResult, error) {
@@ -477,10 +472,10 @@ type stagedMutation struct {
 	seq     uint64
 }
 
-// stage appends the batch to the shard's WAL under the shard mutex without
-// touching the catalog, and returns the staged handle. On an ephemeral
-// shard there is no WAL and nothing to wait for: the batch applies
-// immediately and the final MutationResult is returned instead.
+// stage appends the batch to the shard's WAL without touching the catalog,
+// and returns the staged handle. On an ephemeral shard there is no WAL and
+// nothing to wait for: the batch applies immediately and the final
+// MutationResult is returned instead.
 func (sh *Shard) stage(declares, removes []core.OD) (*stagedMutation, MutationResult, error) {
 	start := time.Now()
 	// Admission control runs before any lock or WAL touch: when the sealed
@@ -504,8 +499,6 @@ func (sh *Shard) stage(declares, removes []core.OD) (*stagedMutation, MutationRe
 	if len(removes) > 0 {
 		muts = append(muts, catalog.Mutation{Remove: true, ODs: removes})
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.st == nil {
 		added, removed, st := sh.cat.Apply(muts)
 		sh.observeMutate(start)

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -659,5 +660,67 @@ func TestWritersFlowDuringAdminCompaction(t *testing.T) {
 	}
 	if got := r.Stats()["hot"].Catalog.Declared; got != writers*rounds+1 {
 		t.Fatalf("declared %d, want %d", got, writers*rounds+1)
+	}
+}
+
+// TestWALOrderEqualsApplyOrder: with no shard-level lock around staging, the
+// store's own critical section must still log records in the order it
+// numbers them, and the apply tickets must publish them in that order. Four
+// goroutines declare, remove and batch over a pool of three ODs — small
+// enough that the interleaving decides the final set and the generation —
+// and a restart, which replays the log in seq order, must rebuild exactly
+// the live declared set and generation.
+func TestWALOrderEqualsApplyOrder(t *testing.T) {
+	opt := Options{DataDir: t.TempDir(), Store: store.Options{SnapshotEvery: 16, SegmentRecords: 8}}
+	r, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := ods(t, "[A] -> [B]", "[B] -> [C]", "[A] -> [C]")
+	const workers, rounds = 4, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < rounds; i++ {
+				od, other := pool[rng.Intn(len(pool)):][:1], pool[rng.Intn(len(pool)):][:1]
+				var err error
+				switch rng.Intn(3) {
+				case 0:
+					_, err = r.Declare("", od)
+				case 1:
+					_, err = r.Remove("", od)
+				default:
+					_, err = r.ApplyBatch([]BatchOp{{ODs: od}, {Remove: true, ODs: other}})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	live, err := r.Listing("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	got, err := r2.Listing("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Declared) != fmt.Sprint(live.Declared) || got.Generation != live.Generation {
+		t.Fatalf("restart rebuilt declared %v at generation %d; live was %v at generation %d",
+			got.Declared, got.Generation, live.Declared, live.Generation)
 	}
 }

@@ -20,16 +20,18 @@
 // names, the recovery scan and its torn-tail rule, how bytes reach the open
 // segment, what sealing guarantees (fsync + close + directory fsync), the
 // truncation back to a frame boundary, the deletion of snapshot-covered
-// segments and the SegmentInfo listing. Three policies sit on it:
+// segments and the SegmentInfo listing. Two policies sit on it:
 //
-//   - Store and its wal, the leader: Store numbers the records, the wal
-//     group-commits them and rotates at the size/record thresholds and when
-//     a snapshot covers the open segment.
-//   - FollowerStore with a directory, the durable follower: ingests bytes a
-//     leader already framed, at the offset they were fetched from.
-//   - FollowerStore without one (OpenFollower("")), the pure-cache follower:
-//     the same ingest protocol, cursor and counters over a segLog that
-//     persists nothing.
+//   - Store, the leader: it numbers the records, group-commits them and
+//     rotates at the size/record thresholds and when a snapshot covers the
+//     open segment. One mutex guards all of that bookkeeping; a second, ioMu,
+//     keeps the committer, the compactor's rotation and Close from
+//     interleaving file I/O on the open segment.
+//   - FollowerStore, the follower: ingests bytes a leader already framed, at
+//     the offset they were fetched from. Opened with a directory it is
+//     durable; without one (OpenFollower("")) it is a pure cache — the same
+//     ingest protocol, cursor and counters over a segLog that persists
+//     nothing.
 //
 // Open and OpenFollower share one recovery (recoverShard), and recovery and
 // replication share one frame decoder (DecodeFrames): a segment is recovered

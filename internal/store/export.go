@@ -33,9 +33,9 @@ type SegmentInfo struct {
 // metadata; the files themselves may shrink in count (compaction) after it
 // returns, which fetchers discover as ErrNoSegment.
 func (s *Store) SegmentInfos() []SegmentInfo {
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
-	return s.wal.log.infos()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.log.infos()
 }
 
 func segInfo(sg segment, sealed bool) SegmentInfo {
@@ -64,9 +64,9 @@ func (s *Store) ReadSegmentAt(index uint64, off, maxBytes int64) ([]byte, Segmen
 	// Only metadata is read under the lock; the file is opened by path
 	// afterwards — the committer owns the open segment's handle and sealed
 	// files are closed.
-	s.wal.mu.Lock()
-	sg, sealed, found := s.wal.log.find(index)
-	s.wal.mu.Unlock()
+	s.mu.Lock()
+	sg, sealed, found := s.log.find(index)
+	s.mu.Unlock()
 	if !found {
 		return nil, SegmentInfo{}, fmt.Errorf("%w: index %d", ErrNoSegment, index)
 	}
@@ -101,10 +101,11 @@ func (s *Store) SnapshotFile() (Snapshot, bool, error) {
 	return loadSnapshot(s.dir)
 }
 
-// SnapshotGen reports the catalog generation pinned in the last durable
-// snapshot (zero before the first snapshot).
-func (s *Store) SnapshotGen() uint64 {
+// SnapshotGen reports the cut of the last durable snapshot — its seq and the
+// catalog generation pinned in it (both zero before the first snapshot) — as
+// one reading, so the pair always describes the same snapshot.
+func (s *Store) SnapshotGen() (seq, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotGen
+	return s.snapshotSeq, s.snapshotGen
 }

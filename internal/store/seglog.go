@@ -13,7 +13,7 @@ import (
 	"strings"
 )
 
-// maxRecordBytes bounds a frame's payload. append enforces it on the write
+// maxRecordBytes bounds a frame's payload. Store enforces it on the write
 // side, so on the read side a longer length word can only be corruption and
 // is treated as a torn tail. The bound comfortably exceeds anything a
 // size-capped HTTP batch can expand to (the server caps bodies at 8 MiB and
@@ -127,13 +127,12 @@ func (sg segment) live(seq uint64) bool { return sg.records > 0 && sg.lastSeq > 
 // segLog is the segment log of one shard, and the only code that knows
 // segment file names, the recovery scan and its torn-tail rule, how bytes
 // reach a segment, what sealing guarantees and how covered segments go away.
-// The leader's wal (group-commits the records Store numbers, rotates at
-// thresholds) and FollowerStore (ingests pre-framed bytes at an offset,
-// durably or not) are policies on it.
-// With an empty dir the log is memory only: the same bookkeeping, nothing
-// persisted — a pure-cache follower.
+// Store (numbers records, group-commits them, rotates at thresholds) and
+// FollowerStore (ingests pre-framed bytes at an offset, durably or not) are
+// policies on it. With an empty dir the log is memory only: the same
+// bookkeeping, nothing persisted — a pure-cache follower.
 //
-// A segLog has no lock of its own; its owner's mutex (wal.mu,
+// A segLog has no lock of its own; its owner's mutex (Store.mu,
 // FollowerStore.mu) guards every field. write and sync alone may run
 // without it, under whatever serializes the owner's file I/O: they touch
 // only f and cur.size, which change solely in calls that are themselves

@@ -122,24 +122,38 @@ type CompactionResult struct {
 	SegmentsRemoved int
 }
 
-// Store is the durability engine of one catalog shard: a segmented WAL for
-// every mutation plus a background-compacted snapshot. It hands recovered
-// state back to the caller at Open and afterwards only appends; the caller
-// (internal/router) owns the catalog the records apply to and serializes
-// mutations so WAL order equals apply order. Snapshots are written solely
-// by the compactor goroutine — the append/apply path never performs
+// Store is the durability engine of one catalog shard — the leader's policy
+// on its segment log: a segmented WAL for every mutation (group-committed by
+// the goroutine in wal.go) plus a background-compacted snapshot. It hands
+// recovered state back to the caller at Open and afterwards only appends;
+// the caller (internal/router) owns the catalog the records apply to and
+// applies them in seq order, so WAL order equals apply order. Snapshots are
+// written solely by the compactor — the append/apply path never performs
 // snapshot I/O, so a snapshot in progress stalls no writer.
 type Store struct {
 	dir string
-	wal *wal
 	opt Options
 
 	// compactMu serializes compactions: the background loop and synchronous
 	// CompactNow callers take turns, so two snapshot writes never race.
 	compactMu sync.Mutex
 
+	// ioMu serializes every operation on the open segment's file — batch
+	// writes, sealing, rotation, the final close — so the committer and the
+	// compactor never interleave I/O on it. Lock order: ioMu before mu.
+	ioMu sync.Mutex
+
+	// mu guards seq assignment, batch staging, the segment metadata, the
+	// sticky WAL error and the snapshot bookkeeping: one critical section
+	// numbers a record and stages its frame, and one reads them all.
 	mu            sync.Mutex
+	log           *segLog   // its open segment changes only with ioMu held as well
+	cur           *walBatch // accumulating group commit, not yet picked up
+	walErr        error     // sticky write/sync/rotate failure
+	closed        bool
 	seq           uint64 // last assigned sequence number
+	batches       uint64
+	rotations     uint64
 	snapshotSeq   uint64
 	snapshotGen   uint64 // catalog generation pinned in the last durable snapshot
 	sinceSnapshot int
@@ -150,6 +164,9 @@ type Store struct {
 	src           Source
 	compactGate   chan struct{} // non-nil holds every compaction pass (fault drills)
 
+	commitKick  chan struct{}
+	commitStop  chan struct{}
+	commitDone  chan struct{}
 	compactKick chan struct{}
 	compactStop chan struct{}
 	compactDone chan struct{}
@@ -242,12 +259,15 @@ func Open(dir string, opt Options) (*Store, Snapshot, []Record, error) {
 	}
 	s := &Store{
 		dir:           dir,
-		wal:           newWAL(l, opt),
 		opt:           opt,
+		log:           l,
 		seq:           seq,
 		snapshotSeq:   snap.Seq,
 		snapshotGen:   snap.Gen,
 		sinceSnapshot: len(replay),
+		commitKick:    make(chan struct{}, 1),
+		commitStop:    make(chan struct{}),
+		commitDone:    make(chan struct{}),
 		compactKick:   make(chan struct{}, 1),
 		recovery: Recovery{
 			SnapshotSeq: snap.Seq,
@@ -257,20 +277,16 @@ func Open(dir string, opt Options) (*Store, Snapshot, []Record, error) {
 			Segments:    len(l.sealed) + 1,
 		},
 	}
+	go s.commit()
 	return s, snap, replay, nil
 }
 
-// Append logs one mutation batch, assigning it the next sequence number, and
-// returns a Pending handle. The caller must Wait on the handle before
+// AppendBatch logs declares and removes as ONE record in one frame, assigning
+// it the next sequence number, so the pair commits or fails atomically —
+// never half of it. The caller must Wait on the returned handle before
 // acknowledging the mutation. When the records-since-snapshot threshold is
 // crossed the background compactor is nudged — asynchronously; the append
 // itself never snapshots.
-func (s *Store) Append(op Op, ods []core.OD) (p *Pending, seq uint64, err error) {
-	return s.appendRecord(Record{Op: op, ODs: ods})
-}
-
-// AppendBatch logs declares and removes as ONE record in one frame, so the
-// pair commits or fails atomically — never half of it.
 func (s *Store) AppendBatch(declares, removes []core.OD) (p *Pending, seq uint64, err error) {
 	switch {
 	case len(removes) == 0:
@@ -285,7 +301,7 @@ func (s *Store) AppendBatch(declares, removes []core.OD) (p *Pending, seq uint64
 func (s *Store) appendRecord(rec Record) (p *Pending, seq uint64, err error) {
 	s.mu.Lock()
 	rec.Seq = s.seq + 1
-	p, err = s.wal.append(rec)
+	p, err = s.stageLocked(rec)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, 0, err
@@ -410,9 +426,24 @@ func (s *Store) compactOnce() (CompactionResult, error) {
 	}
 	// The snapshot is durable; everything at or before cutSeq is redundant
 	// in the log. Seal the active segment too when it is fully covered, so
-	// a quiescent shard compacts down to an empty log.
-	s.wal.rotateForCompaction(cutSeq)
-	removed, err := s.wal.dropCovered(cutSeq)
+	// a quiescent shard compacts down to an empty log — the segmented
+	// equivalent of truncating to zero. Records staged but not committed
+	// carry seqs past any snapshot (snapshots cut at the applied watermark,
+	// applies happen only after commit), so they land in the fresh segment.
+	s.ioMu.Lock()
+	s.mu.Lock()
+	if open := s.log.cur; open.records > 0 && open.lastSeq <= cutSeq {
+		s.rotateLocked()
+	}
+	s.ioMu.Unlock()
+	// Then delete the sealed segments the snapshot covers. One directory
+	// fsync makes the deletions durable, taken outside mu so writers staging
+	// behind a compaction wait for unlinks at most.
+	removed, err := s.log.dropCovered(cutSeq)
+	s.mu.Unlock()
+	if err == nil && removed > 0 {
+		err = syncDir(s.dir)
+	}
 	res.SegmentsRemoved = removed
 	s.mu.Lock()
 	s.compactErr = err
@@ -426,11 +457,11 @@ func (s *Store) compactOnce() (CompactionResult, error) {
 // CompactionLagSegments reports how many sealed WAL segments the last
 // durable snapshot does not fully cover — the backlog the compactor still
 // has to retire. The router's admission control calls this per mutation, so
-// it stays two mutex acquisitions and a short scan of segment metadata.
+// it stays one mutex acquisition and a short scan of segment metadata.
 func (s *Store) CompactionLagSegments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wal.lagSegments(s.snapshotSeq)
+	return s.log.lag(s.snapshotSeq)
 }
 
 // Kick nudges the background compactor asynchronously, if one is running.
@@ -481,33 +512,34 @@ func (s *Store) FailWAL(cause error) {
 	if cause == nil {
 		cause = errors.New("store: WAL failure injected")
 	}
-	s.wal.poison(cause)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.walErr == nil {
+		s.walErr = cause
+	}
 }
 
-// Stats returns current counters as ONE consistent reading: the store mutex
-// is held across both the sequence bookkeeping and the WAL counters (lock
-// order store.mu → wal.mu, same as the append path), so a health scrape can
-// never observe walRecords ahead of seq from a half-staged append.
+// Stats returns current counters as ONE consistent reading: the sequence
+// bookkeeping and the WAL counters share the store mutex with the append
+// path, so a health scrape can never observe walRecords ahead of seq from a
+// half-staged append.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ws := s.wal.stats(s.snapshotSeq)
 	st := Stats{
 		Seq:             s.seq,
 		SnapshotSeq:     s.snapshotSeq,
 		SinceSnapshot:   s.sinceSnapshot,
-		LagSegments:     ws.lagSegments,
-		WALBytes:        ws.size,
-		WALRecords:      ws.records,
-		WALSegments:     ws.segments,
-		CommitBatches:   ws.batches,
-		Rotations:       ws.rotation,
+		LagSegments:     s.log.lag(s.snapshotSeq),
+		CommitBatches:   s.batches,
+		Rotations:       s.rotations,
 		Snapshots:       s.snapshots,
-		SegmentsRemoved: ws.removed,
+		SegmentsRemoved: s.log.removed,
 		Recovery:        s.recovery,
 	}
-	if ws.err != nil {
-		st.WALError = ws.err.Error()
+	st.WALSegments, st.WALBytes, st.WALRecords = s.log.totals()
+	if s.walErr != nil {
+		st.WALError = s.walErr.Error()
 	}
 	if s.snapshotErr != nil {
 		st.SnapshotError = s.snapshotErr.Error()
@@ -518,9 +550,15 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close stops the compactor, then flushes and closes the WAL.
+// Close refuses further appends, stops the compactor, then stops the
+// committer (flushing staged batches) and closes the active segment file.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
 	started := s.started
 	s.started = false
 	s.mu.Unlock()
@@ -528,5 +566,9 @@ func (s *Store) Close() error {
 		close(s.compactStop)
 		<-s.compactDone
 	}
-	return s.wal.close()
+	close(s.commitStop)
+	<-s.commitDone
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	return s.log.close()
 }

@@ -29,7 +29,7 @@ func mustODs(t *testing.T, stmts ...string) []core.OD {
 // appendWait appends one declare record and waits for its group commit.
 func appendWait(t *testing.T, s *Store, stmts ...string) uint64 {
 	t.Helper()
-	p, seq, err := s.Append(OpDeclare, mustODs(t, stmts...))
+	p, seq, err := s.AppendBatch(mustODs(t, stmts...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	if snap.Seq != 0 || len(replay) != 0 {
 		t.Fatalf("fresh store recovered snap=%+v replay=%d", snap, len(replay))
 	}
-	p1, seq1, err := s.Append(OpDeclare, mustODs(t, "[A] -> [B]", "[B] -> [C]"))
+	p1, seq1, err := s.AppendBatch(mustODs(t, "[A] -> [B]", "[B] -> [C]"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, seq2, err := s.Append(OpRemove, mustODs(t, "[A] -> [B]"))
+	p2, seq2, err := s.AppendBatch(nil, mustODs(t, "[A] -> [B]"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := s.Append(OpDeclare, mustODs(t, fmt.Sprintf("[C%d] -> [D%d]", i, i)))
+			p, _, err := s.AppendBatch(mustODs(t, fmt.Sprintf("[C%d] -> [D%d]", i, i)), nil)
 			if err == nil {
 				err = p.Wait()
 			}
@@ -278,7 +278,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 		LHS: core.List{core.Attribute(strings.Repeat("a", maxRecordBytes))},
 		RHS: core.L("B"),
 	}
-	if _, _, err := s.Append(OpDeclare, []core.OD{huge}); err == nil {
+	if _, _, err := s.AppendBatch([]core.OD{huge}, nil); err == nil {
 		t.Fatal("oversized record should be rejected at append, not truncated at recovery")
 	}
 	// The store stays usable for sane records.
@@ -294,17 +294,17 @@ func TestStickyWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Yank the file out from under the committer.
-	if err := s.wal.log.f.Close(); err != nil {
+	if err := s.log.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := s.Append(OpDeclare, mustODs(t, "[A] -> [B]"))
+	p, _, err := s.AppendBatch(mustODs(t, "[A] -> [B]"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Wait(); err == nil {
 		t.Fatal("commit against a closed file should fail the waiter")
 	}
-	if _, _, err := s.Append(OpDeclare, mustODs(t, "[B] -> [C]")); err == nil {
+	if _, _, err := s.AppendBatch(mustODs(t, "[B] -> [C]"), nil); err == nil {
 		t.Fatal("appends after a sticky failure should fail fast")
 	}
 	if st := s.Stats(); st.WALError == "" {
@@ -322,7 +322,7 @@ func TestFailWALInjection(t *testing.T) {
 	}
 	appendWait(t, s, "[A] -> [B]")
 	s.FailWAL(fmt.Errorf("drill: disk died"))
-	if _, _, err := s.Append(OpDeclare, mustODs(t, "[B] -> [C]")); err == nil {
+	if _, _, err := s.AppendBatch(mustODs(t, "[B] -> [C]"), nil); err == nil {
 		t.Fatal("append after FailWAL should fail fast")
 	}
 	if st := s.Stats(); !strings.Contains(st.WALError, "drill") {
@@ -339,7 +339,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Append(OpDeclare, mustODs(t, "[A] -> [B]")); err == nil {
+	if _, _, err := s.AppendBatch(mustODs(t, "[A] -> [B]"), nil); err == nil {
 		t.Fatal("append after close should fail")
 	}
 }
@@ -421,7 +421,7 @@ func TestTornWriteRecovery(t *testing.T) {
 			}
 		}
 		// Recovery must leave a usable store: the next append goes through.
-		p, seq, err := s2.Append(OpDeclare, mustODs(t, "[Z] -> [W]"))
+		p, seq, err := s2.AppendBatch(mustODs(t, "[Z] -> [W]"), nil)
 		if err != nil {
 			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}
@@ -595,7 +595,7 @@ func TestMultiSegmentTornTail(t *testing.T) {
 			}
 		}
 		// The store must keep accepting appends after the torn-tail cut.
-		p, seq, err := s2.Append(OpDeclare, mustODs(t, "[Z] -> [W]"))
+		p, seq, err := s2.AppendBatch(mustODs(t, "[Z] -> [W]"), nil)
 		if err != nil {
 			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"odlib/internal/core"
@@ -33,48 +32,13 @@ type Record struct {
 	Removes []core.OD `json:"removes,omitempty"`
 }
 
-// wal is the leader's policy on the shard's segment log. The store hands it
-// records in seq order; it decides when their bytes reach the log — staged
-// records group-commit with one write and at most one fsync — and when the
-// open segment seals: at the size/record thresholds, or when a snapshot
-// covers it. Sealed segments are immutable, which is what lets the
-// background compactor delete the ones a durable snapshot fully covers
-// without ever touching the writer path.
-type wal struct {
-	fsync      bool
-	segBytes   int64
-	segRecords uint64
-	tel        *Telemetry
-
-	// ioMu serializes every operation on the open segment's file — batch
-	// writes, sealing, rotation, the final close — so the committer and the
-	// compactor never interleave I/O on it. Lock order: ioMu before mu.
-	ioMu sync.Mutex
-
-	mu        sync.Mutex
-	log       *segLog   // its open segment changes only with ioMu held as well
-	cur       *walBatch // accumulating batch, not yet picked up
-	err       error     // sticky write/sync/rotate failure
-	closed    bool
-	batches   uint64
-	rotations uint64
-
-	kick  chan struct{}
-	stopc chan struct{}
-	done  chan struct{}
-}
-
-// walStats is one consistent reading of the log's counters.
-type walStats struct {
-	size        int64
-	records     uint64
-	segments    int
-	lagSegments int // sealed segments not fully covered by the snapshot
-	batches     uint64
-	rotation    uint64
-	removed     uint64
-	err         error
-}
+// This file is the leader's policy on the shard's segment log. Store hands
+// records to stageLocked in seq order; the committer decides when their
+// bytes reach the log — staged records group-commit with one write and at
+// most one fsync — and when the open segment seals: at the size/record
+// thresholds, or when a snapshot covers it. Sealed segments are immutable,
+// which is what lets the compactor delete the ones a durable snapshot fully
+// covers without ever touching the writer path.
 
 // walBatch is one group commit: the concatenated frames of every writer that
 // staged while the committer was busy, released together.
@@ -102,27 +66,10 @@ func (p *Pending) Wait() error {
 	return p.b.err
 }
 
-// newWAL starts the group committer over a recovered log whose last segment
-// is open for appends.
-func newWAL(l *segLog, opt Options) *wal {
-	w := &wal{
-		fsync:      opt.Fsync,
-		segBytes:   opt.SegmentBytes,
-		segRecords: uint64(opt.SegmentRecords),
-		tel:        opt.Telemetry,
-		log:        l,
-		kick:       make(chan struct{}, 1),
-		stopc:      make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	go w.commit()
-	return w
-}
-
-// append stages a record into the current group-commit batch and returns a
-// Pending handle. The caller must Wait before acknowledging the mutation,
-// and must hand records in ascending Seq order (the store's mutex does).
-func (w *wal) append(rec Record) (*Pending, error) {
+// stageLocked encodes rec, whose seq the caller has just assigned, and
+// stages the frame into the current group-commit batch. Caller holds s.mu,
+// which is what keeps staged frames in seq order.
+func (s *Store) stageLocked(rec Record) (*Pending, error) {
 	frame, err := encodeFrame(rec)
 	if err != nil {
 		return nil, err
@@ -131,25 +78,23 @@ func (w *wal) append(rec Record) (*Pending, error) {
 		return nil, fmt.Errorf("store: record of %d bytes exceeds the %d-byte WAL frame limit; split the batch",
 			len(frame)-frameHeaderLen, maxRecordBytes)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil, fmt.Errorf("store: WAL %s is closed", w.log.dir)
+	if s.closed {
+		return nil, fmt.Errorf("store: WAL %s is closed", s.dir)
 	}
-	if w.err != nil {
-		return nil, fmt.Errorf("store: WAL %s failed earlier: %w", w.log.dir, w.err)
+	if s.walErr != nil {
+		return nil, fmt.Errorf("store: WAL %s failed earlier: %w", s.dir, s.walErr)
 	}
-	if w.cur == nil {
-		w.cur = &walBatch{done: make(chan struct{}), firstSeq: rec.Seq}
+	if s.cur == nil {
+		s.cur = &walBatch{done: make(chan struct{}), firstSeq: rec.Seq}
 	}
-	w.cur.buf = append(w.cur.buf, frame...)
-	w.cur.n++
-	w.cur.lastSeq = rec.Seq
+	s.cur.buf = append(s.cur.buf, frame...)
+	s.cur.n++
+	s.cur.lastSeq = rec.Seq
 	select {
-	case w.kick <- struct{}{}:
+	case s.commitKick <- struct{}{}:
 	default:
 	}
-	return &Pending{b: w.cur}, nil
+	return &Pending{b: s.cur}, nil
 }
 
 // commit is the group-commit goroutine: it drains staged batches, writing
@@ -159,189 +104,105 @@ func (w *wal) append(rec Record) (*Pending, error) {
 // fsync per record. Size/record-threshold rotation runs here too, between
 // batches, so the active segment is swapped only by the goroutine that
 // writes it.
-func (w *wal) commit() {
-	defer close(w.done)
+func (s *Store) commit() {
+	defer close(s.commitDone)
 	for {
 		select {
-		case <-w.kick:
-		case <-w.stopc:
-			w.commitOne() // flush whatever is still staged
+		case <-s.commitKick:
+		case <-s.commitStop:
+			s.commitOne() // flush whatever is still staged
 			return
 		}
-		w.commitOne()
+		s.commitOne()
 	}
 }
 
-func (w *wal) commitOne() {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	w.mu.Lock()
-	b := w.cur
-	w.cur = nil
-	sticky := w.err
-	w.mu.Unlock()
+func (s *Store) commitOne() {
+	s.ioMu.Lock()
+	defer s.ioMu.Unlock()
+	s.mu.Lock()
+	b := s.cur
+	s.cur = nil
+	err := s.walErr
+	s.mu.Unlock()
 	if b == nil {
 		return
 	}
-	err := sticky
+	tel := s.opt.Telemetry
 	if err == nil {
 		// Timing wraps the whole durability step; the fsync gets its own
 		// series because it dominates commit latency whenever it is on, and
 		// separating the two is what shows whether a latency regression is
 		// the disk or the write path.
 		var start time.Time
-		if w.tel != nil {
+		if tel != nil {
 			start = time.Now()
 		}
-		err = w.log.write(b.buf)
-		if err == nil && w.fsync {
+		err = s.log.write(b.buf)
+		if err == nil && s.opt.Fsync {
 			var fstart time.Time
-			if w.tel != nil {
+			if tel != nil {
 				fstart = time.Now()
 			}
-			err = w.log.sync()
-			if w.tel != nil && w.tel.FsyncSeconds != nil {
-				w.tel.FsyncSeconds(time.Since(fstart).Seconds())
+			err = s.log.sync()
+			if tel != nil && tel.FsyncSeconds != nil {
+				tel.FsyncSeconds(time.Since(fstart).Seconds())
 			}
 		}
-		if err == nil && w.tel != nil {
-			if w.tel.CommitSeconds != nil {
-				w.tel.CommitSeconds(time.Since(start).Seconds())
+		if err == nil && tel != nil {
+			if tel.CommitSeconds != nil {
+				tel.CommitSeconds(time.Since(start).Seconds())
 			}
-			if w.tel.BatchRecords != nil {
-				w.tel.BatchRecords(float64(b.n))
+			if tel.BatchRecords != nil {
+				tel.BatchRecords(float64(b.n))
 			}
 		}
 	}
-	w.mu.Lock()
+	s.mu.Lock()
 	rotate := false
 	if err != nil {
-		if w.err == nil {
-			w.err = err
+		if s.walErr == nil {
+			s.walErr = err
 		}
 	} else {
-		w.log.grew(int64(len(b.buf)), b.n, b.firstSeq, b.lastSeq)
-		w.batches++
-		rotate = w.rotationDueLocked()
+		s.log.grew(int64(len(b.buf)), b.n, b.firstSeq, b.lastSeq)
+		s.batches++
+		rotate = s.rotationDueLocked()
 	}
-	w.mu.Unlock()
+	s.mu.Unlock()
 	b.err = err
 	close(b.done)
 	if rotate {
-		w.mu.Lock()
-		w.rotateLocked()
-		w.mu.Unlock()
+		s.mu.Lock()
+		s.rotateLocked()
+		s.mu.Unlock()
 	}
 }
 
 // rotationDueLocked reports whether the active segment has crossed its
-// size or record threshold. Caller holds w.mu.
-func (w *wal) rotationDueLocked() bool {
-	open := w.log.cur
+// size or record threshold. Caller holds s.mu.
+func (s *Store) rotationDueLocked() bool {
+	open := s.log.cur
 	if open.records == 0 {
 		return false
 	}
-	if w.segBytes > 0 && open.size >= w.segBytes {
+	if s.opt.SegmentBytes > 0 && open.size >= s.opt.SegmentBytes {
 		return true
 	}
-	return w.segRecords > 0 && open.records >= w.segRecords
+	return s.opt.SegmentRecords > 0 && open.records >= uint64(s.opt.SegmentRecords)
 }
 
 // rotateLocked seals the open segment and opens the next one. Caller holds
-// ioMu — the committer between batches, or the compactor through
-// rotateForCompaction — and mu: ioMu already keeps every commit out, so
+// ioMu — the committer between batches, or the compactor when a snapshot
+// covers the open segment — and mu: ioMu already keeps every commit out, so
 // holding mu across the rotation's file I/O as well delays no write that
 // could have proceeded. Any failure poisons the log: a WAL that can no
 // longer seal durably or grow a fresh segment must stop acknowledging.
-func (w *wal) rotateLocked() {
-	if w.closed || w.err != nil {
+func (s *Store) rotateLocked() {
+	if s.closed || s.walErr != nil {
 		return
 	}
-	if w.err = w.log.rotate(w.log.cur.index + 1); w.err == nil {
-		w.rotations++
+	if s.walErr = s.log.rotate(s.log.cur.index + 1); s.walErr == nil {
+		s.rotations++
 	}
-}
-
-// rotateForCompaction seals the open segment when a snapshot at seq fully
-// covers its contents, so the compactor can delete it like any other covered
-// segment — the segmented equivalent of the old truncate-to-zero reset.
-// Records staged but not yet committed always carry seqs beyond any
-// snapshot (snapshots cut at the applied watermark, applies happen only
-// after commit), so they land safely in the fresh segment.
-func (w *wal) rotateForCompaction(seq uint64) {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if open := w.log.cur; open.records > 0 && open.lastSeq <= seq {
-		w.rotateLocked()
-	}
-}
-
-// dropCovered deletes the sealed segments a durable snapshot at seq covers
-// and makes the deletions durable with one directory fsync, taken outside mu
-// so writers staging behind a compaction wait for unlinks at most.
-func (w *wal) dropCovered(seq uint64) (int, error) {
-	w.mu.Lock()
-	removed, err := w.log.dropCovered(seq)
-	w.mu.Unlock()
-	if err != nil || removed == 0 {
-		return removed, err
-	}
-	return removed, syncDir(w.log.dir)
-}
-
-// poison records a sticky failure: the in-flight batch may still complete,
-// but no later append will be acknowledged.
-func (w *wal) poison(err error) {
-	if err == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.mu.Unlock()
-}
-
-// close stops the committer (flushing staged batches) and closes the active
-// segment file.
-func (w *wal) close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.stopc)
-	<-w.done
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	return w.log.close()
-}
-
-// stats returns one consistent reading of sizes, counters and the sticky
-// failure across every live segment. coveredSeq (the last durable snapshot
-// cut) determines which sealed segments still count as compaction backlog.
-func (w *wal) stats(coveredSeq uint64) walStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := walStats{
-		lagSegments: w.log.lag(coveredSeq),
-		batches:     w.batches,
-		rotation:    w.rotations,
-		removed:     w.log.removed,
-		err:         w.err,
-	}
-	st.segments, st.size, st.records = w.log.totals()
-	return st
-}
-
-// lagSegments counts sealed segments holding records past coveredSeq — the
-// compactor's backlog, and the admission-control signal.
-func (w *wal) lagSegments(coveredSeq uint64) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.log.lag(coveredSeq)
 }
