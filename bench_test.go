@@ -356,7 +356,9 @@ func BenchmarkDiscover(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := discover.Discover(sub, discover.Options{MaxLHS: 1, MaxRHS: 2})
+		res, err := discover.Pipeline(context.Background(), sub, discover.PipelineOptions{
+			Options: discover.Options{MaxLHS: 1, MaxRHS: 2},
+		})
 		if err != nil || len(res.ODs) == 0 {
 			b.Fatalf("res=%v err=%v", res, err)
 		}

@@ -1,6 +1,7 @@
 // Command oddiscover mines order dependencies from CSV data: constants,
-// order-compatible attribute pairs, and an OD set whose closure covers
-// everything the instance satisfies within the search bounds.
+// order-compatible attribute pairs, and a minimal OD set whose closure covers
+// everything the instance satisfies within the search bounds — the set
+// POST /discover streams for the same rows and bounds.
 //
 // Usage:
 //
@@ -12,13 +13,13 @@
 // The first CSV record names the attributes; numeric-looking values compare
 // as numbers, everything else as strings.
 //
-// With -workers 0 (the default) discovery runs the sequential baseline and
-// reports a minimal OD set. Any other worker count runs the parallel
-// level-wise pipeline: closure and refutation pruning ahead of the data,
-// sorted-partition reuse per left-hand context, and — with -stream — each
-// OD printed the moment its lattice level commits. -declare pushes the
-// discovered set to a running odserve daemon through the client's batch
-// declare, landing it in the shard selected by -schema.
+// Discovery runs the level-wise pipeline: closure and refutation pruning
+// ahead of the data, sorted-partition reuse per left-hand context, checks
+// spread over -workers goroutines (0, the default, means GOMAXPROCS) and —
+// with -stream — each OD printed the moment its lattice level commits, none
+// implied by the ones before it. -declare pushes the discovered set to a
+// running odserve daemon through the client's batch declare, landing it in
+// the shard selected by -schema.
 package main
 
 import (
@@ -48,8 +49,8 @@ func run(args []string, out io.Writer) error {
 	maxLHS := fs.Int("maxlhs", 1, "maximum left-hand list length")
 	maxRHS := fs.Int("maxrhs", 2, "maximum right-hand list length")
 	maxAttrs := fs.Int("maxattrs", 7, "maximum attribute count")
-	workers := fs.Int("workers", 0, "parallel validation workers; 0 = sequential baseline, <0 = GOMAXPROCS")
-	stream := fs.Bool("stream", false, "print each OD as its lattice level commits (implies the parallel pipeline)")
+	workers := fs.Int("workers", 0, "parallel validation workers; 0 = GOMAXPROCS")
+	stream := fs.Bool("stream", false, "print each OD as its lattice level commits")
 	declare := fs.String("declare", "", "push discovered ODs to this odserve base URL via batch declare")
 	schema := fs.String("schema", "", "shard the -declare push targets")
 	if err := fs.Parse(args); err != nil {
@@ -71,44 +72,26 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := discover.Options{MaxLHS: *maxLHS, MaxRHS: *maxRHS, MaxAttrs: *maxAttrs}
-
-	var ods []core.OD
-	var constants core.List
 	fmt.Fprintf(out, "rows: %d, attributes: %v\n", rel.Len(), rel.Attrs())
-	if *workers != 0 || *stream {
-		w := *workers
-		if w < 0 {
-			w = 0 // pipeline default: GOMAXPROCS
-		}
-		var onFound func(core.OD)
-		if *stream {
-			onFound = func(od core.OD) { fmt.Fprintf(out, "found: %s\n", od) }
-		}
-		res, err := discover.Pipeline(context.Background(), rel, discover.PipelineOptions{
-			Options: opts,
-			Workers: w,
-			OnFound: onFound,
-		})
-		if err != nil {
-			return err
-		}
-		ods, constants = res.ODs, res.Constants
-		st := res.Stats
-		fmt.Fprintf(out, "candidates: %d, closure-pruned: %d, refutation-pruned: %d, data checks: %d\n",
-			st.Candidates, st.ClosurePruned, st.RefutationPruned, st.DataChecks)
-		fmt.Fprintf(out, "rows scanned: %d, partition cache: %d hits / %d misses\n",
-			st.RowsScanned, st.CacheHits, st.CacheMisses)
-	} else {
-		res, err := discover.Discover(rel, opts)
-		if err != nil {
-			return err
-		}
-		ods, constants = res.ODs, res.Constants
-		fmt.Fprintf(out, "candidates: %d, data checks: %d\n", res.Candidates, res.DataChecks)
+	var onFound func(core.OD)
+	if *stream {
+		onFound = func(od core.OD) { fmt.Fprintf(out, "found: %s\n", od) }
 	}
-	if len(constants) > 0 {
-		fmt.Fprintf(out, "constants: %v\n", constants)
+	res, err := discover.Pipeline(context.Background(), rel, discover.PipelineOptions{
+		Options: discover.Options{MaxLHS: *maxLHS, MaxRHS: *maxRHS, MaxAttrs: *maxAttrs},
+		Workers: *workers,
+		OnFound: onFound,
+	})
+	if err != nil {
+		return err
+	}
+	ods, st := res.ODs, res.Stats
+	fmt.Fprintf(out, "candidates: %d, closure-pruned: %d, refutation-pruned: %d, data checks: %d\n",
+		st.Candidates, st.ClosurePruned, st.RefutationPruned, st.DataChecks)
+	fmt.Fprintf(out, "rows scanned: %d, partition cache: %d hits / %d misses\n",
+		st.RowsScanned, st.CacheHits, st.CacheMisses)
+	if len(res.Constants) > 0 {
+		fmt.Fprintf(out, "constants: %v\n", res.Constants)
 	}
 	pairs, err := discover.CompatiblePairs(rel)
 	if err != nil {

@@ -43,45 +43,55 @@ func TestReadCSV(t *testing.T) {
 	}
 }
 
-// calendarCSV is a small hierarchy: month determines quarter, era is constant.
-const calendarCSV = "month,quarter,era\n1,1,9\n2,1,9\n4,2,9\n5,2,9\n7,3,9\n10,4,9\n"
+// chainCSV is a small hierarchy: b orders a, a orders c, era is constant.
+// [b] -> [c] holds too, but the two ODs accepted before it imply it.
+const chainCSV = "a,b,c,era\n1,1,1,9\n1,2,1,9\n2,3,1,9\n2,4,1,9\n3,5,2,9\n3,6,2,9\n"
 
 func writeCSV(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "cal.csv")
-	if err := os.WriteFile(path, []byte(calendarCSV), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "chain.csv")
+	if err := os.WriteFile(path, []byte(chainCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestRunStream: the parallel path streams ODs as found and reports the
-// pipeline's pruning counters.
+// TestRunStream: the pipeline streams the minimal set as it is accepted —
+// the constant, then the chain's two links and not their composition — and
+// reports its pruning counters.
 func TestRunStream(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-workers", "4", "-stream", writeCSV(t)}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "found: ") {
-		t.Errorf("no streamed ODs in output:\n%s", text)
+	if !strings.Contains(text, "found: [] -> [era]\nfound: [a] -> [c]\nfound: [b] -> [a]\ncandidates: ") {
+		t.Errorf("streamed ODs are not the minimal set in acceptance order:\n%s", text)
 	}
 	if !strings.Contains(text, "refutation-pruned") || !strings.Contains(text, "partition cache") {
 		t.Errorf("pipeline counters missing:\n%s", text)
 	}
-	if !strings.Contains(text, "constants: [era]") {
-		t.Errorf("constant not reported:\n%s", text)
+	if !strings.Contains(text, "constants: [era]") || !strings.Contains(text, "OD set (3):") {
+		t.Errorf("constant or set size not reported:\n%s", text)
 	}
 }
 
-// TestRunSequential: the default path still reports the minimal baseline.
+// TestRunSequential: one worker and the default, GOMAXPROCS, print the same
+// report to the byte — set, order and counters.
 func TestRunSequential(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{writeCSV(t)}, &out); err != nil {
+	path := writeCSV(t)
+	var one, dflt bytes.Buffer
+	if err := run([]string{"-workers", "1", path}, &one); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "data checks:") {
-		t.Errorf("baseline counters missing:\n%s", out.String())
+	if err := run([]string{path}, &dflt); err != nil {
+		t.Fatal(err)
+	}
+	if one.String() != dflt.String() {
+		t.Errorf("-workers 1 and the default differ:\n%s\nvs\n%s", one.String(), dflt.String())
+	}
+	if !strings.Contains(one.String(), "data checks:") {
+		t.Errorf("counters missing:\n%s", one.String())
 	}
 }
 
@@ -100,14 +110,14 @@ func TestRunDeclare(t *testing.T) {
 	if err := run([]string{"-workers", "2", "-declare", ts.URL, "-schema", "cal", writeCSV(t)}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "declared ") {
+	if !strings.Contains(out.String(), "declared 3 ODs") {
 		t.Errorf("declare not reported:\n%s", out.String())
 	}
 	l, err := rt.Listing("cal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Declared) == 0 {
-		t.Fatal("no ODs landed in the shard")
+	if len(l.Declared) != 3 {
+		t.Fatalf("%d ODs landed in the shard, want the minimal set's 3: %v", len(l.Declared), l.Declared)
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,11 +26,13 @@ func main() {
 	}
 	fmt.Printf("mining %d days over %v\n\n", sub.Len(), sub.Attrs())
 
-	res, err := discover.Discover(sub, discover.Options{MaxLHS: 1, MaxRHS: 2})
+	res, err := discover.Pipeline(context.Background(), sub, discover.PipelineOptions{
+		Options: discover.Options{MaxLHS: 1, MaxRHS: 2},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("candidates enumerated: %d, validated against data: %d\n", res.Candidates, res.DataChecks)
+	fmt.Printf("candidates enumerated: %d, validated against data: %d\n", res.Stats.Candidates, res.Stats.DataChecks)
 	fmt.Printf("minimal OD set (%d dependencies):\n", len(res.ODs))
 	for _, od := range res.ODs {
 		fmt.Printf("  %s\n", od)

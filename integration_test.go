@@ -127,7 +127,9 @@ func TestDiscoveryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := discover.Discover(table, discover.Options{MaxLHS: 2, MaxRHS: 2})
+		res, err := discover.Pipeline(context.Background(), table, discover.PipelineOptions{
+			Options: discover.Options{MaxLHS: 2, MaxRHS: 2},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package discover
 
 import (
 	"fmt"
+	"slices"
 
 	"odlib/internal/catalog"
 	"odlib/internal/core"
@@ -66,7 +67,7 @@ func listCount(n, maxLen int) int {
 
 // Result holds the discovery outcome.
 type Result struct {
-	Constants   core.List // attributes with a single value in the instance
+	Constants   core.List // attributes with a single value in the instance, in name order
 	ODs         []core.OD // discovered dependencies (minimal unless KeepRedundant)
 	Candidates  int       // candidates enumerated
 	DataChecks  int       // candidates validated against the data
@@ -74,11 +75,12 @@ type Result struct {
 }
 
 // Discover infers the ODs of the instance within the option bounds. It is
-// the sequential baseline the parallel Pipeline is differentially tested
-// (and benchmarked) against: candidates are enumerated shortest-first and
-// each one is either pruned by implication from the ODs found so far —
-// maintained incrementally in a catalog, never a from-scratch prover
-// rebuild — or validated against the data with a fresh sort-and-scan.
+// the reference Pipeline is tested against, and no product path runs it:
+// candidates are enumerated shortest-first and each one is either pruned by
+// implication from the ODs found so far — maintained incrementally in a
+// catalog, never a from-scratch prover rebuild — or validated against the
+// data with a fresh sort-and-scan. Level 1 is [] ↦ [A] for every A, so the
+// constants are the first ODs found.
 func Discover(r *core.Relation, opts Options) (*Result, error) {
 	opts.defaults()
 	attrs := r.Attrs()
@@ -86,17 +88,6 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-
-	// Constants first: they subsume many other dependencies and make the
-	// minimal set much smaller.
-	consts, err := Constants(r)
-	if err != nil {
-		return nil, err
-	}
-	res.Constants = consts
-	for _, a := range consts {
-		res.ODs = append(res.ODs, core.ConstantOD(a))
-	}
 
 	lhsLists := enumerateLists(attrs, opts.MaxLHS)
 	rhsLists := enumerateLists(attrs, opts.MaxRHS)
@@ -122,7 +113,6 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 	var cat *catalog.Catalog
 	if !opts.KeepRedundant {
 		cat = catalog.New(catalog.WithMaxAttrs(len(attrs) + 1))
-		cat.Add(res.ODs...)
 	}
 	for _, cands := range bySize {
 		core.SortODs(cands)
@@ -152,23 +142,21 @@ func Discover(r *core.Relation, opts Options) (*Result, error) {
 			}
 		}
 	}
+	res.Constants = constantsOf(res.ODs)
 	return res, nil
 }
 
-// Constants returns the attributes holding a single value in the instance
-// (Definition 18's semantic counterpart).
-func Constants(r *core.Relation) (core.List, error) {
+// constantsOf returns, in name order, the attributes the ODs hold constant
+// (Definition 18's semantic counterpart): those of the level-1 ODs [] ↦ [A].
+func constantsOf(ods []core.OD) core.List {
 	var out core.List
-	for _, a := range r.Attrs() {
-		ok, _, err := r.Satisfies(core.ConstantOD(a))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, a)
+	for _, od := range ods {
+		if od.LHS.Empty() && len(od.RHS) == 1 {
+			out = append(out, od.RHS[0])
 		}
 	}
-	return out, nil
+	slices.Sort(out)
+	return out
 }
 
 // CompatiblePairs returns the unordered attribute pairs that are order

@@ -11,16 +11,32 @@ import (
 
 func L(attrs ...string) core.List { return core.L(attrs...) }
 
+// TestConstants runs two fixed relations — one constant column beside a
+// varying one, and two constant columns — through the reference and both of
+// the pipeline's pruning paths, KeepRedundant both ways: each side must
+// report the constants once, in name order, and list no OD twice.
 func TestConstants(t *testing.T) {
-	r := core.MustRelation(L("A", "B"))
-	r.AddIntRow(1, 5)
-	r.AddIntRow(1, 6)
-	consts, err := Constants(r)
-	if err != nil {
-		t.Fatal(err)
+	oneConstant := core.MustRelation(L("A", "B"))
+	allConstant := core.MustRelation(L("A", "B"))
+	for _, row := range [][2]int64{{1, 5}, {1, 6}} {
+		if err := oneConstant.AddIntRow(row[0], row[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := allConstant.AddIntRow(row[0], 7); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !consts.Equal(L("A")) {
-		t.Errorf("Constants = %v", consts)
+	for _, c := range []struct {
+		name string
+		r    *core.Relation
+		want core.List
+	}{{"one constant", oneConstant, L("A")}, {"all constant", allConstant, L("A", "B")}} {
+		for _, keep := range []bool{false, true} {
+			opts := Options{MaxLHS: 2, MaxRHS: 2, KeepRedundant: keep}
+			if got := checkEqualsDiscover(t, c.name, c.r, opts, 1).Constants; !got.Equal(c.want) {
+				t.Fatalf("%s: constants %v, want %v", c.name, got, c.want)
+			}
+		}
 	}
 }
 

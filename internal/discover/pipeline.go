@@ -3,7 +3,6 @@ package discover
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"odlib/internal/catalog"
@@ -52,7 +51,7 @@ type PipelineStats struct {
 	RowsScanned      uint64 `json:"rowsScanned"`      // logical passes × rows: two per cache miss, one per data check
 	CacheHits        uint64 `json:"cacheHits"`        // context requests answered from the cache (sorts avoided)
 	CacheMisses      uint64 `json:"cacheMisses"`      // context requests that sorted: each context's first use
-	Accepted         uint64 `json:"accepted"`         // ODs found to hold and committed
+	Accepted         uint64 `json:"accepted"`         // ODs committed: holding and, unless KeepRedundant, not implied by earlier ones
 	Levels           int    `json:"levels"`           // lattice levels traversed
 }
 
@@ -61,11 +60,11 @@ type PipelineResult struct {
 	// Constants lists the attributes holding a single value — the accepted
 	// level-1 ODs with empty left-hand sides.
 	Constants core.List
-	// ODs holds every accepted dependency. The set is complete for the
-	// enumerated space (its closure equals the sequential Discover result's
-	// closure) but not minimized within a level: two ODs of the same size
-	// that imply each other are both kept, because neither existed yet when
-	// the other was pruned against the previous levels' closure.
+	// ODs holds the accepted dependencies in acceptance order: level by
+	// level, by key within a level. None is implied by the ODs before it,
+	// and the set is complete for the enumerated space — it is the
+	// sequential Discover's, OD for OD. Under KeepRedundant it is every
+	// candidate that holds.
 	ODs   []core.OD
 	Stats PipelineStats
 }
@@ -125,12 +124,12 @@ type contextGroup struct {
 
 // groupOutcome is what a worker reports back for one context group.
 type groupOutcome struct {
-	accepted []core.OD
-	refuted  []refutation
-	pruned   uint64 // closure-pruned count
-	checks   uint64
-	rows     uint64
-	err      error
+	holding []core.OD
+	refuted []refutation
+	pruned  uint64 // closure-pruned count
+	checks  uint64
+	rows    uint64
+	err     error
 }
 
 // refutation records a candidate of the group found to fail on the data, with
@@ -156,8 +155,10 @@ type pruning struct {
 // before ever touching data) and against refutations propagated from prefix
 // candidates; the survivors are validated in parallel, grouped by left-hand
 // context so each context sorts the relation once and answers all its
-// candidates from the cached order. Accepted ODs enter the pruning state once
-// per level, between levels — the theory extends, nothing is rebuilt.
+// candidates from the cached order. The ODs found to hold enter the pruning
+// state once per level, between levels, in key order, each unless the ones
+// before it imply it — the theory extends, nothing is rebuilt, and the
+// accepted set is Discover's.
 //
 // Cancelling ctx aborts the run between candidates and returns the context's
 // error; partial results are discarded.
@@ -217,11 +218,12 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 			return validateGroup(ctx, r, pr, cache, la, g)
 		})
 
-		// Commit the level: accepted ODs enter the pruning state (the
-		// table's alive plane, or one catalog Apply — one incremental
-		// closure extension), refutations extend the propagation table,
-		// and accepted ODs stream out in deterministic order.
-		var accepted []core.OD
+		// Commit the level: refutations extend the propagation table, and
+		// the ODs that hold enter the pruning state and the stream in key
+		// order — Discover's — each unless those committed before imply it.
+		// An implied OD would clear no model and extend no closure, so
+		// dropping it changes no later verdict.
+		var holding []core.OD
 		for i, out := range outcomes {
 			if out.err != nil {
 				return nil, out.err
@@ -229,40 +231,42 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 			res.Stats.ClosurePruned += out.pruned
 			res.Stats.DataChecks += out.checks
 			res.Stats.RowsScanned += out.rows
-			accepted = append(accepted, out.accepted...)
+			holding = append(holding, out.holding...)
 			for _, rf := range out.refuted {
 				la.refuted[groups[i].lhs*la.nRHS+rf.rhs] = rf.kind
 			}
 		}
-		if len(accepted) == 0 {
-			continue
-		}
-		core.SortODs(accepted)
-		switch {
-		case pr.table != nil:
-			for _, od := range accepted {
+		core.SortODs(holding)
+		for _, od := range holding {
+			switch {
+			case pr.table != nil:
+				if pr.table.implies(od) {
+					continue
+				}
 				pr.table.accept(od)
+			case pr.cat != nil:
+				implied, err := pr.cat.ImpliesCtx(ctx, od)
+				if err != nil {
+					return nil, err
+				}
+				if implied {
+					continue
+				}
+				pr.cat.Apply([]catalog.Mutation{{ODs: []core.OD{od}}})
 			}
-		case pr.cat != nil:
-			pr.cat.Apply([]catalog.Mutation{{ODs: accepted}})
-		}
-		res.Stats.Accepted += uint64(len(accepted))
-		for _, od := range accepted {
-			if od.LHS.Empty() && len(od.RHS) == 1 {
-				res.Constants = append(res.Constants, od.RHS[0])
-			}
+			res.ODs = append(res.ODs, od)
+			res.Stats.Accepted++
 			if opts.OnFound != nil {
 				opts.OnFound(od)
 			}
 		}
-		res.ODs = append(res.ODs, accepted...)
 	}
 
 	_, hits, misses := cache.Stats()
 	res.Stats.CacheHits, res.Stats.CacheMisses = hits, misses
 	// Each cache miss paid one sort pass and one tie pass; hits paid nothing.
 	res.Stats.RowsScanned += 2 * misses * uint64(r.Len())
-	sort.Slice(res.Constants, func(i, j int) bool { return res.Constants[i] < res.Constants[j] })
+	res.Constants = constantsOf(res.ODs)
 	return res, nil
 }
 
@@ -375,7 +379,7 @@ func validateGroup(ctx context.Context, r *core.Relation, pr pruning,
 			return out
 		}
 		if holds {
-			out.accepted = append(out.accepted, od)
+			out.holding = append(out.holding, od)
 		} else {
 			out.refuted = append(out.refuted, refutation{rhs: rhs, kind: v.Kind})
 		}

@@ -15,75 +15,84 @@ import (
 	"odlib/internal/warehouse"
 )
 
-// TestPipelineDifferentialClosure is the randomized differential test: the
-// parallel pipeline and the sequential Discover may return different OD sets
-// (the pipeline does not minimize within a lattice level), but their closures
-// must be identical — each side's prover must imply every OD of the other.
-func TestPipelineDifferentialClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	universe := core.L("A", "B", "C", "D")
-	for trial := 0; trial < 25; trial++ {
-		rows := 2 + rng.Intn(12)
-		domain := 1 + rng.Intn(4)
-		r := core.RandRelation(rng, universe, rows, domain)
-		opts := Options{MaxLHS: 2, MaxRHS: 2}
-
-		seq, err := Discover(r, opts)
+// checkEqualsDiscover holds both of the pipeline's pruning paths to the
+// reference: the same ODs in the same acceptance order, the same constants,
+// the same candidate space, no OD listed twice — and, unless KeepRedundant,
+// none implied by the ODs listed before it. It returns the reference's result.
+func checkEqualsDiscover(t *testing.T, name string, r *core.Relation, opts Options, workers int) *Result {
+	t.Helper()
+	seq, err := Discover(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct(t, name+", Discover", seq.ODs)
+	for _, useTable := range []bool{true, false} {
+		pipe, err := pipeline(context.Background(), r, PipelineOptions{Options: opts, Workers: workers}, useTable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := Pipeline(context.Background(), r, PipelineOptions{
-			Options: opts,
-			Workers: 1 + rng.Intn(4),
-		})
-		if err != nil {
-			t.Fatal(err)
+		at := fmt.Sprintf("%s, %+v, table=%v", name, opts, useTable)
+		if !slices.EqualFunc(pipe.ODs, seq.ODs, core.OD.Equal) {
+			t.Fatalf("%s: the pipeline's ODs differ from Discover's\npipe: %v\n seq: %v\n%s", at, pipe.ODs, seq.ODs, r)
 		}
-
-		// Every pipeline OD must genuinely hold on the instance.
-		for _, od := range pipe.ODs {
-			holds, v, err := r.Satisfies(od)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !holds {
-				t.Fatalf("trial %d: pipeline accepted %s which fails on data (%v)\n%s", trial, od, v, r)
-			}
-		}
-
-		seqProver := prover.New(seq.ODs)
-		pipeProver := prover.New(pipe.ODs)
-		if ok, err := seqProver.ImpliesAll(pipe.ODs); err != nil {
-			t.Fatal(err)
-		} else if !ok {
-			t.Fatalf("trial %d: sequential closure does not cover pipeline result\nseq: %v\npipe: %v\n%s",
-				trial, seq.ODs, pipe.ODs, r)
-		}
-		if ok, err := pipeProver.ImpliesAll(seq.ODs); err != nil {
-			t.Fatal(err)
-		} else if !ok {
-			t.Fatalf("trial %d: pipeline closure does not cover sequential result\nseq: %v\npipe: %v\n%s",
-				trial, seq.ODs, pipe.ODs, r)
-		}
-
 		if !pipe.Constants.Equal(seq.Constants) {
-			t.Fatalf("trial %d: constants differ: %v vs %v", trial, pipe.Constants, seq.Constants)
+			t.Fatalf("%s: constants %v vs %v", at, pipe.Constants, seq.Constants)
 		}
-		// Both paths enumerate the identical candidate space.
 		if int(pipe.Stats.Candidates) != seq.Candidates {
-			t.Fatalf("trial %d: candidates %d vs %d", trial, pipe.Stats.Candidates, seq.Candidates)
+			t.Fatalf("%s: candidates %d vs %d", at, pipe.Stats.Candidates, seq.Candidates)
 		}
 		if pipe.Stats.Accepted != uint64(len(pipe.ODs)) {
-			t.Fatalf("trial %d: accepted %d but %d ODs", trial, pipe.Stats.Accepted, len(pipe.ODs))
+			t.Fatalf("%s: accepted %d but %d ODs", at, pipe.Stats.Accepted, len(pipe.ODs))
 		}
-		if pipe.Stats.DataChecks+pipe.Stats.ClosurePruned+pipe.Stats.RefutationPruned > pipe.Stats.Candidates {
-			t.Fatalf("trial %d: stats overflow candidates: %+v", trial, pipe.Stats)
+		if st := pipe.Stats; st.DataChecks+st.ClosurePruned+st.RefutationPruned > st.Candidates {
+			t.Fatalf("%s: stats overflow candidates: %+v", at, st)
+		}
+	}
+	if opts.KeepRedundant {
+		return seq
+	}
+	for i, od := range seq.ODs {
+		if implied, err := prover.New(seq.ODs[:i]).Implies(od); err != nil {
+			t.Fatal(err)
+		} else if implied {
+			t.Fatalf("%s: %s is implied by the ODs before it, %s", name, od, core.ODsString(seq.ODs[:i]))
+		}
+	}
+	return seq
+}
+
+// distinct fails when a result lists one OD twice.
+func distinct(t *testing.T, name string, ods []core.OD) {
+	t.Helper()
+	seen := make(map[string]bool, len(ods))
+	for _, od := range ods {
+		if seen[od.Key()] {
+			t.Fatalf("%s lists %s twice: %s", name, od, core.ODsString(ods))
+		}
+		seen[od.Key()] = true
+	}
+}
+
+// TestPipelineDifferentialClosure is the randomized differential test:
+// whatever the relation, bounds, KeepRedundant and pruning path, the pipeline
+// returns exactly the reference's ODs — equal sets, so equal closures too.
+// TestConstants holds the two fixed relations with constant columns.
+func TestPipelineDifferentialClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	universe := core.L("A", "B", "C", "D", "E")
+	for trial := 0; trial < 50; trial++ {
+		attrs := universe[:3+rng.Intn(3)]
+		r := core.RandRelation(rng, attrs, 2+rng.Intn(12), 1+rng.Intn(4))
+		opts := Options{MaxLHS: 1 + rng.Intn(2), MaxRHS: 1 + rng.Intn(3)}
+		workers := 1 + rng.Intn(4)
+		for _, opts.KeepRedundant = range []bool{false, true} {
+			checkEqualsDiscover(t, fmt.Sprintf("trial %d", trial), r, opts, workers)
 		}
 	}
 
 	// The data-check floor, on the one-year date dimension: over the same
 	// candidate space the pipeline's pruning must keep at least half of the
-	// sequential baseline's candidates away from the data (878 vs 7,979
+	// sequential baseline's candidates away from the data (878 vs 7,980
 	// when written). Both are exact counts, the same at any worker count
 	// (TestPipelineSchedulerIndependence).
 	cfg := warehouse.DefaultConfig()
@@ -112,6 +121,53 @@ func TestPipelineDifferentialClosure(t *testing.T) {
 		t.Fatalf("date dimension: pipeline checked %d candidates against the data, sequential %d: less than a 2x cut",
 			pipe.Stats.DataChecks, seq.DataChecks)
 	}
+	if !slices.EqualFunc(pipe.ODs, seq.ODs, core.OD.Equal) {
+		t.Fatalf("date dimension: the pipeline's ODs differ from Discover's\npipe: %v\n seq: %v", pipe.ODs, seq.ODs)
+	}
+}
+
+// decodeRun reads a discovery run from fuzz bytes, one byte per decision: the
+// attribute count (1–5), the row count (0–16), the domain (1–4), MaxLHS
+// (1–2), MaxRHS (1–3), KeepRedundant (the low bit), then the cells row by
+// row. Missing bytes read as 0.
+func decodeRun(data []byte) (*core.Relation, Options) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	attrs := core.L("A", "B", "C", "D", "E")[:1+next()%5]
+	rows, domain := next()%17, 1+next()%4
+	opts := Options{MaxLHS: 1 + next()%2, MaxRHS: 1 + next()%3, KeepRedundant: next()&1 == 1}
+	r, err := core.NewRelationRows(attrs, rows, func(_ int, vals []core.Value) error {
+		for j := range vals {
+			vals[j] = core.Int(int64(next() % domain))
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return r, opts
+}
+
+// FuzzPipelineAgainstDiscover is TestPipelineDifferentialClosure's property
+// under the native fuzzer. The seeds are TestConstants' two fixed relations — one
+// constant column, two — with and without KeepRedundant, and a five-column
+// relation at the widest bounds.
+func FuzzPipelineAgainstDiscover(f *testing.F) {
+	for _, keep := range []byte{0, 1} {
+		f.Add([]byte{1, 2, 1, 1, 1, keep, 1, 0, 1, 1})
+		f.Add([]byte{1, 2, 1, 1, 1, keep, 1, 1, 1, 1})
+		f.Add([]byte{4, 8, 3, 1, 2, keep, 0, 1, 2, 0, 1, 2, 2, 1, 0, 0, 1, 1, 2, 2, 0, 1, 1, 0, 0, 2, 1, 1, 2, 0, 0, 2, 1, 0, 1, 1, 2, 0, 2, 2, 1, 0, 0, 0, 1, 1})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, opts := decodeRun(data)
+		checkEqualsDiscover(t, "fuzz input", r, opts, 2)
+	})
 }
 
 // TestPipelineSchedulerIndependence backs the CI gate: every pruning counter
@@ -310,14 +366,7 @@ func TestPipelineWideRelation(t *testing.T) {
 	if int(pipe.Stats.Candidates) != seq.Candidates {
 		t.Fatalf("candidates %d vs %d", pipe.Stats.Candidates, seq.Candidates)
 	}
-	for _, side := range []struct {
-		name     string
-		from, to []core.OD
-	}{{"sequential", seq.ODs, pipe.ODs}, {"pipeline", pipe.ODs, seq.ODs}} {
-		if ok, err := prover.New(side.from).ImpliesAll(side.to); err != nil {
-			t.Fatal(err)
-		} else if !ok {
-			t.Fatalf("%s closure does not cover the other result\nseq: %v\npipe: %v", side.name, seq.ODs, pipe.ODs)
-		}
+	if !slices.EqualFunc(pipe.ODs, seq.ODs, core.OD.Equal) {
+		t.Fatalf("the pipeline's ODs differ from Discover's\npipe: %v\n seq: %v", pipe.ODs, seq.ODs)
 	}
 }

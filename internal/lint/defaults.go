@@ -62,11 +62,14 @@ var DefaultLockOrder = LockOrderConfig{
 // DefaultCtxFlow blesses the functions allowed to mint fresh contexts:
 // the ctx-less compatibility wrappers (each is a one-line delegation to its
 // *Ctx twin; rewrite's FD-asking entry points and the planner's have no
-// such twin — they take a ctx), the replica tailer's own poll goroutine,
-// and the client pipeliner's flush (the batch is shared work, deliberately
-// detached from any single caller's context).
+// such twin — they take a ctx), the facade's ctx-less discovery entry
+// point (odlib.DiscoverODs runs discover.Pipeline, which takes one), the
+// replica tailer's own poll goroutine, and the client pipeliner's flush (the
+// batch is shared work, deliberately detached from any single caller's
+// context).
 var DefaultCtxFlow = CtxFlowConfig{
 	Bless: map[string]bool{
+		"odlib.DiscoverODs":                                true,
 		"odlib/internal/catalog.Catalog.ImpliesWitness":    true,
 		"odlib/internal/catalog.Catalog.ImpliesAllWitness": true,
 		"odlib/internal/catalog.Catalog.ReduceOrder":       true,

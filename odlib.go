@@ -27,6 +27,8 @@
 package odlib
 
 import (
+	"context"
+
 	"odlib/internal/armstrong"
 	"odlib/internal/catalog"
 	"odlib/internal/core"
@@ -128,9 +130,10 @@ func OrderEquivalent(a, b List, constraints []OD) (bool, error) {
 }
 
 // DiscoverODs mines a minimal set of order dependencies (sides up to two
-// attributes) from a relation instance.
+// attributes) from a relation instance: no OD in it is implied by the ones
+// before it, and it implies every OD within the bounds the data satisfies.
 func DiscoverODs(r *Relation) ([]OD, error) {
-	res, err := discover.Discover(r, discover.Options{})
+	res, err := discover.Pipeline(context.Background(), r, discover.PipelineOptions{})
 	if err != nil {
 		return nil, err
 	}
