@@ -72,8 +72,9 @@ func BenchmarkSatisfiesAllTwoRows(b *testing.B) {
 
 // BenchmarkSortCacheRefine is a discovery run's refinement traffic on the
 // same relation: each iteration refines all 30 two-attribute contexts from a
-// SortCache that already holds the six one-attribute ones. One context over
-// and over would let the branch predictor learn its ties.
+// SortCache that already holds the six one-attribute ones, giving each
+// refinement's arrays back to the pool as a released run would. One context
+// over and over would let the branch predictor learn its ties.
 func BenchmarkSortCacheRefine(b *testing.B) {
 	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
 	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
@@ -92,8 +93,12 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for _, x := range pairs {
-			if _, err := c.refine(x); err != nil {
+			_, arr, err := c.refine(x)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if arr != nil {
+				arraysPool.Put(arr)
 			}
 		}
 	}

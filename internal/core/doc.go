@@ -59,6 +59,13 @@
 // Tie[k] as "tied before and the same rank" with no branch on the data, and
 // counts the classes as rows minus ties. The cache's hits and misses count
 // the contexts callers asked for; a prefix retained on the way is neither.
+// A cache fills its partitions' Index and Tie arrays, through the one sort
+// routine SortPartitionOn fills fresh ones with, from a pool every cache
+// shares, and Release returns each array to it once — a partition sharing
+// its prefix's arrays owns none, and a concurrent miss's losing copy is
+// returned when it loses — so successive discovery runs reuse their arrays.
+// SatisfiesWith holds the right-hand side's rank views in an array on the
+// stack and allocates only for a refutation's witness.
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined
 // partitions, row-built and columnar relations — to them and to the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -30,17 +29,24 @@ type SortedPartition struct {
 // SortPartitionOn sorts the relation once by ≼x and materializes the
 // partition structure every RHS candidate over the context x can reuse.
 func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
+	return r.sortPartition(x, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))})
+}
+
+// sortPartition is SortPartitionOn into the given arrays, sized for the
+// relation — fresh ones, or a SortCache's pooled ones.
+func (r *Relation) sortPartition(x List, arr *partitionArrays) (*SortedPartition, error) {
 	cols, _, err := r.ranksOn(x, nil)
 	if err != nil {
 		return nil, err
 	}
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
-	p := &SortedPartition{Context: x.Clone(), Index: slices.Clone(s.order(r.n, cols))}
+	p := &SortedPartition{Context: x.Clone(), Index: arr.index}
+	copy(p.Index, s.order(r.n, cols))
 	if r.n == 0 {
 		return p, nil
 	}
-	p.Tie = make([]bool, r.n-1)
+	p.Tie = arr.tie
 	if len(cols) == 1 {
 		for k := range p.Tie {
 			p.Tie[k] = true
@@ -66,7 +72,8 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 	if !p.Context.Equal(od.LHS) {
 		return false, nil, fmt.Errorf("core: partition context %v does not match LHS %v", p.Context, od.LHS)
 	}
-	_, ry, err := r.ranksOn(nil, od.RHS)
+	var onStack [8]*colRanks // every right-hand side discovery asks about fits
+	ry, err := r.ranksInto(onStack[:0], od.RHS)
 	if err != nil {
 		return false, nil, err
 	}
@@ -98,6 +105,9 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 // first request is a miss, every later one a hit — whatever that took: a
 // prefix retained on the way to a longer context is neither, and when it is
 // asked for itself its first request is still a miss.
+//
+// The cache owns the Index and Tie arrays of the partitions it builds, drawn
+// from a pool shared by every cache; Release returns them to it.
 type SortCache struct {
 	r *Relation
 
@@ -107,11 +117,32 @@ type SortCache struct {
 	hits, misses uint64
 }
 
-// cachedPartition is a retained partition and whether a caller has asked for
-// its context yet.
+// cachedPartition is a retained partition, whether a caller has asked for
+// its context yet, and the pooled arrays it owns — nil when it shares a
+// prefix's.
 type cachedPartition struct {
 	p     *SortedPartition
 	asked bool
+	arr   *partitionArrays
+}
+
+// partitionArrays are the Index and Tie arrays of one partition.
+type partitionArrays struct {
+	index []int32
+	tie   []bool
+}
+
+// arraysPool holds the arrays of released caches, whatever their relation's
+// size: takeArrays resizes what it is given, so a pool fed by runs over
+// relations of several sizes converges on arrays fit for the largest.
+var arraysPool = sync.Pool{New: func() any { return new(partitionArrays) }}
+
+// takeArrays returns pooled arrays sized for an n-row relation, contents
+// unspecified.
+func takeArrays(n int) *partitionArrays {
+	arr := arraysPool.Get().(*partitionArrays)
+	arr.index, arr.tie = sized(arr.index, n), sized(arr.tie, max(n-1, 0))
+	return arr
 }
 
 // NewSortCache builds a cache over r.
@@ -146,24 +177,49 @@ func (c *SortCache) get(x List, asked bool) (*SortedPartition, error) {
 		return e.p, nil
 	}
 	var p *SortedPartition
+	var arr *partitionArrays
 	var err error
 	if len(x) <= 1 {
-		p, err = c.r.SortPartitionOn(x)
+		arr = takeArrays(c.r.n)
+		if p, err = c.r.sortPartition(x, arr); err != nil {
+			arraysPool.Put(arr)
+		}
 	} else {
-		p, err = c.refine(x)
+		p, arr, err = c.refine(x)
 	}
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	if prev := c.m[key]; prev != nil {
-		p = prev.p // a concurrent miss won the publish; converge on it
+		// A concurrent miss won the publish: converge on it, and the losing
+		// copy, which nobody else has seen, gives its arrays back.
+		p = prev.p
 		prev.asked = prev.asked || asked
+		if arr != nil {
+			arraysPool.Put(arr)
+		}
 	} else {
-		c.m[key] = &cachedPartition{p: p, asked: asked}
+		c.m[key] = &cachedPartition{p: p, asked: asked, arr: arr}
 	}
 	c.mu.Unlock()
 	return p, nil
+}
+
+// Release returns the arrays of every partition the cache built to the pool,
+// each once: a partition sharing its prefix's arrays owns none, and a losing
+// concurrent copy gave its own back when it lost. Neither the cache nor any
+// partition it returned may be used after; releasing again does nothing.
+func (c *SortCache) Release() {
+	c.mu.Lock()
+	m := c.m
+	c.m = nil
+	c.mu.Unlock()
+	for _, e := range m {
+		if e.arr != nil {
+			arraysPool.Put(e.arr)
+		}
+	}
 }
 
 // refine builds the partition of the context x = X·A from the partitions of
@@ -175,20 +231,21 @@ func (c *SortCache) get(x List, asked bool) (*SortedPartition, error) {
 // are dealt into the classes of X, so a class fills in A's order with ties in
 // row order — which is how every partition here orders its ties. Where A
 // cannot reorder anything — it is constant, or every class of X is one row —
-// the result shares X's arrays.
-func (c *SortCache) refine(x List) (*SortedPartition, error) {
+// the result shares X's arrays and owns none; otherwise it owns the pooled
+// arrays returned with it.
+func (c *SortCache) refine(x List) (*SortedPartition, *partitionArrays, error) {
 	px, err := c.get(x[:len(x)-1], false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pa, err := c.get(x[len(x)-1:], false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := c.r.n
 	q := &SortedPartition{Context: x.Clone(), Index: px.Index, Tie: px.Tie, Groups: px.Groups}
 	if pa.Groups <= 1 || px.Groups == n {
-		return q, nil
+		return q, nil, nil
 	}
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
@@ -205,14 +262,16 @@ func (c *SortCache) refine(x List) (*SortedPartition, error) {
 		}
 		class[i] = g
 	}
-	q.Index, q.Tie = make([]int32, n), slices.Clone(px.Tie)
+	arr := takeArrays(n)
+	q.Index, q.Tie = arr.index, arr.tie
+	copy(q.Tie, px.Tie)
 	for _, i := range pa.Index {
 		g := class[i]
 		q.Index[next[g]] = i
 		next[g]++
 	}
 	q.Groups = n - narrowTies(q.Tie, q.Index, c.r.ranksOf(c.r.pos[x[len(x)-1]]).rank)
-	return q, nil
+	return q, arr, nil
 }
 
 // narrowTies is the tie pass of a refinement: neighbours k and k+1 of idx

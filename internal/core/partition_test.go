@@ -105,38 +105,135 @@ func TestSortCacheBoundsAndStats(t *testing.T) {
 	}
 }
 
-// TestSortCacheConcurrent hammers one cache from many goroutines under -race.
+// TestSatisfiesWithHoldingAllocatesNothing: a data check that finds the OD
+// holding, over a cached partition, allocates nothing — the right-hand side's
+// rank views are resolved into an array on the stack. Only a refutation
+// allocates, for its witness.
+func TestSatisfiesWithHoldingAllocatesNothing(t *testing.T) {
+	r := MustRelation(L("A", "B", "C"))
+	for i := range 100 {
+		r.AddIntRow(int64(i/10), int64(i), int64(i/5))
+	}
+	p, err := NewSortCache(r).Get(L("B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rhs := range []List{L("A"), L("C", "A"), L("A", "C", "B", "A")} {
+		od := NewOD(L("B"), rhs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if holds, _, err := r.SatisfiesWith(od, p); err != nil || !holds {
+				t.Fatalf("%s: holds=%v, err=%v", od, holds, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %.0f allocations per holding check, want 0", od, allocs)
+		}
+	}
+}
+
+// relationWithConstant is a random relation over A–D plus a constant column
+// K, so that refining by K shares the prefix's arrays.
+func relationWithConstant(rng *rand.Rand, rows, domain int) *Relation {
+	r, err := NewRelationRows(L("A", "B", "C", "D", "K"), rows, func(_ int, vals []Value) error {
+		for j := range 4 {
+			vals[j] = Int(int64(rng.Intn(domain)))
+		}
+		vals[4] = Int(7)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// checkOwnership: every array a cache will release belongs to exactly one of
+// its partitions, and a partition owning none shares an owner's — so Release
+// returns each array once.
+func checkOwnership(t *testing.T, c *SortCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	owners := make(map[*int32]bool)
+	for key, e := range c.m {
+		if e.arr == nil {
+			continue
+		}
+		if &e.p.Index[0] != &e.arr.index[0] || &e.p.Tie[0] != &e.arr.tie[0] {
+			t.Fatalf("partition %s does not use the arrays it owns", key)
+		}
+		if owners[&e.arr.index[0]] {
+			t.Fatalf("partition %s owns arrays another partition owns", key)
+		}
+		owners[&e.arr.index[0]] = true
+	}
+	for key, e := range c.m {
+		if e.arr == nil && !owners[&e.p.Index[0]] {
+			t.Fatalf("partition %s shares arrays no partition owns", key)
+		}
+	}
+}
+
+// TestSortCacheConcurrent hammers one cache from many goroutines under -race,
+// then releases it — twice, the second a no-op — while a second cache, over a
+// relation of another size, is still being read and starts building contexts
+// from what the first gave back, and a third over the first relation refills
+// from the pool too. Every partition read, before and after, must equal the
+// comparator sort's: an array released while in use, or released twice and
+// so handed to two partitions, would show as a wrong one.
 func TestSortCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	universe := L("A", "B", "C", "D")
-	r := RandRelation(rng, universe, 32, 4)
-	c := NewSortCache(r)
-	// The last two share the prefix [C, A], which nobody asks for: racing
-	// goroutines build it on the way and converge on one.
-	contexts := []List{nil, L("A"), L("B"), L("C"), L("A", "B"), L("B", "C"), L("C", "A", "B"), L("C", "A", "D")}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				x := contexts[(g+i)%len(contexts)]
-				p, err := c.Get(x)
-				if err != nil {
-					t.Error(err)
-					return
+	r, other := relationWithConstant(rng, 32, 4), relationWithConstant(rng, 57, 3)
+	// [C, A] is a prefix nobody asks for: racing goroutines build it on the
+	// way and converge on one. Refining by K, and [A, B, C] over 32 rows,
+	// share their prefix's arrays.
+	contexts := []List{nil, L("A"), L("B"), L("C"), L("A", "B"), L("B", "C"), L("C", "A", "B"), L("C", "A", "D"), L("A", "K"), L("K", "D", "B"), L("A", "B", "C"), L("A", "B", "C", "K")}
+	released := make(chan struct{})
+	hammer := func(wg *sync.WaitGroup, c *SortCache, r *Relation, goroutines, rounds int, wait bool) {
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range rounds {
+					n := len(contexts)
+					if wait && i < rounds/2 {
+						n /= 2 // half the contexts before the first cache is released, all after
+					} else if wait && i == rounds/2 {
+						<-released
+					}
+					x := contexts[(g+i)%n]
+					p, err := c.Get(x)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, err := sortPartitionOnCmp(r, x)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !samePartition(p, want) {
+						t.Errorf("partition over %v = %+v, comparator %+v", x, p, want)
+						return
+					}
 				}
-				want, err := sortPartitionOnCmp(r, x)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !samePartition(p, want) {
-					t.Errorf("partition over %v = %+v, comparator %+v", x, p, want)
-					return
-				}
-			}
-		}(g)
+			}()
+		}
 	}
-	wg.Wait()
+	first, second := NewSortCache(r), NewSortCache(other)
+	var firstDone, rest sync.WaitGroup
+	hammer(&firstDone, first, r, 8, 200, false)
+	hammer(&rest, second, other, 4, 400, true)
+	firstDone.Wait()
+	checkOwnership(t, first)
+	first.Release()
+	first.Release()
+	close(released)
+	third := NewSortCache(r)
+	hammer(&rest, third, r, 4, 200, false)
+	rest.Wait()
+	for _, c := range []*SortCache{second, third} {
+		checkOwnership(t, c)
+		c.Release()
+	}
 }

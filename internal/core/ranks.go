@@ -42,17 +42,27 @@ func (r *Relation) ranksOf(c int) *colRanks {
 // views, in list order (repeats included), failing on the first attribute —
 // x's before y's — the schema lacks.
 func (r *Relation) ranksOn(x, y List) (rx, ry []*colRanks, err error) {
-	cols := make([]*colRanks, 0, len(x)+len(y))
-	for _, side := range [2]List{x, y} {
-		for _, a := range side {
-			c, err := r.Col(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			cols = append(cols, r.ranksOf(c))
-		}
+	cols, err := r.ranksInto(make([]*colRanks, 0, len(x)+len(y)), x)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cols, err = r.ranksInto(cols, y); err != nil {
+		return nil, nil, err
 	}
 	return cols[:len(x):len(x)], cols[len(x):], nil
+}
+
+// ranksInto appends the rank views of l's attributes to dst, in list order,
+// failing on the first attribute the schema lacks.
+func (r *Relation) ranksInto(dst []*colRanks, l List) ([]*colRanks, error) {
+	for _, a := range l {
+		c, err := r.Col(a)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, r.ranksOf(c))
+	}
+	return dst, nil
 }
 
 // buildRanks numbers column c's distinct cells densely in Value.Compare
@@ -199,7 +209,7 @@ var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // sized returns buf resliced to n elements, reallocated only when too small;
 // the contents are unspecified.
-func sized(buf []int32, n int) []int32 {
+func sized[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 

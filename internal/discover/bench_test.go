@@ -2,6 +2,7 @@ package discover
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -67,28 +68,71 @@ func TestPipelineDateDimCounts(t *testing.T) {
 		t.Fatalf("date dimension: %.0f allocations per pipeline run, want at most 10,000", allocs)
 	}
 
-	// And in bytes: 934 KB a run while every context was a sort of the whole
-	// relation into an []int index, 634 KB with contexts refined from their
-	// prefixes into int32 (1,270 to 1,390 KB and 840 to 900 KB under the race
-	// detector, whose sync.Pool forgets).
-	var before, after runtime.MemStats
-	const runs = 3
-	prev := runtime.GOMAXPROCS(1)
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts, Workers: 1}); err != nil {
+	// The table the run ended with: its 12 ODs leave 65 of the 3⁷ sign
+	// vectors alive, re-packed from 35 words into 2, so the run's last
+	// questions fold 2 words where they folded 35.
+	tbl := newModelTable(dates.Attrs())
+	words := len(tbl.alive)
+	for _, od := range res.ODs {
+		tbl.accept(od)
+	}
+	living := 0
+	for _, w := range tbl.alive {
+		living += bits.OnesCount64(w)
+	}
+	if words != 35 || living != 65 || len(tbl.alive) != 2 {
+		t.Fatalf("date dimension: the accepted set leaves %d patterns in %d words (%d before any OD), want 65 in 2 (35)", living, len(tbl.alive), words)
+	}
+
+	// And in bytes, on both of the workload's relations: 934 KB a date run
+	// while every context was a sort of the whole relation into an []int
+	// index, 634 KB with contexts refined from their prefixes into int32,
+	// 204 KB with their arrays pooled across runs (592 to 665 under the race
+	// detector, whose sync.Pool forgets); a 4,000 x 6 random run 813 KB
+	// before pooling, 69 KB after (719 to 792 under the race detector).
+	bound := uint64(255)
+	if raceDetector {
+		bound = 850
+	}
+	if kb := kbPerRun(t, dates, opts); kb > bound {
+		t.Fatalf("date dimension: %d KB allocated per pipeline run, want at most %d", kb, bound)
+	}
+	rnd, rndOpts := random4000x6()
+	bound = 90
+	if raceDetector {
+		bound = 1000
+	}
+	if kb := kbPerRun(t, rnd, rndOpts); kb > bound {
+		t.Fatalf("4,000 x 6 random relation: %d KB allocated per pipeline run, want at most %d", kb, bound)
+	}
+}
+
+// kbPerRun is the heap a one-worker pipeline run allocates, in KB, averaged
+// over three runs after one that warms the pools.
+func kbPerRun(t *testing.T, r *core.Relation, opts Options) uint64 {
+	t.Helper()
+	run := func() {
+		if _, err := Pipeline(context.Background(), r, PipelineOptions{Options: opts, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var before, after runtime.MemStats
+	const runs = 3
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	run()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
 	runtime.ReadMemStats(&after)
-	runtime.GOMAXPROCS(prev)
-	bound := uint64(800)
-	if raceDetector {
-		bound = 1100
-	}
-	if kb := (after.TotalAlloc - before.TotalAlloc) / runs >> 10; kb > bound {
-		t.Fatalf("date dimension: %d KB allocated per pipeline run, want at most %d", kb, bound)
-	}
+	return (after.TotalAlloc - before.TotalAlloc) / runs >> 10
+}
+
+// random4000x6 is the workload's secondary relation — 4,000 uniform random
+// rows over six attributes of 50 values, which hold no OD — and its options.
+func random4000x6() (*core.Relation, Options) {
+	return core.RandRelation(rand.New(rand.NewSource(1)), core.L("r0", "r1", "r2", "r3", "r4", "r5"), 4000, 50), Options{MaxLHS: 2, MaxRHS: 2}
 }
 
 // TestKeepRedundantKeepsNoPruningState: KeepRedundant asks no implication
@@ -156,14 +200,18 @@ func BenchmarkPipelineDateDim(b *testing.B) {
 // BenchmarkPipelineRandom4000x6 is the workload's secondary operation: a
 // uniform random relation that holds no OD.
 func BenchmarkPipelineRandom4000x6(b *testing.B) {
-	r := core.RandRelation(rand.New(rand.NewSource(1)), core.L("r0", "r1", "r2", "r3", "r4", "r5"), 4000, 50)
-	benchmarkPipeline(b, r, Options{MaxLHS: 2, MaxRHS: 2})
+	r, opts := random4000x6()
+	benchmarkPipeline(b, r, opts)
 }
 
 // BenchmarkPruneDateDim is the inference of one date-dimension run on its
 // own: the 2,957 candidates refutation propagation leaves, context group by
 // context group, asked of the table holding the run's final accepted set — the
-// same traffic prover's BenchmarkDecideDateDimMix prices per search.
+// same traffic prover's BenchmarkDecideDateDimMix prices per search. The
+// table is the one the run ends with, its 65 living patterns re-packed into
+// two words, so each question folds 2 words where the shared planes' layout
+// folded 35; a run itself asks its first two levels over 35 words and its
+// third over 4.
 func BenchmarkPruneDateDim(b *testing.B) {
 	dates, opts := dateDim(b)
 	res, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts})

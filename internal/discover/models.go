@@ -1,23 +1,29 @@
 package discover
 
 import (
+	"math/bits"
 	"sync"
 
 	"odlib/internal/core"
 )
 
 // maxTableAttrs is the widest schema whose accepted set Pipeline keeps as a
-// model table; wider relations prune through a catalog. The table's planes
-// grow as 3ⁿ while the prover's search tracks the question, so the two cross.
-// Measured on the 1,826-day date dimension plus 1–4 uniform random columns,
-// MaxLHS 2 / MaxRHS 2, one pipeline run in process (go test -bench, 2 CPUs):
+// model table; wider relations prune through a catalog. A table's shared
+// planes grow as 3ⁿ while the prover's search tracks the question, so the
+// two cross somewhere. Measured on the 1,826-day date dimension plus 1–4
+// uniform random columns of 50 values, MaxLHS 2 / MaxRHS 2, one pipeline run
+// in process (go test -bench, 2 CPUs, medians of three alternating runs of
+// 20), with tables that re-pack their living patterns:
 //
 //	attributes      8      9     10     11
-//	catalog, ms  10.2   12.5   17.4   18.9
-//	table, ms     3.4    6.6   14.7   33.9
+//	catalog, ms  11.2   15.3   19.7   24.9
+//	table, ms     2.4    4.1    6.9   16.3
 //
-// Nine is the last width at which the table wins by about a factor of two,
-// and every relation the default MaxAttrs guard (7) admits is below it.
+// Before tables re-packed, the same runs read 2.9, 5.4, 13.1 and 31.0 ms
+// and the catalog won at eleven; now the table wins at every width measured,
+// by 1.5x at eleven. Nine stays the limit — every relation the default
+// MaxAttrs guard (7) admits is below it — and a wider one is a change of its
+// own, which pays 3ⁿ-slot shared planes (0.5 MB at eleven) per width.
 const maxTableAttrs = 9
 
 // modelTable is the theory of the accepted set, kept as its models. ODs are
@@ -25,30 +31,49 @@ const maxTableAttrs = 9
 // satisfies M and falsifies X ↦ Y, and a two-row relation is, up to order
 // isomorphism, one sign from {<, =, >} per attribute — internal/prover's
 // search space, restated in its package comment. For n attributes the 3ⁿ sign
-// vectors are bit positions (attribute a is base-3 digit a: 0 <, 1 =, 2 >)
-// and a set of them is a plane of ⌈3ⁿ/64⌉ words. Where the prover searches
-// the space once per question, the table holds the plane of patterns that
-// satisfy every accepted OD and answers a question with one pass of ANDs.
+// vectors are bit positions, slots, and a set of them is a plane of one bit
+// per slot. Where the prover searches the space once per question, the table
+// holds the plane of patterns that satisfy every accepted OD and answers a
+// question with one pass of ANDs over it.
+//
+// A fresh table reads its width's shared planes, where slot p is the vector
+// whose base-3 digit a is attribute a's sign (0 <, 1 =, 2 >): 3ⁿ slots in
+// ⌈3ⁿ/64⌉ words, built once per width and never written. Accepting ODs kills
+// patterns, and once the living ones fit in 1/repackShrink of the words,
+// accept re-packs them into the first slots of planes of the table's own. So
+// the shared planes serve a table only until it first re-packs, and every
+// fold, question and later accept costs words in proportion to the patterns
+// still alive, not to 3ⁿ: on the date dimension the second level's commit
+// takes 35 words to 12 and then 4, and the third's to 2, where the run's
+// last 65 patterns stay. No verdict depends on where a pattern sits.
 //
 // alive is closed under row swap: accept clears an OD's falsifiers in both
-// row orders, so a question needs testing in one order only. Bits at and past
-// 3ⁿ are zero in alive, and arbitrary in any plane not yet masked by it.
+// row orders, so a question needs testing in one order only. The slots
+// numbered slots and above are padding, never alive; their bits are zero in a
+// table's own planes and arbitrary in any plane not masked by alive.
 //
 // A table is not synchronized. Pipeline's workers read it during a level and
 // the coordinating goroutine alone writes it, at the commit barrier — the
 // discipline lattice.refuted follows.
 type modelTable struct {
 	pos    map[core.Attribute]uint8
-	lt, eq [][]uint64 // per attribute: the patterns where row 1 is below / ties row 2; shared, never written
-	alive  []uint64   // the patterns satisfying every accepted OD
+	lt, eq [][]uint64 // per attribute: the slots where row 1 is below / ties row 2
+	alive  []uint64   // the slots whose pattern satisfies every accepted OD
+	slots  int        // the slots that hold a pattern: 3ⁿ, then the living count at the last repack
 }
+
+// repackShrink is how many times fewer words than the table has the living
+// patterns must fit in before accept re-packs them: at 2, a repack at least
+// halves every later pass, and the table is re-packed at most log₂ of its
+// first word count times.
+const repackShrink = 2
 
 // newModelTable builds the table of the empty theory over the schema: every
 // sign vector alive. Only alive is the table's own; the sign planes are the
-// width's.
+// width's until the first repack.
 func newModelTable(attrs core.List) *modelTable {
 	sp := planesOf(len(attrs))
-	t := &modelTable{pos: make(map[core.Attribute]uint8, len(attrs)), lt: sp.lt, eq: sp.eq}
+	t := &modelTable{pos: make(map[core.Attribute]uint8, len(attrs)), lt: sp.lt, eq: sp.eq, slots: sp.patterns}
 	for a, name := range attrs {
 		t.pos[name] = uint8(a)
 	}
@@ -90,12 +115,8 @@ func buildPlanes(n int) *signPlanes {
 	for range n {
 		patterns *= 3
 	}
-	words := (patterns + 63) / 64
-	planes := make([]uint64, 2*n*words)
-	sp := &signPlanes{patterns: patterns, lt: make([][]uint64, n), eq: make([][]uint64, n)}
-	for a := range n {
-		sp.lt[a], sp.eq[a] = planes[2*a*words:][:words], planes[(2*a+1)*words:][:words]
-	}
+	sp := &signPlanes{patterns: patterns}
+	sp.lt, sp.eq = zeroPlanes(n, (patterns+63)/64)
 	for p, digits := 0, make([]uint8, n); p < patterns; p++ {
 		w, bit := p>>6, uint64(1)<<(p&63)
 		for a, d := range digits {
@@ -114,6 +135,17 @@ func buildPlanes(n int) *signPlanes {
 		}
 	}
 	return sp
+}
+
+// zeroPlanes returns n empty lt and n empty eq planes of the given words,
+// in one block.
+func zeroPlanes(n, words int) (lt, eq [][]uint64) {
+	planes := make([]uint64, 2*n*words)
+	lt, eq = make([][]uint64, n), make([][]uint64, n)
+	for a := range n {
+		lt[a], eq[a] = planes[2*a*words:][:words], planes[(2*a+1)*words:][:words]
+	}
+	return lt, eq
 }
 
 // positions resolves a list to schema positions, the form the planes are
@@ -142,8 +174,10 @@ func (t *modelTable) fold(w int, in uint64, list []uint8) (lt, eq uint64) {
 // accept adds an OD to the theory: the patterns that falsify it die. A pattern
 // falsifies X ↦ Y as (row 1, row 2) when row 1 ≤ row 2 on X but not on Y, and
 // as (row 2, row 1) when its row swap does — row 1 < row 2 on Y but not on X.
+// When the survivors fit in 1/repackShrink of the words, they are re-packed.
 func (t *modelTable) accept(od core.OD) {
 	x, y := t.positions(od.LHS), t.positions(od.RHS)
+	living := 0
 	for w, alive := range t.alive {
 		if alive == 0 {
 			continue
@@ -151,7 +185,33 @@ func (t *modelTable) accept(od core.OD) {
 		ltx, eqx := t.fold(w, alive, x)
 		lty, eqy := t.fold(w, alive, y)
 		t.alive[w] = alive &^ ((ltx|eqx)&^(lty|eqy) | lty&^ltx)
+		living += bits.OnesCount64(t.alive[w])
 	}
+	if (living+63)/64 <= len(t.alive)/repackShrink {
+		t.repack(living)
+	}
+}
+
+// repack moves the living patterns, in slot order, to the first slots of
+// fresh planes of the table's own — the shared planes are only read — so that
+// alive becomes its first living bits.
+func (t *modelTable) repack(living int) {
+	n, words := len(t.lt), (living+63)/64
+	lt, eq := zeroPlanes(n, words)
+	alive := make([]uint64, words)
+	slot := 0
+	for w, live := range t.alive {
+		for ; live != 0; live &= live - 1 {
+			from, to, at := uint(bits.TrailingZeros64(live)), slot>>6, uint(slot&63)
+			for a := range n {
+				lt[a][to] |= t.lt[a][w] >> from & 1 << at
+				eq[a][to] |= t.eq[a][w] >> from & 1 << at
+			}
+			alive[to] |= 1 << at
+			slot++
+		}
+	}
+	t.lt, t.eq, t.alive, t.slots = lt, eq, alive, living
 }
 
 // under returns the models that order row 1 at or below row 2 on the list —

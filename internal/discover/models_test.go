@@ -2,6 +2,7 @@ package discover
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -9,24 +10,58 @@ import (
 	"odlib/internal/prover"
 )
 
-// checkTable asserts the table's two standing invariants: no bit at or past
-// 3ⁿ is alive, and alive is its own image under row swap — swapping the rows
-// maps every digit d to 2-d, so pattern p to 3ⁿ-1-p.
-func checkTable(t *testing.T, tbl *modelTable) {
+// checkTable asserts the table's standing invariants over the sign vectors
+// its planes decode to, not over where they sit, which a repack moves: every
+// plane spans the alive words, no padding slot is alive, no sign vector is
+// alive twice, and the living vectors are closed under row swap (< ↔ >). It
+// returns the living vectors.
+func checkTable(t *testing.T, tbl *modelTable) map[string]bool {
 	t.Helper()
-	patterns := 1
-	for range tbl.lt {
-		patterns *= 3
-	}
-	alive := func(p int) bool { return tbl.alive[p>>6]>>(p&63)&1 != 0 }
-	for p := 0; p < 64*len(tbl.alive); p++ {
-		switch {
-		case p >= patterns && alive(p):
-			t.Fatalf("bit %d is alive past the %d patterns", p, patterns)
-		case p < patterns && alive(p) != alive(patterns-1-p):
-			t.Fatalf("pattern %d is alive=%v, its row swap %d is not", p, alive(p), patterns-1-p)
+	for a := range tbl.lt {
+		if len(tbl.lt[a]) != len(tbl.alive) || len(tbl.eq[a]) != len(tbl.alive) {
+			t.Fatalf("attribute %d: planes of %d and %d words, alive of %d", a, len(tbl.lt[a]), len(tbl.eq[a]), len(tbl.alive))
 		}
 	}
+	alive := func(s int) bool { return tbl.alive[s>>6]>>(s&63)&1 != 0 }
+	for s := tbl.slots; s < 64*len(tbl.alive); s++ {
+		if alive(s) {
+			t.Fatalf("padding slot %d is alive past the %d slots", s, tbl.slots)
+		}
+	}
+	models := make(map[string]bool)
+	for s := range tbl.slots {
+		if !alive(s) {
+			continue
+		}
+		v := make([]byte, len(tbl.lt))
+		for a := range v {
+			lt, eq := tbl.lt[a][s>>6]>>(s&63)&1 != 0, tbl.eq[a][s>>6]>>(s&63)&1 != 0
+			switch {
+			case lt && eq:
+				t.Fatalf("slot %d is both below and tied on attribute %d", s, a)
+			case lt:
+				v[a] = '<'
+			case eq:
+				v[a] = '='
+			default:
+				v[a] = '>'
+			}
+		}
+		if models[string(v)] {
+			t.Fatalf("sign vector %s is alive twice", v)
+		}
+		models[string(v)] = true
+	}
+	for v := range models {
+		swapped := []byte(v)
+		for a, c := range swapped {
+			swapped[a] = map[byte]byte{'<': '>', '=': '=', '>': '<'}[c]
+		}
+		if !models[string(swapped)] {
+			t.Fatalf("sign vector %s is alive, its row swap %s is not", v, swapped)
+		}
+	}
+	return models
 }
 
 // tableOf accepts the ODs into a fresh table over the schema, checking the
@@ -82,7 +117,7 @@ func TestModelTableExhaustive3(t *testing.T) {
 		for _, second := range ods[i+1:] {
 			m := []core.OD{first, second}
 			tbl := tableOf(t, attrs, m)
-			if other := tableOf(t, attrs, []core.OD{second, first}); !slices.Equal(tbl.alive, other.alive) {
+			if other := tableOf(t, attrs, []core.OD{second, first}); !maps.Equal(checkTable(t, tbl), checkTable(t, other)) {
 				t.Fatalf("accepting %s in either order leaves different models", core.ODsString(m))
 			}
 			checkTableAgainstProver(t, tbl, m, ods)
@@ -168,7 +203,11 @@ func FuzzModelTableAgainstProver(f *testing.F) {
 
 // TestModelTableWidths: the plane arithmetic holds at every width Pipeline
 // builds a table for, one word boundary or many — a chain over the whole
-// schema implies its two ends, and not their reversal.
+// schema implies its two ends, and not their reversal. The chain leaves 2n+1
+// sign vectors alive (all ties, or a run of strict signs in one direction
+// followed by ties), so from six attributes on the table has re-packed them
+// into one word of planes of its own, and the width's shared planes are as
+// built.
 func TestModelTableWidths(t *testing.T) {
 	for n := 0; n <= maxTableAttrs; n++ {
 		attrs := make(core.List, n)
@@ -180,6 +219,12 @@ func TestModelTableWidths(t *testing.T) {
 			m = append(m, core.NewOD(attrs[i-1:i], attrs[i:i+1]))
 		}
 		tbl := tableOf(t, attrs, m)
+		if living := len(checkTable(t, tbl)); living != 2*n+1 || n >= 6 && (len(tbl.alive) != 1 || tbl.slots == planesOf(n).patterns) {
+			t.Fatalf("%d attributes: the chain leaves %d patterns in %d words of %d slots, want %d in 1 re-packed word", n, living, len(tbl.alive), tbl.slots, 2*n+1)
+		}
+		if shared, built := planesOf(n), buildPlanes(n); !slices.EqualFunc(shared.lt, built.lt, slices.Equal) || !slices.EqualFunc(shared.eq, built.eq, slices.Equal) {
+			t.Fatalf("%d attributes: the shared sign planes were written", n)
+		}
 		if n < 2 {
 			continue
 		}

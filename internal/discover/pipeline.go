@@ -200,7 +200,10 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	}
 
 	res := &PipelineResult{}
+	// The run's partitions are its own: every worker is done with them when
+	// it returns, so their arrays go back to the pool for the next run.
 	cache := core.NewSortCache(r)
+	defer cache.Release()
 	la := newLattice(attrs, opts.MaxLHS, opts.MaxRHS)
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -236,7 +237,11 @@ func TestRunGroupsBoundedByGOMAXPROCS(t *testing.T) {
 // TestPipelineStress hammers the worker pool under -race: a shared prover
 // pool, many workers, the shared sort cache, and a streaming callback all at once —
 // on alternate trials over the model table the workers read unlocked, and
-// over the catalog whose searches are what draw on the pool.
+// over the catalog whose searches are what draw on the pool. Then four
+// goroutines run pipelines at once, each alternating the workload's two
+// relations — the 1,826 x 7 date dimension and the 4,000 x 6 random relation —
+// so every run's sort cache draws arrays another run of either size released,
+// and every result must equal its relation's sequential reference.
 func TestPipelineStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := prover.NewPool(4)
@@ -261,6 +266,42 @@ func TestPipelineStress(t *testing.T) {
 			}
 		}
 	}
+
+	type run struct {
+		r    *core.Relation
+		opts Options
+		want *PipelineResult
+	}
+	var runs [2]run
+	runs[0].r, runs[0].opts = dateDim(t)
+	runs[1].r, runs[1].opts = random4000x6()
+	for i := range runs {
+		want, err := Pipeline(context.Background(), runs[i].r, PipelineOptions{Options: runs[i].opts, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i].want = want
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				in := runs[(g+i)%2]
+				got, err := Pipeline(context.Background(), in.r, PipelineOptions{Options: in.opts, Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Stats != in.want.Stats || !slices.EqualFunc(got.ODs, in.want.ODs, core.OD.Equal) {
+					t.Errorf("goroutine %d, run %d: %+v %v, the sequential reference %+v %v", g, i, got.Stats, got.ODs, in.want.Stats, in.want.ODs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPipelineCancellation: a cancelled context aborts between candidates.
