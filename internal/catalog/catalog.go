@@ -130,7 +130,7 @@ func New(opts ...Option) *Catalog {
 // reused as passive composition partners and only the new edges work the
 // fixpoint.
 func (c *Catalog) Add(ods ...core.OD) int {
-	added, _, _, _, _ := c.ApplyEffective([]Mutation{{ODs: ods}})
+	added, _, _ := c.Apply([]Mutation{{ODs: ods}})
 	return added
 }
 
@@ -143,7 +143,7 @@ func (c *Catalog) Add(ods ...core.OD) int {
 // revisited (see shrinkClosure); the rest of the closure is reused verbatim
 // instead of recomputed.
 func (c *Catalog) Remove(ods ...core.OD) int {
-	_, removed, _, _, _ := c.ApplyEffective([]Mutation{{Remove: true, ODs: ods}})
+	_, removed, _ := c.Apply([]Mutation{{Remove: true, ODs: ods}})
 	return removed
 }
 
@@ -153,25 +153,28 @@ type Mutation struct {
 	ODs    []core.OD
 }
 
-// Apply runs a sequence of declare/remove steps under one lock acquisition,
-// one generation bump and one closure refresh — the apply-without-relog
-// primitive behind WAL replay (internal/store hands the recovered records
-// straight here, nothing is re-logged) and the batch endpoints. Steps apply
-// in order, so a batch may declare and later withdraw the same OD. It
-// returns the effective added and removed counts plus post-batch stats.
+// Apply runs a sequence of declare/remove steps as one batch: one lock
+// acquisition, one generation bump when the declared set changed, and one
+// closure refresh — the live write path behind the router's staged
+// mutations and a follower's per-record replay. Steps apply in order, so a
+// batch may declare and later withdraw the same OD. It returns the
+// effective added and removed counts plus post-batch stats.
 func (c *Catalog) Apply(muts []Mutation) (added, removed int, st Stats) {
-	added, removed, _, _, st = c.ApplyEffective(muts)
+	added, removed, _, _, st = c.apply([][]Mutation{muts})
 	return added, removed, st
 }
 
-// ApplyEffective is Apply plus the net effect on the declared set: netAdded
-// holds ODs present after the batch that were absent before, netRemoved the
-// reverse. An OD declared and withdrawn within one batch appears in
-// neither. The net lists are what incremental maintenance keys on: the
-// closure extends or shrinks from them, and the verdict store revalidates its
-// witnesses against exactly the net-added ODs and drops its implied verdicts
-// exactly when something was net removed.
-func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded, netRemoved []core.OD, st Stats) {
+// apply is the one mutation loop. Batches apply in order, and the generation
+// bumps once for each batch that changed the declared set — the only place
+// that rule is written. The verdict store and the closure then move once,
+// for the net effect of all batches: netAdded holds ODs present after that
+// were absent before, netRemoved the reverse, and an OD declared and
+// withdrawn in between appears in neither. The net lists are what
+// incremental maintenance keys on: the closure extends or shrinks from them,
+// and the verdict store revalidates its witnesses against exactly the
+// net-added ODs and drops its implied verdicts exactly when something was
+// net removed.
+func (c *Catalog) apply(batches [][]Mutation) (added, removed int, netAdded, netRemoved []core.OD, st Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// delta tracks each touched OD's net membership change: +1 present now
@@ -191,18 +194,25 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 		}
 		e.delta += d
 	}
-	for _, m := range muts {
-		for _, od := range m.ODs {
-			od = canon(od)
-			if m.Remove {
-				if c.declared.remove(od) {
-					removed++
-					touch(od, -1)
+	gen := c.cur.gen
+	for _, muts := range batches {
+		before := added + removed
+		for _, m := range muts {
+			for _, od := range m.ODs {
+				od = canon(od)
+				if m.Remove {
+					if c.declared.remove(od) {
+						removed++
+						touch(od, -1)
+					}
+				} else if !od.Trivial() && c.declared.add(od) {
+					added++
+					touch(od, +1)
 				}
-			} else if !od.Trivial() && c.declared.add(od) {
-				added++
-				touch(od, +1)
 			}
+		}
+		if added+removed > before {
+			gen++
 		}
 	}
 	for _, e := range net {
@@ -213,8 +223,7 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 			netRemoved = append(netRemoved, e.od)
 		}
 	}
-	if added > 0 || removed > 0 {
-		gen := c.cur.gen + 1
+	if gen > c.cur.gen {
 		c.verdicts.advance(gen, netAdded, len(netRemoved) > 0)
 		switch {
 		case removed == 0:
@@ -223,7 +232,7 @@ func (c *Catalog) ApplyEffective(muts []Mutation) (added, removed int, netAdded,
 			c.refreshLocked(gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.unordered()))
 		default:
 			// Mixed batches interleave adds and removes; one full recompute
-			// is still a single rebuild for the whole batch.
+			// is still a single rebuild for the whole sequence.
 			c.rebuildLocked(gen)
 		}
 	}

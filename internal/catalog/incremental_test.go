@@ -175,9 +175,9 @@ func TestApplyBatchSemantics(t *testing.T) {
 	}
 }
 
-// TestApplyEffectiveNetAndInverse pins the rollback contract: net lists
-// reflect membership changes only, and applying the inverse restores the
-// exact pre-batch declared set.
+// TestApplyEffectiveNetAndInverse pins the rollback contract of the apply
+// loop: net lists reflect membership changes only, and applying the inverse
+// restores the exact pre-batch declared set.
 func TestApplyEffectiveNetAndInverse(t *testing.T) {
 	ab := core.OD{LHS: core.L("A"), RHS: core.L("B")}
 	bc := core.OD{LHS: core.L("B"), RHS: core.L("C")}
@@ -190,10 +190,10 @@ func TestApplyEffectiveNetAndInverse(t *testing.T) {
 	// Batch: declare cd (net add), remove ab (net remove), declare+remove
 	// a transient OD (net nothing).
 	xy := core.OD{LHS: core.L("X"), RHS: core.L("Y")}
-	_, _, netAdded, netRemoved, _ := cat.ApplyEffective([]Mutation{
+	_, _, netAdded, netRemoved, _ := cat.apply([][]Mutation{{
 		{ODs: []core.OD{cd, xy}},
 		{Remove: true, ODs: []core.OD{ab, xy}},
-	})
+	}})
 	if len(netAdded) != 1 || !netAdded[0].Equal(cd) {
 		t.Fatalf("netAdded = %v, want just %s", netAdded, cd)
 	}

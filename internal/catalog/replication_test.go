@@ -9,16 +9,18 @@ import (
 	"odlib/internal/prover"
 )
 
+// TestSeedGeneration: ResetTo over the unchanged declared set seeds the
+// generation forward and leaves everything else alone.
 func TestSeedGeneration(t *testing.T) {
 	c := New()
 	c.Apply([]Mutation{{ODs: mustODs(t, "[A] -> [B]")}})
 	base := c.Generation()
-	c.SeedGeneration(base + 10)
+	c.ResetTo(base+10, c.Declared())
 	if got := c.Generation(); got != base+10 {
 		t.Fatalf("seeded generation = %d, want %d", got, base+10)
 	}
 	// Seeding backwards is a no-op: generations only move forward.
-	c.SeedGeneration(base)
+	c.ResetTo(base, c.Declared())
 	if got := c.Generation(); got != base+10 {
 		t.Fatalf("backward seed moved generation to %d", got)
 	}
@@ -35,13 +37,16 @@ func TestSeedGeneration(t *testing.T) {
 func TestSeedGenerationInvalidatesNothing(t *testing.T) {
 	c := New()
 	c.Apply([]Mutation{{ODs: mustODs(t, "[A] -> [B]; [B] -> [C]")}})
-	// Warm the memo.
-	if ok, _ := c.Implies(od(t, "[A] -> [C]")); !ok {
+	// Warm the memo with a verdict only the search finds.
+	if ok, _ := c.Implies(od(t, "[A] -> [A, C]")); !ok {
 		t.Fatal("closure broken")
 	}
-	c.SeedGeneration(c.Generation() + 3)
+	c.ResetTo(c.Generation()+3, c.Declared())
+	if st := c.Stats(); st.Memo.Size != 1 {
+		t.Fatalf("a seed over the unchanged set kept %d implied verdicts, want 1", st.Memo.Size)
+	}
 	// Same set, same verdict — and the verdict must carry the new stamp.
-	impl, _, gen, err := c.ImpliesAllWitness(mustODs(t, "[A] -> [C]"))
+	impl, _, gen, err := c.ImpliesAllWitness(mustODs(t, "[A] -> [A, C]"))
 	if err != nil || !impl {
 		t.Fatalf("post-seed implies = %v, %v", impl, err)
 	}
@@ -71,7 +76,7 @@ func TestResetToReplacesSet(t *testing.T) {
 func TestResetToDivergedSetBumpsLocally(t *testing.T) {
 	c := New()
 	c.Apply([]Mutation{{ODs: mustODs(t, "[A] -> [B]")}})
-	c.SeedGeneration(100)
+	c.ResetTo(100, c.Declared())
 	before := c.Generation()
 	// Target generation does not advance but the set changes: the local
 	// generation must still move, or a reader of the old set could file its
@@ -150,12 +155,12 @@ func TestResetToKeepsOnlyWhatStands(t *testing.T) {
 	ask("diverged", expect{held, TierSearch}, expect{refuted, TierNegative}, expect{flips, TierNegative})
 }
 
-// TestEffectiveBatchesMatchesLiveCatalog is the differential guard for the
-// generation trajectory: for random mutation histories, the membership-only
-// simulation must count exactly the bumps a live catalog performs — that
-// equality is what makes snapshot-seeded recovery land on the leader's
-// numbering.
-func TestEffectiveBatchesMatchesLiveCatalog(t *testing.T) {
+// TestReplayMatchesLiveCatalog is the differential guard for the generation
+// trajectory: for random mutation histories, ResetTo onto the start plus one
+// Replay of every batch must land on the generation and the declared set a
+// live catalog reaches with one Apply per batch — that equality is what
+// makes snapshot-based recovery land on the leader's numbering.
+func TestReplayMatchesLiveCatalog(t *testing.T) {
 	attrs := []string{"A", "B", "C", "D"}
 	rng := rand.New(rand.NewSource(7))
 	randOD := func() core.OD {
@@ -180,10 +185,16 @@ func TestEffectiveBatchesMatchesLiveCatalog(t *testing.T) {
 		for _, muts := range batches {
 			live.Apply(muts)
 		}
-		wantBumps := live.Generation() - start
 
-		if got := EffectiveBatches(base, batches); got != wantBumps {
-			t.Fatalf("trial %d: EffectiveBatches = %d, live catalog bumped %d", trial, got, wantBumps)
+		replayed := New()
+		replayed.ResetTo(start, base)
+		st := replayed.Replay(batches)
+		if st.Generation != live.Generation() || replayed.Generation() != live.Generation() {
+			t.Fatalf("trial %d: replay reached generation %d (stats %d), the live catalog %d",
+				trial, replayed.Generation(), st.Generation, live.Generation())
+		}
+		if got, want := core.ODsString(replayed.Declared()), core.ODsString(live.Declared()); got != want {
+			t.Fatalf("trial %d: replay declared %s, the live catalog %s", trial, got, want)
 		}
 	}
 }

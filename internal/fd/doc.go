@@ -1,6 +1,6 @@
 // Package fd is the Armstrong-closure reference: functional dependencies as
 // attribute-set pairs, the closure algorithm, implication by the closure
-// test, minimal covers, and the FD check on a relation instance.
+// test, and the FD check on a relation instance.
 //
 // The paper's Theorem 13 identifies the FD set(X) → set(Y) with the OD
 // X ↦ XY (FD.OD), and its Theorem 16 shows the OD axiom system subsumes

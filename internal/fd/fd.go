@@ -2,7 +2,6 @@ package fd
 
 import (
 	"fmt"
-	"sort"
 
 	"odlib/internal/core"
 )
@@ -68,59 +67,6 @@ func Closure(attrs core.AttrSet, fds []FD) core.AttrSet {
 // test f.RHS ⊆ f.LHS⁺.
 func Implies(fds []FD, f FD) bool {
 	return f.RHS.SubsetOf(Closure(f.LHS, fds))
-}
-
-// Equivalent reports whether two FD sets imply each other.
-func Equivalent(a, b []FD) bool {
-	for _, f := range a {
-		if !Implies(b, f) {
-			return false
-		}
-	}
-	for _, f := range b {
-		if !Implies(a, f) {
-			return false
-		}
-	}
-	return true
-}
-
-// MinimalCover returns a minimal cover of the FD set: singleton right-hand
-// sides, no redundant left-hand attributes, no redundant dependencies. The
-// result is equivalent to the input.
-func MinimalCover(fds []FD) []FD {
-	// 1. Split right-hand sides into singletons and drop trivial FDs.
-	var work []FD
-	for _, f := range fds {
-		for a := range f.RHS {
-			if f.LHS.Contains(a) {
-				continue
-			}
-			work = append(work, FD{LHS: f.LHS.Clone(), RHS: core.NewAttrSet(a)})
-		}
-	}
-	sort.Slice(work, func(i, j int) bool { return work[i].String() < work[j].String() })
-	// 2. Remove extraneous left-hand attributes.
-	for i := range work {
-		for _, a := range work[i].LHS.Sorted() {
-			reduced := work[i].LHS.Clone()
-			delete(reduced, a)
-			if work[i].RHS.SubsetOf(Closure(reduced, work)) {
-				work[i] = FD{LHS: reduced, RHS: work[i].RHS}
-			}
-		}
-	}
-	// 3. Remove redundant dependencies.
-	out := make([]FD, 0, len(work))
-	for i := range work {
-		rest := make([]FD, 0, len(work)-1)
-		rest = append(rest, out...)
-		rest = append(rest, work[i+1:]...)
-		if !Implies(rest, work[i]) {
-			out = append(out, work[i])
-		}
-	}
-	return out
 }
 
 // Satisfies reports whether relation r satisfies the FD, returning a witness

@@ -74,71 +74,6 @@ func TestFDBasics(t *testing.T) {
 	}
 }
 
-func TestEquivalent(t *testing.T) {
-	a := []FD{New(L("A"), L("B")), New(L("B"), L("C"))}
-	b := []FD{New(L("A"), L("B", "C")), New(L("B"), L("C"))}
-	if !Equivalent(a, b) {
-		t.Error("sets should be equivalent")
-	}
-	c := []FD{New(L("A"), L("B"))}
-	if Equivalent(a, c) {
-		t.Error("sets should differ")
-	}
-}
-
-func TestMinimalCover(t *testing.T) {
-	fds := []FD{
-		New(L("A"), L("B", "C")),
-		New(L("B"), L("C")),
-		New(L("A", "B"), L("C")), // redundant
-		New(L("A", "C"), L("C")), // trivial after split
-	}
-	mc := MinimalCover(fds)
-	if !Equivalent(fds, mc) {
-		t.Fatalf("cover not equivalent: %v vs %v", fds, mc)
-	}
-	for _, f := range mc {
-		if len(f.RHS) != 1 {
-			t.Errorf("non-singleton RHS in cover: %s", f)
-		}
-		if f.RHS.SubsetOf(f.LHS) {
-			t.Errorf("trivial FD in cover: %s", f)
-		}
-	}
-	// No FD in the cover is implied by the others.
-	for i := range mc {
-		rest := append(append([]FD{}, mc[:i]...), mc[i+1:]...)
-		if Implies(rest, mc[i]) {
-			t.Errorf("redundant FD in cover: %s", mc[i])
-		}
-	}
-	// Left-reduction: {A,B} -> C must have lost B if A -> B is present.
-	for _, f := range mc {
-		if f.LHS.Contains("B") && f.LHS.Contains("A") {
-			t.Errorf("unreduced LHS in cover: %s", f)
-		}
-	}
-}
-
-func TestMinimalCoverQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	universe := L("A", "B", "C", "D")
-	for i := 0; i < 100; i++ {
-		var fds []FD
-		n := 1 + rng.Intn(4)
-		for j := 0; j < n; j++ {
-			fds = append(fds, FD{
-				LHS: core.RandList(rng, universe, 2).Set(),
-				RHS: core.RandList(rng, universe, 2).Set(),
-			})
-		}
-		mc := MinimalCover(fds)
-		if !Equivalent(fds, mc) {
-			t.Fatalf("cover not equivalent: %v vs %v", fds, mc)
-		}
-	}
-}
-
 func TestSatisfies(t *testing.T) {
 	r := core.MustRelation(L("A", "B"))
 	for _, row := range [][]int64{{1, 1}, {1, 1}, {2, 5}} {

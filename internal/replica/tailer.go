@@ -141,7 +141,7 @@ func (t *Tailer) Sync(ctx context.Context) error {
 		if err == nil {
 			caught := true
 			for name, ss := range meta.Shards {
-				if _, _, _, watermark := t.opt.Router.FollowerNext(localShard(name)); watermark < ss.AppliedSeq {
+				if _, _, _, watermark := t.opt.Router.FollowerNext(router.Unalias(name)); watermark < ss.AppliedSeq {
 					caught = false
 					break
 				}
@@ -174,11 +174,11 @@ func (t *Tailer) Pass(ctx context.Context) (segmentsResponse, error) {
 	defer t.passMu.Unlock()
 	meta, err := t.poll(ctx)
 	if err == nil {
-		// Wire keys ("@default") become local shard names here, once.
+		// Wire keys (the default shard's alias) become local shard names here, once.
 		shards := make(map[string]router.ShardSegments, len(meta.Shards))
 		names := make([]string, 0, len(meta.Shards))
 		for name, ss := range meta.Shards {
-			local := localShard(name)
+			local := router.Unalias(name)
 			shards[local] = ss
 			names = append(names, local)
 		}
@@ -324,7 +324,7 @@ func (t *Tailer) catchUp(ctx context.Context, name string, ss router.ShardSegmen
 // Returns the byte count ingested and the segment's fresh leader-side info.
 func (t *Tailer) fetch(ctx context.Context, name string, index uint64, off int64) (int, store.SegmentInfo, error) {
 	u := fmt.Sprintf("%s/segments/%s/%d?offset=%d&limit=%d",
-		t.opt.Leader, wireShard(name), index, off, t.opt.MaxFetchBytes)
+		t.opt.Leader, router.Alias(name), index, off, t.opt.MaxFetchBytes)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, store.SegmentInfo{}, err
@@ -369,7 +369,7 @@ func (t *Tailer) fetch(ctx context.Context, name string, index uint64, off int64
 // bootstrap installs the leader's current snapshot on the follower shard.
 func (t *Tailer) bootstrap(ctx context.Context, name string) error {
 	var snap store.Snapshot
-	if err := t.getJSON(ctx, "/segments/"+wireShard(name)+"/snapshot", &snap); err != nil {
+	if err := t.getJSON(ctx, "/segments/"+router.Alias(name)+"/snapshot", &snap); err != nil {
 		return err
 	}
 	// The open segment (if any) can never be completed — the leader dropped
@@ -395,23 +395,6 @@ func (t *Tailer) getJSON(ctx context.Context, path string, out any) error {
 		return fmt.Errorf("replica: GET %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	return json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(out)
-}
-
-// wireShard maps a shard name to its URL path form; the default shard's
-// empty name travels as "@default", mirroring its on-disk directory.
-func wireShard(name string) string {
-	if name == router.DefaultShard {
-		return "@default"
-	}
-	return name
-}
-
-// localShard is the inverse: poll responses key shards by wire name.
-func localShard(name string) string {
-	if name == "@default" {
-		return router.DefaultShard
-	}
-	return name
 }
 
 func parseInt(s string) int64 {

@@ -14,7 +14,9 @@
 // independently. Requests that name no shard and requests for listings and
 // stats fan out across shards and merge.
 //
-// Mutations are staged (WAL append) under the store's own lock, which
+// Every leader mutation takes one path, ApplyBatch → stage → wait; Declare
+// and Remove are ApplyBatch of one step. Mutations are staged (WAL append)
+// under the store's own lock, which
 // numbers a record and stages its frame together, so WAL order is seq
 // order; but the catalog is only touched after the group commit
 // succeeds: each staged record holds an apply ticket (its WAL sequence

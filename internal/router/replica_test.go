@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"odlib/internal/catalog"
 	"odlib/internal/store"
 )
 
@@ -134,6 +135,28 @@ func TestLeaderWarmRestartPreservesGeneration(t *testing.T) {
 	}
 	if got != gen {
 		t.Fatalf("restarted generation = %d, want %d (pre-restart)", got, gen)
+	}
+}
+
+// TestRecoverPreGenerationSnapshot pins recovery from a snapshot written
+// before snapshots carried a generation (Gen zero, ODs non-empty): loading
+// its set counts as one change and each effective replayed record as one
+// more, so the shard resumes at 1 + the number of effective records.
+func TestRecoverPreGenerationSnapshot(t *testing.T) {
+	cat := catalog.New()
+	snap := store.Snapshot{Seq: 4, ODs: ods(t, "[a] -> [b]", "[b] -> [c]")}
+	replay := []store.Record{
+		{Seq: 5, Op: store.OpDeclare, ODs: ods(t, "[c] -> [d]")},
+		{Seq: 6, Op: store.OpDeclare, ODs: ods(t, "[a] -> [b]")}, // already declared: not effective
+		{Seq: 7, Op: store.OpRemove, ODs: ods(t, "[b] -> [c]")},
+		{Seq: 8, Op: store.OpBatch, ODs: ods(t, "[x] -> [y]"), Removes: ods(t, "[x] -> [y]")},
+	}
+	if seq := recoverCatalog(cat, snap, replay); seq != 8 {
+		t.Fatalf("recovered through seq %d, want 8", seq)
+	}
+	st := cat.Stats()
+	if st.Generation != 1+3 || st.Declared != 2 {
+		t.Fatalf("recovered at generation %d with %d declared, want %d with 2", st.Generation, st.Declared, 1+3)
 	}
 }
 

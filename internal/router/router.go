@@ -59,13 +59,31 @@ var errLag = errors.New("replica lag exceeded")
 // IsLagExceeded reports whether err is a staleness-bound refusal.
 func IsLagExceeded(err error) bool { return errors.Is(err, errLag) }
 
-// DefaultShard is the shard of requests that name no schema; its directory
-// on disk is dirDefault.
+// DefaultShard is the shard of requests that name no schema.
 const DefaultShard = ""
 
-// dirDefault is the on-disk directory name of the default shard. The "@"
-// cannot appear in a valid schema name, so it never collides.
-const dirDefault = "@default"
+// defaultAlias is what the default shard goes by wherever its empty name
+// cannot stand. The "@" cannot appear in a valid schema name, so it never
+// collides.
+const defaultAlias = "@default"
+
+// Alias maps a shard name to the name it goes by outside the process: its
+// directory on disk, its /segments URL path and JSON key, and its metric
+// label. Only the default shard's differs.
+func Alias(name string) string {
+	if name == DefaultShard {
+		return defaultAlias
+	}
+	return name
+}
+
+// Unalias is Alias's inverse.
+func Unalias(alias string) string {
+	if alias == defaultAlias {
+		return DefaultShard
+	}
+	return alias
+}
 
 // Options configures a Router.
 type Options struct {
@@ -186,10 +204,8 @@ func Open(opt Options) (*Router, error) {
 		if !e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		if name == dirDefault {
-			name = DefaultShard
-		} else if err := ValidSchema(name); err != nil {
+		name := Unalias(e.Name())
+		if err := ValidSchema(name); err != nil {
 			return nil, fmt.Errorf("router: data dir entry %q is not a shard directory: %w", e.Name(), err)
 		}
 		if _, err := r.openShard(name); err != nil {
@@ -250,10 +266,7 @@ func (r *Router) openShard(name string) (*Shard, error) {
 	sh.applyCond = sync.NewCond(&sh.applyMu)
 	dir := ""
 	if r.opt.DataDir != "" {
-		dir = filepath.Join(r.opt.DataDir, name)
-		if name == DefaultShard {
-			dir = filepath.Join(r.opt.DataDir, dirDefault)
-		}
+		dir = filepath.Join(r.opt.DataDir, Alias(name))
 	}
 	switch {
 	case r.opt.Follower:
@@ -296,30 +309,23 @@ func recMutations(rec store.Record) []catalog.Mutation {
 	}
 }
 
-// recoverCatalog rebuilds cat from a snapshot plus its replay suffix with
-// ONE coalesced Apply (one lock, one closure rebuild — recovery speed), then
-// seeds the generation to where the record-at-a-time live path would have
-// left it: snapshot generation + the number of effective replayed records.
+// recoverCatalog rebuilds cat from a snapshot plus its replay suffix:
+// ResetTo lands on the snapshot's declared set at its generation, then Replay
+// runs the suffix, one batch per record, through the catalog's own apply loop
+// — one lock, one closure refresh, and one generation bump per record that
+// changed the declared set, where the record-at-a-time live path left it.
 // Generation thereby stays a deterministic function of the applied history
 // across restarts — the invariant replication's "generation lag" contract
 // rests on. Returns the last applied seq.
 func recoverCatalog(cat *catalog.Catalog, snap store.Snapshot, replay []store.Record) uint64 {
-	batches := make([][]catalog.Mutation, 0, len(replay))
-	muts := make([]catalog.Mutation, 0, len(replay)+1)
-	if len(snap.ODs) > 0 {
-		muts = append(muts, catalog.Mutation{ODs: snap.ODs})
-	}
+	cat.ResetTo(snap.Gen, snap.ODs)
+	batches := make([][]catalog.Mutation, len(replay))
 	seq := snap.Seq
-	for _, rec := range replay {
-		rm := recMutations(rec)
-		batches = append(batches, rm)
-		muts = append(muts, rm...)
+	for i, rec := range replay {
+		batches[i] = recMutations(rec)
 		seq = rec.Seq
 	}
-	if len(muts) > 0 {
-		cat.Apply(muts)
-	}
-	cat.SeedGeneration(snap.Gen + catalog.EffectiveBatches(snap.ODs, batches))
+	cat.Replay(batches)
 	return seq
 }
 
@@ -422,43 +428,28 @@ type MutationResult struct {
 	Stats   catalog.Stats
 }
 
-// Declare declares ODs on the schema's shard: WAL append (staged under the
-// store's lock), then the durability wait with no lock held, then — only
-// once durable — the catalog apply, in WAL order. The mutation is
-// acknowledged and becomes visible to readers together, after the commit.
+// Declare declares ODs on the schema's shard: ApplyBatch of one step, so
+// it stages, waits for durability and applies in WAL order exactly as a
+// batch does. The mutation is acknowledged and becomes visible to readers
+// together, after the commit.
 func (r *Router) Declare(schema string, ods []core.OD) (MutationResult, error) {
-	return r.mutate(schema, store.OpDeclare, ods)
+	return r.applyOne(BatchOp{Schema: schema, ODs: ods})
 }
 
 // Remove withdraws ODs from the schema's shard, with the same durability
 // contract as Declare.
 func (r *Router) Remove(schema string, ods []core.OD) (MutationResult, error) {
-	return r.mutate(schema, store.OpRemove, ods)
+	return r.applyOne(BatchOp{Schema: schema, Remove: true, ODs: ods})
 }
 
-func (r *Router) mutate(schema string, op store.Op, ods []core.OD) (MutationResult, error) {
-	if r.opt.Follower {
-		return MutationResult{}, fmt.Errorf("router: %w: mutations must go to the leader", errReadOnly)
+// applyOne runs one step through ApplyBatch and returns its shard's result.
+func (r *Router) applyOne(op BatchOp) (MutationResult, error) {
+	out, err := r.ApplyBatch([]BatchOp{op})
+	// One step resolves to one shard: out is nil on error, else holds one result.
+	for _, res := range out {
+		return res, nil
 	}
-	key, err := r.SchemaFor(schema, ods)
-	if err != nil {
-		return MutationResult{}, err
-	}
-	sh, err := r.openShard(key)
-	if err != nil {
-		return MutationResult{}, err
-	}
-	var declares, removes []core.OD
-	if op == store.OpRemove {
-		removes = ods
-	} else {
-		declares = ods
-	}
-	staged, res, err := sh.stage(declares, removes)
-	if err != nil || staged == nil {
-		return res, err
-	}
-	return staged.wait()
+	return MutationResult{}, err
 }
 
 // stagedMutation is one WAL-appended, not-yet-applied mutation batch: the

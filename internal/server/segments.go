@@ -24,8 +24,9 @@ func WithLeader(url string) Option {
 
 // segmentsResponse is the replication feed's table of contents: per shard, the
 // leader's applied watermark and generation, its snapshot cut, and every live
-// WAL segment. The default shard's empty-string key is spelled "@default" —
-// the same alias the metric labels and the per-segment URL path use.
+// WAL segment. The default shard's empty-string key is spelled by
+// router.Alias ("@default") — as on the metric labels, in the per-segment
+// URL path and on disk.
 type segmentsResponse struct {
 	Shards map[string]router.ShardSegments `json:"shards"`
 }
@@ -35,7 +36,7 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 	state := s.rt.SegmentState()
 	out := segmentsResponse{Shards: make(map[string]router.ShardSegments, len(state))}
 	for name, ss := range state {
-		out.Shards[wireShard(name)] = ss
+		out.Shards[router.Alias(name)] = ss
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -49,7 +50,7 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 // snapshot JSON — the bootstrap path when compaction already deleted the
 // segments a follower still needs.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
-	schema := pathShard(r.PathValue("shard"))
+	schema := router.Unalias(r.PathValue("shard"))
 	noteShard(r, schema)
 	item := r.PathValue("item")
 	if item == "snapshot" {
@@ -59,7 +60,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("shard %q has no snapshot", wireShard(schema)))
+			writeError(w, http.StatusNotFound, fmt.Errorf("shard %q has no snapshot", router.Alias(schema)))
 			return
 		}
 		writeJSON(w, http.StatusOK, snap)
@@ -103,22 +104,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-OD-Segment-Sealed", strconv.FormatBool(info.Sealed))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-}
-
-// wireShard maps the default shard's empty-string key to its URL/JSON alias.
-func wireShard(name string) string {
-	if name == router.DefaultShard {
-		return defaultShardLabel
-	}
-	return name
-}
-
-// pathShard is the inverse: "@default" in a URL path means the default shard.
-func pathShard(s string) string {
-	if s == defaultShardLabel {
-		return router.DefaultShard
-	}
-	return s
 }
 
 // maxLagOf reads the optional X-OD-Max-Lag-Records header: a client's own

@@ -113,7 +113,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mux.ServeHTTP(rec, r)
 	elapsed := time.Since(start)
-	route := routeLabel(r.Method, r.URL.Path)
+	route := routeLabel(r.Pattern)
 	if s.tel != nil {
 		s.tel.inflight.Add(-1)
 		s.tel.httpRequests.With(route, r.Method, strconv.Itoa(rec.status)).Inc()
@@ -127,7 +127,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Duration("duration", elapsed),
 		}
 		if meta.shard != "" || meta.shardSet {
-			attrs = append(attrs, slog.String("shard", shardLabel(meta.shard)))
+			attrs = append(attrs, slog.String("shard", router.Alias(meta.shard)))
 		}
 		if meta.tier != "" {
 			attrs = append(attrs, slog.String("tier", meta.tier))
@@ -136,23 +136,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// knownRoutes caps the route label's cardinality: every served pattern maps
-// to itself, anything else (bots probing paths) collapses to "other".
-var knownRoutes = map[string]bool{
-	"/ods": true, "/ods/batch": true, "/prove": true, "/prove/batch": true,
-	"/rewrite": true, "/discover": true, "/snapshot": true, "/segments": true,
-	"/generation": true, "/healthz": true, "/metrics": true,
-}
-
-func routeLabel(method, path string) string {
-	if knownRoutes[path] {
-		return path
+// routeLabel is the path part of the pattern the mux matched ("GET
+// /segments/{shard}/{item}" labels as "/segments/{shard}/{item}"), so the
+// label set is the set of served routes; a request no pattern matched —
+// a 404, or a 405 on a served path — labels as "other".
+func routeLabel(pattern string) string {
+	if pattern == "" {
+		return "other"
 	}
-	if strings.HasPrefix(path, "/segments/") {
-		return "/segments/{shard}/{item}"
-	}
-	_ = method
-	return "other"
+	return pattern[strings.IndexByte(pattern, ' ')+1:]
 }
 
 // statusRecorder captures the status code a handler writes; handlers that

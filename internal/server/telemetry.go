@@ -11,19 +11,6 @@ import (
 	"odlib/internal/store"
 )
 
-// defaultShardLabel renders the default shard's empty-string key on metric
-// labels; it matches the shard's on-disk directory name, and "@" cannot
-// appear in a real schema name, so the label never collides.
-const defaultShardLabel = "@default"
-
-// shardLabel maps a shard key to its metric label value.
-func shardLabel(name string) string {
-	if name == router.DefaultShard {
-		return defaultShardLabel
-	}
-	return name
-}
-
 // Telemetry owns odserve's metric registry and every instrument the layers
 // below observe into. Construction order matters: build the Telemetry first,
 // thread its hooks into router.Options (CatalogOptions, StoreTelemetry,
@@ -172,13 +159,13 @@ func (t *Telemetry) StoreTelemetry() *store.Telemetry { return &t.storeTel }
 func (t *Telemetry) RouterTelemetry() *router.Telemetry {
 	return &router.Telemetry{
 		MutateSeconds: func(shard string, seconds float64) {
-			t.mutateSeconds.With(shardLabel(shard)).Observe(seconds)
+			t.mutateSeconds.With(router.Alias(shard)).Observe(seconds)
 		},
 		ProveSeconds: func(shard string, seconds float64) {
-			t.proveSeconds.With(shardLabel(shard)).Observe(seconds)
+			t.proveSeconds.With(router.Alias(shard)).Observe(seconds)
 		},
 		BackpressureRejected: func(shard string) {
-			t.rejections.With(shardLabel(shard)).Inc()
+			t.rejections.With(router.Alias(shard)).Inc()
 		},
 	}
 }
@@ -194,7 +181,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		"Implication questions answered, by shard and verdict tier.",
 		[]string{"shard", "tier"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				sl := shardLabel(name)
+				sl := router.Alias(name)
 				tiers := ss.Catalog.Tiers
 				emit([]string{sl, catalog.TierTrivial}, float64(tiers.Trivial))
 				emit([]string{sl, catalog.TierClosure}, float64(tiers.Closure))
@@ -207,35 +194,35 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		"Pattern searches run (questions no cheaper tier could answer), by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				emit([]string{shardLabel(name)}, float64(ss.Catalog.Prover.Searches))
+				emit([]string{router.Alias(name)}, float64(ss.Catalog.Prover.Searches))
 			}
 		})
 	reg.NewCounterFunc("odserve_search_nodes_total",
 		"Sign-enumeration nodes visited across all searches, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				emit([]string{shardLabel(name)}, float64(ss.Catalog.Prover.Nodes))
+				emit([]string{router.Alias(name)}, float64(ss.Catalog.Prover.Nodes))
 			}
 		})
 	reg.NewCounterFunc("odserve_search_cancelled_total",
 		"Searches aborted by context cancellation or deadline, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				emit([]string{shardLabel(name)}, float64(ss.Catalog.Prover.Cancelled))
+				emit([]string{router.Alias(name)}, float64(ss.Catalog.Prover.Cancelled))
 			}
 		})
 	reg.NewCounterFunc("odserve_search_widenings_total",
 		"Working-set widenings (a candidate counterexample rejected by an OD outside the search, which then joins it), by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				emit([]string{shardLabel(name)}, float64(ss.Catalog.Prover.Widenings))
+				emit([]string{router.Alias(name)}, float64(ss.Catalog.Prover.Widenings))
 			}
 		})
 	reg.NewGaugeFunc("odserve_declared_ods",
 		"Declared order dependencies, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
-				emit([]string{shardLabel(name)}, float64(ss.Catalog.Declared))
+				emit([]string{router.Alias(name)}, float64(ss.Catalog.Declared))
 			}
 		})
 	reg.NewGaugeFunc("odserve_compaction_lag_segments",
@@ -243,7 +230,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
 				if ss.Store != nil {
-					emit([]string{shardLabel(name)}, float64(ss.Store.LagSegments))
+					emit([]string{router.Alias(name)}, float64(ss.Store.LagSegments))
 				}
 			}
 		})
@@ -252,7 +239,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
 				if ss.Store != nil {
-					emit([]string{shardLabel(name)}, float64(ss.Store.SinceSnapshot))
+					emit([]string{router.Alias(name)}, float64(ss.Store.SinceSnapshot))
 				}
 			}
 		})
@@ -261,7 +248,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
 				if ss.Store != nil {
-					emit([]string{shardLabel(name)}, float64(ss.Store.WALBytes))
+					emit([]string{router.Alias(name)}, float64(ss.Store.WALBytes))
 				}
 			}
 		})
@@ -270,7 +257,7 @@ func (t *Telemetry) ObserveRouter(rt *router.Router, pool *prover.Pool) {
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, ss := range rt.Stats() {
 				if ss.Store != nil {
-					emit([]string{shardLabel(name)}, float64(ss.Store.Snapshots))
+					emit([]string{router.Alias(name)}, float64(ss.Store.Snapshots))
 				}
 			}
 		})
@@ -321,56 +308,56 @@ func (t *Telemetry) observeReplica(rt *router.Router) {
 		"WAL records the follower trails its leader by (leader applied seq minus local), by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.LagRecords))
+				emit([]string{router.Alias(name)}, float64(rs.LagRecords))
 			}
 		})
 	reg.NewGaugeFunc("odserve_replica_lag_generations",
 		"Constraint generations the follower trails its leader by, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.LagGenerations))
+				emit([]string{router.Alias(name)}, float64(rs.LagGenerations))
 			}
 		})
 	reg.NewGaugeFunc("odserve_replica_applied_seq",
 		"Highest WAL seq the follower has applied, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.AppliedSeq))
+				emit([]string{router.Alias(name)}, float64(rs.AppliedSeq))
 			}
 		})
 	reg.NewGaugeFunc("odserve_replica_leader_seq",
 		"Leader applied seq at the last successful poll, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.LeaderSeq))
+				emit([]string{router.Alias(name)}, float64(rs.LeaderSeq))
 			}
 		})
 	reg.NewCounterFunc("odserve_replica_segments_fetched_total",
 		"Segment fetches ingested from the leader, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.SegmentsFetched))
+				emit([]string{router.Alias(name)}, float64(rs.SegmentsFetched))
 			}
 		})
 	reg.NewCounterFunc("odserve_replica_bytes_fetched_total",
 		"Segment bytes ingested from the leader, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.BytesFetched))
+				emit([]string{router.Alias(name)}, float64(rs.BytesFetched))
 			}
 		})
 	reg.NewCounterFunc("odserve_replica_segments_sealed_total",
 		"Segments the follower sealed after fully replicating them, by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.SegmentsSealed))
+				emit([]string{router.Alias(name)}, float64(rs.SegmentsSealed))
 			}
 		})
 	reg.NewCounterFunc("odserve_replica_bootstraps_total",
 		"Snapshot bootstraps (replay position compacted away on the leader), by shard.",
 		[]string{"shard"}, func(emit func([]string, float64)) {
 			for name, rs := range rt.ReplicaStatuses() {
-				emit([]string{shardLabel(name)}, float64(rs.Bootstraps))
+				emit([]string{router.Alias(name)}, float64(rs.Bootstraps))
 			}
 		})
 	reg.NewCounterFunc("odserve_replica_polls_total",

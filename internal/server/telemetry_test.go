@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +212,61 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// the in-flight gauge reads exactly 1.
 	if v, ok := sampleValue(fams, "odserve_http_inflight_requests", "odserve_http_inflight_requests", nil); !ok || v != 1 {
 		t.Errorf("inflight = %v (present=%v), want 1 (the scrape itself)", v, ok)
+	}
+}
+
+// TestDefaultShardAndRouteLabels: the default shard's series carry the
+// shard="@default" label, its directory and its /segments key the same alias,
+// and the route label is the path of the pattern the mux matched — the
+// templated path for a parameterised route, "other" for a request no pattern
+// matched, a 405 on a served path included.
+func TestDefaultShardAndRouteLabels(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, _, _ := newTelemetryServer(t, dir, store.Options{}, 0)
+	if code := call(t, ts, "POST", "/ods", map[string]any{"statements": []string{"[x] -> [y]"}}, nil); code != 200 {
+		t.Fatalf("declare = %d", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "@default")); err != nil {
+		t.Fatalf("default shard directory: %v", err)
+	}
+	var feed struct {
+		Shards map[string]router.ShardSegments `json:"shards"`
+	}
+	if code := call(t, ts, "GET", "/segments", nil, &feed); code != 200 {
+		t.Fatalf("GET /segments = %d", code)
+	}
+	if _, ok := feed.Shards["@default"]; !ok {
+		t.Fatalf("default shard not keyed @default: %v", feed.Shards)
+	}
+	if code := call(t, ts, "GET", "/segments/@default/1", nil, nil); code != 200 {
+		t.Fatalf("GET /segments/@default/1 = %d", code)
+	}
+	if code := call(t, ts, "PUT", "/ods", nil, nil); code != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /ods = %d, want 405", code)
+	}
+	if code := call(t, ts, "GET", "/nowhere", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /nowhere = %d, want 404", code)
+	}
+
+	fams := scrape(t, ts)
+	for _, c := range []struct {
+		fam, name string
+		labels    map[string]string
+	}{
+		{"odserve_mutation_seconds", "odserve_mutation_seconds_count", map[string]string{"shard": "@default"}},
+		{"odserve_declared_ods", "odserve_declared_ods", map[string]string{"shard": "@default"}},
+		{"odserve_http_requests_total", "odserve_http_requests_total", map[string]string{"route": "/ods", "method": "POST", "code": "200"}},
+		{"odserve_http_requests_total", "odserve_http_requests_total", map[string]string{"route": "/segments", "method": "GET", "code": "200"}},
+		{"odserve_http_requests_total", "odserve_http_requests_total", map[string]string{"route": "/segments/{shard}/{item}", "method": "GET", "code": "200"}},
+		{"odserve_http_requests_total", "odserve_http_requests_total", map[string]string{"route": "other", "method": "PUT", "code": "405"}},
+		{"odserve_http_requests_total", "odserve_http_requests_total", map[string]string{"route": "other", "method": "GET", "code": "404"}},
+	} {
+		if v, ok := sampleValue(fams, c.fam, c.name, c.labels); !ok || v != 1 {
+			t.Errorf("%s%v = %v (present=%v), want 1", c.name, c.labels, v, ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = routeLabel("GET /segments/{shard}/{item}") }); n != 0 {
+		t.Errorf("routeLabel allocates %v times per call, want 0", n)
 	}
 }
 

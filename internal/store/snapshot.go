@@ -21,8 +21,8 @@ const snapshotName = "snapshot.json"
 // catalog generation at the cut point, so a recovered (or replica-bootstrapped)
 // catalog resumes the same generation trajectory instead of restarting from
 // zero — the number verdict stamps and client caches key on. Snapshots from
-// pre-generation deployments decode with Gen zero, which seeds as "at least
-// what replay derives" and stays monotone.
+// pre-generation deployments decode with Gen zero: recovery counts loading
+// their set as one generation and each effective replayed record as one more.
 type Snapshot struct {
 	Seq uint64    `json:"seq"`
 	Gen uint64    `json:"gen,omitempty"`
