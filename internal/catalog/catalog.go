@@ -342,7 +342,7 @@ func (g *generation) impliesWitness(ctx context.Context, od core.OD) (bool, *cor
 // implied verdict as TierMemo), and finally the prover's pattern search,
 // whose verdict is filed in the store. Each tier taken bumps its hit counter.
 func (g *generation) decide(ctx context.Context, od core.OD) (bool, *core.Pattern, string, error) {
-	od = canon(od)
+	od = canonView(od)
 	if od.Trivial() {
 		g.tiers.trivial.Add(1)
 		return true, nil, TierTrivial, nil
@@ -407,7 +407,7 @@ func (c *Catalog) Snapshot() []core.OD {
 // maintained closure. It is a sound but incomplete implication check — a
 // constant-time filter in front of Implies.
 func (c *Catalog) Has(od core.OD) bool {
-	od = canon(od)
+	od = canonView(od)
 	return od.Trivial() || c.snapshot().closure.has(od)
 }
 

@@ -10,6 +10,26 @@ func canon(od core.OD) core.OD {
 	return core.OD{LHS: od.LHS.Normalize(), RHS: od.RHS.Normalize()}
 }
 
+// canonView is canon for a question that is only read: a duplicate-free OD
+// is its own canonical form and comes back as it is, sharing the caller's
+// slices, so the tier chain canonicalizes the common question without
+// allocating. Whatever keeps the result must own it (see ownOD).
+func canonView(od core.OD) core.OD {
+	if od.LHS.HasDuplicates() || od.RHS.HasDuplicates() {
+		return canon(od)
+	}
+	return od
+}
+
+// ownOD copies both sides of od into one fresh backing array, for a store
+// that keeps an OD past the question that carried it.
+func ownOD(od core.OD) core.OD {
+	n := len(od.LHS)
+	buf := append(make(core.List, 0, n+len(od.RHS)), od.LHS...)
+	buf = append(buf, od.RHS...)
+	return core.OD{LHS: buf[:n:n], RHS: buf[n:]}
+}
+
 // Inflate expands each OD into its prefix family: X ↦ Y yields X ↦ P for
 // every non-empty prefix P of Y. Each derived OD is implied by the original
 // (a lexicographic order on Y refines the one on any prefix of Y), so

@@ -82,7 +82,8 @@ func (s *verdicts) get(key string, gen uint64) (implied bool, witness *core.Patt
 }
 
 // put files the verdict a search against generation gen reached for od,
-// whose key is key. A full store admits it only by evicting the cheapest
+// whose key is key. od may share the asker's slices; a filed refutation
+// keeps its own copy. A full store admits it only by evicting the cheapest
 // sampled resident, and only when the newcomer cost at least as much to
 // decide (prover.Verdict.Cost): recomputing a 4-attribute answer is the
 // smallest miss penalty there is, a near-limit refutation is worth defending.
@@ -90,6 +91,9 @@ func (s *verdicts) get(key string, gen uint64) (implied bool, witness *core.Patt
 // never in both sets; two searches of it finishing together file one entry
 // twice, at worst for one needless eviction.
 func (s *verdicts) put(key string, od core.OD, v prover.Verdict, gen uint64) {
+	if !v.Implied {
+		od = ownOD(od)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if gen != s.gen {

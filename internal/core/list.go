@@ -132,8 +132,25 @@ func (x List) Normalize() List {
 	return out
 }
 
+// smallList is the length up to which HasDuplicates and OD.Trivial compare
+// attributes pairwise instead of building a set: at most 120 string compares,
+// and no allocation. Every question the prover's attribute guard admits is
+// this short on each side.
+const smallList = 16
+
+// firstAt reports whether x[i] is the first occurrence of its attribute.
+func (x List) firstAt(i int) bool { return !x[:i].Contains(x[i]) }
+
 // HasDuplicates reports whether any attribute occurs more than once in x.
 func (x List) HasDuplicates() bool {
+	if len(x) <= smallList {
+		for i := 1; i < len(x); i++ {
+			if !x.firstAt(i) {
+				return true
+			}
+		}
+		return false
+	}
 	seen := make(map[Attribute]bool, len(x))
 	for _, a := range x {
 		if seen[a] {

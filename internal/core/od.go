@@ -50,9 +50,29 @@ func (od OD) Attrs() AttrSet {
 // X ↦ Y is trivial exactly when the normal form of Y is a prefix of the
 // normal form of X: then it is derivable from Reflexivity and Normalization
 // alone, and otherwise a two-row counterexample exists (see
-// Pattern.FalsifyTrivial in the tests).
+// Pattern.FalsifyTrivial in the tests). Sides of up to 16 attributes are
+// checked in place, without building either normal form.
 func (od OD) Trivial() bool {
-	return od.LHS.Normalize().HasPrefix(od.RHS.Normalize())
+	x, y := od.LHS, od.RHS
+	if len(x) > smallList || len(y) > smallList {
+		return x.Normalize().HasPrefix(y.Normalize())
+	}
+	// Walk both normal forms in step: each first occurrence in y must be
+	// the next first occurrence in x.
+	i := 0
+	for j := range y {
+		if !y.firstAt(j) {
+			continue
+		}
+		for i < len(x) && !x.firstAt(i) {
+			i++
+		}
+		if i == len(x) || x[i] != y[j] {
+			return false
+		}
+		i++
+	}
+	return true
 }
 
 // Equivalence returns the two ODs expressing X ↔ Y.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -107,6 +108,47 @@ func TestTrivialODs(t *testing.T) {
 	for _, od := range nontrivial {
 		if od.Trivial() {
 			t.Errorf("%s should not be trivial", od)
+		}
+	}
+}
+
+// TestTrivialAllocatesNothing pins the in-place checks: Trivial and
+// HasDuplicates on sides of up to 16 attributes, repeats or not, build no
+// normal form and allocate nothing, and agree with the Normalize-based
+// definitions on both sides of that length.
+func TestTrivialAllocatesNothing(t *testing.T) {
+	var long List
+	for i := 0; i < 17; i++ {
+		long = append(long, Attribute(fmt.Sprintf("a%02d", i)))
+	}
+	cases := []OD{
+		{L("A", "B", "C"), L("A", "B")},
+		{L("A", "B", "A", "C"), L("A", "A", "B")},
+		{L("A", "B"), L("B", "A")},
+		{nil, L("A")},
+		{long[:16], long[:16]},
+		{long[:16], append(long[:15:15], "a15", "a00")},
+		{long, long[:16]},
+		{long, append(long[:16:16], "a00")},
+	}
+	for _, od := range cases {
+		if want := od.LHS.Normalize().HasPrefix(od.RHS.Normalize()); od.Trivial() != want {
+			t.Errorf("%s: Trivial = %v, the normal forms say %v", od, od.Trivial(), want)
+		}
+		for _, x := range []List{od.LHS, od.RHS} {
+			if want := len(x.Normalize()) != len(x); x.HasDuplicates() != want {
+				t.Errorf("%s: HasDuplicates = %v, want %v", x, x.HasDuplicates(), want)
+			}
+		}
+		if len(od.LHS) > 16 || len(od.RHS) > 16 {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			_ = od.Trivial()
+			_ = od.LHS.HasDuplicates()
+			_ = od.RHS.HasDuplicates()
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocations, want 0", od, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package prover_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"odlib/internal/core"
@@ -200,5 +201,81 @@ func TestDecideAllocations(t *testing.T) {
 				tc.name, allocs, rounds, nodes, limit)
 		}
 		t.Logf("%s: %.0f allocations, %d rounds, %d nodes", tc.name, allocs, rounds, nodes)
+	}
+}
+
+// TestRepeatedDecideAllocations pins what asking one prover again costs: a
+// decide's scratch comes from the prover's own pool, so once a question of
+// the shape has been asked, an implied decide allocates nothing and a
+// refuted one only its witness (attribute list, the pattern's copy of it,
+// signs and the pattern itself). The third question's attributes are all
+// outside M. Before the pool each of these took 11 to 14 allocations. Under
+// the race detector sync.Pool drops a quarter of its puts, so a decide now
+// and then lays out its tables afresh; the bound there allows eight more.
+func TestRepeatedDecideAllocations(t *testing.T) {
+	slack := 0.0
+	if raceDetector {
+		slack = 8
+	}
+	p := prover.New(chainSchema(12, 5))
+	for _, tc := range []struct {
+		q       string
+		implied bool
+		allocs  float64
+	}{
+		{implied12, true, 0},
+		{splitRefuted, false, 4},
+		{"[x, y] -> [y, x]", false, 4},
+	} {
+		q := mustOD(t, tc.q)
+		decide := func() {
+			v, err := p.DecideCtx(context.Background(), q)
+			if err != nil || v.Implied != tc.implied {
+				t.Fatalf("%s: %+v, %v", tc.q, v, err)
+			}
+		}
+		decide()
+		allocs := testing.AllocsPerRun(100, decide)
+		if allocs > tc.allocs+slack {
+			t.Errorf("%s: %.0f allocations per repeated decide, want at most %.0f + %.0f", tc.q, allocs, tc.allocs, slack)
+		}
+		t.Logf("%s: %.0f allocations", tc.q, allocs)
+	}
+}
+
+// TestWitnessOutlivesPooledState holds every witness to what it said when
+// it was returned, after the prover has reused the decide state it came from
+// for hundreds of other questions — refuted ones of the same width among
+// them — and to what a witness must be: a model of M falsifying its question.
+func TestWitnessOutlivesPooledState(t *testing.T) {
+	m := chainSchema(12, 5)
+	p := prover.New(m)
+	rng := rand.New(rand.NewSource(5))
+	type kept struct {
+		q    core.OD
+		w    *core.Pattern
+		text string
+	}
+	var refuted []kept
+	for i := 0; i < 400; i++ {
+		q := core.RandOD(rng, p.Universe(), 3)
+		v, err := p.DecideCtx(context.Background(), q)
+		if err != nil {
+			continue // past the attribute guard
+		}
+		if !v.Implied {
+			refuted = append(refuted, kept{q, v.Witness, v.Witness.String()})
+		}
+	}
+	if len(refuted) < 100 {
+		t.Fatalf("only %d refuted questions drawn", len(refuted))
+	}
+	for _, k := range refuted {
+		if got := k.w.String(); got != k.text {
+			t.Fatalf("%s: witness changed under reuse of the decide state: %s, was %s", k.q, got, k.text)
+		}
+		if !k.w.HoldsAll(m) || k.w.HoldsOD(k.q) {
+			t.Fatalf("%s: witness %s does not refute it under M", k.q, k.w)
+		}
 	}
 }

@@ -41,12 +41,16 @@
 // the sorted universe, every OD to position lists — and a decide works on
 // integers only: bitsets for the split closure and the working universe, a
 // position-indexed sign array for validating candidates against all of M,
-// per-round slot lists for the search. It allocates a handful of tables per
-// decide and nothing per search node.
+// per-round slot lists for the search. Those tables are a decide's scratch:
+// each Prover keeps a sync.Pool of them, a decide re-cuts the arrays an
+// earlier one left and hands them back when it returns, so a repeated
+// implied question allocates nothing and a refuted one only its witness,
+// which is copied out and never aliases pooled memory. Nothing is allocated
+// per search node.
 //
 // A Prover is a pure decision procedure: New compiles M, nothing is written
-// afterwards, no verdict is remembered, and every method is safe for
-// concurrent use. Remembering answers is the business of whoever asks —
+// afterwards but its scratch pool, no verdict is remembered, and every
+// method is safe for concurrent use. Remembering answers is the business of whoever asks —
 // internal/catalog keeps a closure, a negative closure and a memo in front
 // of DecideCtx and counts which of them answered.
 //

@@ -157,11 +157,24 @@ type decideState struct {
 	watch      []int32
 
 	seq searchState // the caller's own enumeration, reset per round
+
+	// The arrays the tables above are cut from, kept for the next decide
+	// that draws this state from the prover's pool.
+	ints     []int32
+	sets     []uint64
+	allSigns []core.Sign
 }
 
-// outside lists, sorted, the attributes of od that M never mentions.
-func (p *Prover) outside(od core.OD) core.List {
-	var out core.List
+// releaseDecideState returns d to the prover's pool once its decide is
+// over. Nothing a decide returns aliases d: witness copies the signs out.
+func (p *Prover) releaseDecideState(d *decideState) {
+	d.seq = searchState{}
+	p.states.Put(d)
+}
+
+// outside appends to out, sorted, the attributes of od that M never
+// mentions.
+func (p *Prover) outside(out core.List, od core.OD) core.List {
 	for _, side := range [2]core.List{od.LHS, od.RHS} {
 		for _, a := range side {
 			if _, ok := p.index[a]; !ok && !out.Contains(a) {
@@ -170,24 +183,43 @@ func (p *Prover) outside(od core.OD) core.List {
 		}
 	}
 	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }
 
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // newDecideState interns the question, computes the split closure of its
 // LHS under M's FDs (Lemma 1: set(X) → set(Y) per OD) and seeds the working
-// universe with the question's own attributes.
+// universe with the question's own attributes. The state comes from the
+// prover's pool, its tables re-cut from the arrays an earlier decide
+// left, so a repeated question allocates nothing here; releaseDecideState
+// hands it back.
 func (p *Prover) newDecideState(od core.OD) *decideState {
-	d := &decideState{p: p, extras: p.outside(od)}
+	d, _ := p.states.Get().(*decideState)
+	if d == nil {
+		d = &decideState{p: p}
+	}
+	d.extras = p.outside(d.extras[:0], od)
+	d.working = d.working[:0]
 	u := len(p.universe)
 	ids := u + len(d.extras)
 	slots := max(0, min(ids, p.maxAttrs)) // a round past the guard is never laid out
 	qlen := len(od.LHS) + len(od.RHS)
 
-	ints := make([]int32, ids+slots+qlen)
-	d.slotOf, d.ids = ints[:ids], ints[ids:ids:ids+slots]
-	backing := ints[ids+slots : ids+slots]
+	d.ints = resize(d.ints, ids+slots+qlen)
+	d.slotOf, d.ids = d.ints[:ids], d.ints[ids:ids:ids+slots]
+	backing := d.ints[ids+slots : ids+slots]
 	intern := func(l core.List) []int32 {
 		start := len(backing)
 		for _, a := range l {
@@ -202,11 +234,11 @@ func (p *Prover) newDecideState(od core.OD) *decideState {
 	d.q = compiledOD{lhs: intern(od.LHS), rhs: intern(od.RHS)}
 
 	words := (ids + 63) / 64
-	sets := make([]uint64, 2*words)
-	d.closure, d.inUniverse = sets[:words], sets[words:]
-	d.flags = make([]uint8, len(p.cods))
-	signs := make([]core.Sign, ids+slots)
-	d.gsigns, d.signs = signs[:ids], signs[ids:ids:ids+slots]
+	d.sets = resize(d.sets, 2*words)
+	d.closure, d.inUniverse = d.sets[:words], d.sets[words:]
+	d.flags = resize(d.flags, len(p.cods))
+	d.allSigns = resize(d.allSigns, ids+slots)
+	d.gsigns, d.signs = d.allSigns[:ids], d.allSigns[ids:ids:ids+slots]
 
 	for _, id := range d.q.lhs {
 		bitSet(d.closure, id)

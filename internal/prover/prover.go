@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"odlib/internal/core"
@@ -82,10 +83,11 @@ func (c *Counters) Snapshot() CounterStats {
 // Prover answers implication questions against a fixed OD set M.
 //
 // Deciding is a pure function of the OD set and the question: a Prover
-// remembers no verdict, nothing in it is written after New, and it is safe
-// for concurrent use. (The shared Counters and Pool it may be handed are
-// atomic and synchronized respectively.) Whoever wants a repeated question
-// answered without a second search keeps the Verdict — internal/catalog does.
+// remembers no verdict, nothing in it but its scratch pool is written after
+// New, and it is safe for concurrent use. (The scratch pool is a sync.Pool;
+// the shared Counters and Pool it may be handed are atomic and synchronized
+// respectively.) Whoever wants a repeated question answered without a
+// second search keeps the Verdict — internal/catalog does.
 type Prover struct {
 	ods      []core.OD
 	universe core.List                // M's attributes, sorted
@@ -95,6 +97,7 @@ type Prover struct {
 	workers  int
 	pool     *Pool
 	counters *Counters
+	states   sync.Pool // *decideState scratch, reused across decides
 }
 
 // Option configures a Prover.
@@ -248,6 +251,7 @@ func (p *Prover) DecideCtx(ctx context.Context, od core.OD) (Verdict, error) {
 	// The split-half test (Theorem 15) is loop-invariant: the FD closure
 	// depends only on the question and M's FDs, not on the working set.
 	d := p.newDecideState(od)
+	defer p.releaseDecideState(d)
 	splitRefuted := !bitsCover(d.closure, d.q.rhs)
 
 	for {
@@ -317,7 +321,7 @@ func (p *Prover) DecideCtx(ctx context.Context, od core.OD) (Verdict, error) {
 // odlib facade) then get every mentioned attribute as a column.
 func (p *Prover) expandWitness(w *core.Pattern, od core.OD) *core.Pattern {
 	attrs := p.universe
-	if extras := p.outside(od); len(extras) > 0 {
+	if extras := p.outside(nil, od); len(extras) > 0 {
 		attrs = attrs.Concat(extras)
 		sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
 	}

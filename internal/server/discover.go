@@ -152,7 +152,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 			emit(map[string]string{"error": fmt.Sprintf("declaring discovered ODs: %s", err)})
 			return
 		}
-		noteShard(r, m.Schema)
+		noteShard(w, m.Schema)
 		mj := mutationOf(m)
 		summary.Declared = &mj
 	}

@@ -28,6 +28,18 @@
 // the router and its shards. Request and response bodies are JSON; parse
 // errors and malformed statements answer 400 with {"error": ...}.
 //
+// With telemetry or an access log on, ServeHTTP wraps the ResponseWriter in
+// a recorder that captures the status and carries the request's
+// annotations: a handler notes the shard that answered and, for a prove,
+// the verdict tier on the writer it was given (noteShard, noteTier), and
+// the wrapper reads them back for the access log. The request itself is
+// never copied to carry them. Without either, the handlers run on the bare
+// writer and the notes are dropped.
+//
+// A refutation's witness goes on the wire projected onto the attributes
+// where its two rows differ and realized as integers — row 1 all 0, row 2 1
+// for < and -1 for > — written straight from the prover's sign vector.
+//
 // Prove and rewrite handlers thread the request's context into the catalog
 // tier chain: a client that disconnects mid-/prove aborts the in-flight
 // pattern search instead of leaving it burning CPU, and WithProveTimeout

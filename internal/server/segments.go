@@ -51,7 +51,7 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 // segments a follower still needs.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	schema := router.Unalias(r.PathValue("shard"))
-	noteShard(r, schema)
+	noteShard(w, schema)
 	item := r.PathValue("item")
 	if item == "snapshot" {
 		snap, ok, err := s.rt.SegmentSnapshot(schema)

@@ -105,8 +105,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	meta := &reqMeta{}
-	r = r.WithContext(context.WithValue(r.Context(), metaKey{}, meta))
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	if s.tel != nil {
 		s.tel.inflight.Add(1)
@@ -126,11 +124,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Int("status", rec.status),
 			slog.Duration("duration", elapsed),
 		}
-		if meta.shard != "" || meta.shardSet {
-			attrs = append(attrs, slog.String("shard", router.Alias(meta.shard)))
+		if rec.meta.shard != "" || rec.meta.shardSet {
+			attrs = append(attrs, slog.String("shard", router.Alias(rec.meta.shard)))
 		}
-		if meta.tier != "" {
-			attrs = append(attrs, slog.String("tier", meta.tier))
+		if rec.meta.tier != "" {
+			attrs = append(attrs, slog.String("tier", rec.meta.tier))
 		}
 		s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	}
@@ -148,11 +146,14 @@ func routeLabel(pattern string) string {
 }
 
 // statusRecorder captures the status code a handler writes; handlers that
-// never call WriteHeader implicitly answered 200.
+// never call WriteHeader implicitly answered 200. It also carries the
+// request's annotations (meta) from the handler back to the observing
+// wrapper, which owns it for the request's lifetime.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	wrote  bool
+	meta   reqMeta
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -168,29 +169,29 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// reqMeta carries per-request annotations from handlers back to the
-// observing wrapper: the shard that answered and, for proves, the verdict
-// tier. Handlers run on one goroutine, so plain fields suffice.
+// reqMeta is what a handler notes for the access log: the shard that
+// answered and, for proves, the verdict tier. Handlers run on one
+// goroutine, so plain fields suffice.
 type reqMeta struct {
 	shard    string
 	shardSet bool
 	tier     string
 }
 
-type metaKey struct{}
-
 // noteShard records the shard a request resolved to (the default shard's
-// empty name included — hence the explicit set flag).
-func noteShard(r *http.Request, shard string) {
-	if m, ok := r.Context().Value(metaKey{}).(*reqMeta); ok {
-		m.shard, m.shardSet = shard, true
+// empty name included — hence the explicit set flag). w is the writer the
+// handler was given; on the bare path, which observes nothing, it is not a
+// statusRecorder and the note is dropped.
+func noteShard(w http.ResponseWriter, shard string) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.meta.shard, rec.meta.shardSet = shard, true
 	}
 }
 
 // noteTier records the verdict tier that answered a prove.
-func noteTier(r *http.Request, tier string) {
-	if m, ok := r.Context().Value(metaKey{}).(*reqMeta); ok && tier != "" {
-		m.tier = tier
+func noteTier(w http.ResponseWriter, tier string) {
+	if rec, ok := w.(*statusRecorder); ok && tier != "" {
+		rec.meta.tier = tier
 	}
 }
 
@@ -311,7 +312,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request,
 		s.writeRouterError(w, err)
 		return
 	}
-	noteShard(r, res.Schema)
+	noteShard(w, res.Schema)
 	writeJSON(w, http.StatusOK, mutationOf(res))
 }
 
@@ -508,44 +509,44 @@ type proveResponse struct {
 	Error      string       `json:"error,omitempty"`
 }
 
+// witnessOf projects p onto its discriminating attributes and realizes it:
+// row 1 is 0 everywhere, row 2 is 1 where the sign is < and -1 where it is >,
+// so comparing row 1 with row 2 gives back each recorded sign. A refuting
+// pattern always has at least one non-Equal sign, so the projection is never
+// empty.
 func witnessOf(p *core.Pattern) *witnessJSON {
 	if p == nil {
 		return nil
 	}
-	// Project onto discriminating attributes. A refuting pattern always has
-	// at least one non-Equal sign, so the projection is never empty.
-	var kept core.List
-	var keptSigns []core.Sign
 	signs := p.Signs()
+	n, size := 0, 0
 	for i, a := range p.Universe() {
 		if signs[i] != core.Equal {
-			kept = append(kept, a)
-			keptSigns = append(keptSigns, signs[i])
+			n++
+			size += len(a) + 2
 		}
 	}
-	q := core.MustPattern(kept)
-	for i, a := range kept {
-		if err := q.SetSign(a, keptSigns[i]); err != nil {
-			// kept ⊆ q's universe by construction.
-			panic(err)
+	w := &witnessJSON{Signs: make(map[string]string, n), Attrs: make([]string, 0, n)}
+	cells := make([]int64, 2*n)
+	row2 := cells[n:n]
+	var b strings.Builder
+	b.Grow(size)
+	for i, a := range p.Universe() {
+		s := signs[i]
+		if s == core.Equal {
+			continue
 		}
-	}
-	w := &witnessJSON{
-		Pattern: q.String(),
-		Signs:   make(map[string]string, len(kept)),
-	}
-	for i, a := range kept {
+		if len(w.Attrs) > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(string(a))
+		b.WriteString(s.String())
 		w.Attrs = append(w.Attrs, string(a))
-		w.Signs[string(a)] = keptSigns[i].String()
+		w.Signs[string(a)] = s.String()
+		row2 = append(row2, -int64(s))
 	}
-	rel := q.Relation()
-	for i := 0; i < rel.Len(); i++ {
-		row := make([]int64, 0, len(kept))
-		for _, v := range rel.Row(i) {
-			row = append(row, v.Int)
-		}
-		w.Rows = append(w.Rows, row)
-	}
+	w.Pattern = b.String()
+	w.Rows = [][]int64{cells[:n:n], row2}
 	return w
 }
 
@@ -578,8 +579,8 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.writeRouterError(w, err)
 		return
 	}
-	noteShard(r, shard)
-	noteTier(r, res.Tier)
+	noteShard(w, shard)
+	noteTier(w, res.Tier)
 	if res.Err != nil {
 		writeSearchError(w, r, res.Err)
 		return
@@ -720,7 +721,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	noteShard(r, shard)
+	noteShard(w, shard)
 	if err := s.rt.CheckReadLag(shard, maxLagOf(r)); err != nil {
 		s.writeRouterError(w, err)
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -377,8 +378,7 @@ func (c *Client) proveFetch(ctx context.Context, schema, statement, key string) 
 		Verdict
 		Error string `json:"error,omitempty"`
 	}
-	err := c.doRead(ctx, http.MethodPost, "/prove",
-		map[string]string{"schema": schema, "statement": statement}, &resp)
+	err := c.doRead(ctx, http.MethodPost, "/prove", proveBody{Schema: schema, Statement: statement}, &resp)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -436,8 +436,7 @@ func (c *Client) proveBatchWire(ctx context.Context, schema string, statements [
 	var resp struct {
 		Results []wireVerdict `json:"results"`
 	}
-	err := c.doRead(ctx, http.MethodPost, "/prove/batch",
-		map[string]any{"schema": schema, "statements": statements}, &resp)
+	err := c.doRead(ctx, http.MethodPost, "/prove/batch", proveBatchBody{Schema: schema, Statements: statements}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -507,8 +506,7 @@ func (c *Client) mutateWire(ctx context.Context, schema string, declare, remove 
 	var resp struct {
 		Shards map[string]Mutation `json:"shards"`
 	}
-	err := c.do(ctx, http.MethodPost, "/ods/batch",
-		map[string]any{"schema": schema, "declare": declare, "remove": remove}, &resp)
+	err := c.do(ctx, http.MethodPost, "/ods/batch", mutateBody{Declare: declare, Remove: remove, Schema: schema}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -534,15 +532,15 @@ func (c *Client) Listing(ctx context.Context, schema string) (Listing, error) {
 // Rewrite runs the daemon-side ReduceOrder⁺ on an ORDER BY list (statement
 // syntax, e.g. "[year, quarter, month]").
 func (c *Client) Rewrite(ctx context.Context, schema, order string) (RewriteResult, error) {
-	return c.rewrite(ctx, map[string]string{"schema": schema, "order": order})
+	return c.rewrite(ctx, rewriteOrderBody{Order: order, Schema: schema})
 }
 
 // RewriteGroupBy runs the daemon-side GROUP BY reduction.
 func (c *Client) RewriteGroupBy(ctx context.Context, schema, group string) (RewriteResult, error) {
-	return c.rewrite(ctx, map[string]string{"schema": schema, "groupBy": group})
+	return c.rewrite(ctx, rewriteGroupBody{GroupBy: group, Schema: schema})
 }
 
-func (c *Client) rewrite(ctx context.Context, req map[string]string) (RewriteResult, error) {
+func (c *Client) rewrite(ctx context.Context, req any) (RewriteResult, error) {
 	if c.closed.Load() {
 		return RewriteResult{}, ErrClosed
 	}
@@ -673,6 +671,32 @@ func retryable(err error) bool {
 	return true
 }
 
+// Request bodies. Fields are declared in name order, so each marshals to the
+// bytes the equivalent map did: encoding/json writes a map's keys sorted.
+type (
+	proveBody struct {
+		Schema    string `json:"schema"`
+		Statement string `json:"statement"`
+	}
+	proveBatchBody struct {
+		Schema     string   `json:"schema"`
+		Statements []string `json:"statements"`
+	}
+	mutateBody struct {
+		Declare []string `json:"declare"`
+		Remove  []string `json:"remove"`
+		Schema  string   `json:"schema"`
+	}
+	rewriteOrderBody struct {
+		Order  string `json:"order"`
+		Schema string `json:"schema"`
+	}
+	rewriteGroupBody struct {
+		GroupBy string `json:"groupBy"`
+		Schema  string `json:"schema"`
+	}
+)
+
 func marshalBody(in any) ([]byte, error) {
 	if in == nil {
 		return nil, nil
@@ -749,5 +773,27 @@ func (c *Client) doOnce(ctx context.Context, base, method, path string, body []b
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer releaseBody(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
+}
+
+// maxPooledBody caps the buffers bodyBuffers keeps: a prove's answer is a
+// few hundred bytes, and one large read (a listing, /healthz) must not stay
+// resident for the life of the process.
+const maxPooledBody = 64 << 10
+
+// bodyBuffers holds the buffers doOnce reads a 2xx answer into before one
+// json.Unmarshal. The decoded value never aliases the buffer: encoding/json
+// copies every string and byte slice out of its input.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyBuffers.Put(buf)
+	}
 }

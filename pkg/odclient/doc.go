@@ -40,6 +40,12 @@
 // verdicts and reductions are differentially tested to match the local
 // catalog's.
 //
+// On the wire, request bodies are marshalled from structs (the same bytes
+// the equivalent maps gave), and a 2xx answer is read whole into a pooled
+// buffer and decoded by one json.Unmarshal. A buffer that grew past 64 KB —
+// a large listing or /healthz — is dropped instead of returned to the
+// pool, so one big read never stays resident.
+//
 // A Client is safe for concurrent use and meant to be shared process-wide:
 // sharing is what makes coalescing, pipelining and the cache effective.
 // Close flushes the pipeliner; calls after Close fail with ErrClosed.
