@@ -45,6 +45,16 @@
 //   - Dropped by AddRow. Bulk loads use NewRelationColumns or
 //     NewRelationRows, which build the relation in one step and never
 //     invalidate.
+//   - Cut from pooled blocks, one per view, and given back by Release once
+//     the ordered work on the relation is done — the server releases each
+//     discovery request's relation after its pipeline — so that a service
+//     building a relation per request ranks without allocating. From then
+//     on every ordered operation of the relation fails with an error, its
+//     cells stay readable, and a second Release does nothing; no partition
+//     of it may be used after. A view a racing first use built and lost is
+//     left to the collector, never pooled. A block comes back holding
+//     another relation's ranks: a builder writes every rank and clears
+//     only the bucket offsets it counts into.
 //
 // SortedIndexOn is a stable least-significant-digit counting sort over the
 // views, O(|X|·(n + cardinality)) with pooled scratch, and SortPartitionOn,
@@ -65,7 +75,8 @@
 // its prefix's arrays owns none, and a concurrent miss's losing copy is
 // returned when it loses — so successive discovery runs reuse their arrays.
 // SatisfiesWith holds the right-hand side's rank views in an array on the
-// stack and allocates only for a refutation's witness.
+// stack and returns a refutation's witness by value, so a data check
+// allocates nothing whether the OD holds or not.
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined
 // partitions, row-built and columnar relations — to them and to the

@@ -67,15 +67,17 @@ func (r *Relation) sortPartition(x List, arr *partitionArrays) (*SortedPartition
 // SatisfiesWith checks r ⊨ od against a precomputed sorted partition of
 // od.LHS. It is Satisfies with the sort and the left-hand comparisons paid
 // once per context: only the right-hand side is compared per adjacent pair.
-// The partition's context must equal od.LHS.
-func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, error) {
+// The partition's context must equal od.LHS. The witness of a refutation is
+// returned by value, the zero Violation when the OD holds, so a check
+// allocates nothing either way.
+func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, Violation, error) {
 	if !p.Context.Equal(od.LHS) {
-		return false, nil, fmt.Errorf("core: partition context %v does not match LHS %v", p.Context, od.LHS)
+		return false, Violation{}, fmt.Errorf("core: partition context %v does not match LHS %v", p.Context, od.LHS)
 	}
 	var onStack [8]*colRanks // every right-hand side discovery asks about fits
 	ry, err := r.ranksInto(onStack[:0], od.RHS)
 	if err != nil {
-		return false, nil, err
+		return false, Violation{}, err
 	}
 	for k := 0; k+1 < len(p.Index); k++ {
 		s, t := p.Index[k], p.Index[k+1]
@@ -85,12 +87,12 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 			if cy > 0 {
 				s, t = t, s
 			}
-			return false, &Violation{OD: od, Kind: Split, S: int(s), T: int(t)}, nil
+			return false, Violation{OD: od, Kind: Split, S: int(s), T: int(t)}, nil
 		case !p.Tie[k] && cy > 0:
-			return false, &Violation{OD: od, Kind: Swap, S: int(s), T: int(t)}, nil
+			return false, Violation{OD: od, Kind: Swap, S: int(s), T: int(t)}, nil
 		}
 	}
-	return true, nil, nil
+	return true, Violation{}, nil
 }
 
 // SortCache memoizes sorted partitions per context key so one ordering of
@@ -270,7 +272,13 @@ func (c *SortCache) refine(x List) (*SortedPartition, *partitionArrays, error) {
 		q.Index[next[g]] = i
 		next[g]++
 	}
-	q.Groups = n - narrowTies(q.Tie, q.Index, c.r.ranksOf(c.r.pos[x[len(x)-1]]).rank)
+	var one [1]*colRanks
+	ra, err := c.r.ranksInto(one[:0], x[len(x)-1:])
+	if err != nil {
+		arraysPool.Put(arr)
+		return nil, nil, err
+	}
+	q.Groups = n - narrowTies(q.Tie, q.Index, ra[0].rank)
 	return q, arr, nil
 }
 

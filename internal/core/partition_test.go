@@ -107,8 +107,7 @@ func TestSortCacheBoundsAndStats(t *testing.T) {
 
 // TestSatisfiesWithHoldingAllocatesNothing: a data check that finds the OD
 // holding, over a cached partition, allocates nothing — the right-hand side's
-// rank views are resolved into an array on the stack. Only a refutation
-// allocates, for its witness.
+// rank views are resolved into an array on the stack.
 func TestSatisfiesWithHoldingAllocatesNothing(t *testing.T) {
 	r := MustRelation(L("A", "B", "C"))
 	for i := range 100 {
@@ -127,6 +126,40 @@ func TestSatisfiesWithHoldingAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: %.0f allocations per holding check, want 0", od, allocs)
+		}
+	}
+}
+
+// TestSatisfiesWithRefutingAllocatesNothing: a data check that refutes the
+// OD allocates nothing either, by a split or by a swap — the witness comes
+// back by value, where it was one boxed Violation per refutation, and
+// discovery refutes most of the candidates it checks.
+func TestSatisfiesWithRefutingAllocatesNothing(t *testing.T) {
+	r := MustRelation(L("A", "B", "C", "D"))
+	for i := range 100 {
+		r.AddIntRow(int64(i/10), int64(i), int64(i/5), int64(-i))
+	}
+	cache := NewSortCache(r)
+	for _, tc := range []struct {
+		od   OD
+		kind ViolationKind
+	}{
+		{NewOD(L("A"), L("B")), Split},
+		{NewOD(L("A"), L("C", "D")), Split},
+		{NewOD(L("B"), L("D")), Swap},
+		{NewOD(L("B"), L("A", "D")), Swap},
+	} {
+		p, err := cache.Get(tc.od.LHS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if holds, v, err := r.SatisfiesWith(tc.od, p); err != nil || holds || v.Kind != tc.kind {
+				t.Fatalf("%s: holds=%v, kind=%v, err=%v; want a %v", tc.od, holds, v.Kind, err, tc.kind)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %.0f allocations per refuting check, want 0", tc.od, allocs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -140,6 +141,15 @@ func samePartition(a, b *SortedPartition) bool {
 	return a.Context.Equal(b.Context) && slices.Equal(a.Index, b.Index) && slices.Equal(a.Tie, b.Tie) && a.Groups == b.Groups
 }
 
+// refutation is SatisfiesWith's witness as Satisfies reports one: nil when
+// the OD holds.
+func refutation(holds bool, v Violation) *Violation {
+	if holds {
+		return nil
+	}
+	return &v
+}
+
 func sameViolation(a, b *Violation) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -204,12 +214,12 @@ func TestRankKernelAgainstComparator(t *testing.T) {
 			if gotOK != wantOK || !sameViolation(gotV, wantV) {
 				t.Fatalf("Satisfies = %v %+v, comparator %v %+v\n%s", gotOK, gotV, wantOK, wantV, ctx)
 			}
-			gotOK, gotV, err = r.SatisfiesWith(od, got)
+			gotOK, gotW, err := r.SatisfiesWith(od, got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotOK != wantOK || !sameViolation(gotV, wantV) {
-				t.Fatalf("SatisfiesWith = %v %+v, comparator %v %+v\n%s", gotOK, gotV, wantOK, wantV, ctx)
+			if gotOK != wantOK || !sameViolation(refutation(gotOK, gotW), wantV) {
+				t.Fatalf("SatisfiesWith = %v %+v, comparator %v %+v\n%s", gotOK, gotW, wantOK, wantV, ctx)
 			}
 		}
 	}
@@ -258,7 +268,7 @@ func TestRankKernelAgainstComparator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+			if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(refutation(gotOK, gotV), wantV) {
 				t.Fatalf("trial %d: SatisfiesWith(%s) = %v %+v, %v; comparator %v %+v", trial, od, gotOK, gotV, err, wantOK, wantV)
 			}
 		}
@@ -458,6 +468,83 @@ func TestRankViewConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestRelationRelease: Release hands a relation's rank views to the pool the
+// next relation's views are cut from. Ordered operations on a released
+// relation fail while its cells stay readable, a second Release does
+// nothing, and every relation built after releases — of rows of mixed kinds
+// or of integer columns dense or sparse, longer or shorter than the last, so
+// that pooled blocks come back holding another relation's ranks — sorts,
+// partitions and decides exactly as the comparator does on its clone, which
+// is never released.
+func TestRelationRelease(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	universe := L("A", "B", "C", "D")
+	for trial := range 300 {
+		n := rng.Intn(200)
+		var r *Relation
+		if trial%2 == 0 {
+			r = randMixedRelation(rng, universe, n)
+		} else {
+			cols := make([]Column, len(universe))
+			for c := range cols {
+				domain := int64(1 + rng.Intn(n+1)) // dense: the presence table
+				if rng.Intn(2) == 0 {
+					domain = 1 << 40 // sparse: sorted
+				}
+				cols[c].Ints = make([]int64, n)
+				for i := range cols[c].Ints {
+					cols[c].Ints[i] = rng.Int63n(domain)
+				}
+			}
+			var err error
+			if r, err = NewRelationColumns(universe, n, cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := r.Clone()
+		cache := NewSortCache(r)
+		var od OD
+		for range 4 {
+			od = RandOD(rng, universe, 3)
+			want, err := sortedIndexOnCmp(ref, od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.SortedIndexOn(od.LHS); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("trial %d: SortedIndexOn(%v) = %v, %v; comparator %v\n%s", trial, od.LHS, got, err, want, ref)
+			}
+			wantOK, wantV, err := satisfiesCmp(ref, od)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK, gotV, err := r.Satisfies(od); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+				t.Fatalf("trial %d: Satisfies(%s) = %v %+v, %v; comparator %v %+v\n%s", trial, od, gotOK, gotV, err, wantOK, wantV, ref)
+			}
+			p, err := cache.Get(od.LHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK, gotV, err := r.SatisfiesWith(od, p); err != nil || gotOK != wantOK || !sameViolation(refutation(gotOK, gotV), wantV) {
+				t.Fatalf("trial %d: SatisfiesWith(%s) = %v %+v, %v; comparator %v %+v\n%s", trial, od, gotOK, gotV, err, wantOK, wantV, ref)
+			}
+		}
+		cache.Release()
+		r.Release()
+		r.Release()
+		if _, _, err := r.Satisfies(od); !errors.Is(err, errReleased) {
+			t.Fatalf("trial %d: Satisfies on a released relation: err = %v, want %v", trial, err, errReleased)
+		}
+		if _, err := r.SortedIndexOn(od.LHS); !errors.Is(err, errReleased) {
+			t.Fatalf("trial %d: SortedIndexOn on a released relation: err = %v, want %v", trial, err, errReleased)
+		}
+		for i := range n {
+			if !slices.Equal(r.Row(i), ref.Row(i)) {
+				t.Fatalf("trial %d: row %d of the released relation reads %v, want %v", trial, i, r.Row(i), ref.Row(i))
+			}
+		}
+	}
+}
+
 // fuzzTable decodes bytes into a relation of at most 8 rows over at most 4
 // columns and one OD over its attributes. Byte 0 is the row count, byte 1
 // the column count, bytes 2 and 3 the side lengths (0 to 3), then one byte
@@ -627,7 +714,7 @@ func checkRefined(t *testing.T, r, oracle *Relation, od OD) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(gotV, wantV) {
+	if gotOK, gotV, err := r.SatisfiesWith(od, got); err != nil || gotOK != wantOK || !sameViolation(refutation(gotOK, gotV), wantV) {
 		t.Fatalf("%s: SatisfiesWith over the refined partition = %v %+v, %v; comparator %v %+v\n%s", od, gotOK, gotV, err, wantOK, wantV, oracle)
 	}
 }

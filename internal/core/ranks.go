@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -14,15 +15,23 @@ import (
 // cells of the column compare exactly as their ranks do. start[k] counts the
 // rows ranked below k — the counting sort's bucket offsets, which depend on
 // the column alone and never on the order being refined; len(start)-1 is the
-// column's cardinality. A colRanks is immutable once built.
+// column's cardinality. Both are cut from block, which is pooled: a
+// colRanks is immutable from when it is built until its relation's Release.
 type colRanks struct {
 	rank  []int32
 	start []int32
+	block []int32
 }
 
-// ranksOf returns column c's rank view, building it on first use. Concurrent
-// first uses may each build the view; one is published and all callers
-// converge on it.
+// released is what a relation's views point to after Release.
+var released []atomic.Pointer[colRanks]
+
+var errReleased = errors.New("core: relation used after Release")
+
+// ranksOf returns column c's rank view, building it on first use; the
+// relation must not be released. Concurrent first uses may each build the
+// view; one is published and all callers converge on it, and the losing copy,
+// which nobody has seen, is left to the collector.
 func (r *Relation) ranksOf(c int) *colRanks {
 	views := r.views.Load()
 	if views == nil {
@@ -36,6 +45,25 @@ func (r *Relation) ranksOf(c int) *colRanks {
 	}
 	v.CompareAndSwap(nil, r.buildRanks(c))
 	return v.Load()
+}
+
+// Release returns the blocks of the relation's rank views to the pool the
+// views of relations built after it are cut from, as SortCache.Release does
+// for partition arrays: successive discovery requests, each over a relation
+// of its own, then rank without allocating. Ordered operations on a released
+// relation fail; cells stay readable. A second Release does nothing. No
+// ordered operation may run beside Release, and no SortedPartition of the
+// relation may be used after it.
+func (r *Relation) Release() {
+	views := r.views.Swap(&released)
+	if views == nil || views == &released {
+		return
+	}
+	for i := range *views {
+		if cr := (*views)[i].Load(); cr != nil {
+			ranksPool.Put(cr)
+		}
+	}
 }
 
 // ranksOn resolves the attributes of the lists x and y to their columns' rank
@@ -53,8 +81,12 @@ func (r *Relation) ranksOn(x, y List) (rx, ry []*colRanks, err error) {
 }
 
 // ranksInto appends the rank views of l's attributes to dst, in list order,
-// failing on the first attribute the schema lacks.
+// failing on a released relation and on the first attribute the schema
+// lacks. Every ordered operation resolves its columns here.
 func (r *Relation) ranksInto(dst []*colRanks, l List) ([]*colRanks, error) {
+	if r.views.Load() == &released {
+		return nil, errReleased
+	}
 	for _, a := range l {
 		c, err := r.Col(a)
 		if err != nil {
@@ -152,11 +184,19 @@ func (r *Relation) cellOrder(c int, ints []int64) func(a, b int32) int {
 	}
 }
 
-// newColRanks allocates the view of an n-row column of the given cardinality,
-// both arrays in one block.
+// ranksPool holds the views of released relations, whatever their size:
+// newColRanks re-cuts what it is given, as takeArrays does.
+var ranksPool = sync.Pool{New: func() any { return new(colRanks) }}
+
+// newColRanks returns the view of an n-row column of the given cardinality,
+// both arrays cut from one pooled block. Only start is cleared, for
+// withStarts to count into: every builder writes each rank.
 func newColRanks(n int, card int32) *colRanks {
-	buf := make([]int32, n+int(card)+1)
-	return &colRanks{rank: buf[:n:n], start: buf[n:]}
+	cr := ranksPool.Get().(*colRanks)
+	cr.block = sized(cr.block, n+int(card)+1)
+	cr.rank, cr.start = cr.block[:n:n], cr.block[n:]
+	clear(cr.start)
+	return cr
 }
 
 // withStarts derives the bucket offsets from the filled-in ranks.

@@ -16,7 +16,10 @@ import (
 // SatisfiesWith) run on a per-column rank view — dense int32 ranks in
 // Value.Compare order — built lazily on the first ordered use of a column,
 // immutable from then on and dropped by AddRow. Readers may share a relation
-// across goroutines; AddRow may not run beside them.
+// across goroutines; AddRow may not run beside them. Release hands the views'
+// memory to the next relation's once the ordered work on this one is done:
+// from then on every ordered operation fails, and a second Release does
+// nothing.
 //
 // A relation is built from rows of Values (AddRow, NewRelationRows) or from
 // typed columns (NewRelationColumns). A columnar relation ranks its columns
@@ -178,7 +181,7 @@ func (r *Relation) AddRow(vals ...Value) error {
 	copy(row, vals)
 	r.rows = append(r.table(), row)
 	r.n, r.cols = r.n+1, nil // the vectors no longer hold every row
-	if r.views.Load() != nil {
+	if v := r.views.Load(); v != nil && v != &released {
 		r.views.Store(nil)
 	}
 	return nil

@@ -58,15 +58,23 @@ func TestPipelineDateDimCounts(t *testing.T) {
 	// The pruning plane works on list ids and bit planes, not strings and
 	// searches: before the lattice was id-indexed a run cost 294,182
 	// allocations, with closure pruning asked of a catalog 73,719, asked of
-	// the model table 3,698.
+	// the model table 3,698; 3,144 while each refuted data check boxed its
+	// witness, 2,565 since it comes back by value. The bound allows 135
+	// more; under the race detector, whose sync.Pool forgets, the count
+	// reads about 2,685 and the bound is 3,000.
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 10_000 {
-		t.Fatalf("date dimension: %.0f allocations per pipeline run, want at most 10,000", allocs)
+	maxAllocs := 2_700.0
+	if raceDetector {
+		maxAllocs = 3_000
 	}
+	if allocs > maxAllocs {
+		t.Fatalf("date dimension: %.0f allocations per pipeline run, want at most %.0f", allocs, maxAllocs)
+	}
+	t.Logf("date dimension: %.0f allocations per pipeline run", allocs)
 
 	// The table the run ended with: its 12 ODs leave 65 of the 3⁷ sign
 	// vectors alive, re-packed from 35 words into 2, so the run's last

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"odlib/internal/core"
 	"odlib/internal/discover"
@@ -37,6 +38,20 @@ type discoverSummary struct {
 	Declared  *mutationJSON          `json:"declared,omitempty"`
 }
 
+// maxPooledBytes is the largest buffer a discovery request gives back to its
+// pools, 1 MiB: a body or a block of integer cells past it, which only a
+// relation of over 100,000 cells needs, is left to the collector rather than
+// kept for the next request.
+const maxPooledBytes = 1 << 20
+
+// maxReserve is how much of a declared Content-Length the body buffer
+// reserves before the bytes arrive, 256 KiB: a body of ordinary size is read
+// in one allocation, and one that declares more than it sends costs no more
+// than this. Past it the buffer grows with the bytes read.
+const maxReserve = 256 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // relationOf validates the inline instance against its schema and builds
 // the relation from the typed columns the rows were decoded into.
 func relationOf(req *discoverRequest) (*core.Relation, error) {
@@ -68,14 +83,24 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 // status code.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// The body is read whole, then scanned once (rows.go): a relation is
-	// most of a request, and a streaming decoder reads it three times.
-	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeBodyError(w, err)
-		return
-	}
+	// most of a request, and a streaming decoder reads it three times. The
+	// buffer is pooled, and goes back as soon as the body is decoded: every
+	// name and cell decoded from it is a copy.
+	body := bodyPool.Get().(*bytes.Buffer)
+	body.Reset()
+	body.Grow(int(min(max(r.ContentLength, 0), maxReserve)) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var req discoverRequest
-	if err := decodeDiscoverBytes(body.Bytes(), &req); err != nil {
+	if err == nil {
+		err = decodeDiscoverBytes(body.Bytes(), &req)
+	}
+	if body.Cap() <= maxPooledBytes {
+		bodyPool.Put(body)
+	}
+	// The integer cells go back last, once the pipeline has run, the summary
+	// line is written and the relation's rank views are released.
+	defer req.Rows.release()
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
@@ -96,6 +121,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer rel.Release()
 	if req.Declare {
 		// Refuse before the stream starts: once NDJSON is flowing the status
 		// code is spent, and a follower can never honor the declare-back.

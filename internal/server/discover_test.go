@@ -3,13 +3,18 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"odlib/internal/catalog"
+	"odlib/internal/router"
 	"odlib/internal/store"
 )
 
@@ -315,4 +320,100 @@ func TestDiscoverHugeWorkersSameStream(t *testing.T) {
 	if got := stream(1_000_000); got != want {
 		t.Fatalf("workers 1000000 streamed\n%s\nworkers 0 streamed\n%s", got, want)
 	}
+}
+
+// cancelOnFlush cancels its request when the handler first flushes a line:
+// a client that gives up once the stream has begun.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w cancelOnFlush) Flush() {
+	w.cancel()
+	w.ResponseRecorder.Flush()
+}
+
+// TestDiscoverReusesNoState: what a /discover request leaves in the pools —
+// its body buffer, integer cells, rank views and partition arrays — never
+// reaches another request's answer. One server answers an interleaved
+// sequence: bodies of every shape, one refused mid-rows and one whose client
+// cancels at the first line among them. Each answer must be byte-identical
+// to a fresh server's for the same request, and each that should complete
+// must end in its summary line with no error line. Then four goroutines send
+// the sequence at once, where a buffer handed back too early would be
+// overwritten under a request still reading it. Run under -race.
+func TestDiscoverReusesNoState(t *testing.T) {
+	bench := benchBodies(t)
+	steps := []struct {
+		name     string
+		body     []byte
+		cancel   bool // the client cancels at the first flushed line
+		complete bool // a 200 ending in the summary line
+	}{
+		{"date", bench["date1826x7"], false, true},
+		{"random", bench["random4000x6"], false, true},
+		{"three rows", []byte(`{"attrs":["a","b","c"],"rows":[[1,2,3],[2,2,1],[3,4,1]]}`), false, true},
+		{"float column", []byte(`{"attrs":["x","y"],"rows":[[0.5,1],[1.5,2],[1.25,3],[2,2]]}`), false, true},
+		{"string column", []byte(`{"attrs":["s","n"],"rows":[["b",1],["a",2],["c",3],["b",4]]}`), false, true},
+		{"refused mid-rows", []byte(`{"attrs":["a","b"],"rows":[[1,2],[3,4],[5,"x"],[6,7]]}`), false, false},
+		{"cancelled", bench["date1826x7"], true, false},
+		{"date again", bench["date1826x7"], false, true},
+	}
+	answer := func(srv *Server, body []byte, cancel bool) string {
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+		req := httptest.NewRequest(http.MethodPost, "/discover", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		var w http.ResponseWriter = rec
+		if cancel {
+			w = cancelOnFlush{rec, stop}
+		}
+		srv.ServeHTTP(w, req)
+		return fmt.Sprintf("%d %s", rec.Code, rec.Body)
+	}
+	fresh := func() *Server {
+		rt, err := router.Open(router.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rt.Close() })
+		return New(rt)
+	}
+
+	want := make([]string, len(steps))
+	for i, st := range steps {
+		want[i] = answer(fresh(), st.body, st.cancel)
+		complete := strings.HasPrefix(want[i], "200 ") && !strings.Contains(want[i], `{"error"`) &&
+			strings.Contains(want[i][strings.LastIndex(strings.TrimSuffix(want[i], "\n"), "\n")+1:], `"stats"`)
+		if complete != st.complete {
+			t.Fatalf("%s: a fresh server answered %.300s; complete = %v, want %v", st.name, want[i], complete, st.complete)
+		}
+	}
+	if !strings.Contains(want[6], `{"error":"context canceled"}`) {
+		t.Fatalf("cancelled: a fresh server answered %.300s, want the stream cut by the cancellation", want[6])
+	}
+
+	shared := fresh()
+	for round := range 2 {
+		for i, st := range steps {
+			if got := answer(shared, st.body, st.cancel); got != want[i] {
+				t.Fatalf("round %d, %s: the shared server answered\n%.300s\na fresh one\n%.300s", round, st.name, got, want[i])
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range steps {
+				i := (g + k) % len(steps)
+				if got := answer(shared, steps[i].body, steps[i].cancel); got != want[i] {
+					t.Errorf("goroutine %d, %s: the shared server answered\n%.300s\na fresh one\n%.300s", g, steps[i].name, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"odlib/internal/core"
@@ -28,9 +29,29 @@ const maxExactInt = 1 << 53
 type instanceRows struct {
 	n, width int
 	cols     []rowsColumn
+	// cells backs every integer column, drawn from cellPool by reserve and
+	// given back by release.
+	cells *cellBlock
 	// err is why the value is no relation, kept by UnmarshalJSON for
 	// decodeDiscoverBytes to report.
 	err error
+}
+
+// cellBlock is one request's integer cells, column after column.
+type cellBlock struct{ ints []int64 }
+
+// cellPool holds the cell blocks of finished requests, whatever their size:
+// reserve re-cuts what it is given.
+var cellPool = sync.Pool{New: func() any { return new(cellBlock) }}
+
+// release gives the integer cells back to cellPool unless the block is past
+// maxPooledBytes. Neither t nor a relation built on its columns may be used
+// after; a second release does nothing.
+func (t *instanceRows) release() {
+	if t.cells != nil && 8*cap(t.cells.ints) <= maxPooledBytes {
+		cellPool.Put(t.cells)
+	}
+	t.cells = nil
 }
 
 // rowsColumn is one column's cells so far: strs for a textual column, and
@@ -121,13 +142,27 @@ func (t *instanceRows) parse(p *rowsParser) error {
 // reserve sizes the columns, once row 0 has fixed their number and kinds,
 // for the rows the remaining bytes can hold: every row closes a bracket and
 // takes two bytes a cell, which bounds what a hostile body can make it
-// allocate to a small multiple of its own length.
+// allocate to a small multiple of its own length. The integer columns are
+// cut from one pooled block, each capped at its share so that no column can
+// append into the next.
 func (t *instanceRows) reserve(rest []byte) {
 	rows := 1 + min(bytes.Count(rest, []byte{']'}), len(rest)/(2*t.width+2))
+	k := 0
+	for _, c := range t.cols {
+		if c.ints != nil {
+			k++
+		}
+	}
+	var block []int64
+	if k > 0 {
+		t.cells = cellPool.Get().(*cellBlock)
+		t.cells.ints = slices.Grow(t.cells.ints[:0], k*rows)[:k*rows]
+		block = t.cells.ints
+	}
 	for i := range t.cols {
 		switch c := &t.cols[i]; {
 		case c.ints != nil:
-			c.ints = slices.Grow(c.ints, rows)
+			c.ints, block = append(block[:0:rows], c.ints...), block[rows:]
 		case c.floats != nil:
 			c.floats = slices.Grow(c.floats, rows)
 		default:
