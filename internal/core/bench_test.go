@@ -79,26 +79,27 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
 	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
 	c := NewSortCache(r)
-	var pairs []List
-	for _, a := range attrs {
-		if _, err := c.Get(List{a}); err != nil {
+	var pairs [][]int
+	for a := range attrs {
+		if _, err := c.GetCols([]int{a}); err != nil {
 			b.Fatal(err)
 		}
-		for _, z := range attrs {
+		for z := range attrs {
 			if z != a {
-				pairs = append(pairs, List{a, z})
+				pairs = append(pairs, []int{a, z})
 			}
 		}
 	}
 	b.ReportAllocs()
+	var e cachedPartition
 	for b.Loop() {
 		for _, x := range pairs {
-			_, arr, err := c.refine(x)
-			if err != nil {
+			if err := c.refine(&e, x); err != nil {
 				b.Fatal(err)
 			}
-			if arr != nil {
-				arraysPool.Put(arr)
+			if e.arr != nil {
+				arraysPool.Put(e.arr)
+				e.arr = nil
 			}
 		}
 	}

@@ -76,7 +76,14 @@
 // returned when it loses — so successive discovery runs reuse their arrays.
 // SatisfiesWith holds the right-hand side's rank views in an array on the
 // stack and returns a refutation's witness by value, so a data check
-// allocates nothing whether the OD holds or not.
+// allocates nothing whether the OD holds or not. A SortCache keys a context
+// by its columns' schema positions, not by a rendering of its names, and a
+// caller that numbers its lists asks by position: GetCols returns the
+// cache's own partition, with no Context and no allocation once cached, and
+// CheckCols scans it against right-hand columns given by position, looking
+// no name up — discovery's data checks, where Get and SatisfiesWith resolve
+// names for every other caller, their contracts unchanged. An OD's String,
+// and so its Key, is built in one allocation.
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined
 // partitions, row-built and columnar relations — to them and to the

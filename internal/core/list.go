@@ -241,6 +241,13 @@ func HashString(s string) uint64 {
 // String renders x in the paper's bracket notation, e.g. "[A, B, C]".
 func (x List) String() string {
 	var b strings.Builder
+	b.Grow(x.renderedLen())
+	x.render(&b)
+	return b.String()
+}
+
+// render writes String's rendering of x to b.
+func (x List) render(b *strings.Builder) {
 	b.WriteByte('[')
 	for i, a := range x {
 		if i > 0 {
@@ -249,7 +256,16 @@ func (x List) String() string {
 		b.WriteString(string(a))
 	}
 	b.WriteByte(']')
-	return b.String()
+}
+
+// renderedLen is the length of String's rendering of x, so that a rendering
+// is built in one allocation.
+func (x List) renderedLen() int {
+	n := 2 + 2*max(len(x)-1, 0)
+	for _, a := range x {
+		n += len(a)
+	}
+	return n
 }
 
 // Permutations returns all permutations of x. It is intended for small lists

@@ -16,8 +16,16 @@ type OD struct {
 // NewOD builds the order dependency lhs ↦ rhs.
 func NewOD(lhs, rhs List) OD { return OD{LHS: lhs, RHS: rhs} }
 
-// String renders the OD as "[A, B] -> [C]".
-func (od OD) String() string { return od.LHS.String() + " -> " + od.RHS.String() }
+// String renders the OD as "[A, B] -> [C]", in one allocation.
+func (od OD) String() string {
+	const arrow = " -> "
+	var b strings.Builder
+	b.Grow(od.LHS.renderedLen() + len(arrow) + od.RHS.renderedLen())
+	od.LHS.render(&b)
+	b.WriteString(arrow)
+	od.RHS.render(&b)
+	return b.String()
+}
 
 // Key returns a canonical string usable as a map key.
 func (od OD) Key() string { return od.String() }

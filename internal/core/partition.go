@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -13,7 +14,9 @@ import (
 // instead of a fresh sort — the sort-partition reuse at the heart of set-based
 // OD discovery.
 type SortedPartition struct {
-	// Context is the attribute list the rows are ordered by.
+	// Context is the attribute list the rows are ordered by. It is nil on a
+	// partition asked for by column position (SortCache.GetCols), whose
+	// caller holds the context itself.
 	Context List
 	// Index holds the row indices in ≼Context order (stable, so rows tied
 	// on the context keep their relative order).
@@ -29,22 +32,24 @@ type SortedPartition struct {
 // SortPartitionOn sorts the relation once by ≼x and materializes the
 // partition structure every RHS candidate over the context x can reuse.
 func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
-	return r.sortPartition(x, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))})
-}
-
-// sortPartition is SortPartitionOn into the given arrays, sized for the
-// relation — fresh ones, or a SortCache's pooled ones.
-func (r *Relation) sortPartition(x List, arr *partitionArrays) (*SortedPartition, error) {
 	cols, _, err := r.ranksOn(x, nil)
 	if err != nil {
 		return nil, err
 	}
+	p := &SortedPartition{Context: x.Clone()}
+	r.sortInto(p, cols, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))})
+	return p, nil
+}
+
+// sortInto sorts the relation by the rank columns into p, on the given arrays
+// sized for the relation — fresh ones, or a SortCache's pooled ones.
+func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, arr *partitionArrays) {
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
-	p := &SortedPartition{Context: x.Clone(), Index: arr.index}
+	p.Index = arr.index
 	copy(p.Index, s.order(r.n, cols))
 	if r.n == 0 {
-		return p, nil
+		return
 	}
 	p.Tie = arr.tie
 	if len(cols) == 1 {
@@ -52,7 +57,7 @@ func (r *Relation) sortPartition(x List, arr *partitionArrays) (*SortedPartition
 			p.Tie[k] = true
 		}
 		p.Groups = r.n - narrowTies(p.Tie, p.Index, cols[0].rank)
-		return p, nil
+		return
 	}
 	p.Groups = 1
 	for k := range p.Tie {
@@ -61,7 +66,6 @@ func (r *Relation) sortPartition(x List, arr *partitionArrays) (*SortedPartition
 			p.Groups++
 		}
 	}
-	return p, nil
 }
 
 // SatisfiesWith checks r ⊨ od against a precomputed sorted partition of
@@ -79,6 +83,33 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, Violation, er
 	if err != nil {
 		return false, Violation{}, err
 	}
+	kind, s, t := scan(p, ry)
+	if kind != 0 {
+		return false, Violation{OD: od, Kind: kind, S: int(s), T: int(t)}, nil
+	}
+	return true, Violation{}, nil
+}
+
+// CheckCols is SatisfiesWith for a caller that holds its lists as schema
+// positions: it reports how the rows, in p's order, falsify the OD from p's
+// context to the columns y — zero when it holds. The columns are resolved by
+// position, with no name looked up, and p may be any partition of the
+// relation, GetCols' included. It allocates nothing.
+func (r *Relation) CheckCols(p *SortedPartition, y []int) (ViolationKind, error) {
+	var onStack [8]*colRanks
+	ry, err := r.ranksAt(onStack[:0], y)
+	if err != nil {
+		return 0, err
+	}
+	kind, _, _ := scan(p, ry)
+	return kind, nil
+}
+
+// scan walks p's order once and returns the first adjacent pair the rank
+// columns ry misorder: a Split when the pair ties on p's context, a Swap when
+// it is strictly ordered there; zero when there is none. A split's rows come
+// back ordered by ry.
+func scan(p *SortedPartition, ry []*colRanks) (kind ViolationKind, s, t int32) {
 	for k := 0; k+1 < len(p.Index); k++ {
 		s, t := p.Index[k], p.Index[k+1]
 		cy := cmpRanks(ry, s, t)
@@ -87,21 +118,26 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, Violation, er
 			if cy > 0 {
 				s, t = t, s
 			}
-			return false, Violation{OD: od, Kind: Split, S: int(s), T: int(t)}, nil
+			return Split, s, t
 		case !p.Tie[k] && cy > 0:
-			return false, Violation{OD: od, Kind: Swap, S: int(s), T: int(t)}, nil
+			return Swap, s, t
 		}
 	}
-	return true, Violation{}, nil
+	return 0, 0, 0
 }
 
-// SortCache memoizes sorted partitions per context key so one ordering of
-// the relation serves every candidate sharing a left-hand side, and the
-// ordering of a context X·A is refined from the cached partition of X rather
-// than sorted from scratch: only the empty and one-attribute contexts sort
-// the relation. A prefix nobody asked for is built on the way and retained.
-// It is safe for concurrent use; concurrent misses on the same context may
-// each build it but publish one winner.
+// SortCache memoizes sorted partitions per context so one ordering of the
+// relation serves every candidate sharing a left-hand side, and the ordering
+// of a context X·A is refined from the cached partition of X rather than
+// sorted from scratch: only the empty and one-attribute contexts sort the
+// relation. A prefix nobody asked for is built on the way and retained. It is
+// safe for concurrent use; concurrent misses on the same context may each
+// build it but publish one winner.
+//
+// A context is keyed by its column positions, never by a rendering of its
+// names: Get resolves a list's names once, and GetCols takes the positions a
+// caller already holds, so a discovery run that numbers its lists asks with
+// no name looked up and no string built but each new context's key.
 //
 // Hits and misses count the contexts callers asked Get for — a context's
 // first request is a miss, every later one a hit — whatever that took: a
@@ -114,7 +150,7 @@ type SortCache struct {
 	r *Relation
 
 	mu sync.Mutex
-	m  map[string]*cachedPartition
+	m  map[string]*cachedPartition // by colsKey
 
 	hits, misses uint64
 }
@@ -123,7 +159,7 @@ type SortCache struct {
 // its context yet, and the pooled arrays it owns — nil when it shares a
 // prefix's.
 type cachedPartition struct {
-	p     *SortedPartition
+	p     SortedPartition
 	asked bool
 	arr   *partitionArrays
 }
@@ -153,17 +189,55 @@ func NewSortCache(r *Relation) *SortCache {
 }
 
 // Get returns the sorted partition for context x, building and caching it on
-// the first request.
+// the first request. The partition returned carries x as its Context.
 func (c *SortCache) Get(x List) (*SortedPartition, error) {
+	var onStack [8]int
+	cols := onStack[:0]
+	for _, a := range x {
+		col, err := c.r.Col(a)
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, col)
+	}
+	p, err := c.get(cols, true)
+	if err != nil {
+		return nil, err
+	}
+	named := *p
+	named.Context = x.Clone()
+	return &named, nil
+}
+
+// GetCols is Get for a context given as schema positions. The partition it
+// returns is the cache's own, with no Context: it allocates nothing once the
+// context is cached.
+func (c *SortCache) GetCols(x []int) (*SortedPartition, error) {
+	for _, col := range x {
+		if col < 0 || col >= len(c.r.attrs) {
+			return nil, fmt.Errorf("core: column %d not in schema %v", col, c.r.attrs)
+		}
+	}
 	return c.get(x, true)
 }
 
-// get is Get for a caller's context (asked) and for the prefix a longer
-// context is refined from (not asked, and so not counted).
-func (c *SortCache) get(x List, asked bool) (*SortedPartition, error) {
-	key := x.Key()
+// colsKey appends the cache key of the context x to dst: its positions as
+// uvarints, one byte each below 128.
+func colsKey(dst []byte, x []int) []byte {
+	for _, col := range x {
+		dst = binary.AppendUvarint(dst, uint64(col))
+	}
+	return dst
+}
+
+// get is GetCols for a caller's context (asked) and for the prefix a longer
+// context is refined from (not asked, and so not counted). The positions are
+// in range.
+func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
+	var onStack [16]byte
+	key := colsKey(onStack[:0], x)
 	c.mu.Lock()
-	e := c.m[key]
+	e := c.m[string(key)]
 	if asked {
 		if e != nil && e.asked {
 			c.hits++
@@ -176,36 +250,34 @@ func (c *SortCache) get(x List, asked bool) (*SortedPartition, error) {
 	}
 	c.mu.Unlock()
 	if e != nil {
-		return e.p, nil
+		return &e.p, nil
 	}
-	var p *SortedPartition
-	var arr *partitionArrays
-	var err error
+	e = &cachedPartition{asked: asked}
 	if len(x) <= 1 {
-		arr = takeArrays(c.r.n)
-		if p, err = c.r.sortPartition(x, arr); err != nil {
-			arraysPool.Put(arr)
+		var one [1]*colRanks
+		cols, err := c.r.ranksAt(one[:0], x)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		p, arr, err = c.refine(x)
-	}
-	if err != nil {
+		e.arr = takeArrays(c.r.n)
+		c.r.sortInto(&e.p, cols, e.arr)
+	} else if err := c.refine(e, x); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if prev := c.m[key]; prev != nil {
+	if prev := c.m[string(key)]; prev != nil {
 		// A concurrent miss won the publish: converge on it, and the losing
 		// copy, which nobody else has seen, gives its arrays back.
-		p = prev.p
 		prev.asked = prev.asked || asked
-		if arr != nil {
-			arraysPool.Put(arr)
+		if e.arr != nil {
+			arraysPool.Put(e.arr)
 		}
+		e = prev
 	} else {
-		c.m[key] = &cachedPartition{p: p, asked: asked, arr: arr}
+		c.m[string(key)] = e
 	}
 	c.mu.Unlock()
-	return p, nil
+	return &e.p, nil
 }
 
 // Release returns the arrays of every partition the cache built to the pool,
@@ -224,30 +296,35 @@ func (c *SortCache) Release() {
 	}
 }
 
-// refine builds the partition of the context x = X·A from the partitions of
-// X and of [A], both through the cache: the order of X·A is the order of X
-// with each class of X ordered, stably, by A, and two neighbours tie on X·A
-// when they tie on X and on A — the partition refinement of set-based OD
-// discovery, in place of a sort of the whole relation by every attribute of
-// x. It is the last pass of that sort alone: the rows, taken in A's order,
-// are dealt into the classes of X, so a class fills in A's order with ties in
-// row order — which is how every partition here orders its ties. Where A
-// cannot reorder anything — it is constant, or every class of X is one row —
-// the result shares X's arrays and owns none; otherwise it owns the pooled
-// arrays returned with it.
-func (c *SortCache) refine(x List) (*SortedPartition, *partitionArrays, error) {
+// refine builds into e the partition of the context x = X·A from the
+// partitions of X and of [A], both through the cache: the order of X·A is the
+// order of X with each class of X ordered, stably, by A, and two neighbours
+// tie on X·A when they tie on X and on A — the partition refinement of
+// set-based OD discovery, in place of a sort of the whole relation by every
+// attribute of x. It is the last pass of that sort alone: the rows, taken in
+// A's order, are dealt into the classes of X, so a class fills in A's order
+// with ties in row order — which is how every partition here orders its ties.
+// Where A cannot reorder anything — it is constant, or every class of X is
+// one row — the partition shares X's arrays and e owns none; otherwise e owns
+// the pooled arrays it is built in.
+func (c *SortCache) refine(e *cachedPartition, x []int) error {
 	px, err := c.get(x[:len(x)-1], false)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	pa, err := c.get(x[len(x)-1:], false)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	n := c.r.n
-	q := &SortedPartition{Context: x.Clone(), Index: px.Index, Tie: px.Tie, Groups: px.Groups}
+	var one [1]*colRanks
+	ra, err := c.r.ranksAt(one[:0], x[len(x)-1:])
+	if err != nil {
+		return err
+	}
+	n, q := c.r.n, &e.p
+	q.Index, q.Tie, q.Groups = px.Index, px.Tie, px.Groups
 	if pa.Groups <= 1 || px.Groups == n {
-		return q, nil, nil
+		return nil
 	}
 	s := scratchPool.Get().(*sortScratch)
 	defer scratchPool.Put(s)
@@ -264,22 +341,16 @@ func (c *SortCache) refine(x List) (*SortedPartition, *partitionArrays, error) {
 		}
 		class[i] = g
 	}
-	arr := takeArrays(n)
-	q.Index, q.Tie = arr.index, arr.tie
+	e.arr = takeArrays(n)
+	q.Index, q.Tie = e.arr.index, e.arr.tie
 	copy(q.Tie, px.Tie)
 	for _, i := range pa.Index {
 		g := class[i]
 		q.Index[next[g]] = i
 		next[g]++
 	}
-	var one [1]*colRanks
-	ra, err := c.r.ranksInto(one[:0], x[len(x)-1:])
-	if err != nil {
-		arraysPool.Put(arr)
-		return nil, nil, err
-	}
 	q.Groups = n - narrowTies(q.Tie, q.Index, ra[0].rank)
-	return q, arr, nil
+	return nil
 }
 
 // narrowTies is the tie pass of a refinement: neighbours k and k+1 of idx

@@ -270,3 +270,106 @@ func TestSortCacheConcurrent(t *testing.T) {
 		c.Release()
 	}
 }
+
+// TestGetColsMatchesGet: a context asked for by column position is the
+// context asked for by name — one cache entry, one count, the same Index,
+// Tie and Groups as the comparator sort — and CheckCols over it reports the
+// violation kind SatisfiesWith does, allocating nothing, as a cached GetCols
+// does. A position outside the schema fails both, as does a released
+// relation.
+func TestGetColsMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	universe := L("A", "B", "C", "D")
+	for trial := range 40 {
+		r := RandRelation(rng, universe, rng.Intn(30), 1+rng.Intn(4))
+		byName, byCols := NewSortCache(r), NewSortCache(r)
+		for range 6 {
+			x := RandList(rng, universe, 3).Normalize()
+			cols := make([]int, len(x))
+			for i, a := range x {
+				cols[i], _ = r.Col(a)
+			}
+			named, err := byName.Get(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := byCols.GetCols(cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sortPartitionOnCmp(r, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Context != nil || !samePartition(named, want) || !samePartition(&SortedPartition{Context: x, Index: p.Index, Tie: p.Tie, Groups: p.Groups}, want) {
+				t.Fatalf("trial %d: context %v: GetCols %+v, Get %+v, comparator %+v", trial, x, p, named, want)
+			}
+			// The same context by name, through the cache that holds it
+			// by position: one entry, a hit.
+			_, hits, _ := byCols.Stats()
+			if _, err := byCols.Get(x); err != nil {
+				t.Fatal(err)
+			}
+			if _, after, _ := byCols.Stats(); after != hits+1 {
+				t.Fatalf("trial %d: %v by name after by position: %d hits, want %d", trial, x, after, hits+1)
+			}
+			for _, y := range []List{L("A"), L("C", "B"), L("D", "A", "C")} {
+				ycols := make([]int, len(y))
+				for i, a := range y {
+					ycols[i], _ = r.Col(a)
+				}
+				_, v, err := r.SatisfiesWith(NewOD(x, y), named)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kind ViolationKind
+				allocs := testing.AllocsPerRun(10, func() {
+					if kind, err = r.CheckCols(p, ycols); err != nil {
+						t.Fatal(err)
+					}
+					if _, err = byCols.GetCols(cols); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if kind != v.Kind || allocs != 0 {
+					t.Fatalf("trial %d: %v -> %v: CheckCols %v in %.0f allocations, SatisfiesWith %v", trial, x, y, kind, allocs, v.Kind)
+				}
+			}
+		}
+		for _, bad := range [][]int{{-1}, {0, 4}} {
+			if _, err := byCols.GetCols(bad); err == nil {
+				t.Fatalf("GetCols(%v) over 4 attributes succeeded", bad)
+			}
+			if p, err := byCols.GetCols(nil); err != nil {
+				t.Fatal(err)
+			} else if _, err := r.CheckCols(p, bad); err == nil {
+				t.Fatalf("CheckCols(%v) over 4 attributes succeeded", bad)
+			}
+		}
+		p, err := byCols.GetCols(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName.Release()
+		byCols.Release()
+		r.Release()
+		if _, err := r.CheckCols(p, []int{0}); err == nil {
+			t.Fatal("CheckCols on a released relation succeeded")
+		}
+		if _, err := NewSortCache(r).GetCols([]int{1, 2}); err == nil {
+			t.Fatal("GetCols on a released relation succeeded")
+		}
+	}
+}
+
+// TestODStringOneAllocation: an OD renders, and so keys, in one allocation,
+// byte for byte as its two sides joined by the arrow.
+func TestODStringOneAllocation(t *testing.T) {
+	for _, od := range []OD{NewOD(nil, L("A")), NewOD(L("year", "month"), L("quarter")), NewOD(L("A", "B", "C"), nil), {}} {
+		want := od.LHS.String() + " -> " + od.RHS.String()
+		var got string
+		if allocs := testing.AllocsPerRun(10, func() { got = od.Key() }); allocs != 1 || got != want {
+			t.Fatalf("%q in %.0f allocations, want %q in 1", got, allocs, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -91,6 +92,21 @@ func (r *Relation) ranksInto(dst []*colRanks, l List) ([]*colRanks, error) {
 		c, err := r.Col(a)
 		if err != nil {
 			return nil, err
+		}
+		dst = append(dst, r.ranksOf(c))
+	}
+	return dst, nil
+}
+
+// ranksAt is ranksInto for columns given by schema position: no name is
+// looked up, and a position outside the schema fails.
+func (r *Relation) ranksAt(dst []*colRanks, cols []int) ([]*colRanks, error) {
+	if r.views.Load() == &released {
+		return nil, errReleased
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(r.attrs) {
+			return nil, fmt.Errorf("core: column %d not in schema %v", c, r.attrs)
 		}
 		dst = append(dst, r.ranksOf(c))
 	}

@@ -59,17 +59,18 @@ func TestPipelineDateDimCounts(t *testing.T) {
 	// searches: before the lattice was id-indexed a run cost 294,182
 	// allocations, with closure pruning asked of a catalog 73,719, asked of
 	// the model table 3,698; 3,144 while each refuted data check boxed its
-	// witness, 2,565 since it comes back by value. The bound allows 135
-	// more; under the race detector, whose sync.Pool forgets, the count
-	// reads about 2,685 and the bound is 3,000.
+	// witness, 2,565 since it comes back by value, 153 since the lattice is
+	// shared and the pruning state pooled. The bound allows 135 more; under
+	// the race detector, whose sync.Pool forgets, the count reads 235 to 335
+	// and the bound allows 315 more.
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	maxAllocs := 2_700.0
+	maxAllocs := 288.0
 	if raceDetector {
-		maxAllocs = 3_000
+		maxAllocs = 650
 	}
 	if allocs > maxAllocs {
 		t.Fatalf("date dimension: %.0f allocations per pipeline run, want at most %.0f", allocs, maxAllocs)
@@ -96,23 +97,57 @@ func TestPipelineDateDimCounts(t *testing.T) {
 	// while every context was a sort of the whole relation into an []int
 	// index, 634 KB with contexts refined from their prefixes into int32,
 	// 204 KB with their arrays pooled across runs (592 to 665 under the race
-	// detector, whose sync.Pool forgets); a 4,000 x 6 random run 813 KB
-	// before pooling, 69 KB after (719 to 792 under the race detector).
-	bound := uint64(255)
+	// detector, whose sync.Pool forgets), 13 KB with the lattice shared and
+	// the pruning state pooled (350 to 465); a 4,000 x 6 random run 813 KB
+	// before pooling, 69 KB after, 7 KB now. Under the race detector the
+	// random run reads 676 to 922 KB either way — its partition arrays are
+	// what the detector's pool forgets — and keeps its bound.
+	bound := uint64(64)
 	if raceDetector {
-		bound = 850
+		bound = 650
 	}
 	if kb := kbPerRun(t, dates, opts); kb > bound {
 		t.Fatalf("date dimension: %d KB allocated per pipeline run, want at most %d", kb, bound)
 	}
 	rnd, rndOpts := random4000x6()
-	bound = 90
+	bound = 28
 	if raceDetector {
 		bound = 1000
 	}
 	if kb := kbPerRun(t, rnd, rndOpts); kb > bound {
 		t.Fatalf("4,000 x 6 random relation: %d KB allocated per pipeline run, want at most %d", kb, bound)
 	}
+}
+
+// TestPipelineRunAllocatesOnlyItsAnswer: a warm run builds nothing per
+// candidate, per context group or per list of the lattice — the lattice is
+// shared, the pruning state is one pooled block, and a candidate is named only
+// once it holds. On the date dimension a run allocates its 12 accepted ODs,
+// one block of names each, and a constant 145 (141 when written): two
+// allocations per partition the sort cache builds (a retained entry and its
+// key), the names and the key of each holding candidate a commit sorts (30,
+// of which 18 turn out implied), and the run's result, its growth and one
+// closure per level. Under the race detector, whose sync.Pool forgets, the
+// constant is 450.
+func TestPipelineRunAllocatesOnlyItsAnswer(t *testing.T) {
+	dates, opts := dateDim(t)
+	var res *PipelineResult
+	run := func() {
+		var err error
+		if res, err = Pipeline(context.Background(), dates, PipelineOptions{Options: opts, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(5, run)
+	others := 145.0
+	if raceDetector {
+		others = 450
+	}
+	if len(res.ODs) != 12 || allocs > float64(len(res.ODs))+others {
+		t.Fatalf("date dimension: %.0f allocations for %d accepted ODs, want at most one per OD and %.0f more", allocs, len(res.ODs), others)
+	}
+	t.Logf("date dimension: %.0f allocations, %d accepted ODs", allocs, len(res.ODs))
 }
 
 // kbPerRun is the heap a one-worker pipeline run allocates, in KB, averaged
@@ -232,38 +267,45 @@ func BenchmarkPruneDateDim(b *testing.B) {
 	}
 	// Walk the lattice as a run does, refuting from the data, to collect
 	// what each level asks.
-	la := newLattice(dates.Attrs(), opts.MaxLHS, opts.MaxRHS)
-	var groups []*contextGroup
+	run := newRun(dates.Attrs(), opts.MaxLHS, opts.MaxRHS, 1)
+	defer run.release()
+	type group struct {
+		lhs  int32
+		rhss []int32
+	}
+	var groups []group
 	questions, holding := 0, 0
 	for level := 1; level <= opts.MaxLHS+opts.MaxRHS; level++ {
-		asked := la.levelGroups(level, &PipelineStats{})
-		for _, g := range asked {
-			for _, rhs := range g.rhss {
+		run.levelGroups(level, &PipelineStats{})
+		for g, lhs := range run.groupLHS {
+			rhss := slices.Clone(run.rhss[run.groupOff[g]:run.groupOff[g+1]])
+			for _, rhs := range rhss {
 				questions++
-				holds, v, err := dates.Satisfies(core.NewOD(la.lists[g.lhs], la.lists[rhs]))
+				holds, v, err := dates.Satisfies(run.name(lhs, rhs))
 				if err != nil {
 					b.Fatal(err)
 				}
 				if holds {
 					holding++
 				} else {
-					la.refuted[g.lhs*la.nRHS+rhs] = v.Kind
+					run.refuted[lhs*run.nRHS+rhs] = v.Kind
 				}
 			}
+			groups = append(groups, group{lhs, rhss})
 		}
-		groups = append(groups, asked...)
 	}
 	if questions != 2957 || holding != 12+18+2348 {
 		b.Fatalf("%d questions, %d hold on the data; want 2957 and 2378", questions, holding)
 	}
 
+	var le []uint64
 	b.ReportAllocs()
 	for b.Loop() {
 		implied := 0
 		for _, g := range groups {
-			le := tbl.under(la.pos[g.lhs])
+			le = tbl.under(le, run.la.list(g.lhs))
 			for _, rhs := range g.rhss {
-				if tbl.orders(le, la.pos[rhs]) {
+				if tbl.orders(le, run.la.list(rhs)) {
 					implied++
 				}
 			}

@@ -182,5 +182,11 @@ func CompatiblePairs(r *core.Relation) ([][2]core.Attribute, error) {
 // enumerateLists yields all duplicate-free lists of length 0..maxLen over
 // the attributes, in the pipeline lattice's id order.
 func enumerateLists(attrs core.List, maxLen int) []core.List {
-	return newLattice(attrs, maxLen, 0).lists
+	maxLen = min(maxLen, len(attrs))
+	la := latticeOf(len(attrs), maxLen)
+	lists := make([]core.List, la.start[maxLen+1])
+	for id := range lists {
+		lists[id] = named(attrs, la.list(int32(id)))
+	}
+	return lists
 }

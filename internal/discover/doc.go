@@ -59,11 +59,36 @@
 // (id of X, id of Y); it is trivial exactly when Y is a prefix of X; its two
 // propagation parents are (X, parent[Y]) and (parent[X], Y); and what is
 // known to fail is one core.ViolationKind byte at slot lhs·|RHS ids| + rhs
-// of a flat table written only between levels. No OD or list key string is
-// built for a candidate — pos[id] is the list as schema positions, which is
-// all the model table reads — and one key per accepted OD, for the commit
-// order. Data checks run on core's rank views: a context is one refinement
-// of its prefix's partition (one counting sort, for a single attribute), a
-// candidate one scan of int32 ranks. A run's core.SortCache is released when
-// the run ends, so the next run's partitions reuse its arrays.
+// of a flat table written only between levels.
+//
+// The lattice holds positions only — each list as its attributes' schema
+// positions, back to back — so it depends on the schema's width and its
+// longest list, never on names or data, and the lists up to ℓ attributes
+// are a prefix of those up to ℓ+1. Up to maxTableAttrs attributes one
+// lattice per width is built on first use and shared read-only by every run
+// of that width, concurrent ones included, as the model table's sign planes
+// are; a run asking for longer lists than it holds has it rebuilt longer,
+// with the same ids for the shorter ones. The shared table is a fixed array
+// of one entry per width, whatever schemas and caps clients send, and an
+// entry never holds more than its width's full lattice (986,410 lists at
+// nine attributes; the date dimension's runs use 260). A wider schema's
+// lattice is built for the run and dropped with it.
+//
+// Everything a run writes is one block drawn from a pool and cleared: the
+// refutation table, a level's context groups as one flat array of
+// right-hand-side ids with an offset per left-hand side, each worker's share
+// of the level's outcome — the (lhs, rhs) ids found to hold and the slots
+// found to fail — and its plane of models, and the model table with the two
+// plane buffers its repacks alternate between. A block whose refutation
+// table is past 1 MiB is not pooled. No OD or list key string is built for a
+// candidate: the model table reads positions, and a data check asks core by
+// position too — the context's partition from the sort cache, keyed by
+// column positions, and the right-hand side's rank views — with no name
+// looked up. A candidate is named only once it holds, at its level's commit,
+// for the key order and the stream, and the ODs a run accepts are the only
+// ones copied out of the block. Data checks run on core's rank views: a
+// context is one refinement of its prefix's partition (one counting sort,
+// for a single attribute), a candidate one scan of int32 ranks. A run's
+// core.SortCache is released when the run ends, so the next run's
+// partitions reuse its arrays.
 package discover

@@ -54,12 +54,39 @@ const maxTableAttrs = 9
 //
 // A table is not synchronized. Pipeline's workers read it during a level and
 // the coordinating goroutine alone writes it, at the commit barrier — the
-// discipline lattice.refuted follows.
+// discipline a run's refutation table follows. A run's table is part of its
+// pooled block (pipeline.go): reset re-aims it at a schema, and the planes it
+// re-packs into are two buffers it alternates between, so a warm table
+// allocates nothing.
 type modelTable struct {
-	pos    map[core.Attribute]uint8
+	pos    map[core.Attribute]uint16
 	lt, eq [][]uint64 // per attribute: the slots where row 1 is below / ties row 2
 	alive  []uint64   // the slots whose pattern satisfies every accepted OD
 	slots  int        // the slots that hold a pattern: 3ⁿ, then the living count at the last repack
+
+	own  [2]planeBuf // the table's own planes: alive lives in own[cur], and lt and eq too once re-packed
+	cur  int
+	x, y []uint16 // the positions of the OD accept or implies is asked about
+	le   []uint64 // implies' plane
+}
+
+// planeBuf is one block of table-owned planes: lt and eq per attribute, then
+// alive, each of the same words.
+type planeBuf struct {
+	block  []uint64
+	lt, eq [][]uint64
+}
+
+// cut returns the buffer's planes for n attributes of the given words,
+// zeroed.
+func (b *planeBuf) cut(n, words int) (lt, eq [][]uint64, alive []uint64) {
+	b.block = sized(b.block, (2*n+1)*words)
+	clear(b.block)
+	b.lt, b.eq = sized(b.lt, n), sized(b.eq, n)
+	for a := range n {
+		b.lt[a], b.eq[a] = b.block[2*a*words:][:words], b.block[(2*a+1)*words:][:words]
+	}
+	return b.lt, b.eq, b.block[2*n*words:]
 }
 
 // repackShrink is how many times fewer words than the table has the living
@@ -68,23 +95,33 @@ type modelTable struct {
 // first word count times.
 const repackShrink = 2
 
-// newModelTable builds the table of the empty theory over the schema: every
-// sign vector alive. Only alive is the table's own; the sign planes are the
-// width's until the first repack.
+// newModelTable builds the table of the empty theory over the schema.
 func newModelTable(attrs core.List) *modelTable {
+	t := new(modelTable)
+	t.reset(attrs)
+	return t
+}
+
+// reset makes the table that of the empty theory over the schema: every sign
+// vector alive. Only alive is the table's own; the sign planes are the
+// width's until the first repack.
+func (t *modelTable) reset(attrs core.List) {
 	sp := planesOf(len(attrs))
-	t := &modelTable{pos: make(map[core.Attribute]uint8, len(attrs)), lt: sp.lt, eq: sp.eq, slots: sp.patterns}
-	for a, name := range attrs {
-		t.pos[name] = uint8(a)
+	if t.pos == nil {
+		t.pos = make(map[core.Attribute]uint16, len(attrs))
 	}
-	t.alive = make([]uint64, (sp.patterns+63)/64)
+	clear(t.pos)
+	for a, name := range attrs {
+		t.pos[name] = uint16(a)
+	}
+	t.lt, t.eq, t.slots, t.cur = sp.lt, sp.eq, sp.patterns, 0
+	_, _, t.alive = t.own[0].cut(0, (sp.patterns+63)/64)
 	for w := range t.alive {
 		t.alive[w] = ^uint64(0)
 	}
 	if tail := sp.patterns % 64; tail != 0 {
 		t.alive[len(t.alive)-1] = 1<<tail - 1
 	}
-	return t
 }
 
 // signPlanes are the lt and eq planes of every attribute of an n-attribute
@@ -116,7 +153,7 @@ func buildPlanes(n int) *signPlanes {
 		patterns *= 3
 	}
 	sp := &signPlanes{patterns: patterns}
-	sp.lt, sp.eq = zeroPlanes(n, (patterns+63)/64)
+	sp.lt, sp.eq, _ = new(planeBuf).cut(n, (patterns+63)/64)
 	for p, digits := 0, make([]uint8, n); p < patterns; p++ {
 		w, bit := p>>6, uint64(1)<<(p&63)
 		for a, d := range digits {
@@ -137,32 +174,21 @@ func buildPlanes(n int) *signPlanes {
 	return sp
 }
 
-// zeroPlanes returns n empty lt and n empty eq planes of the given words,
-// in one block.
-func zeroPlanes(n, words int) (lt, eq [][]uint64) {
-	planes := make([]uint64, 2*n*words)
-	lt, eq = make([][]uint64, n), make([][]uint64, n)
-	for a := range n {
-		lt[a], eq[a] = planes[2*a*words:][:words], planes[(2*a+1)*words:][:words]
+// positions resolves a list to schema positions into dst, the form the
+// planes are indexed by. Repeated attributes are fine: a repeat never breaks
+// a tie its first occurrence left.
+func (t *modelTable) positions(dst []uint16, l core.List) []uint16 {
+	dst = dst[:0]
+	for _, a := range l {
+		dst = append(dst, t.pos[a])
 	}
-	return lt, eq
-}
-
-// positions resolves a list to schema positions, the form the planes are
-// indexed by. Repeated attributes are fine: a repeat never breaks a tie its
-// first occurrence left.
-func (t *modelTable) positions(l core.List) []uint8 {
-	out := make([]uint8, len(l))
-	for i, a := range l {
-		out[i] = t.pos[a]
-	}
-	return out
+	return dst
 }
 
 // fold compares the two rows lexicographically on the list, one word of
 // patterns at a time, within the patterns of in: lt are those ordering row 1
 // strictly below row 2, eq those tying. The empty list ties everywhere.
-func (t *modelTable) fold(w int, in uint64, list []uint8) (lt, eq uint64) {
+func (t *modelTable) fold(w int, in uint64, list []uint16) (lt, eq uint64) {
 	eq = in
 	for _, a := range list {
 		lt |= eq & t.lt[a][w]
@@ -176,7 +202,8 @@ func (t *modelTable) fold(w int, in uint64, list []uint8) (lt, eq uint64) {
 // as (row 2, row 1) when its row swap does — row 1 < row 2 on Y but not on X.
 // When the survivors fit in 1/repackShrink of the words, they are re-packed.
 func (t *modelTable) accept(od core.OD) {
-	x, y := t.positions(od.LHS), t.positions(od.RHS)
+	t.x, t.y = t.positions(t.x, od.LHS), t.positions(t.y, od.RHS)
+	x, y := t.x, t.y
 	living := 0
 	for w, alive := range t.alive {
 		if alive == 0 {
@@ -193,12 +220,12 @@ func (t *modelTable) accept(od core.OD) {
 }
 
 // repack moves the living patterns, in slot order, to the first slots of
-// fresh planes of the table's own — the shared planes are only read — so that
-// alive becomes its first living bits.
+// the table's other plane buffer — the shared planes are only read, and the
+// buffer in use is read from — so that alive becomes its first living bits.
 func (t *modelTable) repack(living int) {
 	n, words := len(t.lt), (living+63)/64
-	lt, eq := zeroPlanes(n, words)
-	alive := make([]uint64, words)
+	next := 1 - t.cur
+	lt, eq, alive := t.own[next].cut(n, words)
 	slot := 0
 	for w, live := range t.alive {
 		for ; live != 0; live &= live - 1 {
@@ -211,28 +238,29 @@ func (t *modelTable) repack(living int) {
 			slot++
 		}
 	}
-	t.lt, t.eq, t.alive, t.slots = lt, eq, alive, living
+	t.lt, t.eq, t.alive, t.slots, t.cur = lt, eq, alive, living, next
 }
 
-// under returns the models that order row 1 at or below row 2 on the list —
-// everything a question with this left-hand side has to find ordered by its
-// right-hand side. One context group folds it once and asks orders per
-// candidate.
-func (t *modelTable) under(lhs []uint8) []uint64 {
-	le := make([]uint64, len(t.alive))
+// under returns, in dst, the models that order row 1 at or below row 2 on
+// the list — everything a question with this left-hand side has to find
+// ordered by its right-hand side. One context group folds it once and asks
+// orders per candidate.
+func (t *modelTable) under(dst []uint64, lhs []uint16) []uint64 {
+	dst = sized(dst, len(t.alive))
 	for w, alive := range t.alive {
+		dst[w] = 0
 		if alive != 0 {
 			lt, eq := t.fold(w, alive, lhs)
-			le[w] = lt | eq
+			dst[w] = lt | eq
 		}
 	}
-	return le
+	return dst
 }
 
 // orders reports whether every pattern of the plane orders row 1 at or below
 // row 2 on the list: with le = under(X), whether the accepted set implies
 // X ↦ Y.
-func (t *modelTable) orders(le []uint64, rhs []uint8) bool {
+func (t *modelTable) orders(le []uint64, rhs []uint16) bool {
 	for w, in := range le {
 		if in == 0 {
 			continue
@@ -244,7 +272,11 @@ func (t *modelTable) orders(le []uint64, rhs []uint8) bool {
 	return true
 }
 
-// implies reports whether the accepted set implies the OD.
+// implies reports whether the accepted set implies the OD. Like accept, it
+// runs on the table's own scratch, so only the goroutine that writes the
+// table may ask it.
 func (t *modelTable) implies(od core.OD) bool {
-	return t.orders(t.under(t.positions(od.LHS)), t.positions(od.RHS))
+	t.x, t.y = t.positions(t.x, od.LHS), t.positions(t.y, od.RHS)
+	t.le = t.under(t.le, t.x)
+	return t.orders(t.le, t.y)
 }

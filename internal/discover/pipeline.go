@@ -3,7 +3,9 @@ package discover
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"odlib/internal/catalog"
 	"odlib/internal/core"
@@ -70,74 +72,183 @@ type PipelineResult struct {
 }
 
 // lattice is the candidate space in dense-integer form. Every duplicate-free
-// list over the schema up to the longer of the two side bounds is enumerated
-// once and numbered by (length, then schema-position order), so the lists
-// admissible on either side are a prefix of the id space and a candidate
-// X ↦ Y is the pair (id of X, id of Y). Nothing in the pruning plane touches
-// an attribute name: triviality is a prefix test on the lists, the two
-// propagation parents are (X, parent[Y]) and (parent[X], Y), and the
-// refutation state is one byte per candidate.
+// list over the schema up to some length is enumerated once and numbered by
+// (length, then schema-position order), so the lists admissible on either
+// side are a prefix of the id space and a candidate X ↦ Y is the pair (id of
+// X, id of Y). A lattice holds positions only — nothing in the pruning plane
+// touches an attribute name: triviality is a prefix test on the lists, the
+// two propagation parents are (X, parent[Y]) and (parent[X], Y), and a
+// candidate is named only once it holds.
+//
+// A lattice depends on the schema's width and its longest list alone, and
+// the lists up to ℓ attributes are a prefix of those up to ℓ+1, so one
+// lattice per width serves every run of that width whose caps it covers
+// (latticeOf). It is never written after it is built.
 type lattice struct {
-	lists  []core.List // id → list; id 0 is the empty list
-	pos    [][]uint8   // id → the list as schema positions, the model table's index
-	parent []int32     // id → id of the list minus its last attribute
-	start  []int32     // lists of length ℓ are the ids start[ℓ] ≤ id < start[ℓ+1]
+	pos    []uint16 // the lists back to back, as schema positions: list id is pos[off[id]:off[id+1]]
+	off    []int32
+	parent []int32 // id → id of the list minus its last attribute
+	start  []int32 // lists of length ℓ are the ids start[ℓ] ≤ id < start[ℓ+1]
+}
 
-	maxLHS, maxRHS int   // side bounds, in attributes
+// list returns the list numbered id, as schema positions — the form the
+// model table and the sort cache read.
+func (la *lattice) list(id int32) []uint16 { return la.pos[la.off[id]:la.off[id+1]] }
+
+// maxLen is the length of the lattice's longest lists.
+func (la *lattice) maxLen() int { return len(la.start) - 2 }
+
+// buildLattice enumerates the duplicate-free lists of up to maxLen of width
+// attributes. A position fits 16 bits: CheckSize admits no schema wider than
+// 4,095 attributes, whose one-attribute lists alone span 4,096² candidates.
+func buildLattice(width, maxLen int) *lattice {
+	count := listCount(width, maxLen)
+	la := &lattice{
+		off:    append(make([]int32, 0, count+1), 0, 0),
+		parent: append(make([]int32, 0, count), 0),
+		start:  []int32{0, 1},
+	}
+	for length := 1; length <= maxLen; length++ {
+		for p := la.start[length-1]; p < la.start[length]; p++ {
+			for c := range width {
+				if !slices.Contains(la.list(p), uint16(c)) {
+					la.pos = append(append(la.pos, la.list(p)...), uint16(c))
+					la.off = append(la.off, int32(len(la.pos)))
+					la.parent = append(la.parent, p)
+				}
+			}
+		}
+		la.start = append(la.start, int32(len(la.parent)))
+	}
+	return la
+}
+
+// sharedLattices holds, for each width up to maxTableAttrs, the lattice of
+// the longest lists any run of that width has asked for: a fixed table,
+// however many schemas and caps clients send, and each entry bounded by its
+// width's full lattice.
+var sharedLattices [maxTableAttrs + 1]atomic.Pointer[lattice]
+
+// latticeOf returns a lattice over width attributes holding every list of up
+// to maxLen ≤ width attributes, perhaps more. Up to maxTableAttrs attributes
+// it is the width's shared one, rebuilt longer when a run asks past it — the
+// ids of the shorter lists stay — and read by every run at once; a wider
+// schema's is built for the run. Concurrent first uses may each build one;
+// the longest published wins.
+func latticeOf(width, maxLen int) *lattice {
+	if width > maxTableAttrs {
+		return buildLattice(width, maxLen)
+	}
+	e := &sharedLattices[width]
+	if la := e.Load(); la != nil && la.maxLen() >= maxLen {
+		return la
+	}
+	built := buildLattice(width, maxLen)
+	for {
+		la := e.Load()
+		if la != nil && la.maxLen() >= maxLen {
+			return la
+		}
+		if e.CompareAndSwap(la, built) {
+			return built
+		}
+	}
+}
+
+// named renders a list of schema positions as the schema's attributes; the
+// empty list is nil.
+func named(attrs core.List, l []uint16) core.List {
+	if len(l) == 0 {
+		return nil
+	}
+	out := make(core.List, len(l))
+	for i, p := range l {
+		out[i] = attrs[p]
+	}
+	return out
+}
+
+// run is one pipeline run's mutable state — everything a run writes, the
+// shared lattice being only read. It is drawn from runPool as one block and
+// cleared, so that successive runs reuse its memory: a warm run allocates the
+// ODs that hold and little else.
+type run struct {
+	la             *lattice
+	attrs          core.List
+	maxLHS, maxRHS int   // side bounds, in attributes, at most the schema's width
 	nRHS           int32 // ids below nRHS are right-hand sides; a candidate's slot is lhs·nRHS + rhs
 	// refuted[slot] is the violation kind a candidate is known to fail by,
 	// zero while it is not known to fail. It is written only between
 	// levels, by the coordinating goroutine.
 	refuted []core.ViolationKind
+
+	// The level's context groups, the unit of parallel work: every candidate
+	// of the level sharing a left-hand context, answered over one cached
+	// sorted partition. Group g is the left-hand side groupLHS[g] with the
+	// right-hand sides rhss[groupOff[g]:groupOff[g+1]].
+	groupLHS, groupOff, rhss []int32
+
+	workers []worker
+	table   modelTable
+	held    []core.OD // the level's holding candidates, named
 }
 
-// newLattice enumerates the lists and sizes the refutation table for
-// left-hand sides up to maxLHS and right-hand sides up to maxRHS attributes;
-// Options.CheckSize bounds the table.
-func newLattice(attrs core.List, maxLHS, maxRHS int) *lattice {
-	// No duplicate-free list is longer than the schema.
-	maxLHS, maxRHS = min(maxLHS, len(attrs)), min(maxRHS, len(attrs))
-	la := &lattice{lists: []core.List{nil}, pos: [][]uint8{nil}, parent: []int32{0}, start: []int32{0, 1}, maxLHS: maxLHS, maxRHS: maxRHS}
-	for length := 1; length <= max(maxLHS, maxRHS); length++ {
-		for p := la.start[length-1]; p < la.start[length]; p++ {
-			for i, a := range attrs {
-				if !la.lists[p].Contains(a) {
-					la.lists = append(la.lists, la.lists[p].Concat(core.List{a}))
-					la.pos = append(la.pos, append(la.pos[p][:length-1:length-1], uint8(i)))
-					la.parent = append(la.parent, p)
-				}
-			}
-		}
-		la.start = append(la.start, int32(len(la.lists)))
-	}
-	la.nRHS = la.start[maxRHS+1]
-	la.refuted = make([]core.ViolationKind, la.start[maxLHS+1]*la.nRHS)
-	return la
+// worker is what one validating goroutine writes during a level: its share
+// of the level's outcome, and its scratch.
+type worker struct {
+	holding              [][2]int32   // (lhs, rhs) of each candidate found to hold
+	refuted              []refutation // each candidate found to fail
+	pruned, checks, rows uint64       // closure-pruned candidates, data checks, rows scanned
+	err                  error
+
+	le   []uint64 // the models the group's left-hand side orders
+	cols []int    // a list's positions, as core takes them
 }
 
-// contextGroup is the unit of parallel work: every candidate of one level
-// sharing a left-hand context, answered over one cached sorted partition.
-type contextGroup struct {
-	lhs  int32
-	rhss []int32
-}
-
-// groupOutcome is what a worker reports back for one context group.
-type groupOutcome struct {
-	holding []core.OD
-	refuted []refutation
-	pruned  uint64 // closure-pruned count
-	checks  uint64
-	rows    uint64
-	err     error
-}
-
-// refutation records a candidate of the group found to fail on the data, with
-// the violation kind that decides how it propagates: splits poison every RHS
+// refutation records a candidate found to fail on the data, by slot, with the
+// violation kind that decides how it propagates: splits poison every RHS
 // extension, swaps poison RHS and LHS extensions both.
 type refutation struct {
-	rhs  int32
+	slot int32
 	kind core.ViolationKind
+}
+
+var runPool = sync.Pool{New: func() any { return new(run) }}
+
+// maxPooledSlots bounds the refutation table of a block that goes back to
+// runPool, 1 MiB: a run over a candidate space past it, which no relation
+// the default MaxAttrs guard admits at caps of three reaches, leaves its
+// block to the collector rather than keeping it for the next run.
+const maxPooledSlots = 1 << 20
+
+// newRun draws a block for a run over the relation's attributes with
+// left-hand sides up to maxLHS and right-hand sides up to maxRHS attributes,
+// and the given worker count. Options.CheckSize bounds the refutation table.
+func newRun(attrs core.List, maxLHS, maxRHS, workers int) *run {
+	// No duplicate-free list is longer than the schema.
+	maxLHS, maxRHS = min(maxLHS, len(attrs)), min(maxRHS, len(attrs))
+	b := runPool.Get().(*run)
+	b.la, b.attrs = latticeOf(len(attrs), max(maxLHS, maxRHS)), attrs
+	b.maxLHS, b.maxRHS = maxLHS, maxRHS
+	b.nRHS = b.la.start[maxRHS+1]
+	b.refuted = sized(b.refuted, int(b.la.start[maxLHS+1]*b.nRHS))
+	clear(b.refuted)
+	b.workers = sized(b.workers, workers)
+	return b
+}
+
+// release returns the block to runPool; the run must not be used after.
+func (b *run) release() {
+	b.la, b.attrs = nil, nil
+	if len(b.refuted) <= maxPooledSlots {
+		runPool.Put(b)
+	}
+}
+
+// sized returns buf resliced to n elements, reallocated only when too small;
+// the contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // pruning is the accepted set in the form closure pruning asks it: the model
@@ -175,12 +286,15 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 		return nil, err
 	}
 	workers := workerCount(opts.Workers)
+	b := newRun(attrs, opts.MaxLHS, opts.MaxRHS, workers)
+	defer b.release()
 
 	var pr pruning
 	switch {
 	case opts.KeepRedundant:
 	case useTable:
-		pr.table = newModelTable(attrs)
+		b.table.reset(attrs)
+		pr.table = &b.table
 	default:
 		// The pruning catalog: accepted ODs go in via Apply, implication
 		// questions come out of the tier chain (closure first, search last).
@@ -204,64 +318,27 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	// it returns, so their arrays go back to the pool for the next run.
 	cache := core.NewSortCache(r)
 	defer cache.Release()
-	la := newLattice(attrs, opts.MaxLHS, opts.MaxRHS)
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS
 	for level := 1; level <= maxLevel; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		groups := la.levelGroups(level, &res.Stats)
+		b.levelGroups(level, &res.Stats)
 		res.Stats.Levels = level
-		if len(groups) == 0 {
+		if len(b.groupLHS) == 0 {
 			continue
 		}
-
-		outcomes := runGroups(ctx, groups, workers, func(g *contextGroup) groupOutcome {
-			return validateGroup(ctx, r, pr, cache, la, g)
-		})
-
-		// Commit the level: refutations extend the propagation table, and
-		// the ODs that hold enter the pruning state and the stream in key
-		// order — Discover's — each unless those committed before imply it.
-		// An implied OD would clear no model and extend no closure, so
-		// dropping it changes no later verdict.
-		var holding []core.OD
-		for i, out := range outcomes {
-			if out.err != nil {
-				return nil, out.err
-			}
-			res.Stats.ClosurePruned += out.pruned
-			res.Stats.DataChecks += out.checks
-			res.Stats.RowsScanned += out.rows
-			holding = append(holding, out.holding...)
-			for _, rf := range out.refuted {
-				la.refuted[groups[i].lhs*la.nRHS+rf.rhs] = rf.kind
-			}
+		for i := range b.workers {
+			w := &b.workers[i]
+			w.holding, w.refuted = w.holding[:0], w.refuted[:0]
+			w.pruned, w.checks, w.rows, w.err = 0, 0, 0, nil
 		}
-		core.SortODs(holding)
-		for _, od := range holding {
-			switch {
-			case pr.table != nil:
-				if pr.table.implies(od) {
-					continue
-				}
-				pr.table.accept(od)
-			case pr.cat != nil:
-				implied, err := pr.cat.ImpliesCtx(ctx, od)
-				if err != nil {
-					return nil, err
-				}
-				if implied {
-					continue
-				}
-				pr.cat.Apply([]catalog.Mutation{{ODs: []core.OD{od}}})
-			}
-			res.ODs = append(res.ODs, od)
-			res.Stats.Accepted++
-			if opts.OnFound != nil {
-				opts.OnFound(od)
-			}
+		runGroups(len(b.groupLHS), workers, func(w, g int) {
+			b.validateGroup(ctx, r, pr, cache, &b.workers[w], g)
+		})
+		if err := b.commit(ctx, pr, res, opts.OnFound); err != nil {
+			return nil, err
 		}
 	}
 
@@ -271,6 +348,77 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	res.Stats.RowsScanned += 2 * misses * uint64(r.Len())
 	res.Constants = constantsOf(res.ODs)
 	return res, nil
+}
+
+// commit folds a level's outcome into the run: the counters, the
+// refutations into the table the next level propagates from, and the ODs
+// that hold into the pruning state and the stream. Those are named here —
+// the only candidates that ever are — and committed in key order, Discover's,
+// each unless those committed before imply it. An implied OD would clear no
+// model and extend no closure, so dropping it changes no later verdict. The
+// workers' shares merge in any order: the counters add, the refutations
+// write distinct slots, and the ODs are sorted.
+func (b *run) commit(ctx context.Context, pr pruning, res *PipelineResult, onFound func(core.OD)) error {
+	b.held = b.held[:0]
+	for i := range b.workers {
+		w := &b.workers[i]
+		if w.err != nil {
+			return w.err
+		}
+		res.Stats.ClosurePruned += w.pruned
+		res.Stats.DataChecks += w.checks
+		res.Stats.RowsScanned += w.rows
+		for _, rf := range w.refuted {
+			b.refuted[rf.slot] = rf.kind
+		}
+		for _, c := range w.holding {
+			b.held = append(b.held, b.name(c[0], c[1]))
+		}
+	}
+	core.SortODs(b.held)
+	for _, od := range b.held {
+		if pr.table != nil {
+			if pr.table.implies(od) {
+				continue
+			}
+			pr.table.accept(od)
+		}
+		if pr.cat != nil {
+			implied, err := pr.cat.ImpliesCtx(ctx, od)
+			if err != nil {
+				return err
+			}
+			if implied {
+				continue
+			}
+			pr.cat.Apply([]catalog.Mutation{{ODs: []core.OD{od}}})
+		}
+		res.ODs = append(res.ODs, od)
+		res.Stats.Accepted++
+		if onFound != nil {
+			onFound(od)
+		}
+	}
+	return nil
+}
+
+// name renders the candidate lhs ↦ rhs with the schema's attributes, both
+// sides in one block of their own; the empty list stays nil, as everywhere
+// else.
+func (b *run) name(lhs, rhs int32) core.OD {
+	x, y := b.la.list(lhs), b.la.list(rhs)
+	names := make(core.List, len(x)+len(y))
+	for i, p := range x {
+		names[i] = b.attrs[p]
+	}
+	for i, p := range y {
+		names[len(x)+i] = b.attrs[p]
+	}
+	var l core.List
+	if len(x) > 0 {
+		l = names[:len(x):len(x)]
+	}
+	return core.NewOD(l, names[len(x):])
 }
 
 // levelGroups enumerates the level's non-trivial candidates — every LHS of
@@ -290,104 +438,113 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 //
 // Splits do not propagate to LHS extensions — the violating pair ties on X
 // and the extension may break the tie either way.
-func (la *lattice) levelGroups(level int, stats *PipelineStats) []*contextGroup {
-	var groups []*contextGroup
-	for lhsLen := max(0, level-la.maxRHS); lhsLen <= min(level-1, la.maxLHS); lhsLen++ {
+func (b *run) levelGroups(level int, stats *PipelineStats) {
+	la := b.la
+	b.groupLHS, b.groupOff, b.rhss = b.groupLHS[:0], b.groupOff[:0], b.rhss[:0]
+	for lhsLen := max(0, level-b.maxRHS); lhsLen <= min(level-1, b.maxLHS); lhsLen++ {
 		rhsLen := level - lhsLen
 		for lhs := la.start[lhsLen]; lhs < la.start[lhsLen+1]; lhs++ {
-			var g *contextGroup
+			x, opened := la.list(lhs), false
 			for rhs := la.start[rhsLen]; rhs < la.start[rhsLen+1]; rhs++ {
 				// Both lists are duplicate-free, so the OD is trivial
 				// exactly when Y is a prefix of X.
-				if la.lists[lhs].HasPrefix(la.lists[rhs]) {
+				if y := la.list(rhs); len(y) <= len(x) && slices.Equal(x[:len(y)], y) {
 					continue
 				}
 				stats.Candidates++
-				if kind := la.propagated(lhs, rhs); kind != 0 {
+				if kind := b.propagated(lhs, rhs); kind != 0 {
 					stats.RefutationPruned++
-					la.refuted[lhs*la.nRHS+rhs] = kind
+					b.refuted[lhs*b.nRHS+rhs] = kind
 					continue
 				}
-				if g == nil {
-					g = &contextGroup{lhs: lhs}
-					groups = append(groups, g)
+				if !opened {
+					b.groupLHS = append(b.groupLHS, lhs)
+					b.groupOff = append(b.groupOff, int32(len(b.rhss)))
+					opened = true
 				}
-				g.rhss = append(g.rhss, rhs)
+				b.rhss = append(b.rhss, rhs)
 			}
 		}
 	}
-	return groups
+	b.groupOff = append(b.groupOff, int32(len(b.rhss)))
 }
 
 // propagated returns the violation kind a candidate inherits from a refuted
 // prefix candidate, or zero when neither immediate prefix refutes it.
-func (la *lattice) propagated(lhs, rhs int32) core.ViolationKind {
+func (b *run) propagated(lhs, rhs int32) core.ViolationKind {
 	// An LHS-propagated swap stays a swap; prefer it when both prefixes
 	// prune, since swaps poison more of the lattice above. The empty LHS has
 	// no prefix (it is its own parent, and the slot is the candidate's own).
-	if la.refuted[la.parent[lhs]*la.nRHS+rhs] == core.Swap {
+	if b.refuted[b.la.parent[lhs]*b.nRHS+rhs] == core.Swap {
 		return core.Swap
 	}
 	// A one-attribute RHS has the empty prefix, whose slot no candidate ever
 	// writes: X ↦ [] is trivial.
-	return la.refuted[lhs*la.nRHS+la.parent[rhs]]
+	return b.refuted[lhs*b.nRHS+b.la.parent[rhs]]
 }
 
-// validateGroup answers one context group: closure-prune each candidate
-// against the accepted set, then check the survivors against the data over
-// the context's cached sorted partition.
-func validateGroup(ctx context.Context, r *core.Relation, pr pruning,
-	cache *core.SortCache, la *lattice, g *contextGroup) groupOutcome {
-	var out groupOutcome
-	var part *core.SortedPartition
-	lhs := la.lists[g.lhs]
-	var le []uint64 // the models the group's left-hand side orders
-	if pr.table != nil {
-		le = pr.table.under(la.pos[g.lhs])
+// validateGroup answers context group g into the worker's share: closure-prune
+// each candidate against the accepted set, then check the survivors against
+// the data over the context's cached sorted partition. A candidate is asked
+// about by position; only the catalog, past maxTableAttrs attributes, is
+// asked by name.
+func (b *run) validateGroup(ctx context.Context, r *core.Relation, pr pruning,
+	cache *core.SortCache, w *worker, g int) {
+	if w.err != nil {
+		return
 	}
-	for _, rhs := range g.rhss {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
+	lhs := b.groupLHS[g]
+	x := b.la.list(lhs)
+	if pr.table != nil {
+		w.le = pr.table.under(w.le, x)
+	}
+	var part *core.SortedPartition
+	for _, rhs := range b.rhss[b.groupOff[g]:b.groupOff[g+1]] {
+		if w.err = ctx.Err(); w.err != nil {
+			return
 		}
-		od := core.NewOD(lhs, la.lists[rhs])
+		y := b.la.list(rhs)
 		implied := false
 		switch {
 		case pr.table != nil:
-			implied = pr.table.orders(le, la.pos[rhs])
+			implied = pr.table.orders(w.le, y)
 		case pr.cat != nil:
-			var err error
-			if implied, err = pr.cat.ImpliesCtx(ctx, od); err != nil {
-				out.err = err
-				return out
+			od := core.NewOD(named(b.attrs, x), named(b.attrs, y))
+			if implied, w.err = pr.cat.ImpliesCtx(ctx, od); w.err != nil {
+				return
 			}
 		}
 		if implied {
-			out.pruned++
+			w.pruned++
 			continue
 		}
 		if part == nil {
-			p, err := cache.Get(lhs)
-			if err != nil {
-				out.err = err
-				return out
+			if part, w.err = cache.GetCols(w.positions(x)); w.err != nil {
+				return
 			}
-			part = p
 		}
-		out.checks++
-		out.rows += uint64(r.Len())
-		holds, v, err := r.SatisfiesWith(od, part)
-		if err != nil {
-			out.err = err
-			return out
+		w.checks++
+		w.rows += uint64(r.Len())
+		kind, err := r.CheckCols(part, w.positions(y))
+		if w.err = err; err != nil {
+			return
 		}
-		if holds {
-			out.holding = append(out.holding, od)
+		if kind == 0 {
+			w.holding = append(w.holding, [2]int32{lhs, rhs})
 		} else {
-			out.refuted = append(out.refuted, refutation{rhs: rhs, kind: v.Kind})
+			w.refuted = append(w.refuted, refutation{slot: lhs*b.nRHS + rhs, kind: kind})
 		}
 	}
-	return out
+}
+
+// positions returns the list's positions as core takes them, in the
+// worker's scratch.
+func (w *worker) positions(l []uint16) []int {
+	w.cols = w.cols[:0]
+	for _, p := range l {
+		w.cols = append(w.cols, int(p))
+	}
+	return w.cols
 }
 
 // workerCount is the validation parallelism a run asks for, as Workers
@@ -400,41 +557,28 @@ func workerCount(asked int) int {
 	return min(asked, procs)
 }
 
-// runGroups fans the groups out over a bounded worker set and collects every
-// outcome. Work is pulled from a channel so large levels load-balance across
-// however many workers the caller allows.
-func runGroups(ctx context.Context, groups []*contextGroup, workers int,
-	do func(*contextGroup) groupOutcome) []groupOutcome {
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+// runGroups answers groups 0..groups-1 over at most workers goroutines, do(w,
+// g) answering group g as worker w < workers. Groups are pulled from a shared
+// counter, so large levels load-balance across however many workers the
+// caller allows.
+func runGroups(groups, workers int, do func(w, g int)) {
+	workers = min(workers, groups)
 	if workers <= 1 {
-		out := make([]groupOutcome, len(groups))
-		for i, g := range groups {
-			out[i] = do(g)
+		for g := range groups {
+			do(0, g)
 		}
-		return out
+		return
 	}
-	type job struct {
-		i int
-		g *contextGroup
-	}
-	jobs := make(chan job)
-	out := make([]groupOutcome, len(groups))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				out[j.i] = do(j.g)
+			for g := int(next.Add(1) - 1); g < groups; g = int(next.Add(1) - 1) {
+				do(w, g)
 			}
 		}()
 	}
-	for i, g := range groups {
-		jobs <- job{i, g}
-	}
-	close(jobs)
 	wg.Wait()
-	return out
 }

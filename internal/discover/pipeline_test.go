@@ -209,27 +209,30 @@ func TestPipelineSchedulerIndependence(t *testing.T) {
 
 // TestRunGroupsBoundedByGOMAXPROCS: however many workers a run asks for,
 // no more than GOMAXPROCS groups are ever validated at once — a request's
-// "workers" cannot start a goroutine per group.
+// "workers" cannot start a goroutine per group — every group is answered
+// once, and each by a worker whose share exists.
 func TestRunGroupsBoundedByGOMAXPROCS(t *testing.T) {
-	groups := make([]*contextGroup, 1000)
-	for i := range groups {
-		groups[i] = &contextGroup{lhs: int32(i)}
-	}
+	const groups = 1000
+	workers := workerCount(1 << 20)
 	var running, peak atomic.Int64
-	out := runGroups(context.Background(), groups, workerCount(1<<20), func(g *contextGroup) groupOutcome {
+	var answered [groups]atomic.Int32
+	runGroups(groups, workers, func(w, g int) {
 		now := running.Add(1)
 		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 		}
 		time.Sleep(20 * time.Microsecond) // long enough for unbounded workers to pile up
 		running.Add(-1)
-		return groupOutcome{checks: uint64(g.lhs)}
+		if w < 0 || w >= workers {
+			t.Errorf("group %d answered by worker %d of %d", g, w, workers)
+		}
+		answered[g].Add(1)
 	})
 	if procs := int64(runtime.GOMAXPROCS(0)); peak.Load() > procs {
 		t.Fatalf("%d groups ran at once, GOMAXPROCS is %d", peak.Load(), procs)
 	}
-	for i, o := range out {
-		if o.checks != uint64(i) {
-			t.Fatalf("outcome %d belongs to group %d", i, o.checks)
+	for g := range answered {
+		if n := answered[g].Load(); n != 1 {
+			t.Fatalf("group %d answered %d times", g, n)
 		}
 	}
 }

@@ -138,14 +138,15 @@ func perCall(runs uint64, f func()) (allocs, size uint64) {
 // request first warms the pools — body buffer, integer cells, rank views,
 // partition arrays — as a running daemon's are.
 //
-// Measured on the change that pooled the body, cells and rank views and
-// returned refutations by value, with the count before it in parentheses:
-// date 1826 x 7 2,740 allocations and 175 KB (3,341 and 475 KB), random
-// 4000 x 6 1,040 and 49 KB (1,394 and 443 KB). The budgets allow 60
+// Measured on the change that shared the discovery lattice and pooled each
+// run's pruning state, with the counts before it in parentheses: date
+// 1826 x 7 288 allocations and 26 KB (2,740 and 175 KB; 3,341 and 475 KB
+// before the body, cells and rank views were pooled), random 4000 x 6 139
+// and 12 KB (1,040 and 49 KB; 1,394 and 443 KB). The budgets allow 60
 // allocations and 25 KB more. Under the race detector sync.Pool drops a
 // quarter of its puts and instrumented code allocates more: the counts read
-// about 2,900 and 1,170 allocations there, 680 to 1,100 KB, and the budgets
-// allow 260 allocations and 1,500 KB more.
+// 420 to 465 and 260 to 290 allocations there, 530 to 1,200 KB, and the
+// budgets allow 260 allocations and 1,500 KB more.
 func TestDiscoverAllocationBudget(t *testing.T) {
 	srv, _ := daemonHandler(t)
 	bodies := benchBodies(t)
@@ -157,8 +158,8 @@ func TestDiscoverAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb uint64
 	}{
-		{"date1826x7", 2740, 175},
-		{"random4000x6", 1040, 49},
+		{"date1826x7", 288, 26},
+		{"random4000x6", 139, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := discoverCall(t, srv, bodies[tc.name])

@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"odlib/internal/catalog"
+	"odlib/internal/metrics"
 	"odlib/internal/router"
 	"odlib/internal/store"
 )
@@ -416,4 +418,53 @@ func TestDiscoverReusesNoState(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// flushCounter records, at each flush, how many bytes the handler had
+// written by then.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	at []int
+}
+
+func (w *flushCounter) Flush() {
+	w.at = append(w.at, w.Body.Len())
+	w.ResponseRecorder.Flush()
+}
+
+// TestDiscoverFlushesThroughTelemetry: with telemetry on, as odserve always
+// runs, every NDJSON line of /discover is flushed as it is written — the 12
+// OD lines of the date body as their levels commit, then the summary — and
+// the request still counts as one 200 on its route. The observing wrapper
+// once hid the writer's Flush, and the stream reached the client only when
+// the handler returned.
+func TestDiscoverFlushesThroughTelemetry(t *testing.T) {
+	srv, _ := daemonHandler(t)
+	req := httptest.NewRequest(http.MethodPost, "/discover", bytes.NewReader(benchBodies(t)["date1826x7"]))
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(w, req)
+	body := w.Body.String()
+	if w.Code != http.StatusOK || !strings.HasSuffix(body, "\n") {
+		t.Fatalf("discover = %d %.300s", w.Code, body)
+	}
+	var ends []int // the offset just past each line
+	for i, c := range body {
+		if c == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != 13 || !slices.Equal(w.at, ends) {
+		t.Fatalf("flushed at bytes %v, the %d lines end at %v; want one flush per line of 12 ODs and a summary", w.at, len(ends), ends)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	fams, err := metrics.ParseText(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]string{"route": "/discover", "method": "POST", "code": "200"}
+	if v, ok := sampleValue(fams, "odserve_http_requests_total", "odserve_http_requests_total", labels); !ok || v != 1 {
+		t.Fatalf("odserve_http_requests_total%v = %v (present=%v), want 1", labels, v, ok)
+	}
 }

@@ -169,6 +169,17 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// Flush sends what the handler has written so far, when the writer beneath
+// can: /discover streams one NDJSON line per accepted OD, and the wrapper
+// must not hold the lines back until the handler returns. A flush commits
+// the status as a write does.
+func (r *statusRecorder) Flush() {
+	r.wrote = true
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // reqMeta is what a handler notes for the access log: the shard that
 // answered and, for proves, the verdict tier. Handlers run on one
 // goroutine, so plain fields suffice.
