@@ -117,7 +117,7 @@ func New(opts ...Option) *Catalog {
 	for _, o := range opts {
 		o(c)
 	}
-	c.rebuildLocked(0)
+	c.rebuildLocked(0, 0)
 	return c
 }
 
@@ -155,28 +155,37 @@ type Mutation struct {
 
 // Apply runs a sequence of declare/remove steps as one batch: one lock
 // acquisition, one generation bump when the declared set changed, and one
-// closure refresh — the live write path behind the router's staged
-// mutations and a follower's per-record replay. Steps apply in order, so a
-// batch may declare and later withdraw the same OD. It returns the
-// effective added and removed counts plus post-batch stats.
+// closure refresh — the write path of a shard with no log. Steps apply in
+// order, so a batch may declare and later withdraw the same OD. It returns
+// the effective added and removed counts plus post-batch stats.
 func (c *Catalog) Apply(muts []Mutation) (added, removed int, st Stats) {
 	added, removed, _, _, st = c.apply([][]Mutation{muts})
 	return added, removed, st
 }
 
-// apply is the one mutation loop. Batches apply in order, and the generation
-// bumps once for each batch that changed the declared set — the only place
-// that rule is written. The verdict store and the closure then move once,
-// for the net effect of all batches: netAdded holds ODs present after that
-// were absent before, netRemoved the reverse, and an OD declared and
-// withdrawn in between appears in neither. The net lists are what
-// incremental maintenance keys on: the closure extends or shrinks from them,
-// and the verdict store revalidates its witnesses against exactly the
-// net-added ODs and drops its implied verdicts exactly when something was
-// net removed.
+// Effect is what one batch changed: how many ODs it added and removed.
+type Effect struct{ Added, Removed int }
+
+// apply runs batches no log numbers: the applied seq stays where it is.
 func (c *Catalog) apply(batches [][]Mutation) (added, removed int, netAdded, netRemoved []core.OD, st Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	added, removed, netAdded, netRemoved = c.applyLocked(c.cur.seq, batches, nil)
+	return added, removed, netAdded, netRemoved, c.statsLocked()
+}
+
+// applyLocked is the one mutation loop. Batches apply in order, a non-nil
+// effects receives each one's counts, and the generation bumps once for
+// each batch that changed the declared set — the only place that rule is
+// written. The verdict store and the closure then move once, for the net
+// effect of all batches: netAdded holds ODs present after that were absent
+// before, netRemoved the reverse, and an OD declared and withdrawn in
+// between appears in neither. The net lists are what incremental
+// maintenance keys on: the closure extends or shrinks from them, and the
+// verdict store revalidates its witnesses against exactly the net-added ODs
+// and drops its implied verdicts exactly when something was net removed.
+// The result is published with seq as its applied seq. Caller holds c.mu.
+func (c *Catalog) applyLocked(seq uint64, batches [][]Mutation, effects []Effect) (added, removed int, netAdded, netRemoved []core.OD) {
 	// delta tracks each touched OD's net membership change: +1 present now
 	// but not before, -1 the reverse, 0 back where it started. Effective
 	// ops on one OD strictly alternate, so delta stays in {-1, 0, +1}.
@@ -195,8 +204,8 @@ func (c *Catalog) apply(batches [][]Mutation) (added, removed int, netAdded, net
 		e.delta += d
 	}
 	gen := c.cur.gen
-	for _, muts := range batches {
-		before := added + removed
+	for i, muts := range batches {
+		a, r := added, removed
 		for _, m := range muts {
 			for _, od := range m.ODs {
 				od = canon(od)
@@ -211,8 +220,11 @@ func (c *Catalog) apply(batches [][]Mutation) (added, removed int, netAdded, net
 				}
 			}
 		}
-		if added+removed > before {
+		if added+removed > a+r {
 			gen++
+		}
+		if effects != nil {
+			effects[i] = Effect{Added: added - a, Removed: removed - r}
 		}
 	}
 	for _, e := range net {
@@ -223,39 +235,47 @@ func (c *Catalog) apply(batches [][]Mutation) (added, removed int, netAdded, net
 			netRemoved = append(netRemoved, e.od)
 		}
 	}
-	if gen > c.cur.gen {
+	switch {
+	case gen > c.cur.gen:
 		c.verdicts.advance(gen, netAdded, len(netRemoved) > 0)
 		switch {
 		case removed == 0:
-			c.refreshLocked(gen, extendClosure(c.cur.closure, netAdded))
+			c.refreshLocked(seq, gen, extendClosure(c.cur.closure, netAdded))
 		case added == 0:
-			c.refreshLocked(gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.unordered()))
+			c.refreshLocked(seq, gen, shrinkClosure(c.cur.closure, netRemoved, c.declared.unordered()))
 		default:
 			// Mixed batches interleave adds and removes; one full recompute
 			// is still a single rebuild for the whole sequence.
-			c.rebuildLocked(gen)
+			c.rebuildLocked(seq, gen)
 		}
+	case seq != c.cur.seq:
+		// Only the applied seq moved. The copy's rewrite constraints ask the
+		// original as their Oracle, which answers alike: no question reads seq.
+		g := *c.cur
+		g.seq = seq
+		c.cur = &g
 	}
-	return added, removed, netAdded, netRemoved, c.statsLocked()
+	return added, removed, netAdded, netRemoved
 }
 
 // rebuildLocked recomputes the closure from scratch and publishes it as
-// generation gen.
-func (c *Catalog) rebuildLocked(gen uint64) {
-	c.refreshLocked(gen, transitiveClosure(c.declared.unordered()))
+// generation gen at applied seq.
+func (c *Catalog) rebuildLocked(seq, gen uint64) {
+	c.refreshLocked(seq, gen, transitiveClosure(c.declared.unordered()))
 }
 
-// refreshLocked builds and publishes generation gen from the declared set
-// and its (already maintained) closure: the declared list, the prover and the
-// rewrite constraints that ask it through the tier chain. The caller has
-// already advanced the verdict store to gen. Sorting the declared set is the
-// only ordering a mutation pays for — it is what Declared lists and what
-// fixes the prover's compile order; the closure is published as the unordered
-// set it is. The shared tier/effort counters ride along so statistics survive
-// the rebuild.
-func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
+// refreshLocked builds and publishes generation gen, at applied seq, from the
+// declared set and its (already maintained) closure: the declared list, the
+// prover and the rewrite constraints that ask it through the tier chain. The
+// caller has already advanced the verdict store to gen. Sorting the declared
+// set is the only ordering a mutation pays for — it is what Declared lists
+// and what fixes the prover's compile order; the closure is published as the
+// unordered set it is. The shared tier/effort counters ride along so
+// statistics survive the rebuild.
+func (c *Catalog) refreshLocked(seq, gen uint64, closure *odSet) {
 	declared := c.declared.slice()
 	g := &generation{
+		seq:      seq,
 		gen:      gen,
 		declared: declared,
 		closure:  closure,
@@ -272,8 +292,8 @@ func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 	c.cur = g
 }
 
-// generation is the catalog's whole read state at one generation number.
-// Nothing in it is modified once refreshLocked has published it — a mutation
+// generation is the catalog's whole read state at one generation number and
+// applied seq. Nothing in it is modified once published — a mutation
 // publishes a fresh value instead — so a reader copies the pointer under a
 // brief shared lock and then proves and rewrites with no lock held. verdicts
 // and tiers are handles on state shared across generations, with their own
@@ -281,11 +301,12 @@ func (c *Catalog) refreshLocked(gen uint64, closure *odSet) {
 // last advanced to, so a generation that has been superseded searches and
 // files nothing.
 type generation struct {
+	seq      uint64 // last applied WAL record; 0 on a catalog no log feeds
 	gen      uint64
 	declared []core.OD // canonical sorted order
 	closure  *odSet    // inflated transitive closure of declared (non-trivial ODs only); listers deflate it
 	prov     *prover.Prover
-	cons     *rewrite.Constraints // over declared; its Oracle is this generation
+	cons     *rewrite.Constraints // over declared; its Oracle is this generation or one with its number
 	verdicts *verdicts
 	tiers    *tierCounters
 	observe  func(tier string, seconds float64)

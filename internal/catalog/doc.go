@@ -30,12 +30,13 @@
 // verdict of its own.
 //
 // All methods are safe for concurrent use. Every mutation — Add, Remove,
-// Apply, and Replay, which recovery runs over a WAL suffix — goes through one
-// apply loop: it holds an exclusive lock, bumps the generation once per batch
-// that changed the declared set, eagerly maintains the closure and publishes
-// one immutable generation value — the declared list in canonical order, the
-// closure as an unordered set, a fresh prover, the rewrite constraints. Only
-// ResetTo, which jumps to a snapshot, sets the number from outside. Reads
+// Apply, and ApplyLogged, which a shard's committer, recovery and follower
+// ingest run over WAL records — goes through one apply loop: it holds an
+// exclusive lock, bumps the generation once per batch that changed the
+// declared set, eagerly maintains the closure and publishes one immutable
+// generation value — the applied seq, the declared list in canonical order,
+// the closure as an unordered set, a fresh prover, the rewrite constraints.
+// Only ResetLogged, which jumps to a snapshot, sets the number from outside. Reads
 // copy that pointer under a brief shared lock and then decide outside any
 // lock, so one expensive prove can never stall mutations — or, through a
 // pending writer, the whole daemon. Canonical order (core.SortODs) is a listing concern: a

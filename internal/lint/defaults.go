@@ -11,11 +11,13 @@ package lint
 // Lower rank is acquired first; a goroutine holding a lock may only take
 // locks of strictly higher rank.
 //
-//	Router.mu → Router.pollMu → Store.compactMu → Shard.applyMu
-//	  → FollowerStore.mu → Store.ioMu → Store.mu
+//	Router.mu → Router.pollMu → Store.compactMu → FollowerStore.mu
+//	  → Store.ioMu → Store.mu
 //
 // The segment log under Store and FollowerStore (store.segLog) has no lock
-// of its own: Store.mu or FollowerStore.mu guards it. The ranks are spaced
+// of its own: Store.mu or FollowerStore.mu guards it, and a router shard
+// has none: the committer applies under the catalog's own lock. The ranks
+// are spaced
 // so a future lock can slot between neighbors without renumbering
 // everything. Every sync.Mutex/RWMutex field of an analyzed package needs a
 // rank, and every key below must name a lock or function that exists: the
@@ -25,23 +27,17 @@ var DefaultLockOrder = LockOrderConfig{
 		"odlib/internal/router.Router.mu":       10,
 		"odlib/internal/router.Router.pollMu":   15,
 		"odlib/internal/store.Store.compactMu":  30,
-		"odlib/internal/router.Shard.applyMu":   40,
 		"odlib/internal/store.FollowerStore.mu": 55,
 		"odlib/internal/store.Store.ioMu":       60,
 		"odlib/internal/store.Store.mu":         70,
 	},
 	// Cross-package call summaries: what the store's entry points may
-	// acquire, as seen from the router. CompactNow lists Shard.applyMu
-	// because its snapshot Source callback runs under the router's apply
-	// lock — calling CompactNow while holding applyMu is the re-entrancy
-	// deadlock the store's "Source must never call back into the store"
-	// contract exists to prevent.
+	// acquire, as seen from the router.
 	Acquires: map[string][]string{
 		"odlib/internal/store.Store.AppendBatch": {"odlib/internal/store.Store.mu"},
 		"odlib/internal/store.Store.Stats":       {"odlib/internal/store.Store.mu"},
 		"odlib/internal/store.Store.CompactNow": {
 			"odlib/internal/store.Store.compactMu",
-			"odlib/internal/router.Shard.applyMu",
 			"odlib/internal/store.Store.ioMu",
 			"odlib/internal/store.Store.mu",
 		},

@@ -23,9 +23,9 @@ type LockOrderConfig struct {
 	// Acquires summarizes functions outside the analyzed package: a call to
 	// the keyed function/method may acquire the listed locks while it runs.
 	// This is how cross-package contracts are encoded — e.g. that
-	// store.CompactNow re-enters the router's apply lock through its
-	// snapshot Source callback. A key that names no function, or a listed
-	// lock with no rank, is reported when the key's package is analyzed.
+	// store.CompactNow takes the store's locks. A key that names no
+	// function, or a listed lock with no rank, is reported when the key's
+	// package is analyzed.
 	Acquires map[string][]string
 	// Packages restricts the analysis to these import paths; empty analyzes
 	// every loaded package.

@@ -354,9 +354,9 @@ func (t *Tailer) fetch(ctx context.Context, name string, index uint64, off int64
 	}
 	n := 0
 	if len(body) > 0 {
-		res, err := t.opt.Router.FollowerIngest(name, index, off, body)
+		applied, err := t.opt.Router.FollowerIngest(name, index, off, body)
 		if err != nil {
-			return res.Applied, fresh, err
+			return applied, fresh, err
 		}
 		n = len(body)
 	}

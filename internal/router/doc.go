@@ -15,18 +15,17 @@
 // stats fan out across shards and merge.
 //
 // Every leader mutation takes one path, ApplyBatch → stage → wait; Declare
-// and Remove are ApplyBatch of one step. Mutations are staged (WAL append)
-// under the store's own lock, which
-// numbers a record and stages its frame together, so WAL order is seq
-// order; but the catalog is only touched after the group commit
-// succeeds: each staged record holds an apply ticket (its WAL sequence
-// number), and durable mutations apply strictly in ticket order, so
-// in-memory apply order equals WAL order — the invariant replay depends on.
-// The durability wait itself happens with no lock held, so concurrent
-// writers on one shard still share fsyncs.
+// and Remove are ApplyBatch of one step. The store numbers a record and
+// stages its frame in one critical section, so WAL order is seq order, and
+// only the store's committer touches the catalog: it applies each committed
+// group in seq order, as one catalog call, before it wakes the group's
+// writers. Apply order equals WAL order by construction — the invariant
+// replay depends on — and writers wait with no lock held, so concurrent
+// writers on one shard share fsyncs and closure refreshes.
 //
 // Visibility contract: a mutation is published to readers only once durable
-// — read committed. A reader can never observe a constraint whose commit
+// — read committed — and before its writer is acknowledged, so a writer
+// reads its own write. A reader can never observe a constraint whose commit
 // later fails; the old read-uncommitted window (apply first, roll back on
 // commit failure) is gone, and with it the rollback machinery. Reads never
 // take shard mutexes at all; they ride the catalog's snapshot path.
@@ -35,9 +34,9 @@
 // instead — with a data dir a durable one, without one a pure cache, the
 // same type either way — and its replication surface (replica.go) is a thin
 // pass-through: bytes go to the shard's FollowerStore, the records it parses
-// apply to the catalog in seq order under the apply lock. The store keeps
-// the fetch cursor, the leader's last-polled position and the counters, so
-// the shard needs no lock of its own for them.
+// apply to the catalog as one group, as the leader's committer applies its
+// own. The store keeps the fetch cursor, the leader's last-polled position
+// and the counters, so the shard needs no lock of its own for them.
 //
 // Prove traffic accepts a context.Context and threads it into the
 // catalog's tier chain, so an HTTP client disconnect or prove deadline

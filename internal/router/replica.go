@@ -10,12 +10,13 @@ import (
 
 // This file is the router's replication surface: the leader side exports
 // segment metadata and bytes for GET /segments, the follower side ingests
-// them record-at-a-time so the catalog generation tracks the leader's
-// exactly (see catalog/replication.go for why record-at-a-time matters).
+// them through the catalog's seq-aware entry point, one generation bump per
+// record, so the catalog generation tracks the leader's exactly (see
+// catalog/replication.go).
 
 // ShardSegments is one shard's shippable state as the leader reports it:
 // the applied watermark and generation, the last durable snapshot cut (each
-// pair read in one critical section, so it pairs), and the live segments.
+// pair read as one value, so it pairs), and the live segments.
 type ShardSegments struct {
 	AppliedSeq  uint64              `json:"appliedSeq"`
 	Generation  uint64              `json:"generation"`
@@ -34,7 +35,7 @@ func (r *Router) SegmentState() map[string]ShardSegments {
 		if sh == nil || sh.st == nil {
 			continue
 		}
-		seq, gen := sh.appliedStateLite()
+		seq, gen, _ := sh.cat.Applied()
 		snapSeq, snapGen := sh.st.SnapshotGen()
 		out[name] = ShardSegments{
 			AppliedSeq:  seq,
@@ -45,14 +46,6 @@ func (r *Router) SegmentState() map[string]ShardSegments {
 		}
 	}
 	return out
-}
-
-// appliedStateLite reads the applied watermark and generation without
-// copying the declared set — the cheap pairing a poll or a lag check needs.
-func (sh *Shard) appliedStateLite() (uint64, uint64) {
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	return sh.nextApply - 1, sh.cat.Generation()
 }
 
 // ReadSegment serves raw bytes of one WAL segment for a follower fetch.
@@ -162,7 +155,7 @@ func (r *Router) NoteLeader(schema string, leaderSeq, leaderGen uint64) error {
 // the follower store, which keeps them the same way with or without a
 // directory.
 func (r *Router) replicaStatus(sh *Shard) ReplicaStatus {
-	applied, gen := sh.appliedStateLite()
+	applied, gen, _ := sh.cat.Applied()
 	fst := sh.fs.Stats()
 	rs := ReplicaStatus{
 		AppliedSeq:       applied,
@@ -237,69 +230,44 @@ func (r *Router) CheckReadLag(schema string, maxLag int) error {
 	return nil
 }
 
-// IngestResult reports one FollowerIngest: how many records newly applied,
-// the follower's applied watermark after them, and the local byte size of
-// the open segment (the offset the next fetch resumes from).
-type IngestResult struct {
-	Applied   int
-	Watermark uint64
-	LocalSize int64
-}
-
 // FollowerIngest feeds fetched segment bytes into a follower shard: take
-// them into the shard's log, parse the frames they complete, and apply
-// each new record to the catalog under the apply lock with the same
-// one-record-one-Apply discipline as the leader's live path. Records at or
-// below the watermark (refetch overlap, or records a bootstrap snapshot
-// already covers) are skipped; a gap above it is a hard error — the tailer
-// must never paper over missing acknowledged history. A store.ErrBadFrame
+// them into the shard's log, parse the frames they complete, and apply the
+// parsed records to the catalog as one group, as the leader's committer
+// applies its own, returning how many newly applied. Records at or below
+// the watermark (refetch overlap, or records a bootstrap snapshot already
+// covers) are skipped; a gap above it is a hard error — the tailer must
+// never paper over missing acknowledged history. A store.ErrBadFrame
 // return means the local tail was truncated back to the last good frame;
 // the good records before it HAVE been applied, and the caller refetches
-// from the returned LocalSize.
-func (r *Router) FollowerIngest(schema string, index uint64, off int64, b []byte) (IngestResult, error) {
+// from the new local size.
+func (r *Router) FollowerIngest(schema string, index uint64, off int64, b []byte) (applied int, err error) {
 	if !r.opt.Follower {
-		return IngestResult{}, fmt.Errorf("router: FollowerIngest on a non-follower router")
+		return 0, fmt.Errorf("router: FollowerIngest on a non-follower router")
 	}
 	sh, err := r.openShard(schema)
 	if err != nil {
-		return IngestResult{}, err
+		return 0, err
 	}
 	recs, ingestErr := sh.fs.Ingest(index, off, b)
 	if ingestErr != nil && len(recs) == 0 && !isBadFrame(ingestErr) {
-		return IngestResult{}, ingestErr
+		return 0, ingestErr
 	}
-
-	res := IngestResult{}
-	sh.applyMu.Lock()
-	for _, rec := range recs {
-		watermark := sh.nextApply - 1
-		if rec.Seq <= watermark {
-			continue
-		}
-		if rec.Seq != watermark+1 {
-			sh.applyMu.Unlock()
-			return res, fmt.Errorf("router: follower shard %q record gap: applied through %d, segment %d carries %d",
-				sh.name, watermark, index, rec.Seq)
-		}
-		sh.cat.Apply(recMutations(rec))
-		sh.nextApply = rec.Seq + 1
-		res.Applied++
+	// The tailer is the shard's only applier, so the watermarks read before
+	// and after the group bracket exactly what it applied.
+	before, _, _ := sh.cat.Applied()
+	_, _, applyErr := applyRecords(sh.cat, recs)
+	after, _, _ := sh.cat.Applied()
+	if applyErr != nil {
+		return int(after - before), fmt.Errorf("router: follower shard %q segment %d: %w", sh.name, index, applyErr)
 	}
-	res.Watermark = sh.nextApply - 1
-	sh.applyCond.Broadcast()
-	sh.applyMu.Unlock()
-
 	if isBadFrame(ingestErr) {
 		// Drop the poisoned tail so the next fetch resumes at a frame
 		// boundary with clean bytes.
 		if terr := sh.fs.TruncateTail(); terr != nil {
-			return res, terr
+			return int(after - before), terr
 		}
 	}
-	if idx, size, open, _ := sh.fs.Next(); open && idx == index {
-		res.LocalSize = size
-	}
-	return res, ingestErr
+	return int(after - before), ingestErr
 }
 
 func isBadFrame(err error) bool {
@@ -313,7 +281,7 @@ func (r *Router) FollowerNext(schema string) (index uint64, size int64, open boo
 	if sh == nil || sh.fs == nil {
 		return 0, 0, false, 0
 	}
-	watermark, _ = sh.appliedStateLite()
+	watermark, _, _ = sh.cat.Applied()
 	index, size, open, _ = sh.fs.Next()
 	return index, size, open, watermark
 }
@@ -355,17 +323,11 @@ func (r *Router) FollowerBootstrap(schema string, snap store.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	if snap.Seq < sh.nextApply-1 {
-		return fmt.Errorf("router: bootstrap snapshot at seq %d is behind shard %q watermark %d",
-			snap.Seq, sh.name, sh.nextApply-1)
-	}
+	// The follower store has parsed every record the catalog applied, so it
+	// refuses a snapshot behind the watermark before it installs anything;
+	// the catalog refuses one again under its own lock.
 	if err := sh.fs.InstallSnapshot(snap); err != nil {
 		return err
 	}
-	sh.cat.ResetTo(snap.Gen, snap.ODs)
-	sh.nextApply = snap.Seq + 1
-	sh.applyCond.Broadcast()
-	return nil
+	return sh.cat.ResetLogged(snap.Seq, snap.Gen, snap.ODs)
 }

@@ -127,7 +127,7 @@ type Options struct {
 // individually; hooks must be cheap and concurrency-safe.
 type Telemetry struct {
 	// MutateSeconds observes one mutation's full latency on a shard: WAL
-	// staging, the group-commit durability wait, and the catalog apply.
+	// staging, the group commit and the committer's catalog apply.
 	MutateSeconds func(shard string, seconds float64)
 	// ProveSeconds observes one prove call's latency against a shard — for
 	// batches, the whole per-shard group (one snapshot, many statements).
@@ -151,14 +151,6 @@ type Shard struct {
 	// the hot mutation path never reaches back through the router.
 	tel          *Telemetry
 	backpressure int
-
-	// applyMu + applyCond order post-commit catalog applies by WAL sequence
-	// number: nextApply is the ticket of the next record allowed to touch
-	// the catalog. Records whose commit failed release their ticket without
-	// applying (skipApply), so a dead WAL cannot wedge the queue.
-	applyMu   sync.Mutex
-	applyCond *sync.Cond
-	nextApply uint64
 }
 
 // Router is the sharded catalog front door.
@@ -263,7 +255,6 @@ func (r *Router) openShard(name string) (*Shard, error) {
 		tel:          r.opt.Telemetry,
 		backpressure: r.opt.BackpressureSegments,
 	}
-	sh.applyCond = sync.NewCond(&sh.applyMu)
 	dir := ""
 	if r.opt.DataDir != "" {
 		dir = filepath.Join(r.opt.DataDir, Alias(name))
@@ -275,7 +266,7 @@ func (r *Router) openShard(name string) (*Shard, error) {
 			return nil, fmt.Errorf("router: opening follower shard %q: %w", name, err)
 		}
 		sh.fs = fs
-		sh.nextApply = recoverCatalog(sh.cat, snap, replay) + 1
+		recoverCatalog(sh.cat, snap, replay)
 	case dir != "":
 		st, snap, replay, err := store.Open(dir, r.opt.Store)
 		if err != nil {
@@ -283,63 +274,61 @@ func (r *Router) openShard(name string) (*Shard, error) {
 		}
 		recoverCatalog(sh.cat, snap, replay)
 		sh.st = st
-		sh.nextApply = st.Seq() + 1
-		// The store compacts in the background from the shard's durably
-		// applied state; the apply path only ever nudges it.
-		st.StartCompactor(sh.appliedState)
+		// The committer applies what it commits; the compactor snapshots the
+		// catalog's applied state, and the write path only ever nudges it.
+		st.OnCommit(sh.publish)
+		st.StartCompactor(sh.cat.Applied)
 	}
 	r.shards[name] = sh
 	return sh, nil
 }
 
 // recMutations converts one WAL record to the catalog mutation batch the
-// live path applied for it — the shared shape between leader recovery,
-// follower recovery and follower live replay.
+// live path applied for it: an OpRemove record withdraws its ODs, any other
+// declares its ODs and then withdraws its Removes.
 func recMutations(rec store.Record) []catalog.Mutation {
-	switch rec.Op {
-	case store.OpRemove:
+	if rec.Op == store.OpRemove {
 		return []catalog.Mutation{{Remove: true, ODs: rec.ODs}}
-	case store.OpBatch:
-		return []catalog.Mutation{
-			{ODs: rec.ODs},
-			{Remove: true, ODs: rec.Removes},
-		}
-	default:
-		return []catalog.Mutation{{ODs: rec.ODs}}
 	}
+	return []catalog.Mutation{{ODs: rec.ODs}, {Remove: true, ODs: rec.Removes}}
 }
 
-// recoverCatalog rebuilds cat from a snapshot plus its replay suffix:
-// ResetTo lands on the snapshot's declared set at its generation, then Replay
-// runs the suffix, one batch per record, through the catalog's own apply loop
-// — one lock, one closure refresh, and one generation bump per record that
-// changed the declared set, where the record-at-a-time live path left it.
-// Generation thereby stays a deterministic function of the applied history
-// across restarts — the invariant replication's "generation lag" contract
-// rests on. Returns the last applied seq.
-func recoverCatalog(cat *catalog.Catalog, snap store.Snapshot, replay []store.Record) uint64 {
-	cat.ResetTo(snap.Gen, snap.ODs)
-	batches := make([][]catalog.Mutation, len(replay))
-	seq := snap.Seq
-	for i, rec := range replay {
-		batches[i] = recMutations(rec)
-		seq = rec.Seq
+// applyRecords applies WAL records to cat as one group through its
+// seq-aware entry point — the shape leader commits, recovery and follower
+// ingest share, so generation stays the same function of the applied
+// history on every process that applies it.
+func applyRecords(cat *catalog.Catalog, recs []store.Record) ([]catalog.Effect, catalog.Stats, error) {
+	logged := make([]catalog.Logged, len(recs))
+	for i, rec := range recs {
+		logged[i] = catalog.Logged{Seq: rec.Seq, Muts: recMutations(rec)}
 	}
-	cat.Replay(batches)
+	return cat.ApplyLogged(logged)
+}
+
+// recoverCatalog rebuilds a fresh cat from a snapshot and its replay suffix
+// and returns the last applied seq. Neither step can refuse: nothing is
+// behind a fresh catalog, and store recovery refused any gap past the
+// snapshot.
+func recoverCatalog(cat *catalog.Catalog, snap store.Snapshot, replay []store.Record) uint64 {
+	_ = cat.ResetLogged(snap.Seq, snap.Gen, snap.ODs)
+	_, _, _ = applyRecords(cat, replay)
+	seq, _, _ := cat.Applied()
 	return seq
 }
 
-// appliedState is the shard's snapshot source: the last applied sequence
-// number, the catalog generation at that point, and the declared set at
-// exactly that point, read atomically under the apply lock. The compactor
-// calls it at the start of every compaction; holding applyMu for the
-// duration of the Declared copy is the only moment compaction and the writer
-// path share a lock — snapshot serialization and file I/O all happen outside
-// it.
-func (sh *Shard) appliedState() (uint64, uint64, []core.OD) {
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	return sh.nextApply - 1, sh.cat.Generation(), sh.cat.Declared()
+// publish is a durable shard's store.Applier. Each record's effect is its
+// MutationResult, with the group's post-apply stats, or the error that kept
+// it from applying.
+func (sh *Shard) publish(recs []store.Record) []any {
+	effects, st, err := applyRecords(sh.cat, recs)
+	out := make([]any, len(recs))
+	for i, rec := range recs {
+		out[i] = err
+		if err == nil {
+			out[i] = MutationResult{Schema: sh.name, Added: effects[i].Added, Removed: effects[i].Removed, Seq: rec.Seq, Stats: st}
+		}
+	}
+	return out
 }
 
 // shard returns an existing shard, or nil.
@@ -418,8 +407,8 @@ func attrPrefix(name string) string {
 	return name[:i]
 }
 
-// MutationResult reports one shard mutation: effective counts and the
-// post-mutation catalog stats, plus the WAL sequence number when durable.
+// MutationResult reports one shard mutation: effective counts, the catalog
+// stats once its group applied, and the WAL sequence number when durable.
 type MutationResult struct {
 	Schema  string
 	Added   int
@@ -429,9 +418,9 @@ type MutationResult struct {
 }
 
 // Declare declares ODs on the schema's shard: ApplyBatch of one step, so
-// it stages, waits for durability and applies in WAL order exactly as a
-// batch does. The mutation is acknowledged and becomes visible to readers
-// together, after the commit.
+// it stages and waits for its group's commit and publish exactly as a
+// batch does. The mutation becomes visible to readers before it is
+// acknowledged, and only once durable.
 func (r *Router) Declare(schema string, ods []core.OD) (MutationResult, error) {
 	return r.applyOne(BatchOp{Schema: schema, ODs: ods})
 }
@@ -452,15 +441,12 @@ func (r *Router) applyOne(op BatchOp) (MutationResult, error) {
 	return MutationResult{}, err
 }
 
-// stagedMutation is one WAL-appended, not-yet-applied mutation batch: the
-// ticket (seq) fixing its apply order plus the durability handle to wait on.
+// stagedMutation is one WAL-appended mutation batch whose group has not
+// necessarily committed yet: the durability handle to wait on.
 type stagedMutation struct {
-	sh    *Shard
-	muts  []catalog.Mutation
-	start time.Time
-
+	sh      *Shard
+	start   time.Time
 	pending *store.Pending
-	seq     uint64
 }
 
 // stage appends the batch to the shard's WAL without touching the catalog,
@@ -483,23 +469,16 @@ func (sh *Shard) stage(declares, removes []core.OD) (*stagedMutation, MutationRe
 				sh.name, errBackpressure, lag, sh.backpressure)
 		}
 	}
-	var muts []catalog.Mutation
-	if len(declares) > 0 {
-		muts = append(muts, catalog.Mutation{ODs: declares})
-	}
-	if len(removes) > 0 {
-		muts = append(muts, catalog.Mutation{Remove: true, ODs: removes})
-	}
 	if sh.st == nil {
-		added, removed, st := sh.cat.Apply(muts)
+		added, removed, st := sh.cat.Apply([]catalog.Mutation{{ODs: declares}, {Remove: true, ODs: removes}})
 		sh.observeMutate(start)
 		return nil, MutationResult{Schema: sh.name, Added: added, Removed: removed, Stats: st}, nil
 	}
-	pending, seq, err := sh.st.AppendBatch(declares, removes)
+	pending, _, err := sh.st.AppendBatch(declares, removes)
 	if err != nil {
 		return nil, MutationResult{}, fmt.Errorf("router: shard %q WAL append: %w", sh.name, err)
 	}
-	return &stagedMutation{sh: sh, muts: muts, start: start, pending: pending, seq: seq}, MutationResult{}, nil
+	return &stagedMutation{sh: sh, start: start, pending: pending}, MutationResult{}, nil
 }
 
 // observeMutate reports one mutation's latency since start to the telemetry
@@ -510,45 +489,21 @@ func (sh *Shard) observeMutate(start time.Time) {
 	}
 }
 
-// wait blocks until the staged batch is durable, then applies it to the
-// catalog in WAL order — claiming its ticket — and publishes the result.
-// When the commit failed the ticket is released unapplied: the catalog
-// never saw the batch, readers never saw the constraints, and the caller
-// gets the durability error. Nothing to roll back.
+// wait blocks until the staged batch's group has committed and the
+// committer has published it, and returns the batch's own effect. When the
+// commit failed nothing was applied: the catalog never saw the batch,
+// readers never saw the constraints, and the caller gets the durability
+// error. Nothing to roll back.
 func (m *stagedMutation) wait() (MutationResult, error) {
-	sh := m.sh
 	if err := m.pending.Wait(); err != nil {
-		sh.skipApply(m.seq)
-		return MutationResult{}, fmt.Errorf("router: shard %q mutation not durable: %w", sh.name, err)
+		return MutationResult{}, fmt.Errorf("router: shard %q mutation not durable: %w", m.sh.name, err)
 	}
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	for sh.nextApply != m.seq {
-		sh.applyCond.Wait()
+	m.sh.observeMutate(m.start)
+	eff := m.pending.Effect()
+	if err, ok := eff.(error); ok {
+		return MutationResult{}, fmt.Errorf("router: shard %q mutation not applied: %w", m.sh.name, err)
 	}
-	added, removed, st := sh.cat.Apply(m.muts)
-	// No snapshot I/O here — ever. The store's background compactor owns
-	// snapshots and is nudged (asynchronously) by the append itself when
-	// the cadence threshold crosses; the apply ticket is released the
-	// moment the catalog publish finishes.
-	sh.nextApply = m.seq + 1
-	sh.applyCond.Broadcast()
-	sh.observeMutate(m.start)
-	return MutationResult{Schema: sh.name, Added: added, Removed: removed, Seq: m.seq, Stats: st}, nil
-}
-
-// skipApply releases the ticket of a record whose commit failed, so later
-// durable records do not wait forever on a batch that will never apply.
-func (sh *Shard) skipApply(seq uint64) {
-	sh.applyMu.Lock()
-	defer sh.applyMu.Unlock()
-	for sh.nextApply < seq {
-		sh.applyCond.Wait()
-	}
-	if sh.nextApply == seq {
-		sh.nextApply = seq + 1
-		sh.applyCond.Broadcast()
-	}
+	return eff.(MutationResult), nil
 }
 
 // BatchOp is one schema-addressed step of a batch mutation.
@@ -559,9 +514,8 @@ type BatchOp struct {
 }
 
 // ApplyBatch groups the steps by resolved shard and applies each shard's
-// steps as ONE WAL record per op kind and one catalog.Apply — a single
-// staging and a single group commit per shard regardless of how many
-// statements the batch carries. All shards stage before any durability wait,
+// steps as ONE WAL record — a single staging and a single group commit per
+// shard regardless of how many statements the batch carries. All shards stage before any durability wait,
 // so cross-shard batches overlap their fsyncs instead of serializing them.
 // A shard whose commit failed never applies; shards that committed publish —
 // cross-shard batches are not atomic, each shard is. Results are per shard,
@@ -616,7 +570,7 @@ func (r *Router) ApplyBatch(ops []BatchOp) (map[string]MutationResult, error) {
 		staged = append(staged, sm)
 	}
 	// Drain every staged shard even when a later one failed mid-loop: each
-	// must either commit and publish, or release its ticket unapplied.
+	// commits and publishes, or fails unapplied, before the call returns.
 	for _, sm := range staged {
 		res, err := sm.wait()
 		if err != nil {
@@ -866,33 +820,13 @@ func (r *Router) snapshotNames(names []string) (map[string]SnapshotResult, error
 		if sh == nil || sh.st == nil {
 			continue
 		}
-		res, err := sh.compactNow()
+		res, err := sh.st.CompactNow()
 		if err != nil {
 			return nil, fmt.Errorf("router: compacting shard %q: %w", name, err)
 		}
-		out[name] = res
+		out[name] = SnapshotResult{Seq: int(res.Seq), Declared: res.Declared, SegmentsRemoved: res.SegmentsRemoved}
 	}
 	return out, nil
-}
-
-// compactNow waits until every record staged so far has applied (or been
-// skipped) — so the admin nudge compacts at least up to the caller's write
-// horizon — then runs one synchronous compaction. Concurrent writers keep
-// writing throughout; records landing after the watermark read simply stay
-// in the log for the next pass.
-func (sh *Shard) compactNow() (SnapshotResult, error) {
-	staged := sh.st.Seq()
-	sh.applyMu.Lock()
-	for sh.nextApply <= staged {
-		sh.applyCond.Wait()
-	}
-	sh.applyMu.Unlock()
-	res, err := sh.st.CompactNow()
-	return SnapshotResult{
-		Seq:             int(res.Seq),
-		Declared:        res.Declared,
-		SegmentsRemoved: res.SegmentsRemoved,
-	}, err
 }
 
 // Close closes every shard's store.

@@ -138,11 +138,12 @@ func perCall(runs uint64, f func()) (allocs, size uint64) {
 // request first warms the pools — body buffer, integer cells, rank views,
 // partition arrays — as a running daemon's are.
 //
-// Measured on the change that shared the discovery lattice and pooled each
-// run's pruning state, with the counts before it in parentheses: date
-// 1826 x 7 288 allocations and 26 KB (2,740 and 175 KB; 3,341 and 475 KB
-// before the body, cells and rank views were pooled), random 4000 x 6 139
-// and 12 KB (1,040 and 49 KB; 1,394 and 443 KB). The budgets allow 60
+// Measured once the OD lines were encoded from a one-field struct instead
+// of a map per line: date 1826 x 7 240 allocations and 21 to 25 KB (288 and
+// 26 KB before; 2,740 and 175 KB before the discovery lattice was shared and
+// each run's pruning state pooled; 3,341 and 475 KB before the body, cells
+// and rank views were pooled), random 4000 x 6, which streams no OD line,
+// 139 and 12 KB (1,040 and 49 KB; 1,394 and 443 KB). The budgets allow 60
 // allocations and 25 KB more. Under the race detector sync.Pool drops a
 // quarter of its puts and instrumented code allocates more: the counts read
 // 420 to 465 and 260 to 290 allocations there, 530 to 1,200 KB, and the
@@ -158,7 +159,7 @@ func TestDiscoverAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb uint64
 	}{
-		{"date1826x7", 288, 26},
+		{"date1826x7", 240, 25},
 		{"random4000x6", 139, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -38,6 +38,17 @@ type discoverSummary struct {
 	Declared  *mutationJSON          `json:"declared,omitempty"`
 }
 
+// discoverOD and discoverError are a discovery stream's other lines, one
+// field each, encoded as the one-key objects they are without building a
+// map per line.
+type discoverOD struct {
+	OD string `json:"od"`
+}
+
+type discoverError struct {
+	Error string `json:"error"`
+}
+
 // maxPooledBytes is the largest buffer a discovery request gives back to its
 // pools, 1 MiB: a body or a block of integer cells past it, which only a
 // relation of over 100,000 cells needs, is left to the collector rather than
@@ -153,11 +164,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		Workers: workers,
 		Pool:    s.discoverPool,
 		OnFound: func(od core.OD) {
-			emit(map[string]string{"od": od.String()})
+			emit(discoverOD{od.String()})
 		},
 	})
 	if err != nil {
-		emit(map[string]string{"error": err.Error()})
+		emit(discoverError{err.Error()})
 		return
 	}
 	if s.tel != nil {
@@ -175,7 +186,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if req.Declare && len(res.ODs) > 0 {
 		m, err := s.rt.Declare(req.Schema, res.ODs)
 		if err != nil {
-			emit(map[string]string{"error": fmt.Sprintf("declaring discovered ODs: %s", err)})
+			emit(discoverError{fmt.Sprintf("declaring discovered ODs: %s", err)})
 			return
 		}
 		noteShard(w, m.Schema)

@@ -52,10 +52,11 @@
 //
 // Appends are acknowledged through a group-commit goroutine: writers stage
 // frames into the current batch and wait; the committer writes the whole
-// batch with one write syscall and (when enabled) one fsync, then releases
-// every waiter. Under concurrent load the fsync cost amortizes across all
-// writers of a batch. A mutation is acknowledged to clients only after its
-// batch is durable.
+// batch with one write syscall and (when enabled) one fsync, hands its
+// records in seq order to the Applier the owner registered (OnCommit), then
+// releases every waiter. Under concurrent load the fsync and the apply
+// amortize across all writers of a batch. A mutation is acknowledged to
+// clients only after its batch is durable and published.
 //
 // Compaction runs on a dedicated goroutine per store, nudged every
 // SnapshotEvery records or synchronously via CompactNow: it reads the
@@ -64,5 +65,6 @@
 // deletes the sealed segments the snapshot fully covers (rotating the
 // active segment first when it, too, is covered). Writers never wait on any
 // of it — the old design serialized a full snapshot write inside the apply
-// path, stalling every later writer on the shard.
+// path, stalling every later writer on the shard. CompactNow first waits for
+// every record staged before it to commit and publish.
 package store

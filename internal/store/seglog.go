@@ -258,27 +258,23 @@ func (l *segLog) feed(b []byte) ([]Record, error) {
 	}
 	recs, consumed, err := DecodeFrames(buf)
 	l.tail = append(l.tail[:0], buf[consumed:]...)
-	var first, last uint64
-	if n := len(recs); n > 0 {
-		first, last = recs[0].Seq, recs[n-1].Seq
-	}
-	l.grew(int64(len(b)), uint64(len(recs)), first, last)
+	l.grew(int64(len(b)), recs)
 	return recs, err
 }
 
-// grew advances the open segment's metadata by n bytes holding records
-// records with seqs first..last. Metadata describes what a recovery scan of
-// the segment will find, so the leader calls it only once a write succeeded.
-func (l *segLog) grew(n int64, records, first, last uint64) {
+// grew advances the open segment's metadata by n bytes holding recs, in seq
+// order. Metadata describes what a recovery scan of the segment will find,
+// so the leader calls it only once a write succeeded.
+func (l *segLog) grew(n int64, recs []Record) {
 	l.cur.size += n
-	if records == 0 {
+	if len(recs) == 0 {
 		return
 	}
 	if l.cur.records == 0 {
-		l.cur.firstSeq = first
+		l.cur.firstSeq = recs[0].Seq
 	}
-	l.cur.records += records
-	l.cur.lastSeq = last
+	l.cur.records += uint64(len(recs))
+	l.cur.lastSeq = recs[len(recs)-1].Seq
 }
 
 // write puts b at the end of the open segment's file without moving any

@@ -104,9 +104,9 @@ type Stats struct {
 // Source reports the durably-applied state a snapshot captures: the last
 // applied sequence number, the catalog generation at exactly that seq, and
 // the declared OD set at exactly that seq. The router supplies one per
-// shard; the compactor calls it at the start of every compaction. It must be
-// cheap — it runs under the shard's apply lock on the router side — and must
-// never call back into the store.
+// shard — its catalog publishes the three in one immutable value — and the
+// compactor calls it at the start of every compaction. It must be cheap and
+// must never call back into the store.
 //
 // The generation rides into the snapshot so that recovery (and replica
 // bootstrap) can reconstruct the exact generation trajectory: generation is
@@ -127,9 +127,11 @@ type CompactionResult struct {
 // the goroutine in wal.go) plus a background-compacted snapshot. It hands
 // recovered state back to the caller at Open and afterwards only appends;
 // the caller (internal/router) owns the catalog the records apply to and
-// applies them in seq order, so WAL order equals apply order. Snapshots are
-// written solely by the compactor — the append/apply path never performs
-// snapshot I/O, so a snapshot in progress stalls no writer.
+// registers an Applier (OnCommit), which the committer calls with each
+// committed group in seq order — so WAL order equals apply order by
+// construction. Snapshots are written solely by the compactor — the
+// append/apply path never performs snapshot I/O, so a snapshot in progress
+// stalls no writer.
 type Store struct {
 	dir string
 	opt Options
@@ -149,6 +151,8 @@ type Store struct {
 	mu            sync.Mutex
 	log           *segLog   // its open segment changes only with ioMu held as well
 	cur           *walBatch // accumulating group commit, not yet picked up
+	tail          *walBatch // the group the last staged record joined
+	apply         Applier   // publishes each committed group; nil publishes nothing
 	walErr        error     // sticky write/sync/rotate failure
 	closed        bool
 	seq           uint64 // last assigned sequence number
@@ -319,17 +323,18 @@ func (s *Store) appendRecord(rec Record) (p *Pending, seq uint64, err error) {
 	return p, rec.Seq, nil
 }
 
-// Seq returns the last assigned sequence number.
-func (s *Store) Seq() uint64 {
+// OnCommit registers the committer's Applier: once, after Open's recovery
+// is applied, before traffic. Without one the store only logs.
+func (s *Store) OnCommit(apply Applier) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	s.apply = apply
 }
 
 // StartCompactor wires the store's snapshot source and starts the background
 // compaction goroutine. Call once, after Open, before traffic; the source is
-// typically a closure over the owning shard's applied watermark and catalog.
-// Without a running compactor, appends never nudge and CompactNow errors.
+// typically the owning shard's catalog's applied state. Without a running
+// compactor, appends never nudge and CompactNow errors.
 func (s *Store) StartCompactor(src Source) {
 	s.mu.Lock()
 	if s.started {
@@ -370,9 +375,17 @@ func (s *Store) compactLoop() {
 
 // CompactNow runs one full compaction synchronously — snapshot at the
 // source's applied watermark, rotate the active segment if the snapshot
-// fully covers it, delete covered segments — waiting for any in-flight
-// background pass first. This is the POST /snapshot admin nudge.
+// fully covers it, delete covered segments — waiting first for every record
+// staged before the call to commit and publish (or fail), so the cut reaches
+// the caller's write horizon, then for any in-flight background pass. This
+// is the POST /snapshot admin nudge.
 func (s *Store) CompactNow() (CompactionResult, error) {
+	s.mu.Lock()
+	tail := s.tail
+	s.mu.Unlock()
+	if tail != nil {
+		<-tail.done
+	}
 	return s.compactOnce()
 }
 

@@ -43,18 +43,28 @@ type Record struct {
 // walBatch is one group commit: the concatenated frames of every writer that
 // staged while the committer was busy, released together.
 type walBatch struct {
-	buf      []byte
-	n        uint64 // records staged in buf
-	firstSeq uint64
-	lastSeq  uint64
-	done     chan struct{}
-	err      error
+	buf     []byte
+	recs    []Record // the records framed in buf, in seq order
+	effects []any    // the apply hook's answer, one per record
+	done    chan struct{}
+	err     error
 }
 
+// Applier publishes what commits. The committer calls it with each group's
+// records in seq order once their write and fsync succeed, and wakes the
+// group's writers only after it returns: apply order is WAL order by
+// construction, and a writer whose Wait returns nil reads its own write. A
+// failed group calls nothing. It returns one effect per record, handed back
+// by that record's Pending.Effect, and must never call back into the store.
+type Applier func(recs []Record) []any
+
 // Pending is a staged append; Wait blocks until the containing group commit
-// is durable and returns its outcome. Acknowledge mutations to clients only
-// after Wait returns nil.
-type Pending struct{ b *walBatch }
+// is durable (and published, with an Applier registered) and returns its
+// outcome. Acknowledge mutations to clients only after Wait returns nil.
+type Pending struct {
+	b *walBatch
+	i int // the record's place in its group
+}
 
 // Wait blocks until the record's batch has been written (and fsynced when
 // enabled), returning the batch's write error if any.
@@ -64,6 +74,15 @@ func (p *Pending) Wait() error {
 	}
 	<-p.b.done
 	return p.b.err
+}
+
+// Effect returns what the Applier returned for this record; nil with no
+// Applier registered. Call it only after Wait has returned nil.
+func (p *Pending) Effect() any {
+	if p == nil || p.b == nil || p.b.effects == nil {
+		return nil
+	}
+	return p.b.effects[p.i]
 }
 
 // stageLocked encodes rec, whose seq the caller has just assigned, and
@@ -85,20 +104,21 @@ func (s *Store) stageLocked(rec Record) (*Pending, error) {
 		return nil, fmt.Errorf("store: WAL %s failed earlier: %w", s.dir, s.walErr)
 	}
 	if s.cur == nil {
-		s.cur = &walBatch{done: make(chan struct{}), firstSeq: rec.Seq}
+		s.cur = &walBatch{done: make(chan struct{})}
 	}
 	s.cur.buf = append(s.cur.buf, frame...)
-	s.cur.n++
-	s.cur.lastSeq = rec.Seq
+	s.cur.recs = append(s.cur.recs, rec)
+	s.tail = s.cur
 	select {
 	case s.commitKick <- struct{}{}:
 	default:
 	}
-	return &Pending{b: s.cur}, nil
+	return &Pending{b: s.cur, i: len(s.cur.recs) - 1}, nil
 }
 
 // commit is the group-commit goroutine: it drains staged batches, writing
-// each with one write call and at most one fsync, then releases the batch's
+// each with one write call and at most one fsync, then hands the batch's
+// records to the Applier, if one is registered, and releases the batch's
 // waiters. One slow fsync therefore covers every writer that staged while it
 // was pending — the latency of an append under load is one batch, not one
 // fsync per record. Size/record-threshold rotation runs here too, between
@@ -119,13 +139,14 @@ func (s *Store) commit() {
 
 func (s *Store) commitOne() {
 	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
 	s.mu.Lock()
 	b := s.cur
 	s.cur = nil
 	err := s.walErr
+	apply := s.apply
 	s.mu.Unlock()
 	if b == nil {
+		s.ioMu.Unlock()
 		return
 	}
 	tel := s.opt.Telemetry
@@ -154,7 +175,7 @@ func (s *Store) commitOne() {
 				tel.CommitSeconds(time.Since(start).Seconds())
 			}
 			if tel.BatchRecords != nil {
-				tel.BatchRecords(float64(b.n))
+				tel.BatchRecords(float64(len(b.recs)))
 			}
 		}
 	}
@@ -165,17 +186,27 @@ func (s *Store) commitOne() {
 			s.walErr = err
 		}
 	} else {
-		s.log.grew(int64(len(b.buf)), b.n, b.firstSeq, b.lastSeq)
+		s.log.grew(int64(len(b.buf)), b.recs)
 		s.batches++
 		rotate = s.rotationDueLocked()
 	}
 	s.mu.Unlock()
+	s.ioMu.Unlock()
+	// The Applier runs with no store lock held: it is the owner's code.
+	if err == nil && apply != nil {
+		b.effects = apply(b.recs)
+	}
 	b.err = err
 	close(b.done)
 	if rotate {
+		s.ioMu.Lock()
 		s.mu.Lock()
-		s.rotateLocked()
+		// A compaction may have sealed the segment since.
+		if s.rotationDueLocked() {
+			s.rotateLocked()
+		}
 		s.mu.Unlock()
+		s.ioMu.Unlock()
 	}
 }
 
