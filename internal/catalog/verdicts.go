@@ -44,8 +44,11 @@ type verdicts struct {
 // question it is filed under. Nothing reads od, which the negative closure
 // kept too: the ≈ 0.5 KB it pins per entry is a quarter of prove-search's
 // heap, and without it the collector runs 44 % more often there, which the
-// benchmark's p99 reads as +26 % (CHANGES.md, PR 28). It goes when ROADMAP
-// item 1 lands.
+// benchmark's p99 reads as +26 % (CHANGES.md, where the verdict store
+// was made one type). It goes when the benchmark stops coupling its tail to
+// the collector — a fixed heap for the timed phase (ROADMAP item 2(f)) —
+// and not before: the in-process ledger (item 1) records numbers, it does
+// not change what the collector does.
 type refutation struct {
 	od      core.OD
 	witness *core.Pattern

@@ -76,7 +76,10 @@
 // returned when it loses — so successive discovery runs reuse their arrays.
 // SatisfiesWith holds the right-hand side's rank views in an array on the
 // stack and returns a refutation's witness by value, so a data check
-// allocates nothing whether the OD holds or not. A SortCache keys a context
+// allocates nothing whether the OD holds or not; its scan holds the rank
+// slices of a one-, two- or three-attribute right-hand side in registers and
+// carries the previous row's ranks, and compares longer sides column by
+// column. A SortCache keys a context
 // by its columns' schema positions, not by a rendering of its names, and a
 // caller that numbers its lists asks by position: GetCols returns the
 // cache's own partition, with no Context and no allocation once cached, and

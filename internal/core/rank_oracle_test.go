@@ -547,7 +547,8 @@ func TestRelationRelease(t *testing.T) {
 
 // fuzzTable decodes bytes into a relation of at most 8 rows over at most 4
 // columns and one OD over its attributes. Byte 0 is the row count, byte 1
-// the column count, bytes 2 and 3 the side lengths (0 to 3), then one byte
+// the column count, bytes 2 and 3 the side lengths (0 to 3 on the left, 0
+// to 4 on the right, past the check scan's last specialisation), then one byte
 // per side attribute, then one byte per cell, row-major: the low two bits
 // pick the kind, the next three the value. Missing bytes read as zero.
 func fuzzTable(data []byte) (*Relation, OD) {
@@ -568,7 +569,7 @@ func fuzzTable(data []byte) (*Relation, OD) {
 		}
 		return x
 	}
-	nx, ny := next()%4, next()%4
+	nx, ny := next()%4, next()%5
 	od := NewOD(side(nx), side(ny))
 	r, err := NewRelationRows(attrs, rows, func(_ int, row []Value) error {
 		for c := range row {
@@ -614,6 +615,25 @@ func FuzzSatisfiesAgainstNaive(f *testing.F) {
 	// attribute B is constant, then the prefix A is a key.
 	f.Add(fuzzSeed(3, []byte{0, 1}, []byte{2}, []byte{2, 5, 1}, []byte{1, 5, 0}, []byte{2, 5, 3}, []byte{0, 5, 2}))
 	f.Add(fuzzSeed(3, []byte{0, 1}, []byte{2}, []byte{3, 1, 0}, []byte{1, 1, 2}, []byte{2, 0, 1}, []byte{0, 1, 3}))
+	// The check scan holds one, two or three right-hand columns outside its
+	// loop and compares longer sides column by column: A ↦ BC with a swap
+	// only C decides, then holding; A ↦ BCD with a split only D decides, a
+	// swap only D decides, a swap only C decides, then holding; [] ↦ ABCD
+	// with a split only the fourth column decides.
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2},
+		[]byte{0, 1, 1, 0}, []byte{1, 1, 2, 0}, []byte{1, 1, 2, 1}, []byte{2, 1, 0, 0}))
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2},
+		[]byte{0, 0, 5, 0}, []byte{1, 1, 0, 0}, []byte{1, 1, 0, 3}, []byte{2, 2, 3, 0}))
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2, 3},
+		[]byte{0, 1, 1, 0}, []byte{1, 2, 2, 0}, []byte{1, 2, 2, 3}, []byte{2, 3, 0, 0}))
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2, 3},
+		[]byte{0, 1, 1, 5}, []byte{0, 1, 1, 5}, []byte{1, 1, 1, 2}, []byte{2, 1, 2, 0}))
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2, 3},
+		[]byte{0, 1, 3, 0}, []byte{1, 1, 2, 7}, []byte{2, 2, 0, 0}))
+	f.Add(fuzzSeed(4, []byte{0}, []byte{1, 2, 3},
+		[]byte{2, 3, 0, 0}, []byte{0, 1, 1, 7}, []byte{1, 2, 2, 0}, []byte{1, 2, 2, 0}, []byte{0, 1, 1, 7}))
+	f.Add(fuzzSeed(4, nil, []byte{0, 1, 2, 3},
+		[]byte{1, 1, 1, 1}, []byte{1, 1, 1, 1}, []byte{1, 1, 1, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, od := fuzzTable(data)
 		checkAgainstNaive(t, r, od)

@@ -2,6 +2,7 @@ package discover
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -316,6 +317,48 @@ func TestPipelineCancellation(t *testing.T) {
 	if _, err := Pipeline(ctx, r, PipelineOptions{Options: Options{MaxLHS: 2, MaxRHS: 2}}); err == nil {
 		t.Fatal("expected a context error from a cancelled pipeline")
 	}
+
+	// Cancelled partway through a level, with two workers: the group that
+	// sees it stops, the level's commit reports it, and nothing is returned.
+	// A run asks for the context's error before each level and before each
+	// candidate, so all but a few of the k-th asks fall while a level's
+	// groups are being validated.
+	opts := PipelineOptions{Options: Options{MaxLHS: 2, MaxRHS: 2}, Workers: 2}
+	counted := &cancelAt{k: -1}
+	counted.Context, counted.cancel = context.WithCancel(context.Background())
+	defer counted.cancel()
+	if _, err := Pipeline(counted, r, opts); err != nil {
+		t.Fatal(err)
+	}
+	asks := counted.asks.Load()
+	if asks < 10 {
+		t.Fatalf("an uncancelled run asked for its context's error %d times, want one per candidate", asks)
+	}
+	for _, k := range []int64{2, 3, asks / 2, asks - 1, asks} {
+		ctx := &cancelAt{k: k}
+		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+		res, err := Pipeline(ctx, r, opts)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("cancelled at ask %d of %d: result %v, error %v; want no result and context.Canceled", k, asks, res, err)
+		}
+		ctx.cancel()
+	}
+}
+
+// cancelAt is a context that cancels itself the k-th time it is asked for
+// its error.
+type cancelAt struct {
+	context.Context
+	cancel context.CancelFunc
+	k      int64
+	asks   atomic.Int64
+}
+
+func (c *cancelAt) Err() error {
+	if c.asks.Add(1) == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestPipelineGuard: the attribute guard applies to the pipeline too.

@@ -139,6 +139,26 @@ var rowsCorpus = []string{
 	`[[1,"x"],["y",2]]`, `[["x",1],[2,3]]`, `[[1,2],["x",3]]`,
 	`[[true,1]]`, `[[null,1]]`, `[[{},1]]`, `[[[1],1]]`, `[[{"a":[1,"]"]},1]]`,
 	`5`, `"rows"`, `{}`, `[5]`, `[null]`, `["x"]`, `[{}]`, `[[1,2],null]`, `true`,
+	// Integer columns over several rows: cells of 1, 7, 8, 9 and 15 digits,
+	// then 16, which is not exact.
+	`[[1,1],[2,1234567],[12345678,123456789],[999999999999999,-999999999999999],[-12345678,-1]]`,
+	`[[1,2],[1234567890123456,3],[5,6]]`,
+	`[[1,2],[3,4],[5,-1234567890123456]]`,
+	// -0, a leading zero and a bare minus past row 0.
+	`[[1,2],[-0,3],[4,5]]`, `[[1,2],[-0,3],[1.5,4]]`, `[[1,2],[01,3]]`, `[[1,2],[3,-01]]`, `[[1,2],[-,3]]`, `[[1,2],[3,-]]`,
+	// A fraction or an exponent right after eight digits.
+	`[[1,2],[12345678.5,3],[4,5]]`, `[[1,2],[12345678e2,3],[4,5]]`, `[[1,2],[3,87654321E+1]]`,
+	`[[1,2],[123456789012345.5,3]]`, `[[1,2],[12345678.,3]]`,
+	// White space inside a row.
+	"[[1,2],[ 12345678 , 9 ],[\t-7\n,\r8 ],[123456789012345 ,1]]",
+	// Cells 11, 10, 8 and 7 bytes from the end of the text.
+	`[[1,2],[3,12345678]]`, `[[1,2],[3,1234567]]`, `[[1,2],[3,12345]]`, `[[1,2],[3,1234]]`,
+	`[[1,2],[3,-1234]]`, `[[1,2],[3,9]]`,
+	// Integer columns that turn float partway through the body, and back.
+	`[[1,2],[3,4],[5.5,6],[7,8]]`, `[[1,2],[3,4],[5,6e-1],[7,12345678]]`,
+	`[[1,2],[3,4],[-0,6],[12345678,8]]`, `[[1,2],[3,4],[1e2,6],[7,8]]`,
+	// A string where an integer column reads on.
+	`[[1,2],[3,"4"]]`, `[[1,2],["12345678",4]]`,
 }
 
 // TestRowsDecodeMatchesAnyDecode: the typed decoder accepts exactly the
@@ -227,6 +247,15 @@ var bodyCorpus = []string{
 	`{"attrs":["a","b"],"rows":[[1,2]],"":0}`,
 	`{}`, `{ }`, `null`, `[]`, `5`, `"x"`, ``, ` `, `{`, `}`, `{"rows"`, `{"rows":`, `{"rows":[`,
 	"\xef\xbb\xbf{\"attrs\":[\"a\",\"b\"],\"rows\":[[1,2]]}",
+	// Integer cells at the end of the body and just short of it.
+	`{"attrs":["a","b"],"rows":[[1,2],[3,12345678]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,123456789012345]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,1234]]}`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,12345678]]`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,12345678`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,123`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,-`,
+	`{"attrs":["a","b"],"rows":[[1,2],[3,4]],"maxLHS":12345678}`,
 }
 
 // FuzzDiscoverBody lets the fuzzer write the whole body, not only the rows
