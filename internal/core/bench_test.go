@@ -73,7 +73,7 @@ func BenchmarkSatisfiesAllTwoRows(b *testing.B) {
 // BenchmarkSortCacheRefine is a discovery run's refinement traffic on the
 // same relation: each iteration refines all 30 two-attribute contexts from a
 // SortCache that already holds the six one-attribute ones, giving each
-// refinement's arrays back to the pool as a released run would. One context
+// refinement's arrays back to the scratch as a released run would. One context
 // over and over would let the branch predictor learn its ties.
 func BenchmarkSortCacheRefine(b *testing.B) {
 	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
@@ -98,7 +98,7 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 				b.Fatal(err)
 			}
 			if e.arr != nil {
-				arraysPool.Put(e.arr)
+				give(c.sc, &c.sc.arrays, e.arr)
 				e.arr = nil
 			}
 		}

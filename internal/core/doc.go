@@ -45,19 +45,10 @@
 //   - Dropped by AddRow. Bulk loads use NewRelationColumns or
 //     NewRelationRows, which build the relation in one step and never
 //     invalidate.
-//   - Cut from pooled blocks, one per view, and given back by Release once
-//     the ordered work on the relation is done — the server releases each
-//     discovery request's relation after its pipeline — so that a service
-//     building a relation per request ranks without allocating. From then
-//     on every ordered operation of the relation fails with an error, its
-//     cells stay readable, and a second Release does nothing; no partition
-//     of it may be used after. A view a racing first use built and lost is
-//     left to the collector, never pooled. A block comes back holding
-//     another relation's ranks: a builder writes every rank and clears
-//     only the bucket offsets it counts into.
+//   - Cut from blocks of a Scratch (below).
 //
 // SortedIndexOn is a stable least-significant-digit counting sort over the
-// views, O(|X|·(n + cardinality)) with pooled scratch, and SortPartitionOn,
+// views, O(|X|·(n + cardinality)) on reused buffers, and SortPartitionOn,
 // Satisfies and SatisfiesWith compare int32 ranks where they used to compare
 // Values; a SortedPartition's row index is []int32. A SortCache sorts only
 // the empty and the one-attribute contexts: the partition of X·A is refined
@@ -70,10 +61,10 @@
 // counts the classes as rows minus ties. The cache's hits and misses count
 // the contexts callers asked for; a prefix retained on the way is neither.
 // A cache fills its partitions' Index and Tie arrays, through the one sort
-// routine SortPartitionOn fills fresh ones with, from a pool every cache
-// shares, and Release returns each array to it once — a partition sharing
-// its prefix's arrays owns none, and a concurrent miss's losing copy is
-// returned when it loses — so successive discovery runs reuse their arrays.
+// routine SortPartitionOn fills fresh ones with, from its Scratch, and
+// Release gives each array back once — a partition sharing its prefix's
+// arrays owns none, and a concurrent miss's losing copy gives its own back
+// when it loses — so successive discovery runs reuse their arrays.
 // SatisfiesWith holds the right-hand side's rank views in an array on the
 // stack and returns a refutation's witness by value, so a data check
 // allocates nothing whether the OD holds or not; its scan holds the rank
@@ -87,6 +78,28 @@
 // no name up — discovery's data checks, where Get and SatisfiesWith resolve
 // names for every other caller, their contracts unchanged. An OD's String,
 // and so its Key, is built in one allocation.
+//
+// # Scratch
+//
+// Every buffer the ordered work on a relation reuses is a Scratch's: the
+// rank views' blocks, the partitions' arrays, one sort scratch per
+// concurrent sorter, a SortCache's table, entries and keys, and for the
+// server and discover the request body, the integer cells and the run
+// block. A server takes one per request from the free list (TakeScratch, a
+// mutex-guarded stack of at most GOMAXPROCS, no sync.Pool, so allocation
+// counts read the same under the race detector), builds the relation on it
+// and releases it once, which ends the relation's ordered work. Any other
+// relation's ordered operations, and each SortCache over it, borrow a
+// scratch from the free list and give it back when done: repeated runs over
+// it reuse one scratch, and a relation kept idle holds only its rank views,
+// whose blocks its Release hands on. After Release ordered operations fail,
+// cells stay readable, and a second Release does nothing. A released scratch
+// is kept, in place of the longest kept when the list is full, unless it
+// holds more than maxRetained. A block comes back holding another relation's data: builders
+// overwrite what they read, and clear the bucket offsets they count into. In
+// the scratchcheck build what is given back is poisoned and a scratch handed
+// out twice panics.
+//
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined
 // partitions, row-built and columnar relations — to them and to the

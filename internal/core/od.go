@@ -197,9 +197,9 @@ func (r *Relation) Satisfies(od OD) (bool, *Violation, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	sc := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(sc)
-	order := sc.order(r.n, rx)
+	sc, o := r.sorter()
+	defer r.doneSorting(sc, o)
+	order := o.order(r.n, rx)
 	for k := 0; k+1 < len(order); k++ {
 		s, t := order[k], order[k+1]
 		tie := cmpRanks(rx, s, t) == 0

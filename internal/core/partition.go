@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -37,15 +36,16 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 		return nil, err
 	}
 	p := &SortedPartition{Context: x.Clone()}
-	r.sortInto(p, cols, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))})
+	sc, s := r.sorter()
+	defer r.doneSorting(sc, s)
+	r.sortInto(p, cols, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))}, s)
 	return p, nil
 }
 
 // sortInto sorts the relation by the rank columns into p, on the given arrays
-// sized for the relation — fresh ones, or a SortCache's pooled ones.
-func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, arr *partitionArrays) {
-	s := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(s)
+// sized for the relation — fresh ones, or a SortCache's from its scratch —
+// and the sort scratch s.
+func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, arr *partitionArrays, s *sortScratch) {
 	p.Index = arr.index
 	copy(p.Index, s.order(r.n, cols))
 	if r.n == 0 {
@@ -211,31 +211,35 @@ func scanN(idx []int32, tie []bool, ry []*colRanks) int {
 // A context is keyed by its column positions, never by a rendering of its
 // names: Get resolves a list's names once, and GetCols takes the positions a
 // caller already holds, so a discovery run that numbers its lists asks with
-// no name looked up and no string built but each new context's key.
+// no name looked up and no string built.
 //
 // Hits and misses count the contexts callers asked Get for — a context's
 // first request is a miss, every later one a hit — whatever that took: a
 // prefix retained on the way to a longer context is neither, and when it is
 // asked for itself its first request is still a miss.
 //
-// The cache owns the Index and Tie arrays of the partitions it builds, drawn
-// from a pool shared by every cache; Release returns them to it.
+// The cache's table, its entries and the Index and Tie arrays of the
+// partitions it builds are a Scratch's — the one the relation was built on,
+// or one the cache takes from the free list — and Release gives them back. It
+// must come before the relation's own Release.
 type SortCache struct {
-	r *Relation
+	r  *Relation
+	sc *Scratch
 
 	mu sync.Mutex
-	m  map[string]*cachedPartition // by colsKey
+	t  *cacheTable
 
 	hits, misses uint64
 }
 
 // cachedPartition is a retained partition, whether a caller has asked for
-// its context yet, and the pooled arrays it owns — nil when it shares a
-// prefix's.
+// its context yet, and the arrays it owns — nil when it shares a prefix's.
 type cachedPartition struct {
 	p     SortedPartition
 	asked bool
 	arr   *partitionArrays
+	key   []int            // the context, as column positions
+	next  *cachedPartition // the next context of the same colsHash
 }
 
 // partitionArrays are the Index and Tie arrays of one partition.
@@ -244,23 +248,38 @@ type partitionArrays struct {
 	tie   []bool
 }
 
-// arraysPool holds the arrays of released caches, whatever their relation's
-// size: takeArrays resizes what it is given, so a pool fed by runs over
-// relations of several sizes converges on arrays fit for the largest.
-var arraysPool = sync.Pool{New: func() any { return new(partitionArrays) }}
-
-// takeArrays returns pooled arrays sized for an n-row relation, contents
-// unspecified.
-func takeArrays(n int) *partitionArrays {
-	arr := arraysPool.Get().(*partitionArrays)
+// takeArrays returns the scratch's arrays sized for an n-row relation,
+// contents unspecified. A scratch with none free cuts eight partitions'
+// arrays from one block of each kind.
+func (s *Scratch) takeArrays(n int) *partitionArrays {
+	s.mu.Lock()
+	if len(s.arrays) == 0 {
+		batch, index, tie := make([]partitionArrays, 8), make([]int32, 8*n), make([]bool, 8*n)
+		for i := range batch {
+			batch[i] = partitionArrays{index[i*n : (i+1)*n : (i+1)*n], tie[i*n : (i+1)*n : (i+1)*n]}
+			s.arrays = append(s.arrays, &batch[i])
+		}
+	}
+	arr := s.arrays[len(s.arrays)-1]
+	s.arrays = s.arrays[:len(s.arrays)-1]
+	s.mu.Unlock()
 	arr.index, arr.tie = sized(arr.index, n), sized(arr.tie, max(n-1, 0))
 	return arr
 }
 
 // NewSortCache builds a cache over r.
 func NewSortCache(r *Relation) *SortCache {
-	return &SortCache{r: r, m: make(map[string]*cachedPartition)}
+	sc := r.sc
+	if sc == nil || r.views.Load() == &released {
+		sc = TakeScratch()
+	}
+	return &SortCache{r: r, sc: sc, t: sc.takeTable()}
 }
+
+// Scratch returns the scratch the cache's partitions are cut from, for a
+// caller that keeps state of its own with it for as long as the cache lives
+// (discover's run block).
+func (c *SortCache) Scratch() *Scratch { return c.sc }
 
 // Get returns the sorted partition for context x, building and caching it on
 // the first request. The partition returned carries x as its Context.
@@ -295,23 +314,13 @@ func (c *SortCache) GetCols(x []int) (*SortedPartition, error) {
 	return c.get(x, true)
 }
 
-// colsKey appends the cache key of the context x to dst: its positions as
-// uvarints, one byte each below 128.
-func colsKey(dst []byte, x []int) []byte {
-	for _, col := range x {
-		dst = binary.AppendUvarint(dst, uint64(col))
-	}
-	return dst
-}
-
 // get is GetCols for a caller's context (asked) and for the prefix a longer
 // context is refined from (not asked, and so not counted). The positions are
 // in range.
 func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
-	var onStack [16]byte
-	key := colsKey(onStack[:0], x)
+	h := colsHash(x)
 	c.mu.Lock()
-	e := c.m[string(key)]
+	e := c.t.find(h, x)
 	if asked {
 		if e != nil && e.asked {
 			c.hits++
@@ -326,47 +335,49 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 	if e != nil {
 		return &e.p, nil
 	}
-	e = &cachedPartition{asked: asked}
+	built := cachedPartition{asked: asked}
 	if len(x) <= 1 {
 		var one [1]*colRanks
 		cols, err := c.r.ranksAt(one[:0], x)
 		if err != nil {
 			return nil, err
 		}
-		e.arr = takeArrays(c.r.n)
-		c.r.sortInto(&e.p, cols, e.arr)
-	} else if err := c.refine(e, x); err != nil {
+		built.arr = c.sc.takeArrays(c.r.n)
+		s := take(c.sc, &c.sc.sorts)
+		c.r.sortInto(&built.p, cols, built.arr, s)
+		give(c.sc, &c.sc.sorts, s)
+	} else if err := c.refine(&built, x); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if prev := c.m[string(key)]; prev != nil {
+	if e = c.t.find(h, x); e != nil {
 		// A concurrent miss won the publish: converge on it, and the losing
 		// copy, which nobody else has seen, gives its arrays back.
-		prev.asked = prev.asked || asked
-		if e.arr != nil {
-			arraysPool.Put(e.arr)
+		e.asked = e.asked || asked
+		if built.arr != nil {
+			give(c.sc, &c.sc.arrays, built.arr)
 		}
-		e = prev
 	} else {
-		c.m[string(key)] = e
+		e = c.t.insert(h, x, built)
 	}
 	c.mu.Unlock()
 	return &e.p, nil
 }
 
-// Release returns the arrays of every partition the cache built to the pool,
-// each once: a partition sharing its prefix's arrays owns none, and a losing
-// concurrent copy gave its own back when it lost. Neither the cache nor any
-// partition it returned may be used after; releasing again does nothing.
+// Release gives the cache's table back to the scratch, with the arrays of
+// every partition the cache built, each once: a partition sharing its
+// prefix's arrays owns none, and a losing concurrent copy gave its own back
+// when it lost. A scratch the cache took from the free list goes back to it.
+// Neither the cache nor any partition it returned may be used after;
+// releasing again does nothing.
 func (c *SortCache) Release() {
 	c.mu.Lock()
-	m := c.m
-	c.m = nil
+	t := c.t
+	c.t = nil
 	c.mu.Unlock()
-	for _, e := range m {
-		if e.arr != nil {
-			arraysPool.Put(e.arr)
-		}
+	if t != nil {
+		c.sc.giveTable(t)
+		c.r.repay(c.sc)
 	}
 }
 
@@ -380,7 +391,7 @@ func (c *SortCache) Release() {
 // with ties in row order — which is how every partition here orders its ties.
 // Where A cannot reorder anything — it is constant, or every class of X is
 // one row — the partition shares X's arrays and e owns none; otherwise e owns
-// the pooled arrays it is built in.
+// the scratch's arrays it is built in.
 func (c *SortCache) refine(e *cachedPartition, x []int) error {
 	px, err := c.get(x[:len(x)-1], false)
 	if err != nil {
@@ -400,8 +411,8 @@ func (c *SortCache) refine(e *cachedPartition, x []int) error {
 	if pa.Groups <= 1 || px.Groups == n {
 		return nil
 	}
-	s := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(s)
+	s := take(c.sc, &c.sc.sorts)
+	defer give(c.sc, &c.sc.sorts, s)
 	// class[i] is the class of X row i belongs to, next[g] the slot the next
 	// row of class g goes to.
 	s.a, s.next = sized(s.a, n), sized(s.next, px.Groups)
@@ -415,7 +426,7 @@ func (c *SortCache) refine(e *cachedPartition, x []int) error {
 		}
 		class[i] = g
 	}
-	e.arr = takeArrays(n)
+	e.arr = c.sc.takeArrays(n)
 	q.Index, q.Tie = e.arr.index, e.arr.tie
 	copy(q.Tie, px.Tie)
 	for _, i := range pa.Index {
@@ -453,5 +464,5 @@ func narrowTies(tie []bool, idx []int32, rank []int32) (ties int) {
 func (c *SortCache) Stats() (size int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m), c.hits, c.misses
+	return c.t.used, c.hits, c.misses
 }

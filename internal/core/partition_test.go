@@ -188,21 +188,22 @@ func checkOwnership(t *testing.T, c *SortCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	owners := make(map[*int32]bool)
-	for key, e := range c.m {
+	entries := c.t.entries[:c.t.used]
+	for _, e := range entries {
 		if e.arr == nil {
 			continue
 		}
 		if &e.p.Index[0] != &e.arr.index[0] || &e.p.Tie[0] != &e.arr.tie[0] {
-			t.Fatalf("partition %s does not use the arrays it owns", key)
+			t.Fatalf("partition %v does not use the arrays it owns", e.key)
 		}
 		if owners[&e.arr.index[0]] {
-			t.Fatalf("partition %s owns arrays another partition owns", key)
+			t.Fatalf("partition %v owns arrays another partition owns", e.key)
 		}
 		owners[&e.arr.index[0]] = true
 	}
-	for key, e := range c.m {
+	for _, e := range entries {
 		if e.arr == nil && !owners[&e.p.Index[0]] {
-			t.Fatalf("partition %s shares arrays no partition owns", key)
+			t.Fatalf("partition %v shares arrays no partition owns", e.key)
 		}
 	}
 }
@@ -211,9 +212,11 @@ func checkOwnership(t *testing.T, c *SortCache) {
 // then releases it — twice, the second a no-op — while a second cache, over a
 // relation of another size, is still being read and starts building contexts
 // from what the first gave back, and a third over the first relation refills
-// from the pool too. Every partition read, before and after, must equal the
+// from the free list too. Every partition read, before and after, must equal the
 // comparator sort's: an array released while in use, or released twice and
-// so handed to two partitions, would show as a wrong one.
+// so handed to two partitions, would show as a wrong one. Then goroutines
+// race on the same misses of fresh caches, and what the caches keep is
+// checked once they are done.
 func TestSortCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r, other := relationWithConstant(rng, 32, 4), relationWithConstant(rng, 57, 3)
@@ -266,6 +269,43 @@ func TestSortCacheConcurrent(t *testing.T) {
 	hammer(&rest, third, r, 4, 200, false)
 	rest.Wait()
 	for _, c := range []*SortCache{second, third} {
+		checkOwnership(t, c)
+		c.Release()
+	}
+
+	// Racing misses: goroutines let go at once on a fresh cache ask the same
+	// contexts in the same order, so that concurrent misses lose publishes.
+	// Once all are done every partition the cache holds must still be the
+	// comparator's: a losing copy that gave back the winner's arrays, which a
+	// later miss refills or the scratchcheck build poisons, shows here.
+	big := relationWithConstant(rng, 2000, 40)
+	for range 20 {
+		c := NewSortCache(big)
+		start := make(chan struct{})
+		var racing sync.WaitGroup
+		for range 8 {
+			racing.Add(1)
+			go func() {
+				defer racing.Done()
+				<-start
+				for _, x := range contexts {
+					if _, err := c.Get(x); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		close(start)
+		racing.Wait()
+		for _, x := range contexts {
+			p, err := c.Get(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := sortPartitionOnCmp(big, x); err != nil || !samePartition(p, want) {
+				t.Fatalf("after racing misses, the partition over %v is not the comparator's (%v)", x, err)
+			}
+		}
 		checkOwnership(t, c)
 		c.Release()
 	}

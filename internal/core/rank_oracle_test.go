@@ -468,20 +468,23 @@ func TestRankViewConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestRelationRelease: Release hands a relation's rank views to the pool the
-// next relation's views are cut from. Ordered operations on a released
-// relation fail while its cells stay readable, a second Release does
-// nothing, and every relation built after releases — of rows of mixed kinds
-// or of integer columns dense or sparse, longer or shorter than the last, so
-// that pooled blocks come back holding another relation's ranks — sorts,
-// partitions and decides exactly as the comparator does on its clone, which
-// is never released.
+// TestRelationRelease: Release hands a relation's rank views' blocks to the
+// free list the next relation's scratch is taken from, with the scratch it
+// was built on, if any. Ordered operations on a released relation fail while
+// its cells stay readable, a second Release does nothing — of the relation
+// or of its scratch, which is then handed out once, not twice — and every
+// relation built after releases — of rows of mixed kinds or of integer
+// columns dense or sparse, longer or shorter than the last, built without a
+// scratch or on one taken as a server takes it, so that blocks come back
+// holding another relation's ranks — sorts, partitions and decides exactly as
+// the comparator does on its clone, which is never released.
 func TestRelationRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	universe := L("A", "B", "C", "D")
 	for trial := range 300 {
 		n := rng.Intn(200)
 		var r *Relation
+		var sc *Scratch // the scratch every other columnar relation is built on
 		if trial%2 == 0 {
 			r = randMixedRelation(rng, universe, n)
 		} else {
@@ -497,7 +500,13 @@ func TestRelationRelease(t *testing.T) {
 				}
 			}
 			var err error
-			if r, err = NewRelationColumns(universe, n, cols); err != nil {
+			if trial%4 == 3 {
+				sc = TakeScratch()
+				r, err = sc.NewRelationColumns(universe, n, cols)
+			} else {
+				r, err = NewRelationColumns(universe, n, cols)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -529,6 +538,16 @@ func TestRelationRelease(t *testing.T) {
 			}
 		}
 		cache.Release()
+		if sc != nil {
+			sc.Release()
+			sc.Release()
+			if a, b := TakeScratch(), TakeScratch(); a == b {
+				t.Fatalf("trial %d: a scratch released twice was handed out twice", trial)
+			} else {
+				a.Release()
+				b.Release()
+			}
+		}
 		r.Release()
 		r.Release()
 		if _, _, err := r.Satisfies(od); !errors.Is(err, errReleased) {

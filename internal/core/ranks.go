@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -16,8 +15,9 @@ import (
 // cells of the column compare exactly as their ranks do. start[k] counts the
 // rows ranked below k — the counting sort's bucket offsets, which depend on
 // the column alone and never on the order being refined; len(start)-1 is the
-// column's cardinality. Both are cut from block, which is pooled: a
-// colRanks is immutable from when it is built until its relation's Release.
+// column's cardinality. Both are cut from block, which comes from a Scratch
+// and goes back to one: a colRanks is immutable from when it is built until
+// its relation's Release.
 type colRanks struct {
 	rank  []int32
 	start []int32
@@ -48,23 +48,50 @@ func (r *Relation) ranksOf(c int) *colRanks {
 	return v.Load()
 }
 
-// Release returns the blocks of the relation's rank views to the pool the
-// views of relations built after it are cut from, as SortCache.Release does
-// for partition arrays: successive discovery requests, each over a relation
-// of its own, then rank without allocating. Ordered operations on a released
-// relation fail; cells stay readable. A second Release does nothing. No
+// lend returns the scratch an ordered operation reuses: the one the relation
+// was built on, or one taken from the free list, which repay gives back — so
+// that repeated runs over a relation built without a scratch reuse memory
+// too, and an idle relation holds nothing but its rank views.
+func (r *Relation) lend() *Scratch {
+	if r.sc != nil {
+		return r.sc
+	}
+	return TakeScratch()
+}
+
+func (r *Relation) repay(sc *Scratch) {
+	if sc != r.sc {
+		sc.Release()
+	}
+}
+
+// sorter lends an ordered operation a sort scratch, which doneSorting gives
+// back.
+func (r *Relation) sorter() (*Scratch, *sortScratch) {
+	sc := r.lend()
+	return sc, take(sc, &sc.sorts)
+}
+
+func (r *Relation) doneSorting(sc *Scratch, s *sortScratch) {
+	give(sc, &sc.sorts, s)
+	r.repay(sc)
+}
+
+// Release ends the relation's ordered work and hands its rank views' blocks
+// on — with the scratch it was built on, or to the free list — so that the
+// next relation ranks without allocating: ordered operations on a released
+// relation fail, and cells stay readable. A second Release does nothing. No
 // ordered operation may run beside Release, and no SortedPartition of the
 // relation may be used after it.
 func (r *Relation) Release() {
-	views := r.views.Swap(&released)
-	if views == nil || views == &released {
+	if r.views.Load() == &released {
 		return
 	}
-	for i := range *views {
-		if cr := (*views)[i].Load(); cr != nil {
-			ranksPool.Put(cr)
-		}
-	}
+	sc := r.lend()
+	sc.mu.Lock()
+	sc.rel = r
+	sc.mu.Unlock()
+	sc.Release()
 }
 
 // ranksOn resolves the attributes of the lists x and y to their columns' rank
@@ -120,8 +147,8 @@ func (r *Relation) ranksAt(dst []*colRanks, cols []int) ([]*colRanks, error) {
 // a presence table without a comparison; any other column is sorted once.
 func (r *Relation) buildRanks(c int) *colRanks {
 	n := r.n
-	s := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(s)
+	sc, s := r.sorter()
+	defer r.doneSorting(sc, s)
 	ints := r.intColumn(c, s)
 	if lo, span, ok := intSpan(ints); ok && span < 4*uint64(n) {
 		s.a = sized(s.a, int(span)+1)
@@ -137,7 +164,7 @@ func (r *Relation) buildRanks(c int) *colRanks {
 				card++
 			}
 		}
-		cr := newColRanks(n, card)
+		cr := newColRanks(sc, n, card)
 		for i, v := range ints {
 			cr.rank[i] = table[uint64(v)-lo]
 		}
@@ -160,7 +187,7 @@ func (r *Relation) buildRanks(c int) *colRanks {
 	if n > 0 {
 		card++
 	}
-	cr := newColRanks(n, card)
+	cr := newColRanks(sc, n, card)
 	copy(cr.rank, ranks)
 	return cr.withStarts()
 }
@@ -200,15 +227,12 @@ func (r *Relation) cellOrder(c int, ints []int64) func(a, b int32) int {
 	}
 }
 
-// ranksPool holds the views of released relations, whatever their size:
-// newColRanks re-cuts what it is given, as takeArrays does.
-var ranksPool = sync.Pool{New: func() any { return new(colRanks) }}
-
 // newColRanks returns the view of an n-row column of the given cardinality,
-// both arrays cut from one pooled block. Only start is cleared, for
-// withStarts to count into: every builder writes each rank.
-func newColRanks(n int, card int32) *colRanks {
-	cr := ranksPool.Get().(*colRanks)
+// both arrays cut from one block of the scratch's, whatever its size before.
+// Only start is cleared, for withStarts to count into: every builder writes
+// each rank.
+func newColRanks(sc *Scratch, n int, card int32) *colRanks {
+	cr := take(sc, &sc.ranks)
 	cr.block = sized(cr.block, n+int(card)+1)
 	cr.rank, cr.start = cr.block[:n:n], cr.block[n:]
 	clear(cr.start)
@@ -254,14 +278,13 @@ func cmpRanks(cols []*colRanks, s, t int32) int {
 	return 0
 }
 
-// sortScratch holds the buffers of one rank sort. They are pooled: a sort
-// allocates nothing once the pool has warmed to the relation's size.
+// sortScratch holds the buffers of one rank sort, kept with the relation's
+// Scratch: a sort allocates nothing once the scratch has warmed to the
+// relation's size.
 type sortScratch struct {
 	a, b, next []int32
 	ints       []int64 // buildRanks: an integer column gathered from rows
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // sized returns buf resliced to n elements, reallocated only when too small;
 // the contents are unspecified.

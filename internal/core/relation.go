@@ -16,10 +16,10 @@ import (
 // SatisfiesWith) run on a per-column rank view — dense int32 ranks in
 // Value.Compare order — built lazily on the first ordered use of a column,
 // immutable from then on and dropped by AddRow. Readers may share a relation
-// across goroutines; AddRow may not run beside them. Release hands the views'
-// memory to the next relation's once the ordered work on this one is done:
-// from then on every ordered operation fails, and a second Release does
-// nothing.
+// across goroutines; AddRow may not run beside them. Ordered work reuses the
+// buffers of a Scratch, and Release hands the views' blocks on once that work
+// is done: from then on every ordered operation fails, and a second Release
+// does nothing.
 //
 // A relation is built from rows of Values (AddRow, NewRelationRows) or from
 // typed columns (NewRelationColumns). A columnar relation ranks its columns
@@ -39,6 +39,7 @@ type Relation struct {
 	// first ordered use; the slice itself appears with the first view and
 	// AddRow drops it whole.
 	views atomic.Pointer[[]atomic.Pointer[colRanks]]
+	sc    *Scratch // the request scratch it was built on, if any
 }
 
 // NewRelation creates an empty relation over the given schema. It returns an
@@ -288,8 +289,8 @@ func (r *Relation) SortedIndexOn(x List) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := scratchPool.Get().(*sortScratch)
-	defer scratchPool.Put(s)
+	sc, s := r.sorter()
+	defer r.doneSorting(sc, s)
 	idx := make([]int, r.n)
 	for k, i := range s.order(r.n, cols) {
 		idx[k] = int(i)

@@ -60,19 +60,17 @@ func TestPipelineDateDimCounts(t *testing.T) {
 	// allocations, with closure pruning asked of a catalog 73,719, asked of
 	// the model table 3,698; 3,144 while each refuted data check boxed its
 	// witness, 2,565 since it comes back by value, 153 since the lattice is
-	// shared and the pruning state pooled. The bound allows 135 more; under
-	// the race detector, whose sync.Pool forgets, the count reads 235 to 335
-	// and the bound allows 315 more.
+	// shared and the pruning state pooled, 76 since one scratch keeps the
+	// sort cache's table, entries and keys. The bound allows 135
+	// more. The count is the same under the race detector: nothing here is
+	// a sync.Pool, which under the detector forgot a quarter of its puts
+	// (235 to 335 allocations then).
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Pipeline(context.Background(), dates, PipelineOptions{Options: opts, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	maxAllocs := 288.0
-	if raceDetector {
-		maxAllocs = 650
-	}
-	if allocs > maxAllocs {
+	if maxAllocs := 211.0; allocs > maxAllocs {
 		t.Fatalf("date dimension: %.0f allocations per pipeline run, want at most %.0f", allocs, maxAllocs)
 	}
 	t.Logf("date dimension: %.0f allocations per pipeline run", allocs)
@@ -96,39 +94,38 @@ func TestPipelineDateDimCounts(t *testing.T) {
 	// And in bytes, on both of the workload's relations: 934 KB a date run
 	// while every context was a sort of the whole relation into an []int
 	// index, 634 KB with contexts refined from their prefixes into int32,
-	// 204 KB with their arrays pooled across runs (592 to 665 under the race
-	// detector, whose sync.Pool forgets), 13 KB with the lattice shared and
-	// the pruning state pooled (350 to 465); a 4,000 x 6 random run 813 KB
-	// before pooling, 69 KB after, 7 KB now. Under the race detector the
-	// random run reads 676 to 922 KB either way — its partition arrays are
-	// what the detector's pool forgets — and keeps its bound.
-	bound := uint64(64)
-	if raceDetector {
-		bound = 650
-	}
-	if kb := kbPerRun(t, dates, opts); kb > bound {
+	// 204 KB with their arrays pooled across runs, 13 KB with the lattice
+	// shared and the pruning state pooled, 6 KB with one scratch; a 4,000 x 6
+	// random run 813 KB before pooling, 69 KB after, 7 KB with the pruning
+	// state pooled, under 1 KB now. The bounds allow 51 and 21 KB more. The
+	// race detector reads the same: while the pools were sync.Pools it read
+	// 350 to 465 KB a date run and 676 to 922 a random one.
+	bound := uint64(57)
+	kb := kbPerRun(t, dates, opts)
+	if kb > bound {
 		t.Fatalf("date dimension: %d KB allocated per pipeline run, want at most %d", kb, bound)
 	}
+	t.Logf("date dimension: %d KB per pipeline run", kb)
 	rnd, rndOpts := random4000x6()
-	bound = 28
-	if raceDetector {
-		bound = 1000
-	}
-	if kb := kbPerRun(t, rnd, rndOpts); kb > bound {
+	bound = 21
+	if kb = kbPerRun(t, rnd, rndOpts); kb > bound {
 		t.Fatalf("4,000 x 6 random relation: %d KB allocated per pipeline run, want at most %d", kb, bound)
 	}
+	t.Logf("4,000 x 6 random relation: %d KB per pipeline run", kb)
 }
 
 // TestPipelineRunAllocatesOnlyItsAnswer: a warm run builds nothing per
-// candidate, per context group or per list of the lattice — the lattice is
-// shared, the pruning state is one pooled block, and a candidate is named only
-// once it holds. On the date dimension a run allocates its 12 accepted ODs,
-// one block of names each, and a constant 145 (141 when written): two
-// allocations per partition the sort cache builds (a retained entry and its
-// key), the names and the key of each holding candidate a commit sorts (30,
-// of which 18 turn out implied), and the run's result, its growth and one
-// closure per level. Under the race detector, whose sync.Pool forgets, the
-// constant is 450.
+// candidate, per context group, per partition or per list of the lattice —
+// the lattice is shared, the pruning state is one block kept with the sort
+// cache's scratch, the cache's table, entries and keys are kept there too,
+// and a candidate is named only once it holds. On the date dimension a
+// run allocates its 12 accepted ODs, one block of names each, and a constant
+// 64: the names and the key of each holding candidate a commit sorts (30, of
+// which 18 turn out implied), the sort cache, and the run's result, its
+// growth and one closure per level. The constant was 145 while the cache
+// built a map and two allocations per partition each run (141 measured),
+// and 450 under the race detector, whose sync.Pool forgot; the count now
+// reads the same with the detector and without.
 func TestPipelineRunAllocatesOnlyItsAnswer(t *testing.T) {
 	dates, opts := dateDim(t)
 	var res *PipelineResult
@@ -140,10 +137,7 @@ func TestPipelineRunAllocatesOnlyItsAnswer(t *testing.T) {
 	}
 	run()
 	allocs := testing.AllocsPerRun(5, run)
-	others := 145.0
-	if raceDetector {
-		others = 450
-	}
+	others := 64.0
 	if len(res.ODs) != 12 || allocs > float64(len(res.ODs))+others {
 		t.Fatalf("date dimension: %.0f allocations for %d accepted ODs, want at most one per OD and %.0f more", allocs, len(res.ODs), others)
 	}
@@ -151,7 +145,7 @@ func TestPipelineRunAllocatesOnlyItsAnswer(t *testing.T) {
 }
 
 // kbPerRun is the heap a one-worker pipeline run allocates, in KB, averaged
-// over three runs after one that warms the pools.
+// over three runs after one that warms the relation's scratch.
 func kbPerRun(t *testing.T, r *core.Relation, opts Options) uint64 {
 	t.Helper()
 	run := func() {
@@ -267,8 +261,9 @@ func BenchmarkPruneDateDim(b *testing.B) {
 	}
 	// Walk the lattice as a run does, refuting from the data, to collect
 	// what each level asks.
-	run := newRun(dates.Attrs(), opts.MaxLHS, opts.MaxRHS, 1)
-	defer run.release()
+	sc := core.TakeScratch()
+	run := newRun(sc, dates.Attrs(), opts.MaxLHS, opts.MaxRHS, 1)
+	defer run.release(sc)
 	type group struct {
 		lhs  int32
 		rhss []int32

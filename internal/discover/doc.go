@@ -74,13 +74,13 @@
 // nine attributes; the date dimension's runs use 260). A wider schema's
 // lattice is built for the run and dropped with it.
 //
-// Everything a run writes is one block drawn from a pool and cleared: the
-// refutation table, a level's context groups as one flat array of
-// right-hand-side ids with an offset per left-hand side, each worker's share
-// of the level's outcome — the (lhs, rhs) ids found to hold and the slots
-// found to fail — and its plane of models, and the model table with the two
-// plane buffers its repacks alternate between. A block whose refutation
-// table is past 1 MiB is not pooled. No OD or list key string is built for a
+// Everything a run writes is one block, kept with the relation's
+// core.Scratch between runs and cleared: the refutation table, a level's
+// context groups as one flat array of right-hand-side ids with an offset per
+// left-hand side, each worker's share of the level's outcome — the (lhs,
+// rhs) ids found to hold and the slots found to fail — and its plane of
+// models, and the model table with the two plane buffers its repacks
+// alternate between. No OD or list key string is built for a
 // candidate: the model table reads positions, and a data check asks core by
 // position too — the context's partition from the sort cache, keyed by
 // column positions, and the right-hand side's rank views — with no name
@@ -90,5 +90,5 @@
 // context is one refinement of its prefix's partition (one counting sort,
 // for a single attribute), a candidate one scan of int32 ranks. A run's
 // core.SortCache is released when the run ends, so the next run's
-// partitions reuse its arrays.
+// partitions reuse its table and arrays.
 package discover

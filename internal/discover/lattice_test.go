@@ -62,8 +62,9 @@ func schemaOf(n int) core.List {
 // admissible on either side are a prefix of the id space.
 func TestLatticeIDScheme(t *testing.T) {
 	attrs := core.L("A", "B", "C")
-	b := newRun(attrs, 1, 2, 1)
-	defer b.release()
+	sc := core.TakeScratch()
+	b := newRun(sc, attrs, 1, 2, 1)
+	defer b.release(sc)
 	want := []core.List{
 		nil,
 		core.L("A"), core.L("B"), core.L("C"),
@@ -84,8 +85,8 @@ func TestLatticeIDScheme(t *testing.T) {
 		t.Errorf("nRHS = %d, table of %d slots; want 10 and 4 x 10", b.nRHS, len(b.refuted))
 	}
 	// A side bound past the schema's width adds no list.
-	wide := newRun(core.L("A", "B"), 9, 9, 1)
-	defer wide.release()
+	wide := newRun(sc, core.L("A", "B"), 9, 9, 1)
+	defer wide.release(sc)
 	if lists := wide.la.start[wide.maxLHS+1]; lists != 5 || len(wide.refuted) != 25 {
 		t.Errorf("2 attributes, bounds 9/9: %d lists, %d slots; want 5 and 25", lists, len(wide.refuted))
 	}
@@ -125,8 +126,9 @@ func TestSharedLatticeMatchesEnumeration(t *testing.T) {
 func checkSharedLattice(t *testing.T, attrs core.List, maxLHS, maxRHS int) {
 	t.Helper()
 	want := enumerateLattice(attrs, maxLHS, maxRHS)
-	b := newRun(attrs, maxLHS, maxRHS, 1)
-	defer b.release()
+	sc := core.TakeScratch()
+	b := newRun(sc, attrs, maxLHS, maxRHS, 1)
+	defer b.release(sc)
 	at := fmt.Sprintf("%d attributes, caps %d/%d", len(attrs), maxLHS, maxRHS)
 	la := b.la
 	if len(la.start) < len(want.start) || !slices.Equal(la.start[:len(want.start)], want.start) {
@@ -182,8 +184,9 @@ func TestSharedLatticeBounded(t *testing.T) {
 				width, lists, la.maxLen(), len(la.off), len(la.pos))
 		}
 	}
-	b := newRun(schemaOf(40), 1, 1, 1)
-	defer b.release()
+	sc := core.TakeScratch()
+	b := newRun(sc, schemaOf(40), 1, 1, 1)
+	defer b.release(sc)
 	for width := range sharedLattices {
 		if sharedLattices[width].Load() == b.la {
 			t.Fatalf("the 40-attribute run's lattice is the shared one of width %d", width)

@@ -169,9 +169,9 @@ func named(attrs core.List, l []uint16) core.List {
 }
 
 // run is one pipeline run's mutable state — everything a run writes, the
-// shared lattice being only read. It is drawn from runPool as one block and
-// cleared, so that successive runs reuse its memory: a warm run allocates the
-// ODs that hold and little else.
+// shared lattice being only read. It is one block, kept with the sort cache's
+// core.Scratch between runs and cleared, so that successive runs reuse its
+// memory: a warm run allocates the ODs that hold and little else.
 type run struct {
 	la             *lattice
 	attrs          core.List
@@ -213,21 +213,17 @@ type refutation struct {
 	kind core.ViolationKind
 }
 
-var runPool = sync.Pool{New: func() any { return new(run) }}
-
-// maxPooledSlots bounds the refutation table of a block that goes back to
-// runPool, 1 MiB: a run over a candidate space past it, which no relation
-// the default MaxAttrs guard admits at caps of three reaches, leaves its
-// block to the collector rather than keeping it for the next run.
-const maxPooledSlots = 1 << 20
-
-// newRun draws a block for a run over the relation's attributes with
-// left-hand sides up to maxLHS and right-hand sides up to maxRHS attributes,
-// and the given worker count. Options.CheckSize bounds the refutation table.
-func newRun(attrs core.List, maxLHS, maxRHS, workers int) *run {
+// newRun takes the scratch's block, or makes one, for a run over the
+// relation's attributes with left-hand sides up to maxLHS and right-hand
+// sides up to maxRHS attributes, and the given worker count.
+// Options.CheckSize bounds the refutation table.
+func newRun(sc *core.Scratch, attrs core.List, maxLHS, maxRHS, workers int) *run {
 	// No duplicate-free list is longer than the schema.
 	maxLHS, maxRHS = min(maxLHS, len(attrs)), min(maxRHS, len(attrs))
-	b := runPool.Get().(*run)
+	b, _ := sc.SwapRun(nil, 0).(*run)
+	if b == nil {
+		b = new(run)
+	}
 	b.la, b.attrs = latticeOf(len(attrs), max(maxLHS, maxRHS)), attrs
 	b.maxLHS, b.maxRHS = maxLHS, maxRHS
 	b.nRHS = b.la.start[maxRHS+1]
@@ -237,12 +233,15 @@ func newRun(attrs core.List, maxLHS, maxRHS, workers int) *run {
 	return b
 }
 
-// release returns the block to runPool; the run must not be used after.
-func (b *run) release() {
+// release leaves the block with the scratch; the run must not be used after.
+func (b *run) release(sc *core.Scratch) {
 	b.la, b.attrs = nil, nil
-	if len(b.refuted) <= maxPooledSlots {
-		runPool.Put(b)
+	if core.ScratchCheck {
+		for i := range b.refuted {
+			b.refuted[i] = core.Swap
+		}
 	}
+	sc.SwapRun(b, cap(b.refuted))
 }
 
 // sized returns buf resliced to n elements, reallocated only when too small;
@@ -286,8 +285,14 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 		return nil, err
 	}
 	workers := workerCount(opts.Workers)
-	b := newRun(attrs, opts.MaxLHS, opts.MaxRHS, workers)
-	defer b.release()
+	// The run's partitions are its own: every worker is done with them when
+	// it returns, so the cache gives them back for the next run, and the run
+	// block goes back to the cache's scratch first.
+	cache := core.NewSortCache(r)
+	defer cache.Release()
+	sc := cache.Scratch()
+	b := newRun(sc, attrs, opts.MaxLHS, opts.MaxRHS, workers)
+	defer b.release(sc)
 
 	var pr pruning
 	switch {
@@ -314,10 +319,6 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	}
 
 	res := &PipelineResult{}
-	// The run's partitions are its own: every worker is done with them when
-	// it returns, so their arrays go back to the pool for the next run.
-	cache := core.NewSortCache(r)
-	defer cache.Release()
 
 	maxLevel := opts.MaxLHS + opts.MaxRHS
 	for level := 1; level <= maxLevel; level++ {

@@ -2,6 +2,6 @@
 
 package discover
 
-// raceDetector reports a -race build, under which sync.Pool drops a quarter
-// of what it is given: a run re-allocates rank-sort scratch it would reuse.
+// raceDetector reports a -race build, whose instrumentation multiplies the
+// memory a test's largest lattices take.
 const raceDetector = true

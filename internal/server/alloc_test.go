@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"odlib/internal/catalog"
+	"odlib/internal/core"
 	"odlib/internal/prover"
 	"odlib/internal/router"
 )
@@ -135,32 +136,35 @@ func perCall(runs uint64, f func()) (allocs, size uint64) {
 // through ServeHTTP, with telemetry on, on the two bodies bench/'s
 // discover-date workload posts: the body read, the rows decoded, the
 // relation built and ranked, the pipeline run, the NDJSON written. One
-// request first warms the pools — body buffer, integer cells, rank views,
-// partition arrays — as a running daemon's are.
+// request first warms the free list of scratches — body buffer, integer
+// cells, rank views, partition arrays, sort cache, run block — as a running
+// daemon's is.
 //
-// Measured once the OD lines were encoded from a one-field struct instead
-// of a map per line: date 1826 x 7 240 allocations and 21 to 25 KB (288 and
-// 26 KB before; 2,740 and 175 KB before the discovery lattice was shared and
-// each run's pruning state pooled; 3,341 and 475 KB before the body, cells
-// and rank views were pooled), random 4000 x 6, which streams no OD line,
-// 139 and 12 KB (1,040 and 49 KB; 1,394 and 443 KB). The budgets allow 60
-// allocations and 25 KB more. Under the race detector sync.Pool drops a
-// quarter of its puts and instrumented code allocates more: the counts read
-// 420 to 465 and 260 to 290 allocations there, 530 to 1,200 KB, and the
-// budgets allow 260 allocations and 1,500 KB more.
+// Measured once one scratch held all of them: date 1826 x 7 163 allocations
+// and 14 KB (240 and 21 KB while six sync.Pools held them; 2,740 and 175 KB
+// before the discovery lattice was shared and each run's pruning state
+// pooled; 3,341 and 475 KB before the body, cells and rank views were
+// pooled), random 4000 x 6, which streams no OD line, 63 and 5 KB (139 and
+// 12 KB; 1,040 and 49 KB; 1,394 and 443 KB). The budgets allow 60
+// allocations and 25 KB more. Under the race detector encoding/json's
+// sync.Pool forgets its encoder state now and then, about once per NDJSON
+// line, so the counts read 179 to 185 and 64 to 67, 17 and 6 KB, and the
+// budgets allow that reading plus the same slack: 82 allocations and 28 KB.
+// (While the data plane was pooled the race counts read 420 to 465 and 260
+// to 290, 530 to 1,200 KB, against 260 allocations and 1,500 KB of slack.)
 func TestDiscoverAllocationBudget(t *testing.T) {
 	srv, _ := daemonHandler(t)
 	bodies := benchBodies(t)
 	allocSlack, kbSlack := uint64(60), uint64(25)
 	if raceDetector {
-		allocSlack, kbSlack = 260, 1500
+		allocSlack, kbSlack = 82, 28
 	}
 	for _, tc := range []struct {
 		name       string
 		allocs, kb uint64
 	}{
-		{"date1826x7", 240, 25},
-		{"random4000x6", 139, 12},
+		{"date1826x7", 163, 14},
+		{"random4000x6", 63, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := discoverCall(t, srv, bodies[tc.name])
@@ -182,9 +186,9 @@ func TestDiscoverAllocationBudget(t *testing.T) {
 // TestDiscoverDeclaredLengthReservesNothing: a body that declares far more
 // than it sends never costs what it declares — the buffer trusts a
 // Content-Length only up to maxReserve and grows with the bytes that arrive.
-// The pools are emptied first, so the request pays for a fresh buffer.
-// Reading the declared length whole, a 40-byte body declaring 8 MB allocated
-// 8,211 KB.
+// The test holds every scratch the free list keeps, so the request pays for a
+// fresh buffer. Reading the declared length whole, a 40-byte body declaring
+// 8 MB allocated 8,211 KB.
 func TestDiscoverDeclaredLengthReservesNothing(t *testing.T) {
 	srv, _ := daemonHandler(t)
 	body := []byte(`{"attrs":["a","b"],"rows":[[1,2],[3,4]]}`)
@@ -198,8 +202,16 @@ func TestDiscoverDeclaredLengthReservesNothing(t *testing.T) {
 		req.ContentLength = declared
 		rd.Reset(body)
 		rec = httptest.NewRecorder()
-		runtime.GC()
-		runtime.GC() // a pooled buffer survives one collection, as a victim
+		// The free list keeps at most GOMAXPROCS scratches.
+		held := make([]*core.Scratch, runtime.GOMAXPROCS(0))
+		for i := range held {
+			held[i] = core.TakeScratch()
+		}
+		defer func() {
+			for _, sc := range held {
+				sc.Release()
+			}
+		}()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		srv.ServeHTTP(rec, req)

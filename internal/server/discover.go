@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"odlib/internal/core"
 	"odlib/internal/discover"
@@ -49,23 +48,16 @@ type discoverError struct {
 	Error string `json:"error"`
 }
 
-// maxPooledBytes is the largest buffer a discovery request gives back to its
-// pools, 1 MiB: a body or a block of integer cells past it, which only a
-// relation of over 100,000 cells needs, is left to the collector rather than
-// kept for the next request.
-const maxPooledBytes = 1 << 20
-
 // maxReserve is how much of a declared Content-Length the body buffer
 // reserves before the bytes arrive, 256 KiB: a body of ordinary size is read
 // in one allocation, and one that declares more than it sends costs no more
 // than this. Past it the buffer grows with the bytes read.
 const maxReserve = 256 << 10
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // relationOf validates the inline instance against its schema and builds
-// the relation from the typed columns the rows were decoded into.
-func relationOf(req *discoverRequest) (*core.Relation, error) {
+// the relation, on the request's scratch, from the typed columns the rows
+// were decoded into.
+func relationOf(req *discoverRequest, sc *core.Scratch) (*core.Relation, error) {
 	if len(req.Attrs) == 0 {
 		return nil, fmt.Errorf("no attributes given")
 	}
@@ -77,10 +69,7 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 	if t.n > 0 && t.width != len(attrs) {
 		return nil, fmt.Errorf("rows have %d cells, schema has %d attributes", t.width, len(attrs))
 	}
-	if t.n == 0 {
-		return core.NewRelation(attrs)
-	}
-	return core.NewRelationColumns(attrs, t.n, t.columns())
+	return sc.NewRelationColumns(attrs, t.n, t.columns(len(attrs)))
 }
 
 // handleDiscover runs the parallel discovery pipeline over an inline
@@ -93,24 +82,22 @@ func relationOf(req *discoverRequest) (*core.Relation, error) {
 // arrive as an {"error": ...} line terminating the stream rather than a
 // status code.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+	// Everything the request reuses — body, cells, rank views, partitions,
+	// run block — is the scratch's, and goes back once, when the handler
+	// returns: after the pipeline, whose workers have all returned, and
+	// after the summary line.
+	sc := core.TakeScratch()
+	defer sc.Release()
 	// The body is read whole, then scanned once (rows.go): a relation is
-	// most of a request, and a streaming decoder reads it three times. The
-	// buffer is pooled, and goes back as soon as the body is decoded: every
-	// name and cell decoded from it is a copy.
-	body := bodyPool.Get().(*bytes.Buffer)
+	// most of a request, and a streaming decoder reads it three times.
+	body := &sc.Body
 	body.Reset()
 	body.Grow(int(min(max(r.ContentLength, 0), maxReserve)) + bytes.MinRead)
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var req discoverRequest
 	if err == nil {
-		err = decodeDiscoverBytes(body.Bytes(), &req)
+		err = decodeDiscoverBytes(body.Bytes(), sc, &req)
 	}
-	if body.Cap() <= maxPooledBytes {
-		bodyPool.Put(body)
-	}
-	// The integer cells go back last, once the pipeline has run, the summary
-	// line is written and the relation's rank views are released.
-	defer req.Rows.release()
 	if err != nil {
 		writeBodyError(w, err)
 		return
@@ -127,12 +114,11 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rel, err := relationOf(&req)
+	rel, err := relationOf(&req, sc)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	defer rel.Release()
 	if req.Declare {
 		// Refuse before the stream starts: once NDJSON is flowing the status
 		// code is spent, and a follower can never honor the declare-back.

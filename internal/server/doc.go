@@ -59,22 +59,14 @@
 // stream opens, so a refused request is a 400, never an error line under a
 // 200; a body of any endpoint past 8 MiB is a 413.
 //
-// A /discover request reuses the data plane of the requests before it,
-// through three sync.Pools: the body buffer (discover.go), the block its
-// integer columns are cut from (cellPool, rows.go) and, in core, the blocks
-// of the relation's rank views. The release order is what keeps a pooled
-// buffer from being handed on while still read:
-//
-//   - the body buffer goes back as soon as the body is decoded, because every
-//     name and cell decoded from it is a copy;
-//   - the rank views go back (Relation.Release) when the handler returns,
-//     after the pipeline — whose workers have all returned, cancelled or
-//     not — and after the summary line;
-//   - the integer cells go back last, behind the relation built on them.
-//
-// A buffer past maxPooledBytes (1 MiB) is left to the collector, not
-// pooled, so a rare large request does not pin its size in the pool. The
-// declared Content-Length sizes the body buffer only up to maxReserve
-// (256 KiB): a client that declares 8 MB and sends 40 bytes costs at most
-// the reserve, and the buffer grows past it only with the bytes that arrive.
+// A /discover request reuses the data plane of the requests before it
+// through one core.Scratch, taken from core's bounded free list when the
+// handler starts and released by one defer when it returns — after the
+// pipeline, whose workers have all returned, cancelled or not, and after the
+// summary line. The body buffer, the integer cells, the relation's rank views
+// and partitions and the pipeline's run block are all the scratch's, so none
+// is handed on while still read. The declared Content-Length sizes the body
+// buffer only up to maxReserve (256 KiB): a client that declares 8 MB and
+// sends 40 bytes costs at most the reserve, and the buffer grows past it
+// only with the bytes that arrive.
 package server

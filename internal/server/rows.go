@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"odlib/internal/core"
@@ -29,29 +28,12 @@ const maxExactInt = 1 << 53
 type instanceRows struct {
 	n, width int
 	cols     []rowsColumn
-	// cells backs every integer column, drawn from cellPool by reserve and
-	// given back by release.
-	cells *cellBlock
+	// sc is the request's scratch, whose block of integer cells reserve
+	// cuts the integer columns from.
+	sc *core.Scratch
 	// err is why the value is no relation, kept by UnmarshalJSON for
 	// decodeDiscoverBytes to report.
 	err error
-}
-
-// cellBlock is one request's integer cells, column after column.
-type cellBlock struct{ ints []int64 }
-
-// cellPool holds the cell blocks of finished requests, whatever their size:
-// reserve re-cuts what it is given.
-var cellPool = sync.Pool{New: func() any { return new(cellBlock) }}
-
-// release gives the integer cells back to cellPool unless the block is past
-// maxPooledBytes. Neither t nor a relation built on its columns may be used
-// after; a second release does nothing.
-func (t *instanceRows) release() {
-	if t.cells != nil && 8*cap(t.cells.ints) <= maxPooledBytes {
-		cellPool.Put(t.cells)
-	}
-	t.cells = nil
 }
 
 // rowsColumn is one column's cells so far: strs for a textual column, and
@@ -88,7 +70,7 @@ func (t *instanceRows) UnmarshalJSON(b []byte) error {
 // it accepts itself, and a byte it does not expect is reported, never
 // skipped.
 func (t *instanceRows) parse(p *rowsParser) error {
-	*t = instanceRows{}
+	*t = instanceRows{sc: t.sc}
 	if p.next() == 'n' && bytes.HasPrefix(p.b[p.i:], []byte("null")) { // as for any slice: no rows
 		p.i += len("null")
 		return nil
@@ -143,8 +125,8 @@ func (t *instanceRows) parse(p *rowsParser) error {
 // for the rows the remaining bytes can hold: every row closes a bracket and
 // takes two bytes a cell, which bounds what a hostile body can make it
 // allocate to a small multiple of its own length. The integer columns are
-// cut from one pooled block, each capped at its share so that no column can
-// append into the next.
+// cut from the scratch's one block, each capped at its share so that no
+// column can append into the next.
 func (t *instanceRows) reserve(rest []byte) {
 	rows := 1 + min(bytes.Count(rest, []byte{']'}), len(rest)/(2*t.width+2))
 	k := 0
@@ -153,12 +135,7 @@ func (t *instanceRows) reserve(rest []byte) {
 			k++
 		}
 	}
-	var block []int64
-	if k > 0 {
-		t.cells = cellPool.Get().(*cellBlock)
-		t.cells.ints = slices.Grow(t.cells.ints[:0], k*rows)[:k*rows]
-		block = t.cells.ints
-	}
+	block := t.sc.Ints(k * rows)
 	for i := range t.cols {
 		switch c := &t.cols[i]; {
 		case c.ints != nil:
@@ -221,12 +198,13 @@ func (t *instanceRows) cell(p *rowsParser, col int) error {
 	return nil
 }
 
-// columns hands the decoded cells over as core's typed columns. Each column
-// compares under one kind: textual if its cells are strings, float if any
-// number has a fraction or lies beyond ±2⁵³ — where distinct integers on the
-// wire would collapse in the conversion — and integer otherwise.
-func (t *instanceRows) columns() []core.Column {
-	cols := make([]core.Column, len(t.cols))
+// columns hands the decoded cells over as core's typed columns, width of
+// them — all empty when there are no rows. Each column compares under one
+// kind: textual if its cells are strings, float if any number has a fraction
+// or lies beyond ±2⁵³ — where distinct integers on the wire would collapse in
+// the conversion — and integer otherwise.
+func (t *instanceRows) columns(width int) []core.Column {
+	cols := make([]core.Column, width)
 	for i, c := range t.cols {
 		if c.floats != nil && !c.float { // integers all, one of them written -0 or 1e3
 			c.ints = make([]int64, len(c.floats))
@@ -418,12 +396,12 @@ var rowsKey = []byte("rows")
 // but the expected: no object, a key with an escape or beyond ASCII, "rows"
 // absent or given twice, any error. The caller then hands the whole body to
 // encoding/json, which owns the outcome and the message.
-func scanDiscover(body []byte, req *discoverRequest) bool {
+func scanDiscover(body []byte, sc *core.Scratch, req *discoverRequest) bool {
 	p := rowsParser{b: body}
 	if p.next() != '{' {
 		return false
 	}
-	var rows instanceRows
+	rows := instanceRows{sc: sc}
 	from, to := -1, -1 // the span of the rows value
 	for sep := byte('{'); sep != '}'; {
 		p.i++
@@ -473,12 +451,13 @@ func strictDecode(b []byte, v any) error {
 }
 
 // decodeDiscoverBytes decodes a discovery request body as decodeBody decodes
-// every other: strictly, ignoring what follows the object.
-func decodeDiscoverBytes(body []byte, req *discoverRequest) error {
-	if scanDiscover(body, req) {
+// every other: strictly, ignoring what follows the object. The integer cells
+// are cut from the scratch's block.
+func decodeDiscoverBytes(body []byte, sc *core.Scratch, req *discoverRequest) error {
+	if scanDiscover(body, sc, req) {
 		return nil
 	}
-	*req = discoverRequest{}
+	*req = discoverRequest{Rows: instanceRows{sc: sc}}
 	if err := strictDecode(body, req); err != nil {
 		return err
 	}

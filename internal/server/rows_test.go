@@ -74,12 +74,12 @@ func relationOfAny(attrNames []string, rows [][]any) (*core.Relation, error) {
 	return r, nil
 }
 
-// decodeBothWays decodes one request body as the handler does and through
-// the oracle's types, the way decodeBody does.
-func decodeBothWays(body []byte) (got, want *core.Relation, gotErr, wantErr error) {
+// decodeBothWays decodes one request body as the handler does, on the
+// scratch, and through the oracle's types, the way decodeBody does.
+func decodeBothWays(body []byte, sc *core.Scratch) (got, want *core.Relation, gotErr, wantErr error) {
 	var req discoverRequest
-	if gotErr = decodeDiscoverBytes(body, &req); gotErr == nil {
-		got, gotErr = relationOf(&req)
+	if gotErr = decodeDiscoverBytes(body, sc, &req); gotErr == nil {
+		got, gotErr = relationOf(&req, sc)
 	}
 	var oracle struct {
 		discoverRequest
@@ -108,9 +108,13 @@ func sameRelation(a, b *core.Relation) bool {
 	return true
 }
 
+// checkRowsBody decodes on a scratch of the free list, as the handler does,
+// so that each body's cells are cut from a block the last one filled.
 func checkRowsBody(t *testing.T, body []byte) {
 	t.Helper()
-	got, want, gotErr, wantErr := decodeBothWays(body)
+	sc := core.TakeScratch()
+	defer sc.Release()
+	got, want, gotErr, wantErr := decodeBothWays(body, sc)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s\ntyped decode: %v\n[][]any decode: %v", body, gotErr, wantErr)
 	}
@@ -290,9 +294,11 @@ func TestScanTakesClientBodies(t *testing.T) {
 		`{"schema":"a\"b,}{","attrs":["a"],"rows":null,"maxRHS":2}`,
 	} {
 		var req discoverRequest
-		if !scanDiscover([]byte(body), &req) {
+		sc := core.TakeScratch()
+		if !scanDiscover([]byte(body), sc, &req) {
 			t.Errorf("the top-level scan declined %s", body)
 		}
+		sc.Release()
 	}
 }
 
@@ -329,24 +335,30 @@ func benchBodies(tb testing.TB) map[string][]byte {
 
 // BenchmarkDiscoverDecode is the serial prefix of a /discover request, in
 // process: body bytes to a relation ready to rank, next to
-// internal/discover's BenchmarkPipeline*, which price what follows.
+// internal/discover's BenchmarkPipeline*, which price what follows. Each op
+// takes a scratch and releases it, as the handler does, so the cells are cut
+// from the block the op before gave back.
 func BenchmarkDiscoverDecode(b *testing.B) {
 	for name, body := range benchBodies(b) {
 		b.Run(name, func(b *testing.B) {
+			sc := core.TakeScratch()
 			var req discoverRequest
-			if !scanDiscover(body, &req) {
+			if !scanDiscover(body, sc, &req) {
 				b.Fatal("the top-level scan declined the body")
 			}
+			sc.Release()
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
+				sc := core.TakeScratch()
 				var req discoverRequest
-				if err := decodeDiscoverBytes(body, &req); err != nil {
+				if err := decodeDiscoverBytes(body, sc, &req); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := relationOf(&req); err != nil {
+				if _, err := relationOf(&req, sc); err != nil {
 					b.Fatal(err)
 				}
+				sc.Release()
 			}
 		})
 	}
