@@ -92,9 +92,10 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 	}
 	b.ReportAllocs()
 	var e cachedPartition
+	var cost KernelStats
 	for b.Loop() {
 		for _, x := range pairs {
-			if err := c.refine(&e, x); err != nil {
+			if err := c.refine(&e, x, &cost); err != nil {
 				b.Fatal(err)
 			}
 			if e.arr != nil {

@@ -110,17 +110,7 @@ func (r *Relation) CheckCols(p *SortedPartition, y []int) (ViolationKind, error)
 // it is strictly ordered there; zero when there is none. A split's rows come
 // back ordered by ry.
 func scan(p *SortedPartition, ry []*colRanks) (kind ViolationKind, s, t int32) {
-	var k int
-	switch idx, tie := p.Index, p.Tie; len(ry) {
-	case 1:
-		k = scan1(idx, tie, ry[0].rank)
-	case 2:
-		k = scan2(idx, tie, ry[0].rank, ry[1].rank)
-	case 3:
-		k = scan3(idx, tie, ry[0].rank, ry[1].rank, ry[2].rank)
-	default:
-		k = scanN(idx, tie, ry)
-	}
+	k := firstViolation(p.Index, p.Tie, ry)
 	if k < 0 {
 		return 0, 0, 0
 	}
@@ -142,6 +132,31 @@ func scan(p *SortedPartition, ry []*colRanks) (kind ViolationKind, s, t int32) {
 // branch on the data: a context's order mostly agrees with the columns
 // checked over it, so the branches predict well, and a branch-free step
 // measured slower.
+// firstViolation returns the first k at which the rows idx[k] and idx[k+1]
+// are misordered by the rank columns ry, -1 when there is none: the scan of
+// scan1, scan2, scan3 or scanN that fits ry.
+func firstViolation(idx []int32, tie []bool, ry []*colRanks) int {
+	switch len(ry) {
+	case 1:
+		return scan1(idx, tie, ry[0].rank)
+	case 2:
+		return scan2(idx, tie, ry[0].rank, ry[1].rank)
+	case 3:
+		return scan3(idx, tie, ry[0].rank, ry[1].rank, ry[2].rank)
+	default:
+		return scanN(idx, tie, ry)
+	}
+}
+
+// pairsScanned is how many adjacent pairs of an n-row order a scan that
+// returned k compared.
+func pairsScanned(k, n int) int {
+	if k >= 0 {
+		return k + 1
+	}
+	return max(n-1, 0)
+}
+
 func scan1(idx []int32, tie []bool, r0 []int32) int {
 	if len(idx) < 2 {
 		return -1
@@ -230,6 +245,39 @@ type SortCache struct {
 	t  *cacheTable
 
 	hits, misses uint64
+	kernel       KernelStats
+	views, rows  uint64 // the relation's rank-view counts when the cache was made
+}
+
+// KernelStats counts the physical work of discovery's kernels, where
+// discover.PipelineStats counts the logical: what the rank kernel and the
+// decoder did to answer what was asked. Each count is taken once per call,
+// from lengths the code already holds, and only for work whose result was
+// published — a concurrent miss's losing copy and a rank view that lost its
+// race are not counted — so the counts of a run depend on its input alone,
+// not on how its workers interleaved.
+type KernelStats struct {
+	RefineRows uint64 // rows dealt by refine into the classes of a prefix
+	TieRows    uint64 // rows through refine's tie pass
+	SortedRows uint64 // rows of the contexts sorted from scratch: the empty and one-attribute ones
+	ScanPairs  uint64 // adjacent pairs a data check compared
+	RankViews  uint64 // rank views built
+	RankRows   uint64 // rows of the rank views built
+	// The decoder's: cells of a /discover body, by the path that read them.
+	LoopCells uint64 // by the integer-row loop
+	CellCells uint64 // one call of the cell decoder each
+}
+
+// Add folds o's counts into k's.
+func (k *KernelStats) Add(o KernelStats) {
+	k.RefineRows += o.RefineRows
+	k.TieRows += o.TieRows
+	k.SortedRows += o.SortedRows
+	k.ScanPairs += o.ScanPairs
+	k.RankViews += o.RankViews
+	k.RankRows += o.RankRows
+	k.LoopCells += o.LoopCells
+	k.CellCells += o.CellCells
 }
 
 // cachedPartition is a retained partition, whether a caller has asked for
@@ -273,7 +321,50 @@ func NewSortCache(r *Relation) *SortCache {
 	if sc == nil || r.views.Load() == &released {
 		sc = TakeScratch()
 	}
-	return &SortCache{r: r, sc: sc, t: sc.takeTable()}
+	return &SortCache{r: r, sc: sc, t: sc.takeTable(), views: r.viewsBuilt.Load(), rows: r.viewRows.Load()}
+}
+
+// Kernel reports the physical work of the cache's partitions and checks so
+// far, and the rank views the relation built while the cache lived.
+func (c *SortCache) Kernel() KernelStats {
+	c.mu.Lock()
+	k := c.kernel
+	c.mu.Unlock()
+	k.RankViews, k.RankRows = c.r.viewsBuilt.Load()-c.views, c.r.viewRows.Load()-c.rows
+	return k
+}
+
+// CheckGroup answers a context group, the unit of a discovery level's work:
+// kinds[i] is how the rows falsify the OD from the context x to the columns
+// ys[i] — zero when it holds — as CheckCols reports it over x's partition.
+// x is asked for once, as GetCols asks, and every position must be in the
+// schema. It allocates nothing once x is cached.
+func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error {
+	p, err := c.GetCols(x)
+	if err != nil {
+		return err
+	}
+	pairs := 0
+	for i, y := range ys {
+		var onStack [8]*colRanks
+		ry, err := c.r.ranksAt(onStack[:0], y)
+		if err != nil {
+			return err
+		}
+		k := firstViolation(p.Index, p.Tie, ry)
+		pairs += pairsScanned(k, len(p.Index))
+		kinds[i] = 0
+		if k >= 0 {
+			kinds[i] = Swap
+			if p.Tie[k] {
+				kinds[i] = Split
+			}
+		}
+	}
+	c.mu.Lock()
+	c.kernel.ScanPairs += uint64(pairs)
+	c.mu.Unlock()
+	return nil
 }
 
 // Scratch returns the scratch the cache's partitions are cut from, for a
@@ -336,6 +427,7 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 		return &e.p, nil
 	}
 	built := cachedPartition{asked: asked}
+	var cost KernelStats
 	if len(x) <= 1 {
 		var one [1]*colRanks
 		cols, err := c.r.ranksAt(one[:0], x)
@@ -346,7 +438,8 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 		s := take(c.sc, &c.sc.sorts)
 		c.r.sortInto(&built.p, cols, built.arr, s)
 		give(c.sc, &c.sc.sorts, s)
-	} else if err := c.refine(&built, x); err != nil {
+		cost.SortedRows = uint64(c.r.n)
+	} else if err := c.refine(&built, x, &cost); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -359,6 +452,7 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 		}
 	} else {
 		e = c.t.insert(h, x, built)
+		c.kernel.Add(cost)
 	}
 	c.mu.Unlock()
 	return &e.p, nil
@@ -391,8 +485,8 @@ func (c *SortCache) Release() {
 // with ties in row order — which is how every partition here orders its ties.
 // Where A cannot reorder anything — it is constant, or every class of X is
 // one row — the partition shares X's arrays and e owns none; otherwise e owns
-// the scratch's arrays it is built in.
-func (c *SortCache) refine(e *cachedPartition, x []int) error {
+// the scratch's arrays it is built in. The work is counted into cost.
+func (c *SortCache) refine(e *cachedPartition, x []int, cost *KernelStats) error {
 	px, err := c.get(x[:len(x)-1], false)
 	if err != nil {
 		return err
@@ -435,6 +529,7 @@ func (c *SortCache) refine(e *cachedPartition, x []int) error {
 		next[g]++
 	}
 	q.Groups = n - narrowTies(q.Tie, q.Index, ra[0].rank)
+	cost.RefineRows, cost.TieRows = uint64(n), uint64(len(q.Tie))
 	return nil
 }
 

@@ -44,7 +44,10 @@ func (r *Relation) ranksOf(c int) *colRanks {
 	if cr := v.Load(); cr != nil {
 		return cr
 	}
-	v.CompareAndSwap(nil, r.buildRanks(c))
+	if v.CompareAndSwap(nil, r.buildRanks(c)) {
+		r.viewsBuilt.Add(1)
+		r.viewRows.Add(uint64(r.n))
+	}
 	return v.Load()
 }
 

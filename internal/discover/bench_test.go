@@ -218,13 +218,25 @@ func TestKeepRedundantKeepsNoPruningState(t *testing.T) {
 	}
 }
 
+// benchmarkPipeline runs the pipeline over r and reports, beside the time,
+// the physical work per run that TestPipelineKernelCounts pins. The relation
+// is shared by every run, so only the first builds rank views.
 func benchmarkPipeline(b *testing.B, r *core.Relation, opts Options) {
 	b.ReportAllocs()
+	var k core.KernelStats
 	for b.Loop() {
-		if _, err := Pipeline(context.Background(), r, PipelineOptions{Options: opts}); err != nil {
+		res, err := Pipeline(context.Background(), r, PipelineOptions{Options: opts})
+		if err != nil {
 			b.Fatal(err)
 		}
+		k.Add(res.Kernel)
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(k.RefineRows)/n, "refine-rows/op")
+	b.ReportMetric(float64(k.TieRows)/n, "tie-rows/op")
+	b.ReportMetric(float64(k.SortedRows)/n, "sorted-rows/op")
+	b.ReportMetric(float64(k.ScanPairs)/n, "scan-pairs/op")
+	b.ReportMetric(float64(k.RankRows)/n, "rank-rows/op")
 }
 
 // BenchmarkPipelineDateDim is one in-process run of bench/'s primary
@@ -309,6 +321,48 @@ func BenchmarkPruneDateDim(b *testing.B) {
 		// what holds.
 		if implied != holding {
 			b.Fatalf("%d of %d questions implied, want %d", implied, questions, holding)
+		}
+	}
+}
+
+// TestPipelineKernelCounts pins the physical work of a run on both of
+// bench/'s discover-date relations — rows refined, sorted and scanned, rank
+// views built — at 1, 3 and GOMAXPROCS+2 workers: every count is taken once
+// per published partition, check or view, so it may not follow the
+// schedule. A kernel change states its cut in these counts; Stats, the
+// logical counts, may not move with it.
+func TestPipelineKernelCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		relation func() (*core.Relation, Options)
+		want     core.KernelStats
+	}{
+		// 30 contexts refined, 8 sorted (the empty one and 7 attributes).
+		{"date1826x7", func() (*core.Relation, Options) { return dateDim(t) }, core.KernelStats{
+			RefineRows: 30 * 1826, TieRows: 30 * 1825, SortedRows: 8 * 1826,
+			ScanPairs: 92802, RankViews: 7, RankRows: 7 * 1826,
+		}},
+		// 30 contexts refined, 7 sorted (the empty one and 6 attributes).
+		{"random4000x6", random4000x6, core.KernelStats{
+			RefineRows: 30 * 4000, TieRows: 30 * 3999, SortedRows: 7 * 4000,
+			ScanPairs: 2776, RankViews: 6, RankRows: 6 * 4000,
+		}},
+	} {
+		var first *PipelineResult
+		for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0) + 2} {
+			r, opts := tc.relation()
+			res, err := Pipeline(context.Background(), r, PipelineOptions{Options: opts, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kernel != tc.want {
+				t.Errorf("%s, %d workers: kernel counts\n got %+v\nwant %+v", tc.name, workers, res.Kernel, tc.want)
+			}
+			if first == nil {
+				first = res
+			} else if res.Stats != first.Stats {
+				t.Errorf("%s, %d workers: stats %+v, at one worker %+v", tc.name, workers, res.Stats, first.Stats)
+			}
 		}
 	}
 }

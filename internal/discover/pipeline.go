@@ -69,6 +69,10 @@ type PipelineResult struct {
 	// candidate that holds.
 	ODs   []core.OD
 	Stats PipelineStats
+	// Kernel counts the physical work core's kernels did for the run —
+	// rows refined, sorted and scanned, rank views built — which, unlike
+	// Stats, a kernel change may move. It is not part of the wire answer.
+	Kernel core.KernelStats
 }
 
 // lattice is the candidate space in dense-integer form. Every duplicate-free
@@ -201,8 +205,12 @@ type worker struct {
 	pruned, checks, rows uint64       // closure-pruned candidates, data checks, rows scanned
 	err                  error
 
-	le   []uint64 // the models the group's left-hand side orders
-	cols []int    // a list's positions, as core takes them
+	le    []uint64 // the models the group's left-hand side orders
+	cols  []int    // a list's positions, as core takes them
+	rhs   []int32  // the group's right-hand sides that reach the data
+	flat  []int    // their positions, back to back
+	ys    [][]int  // each one's positions, cut from flat
+	kinds []core.ViolationKind
 }
 
 // refutation records a candidate found to fail on the data, by slot, with the
@@ -345,6 +353,7 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 
 	_, hits, misses := cache.Stats()
 	res.Stats.CacheHits, res.Stats.CacheMisses = hits, misses
+	res.Kernel = cache.Kernel()
 	// Each cache miss paid one sort pass and one tie pass; hits paid nothing.
 	res.Stats.RowsScanned += 2 * misses * uint64(r.Len())
 	res.Constants = constantsOf(res.ODs)
@@ -486,7 +495,7 @@ func (b *run) propagated(lhs, rhs int32) core.ViolationKind {
 
 // validateGroup answers context group g into the worker's share: closure-prune
 // each candidate against the accepted set, then check the survivors against
-// the data over the context's cached sorted partition. A candidate is asked
+// the data, all at once, over the context's order. A candidate is asked
 // about by position; only the catalog, past maxTableAttrs attributes, is
 // asked by name.
 func (b *run) validateGroup(ctx context.Context, r *core.Relation, pr pruning,
@@ -499,7 +508,7 @@ func (b *run) validateGroup(ctx context.Context, r *core.Relation, pr pruning,
 	if pr.table != nil {
 		w.le = pr.table.under(w.le, x)
 	}
-	var part *core.SortedPartition
+	w.rhs = w.rhs[:0]
 	for _, rhs := range b.rhss[b.groupOff[g]:b.groupOff[g+1]] {
 		if w.err = ctx.Err(); w.err != nil {
 			return
@@ -519,18 +528,30 @@ func (b *run) validateGroup(ctx context.Context, r *core.Relation, pr pruning,
 			w.pruned++
 			continue
 		}
-		if part == nil {
-			if part, w.err = cache.GetCols(w.positions(x)); w.err != nil {
-				return
-			}
+		w.rhs = append(w.rhs, rhs)
+	}
+	if len(w.rhs) == 0 {
+		return
+	}
+	w.flat, w.ys = w.flat[:0], w.ys[:0]
+	for _, rhs := range w.rhs {
+		for _, p := range b.la.list(rhs) {
+			w.flat = append(w.flat, int(p))
 		}
-		w.checks++
-		w.rows += uint64(r.Len())
-		kind, err := r.CheckCols(part, w.positions(y))
-		if w.err = err; err != nil {
-			return
-		}
-		if kind == 0 {
+	}
+	at := 0
+	for _, rhs := range w.rhs {
+		n := len(b.la.list(rhs))
+		w.ys, at = append(w.ys, w.flat[at:at+n:at+n]), at+n
+	}
+	w.kinds = sized(w.kinds, len(w.rhs))
+	if w.err = cache.CheckGroup(w.positions(x), w.ys, w.kinds); w.err != nil {
+		return
+	}
+	w.checks += uint64(len(w.rhs))
+	w.rows += uint64(len(w.rhs)) * uint64(r.Len())
+	for i, rhs := range w.rhs {
+		if kind := w.kinds[i]; kind == 0 {
 			w.holding = append(w.holding, [2]int32{lhs, rhs})
 		} else {
 			w.refuted = append(w.refuted, refutation{slot: lhs*b.nRHS + rhs, kind: kind})

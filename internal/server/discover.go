@@ -158,7 +158,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.tel != nil {
-		s.tel.observeDiscover(res.Stats)
+		k := res.Kernel
+		k.LoopCells, k.CellCells = req.Rows.decoded()
+		s.tel.observeDiscover(res.Stats, k)
 	}
 
 	summary := discoverSummary{

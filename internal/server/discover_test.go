@@ -143,6 +143,14 @@ func TestDiscoverEndpoint(t *testing.T) {
 		"odserve_discover_accepted_ods_total":   1,
 		"odserve_discover_cache_misses_total":   1,
 		"odserve_discover_closure_pruned_total": 0,
+		"odserve_discover_sorted_rows_total":    1,
+		"odserve_discover_scan_pairs_total":     1,
+		"odserve_discover_rank_views_total":     1,
+		"odserve_discover_rank_rows_total":      1,
+		"odserve_discover_cell_cells_total":     1,
+		"odserve_discover_refine_rows_total":    0,
+		"odserve_discover_tie_rows_total":       0,
+		"odserve_discover_loop_cells_total":     0,
 	} {
 		v, ok := sampleValue(fams, name, name, nil)
 		if !ok {

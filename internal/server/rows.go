@@ -28,12 +28,21 @@ const maxExactInt = 1 << 53
 type instanceRows struct {
 	n, width int
 	cols     []rowsColumn
+	// loopCells counts the cells the integer-row loop decoded; every other
+	// cell went through cell.
+	loopCells int
 	// sc is the request's scratch, whose block of integer cells reserve
 	// cuts the integer columns from.
 	sc *core.Scratch
 	// err is why the value is no relation, kept by UnmarshalJSON for
 	// decodeDiscoverBytes to report.
 	err error
+}
+
+// decoded reports how many cells the integer-row loop decoded and how many
+// went through cell one call each.
+func (t *instanceRows) decoded() (loop, cell uint64) {
+	return uint64(t.loopCells), uint64(t.n*t.width - t.loopCells)
 }
 
 // rowsColumn is one column's cells so far: strs for a textual column, and

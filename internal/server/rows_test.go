@@ -349,6 +349,7 @@ func BenchmarkDiscoverDecode(b *testing.B) {
 			sc.Release()
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
+			var loop, cell uint64
 			for b.Loop() {
 				sc := core.TakeScratch()
 				var req discoverRequest
@@ -358,8 +359,12 @@ func BenchmarkDiscoverDecode(b *testing.B) {
 				if _, err := relationOf(&req, sc); err != nil {
 					b.Fatal(err)
 				}
+				l, c := req.Rows.decoded()
+				loop, cell = loop+l, cell+c
 				sc.Release()
 			}
+			b.ReportMetric(float64(loop)/float64(b.N), "loop-cells/op")
+			b.ReportMetric(float64(cell)/float64(b.N), "cell-cells/op")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"odlib/internal/catalog"
+	"odlib/internal/core"
 	"odlib/internal/discover"
 	"odlib/internal/metrics"
 	"odlib/internal/prover"
@@ -49,6 +50,15 @@ type Telemetry struct {
 	discoverCacheHits        *metrics.Counter
 	discoverCacheMisses      *metrics.Counter
 	discoverAccepted         *metrics.Counter
+	// ...and its physical work, core.KernelStats, with the decode's.
+	discoverRefineRows *metrics.Counter
+	discoverTieRows    *metrics.Counter
+	discoverSortedRows *metrics.Counter
+	discoverScanPairs  *metrics.Counter
+	discoverRankViews  *metrics.Counter
+	discoverRankRows   *metrics.Counter
+	discoverLoopCells  *metrics.Counter
+	discoverCellCells  *metrics.Counter
 }
 
 // NewTelemetry builds the registry and every hot-path instrument. The five
@@ -97,6 +107,22 @@ func NewTelemetry() *Telemetry {
 			"Sorted-partition cache misses (relation sorts performed)."),
 		discoverAccepted: reg.NewCounter("odserve_discover_accepted_ods_total",
 			"ODs discovered to hold and committed."),
+		discoverRefineRows: reg.NewCounter("odserve_discover_refine_rows_total",
+			"Rows dealt into the classes of a prefix by partition refinement."),
+		discoverTieRows: reg.NewCounter("odserve_discover_tie_rows_total",
+			"Rows through the tie pass of partition refinement."),
+		discoverSortedRows: reg.NewCounter("odserve_discover_sorted_rows_total",
+			"Rows of the contexts sorted from scratch (the empty and one-attribute contexts)."),
+		discoverScanPairs: reg.NewCounter("odserve_discover_scan_pairs_total",
+			"Adjacent row pairs compared by data checks."),
+		discoverRankViews: reg.NewCounter("odserve_discover_rank_views_total",
+			"Column rank views built."),
+		discoverRankRows: reg.NewCounter("odserve_discover_rank_rows_total",
+			"Rows of the column rank views built."),
+		discoverLoopCells: reg.NewCounter("odserve_discover_loop_cells_total",
+			"Body cells decoded by the integer-row loop."),
+		discoverCellCells: reg.NewCounter("odserve_discover_cell_cells_total",
+			"Body cells decoded one call of the cell decoder each."),
 	}
 	t.storeTel = store.Telemetry{
 		CommitSeconds: reg.NewHistogram("odserve_wal_commit_seconds",
@@ -118,9 +144,10 @@ func NewTelemetry() *Telemetry {
 	return t
 }
 
-// observeDiscover folds one completed pipeline run's stats into the
-// discovery counters.
-func (t *Telemetry) observeDiscover(st discover.PipelineStats) {
+// observeDiscover folds one completed pipeline run's stats, and the
+// physical work of its kernels and its body's decode, into the discovery
+// counters.
+func (t *Telemetry) observeDiscover(st discover.PipelineStats, k core.KernelStats) {
 	t.discoverRuns.Inc()
 	t.discoverCandidates.Add(float64(st.Candidates))
 	t.discoverClosurePruned.Add(float64(st.ClosurePruned))
@@ -130,6 +157,14 @@ func (t *Telemetry) observeDiscover(st discover.PipelineStats) {
 	t.discoverCacheHits.Add(float64(st.CacheHits))
 	t.discoverCacheMisses.Add(float64(st.CacheMisses))
 	t.discoverAccepted.Add(float64(st.Accepted))
+	t.discoverRefineRows.Add(float64(k.RefineRows))
+	t.discoverTieRows.Add(float64(k.TieRows))
+	t.discoverSortedRows.Add(float64(k.SortedRows))
+	t.discoverScanPairs.Add(float64(k.ScanPairs))
+	t.discoverRankViews.Add(float64(k.RankViews))
+	t.discoverRankRows.Add(float64(k.RankRows))
+	t.discoverLoopCells.Add(float64(k.LoopCells))
+	t.discoverCellCells.Add(float64(k.CellCells))
 }
 
 // Registry exposes the underlying registry — the GET /metrics handler, and
