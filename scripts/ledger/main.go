@@ -22,20 +22,40 @@
 // the base tree lacks is recorded for the head alone: a new benchmark lands
 // in a change of its own, before a change that claims a gain on it. The
 // head is recorded as dirty when the working tree differs from its commit,
-// untracked files included, since they are built into the head binaries.
+// untracked files included, since they are built into the head binaries,
+// and as head_tree, a SHA-256 over the files the head binaries were built
+// from (see treeHash), which names the code an entry measured whether or
+// not it was committed.
+//
+// An entry also records each benchmark's cold allocations: a benchmark pays
+// a burst per invocation (its first table, its goroutines, a cold free
+// list) on top of a steady cost per op, and a short run averages the burst
+// in. Running one binary at two counts separates them:
+//
+//	marginal = (A₁₁₀₀·1100 − A₁₀₀·100) / 1000
+//	burst    = 100·(A₁₀₀ − marginal)
+//
+// where A_N is allocs/op at -benchtime Nx. Go prints A_N truncated to an
+// integer, so the burst is known to about ±110 allocations.
 //
 // With -check it measures nothing against a base: it runs the head's list
-// once at -benchtime 100x, at the GOMAXPROCS of the newest measured entry,
-// and fails when a benchmark's allocs/op exceed that entry's head median by
-// more than the headroom (10 %, and at least 2 allocations). Benchmarks
-// whose allocations follow the scheduler are printed, not gated, and wall
-// clock is never gated.
+// at -benchtime 100x and 1100x, at the GOMAXPROCS of the newest measured
+// entry, and fails when a benchmark's marginal allocs/op exceed that
+// entry's head median by more than the headroom (10 %, and at least 2
+// allocations), or its burst exceeds the entry's cold_allocs by more than
+// the burst headroom (50 %, and at least 150 allocations). Benchmarks whose
+// allocations follow the scheduler are printed, not gated, and wall clock is
+// never gated. It prints whether HEAD's tree is the one the newest entry
+// measured; it does not gate on that, since a change may move code without
+// claiming a number.
 package main
 
 import (
 	"archive/tar"
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -82,11 +102,21 @@ type benchmark struct {
 	scheduled bool
 }
 
-// The check's headroom over the ledger's allocs/op: a run of 100 iterations
-// pays its pools' warm-up over fewer iterations than a ledger run does.
+// The check's headroom over the ledger's allocs/op, for the marginal cost of
+// an op, and over its cold_allocs, for the burst: the burst is read through
+// truncated averages (about ±110 allocations) and follows the free lists'
+// and the runtime's warm-up, so its headroom is wider.
 const (
 	headroomRatio  = 0.10
 	headroomAllocs = 2
+	burstRatio     = 0.50
+	burstAllocs    = 150
+)
+
+// The two iteration counts the burst is separated at.
+const (
+	shortRun = 100
+	longRun  = 1100
 )
 
 // Every entry is measured alike: ten pairs, where a sign test reads p ≤ 0.05
@@ -147,6 +177,7 @@ type Entry struct {
 	Base      string   `json:"base,omitempty"`       // the base commit
 	Head      string   `json:"head,omitempty"`       // the commit under the head tree
 	HeadDirty bool     `json:"head_dirty,omitempty"` // the head tree differed from that commit
+	HeadTree  string   `json:"head_tree,omitempty"`  // treeHash of the head tree
 	Env       *Env     `json:"env,omitempty"`
 	Pairs     int      `json:"pairs,omitempty"`
 	Benchtime string   `json:"benchtime,omitempty"`
@@ -175,6 +206,9 @@ type Result struct {
 	Base    map[string]float64 `json:"base,omitempty"`
 	Head    map[string]float64 `json:"head,omitempty"`
 	Verdict string             `json:"verdict,omitempty"` // of ns/op: faster, slower or unresolved
+	// ColdAllocs is the head's burst per invocation, from one run at each
+	// of the two counts.
+	ColdAllocs *float64 `json:"cold_allocs,omitempty"`
 }
 
 // Comparison is one metric's distribution on each side and the sign test
@@ -210,9 +244,13 @@ func measure(root, tmp, base string, benches []benchmark) (*Entry, error) {
 	if err := extract(root, baseCommit, baseTree); err != nil {
 		return nil, err
 	}
+	tree, err := treeHash(root, benches)
+	if err != nil {
+		return nil, err
+	}
 	e := &Entry{
 		Source: "ledger", Date: time.Now().UTC().Format(time.RFC3339),
-		Base: baseCommit, Head: headCommit, HeadDirty: status != "",
+		Base: baseCommit, Head: headCommit, HeadDirty: status != "", HeadTree: tree,
 		Env: env(), Pairs: pairs, Benchtime: benchtime,
 	}
 	heads, err := buildAll(root, filepath.Join(tmp, "head"), benches)
@@ -269,10 +307,94 @@ func measure(root, tmp, base string, benches []benchmark) (*Entry, error) {
 			}
 		}
 	}
+	split, err := splitAll(root, heads, benches, nil)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range order {
-		e.Results = append(e.Results, summarize(pkgOf[name], name, runs["base"][name], runs["head"][name]))
+		r := summarize(pkgOf[name], name, runs["base"][name], runs["head"][name])
+		if a, ok := split[name]; ok {
+			r.ColdAllocs = &a.burst
+		}
+		e.Results = append(e.Results, r)
 	}
 	return e, nil
+}
+
+// allocSplit is one benchmark's allocations per op separated into the
+// steady cost of an op and the burst of an invocation.
+type allocSplit struct {
+	marginal, burst float64
+}
+
+// splitAllocs separates the two from allocs/op at shortRun and longRun
+// iterations.
+func splitAllocs(short, long float64) allocSplit {
+	m := (long*longRun - short*shortRun) / (longRun - shortRun)
+	return allocSplit{marginal: m, burst: shortRun * (short - m)}
+}
+
+// splitAll runs every benchmark of the list at both counts, with the extra
+// flags, and splits each result's allocations.
+func splitAll(root string, bins map[string]string, benches []benchmark, extra []string) (map[string]allocSplit, error) {
+	out := map[string]allocSplit{}
+	for _, b := range benches {
+		var at [2]map[string]sample
+		for i, n := range []int{shortRun, longRun} {
+			args := append([]string{"-test.benchtime", strconv.Itoa(n) + "x"}, extra...)
+			got, err := run(bins[b.pkg], filepath.Join(root, b.pkg), b.name, args)
+			if err != nil {
+				return nil, err
+			}
+			at[i] = got
+		}
+		for name, s := range at[0] {
+			if l, ok := at[1][name]; ok {
+				out[name] = splitAllocs(s["allocs/op"], l["allocs/op"])
+			}
+		}
+	}
+	return out, nil
+}
+
+// treeHash is a SHA-256 over what the list's binaries are built from: the
+// sorted paths and contents of go.mod, go.sum and every Go file of the
+// listed packages' directories, as the files stand under root, untracked
+// ones included. It reads the files and writes nothing, .git included.
+func treeHash(root string, benches []benchmark) (string, error) {
+	paths := []string{"go.mod", "go.sum"}
+	seen := map[string]bool{}
+	for _, b := range benches {
+		if seen[b.pkg] {
+			continue
+		}
+		seen[b.pkg] = true
+		files, err := filepath.Glob(filepath.Join(root, b.pkg, "*.go"))
+		if err != nil {
+			return "", err
+		}
+		for _, f := range files {
+			rel, err := filepath.Rel(root, f)
+			if err != nil {
+				return "", err
+			}
+			paths = append(paths, filepath.ToSlash(rel))
+		}
+	}
+	slices.Sort(paths)
+	h := sha256.New()
+	for _, p := range paths {
+		b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(p)))
+		if errors.Is(err, os.ErrNotExist) && p == "go.sum" {
+			continue // a module without dependencies has none
+		}
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", p, len(b))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // summarize reduces one benchmark's runs: medians of every unit, and the
@@ -540,8 +662,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // printEntry writes the entry as a table.
 func printEntry(w io.Writer, e *Entry) {
-	fmt.Fprintf(w, "base %.12s  head %.12s (dirty %v)  %s, GOMAXPROCS %d, %s, %s\n",
-		e.Base, e.Head, e.HeadDirty, e.Env.Go, e.Env.GOMAXPROCS, e.Env.CPU, e.Env.Kernel)
+	fmt.Fprintf(w, "base %.12s  head %.12s (dirty %v, tree %.12s)  %s, GOMAXPROCS %d, %s, %s\n",
+		e.Base, e.Head, e.HeadDirty, e.HeadTree, e.Env.Go, e.Env.GOMAXPROCS, e.Env.CPU, e.Env.Kernel)
 	fmt.Fprintf(w, "%d pairs at -benchtime %s\n\n", e.Pairs, e.Benchtime)
 	for _, r := range e.Results {
 		fmt.Fprintf(w, "%s\n", r.Name)
@@ -551,6 +673,9 @@ func printEntry(w io.Writer, e *Entry) {
 				c.Wins, e.Pairs, c.P, r.Verdict)
 		} else {
 			fmt.Fprintf(w, "  ns/op      %12.0f   (head only)\n", r.Head["ns/op"])
+		}
+		if r.ColdAllocs != nil {
+			fmt.Fprintf(w, "  %-10s %12s   %12.0f\n", "cold", "", *r.ColdAllocs)
 		}
 		for _, unit := range sortedKeys(r.Head) {
 			if unit == "ns/op" {
@@ -593,8 +718,9 @@ func appendEntry(path string, e *Entry) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// runCheck is the CI gate: the head's list once at 100 iterations, each
-// benchmark's allocs/op against the newest measured entry's head median.
+// runCheck is the CI gate: the head's list at both counts, each benchmark's
+// marginal allocs/op against the newest measured entry's head median and its
+// burst against the entry's cold_allocs.
 func runCheck(root, tmp, path string, benches []benchmark) error {
 	l, err := readLedger(path)
 	if err != nil {
@@ -609,42 +735,87 @@ func runCheck(root, tmp, path string, benches []benchmark) error {
 	if last == nil {
 		return fmt.Errorf("%s holds no measured entry to check against", path)
 	}
-	want := map[string]float64{}
+	headTree := filepath.Join(tmp, "HEAD")
+	if err := extract(root, "HEAD", headTree); err != nil {
+		return err
+	}
+	tree, err := treeHash(headTree, benches)
+	if err != nil {
+		return err
+	}
+	if tree == last.HeadTree {
+		fmt.Printf("HEAD's tree %.12s is the one the %q entry measured\n", tree, last.Label)
+	} else {
+		fmt.Printf("HEAD's tree %.12s is not the one the %q entry measured (%.12s)\n", tree, last.Label, last.HeadTree)
+	}
+	want := map[string]Result{}
 	for _, r := range last.Results {
-		if v, ok := r.Head["allocs/op"]; ok {
-			want[r.Name] = v
-		}
+		want[r.Name] = r
 	}
 	bins, err := buildAll(root, filepath.Join(tmp, "head"), benches)
 	if err != nil {
 		return err
 	}
 	// The pipeline's goroutines, and what they allocate, follow GOMAXPROCS.
-	args := []string{"-test.benchtime", "100x", "-test.cpu", strconv.Itoa(last.Env.GOMAXPROCS)}
+	got, err := splitAll(root, bins, benches, []string{"-test.cpu", strconv.Itoa(last.Env.GOMAXPROCS)})
+	if err != nil {
+		return err
+	}
 	var over []string
 	for _, b := range benches {
-		got, err := run(bins[b.pkg], filepath.Join(root, b.pkg), b.name, args)
-		if err != nil {
-			return err
-		}
 		for _, name := range sortedKeys(got) {
-			allocs, ok := want[name]
-			limit := allocs + max(headroomAllocs, headroomRatio*allocs)
-			status := "ok"
-			switch {
-			case !ok:
+			if name != b.name && !strings.HasPrefix(name, b.name+"/") {
+				continue
+			}
+			r, ok := want[name]
+			status := gate(got[name], r, b.scheduled)
+			if !ok {
 				status = "not in the ledger"
-			case b.scheduled:
-				status = "follows the scheduler, not gated"
-			case got[name]["allocs/op"] > limit:
-				status = "OVER"
+			}
+			if strings.HasPrefix(status, "OVER") {
 				over = append(over, name)
 			}
-			fmt.Printf("%-45s %8.0f allocs/op, ledger %.0f, limit %.0f: %s\n", name, got[name]["allocs/op"], allocs, limit, status)
+			fmt.Printf("%-45s %8.1f allocs/op, ledger %.0f, limit %.0f; burst %6.0f, ledger %s: %s\n",
+				name, got[name].marginal, r.Head["allocs/op"], marginalLimit(r.Head["allocs/op"]),
+				got[name].burst, coldOf(r), status)
 		}
 	}
 	if len(over) > 0 {
-		return fmt.Errorf("allocs/op over the ledger's %q entry plus headroom: %v", last.Label, over)
+		return fmt.Errorf("allocations over the ledger's %q entry plus headroom: %v", last.Label, over)
 	}
 	return nil
+}
+
+// marginalLimit and burstLimit are the most the check lets a benchmark
+// allocate per op and per invocation, given the ledger's figures.
+func marginalLimit(allocs float64) float64 {
+	return allocs + max(headroomAllocs, headroomRatio*allocs)
+}
+
+func burstLimit(cold float64) float64 {
+	return cold + max(burstAllocs, burstRatio*cold)
+}
+
+// gate judges one benchmark's split against its ledger result: "ok", or why
+// it is not gated, or "OVER" and which gate it failed.
+func gate(a allocSplit, r Result, scheduled bool) string {
+	switch {
+	case scheduled:
+		return "follows the scheduler, not gated"
+	case a.marginal > marginalLimit(r.Head["allocs/op"]):
+		return "OVER per op"
+	case r.ColdAllocs != nil && a.burst > burstLimit(*r.ColdAllocs):
+		return "OVER per invocation"
+	case r.ColdAllocs == nil:
+		return "ok (no cold_allocs in the ledger)"
+	}
+	return "ok"
+}
+
+// coldOf renders a result's cold_allocs and its limit.
+func coldOf(r Result) string {
+	if r.ColdAllocs == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f, limit %.0f", *r.ColdAllocs, burstLimit(*r.ColdAllocs))
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -87,5 +89,86 @@ func TestQuantile(t *testing.T) {
 	}
 	if !math.IsNaN(quantile(nil, 0.5)) {
 		t.Error("the median of nothing is a number")
+	}
+}
+
+// allocsPerOp is what `go test` prints for a benchmark whose invocation
+// allocates burst once and perOp every op, run n times: the average,
+// truncated to an integer.
+func allocsPerOp(burst, perOp, n int) float64 {
+	return float64((burst + perOp*n) / n)
+}
+
+// TestBurstGate: a benchmark with a 150-allocation first call beside 19 per
+// op passes both gates against an entry that recorded it, and fails the
+// burst gate alone once the burst doubles — the per-op gate, which a short
+// run used to read the burst into, stays quiet.
+func TestBurstGate(t *testing.T) {
+	measured := splitAllocs(allocsPerOp(150, 19, shortRun), allocsPerOp(150, 19, longRun))
+	entry := Result{Head: map[string]float64{"allocs/op": allocsPerOp(150, 19, 100_000)}, ColdAllocs: &measured.burst}
+	if s := gate(measured, entry, false); s != "ok" {
+		t.Fatalf("the run the entry recorded reads %q (split %+v)", s, measured)
+	}
+	if measured.marginal > 19 || measured.marginal < 18 || measured.burst < 40 || measured.burst > 260 {
+		t.Fatalf("150 allocations once and 19 per op split into %+v", measured)
+	}
+	doubled := splitAllocs(allocsPerOp(300, 19, shortRun), allocsPerOp(300, 19, longRun))
+	if s := gate(doubled, entry, false); s != "OVER per invocation" {
+		t.Fatalf("a doubled burst reads %q (split %+v against %+v)", s, doubled, measured)
+	}
+	if s := gate(doubled, entry, true); s != "follows the scheduler, not gated" {
+		t.Fatalf("a scheduled benchmark reads %q", s)
+	}
+	more := splitAllocs(allocsPerOp(150, 22, shortRun), allocsPerOp(150, 22, longRun))
+	if s := gate(more, entry, false); s != "OVER per op" {
+		t.Fatalf("22 allocations per op against a ledger of 19 reads %q (split %+v)", s, more)
+	}
+	if s := gate(doubled, Result{Head: entry.Head}, false); s != "ok (no cold_allocs in the ledger)" {
+		t.Fatalf("an entry without cold_allocs reads %q", s)
+	}
+}
+
+// TestTreeHash: the hash names the code the binaries are built from — one
+// byte of a listed package's Go file, or a new untracked one, changes it;
+// an edit outside those files does not.
+func TestTreeHash(t *testing.T) {
+	root := t.TempDir()
+	write := func(path, body string) {
+		t.Helper()
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n")
+	write("internal/core/a.go", "package core\n")
+	write("internal/other/b.go", "package other\n")
+	write("ROADMAP.md", "# roadmap\n")
+	benches := []benchmark{{"./internal/core", "BenchmarkA", false}, {"./internal/core", "BenchmarkB", false}}
+	hash := func() string {
+		t.Helper()
+		h, err := treeHash(root, benches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h0 := hash()
+	write("ROADMAP.md", "# roadmap, edited\n")
+	write("internal/other/b.go", "package other // edited\n")
+	if h := hash(); h != h0 {
+		t.Fatalf("an edit outside the listed packages moved the hash")
+	}
+	write("internal/core/a.go", "package core\n\n")
+	h1 := hash()
+	if h1 == h0 {
+		t.Fatalf("a byte added to a listed Go file left the hash")
+	}
+	write("internal/core/new.go", "package core\n")
+	if h := hash(); h == h1 {
+		t.Fatalf("an untracked Go file in a listed package left the hash")
 	}
 }
