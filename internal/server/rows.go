@@ -28,8 +28,10 @@ const maxExactInt = 1 << 53
 type instanceRows struct {
 	n, width int
 	cols     []rowsColumn
-	// loopCells counts the cells the integer-row loop decoded; every other
-	// cell went through cell.
+	// ints says every column is still an integer one, so intRows may
+	// decode the next row; loopCells counts the cells it decoded, every
+	// other cell went through cell.
+	ints      bool
 	loopCells int
 	// sc is the request's scratch, whose block of integer cells reserve
 	// cuts the integer columns from.
@@ -96,28 +98,11 @@ func (t *instanceRows) parse(p *rowsParser) error {
 		if p.next() != '[' {
 			return fmt.Errorf("row %d is not an array", t.n)
 		}
-		p.i++
-		col := 0
-		for c := p.next(); c != ']'; c = p.next() {
-			if col > 0 {
-				if c != ',' {
-					return fmt.Errorf("row %d: unexpected %q", t.n, c)
-				}
-				p.i++
-			}
-			if err := t.cell(p, col); err != nil {
+		if !t.ints || !t.intRows(p) {
+			if err := t.row(p); err != nil {
 				return err
 			}
-			col++
 		}
-		p.i++
-		if t.n == 0 {
-			t.width = col
-			t.reserve(p.b[p.i:])
-		} else if col != t.width {
-			return fmt.Errorf("row %d has %d cells, row 0 has %d", t.n, col, t.width)
-		}
-		t.n++
 		switch p.next() {
 		case ',':
 			p.i++
@@ -128,6 +113,94 @@ func (t *instanceRows) parse(p *rowsParser) error {
 			return fmt.Errorf("row %d: unterminated rows array", t.n)
 		}
 	}
+}
+
+// row decodes the row at the cursor, an array, cell by cell.
+func (t *instanceRows) row(p *rowsParser) error {
+	p.i++
+	col := 0
+	for c := p.next(); c != ']'; c = p.next() {
+		if col > 0 {
+			if c != ',' {
+				return fmt.Errorf("row %d: unexpected %q", t.n, c)
+			}
+			p.i++
+		}
+		if err := t.cell(p, col); err != nil {
+			return err
+		}
+		col++
+	}
+	p.i++
+	if t.n == 0 {
+		t.width = col
+		t.reserve(p.b[p.i:])
+	} else if col != t.width {
+		return fmt.Errorf("row %d has %d cells, row 0 has %d", t.n, col, t.width)
+	}
+	t.n++
+	return nil
+}
+
+// intRows is the loop that decodes a body of integer columns, once row 0
+// has fixed them. From the row at the cursor on, it takes each row that is
+// '[', the width's plain integers — -?(0|[1-9][0-9]*) of at most 15 digits,
+// never -0 — separated by ',' alone, and ']', appending each cell straight to
+// its column's reserved cells, and goes on while a row is followed by ",["
+// at once. A cell it takes is one num would return exact, so the columns end
+// as cell would leave them. At the first byte it does not expect inside a
+// row it drops the cells of the row taken so far, leaves the cursor on the
+// row's '[' for row to decode, and reports false; after a row, it leaves the
+// cursor behind it, at what separates it from the next, and reports true.
+func (t *instanceRows) intRows(p *rowsParser) bool {
+	b, i, cols, from := p.b, p.i, t.cols, t.n
+	taken := true
+	for {
+		start := i
+		i++
+		for c := range cols {
+			neg := i < len(b) && b[i] == '-'
+			if neg {
+				i++
+			}
+			digits := i
+			var v int64
+			for ; i < len(b); i++ {
+				d := b[i] - '0'
+				if d > 9 {
+					break
+				}
+				v = v*10 + int64(d)
+			}
+			sep := byte(',')
+			if c == len(cols)-1 {
+				sep = ']'
+			}
+			if n := i - digits; n == 0 || n > 15 || b[digits] == '0' && (n > 1 || neg) || i == len(b) || b[i] != sep {
+				for k := range c {
+					cols[k].ints = cols[k].ints[:t.n]
+				}
+				i, taken = start, false
+				break
+			}
+			i++
+			if neg {
+				v = -v
+			}
+			cols[c].ints = append(cols[c].ints, v)
+		}
+		if !taken {
+			break
+		}
+		t.n++
+		if i+1 >= len(b) || b[i] != ',' || b[i+1] != '[' {
+			break
+		}
+		i++
+	}
+	p.i = i
+	t.loopCells += (t.n - from) * len(cols)
+	return taken
 }
 
 // reserve sizes the columns, once row 0 has fixed their number and kinds,
@@ -145,6 +218,7 @@ func (t *instanceRows) reserve(rest []byte) {
 		}
 	}
 	block := t.sc.Ints(k * rows)
+	t.ints = k > 0 && k == len(t.cols)
 	for i := range t.cols {
 		switch c := &t.cols[i]; {
 		case c.ints != nil:
@@ -194,7 +268,7 @@ func (t *instanceRows) cell(p *rowsParser, col int) error {
 				for k, v := range c.ints {
 					c.floats[k] = float64(v)
 				}
-				c.ints = nil
+				c.ints, t.ints = nil, false
 			}
 			c.floats = append(c.floats, f)
 			if f != math.Trunc(f) || math.Abs(f) > maxExactInt {

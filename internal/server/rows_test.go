@@ -163,6 +163,36 @@ var rowsCorpus = []string{
 	`[[1,2],[3,4],[-0,6],[12345678,8]]`, `[[1,2],[3,4],[1e2,6],[7,8]]`,
 	// A string where an integer column reads on.
 	`[[1,2],[3,"4"]]`, `[[1,2],["12345678",4]]`,
+	// What the integer-row loop hands back to cell mid-body, after taking a
+	// row and, but for the first, a cell of the row it hands back: white
+	// space after row 1, -0, a leading zero, 16 digits, an exponent; and
+	// rows it takes again afterwards.
+	`[[1,2],[3,4] ,[5,6],[7,8]]`, `[[1,2],[3,4], [5,6],[7,8]]`, "[[1,2],[3,4]\n,[5,6]]",
+	`[[1,2],[3,4],[5,-0],[7,8]]`, `[[1,2],[3,4],[5,00],[7,8]]`, `[[1,2],[3,4],[5,-01],[7,8]]`,
+	`[[1,2],[3,4],[5,1234567890123456],[7,8]]`, `[[1,2],[3,4],[5,123456789012345],[7,8]]`,
+	`[[1,2],[3,4],[5,1e3],[7,8]]`, `[[1,2],[3,4],[5,6.0],[7,8]]`, `[[1,2],[3,4],[5,6,7],[8,9]]`,
+	`[[1,2],[3,4],[5],[7,8]]`, `[[1,2],[3,4],[5,6]`, `[[1,2],[3,4],[5,`, `[[1,2],[3,4],[`,
+	fractionAt(700, 1000),
+}
+
+// fractionAt is a rows value of n integer rows but for a fraction in row k:
+// the integer-row loop takes the first k rows, hands row k to cell, which
+// turns the column float, and may not take another.
+func fractionAt(k, n int) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i := range n {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if i == k {
+			fmt.Fprintf(&b, "[%d,%d.5]", i, i%7)
+		} else {
+			fmt.Fprintf(&b, "[%d,%d]", i, i%7)
+		}
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // TestRowsDecodeMatchesAnyDecode: the typed decoder accepts exactly the
