@@ -60,6 +60,32 @@
 // Tie[k] as "tied before and the same rank" with no branch on the data, and
 // counts the classes as rows minus ties. The cache's hits and misses count
 // the contexts callers asked for; a prefix retained on the way is neither.
+//
+// A discovery level asks a context once for all its right-hand sides
+// (CheckGroup), and most candidates on data fail — one split or swap refutes
+// one — so before it refines X·A the cache probes it: it lays out a prefix of
+// X·A's order, whole classes of X taken in X's order, each sorted by A's rank
+// with ties in row order (the order refine deals them into), neighbours tied
+// when in one class with one rank of A, and scans every candidate over it.
+// That prefix and its ties are the first rows of the order and their ties,
+// and a scan reports the first violating adjacent pair, so a violation the
+// prefix shows is the first of the whole order, of the same kind. When every
+// candidate is refuted the context is decided, unbuilt and still counted as
+// asked; otherwise the context is refined and only the undecided candidates
+// are scanned on, from the prefix's last row. The probe is bounded: 32 rows
+// at first, four times more each step, never past a 16th of the relation;
+// it skips a context whose refinement would share X's arrays, and a context
+// whose group was answered over its whole order once is not probed again.
+// Its buffers are the sort scratch's, its bookkeeping is the cache table's,
+// and whether a context is probed follows only from that context's own asks,
+// so it does not follow the schedule. On a relation where nothing holds
+// (4,000 random rows over 6 attributes) every two-attribute context is
+// decided on a prefix and none is refined.
+//
+// KernelStats counts that physical work — rows refined, sorted, probed and
+// scanned, rank views built — once per published partition, check and view,
+// so a run's counts depend on its input alone, beside the logical counts
+// discovery reports.
 // A cache fills its partitions' Index and Tie arrays, through the one sort
 // routine SortPartitionOn fills fresh ones with, from its Scratch, and
 // Release gives each array back once — a partition sharing its prefix's

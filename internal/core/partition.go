@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -228,10 +229,12 @@ func scanN(idx []int32, tie []bool, ry []*colRanks) int {
 // caller already holds, so a discovery run that numbers its lists asks with
 // no name looked up and no string built.
 //
-// Hits and misses count the contexts callers asked Get for — a context's
-// first request is a miss, every later one a hit — whatever that took: a
-// prefix retained on the way to a longer context is neither, and when it is
-// asked for itself its first request is still a miss.
+// Hits and misses count the contexts callers asked Get, GetCols or
+// CheckGroup for — a context's first request is a miss, every later one a
+// hit — whatever that took: a context CheckGroup decided on a prefix of its
+// order without building it counts as asked all the same, a prefix retained
+// on the way to a longer context is neither, and when it is asked for itself
+// its first request is still a miss.
 //
 // The cache's table, its entries and the Index and Tie arrays of the
 // partitions it builds are a Scratch's — the one the relation was built on,
@@ -260,9 +263,13 @@ type KernelStats struct {
 	RefineRows uint64 // rows dealt by refine into the classes of a prefix
 	TieRows    uint64 // rows through refine's tie pass
 	SortedRows uint64 // rows of the contexts sorted from scratch: the empty and one-attribute ones
-	ScanPairs  uint64 // adjacent pairs a data check compared
-	RankViews  uint64 // rank views built
-	RankRows   uint64 // rows of the rank views built
+	// ProbeDecided counts the contexts a probe decided on a prefix of their
+	// order, which were not refined; ProbeRows the rows every probe placed.
+	ProbeDecided uint64
+	ProbeRows    uint64
+	ScanPairs    uint64 // adjacent pairs a data check compared
+	RankViews    uint64 // rank views built
+	RankRows     uint64 // rows of the rank views built
 	// The decoder's: cells of a /discover body, by the path that read them.
 	LoopCells uint64 // by the integer-row loop
 	CellCells uint64 // one call of the cell decoder each
@@ -273,6 +280,8 @@ func (k *KernelStats) Add(o KernelStats) {
 	k.RefineRows += o.RefineRows
 	k.TieRows += o.TieRows
 	k.SortedRows += o.SortedRows
+	k.ProbeDecided += o.ProbeDecided
+	k.ProbeRows += o.ProbeRows
 	k.ScanPairs += o.ScanPairs
 	k.RankViews += o.RankViews
 	k.RankRows += o.RankRows
@@ -280,14 +289,19 @@ func (k *KernelStats) Add(o KernelStats) {
 	k.CellCells += o.CellCells
 }
 
-// cachedPartition is a retained partition, whether a caller has asked for
-// its context yet, and the arrays it owns — nil when it shares a prefix's.
+// cachedPartition is a context of the cache: its partition once built
+// (built), whether a caller has asked for it yet, and the arrays it owns —
+// nil when it shares a prefix's. A context CheckGroup decided on a prefix
+// of its order is asked and not built; noProbe says its group was answered
+// over its whole order once, so that CheckGroup goes there directly.
 type cachedPartition struct {
-	p     SortedPartition
-	asked bool
-	arr   *partitionArrays
-	key   []int            // the context, as column positions
-	next  *cachedPartition // the next context of the same colsHash
+	p       SortedPartition
+	built   bool
+	asked   bool
+	noProbe bool
+	arr     *partitionArrays
+	key     []int            // the context, as column positions
+	next    *cachedPartition // the next context of the same colsHash
 }
 
 // partitionArrays are the Index and Tie arrays of one partition.
@@ -337,34 +351,192 @@ func (c *SortCache) Kernel() KernelStats {
 // CheckGroup answers a context group, the unit of a discovery level's work:
 // kinds[i] is how the rows falsify the OD from the context x to the columns
 // ys[i] — zero when it holds — as CheckCols reports it over x's partition.
-// x is asked for once, as GetCols asks, and every position must be in the
-// schema. It allocates nothing once x is cached.
+// x counts as asked for once, a hit or a miss as GetCols counts it, and
+// every position must be in the schema.
+//
+// A context X·A is first probed: the survivors are checked on a prefix of
+// its order, built from X's partition (see probe), and the whole relation is
+// refined only if some candidate survives the prefix. The first violation a
+// scan finds in the prefix is the first in the whole order, so the kinds are
+// CheckCols' either way. A context decided on the prefix stays asked and
+// unbuilt, and is probed again when asked again; once a group of a context
+// was answered over its whole order, the context is not probed again. That
+// is decided by the context's own asks alone, so which contexts are probed
+// does not depend on what concurrent groups built. It allocates nothing once
+// the cache and its scratch are warm.
 func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error {
-	p, err := c.GetCols(x)
+	for _, col := range x {
+		if col < 0 || col >= len(c.r.attrs) {
+			return fmt.Errorf("core: column %d not in schema %v", col, c.r.attrs)
+		}
+	}
+	h := colsHash(x)
+	c.mu.Lock()
+	e := c.t.find(h, x)
+	if e != nil && e.asked {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	if e == nil {
+		e = c.t.insert(h, x, cachedPartition{})
+	}
+	e.asked = true
+	probe := !e.noProbe && len(x) >= 2
+	c.mu.Unlock()
+
+	clear(kinds[:len(ys)])
+	var cost KernelStats
+	m := 0 // the rows of the order already scanned clean for every undecided candidate
+	if probe {
+		var decided bool
+		var err error
+		if m, decided, err = c.probe(x, ys, kinds, &cost); err != nil {
+			return err
+		}
+		if decided {
+			cost.ProbeDecided = 1
+			c.mu.Lock()
+			c.kernel.Add(cost)
+			c.mu.Unlock()
+			return nil
+		}
+	}
+	p, err := c.get(x, false)
 	if err != nil {
 		return err
 	}
-	pairs := 0
+	// The probed prefix is the order's first m rows: a scan of the rest
+	// starts at its last row.
+	from := max(m-1, 0)
+	idx, tie := p.Index[from:], p.Tie[min(from, len(p.Tie)):]
 	for i, y := range ys {
+		if kinds[i] != 0 {
+			continue
+		}
 		var onStack [8]*colRanks
 		ry, err := c.r.ranksAt(onStack[:0], y)
 		if err != nil {
 			return err
 		}
-		k := firstViolation(p.Index, p.Tie, ry)
-		pairs += pairsScanned(k, len(p.Index))
-		kinds[i] = 0
-		if k >= 0 {
-			kinds[i] = Swap
-			if p.Tie[k] {
-				kinds[i] = Split
-			}
-		}
+		k := firstViolation(idx, tie, ry)
+		cost.ScanPairs += uint64(pairsScanned(k, len(idx)))
+		kinds[i] = violationAt(tie, k)
 	}
 	c.mu.Lock()
-	c.kernel.ScanPairs += uint64(pairs)
+	e.noProbe = true
+	c.kernel.Add(cost)
 	c.mu.Unlock()
 	return nil
+}
+
+// violationAt is the kind of the violation a scan found at pair k of an
+// order with ties tie: a split where the pair ties on the context, a swap
+// where it does not; zero for no violation (k < 0).
+func violationAt(tie []bool, k int) ViolationKind {
+	switch {
+	case k < 0:
+		return 0
+	case tie[k]:
+		return Split
+	}
+	return Swap
+}
+
+// The probe's bounds: it places at least probeFirst rows at first and four
+// times as many at each step after, and never more than a 16th of the
+// relation, so that a context whose candidates survive their prefix costs
+// its refinement and a 16th more.
+const (
+	probeFirst  = 32
+	probeGrowth = 4
+	probeShare  = 16
+)
+
+// probe checks the right-hand sides ys of the context x = X·A on growing
+// prefixes of x's order, writing into kinds the violation each prefix shows
+// (refuted candidates stay decided), and reports how many of the order's
+// rows it placed and whether every candidate was refuted. A prefix is whole
+// classes of X, taken in X's order from X's partition, each sorted by A's
+// rank with ties in row order — exactly the order refine deals them into —
+// and neighbours tie on X·A when they are in one class and share A's rank.
+// So the prefix and its ties are the first rows of x's order and their ties,
+// and a scan's first violation in the prefix is the first in the order.
+//
+// A prefix grows class by class to probeFirst rows, then by probeGrowth,
+// never past n/probeShare rows; the probe gives up when a step can add no
+// class. It places nothing for a context whose refinement would share X's
+// arrays — every class of X one row, or A constant — which costs nothing to
+// build. Its buffers are the sort scratch's.
+func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *KernelStats) (m int, decided bool, err error) {
+	px, err := c.get(x[:len(x)-1], false)
+	if err != nil {
+		return 0, false, err
+	}
+	var one [1]*colRanks
+	ra, err := c.r.ranksAt(one[:0], x[len(x)-1:])
+	if err != nil {
+		return 0, false, err
+	}
+	n, rank := c.r.n, ra[0].rank
+	if len(ra[0].start) <= 2 || px.Groups == n {
+		return 0, false, nil
+	}
+	limit := n / probeShare
+	s := take(c.sc, &c.sc.sorts)
+	defer give(c.sc, &c.sc.sorts, s)
+	s.a, s.tie, s.ints = sized(s.a, limit), sized(s.tie, limit), sized(s.ints, limit)
+	idx, tie, keys := s.a, s.tie, s.ints
+	left := len(ys)
+	for want := probeFirst; ; want *= probeGrowth {
+		end := m
+		for end < min(want, limit) {
+			next := end + 1 // the end of the class starting at end
+			for next < n && px.Tie[next-1] {
+				next++
+			}
+			if next > limit {
+				break
+			}
+			for k, i := range px.Index[end:next] {
+				keys[end+k] = int64(rank[i])<<32 | int64(i)
+			}
+			slices.Sort(keys[end:next])
+			for k := end; k < next; k++ {
+				idx[k] = int32(keys[k])
+				if k > end {
+					tie[k-1] = rank[idx[k-1]] == rank[idx[k]]
+				}
+			}
+			tie[next-1] = false // the next class's first row is no tie
+			end = next
+		}
+		if end == m {
+			break // no whole class fits
+		}
+		cost.ProbeRows += uint64(end - m)
+		from := max(m-1, 0)
+		for i, y := range ys {
+			if kinds[i] != 0 {
+				continue
+			}
+			var onStack [8]*colRanks
+			ry, err := c.r.ranksAt(onStack[:0], y)
+			if err != nil {
+				return 0, false, err
+			}
+			k := firstViolation(idx[from:end], tie[from:end], ry)
+			cost.ScanPairs += uint64(pairsScanned(k, end-from))
+			if kinds[i] = violationAt(tie[from:end], k); kinds[i] != 0 {
+				left--
+			}
+		}
+		m = end
+		if left == 0 || end >= limit {
+			break
+		}
+	}
+	return m, left == 0, nil
 }
 
 // Scratch returns the scratch the cache's partitions are cut from, for a
@@ -422,11 +594,12 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 			e.asked = true
 		}
 	}
+	found := e != nil && e.built
 	c.mu.Unlock()
-	if e != nil {
+	if found {
 		return &e.p, nil
 	}
-	built := cachedPartition{asked: asked}
+	built := cachedPartition{built: true, asked: asked}
 	var cost KernelStats
 	if len(x) <= 1 {
 		var one [1]*colRanks
@@ -443,14 +616,20 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	if e = c.t.find(h, x); e != nil {
+	switch e = c.t.find(h, x); {
+	case e != nil && e.built:
 		// A concurrent miss won the publish: converge on it, and the losing
 		// copy, which nobody else has seen, gives its arrays back.
 		e.asked = e.asked || asked
 		if built.arr != nil {
 			give(c.sc, &c.sc.arrays, built.arr)
 		}
-	} else {
+	case e != nil:
+		// Asked for before, and decided on a prefix of its order.
+		e.p, e.arr, e.built = built.p, built.arr, true
+		c.t.partitions++
+		c.kernel.Add(cost)
+	default:
 		e = c.t.insert(h, x, built)
 		c.kernel.Add(cost)
 	}
@@ -555,9 +734,10 @@ func narrowTies(tie []bool, idx []int32, rank []int32) (ties int) {
 }
 
 // Stats reports cache effectiveness: partitions retained (prefixes nobody
-// asked for included), and the hits and misses of the contexts asked for.
+// asked for included, contexts decided on a prefix of their order not), and
+// the hits and misses of the contexts asked for.
 func (c *SortCache) Stats() (size int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.t.used, c.hits, c.misses
+	return c.t.partitions, c.hits, c.misses
 }

@@ -286,7 +286,8 @@ func cmpRanks(cols []*colRanks, s, t int32) int {
 // relation's size.
 type sortScratch struct {
 	a, b, next []int32
-	ints       []int64 // buildRanks: an integer column gathered from rows
+	ints       []int64 // buildRanks: an integer column gathered from rows; a probe's sort keys
+	tie        []bool  // a probe's ties
 }
 
 // sized returns buf resliced to n elements, reallocated only when too small;

@@ -86,7 +86,7 @@ func (s *Scratch) Release() {
 		a.poison()
 	}
 	for _, o := range s.sorts {
-		size += 4*(cap(o.a)+cap(o.b)+cap(o.next)) + 8*cap(o.ints)
+		size += 4*(cap(o.a)+cap(o.b)+cap(o.next)) + 8*cap(o.ints) + cap(o.tie)
 		o.poison()
 	}
 	if ScratchCheck {
@@ -192,6 +192,8 @@ func (o *sortScratch) poison() {
 		fill(o.a, -1)
 		fill(o.b, -1)
 		fill(o.next, -1)
+		fill(o.ints, -1)
+		fill(o.tie, true)
 	}
 }
 
@@ -199,9 +201,10 @@ func (o *sortScratch) poison() {
 // from one cache to the next — map buckets, entries and keys — so that a warm
 // cache allocates neither an entry nor a key.
 type cacheTable struct {
-	byHash  map[uint64]*cachedPartition // by colsHash; colliding contexts chain through next
-	entries []*cachedPartition          // the first used are the cache's
-	used    int
+	byHash     map[uint64]*cachedPartition // by colsHash; colliding contexts chain through next
+	entries    []*cachedPartition          // the first used are the cache's
+	used       int
+	partitions int // the used entries that are built
 }
 
 // takeTable hands a SortCache the scratch's table, or a new one when the
@@ -224,7 +227,7 @@ func (s *Scratch) giveTable(t *cacheTable) {
 			give(s, &s.arrays, e.arr)
 		}
 	}
-	t.used = 0
+	t.used, t.partitions = 0, 0
 	clear(t.byHash)
 	s.mu.Lock()
 	if s.table == nil {
@@ -264,6 +267,9 @@ func (t *cacheTable) insert(h uint64, x []int, built cachedPartition) *cachedPar
 	}
 	e := t.entries[t.used]
 	t.used++
+	if built.built {
+		t.partitions++
+	}
 	built.key, built.next = append(e.key[:0], x...), t.byHash[h]
 	*e = built
 	t.byHash[h] = e

@@ -87,8 +87,12 @@
 // looked up. A candidate is named only once it holds, at its level's commit,
 // for the key order and the stream, and the ODs a run accepts are the only
 // ones copied out of the block. Data checks run on core's rank views: a
-// context is one refinement of its prefix's partition (one counting sort,
-// for a single attribute), a candidate one scan of int32 ranks. A run's
+// context group's survivors of closure pruning go to core in one
+// SortCache.CheckGroup call, which refutes them on a prefix of the context's
+// order when it can and otherwise refines the context from its prefix's
+// partition (one counting sort, for a single attribute); a candidate is one
+// scan of int32 ranks. The physical work comes back as the result's Kernel,
+// off the wire. A run's
 // core.SortCache is released when the run ends, so the next run's
 // partitions reuse its table and arrays.
 package discover

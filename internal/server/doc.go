@@ -51,7 +51,17 @@
 // column (a number is read by one routine, and an integer of at most 15
 // digits, its commonest cell, in one pass of its digits), the rest of the
 // object — a few hundred bytes — goes through the same strict encoding/json
-// decode every endpoint uses, and a body the scan
+// decode every endpoint uses. Once row 0 has made every column an
+// integer one, the rows after it are decoded by one loop (intRows), not a
+// call per cell: it takes a row of plain integers — no white space, at most
+// 15 digits, no leading zero, not -0, no fraction or exponent — writing each
+// cell straight into its column's reserved cells, and at the first byte it
+// does not expect it drops the row's cells taken so far and hands the row,
+// unchanged, to the cell-by-cell path, resuming at the next row while every
+// column is still an integer one. What it takes is what that path would
+// have taken, so the same bodies are accepted and refused, with the same
+// messages; the loop's and the path's cells are counted apart
+// (odserve_discover_loop_cells_total, _cell_cells_total). A body the scan
 // does not expect goes through it whole, so it accepts and refuses exactly
 // what the [][]any decode it replaced did (rows_test.go holds it to that, on
 // a corpus and under fuzzing of the rows value and of the whole body). Every

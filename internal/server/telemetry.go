@@ -54,6 +54,8 @@ type Telemetry struct {
 	discoverRefineRows *metrics.Counter
 	discoverTieRows    *metrics.Counter
 	discoverSortedRows *metrics.Counter
+	discoverProbed     *metrics.Counter
+	discoverProbeRows  *metrics.Counter
 	discoverScanPairs  *metrics.Counter
 	discoverRankViews  *metrics.Counter
 	discoverRankRows   *metrics.Counter
@@ -113,6 +115,10 @@ func NewTelemetry() *Telemetry {
 			"Rows through the tie pass of partition refinement."),
 		discoverSortedRows: reg.NewCounter("odserve_discover_sorted_rows_total",
 			"Rows of the contexts sorted from scratch (the empty and one-attribute contexts)."),
+		discoverProbed: reg.NewCounter("odserve_discover_probe_decided_total",
+			"Contexts decided on a prefix of their order, not refined."),
+		discoverProbeRows: reg.NewCounter("odserve_discover_probe_rows_total",
+			"Rows placed by the prefix probes of contexts."),
 		discoverScanPairs: reg.NewCounter("odserve_discover_scan_pairs_total",
 			"Adjacent row pairs compared by data checks."),
 		discoverRankViews: reg.NewCounter("odserve_discover_rank_views_total",
@@ -160,6 +166,8 @@ func (t *Telemetry) observeDiscover(st discover.PipelineStats, k core.KernelStat
 	t.discoverRefineRows.Add(float64(k.RefineRows))
 	t.discoverTieRows.Add(float64(k.TieRows))
 	t.discoverSortedRows.Add(float64(k.SortedRows))
+	t.discoverProbed.Add(float64(k.ProbeDecided))
+	t.discoverProbeRows.Add(float64(k.ProbeRows))
 	t.discoverScanPairs.Add(float64(k.ScanPairs))
 	t.discoverRankViews.Add(float64(k.RankViews))
 	t.discoverRankRows.Add(float64(k.RankRows))
