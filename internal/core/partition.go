@@ -149,15 +149,6 @@ func firstViolation(idx []int32, tie []bool, ry []*colRanks) int {
 	}
 }
 
-// pairsScanned is how many adjacent pairs of an n-row order a scan that
-// returned k compared.
-func pairsScanned(k, n int) int {
-	if k >= 0 {
-		return k + 1
-	}
-	return max(n-1, 0)
-}
-
 func scan1(idx []int32, tie []bool, r0 []int32) int {
 	if len(idx) < 2 {
 		return -1
@@ -409,19 +400,8 @@ func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error
 	// The probed prefix is the order's first m rows: a scan of the rest
 	// starts at its last row.
 	from := max(m-1, 0)
-	idx, tie := p.Index[from:], p.Tie[min(from, len(p.Tie)):]
-	for i, y := range ys {
-		if kinds[i] != 0 {
-			continue
-		}
-		var onStack [8]*colRanks
-		ry, err := c.r.ranksAt(onStack[:0], y)
-		if err != nil {
-			return err
-		}
-		k := firstViolation(idx, tie, ry)
-		cost.ScanPairs += uint64(pairsScanned(k, len(idx)))
-		kinds[i] = violationAt(tie, k)
+	if _, err := c.scanUndecided(p.Index[from:], p.Tie[min(from, len(p.Tie)):], ys, kinds, &cost); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	e.noProbe = true
@@ -430,17 +410,34 @@ func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error
 	return nil
 }
 
-// violationAt is the kind of the violation a scan found at pair k of an
-// order with ties tie: a split where the pair ties on the context, a swap
-// where it does not; zero for no violation (k < 0).
-func violationAt(tie []bool, k int) ViolationKind {
-	switch {
-	case k < 0:
-		return 0
-	case tie[k]:
-		return Split
+// scanUndecided scans each right-hand side of ys not yet refuted (kinds[i]
+// zero) over the order idx with ties tie, writes the kind of the first
+// violation it finds — a split where the pair ties, a swap where it does
+// not — counts the pairs it compared into cost, and returns how many are
+// still unrefuted.
+func (c *SortCache) scanUndecided(idx []int32, tie []bool, ys [][]int, kinds []ViolationKind, cost *KernelStats) (left int, err error) {
+	for i, y := range ys {
+		if kinds[i] != 0 {
+			continue
+		}
+		var onStack [8]*colRanks
+		ry, err := c.r.ranksAt(onStack[:0], y)
+		if err != nil {
+			return 0, err
+		}
+		k := firstViolation(idx, tie, ry)
+		if k < 0 {
+			cost.ScanPairs += uint64(max(len(idx)-1, 0))
+			left++
+			continue
+		}
+		cost.ScanPairs += uint64(k + 1)
+		kinds[i] = Swap
+		if tie[k] {
+			kinds[i] = Split
+		}
 	}
-	return Swap
+	return left, nil
 }
 
 // The probe's bounds: it places at least probeFirst rows at first and four
@@ -488,7 +485,7 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 	s.a, s.tie, s.ints = sized(s.a, limit), sized(s.tie, limit), sized(s.ints, limit)
 	idx, tie, keys := s.a, s.tie, s.ints
 	left := len(ys)
-	for want := probeFirst; ; want *= probeGrowth {
+	for want := probeFirst; left > 0; want *= probeGrowth {
 		end := m
 		for end < min(want, limit) {
 			next := end + 1 // the end of the class starting at end
@@ -516,23 +513,11 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 		}
 		cost.ProbeRows += uint64(end - m)
 		from := max(m-1, 0)
-		for i, y := range ys {
-			if kinds[i] != 0 {
-				continue
-			}
-			var onStack [8]*colRanks
-			ry, err := c.r.ranksAt(onStack[:0], y)
-			if err != nil {
-				return 0, false, err
-			}
-			k := firstViolation(idx[from:end], tie[from:end], ry)
-			cost.ScanPairs += uint64(pairsScanned(k, end-from))
-			if kinds[i] = violationAt(tie[from:end], k); kinds[i] != 0 {
-				left--
-			}
+		if left, err = c.scanUndecided(idx[from:end], tie[from:end], ys, kinds, cost); err != nil {
+			return 0, false, err
 		}
 		m = end
-		if left == 0 || end >= limit {
+		if end >= limit {
 			break
 		}
 	}

@@ -533,16 +533,15 @@ func (b *run) validateGroup(ctx context.Context, r *core.Relation, pr pruning,
 	if len(w.rhs) == 0 {
 		return
 	}
+	// A y cut from flat stays valid when flat grows: the array it is cut
+	// from keeps its cells.
 	w.flat, w.ys = w.flat[:0], w.ys[:0]
 	for _, rhs := range w.rhs {
+		from := len(w.flat)
 		for _, p := range b.la.list(rhs) {
 			w.flat = append(w.flat, int(p))
 		}
-	}
-	at := 0
-	for _, rhs := range w.rhs {
-		n := len(b.la.list(rhs))
-		w.ys, at = append(w.ys, w.flat[at:at+n:at+n]), at+n
+		w.ys = append(w.ys, w.flat[from:len(w.flat):len(w.flat)])
 	}
 	w.kinds = sized(w.kinds, len(w.rhs))
 	if w.err = cache.CheckGroup(w.positions(x), w.ys, w.kinds); w.err != nil {
