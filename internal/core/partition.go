@@ -356,10 +356,8 @@ func (c *SortCache) Kernel() KernelStats {
 // does not depend on what concurrent groups built. It allocates nothing once
 // the cache and its scratch are warm.
 func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error {
-	for _, col := range x {
-		if col < 0 || col >= len(c.r.attrs) {
-			return fmt.Errorf("core: column %d not in schema %v", col, c.r.attrs)
-		}
+	if err := c.inSchema(x); err != nil {
+		return err
 	}
 	h := colsHash(x)
 	c.mu.Lock()
@@ -554,12 +552,20 @@ func (c *SortCache) Get(x List) (*SortedPartition, error) {
 // returns is the cache's own, with no Context: it allocates nothing once the
 // context is cached.
 func (c *SortCache) GetCols(x []int) (*SortedPartition, error) {
-	for _, col := range x {
-		if col < 0 || col >= len(c.r.attrs) {
-			return nil, fmt.Errorf("core: column %d not in schema %v", col, c.r.attrs)
-		}
+	if err := c.inSchema(x); err != nil {
+		return nil, err
 	}
 	return c.get(x, true)
+}
+
+// inSchema fails on the first position of x outside the relation's schema.
+func (c *SortCache) inSchema(x []int) error {
+	for _, col := range x {
+		if col < 0 || col >= len(c.r.attrs) {
+			return fmt.Errorf("core: column %d not in schema %v", col, c.r.attrs)
+		}
+	}
+	return nil
 }
 
 // get is GetCols for a caller's context (asked) and for the prefix a longer
