@@ -36,14 +36,18 @@
 //	burst    = 100·(A₁₀₀ − marginal)
 //
 // where A_N is allocs/op at -benchtime Nx. Go prints A_N truncated to an
-// integer, so the burst is known to about ±110 allocations.
+// integer, so the burst is known to about ±110 allocations. A₁₀₀ is the
+// least of five runs, each its own process: a garbage collection that
+// empties a sync.Pool, or a rank view that loses a race, adds allocations to
+// one run and never takes any away, and such additions read as a burst of
+// hundreds.
 //
 // With -check it measures nothing against a base: it runs the head's list
-// at -benchtime 100x and 1100x, at the GOMAXPROCS of the newest measured
-// entry, and fails when a benchmark's marginal allocs/op exceed that
-// entry's head median by more than the headroom (10 %, and at least 2
-// allocations), or its burst exceeds the entry's cold_allocs by more than
-// the burst headroom (50 %, and at least 150 allocations). Benchmarks whose
+// at -benchtime 100x (five times) and 1100x, at the GOMAXPROCS of the
+// newest measured entry, and fails when a benchmark's marginal allocs/op
+// exceed that entry's head median by more than the headroom (10 %, and at
+// least 2 allocations), or its burst exceeds the entry's cold_allocs by more
+// than the burst headroom (50 %, and at least 150 allocations). Benchmarks whose
 // allocations follow the scheduler are printed, not gated, and wall clock is
 // never gated. It prints whether HEAD's tree is the one the newest entry
 // measured; it does not gate on that, since a change may move code without
@@ -113,10 +117,12 @@ const (
 	burstAllocs    = 150
 )
 
-// The two iteration counts the burst is separated at.
+// The two iteration counts the burst is separated at, and how many
+// processes run the short one.
 const (
-	shortRun = 100
-	longRun  = 1100
+	shortRun  = 100
+	longRun   = 1100
+	shortRuns = 5
 )
 
 // Every entry is measured alike: ten pairs, where a sign test reads p ≤ 0.05
@@ -335,22 +341,34 @@ func splitAllocs(short, long float64) allocSplit {
 }
 
 // splitAll runs every benchmark of the list at both counts, with the extra
-// flags, and splits each result's allocations.
+// flags — the short count shortRuns times, keeping the least — and splits
+// each result's allocations.
 func splitAll(root string, bins map[string]string, benches []benchmark, extra []string) (map[string]allocSplit, error) {
 	out := map[string]allocSplit{}
 	for _, b := range benches {
-		var at [2]map[string]sample
-		for i, n := range []int{shortRun, longRun} {
+		runAt := func(n int) (map[string]sample, error) {
 			args := append([]string{"-test.benchtime", strconv.Itoa(n) + "x"}, extra...)
-			got, err := run(bins[b.pkg], filepath.Join(root, b.pkg), b.name, args)
+			return run(bins[b.pkg], filepath.Join(root, b.pkg), b.name, args)
+		}
+		long, err := runAt(longRun)
+		if err != nil {
+			return nil, err
+		}
+		short := map[string]float64{}
+		for range shortRuns {
+			got, err := runAt(shortRun)
 			if err != nil {
 				return nil, err
 			}
-			at[i] = got
+			for name, s := range got {
+				if a, ok := short[name]; !ok || s["allocs/op"] < a {
+					short[name] = s["allocs/op"]
+				}
+			}
 		}
-		for name, s := range at[0] {
-			if l, ok := at[1][name]; ok {
-				out[name] = splitAllocs(s["allocs/op"], l["allocs/op"])
+		for name, a := range short {
+			if l, ok := long[name]; ok {
+				out[name] = splitAllocs(a, l["allocs/op"])
 			}
 		}
 	}
