@@ -234,7 +234,9 @@ func TestDiscoverDeclaredLengthReservesNothing(t *testing.T) {
 // decode.
 func BenchmarkDiscoverRequest(b *testing.B) {
 	srv, _ := daemonHandler(b)
-	for name, body := range benchBodies(b) {
+	bodies := benchBodies(b)
+	for _, name := range benchNames {
+		body := bodies[name]
 		b.Run(name, func(b *testing.B) {
 			serve := discoverCall(b, srv, body)
 			b.SetBytes(int64(len(body)))

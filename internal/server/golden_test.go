@@ -22,7 +22,7 @@ func TestDiscoverGoldenNDJSON(t *testing.T) {
 	bodies := benchBodies(t)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		srv := goldenHandler(t, workers)
-		for _, name := range []string{"date1826x7", "random4000x6"} {
+		for _, name := range benchNames {
 			want, err := os.ReadFile(filepath.Join("testdata", "discover", name+".ndjson"))
 			if err != nil {
 				t.Fatal(err)
