@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"odlib/internal/core"
-	"odlib/internal/datetime"
 	"odlib/internal/discover"
 	"odlib/internal/prover"
+	"odlib/paper/datetime"
 )
 
 func main() {

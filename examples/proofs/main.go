@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"odlib"
-	"odlib/internal/datetime"
+	"odlib/paper/datetime"
 )
 
 func main() {

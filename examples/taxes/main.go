@@ -11,10 +11,10 @@ import (
 	"math/rand"
 
 	"odlib/internal/core"
-	"odlib/internal/engine"
-	"odlib/internal/monotone"
-	"odlib/internal/plan"
 	"odlib/internal/rewrite"
+	"odlib/paper/engine"
+	"odlib/paper/monotone"
+	"odlib/paper/plan"
 )
 
 func main() {

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"odlib/internal/warehouse"
+	"odlib/paper/tpcds"
 )
 
 func main() {
@@ -21,18 +22,22 @@ func main() {
 	}
 	// The declared ODs really hold on the generated dimension — the
 	// prototype's new check-constraint type.
-	if err := w.Verify(); err != nil {
+	if err := tpcds.Verify(w); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("date_dim: %d rows, store_sales: %d rows\n", w.DateDim.Len(), w.Sales.Len())
-	fmt.Println("declared constraints verified against the dimension instance")
-	fmt.Println()
-
-	ms, err := warehouse.RunSuite(context.Background(), w, w.Queries18())
+	s, err := tpcds.Load(w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(warehouse.FormatTable(ms))
+	fmt.Printf("date_dim: %d rows, store_sales: %d rows\n", s.DateDim.Len(), s.Sales.Len())
+	fmt.Println("declared constraints verified against the dimension instance")
+	fmt.Println()
+
+	ms, err := tpcds.RunSuite(context.Background(), s.Queries18())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(tpcds.FormatTable(ms))
 	fmt.Println()
 	fmt.Println("paper reference: 13 TPC-DS queries rewritten on DB2 9.7 with an average gain")
 	fmt.Println("of ~48%, later extended to 18 queries; every query gains here too, and the")

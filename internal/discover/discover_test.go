@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"odlib/internal/core"
-	"odlib/internal/datetime"
 	"odlib/internal/prover"
+	"odlib/paper/datetime"
 )
 
 func L(attrs ...string) core.List { return core.L(attrs...) }

@@ -1,14 +1,6 @@
 // Package warehouse generates a TPC-DS-style star schema — a date dimension
-// and a sales fact table — and defines the benchmark query suites used to
-// reproduce the paper's Section 2.3 experiments.
-//
-// The paper's prototype rewrote 13 TPC-DS queries whose shape is a fact
-// table aggregated under a natural-date range predicate on the date
-// dimension, reporting an average gain of 48%; further work extended the
-// rewrite set to 18 queries. TPC-DS itself is a proprietary toolkit, so this
-// package substitutes a seeded, deterministic generator that reproduces the
-// structural conditions the rewrite needs: a surrogate date key ordered like
-// the natural date (the OD [d_date_sk] ↔ [d_date]), calendar attributes
-// functionally and order-dependent on the date, and a fact table that
-// references dates only through the surrogate key.
+// and a sales fact table — as typed columns, from a seed, and declares the
+// order dependencies its date dimension holds by construction. The date
+// dimension is the relation the discover-date benchmark mines; the paper's
+// Section 2.3 query suite over both tables is paper/tpcds.
 package warehouse

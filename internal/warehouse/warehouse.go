@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"odlib/internal/core"
-	"odlib/internal/engine"
-	"odlib/internal/fd"
-	"odlib/internal/rewrite"
 )
 
 // Attribute names of the schema, TPC-DS style.
@@ -25,6 +22,11 @@ const (
 	SSStoreSK core.Attribute = "ss_store_sk"
 	SSQty     core.Attribute = "ss_quantity"
 	SSPrice   core.Attribute = "ss_sales_price"
+)
+
+var (
+	dateDimAttrs = core.List{DDateSK, DDate, DYear, DQoy, DMoy, DDom, DWeekSeq}
+	salesAttrs   = core.List{SSDateSK, SSItemSK, SSStoreSK, SSQty, SSPrice}
 )
 
 // firstSK matches the TPC-DS convention for the first date surrogate key.
@@ -46,11 +48,11 @@ func DefaultConfig() Config {
 	return Config{StartYear: 2000, Days: 731, FactRows: 100_000, Items: 120, Stores: 12, Seed: 1}
 }
 
-// Warehouse holds the generated tables and their declared constraints.
+// Warehouse holds the generated tables, each as one integer column per
+// attribute of its schema.
 type Warehouse struct {
-	Config  Config
-	DateDim *engine.Table
-	Sales   *engine.Table
+	Config       Config
+	dates, sales []core.Column
 }
 
 // Generate builds the warehouse: date_dim rows in calendar order with
@@ -60,57 +62,28 @@ func Generate(cfg Config) (*Warehouse, error) {
 	if cfg.Days <= 0 || cfg.FactRows < 0 || cfg.Items <= 0 || cfg.Stores <= 0 {
 		return nil, fmt.Errorf("warehouse: bad config %+v", cfg)
 	}
-	dim, err := engine.NewTable("date_dim", core.List{DDateSK, DDate, DYear, DQoy, DMoy, DDom, DWeekSeq})
-	if err != nil {
-		return nil, err
-	}
+	w := &Warehouse{Config: cfg,
+		dates: make([]core.Column, len(dateDimAttrs)), sales: make([]core.Column, len(salesAttrs))}
 	start := time.Date(cfg.StartYear, 1, 1, 0, 0, 0, 0, time.UTC)
 	epoch := time.Date(1970, 1, 5, 0, 0, 0, 0, time.UTC) // a Monday
-	for i := 0; i < cfg.Days; i++ {
+	for i := range cfg.Days {
 		d := start.AddDate(0, 0, i)
-		natural := int64(d.Year())*10000 + int64(d.Month())*100 + int64(d.Day())
-		weekSeq := int64(d.Sub(epoch).Hours()/24) / 7
-		err := dim.Insert(
-			core.Int(int64(firstSK+i)),
-			core.Int(natural),
-			core.Int(int64(d.Year())),
-			core.Int(int64((int(d.Month())-1)/3+1)),
-			core.Int(int64(d.Month())),
-			core.Int(int64(d.Day())),
-			core.Int(weekSeq),
-		)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := dim.BuildIndex("d_date_idx", core.List{DDate}); err != nil {
-		return nil, err
-	}
-	if _, err := dim.BuildIndex("d_date_sk_idx", core.List{DDateSK}); err != nil {
-		return nil, err
-	}
-
-	fact, err := engine.NewTable("store_sales", core.List{SSDateSK, SSItemSK, SSStoreSK, SSQty, SSPrice})
-	if err != nil {
-		return nil, err
+		appendRow(w.dates, firstSK+int64(i), NaturalDate(d.Year(), d.Month(), d.Day()), int64(d.Year()),
+			int64((d.Month()-1)/3+1), int64(d.Month()), int64(d.Day()), int64(d.Sub(epoch).Hours()/24)/7)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.FactRows; i++ {
-		err := fact.Insert(
-			core.Int(int64(firstSK+rng.Intn(cfg.Days))),
-			core.Int(int64(1+rng.Intn(cfg.Items))),
-			core.Int(int64(1+rng.Intn(cfg.Stores))),
-			core.Int(int64(1+rng.Intn(100))),
-			core.Int(int64(100+rng.Intn(9900))), // price in cents
-		)
-		if err != nil {
-			return nil, err
-		}
+	for range cfg.FactRows {
+		appendRow(w.sales, firstSK+int64(rng.Intn(cfg.Days)), 1+int64(rng.Intn(cfg.Items)), 1+int64(rng.Intn(cfg.Stores)),
+			1+int64(rng.Intn(100)), 100+int64(rng.Intn(9900))) // price in cents
 	}
-	if _, err := fact.BuildIndex("ss_date_sk_idx", core.List{SSDateSK}); err != nil {
-		return nil, err
+	return w, nil
+}
+
+// appendRow appends one row to a table of integer columns.
+func appendRow(cols []core.Column, vals ...int64) {
+	for c, v := range vals {
+		cols[c].Ints = append(cols[c].Ints, v)
 	}
-	return &Warehouse{Config: cfg, DateDim: dim, Sales: fact}, nil
 }
 
 // DeclaredODs returns the order dependencies that hold on the date dimension
@@ -133,77 +106,24 @@ func DeclaredODs() []core.OD {
 	return ods
 }
 
-// DeclaredFDs returns the functional dependencies of the date dimension.
-func DeclaredFDs() []fd.FD {
-	return []fd.FD{
-		fd.New(core.List{DDateSK}, core.List{DDate, DYear, DQoy, DMoy, DDom, DWeekSeq}),
-		fd.New(core.List{DDate}, core.List{DDateSK}),
-		fd.New(core.List{DYear, DMoy, DDom}, core.List{DDate}),
-		fd.New(core.List{DMoy}, core.List{DQoy}),
-	}
-}
-
-// Constraints bundles the declared knowledge for the planner.
-func Constraints() *rewrite.Constraints {
-	return rewrite.NewConstraints(DeclaredFDs(), DeclaredODs())
-}
-
-// Verify checks every declared OD and FD against the generated date
-// dimension instance — the integrity-constraint check the prototype's new
-// constraint type performs.
-func (w *Warehouse) Verify() error {
-	rel, err := dimAsRelation(w.DateDim)
-	if err != nil {
-		return err
-	}
-	for _, od := range DeclaredODs() {
-		ok, v, err := rel.Satisfies(od)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("warehouse: declared OD falsified: %w", v)
-		}
-	}
-	for _, f := range DeclaredFDs() {
-		ok, w2, err := fd.Satisfies(rel, f)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("warehouse: declared FD %s falsified by rows %v", f, w2)
-		}
-	}
-	return nil
-}
-
-// DateDimRelation converts the generated date dimension into a core
-// relation — the instance OD discovery mines. The dimension's 7 attributes
+// DateDimRelation returns the generated date dimension as a core relation —
+// the instance OD discovery mines. The dimension's 7 attributes
 // sit exactly at the discovery layer's default attribute budget, and its
 // calendar structure mixes monotone attributes (surrogate key, date, week
 // sequence), hierarchy edges (month determines quarter) and cyclical ones
 // (day-of-month, month-of-year), so discovered sets exercise every
-// violation kind.
+// violation kind. Each call returns a new relation over the same columns.
 func (w *Warehouse) DateDimRelation() (*core.Relation, error) {
-	return dimAsRelation(w.DateDim)
+	return core.NewRelationColumns(dateDimAttrs, w.Config.Days, w.dates)
 }
 
-// dimAsRelation converts an engine table to a core relation for constraint
-// checking.
-func dimAsRelation(t *engine.Table) (*core.Relation, error) {
-	rel, err := core.NewRelation(t.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < t.Len(); i++ {
-		if err := rel.AddRow(t.Row(i)...); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+// SalesRelation returns the generated store_sales fact table as a core
+// relation over the warehouse's columns.
+func (w *Warehouse) SalesRelation() (*core.Relation, error) {
+	return core.NewRelationColumns(salesAttrs, w.Config.FactRows, w.sales)
 }
 
-// natural builds the d_date integer encoding for a calendar day.
-func natural(year int, month time.Month, day int) int64 {
+// NaturalDate is the d_date integer encoding of a calendar day, yyyymmdd.
+func NaturalDate(year int, month time.Month, day int) int64 {
 	return int64(year)*10000 + int64(month)*100 + int64(day)
 }

@@ -21,9 +21,9 @@
 //   - ReduceOrderBy / OrderEquivalent: the ReduceOrder⁺ query rewrites.
 //   - DiscoverODs: OD discovery from data.
 //
-// Deeper functionality (the execution engine, the planner and the TPC-DS
-// style benchmark harness) lives in the internal packages and is exercised
-// by the example programs and cmd/ tools.
+// The paper's own experiments (the execution engine, the planner and the
+// TPC-DS-style benchmark harness) live in the paper/ tree, which the
+// example programs exercise and the library does not import.
 package odlib
 
 import (

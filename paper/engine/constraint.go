@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"odlib/internal/core"
 )
@@ -27,9 +28,7 @@ func (t *Table) DeclareOD(od core.OD) error {
 
 // Declared returns the table's declared OD constraints.
 func (t *Table) Declared() []core.OD {
-	out := make([]core.OD, len(t.constraints))
-	copy(out, t.constraints)
-	return out
+	return slices.Clone(t.constraints)
 }
 
 // CheckConstraints validates every declared OD against the current rows,
@@ -58,14 +57,8 @@ func (t *Table) CheckConstraints() error {
 // AsRelation copies the table into a core.Relation for constraint checking
 // and discovery.
 func (t *Table) AsRelation() (*core.Relation, error) {
-	rel, err := core.NewRelation(t.schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range t.rows {
-		if err := rel.AddRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return core.NewRelationRows(t.schema, len(t.rows), func(i int, row []core.Value) error {
+		copy(row, t.rows[i])
+		return nil
+	})
 }

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"odlib/internal/core"
@@ -44,11 +47,7 @@ func (s *Stats) Cost() int64 {
 type Row []core.Value
 
 // Clone copies a row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
+func (r Row) Clone() Row { return slices.Clone(r) }
 
 // Operator is a volcano-style iterator. Open prepares the operator, Next
 // returns the next row until ok is false, Close releases resources. Rows
@@ -173,12 +172,8 @@ func (t *Table) Insert(vals ...core.Value) error {
 	if len(vals) != len(t.schema) {
 		return fmt.Errorf("engine: row width %d does not match table %s%v", len(vals), t.Name, t.schema)
 	}
-	row := make(Row, len(vals))
-	copy(row, vals)
-	t.rows = append(t.rows, row)
-	for name := range t.indexes {
-		delete(t.indexes, name)
-	}
+	t.rows = append(t.rows, slices.Clone(vals))
+	clear(t.indexes)
 	return nil
 }
 
@@ -230,15 +225,8 @@ func (t *Table) Index(name string) *Index { return t.indexes[name] }
 // Indexes returns the table's indexes sorted by name, for deterministic
 // plan enumeration.
 func (t *Table) Indexes() []*Index {
-	names := make([]string, 0, len(t.indexes))
-	for name := range t.indexes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*Index, len(names))
-	for i, name := range names {
-		out[i] = t.indexes[name]
-	}
+	out := slices.Collect(maps.Values(t.indexes))
+	slices.SortFunc(out, func(a, b *Index) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"odlib/internal/core"
-	"odlib/internal/engine"
 	"odlib/internal/rewrite"
+	"odlib/paper/engine"
 )
 
 // DateRangeQuery is the star-schema query shape of the paper's Section 2.3

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"odlib/internal/core"
-	"odlib/internal/engine"
 	"odlib/internal/rewrite"
+	"odlib/paper/engine"
 )
 
 // Query is a single-table select-filter-group-order query.

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"odlib/internal/core"
-	"odlib/internal/engine"
 	"odlib/internal/fd"
 	"odlib/internal/rewrite"
+	"odlib/paper/engine"
 )
 
 func L(attrs ...string) core.List { return core.L(attrs...) }

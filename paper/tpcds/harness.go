@@ -1,19 +1,20 @@
-package warehouse
+package tpcds
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"odlib/internal/engine"
-	"odlib/internal/plan"
+	"odlib/internal/core"
+	"odlib/paper/engine"
+	"odlib/paper/plan"
 )
 
 // Measurement records one query's baseline-versus-rewritten comparison.
 type Measurement struct {
 	Name           string
-	Extension      bool
 	BaselineStats  engine.Stats
 	RewrittenStats engine.Stats
 	BaselineTime   time.Duration
@@ -43,57 +44,42 @@ func (m Measurement) TimeGain() float64 {
 // RunSuite plans and executes every query both ways — the oblivious join
 // plan and the OD-licensed rewrite — verifies that the answers agree, and
 // returns the measurements.
-func RunSuite(ctx context.Context, w *Warehouse, queries []BenchQuery) ([]Measurement, error) {
+func RunSuite(ctx context.Context, queries []BenchQuery) ([]Measurement, error) {
 	planner := plan.NewPlanner(Constraints())
 	out := make([]Measurement, 0, len(queries))
 	for _, bq := range queries {
-		m := Measurement{Name: bq.Name, Extension: bq.Extension}
+		m := Measurement{Name: bq.Name}
 
 		t0 := time.Now()
 		basePlan, err := planner.PlanDateRangeBaseline(bq.Q, &m.BaselineStats)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: %s baseline: %w", bq.Name, err)
+			return nil, fmt.Errorf("tpcds: %s baseline: %w", bq.Name, err)
 		}
 		baseRows, err := basePlan.Execute(&m.BaselineStats)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: %s baseline: %w", bq.Name, err)
+			return nil, fmt.Errorf("tpcds: %s baseline: %w", bq.Name, err)
 		}
 		m.BaselineTime = time.Since(t0)
 
 		t1 := time.Now()
 		rwPlan, err := planner.PlanDateRange(ctx, bq.Q, &m.RewrittenStats)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: %s rewrite: %w", bq.Name, err)
+			return nil, fmt.Errorf("tpcds: %s rewrite: %w", bq.Name, err)
 		}
 		rwRows, err := rwPlan.Execute(&m.RewrittenStats)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: %s rewrite: %w", bq.Name, err)
+			return nil, fmt.Errorf("tpcds: %s rewrite: %w", bq.Name, err)
 		}
 		m.RewrittenTime = time.Since(t1)
 		m.Rewrites = rwPlan.Rewrites
 
 		m.Rows = len(rwRows)
-		m.Match = sameRows(baseRows, rwRows)
+		m.Match = slices.EqualFunc(baseRows, rwRows, func(x, y engine.Row) bool {
+			return slices.EqualFunc(x, y, core.Value.Equal)
+		})
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-func sameRows(a, b []engine.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if !a[i][j].Equal(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // FormatTable renders measurements in the shape of the paper's reported

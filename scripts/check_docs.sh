@@ -1,11 +1,11 @@
 #!/bin/sh
-# Fails when any internal/ or pkg/ package is missing its doc.go package
+# Fails when any internal/, pkg/ or paper/ package is missing its doc.go package
 # comment, or keeps a package comment outside doc.go (one source of truth:
 # the documented contract lives in doc.go, code files hold code).
 set -eu
 
 status=0
-for dir in $(find internal pkg -type d -not -path '*/testdata*' | sort); do
+for dir in $(find internal pkg paper -type d -not -path '*/testdata*' | sort); do
     # Only package directories: at least one non-test .go file.
     has_go=false
     for f in "$dir"/*.go; do
@@ -52,6 +52,6 @@ if [ ! -f internal/metrics/doc.go ]; then
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "every internal/ and pkg/ package documents itself in doc.go"
+    echo "every internal/, pkg/ and paper/ package documents itself in doc.go"
 fi
 exit "$status"
