@@ -105,3 +105,72 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSortCacheProbe is a discovery run's probe traffic on the same
+// relation: each iteration asks CheckGroup for all 30 two-attribute contexts,
+// each with the four one-attribute right-hand sides outside it, from a
+// SortCache that already holds the six one-attribute partitions. Every group
+// is refuted on a prefix of its context's order, so no context is refined
+// and each is probed again at the next iteration, as a run's next level
+// probes it.
+func BenchmarkSortCacheProbe(b *testing.B) {
+	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
+	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
+	c := NewSortCache(r)
+	defer c.Release()
+	type group struct {
+		x  []int
+		ys [][]int
+	}
+	var groups []group
+	for a := range attrs {
+		if _, err := c.GetCols([]int{a}); err != nil {
+			b.Fatal(err)
+		}
+		for z := range attrs {
+			if z == a {
+				continue
+			}
+			g := group{x: []int{a, z}}
+			for y := range attrs {
+				if y != a && y != z {
+					g.ys = append(g.ys, []int{y})
+				}
+			}
+			groups = append(groups, g)
+		}
+	}
+	kinds := make([]ViolationKind, len(attrs))
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, g := range groups {
+			if err := c.CheckGroup(g.x, g.ys, kinds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if k := c.Kernel(); k.RefineRows != 0 {
+		b.Fatalf("a context was refined, not decided on a prefix: %+v", k)
+	}
+}
+
+// BenchmarkSortOneColumn is the sorts a discovery run starts from: the six
+// one-attribute partitions of the same relation, built on a fresh SortCache
+// each iteration from rank views built before the timer starts.
+func BenchmarkSortOneColumn(b *testing.B) {
+	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
+	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
+	if _, _, err := r.ranksOn(attrs, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c := NewSortCache(r)
+		for a := range attrs {
+			if _, err := c.GetCols([]int{a}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Release()
+	}
+}

@@ -89,6 +89,8 @@ var list = []benchmark{
 	{"./internal/catalog", "BenchmarkApplyDense8x40", false},
 	{"./internal/router", "BenchmarkApplyBatchConcurrent", true},
 	{"./internal/core", "BenchmarkSortCacheRefine", false},
+	{"./internal/core", "BenchmarkSortCacheProbe", false},
+	{"./internal/core", "BenchmarkSortOneColumn", false},
 	{"./internal/discover", "BenchmarkCheckScanDateDim", false},
 	{"./internal/discover", "BenchmarkPipelineDateDim", false},
 	{"./internal/discover", "BenchmarkPipelineRandom4000x6", false},
