@@ -240,7 +240,8 @@ type SortCache struct {
 
 	hits, misses uint64
 	kernel       KernelStats
-	views, rows  uint64 // the relation's rank-view counts when the cache was made
+	// the relation's rank-view counts when the cache was made
+	views, rows, compared uint64
 }
 
 // KernelStats counts the physical work of discovery's kernels, where
@@ -258,6 +259,11 @@ type KernelStats struct {
 	// order, which were not refined; ProbeRows the rows every probe placed.
 	ProbeDecided uint64
 	ProbeRows    uint64
+	// ComparedRows counts the rows a kernel ordered with a comparison sort,
+	// where every other order comes from a counting sort over rank views:
+	// the rows of a probe's classes sorted by key, and of the rank views
+	// sorted by value.
+	ComparedRows uint64
 	ScanPairs    uint64 // adjacent pairs a data check compared
 	RankViews    uint64 // rank views built
 	RankRows     uint64 // rows of the rank views built
@@ -273,6 +279,7 @@ func (k *KernelStats) Add(o KernelStats) {
 	k.SortedRows += o.SortedRows
 	k.ProbeDecided += o.ProbeDecided
 	k.ProbeRows += o.ProbeRows
+	k.ComparedRows += o.ComparedRows
 	k.ScanPairs += o.ScanPairs
 	k.RankViews += o.RankViews
 	k.RankRows += o.RankRows
@@ -326,7 +333,8 @@ func NewSortCache(r *Relation) *SortCache {
 	if sc == nil || r.views.Load() == &released {
 		sc = TakeScratch()
 	}
-	return &SortCache{r: r, sc: sc, t: sc.takeTable(), views: r.viewsBuilt.Load(), rows: r.viewRows.Load()}
+	return &SortCache{r: r, sc: sc, t: sc.takeTable(),
+		views: r.viewsBuilt.Load(), rows: r.viewRows.Load(), compared: r.viewCompared.Load()}
 }
 
 // Kernel reports the physical work of the cache's partitions and checks so
@@ -336,6 +344,7 @@ func (c *SortCache) Kernel() KernelStats {
 	k := c.kernel
 	c.mu.Unlock()
 	k.RankViews, k.RankRows = c.r.viewsBuilt.Load()-c.views, c.r.viewRows.Load()-c.rows
+	k.ComparedRows += c.r.viewCompared.Load() - c.compared
 	return k
 }
 
@@ -497,6 +506,7 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 				keys[end+k] = int64(rank[i])<<32 | int64(i)
 			}
 			slices.Sort(keys[end:next])
+			cost.ComparedRows += uint64(next - end)
 			for k := end; k < next; k++ {
 				idx[k] = int32(keys[k])
 				if k > end {

@@ -44,9 +44,11 @@ func (r *Relation) ranksOf(c int) *colRanks {
 	if cr := v.Load(); cr != nil {
 		return cr
 	}
-	if v.CompareAndSwap(nil, r.buildRanks(c)) {
+	cr, compared := r.buildRanks(c)
+	if v.CompareAndSwap(nil, cr) {
 		r.viewsBuilt.Add(1)
 		r.viewRows.Add(uint64(r.n))
+		r.viewCompared.Add(uint64(compared))
 	}
 	return v.Load()
 }
@@ -147,8 +149,9 @@ func (r *Relation) ranksAt(dst []*colRanks, cols []int) ([]*colRanks, error) {
 // order — the only place discovery's data plane still looks at values. A
 // column of integers spanning less than four times the row count (surrogate
 // keys, calendar parts, codes: most of what discovery sees) is ranked through
-// a presence table without a comparison; any other column is sorted once.
-func (r *Relation) buildRanks(c int) *colRanks {
+// a presence table without a comparison; any other column is sorted once,
+// and its rows are the rows compared that buildRanks returns.
+func (r *Relation) buildRanks(c int) (cr *colRanks, compared int) {
 	n := r.n
 	sc, s := r.sorter()
 	defer r.doneSorting(sc, s)
@@ -167,11 +170,11 @@ func (r *Relation) buildRanks(c int) *colRanks {
 				card++
 			}
 		}
-		cr := newColRanks(sc, n, card)
+		cr = newColRanks(sc, n, card)
 		for i, v := range ints {
 			cr.rank[i] = table[uint64(v)-lo]
 		}
-		return cr.withStarts()
+		return cr.withStarts(), 0
 	}
 	s.a, s.b = sized(s.a, n), sized(s.b, n)
 	order, ranks := s.a, s.b
@@ -190,9 +193,9 @@ func (r *Relation) buildRanks(c int) *colRanks {
 	if n > 0 {
 		card++
 	}
-	cr := newColRanks(sc, n, card)
+	cr = newColRanks(sc, n, card)
 	copy(cr.rank, ranks)
-	return cr.withStarts()
+	return cr.withStarts(), n
 }
 
 // intColumn returns column c as one integer vector when every cell is an

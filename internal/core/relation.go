@@ -41,8 +41,8 @@ type Relation struct {
 	views atomic.Pointer[[]atomic.Pointer[colRanks]]
 	sc    *Scratch // the request scratch it was built on, if any
 	// viewsBuilt and viewRows count the rank views published and their rows,
-	// for KernelStats.
-	viewsBuilt, viewRows atomic.Uint64
+	// viewCompared the rows of those sorted by value, for KernelStats.
+	viewsBuilt, viewRows, viewCompared atomic.Uint64
 }
 
 // NewRelation creates an empty relation over the given schema. It returns an

@@ -236,6 +236,7 @@ func benchmarkPipeline(b *testing.B, r *core.Relation, opts Options) {
 	b.ReportMetric(float64(k.TieRows)/n, "tie-rows/op")
 	b.ReportMetric(float64(k.SortedRows)/n, "sorted-rows/op")
 	b.ReportMetric(float64(k.ProbeRows)/n, "probe-rows/op")
+	b.ReportMetric(float64(k.ComparedRows)/n, "compared-rows/op")
 	b.ReportMetric(float64(k.ScanPairs)/n, "scan-pairs/op")
 	b.ReportMetric(float64(k.RankRows)/n, "rank-rows/op")
 }
@@ -339,17 +340,20 @@ func TestPipelineKernelCounts(t *testing.T) {
 		want     core.KernelStats
 	}{
 		// 29 contexts refined (30 before the probe), 8 sorted (the empty one
-		// and 7 attributes); 3 decided on a prefix.
+		// and 7 attributes); 3 decided on a prefix. Compared: every row the
+		// probes placed, and d_date (yyyymmdd: too sparse for the presence
+		// table) ranked by sorting its values.
 		{"date1826x7", func() (*core.Relation, Options) { return dateDim(t) }, core.KernelStats{
 			RefineRows: 29 * 1826, TieRows: 29 * 1825, SortedRows: 8 * 1826,
-			ProbeDecided: 3, ProbeRows: 1272,
+			ProbeDecided: 3, ProbeRows: 1272, ComparedRows: 1272 + 1826,
 			ScanPairs: 92802, RankViews: 7, RankRows: 7 * 1826,
 		}},
 		// No context refined (30 before the probe): each of the 30
 		// two-attribute contexts is decided on a prefix at levels 3 and 4;
-		// 7 sorted (the empty one and 6 attributes).
+		// 7 sorted (the empty one and 6 attributes). Compared: every row the
+		// probes placed.
 		{"random4000x6", random4000x6, core.KernelStats{
-			SortedRows: 7 * 4000, ProbeDecided: 60, ProbeRows: 7020,
+			SortedRows: 7 * 4000, ProbeDecided: 60, ProbeRows: 7020, ComparedRows: 7020,
 			ScanPairs: 2776, RankViews: 6, RankRows: 6 * 4000,
 		}},
 	} {

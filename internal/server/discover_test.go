@@ -152,6 +152,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 		"odserve_discover_tie_rows_total":       0,
 		"odserve_discover_probe_decided_total":  0,
 		"odserve_discover_probe_rows_total":     0,
+		"odserve_discover_compared_rows_total":  0,
 		"odserve_discover_loop_cells_total":     0,
 	} {
 		v, ok := sampleValue(fams, name, name, nil)

@@ -56,6 +56,7 @@ type Telemetry struct {
 	discoverSortedRows *metrics.Counter
 	discoverProbed     *metrics.Counter
 	discoverProbeRows  *metrics.Counter
+	discoverCompared   *metrics.Counter
 	discoverScanPairs  *metrics.Counter
 	discoverRankViews  *metrics.Counter
 	discoverRankRows   *metrics.Counter
@@ -119,6 +120,8 @@ func NewTelemetry() *Telemetry {
 			"Contexts decided on a prefix of their order, not refined."),
 		discoverProbeRows: reg.NewCounter("odserve_discover_probe_rows_total",
 			"Rows placed by the prefix probes of contexts."),
+		discoverCompared: reg.NewCounter("odserve_discover_compared_rows_total",
+			"Rows ordered by a comparison sort, not a counting sort: probe classes smaller than their column's cardinality, rank views sorted by value."),
 		discoverScanPairs: reg.NewCounter("odserve_discover_scan_pairs_total",
 			"Adjacent row pairs compared by data checks."),
 		discoverRankViews: reg.NewCounter("odserve_discover_rank_views_total",
@@ -168,6 +171,7 @@ func (t *Telemetry) observeDiscover(st discover.PipelineStats, k core.KernelStat
 	t.discoverSortedRows.Add(float64(k.SortedRows))
 	t.discoverProbed.Add(float64(k.ProbeDecided))
 	t.discoverProbeRows.Add(float64(k.ProbeRows))
+	t.discoverCompared.Add(float64(k.ComparedRows))
 	t.discoverScanPairs.Add(float64(k.ScanPairs))
 	t.discoverRankViews.Add(float64(k.RankViews))
 	t.discoverRankRows.Add(float64(k.RankRows))
