@@ -55,10 +55,13 @@
 // from the partitions of X and of [A] it holds — the rows, in A's order, are
 // dealt into the classes of X, and neighbours tie on X·A when they tie on X
 // and on A — which is the sort's last pass alone, and shares X's arrays when
-// A is constant or every class of X is one row. The tie pass (narrowTies,
-// which SortPartitionOn uses for a one-attribute context too) writes every
-// Tie[k] as "tied before and the same rank" with no branch on the data, and
-// counts the classes as rows minus ties. The cache's hits and misses count
+// A is constant or every class of X is one row. The tie pass (narrowTies)
+// writes every Tie[k] as "tied before and the same rank" with no branch on
+// the data, and counts the classes as rows minus ties. A one-attribute
+// context, for the cache and SortPartitionOn alike, is one counting pass:
+// rows 0..n-1 are dealt into the column's rank buckets (the view's start
+// offsets) straight into Index, every Tie is set but at a bucket's last row,
+// and Groups is the column's cardinality. The cache's hits and misses count
 // the contexts callers asked for; a prefix retained on the way is neither.
 //
 // A discovery level asks a context once for all its right-hand sides
@@ -67,6 +70,10 @@
 // X·A's order, whole classes of X taken in X's order, each sorted by A's rank
 // with ties in row order (the order refine deals them into), neighbours tied
 // when in one class with one rank of A, and scans every candidate over it.
+// A class with at least as many rows as A has values is sorted by counting
+// its rows per rank of A and dealing them, in X's order, into the buckets; a
+// smaller one, where clearing A's buckets would cost more than its rows, by
+// comparing rank<<32|row keys, and only those rows count as compared.
 // That prefix and its ties are the first rows of the order and their ties,
 // and a scan reports the first violating adjacent pair, so a violation the
 // prefix shows is the first of the whole order, of the same kind. When every
@@ -82,10 +89,19 @@
 // (4,000 random rows over 6 attributes) every two-attribute context is
 // decided on a prefix and none is refined.
 //
-// KernelStats counts that physical work — rows refined, sorted, probed and
-// scanned, rank views built — once per published partition, check and view,
-// so a run's counts depend on its input alone, beside the logical counts
-// discovery reports.
+// Both counting paths rest on one invariant: every partition keeps the rows
+// of each of its classes in row order. The one-attribute pass deals rows in
+// row order; the empty context is the identity; refine deals [A]'s order,
+// whose ties are in row order, into X's classes, and a shared partition is
+// its prefix's. So a stable pass over a class in X's order leaves A's ties in
+// row order, as the keys' row half did, and the order is the same, byte for
+// byte, whichever way a class was sorted (TestProbeSortsBothWays checks the
+// invariant and both paths).
+//
+// KernelStats counts that physical work — rows refined, sorted, probed,
+// compared and scanned, rank views built — once per published partition,
+// check and view, so a run's counts depend on its input alone, beside the
+// logical counts discovery reports.
 // A cache fills its partitions' Index and Tie arrays, through the one sort
 // routine SortPartitionOn fills fresh ones with, from its Scratch, and
 // Release gives each array back once — a partition sharing its prefix's

@@ -45,21 +45,32 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 
 // sortInto sorts the relation by the rank columns into p, on the given arrays
 // sized for the relation — fresh ones, or a SortCache's from its scratch —
-// and the sort scratch s.
+// and the sort scratch s. One column is a single counting pass: rows 0..n-1
+// are dealt into the column's rank buckets, so ties stay in row order, and
+// every row but a bucket's last ties with its successor.
 func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, arr *partitionArrays, s *sortScratch) {
 	p.Index = arr.index
-	copy(p.Index, s.order(r.n, cols))
 	if r.n == 0 {
 		return
 	}
 	p.Tie = arr.tie
 	if len(cols) == 1 {
+		c := cols[0]
+		s.next = append(s.next[:0], c.start...)
+		for i, rk := range c.rank {
+			p.Index[s.next[rk]] = int32(i)
+			s.next[rk]++
+		}
 		for k := range p.Tie {
 			p.Tie[k] = true
 		}
-		p.Groups = r.n - narrowTies(p.Tie, p.Index, cols[0].rank)
+		for _, end := range c.start[1 : len(c.start)-1] {
+			p.Tie[end-1] = false
+		}
+		p.Groups = len(c.start) - 1
 		return
 	}
+	copy(p.Index, s.order(r.n, cols))
 	p.Groups = 1
 	for k := range p.Tie {
 		p.Tie[k] = cmpRanks(cols, p.Index[k], p.Index[k+1]) == 0
@@ -466,6 +477,8 @@ const (
 // and neighbours tie on X·A when they are in one class and share A's rank.
 // So the prefix and its ties are the first rows of x's order and their ties,
 // and a scan's first violation in the prefix is the first in the order.
+// layClasses lays the classes out, sorting each by counting or, when it has
+// fewer rows than A has values, by comparing.
 //
 // A prefix grows class by class to probeFirst rows, then by probeGrowth,
 // never past n/probeShare rows; the probe gives up when a step can add no
@@ -482,46 +495,23 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 	if err != nil {
 		return 0, false, err
 	}
-	n, rank := c.r.n, ra[0].rank
-	if len(ra[0].start) <= 2 || px.Groups == n {
+	n, card := c.r.n, len(ra[0].start)-1
+	if card <= 1 || px.Groups == n {
 		return 0, false, nil
 	}
 	limit := n / probeShare
 	s := take(c.sc, &c.sc.sorts)
 	defer give(c.sc, &c.sc.sorts, s)
-	s.a, s.tie, s.ints = sized(s.a, limit), sized(s.tie, limit), sized(s.ints, limit)
-	idx, tie, keys := s.a, s.tie, s.ints
+	s.a, s.tie, s.ints, s.next = sized(s.a, limit), sized(s.tie, limit), sized(s.ints, limit), sized(s.next, card)
 	left := len(ys)
 	for want := probeFirst; left > 0; want *= probeGrowth {
-		end := m
-		for end < min(want, limit) {
-			next := end + 1 // the end of the class starting at end
-			for next < n && px.Tie[next-1] {
-				next++
-			}
-			if next > limit {
-				break
-			}
-			for k, i := range px.Index[end:next] {
-				keys[end+k] = int64(rank[i])<<32 | int64(i)
-			}
-			slices.Sort(keys[end:next])
-			cost.ComparedRows += uint64(next - end)
-			for k := end; k < next; k++ {
-				idx[k] = int32(keys[k])
-				if k > end {
-					tie[k-1] = rank[idx[k-1]] == rank[idx[k]]
-				}
-			}
-			tie[next-1] = false // the next class's first row is no tie
-			end = next
-		}
+		end := layClasses(px, ra[0], m, min(want, limit), limit, s, cost)
 		if end == m {
 			break // no whole class fits
 		}
 		cost.ProbeRows += uint64(end - m)
 		from := max(m-1, 0)
-		if left, err = c.scanUndecided(idx[from:end], tie[from:end], ys, kinds, cost); err != nil {
+		if left, err = c.scanUndecided(s.a[from:end], s.tie[from:end], ys, kinds, cost); err != nil {
 			return 0, false, err
 		}
 		m = end
@@ -530,6 +520,64 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 		}
 	}
 	return m, left == 0, nil
+}
+
+// layClasses lays the classes of px that start at row end, in px's order,
+// into the same rows of s.a and s.tie while fewer than want rows are laid
+// and the next class ends by row limit, and returns where the last one
+// ends. Each class is ordered by the rank view a with ties in row order, and
+// its neighbours tie when they share a's rank; the last row of each is no
+// tie. s.a, s.tie and s.ints hold limit rows, s.next a's cardinality.
+//
+// A class with at least as many rows as a has values is sorted by counting:
+// one pass counts its rows per rank, and a second, over the class in px's
+// order, deals them into the rank buckets. Every partition of the cache
+// keeps a class's rows in row order, so the pass is stable and leaves a's
+// ties in row order. A smaller class, for which clearing a's buckets would
+// cost more than the rows, is sorted by its rank<<32|row keys, and its rows
+// are counted into cost as compared.
+func layClasses(px *SortedPartition, a *colRanks, end, want, limit int, s *sortScratch, cost *KernelStats) int {
+	idx, tie, keys, at := s.a, s.tie, s.ints, s.next
+	n, rank, card := len(px.Index), a.rank, len(a.start)-1
+	for end < want {
+		next := end + 1 // the end of the class starting at end
+		for next < n && px.Tie[next-1] {
+			next++
+		}
+		if next > limit {
+			break
+		}
+		if class := px.Index[end:next]; len(class) >= card {
+			clear(at)
+			for _, i := range class {
+				at[rank[i]]++
+			}
+			sum := int32(end)
+			for v, count := range at {
+				at[v] = sum
+				sum += count
+			}
+			for _, i := range class {
+				idx[at[rank[i]]] = i
+				at[rank[i]]++
+			}
+		} else {
+			for k, i := range class {
+				keys[end+k] = int64(rank[i])<<32 | int64(i)
+			}
+			slices.Sort(keys[end:next])
+			for k := end; k < next; k++ {
+				idx[k] = int32(keys[k])
+			}
+			cost.ComparedRows += uint64(len(class))
+		}
+		for k := end + 1; k < next; k++ {
+			tie[k-1] = rank[idx[k-1]] == rank[idx[k]]
+		}
+		tie[next-1] = false // the next class's first row is no tie
+		end = next
+	}
+	return end
 }
 
 // Scratch returns the scratch the cache's partitions are cut from, for a

@@ -413,3 +413,26 @@ func TestODStringOneAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheTableChainsCollisions: contexts whose colsHash collides share one
+// chain of the cache's table, and each is found by its positions, never by
+// its hash alone. No two contexts of a discovery-sized schema are known to
+// collide, so the hash is forced.
+func TestCacheTableChainsCollisions(t *testing.T) {
+	tbl := &cacheTable{byHash: make(map[uint64]*cachedPartition)}
+	const h = 7
+	a := tbl.insert(h, []int{0, 1}, cachedPartition{built: true})
+	b := tbl.insert(h, []int{1, 0}, cachedPartition{})
+	if got := tbl.find(h, []int{0, 1}); got != a {
+		t.Fatalf("find([0 1]) = %p, want the entry of [0 1] (%p)", got, a)
+	}
+	if got := tbl.find(h, []int{1, 0}); got != b {
+		t.Fatalf("find([1 0]) = %p, want the entry of [1 0] (%p)", got, b)
+	}
+	if got := tbl.find(h, []int{2}); got != nil {
+		t.Fatalf("find([2]) = %p under a colliding hash, want nothing", got)
+	}
+	if tbl.partitions != 1 || tbl.used != 2 {
+		t.Fatalf("%d entries, %d built; want 2 and 1", tbl.used, tbl.partitions)
+	}
+}

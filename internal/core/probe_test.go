@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +82,9 @@ func FuzzPrefixRefuteAgainstFull(f *testing.F) {
 					r.Len(), x, y, kinds[i], want, probed.Kernel())
 			}
 		}
+		if idx, tie, _ := layAll(t, r, x); !slices.Equal(idx, p.Index) || !slices.Equal(tie, p.Tie) {
+			t.Fatalf("%d rows, context %v: the probe's layout of every class is not the context's partition", r.Len(), x)
+		}
 		k := probed.Kernel()
 		if _, hits, misses := probed.Stats(); hits != 0 || misses != 1 {
 			t.Fatalf("one ask: %d hits, %d misses", hits, misses)
@@ -137,5 +141,112 @@ func TestProbeDecidesAndBounds(t *testing.T) {
 	}
 	if _, hits, misses := c.Stats(); hits != 2 || misses != 1 {
 		t.Fatalf("one context asked three times: %d hits, %d misses", hits, misses)
+	}
+}
+
+// tiesInRowOrder reports whether p keeps the rows of each of its classes in
+// row order, which the probe's counting sort relies on.
+func tiesInRowOrder(p *SortedPartition) bool {
+	for k, tied := range p.Tie {
+		if tied && p.Index[k] > p.Index[k+1] {
+			return false
+		}
+	}
+	return true
+}
+
+// layAll lays out every class of the partition of X = x[:len(x)-1], each
+// ordered by the last column A of x, as a probe would with no bound, and
+// returns the order, its ties and the rows it compared.
+func layAll(t *testing.T, r *Relation, x []int) (idx []int32, tie []bool, compared uint64) {
+	c := NewSortCache(r)
+	defer c.Release()
+	px, err := c.GetCols(x[:len(x)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, n := r.ranksOf(x[len(x)-1]), r.Len()
+	s := &sortScratch{a: make([]int32, n), tie: make([]bool, n), ints: make([]int64, n), next: make([]int32, len(a.start)-1)}
+	var cost KernelStats
+	if end := layClasses(px, a, 0, n, n, s, &cost); end != n {
+		t.Fatalf("context %v: %d of %d rows laid out", x, end, n)
+	}
+	return s.a, s.tie[:n-1], cost.ComparedRows
+}
+
+// TestProbeSortsBothWays: the probe sorts a class of X by A's rank by
+// counting when the class has at least as many rows as A has values, and by
+// comparing keys when it has fewer. On a relation whose probed classes are
+// all large (X of 40 values over 4,000 rows, A of 10) and one whose classes
+// are all small (X of 1,000 values, A of 50), every kind CheckGroup reports
+// is CheckCols' over the context's whole partition, whether the probe
+// decided the group or refined the context; no row is compared on the first
+// relation and every probed row on the second; every partition the cache
+// holds keeps its classes' rows in row order; and every class laid out the
+// probe's way is, row for row and tie for tie, the context's partition.
+func TestProbeSortsBothWays(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		xs, as      int // the cardinalities of X and A
+		allCompared bool
+	}{
+		{"classes larger than A's cardinality", 40, 10, false},
+		{"classes smaller than A's cardinality", 1000, 50, true},
+	} {
+		rng := rand.New(rand.NewSource(58))
+		r, err := NewRelationRows(L("x", "a", "b", "c"), 4000, func(i int, row []Value) error {
+			row[0], row[1] = Int(int64(rng.Intn(tc.xs))), Int(int64(rng.Intn(tc.as)))
+			row[2], row[3] = Int(int64(rng.Intn(tc.as))), Int(int64(rng.Intn(4)))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := NewSortCache(r)
+		p, err := full.GetCols([]int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, tie, compared := layAll(t, r, []int{0, 1})
+		if compared != 0 && !tc.allCompared || compared != 4000 && tc.allCompared {
+			t.Fatalf("%s: every class laid out, %d rows compared", tc.name, compared)
+		}
+		if !slices.Equal(idx, p.Index) || !slices.Equal(tie, p.Tie) {
+			t.Fatalf("%s: the probe's layout of every class is not the partition of [x a]", tc.name)
+		}
+		for _, ys := range [][][]int{
+			{{2}, {3}, {2, 3}, {3, 2}}, // refuted on a prefix
+			{{2}, {1}, {0, 1}, {3}},    // [x a] -> [a] and [x a] -> [x a] hold: refined
+		} {
+			c := NewSortCache(r)
+			kinds := make([]ViolationKind, len(ys))
+			if err := c.CheckGroup([]int{0, 1}, ys, kinds); err != nil {
+				t.Fatal(err)
+			}
+			for i, y := range ys {
+				if want, err := r.CheckCols(p, y); err != nil || kinds[i] != want {
+					t.Fatalf("%s: [x a] -> %v: CheckGroup %v, CheckCols over the whole order %v (%v)", tc.name, y, kinds[i], want, err)
+				}
+			}
+			k := c.Kernel()
+			want := uint64(0)
+			if tc.allCompared {
+				want = k.ProbeRows
+			}
+			if k.ProbeRows == 0 || k.ComparedRows != want {
+				t.Fatalf("%s, right-hand sides %v: %d rows probed, %d compared; want %d compared", tc.name, ys, k.ProbeRows, k.ComparedRows, want)
+			}
+			for _, x := range [][]int{{0}, {1}, {0, 1}} {
+				q, err := c.GetCols(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tiesInRowOrder(q) {
+					t.Fatalf("%s: the partition of %v has a class out of row order", tc.name, x)
+				}
+			}
+			c.Release()
+		}
+		full.Release()
 	}
 }

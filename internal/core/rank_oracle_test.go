@@ -273,6 +273,44 @@ func TestRankKernelAgainstComparator(t *testing.T) {
 			}
 		}
 	}
+
+	// One-attribute contexts of 200 to 2,000 rows at cardinalities 1, 2,
+	// n/2 and n, which one counting pass deals straight into the partition:
+	// SortPartitionOn and a SortCache must order and tie them as the
+	// comparator sort does, with one group per value.
+	for trial := 0; trial < 12; trial++ {
+		rows := 200 + rng.Intn(1801)
+		keys := rng.Perm(rows)
+		r, err := NewRelationRows(L("one", "two", "half", "all"), rows, func(i int, row []Value) error {
+			k := int64(keys[i])
+			row[0], row[1], row[2], row[3] = Int(7), Int(k%2), Str(fmt.Sprintf("%05d", k/2)), Int(k)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSortCache(r)
+		for c, card := range []int{1, 2, (rows + 1) / 2, rows} {
+			x := r.Attrs()[c : c+1]
+			want, err := sortPartitionOnCmp(r, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted, err := r.SortPartitionOn(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := cache.Get(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePartition(sorted, want) || !samePartition(cached, want) || want.Groups != card {
+				t.Fatalf("trial %d (%d rows), %v: SortPartitionOn %d groups, SortCache %d, comparator %d, want %d and the same partition",
+					trial, rows, x, sorted.Groups, cached.Groups, want.Groups, card)
+			}
+		}
+		cache.Release()
+	}
 }
 
 // columnarTwin builds the table of r — whose every column must hold cells of

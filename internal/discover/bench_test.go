@@ -340,20 +340,22 @@ func TestPipelineKernelCounts(t *testing.T) {
 		want     core.KernelStats
 	}{
 		// 29 contexts refined (30 before the probe), 8 sorted (the empty one
-		// and 7 attributes); 3 decided on a prefix. Compared: every row the
-		// probes placed, and d_date (yyyymmdd: too sparse for the presence
-		// table) ranked by sorting its values.
+		// and 7 attributes); 3 decided on a prefix. Compared: the 644 of the
+		// 1,272 probed rows whose classes are smaller than their attribute's
+		// cardinality, and d_date (yyyymmdd: too sparse for the presence table) ranked by
+		// sorting its values.
 		{"date1826x7", func() (*core.Relation, Options) { return dateDim(t) }, core.KernelStats{
 			RefineRows: 29 * 1826, TieRows: 29 * 1825, SortedRows: 8 * 1826,
-			ProbeDecided: 3, ProbeRows: 1272, ComparedRows: 1272 + 1826,
+			ProbeDecided: 3, ProbeRows: 1272, ComparedRows: 644 + 1826,
 			ScanPairs: 92802, RankViews: 7, RankRows: 7 * 1826,
 		}},
 		// No context refined (30 before the probe): each of the 30
 		// two-attribute contexts is decided on a prefix at levels 3 and 4;
-		// 7 sorted (the empty one and 6 attributes). Compared: every row the
-		// probes placed.
+		// 7 sorted (the empty one and 6 attributes). Compared: none of the 7,020
+		// probed rows, since every probed class has at least as many rows as
+		// its attribute has values.
 		{"random4000x6", random4000x6, core.KernelStats{
-			SortedRows: 7 * 4000, ProbeDecided: 60, ProbeRows: 7020, ComparedRows: 7020,
+			SortedRows: 7 * 4000, ProbeDecided: 60, ProbeRows: 7020,
 			ScanPairs: 2776, RankViews: 6, RankRows: 6 * 4000,
 		}},
 	} {
