@@ -72,9 +72,10 @@ func BenchmarkSatisfiesAllTwoRows(b *testing.B) {
 
 // BenchmarkSortCacheRefine is a discovery run's refinement traffic on the
 // same relation: each iteration refines all 30 two-attribute contexts from a
-// SortCache that already holds the six one-attribute ones, giving each
-// refinement's arrays back to the scratch as a released run would. One context
-// over and over would let the branch predictor learn its ties.
+// SortCache that already holds the six one-attribute ones. The refinements'
+// arrays are cut from arenas of their own, which each iteration resets as a
+// released run would, while the one-attribute partitions keep theirs. One
+// context over and over would let the branch predictor learn its ties.
 func BenchmarkSortCacheRefine(b *testing.B) {
 	attrs := L("r0", "r1", "r2", "r3", "r4", "r5")
 	r := RandRelation(rand.New(rand.NewSource(1)), attrs, 4000, 50)
@@ -90,19 +91,22 @@ func BenchmarkSortCacheRefine(b *testing.B) {
 			}
 		}
 	}
-	b.ReportAllocs()
-	var e cachedPartition
+	c.index, c.tie = arena[int32]{}, arena[bool]{}
+	var q SortedPartition
 	var cost KernelStats
-	for b.Loop() {
+	refineAll := func() {
 		for _, x := range pairs {
-			if err := c.refine(&e, x, &cost); err != nil {
+			if err := c.refine(&q, x, &cost); err != nil {
 				b.Fatal(err)
 			}
-			if e.arr != nil {
-				give(c.sc, &c.sc.arrays, e.arr)
-				e.arr = nil
-			}
 		}
+		c.index.reset(-1)
+		c.tie.reset(true)
+	}
+	refineAll() // grows the arenas to the 30 refinements
+	b.ReportAllocs()
+	for b.Loop() {
+		refineAll()
 	}
 }
 

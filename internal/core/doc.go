@@ -45,7 +45,8 @@
 //   - Dropped by AddRow. Bulk loads use NewRelationColumns or
 //     NewRelationRows, which build the relation in one step and never
 //     invalidate.
-//   - Cut from blocks of a Scratch (below).
+//   - Cut from a Scratch's arenas when the relation was built on one
+//     (below), made otherwise.
 //
 // SortedIndexOn is a stable least-significant-digit counting sort over the
 // views, O(|X|·(n + cardinality)) on reused buffers, and SortPartitionOn,
@@ -102,11 +103,10 @@
 // compared and scanned, rank views built — once per published partition,
 // check and view, so a run's counts depend on its input alone, beside the
 // logical counts discovery reports.
-// A cache fills its partitions' Index and Tie arrays, through the one sort
-// routine SortPartitionOn fills fresh ones with, from its Scratch, and
-// Release gives each array back once — a partition sharing its prefix's
-// arrays owns none, and a concurrent miss's losing copy gives its own back
-// when it loses — so successive discovery runs reuse their arrays.
+// A cache cuts its partitions' Index and Tie arrays from arenas of its own
+// and fills them through the one sort routine SortPartitionOn fills fresh
+// ones with; its Release resets the arenas, so successive discovery runs
+// reuse their arrays.
 // SatisfiesWith holds the right-hand side's rank views in an array on the
 // stack and returns a refutation's witness by value, so a data check
 // allocates nothing whether the OD holds or not; its scan holds the rank
@@ -124,23 +124,26 @@
 // # Scratch
 //
 // Every buffer the ordered work on a relation reuses is a Scratch's: the
-// rank views' blocks, the partitions' arrays, one sort scratch per
-// concurrent sorter, a SortCache's table, entries and keys, and for the
-// server and discover the request body, the integer cells and the run
-// block. A server takes one per request from the free list (TakeScratch, a
-// mutex-guarded stack of at most GOMAXPROCS, no sync.Pool, so allocation
-// counts read the same under the race detector), builds the relation on it
-// and releases it once, which ends the relation's ordered work. Any other
-// relation's ordered operations, and each SortCache over it, borrow a
-// scratch from the free list and give it back when done: repeated runs over
-// it reuse one scratch, and a relation kept idle holds only its rank views,
-// whose blocks its Release hands on. After Release ordered operations fail,
-// cells stay readable, and a second Release does nothing. A released scratch
-// is kept, in place of the longest kept when the list is full, unless it
-// holds more than maxRetained. A block comes back holding another relation's data: builders
-// overwrite what they read, and clear the bucket offsets they count into. In
-// the scratchcheck build what is given back is poisoned and a scratch handed
-// out twice panics.
+// rank views of a relation built on it, one sort scratch per concurrent
+// sorter, a SortCache whole, and for the server and discover the request
+// body, the integer cells and the run block. Each buffer has one owner,
+// which resets the arenas it cuts from at its Release — the scratch its
+// cells and views, a SortCache its table's — and a reset after cuts that
+// outgrew the slab makes one slab of exactly their size, so a warm run
+// allocates nothing. Only the sort scratch, which lives for one call, keeps
+// a free list. A server takes one scratch per request from the free list
+// (TakeScratch, a mutex-guarded stack of at most GOMAXPROCS, no sync.Pool,
+// so allocation counts read the same under the race detector), builds the
+// relation on it and releases it once, which ends the relation's ordered
+// work. A relation built on none makes its views, its Release only marks
+// them released, and its ordered work borrows a scratch from the free list.
+// After Release ordered operations fail and cells stay readable. A released
+// scratch is kept, in place of the longest kept when the list is full,
+// unless it holds more than maxRetained. A cut comes back holding another
+// relation's data: builders overwrite what they read, and clear the bucket
+// offsets they count into. In the scratchcheck build a reset fills the slab
+// with poison, as Release does the body and giving a sort scratch back its
+// buffers, and a scratch handed out twice panics.
 //
 // CompareOn and SatisfiesNaive still read the cells directly: they are the
 // definitions, and the tests hold the rank kernel — sorted and refined

@@ -36,24 +36,22 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &SortedPartition{Context: x.Clone()}
+	p := &SortedPartition{Context: x.Clone(), Index: make([]int32, r.n), Tie: make([]bool, max(r.n-1, 0))}
 	sc, s := r.sorter()
 	defer r.doneSorting(sc, s)
-	r.sortInto(p, cols, &partitionArrays{index: make([]int32, r.n), tie: make([]bool, max(r.n-1, 0))}, s)
+	r.sortInto(p, cols, s)
 	return p, nil
 }
 
-// sortInto sorts the relation by the rank columns into p, on the given arrays
-// sized for the relation — fresh ones, or a SortCache's from its scratch —
-// and the sort scratch s. One column is a single counting pass: rows 0..n-1
-// are dealt into the column's rank buckets, so ties stay in row order, and
-// every row but a bucket's last ties with its successor.
-func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, arr *partitionArrays, s *sortScratch) {
-	p.Index = arr.index
+// sortInto sorts the relation by the rank columns into p's Index and Tie,
+// sized for the relation — fresh ones, or cut from a SortCache's arenas — on
+// the sort scratch s. One column is a single counting pass: rows 0..n-1 are
+// dealt into the column's rank buckets, so ties stay in row order, and every
+// row but a bucket's last ties with its successor.
+func (r *Relation) sortInto(p *SortedPartition, cols []*colRanks, s *sortScratch) {
 	if r.n == 0 {
 		return
 	}
-	p.Tie = arr.tie
 	if len(cols) == 1 {
 		c := cols[0]
 		s.next = append(s.next[:0], c.start...)
@@ -238,16 +236,20 @@ func scanN(idx []int32, tie []bool, ry []*colRanks) int {
 // on the way to a longer context is neither, and when it is asked for itself
 // its first request is still a miss.
 //
-// The cache's table, its entries and the Index and Tie arrays of the
-// partitions it builds are a Scratch's — the one the relation was built on,
-// or one the cache takes from the free list — and Release gives them back. It
-// must come before the relation's own Release.
+// A cache is kept whole with a Scratch — the relation's, or one taken from
+// the free list — and cuts its entries, keys and partitions' Index and Tie
+// from arenas of its own, which Release resets before the relation's own.
 type SortCache struct {
-	r  *Relation
+	r  *Relation // nil while the cache is not in use
 	sc *Scratch
 
-	mu sync.Mutex
-	t  *cacheTable
+	mu         sync.Mutex
+	byHash     map[uint64]*cachedPartition // by colsHash; colliding contexts chain through next
+	entries    arena[cachedPartition]
+	keys       arena[int]
+	index      arena[int32]
+	tie        arena[bool]
+	partitions int // the entries that are built
 
 	hits, misses uint64
 	kernel       KernelStats
@@ -299,53 +301,97 @@ func (k *KernelStats) Add(o KernelStats) {
 }
 
 // cachedPartition is a context of the cache: its partition once built
-// (built), whether a caller has asked for it yet, and the arrays it owns —
-// nil when it shares a prefix's. A context CheckGroup decided on a prefix
-// of its order is asked and not built; noProbe says its group was answered
-// over its whole order once, so that CheckGroup goes there directly.
+// (built) and whether a caller has asked for it yet. A context CheckGroup
+// decided on a prefix of its order is asked and not built; noProbe says its
+// group was answered over its whole order once, so that CheckGroup goes
+// there directly.
 type cachedPartition struct {
 	p       SortedPartition
 	built   bool
 	asked   bool
 	noProbe bool
-	arr     *partitionArrays
 	key     []int            // the context, as column positions
 	next    *cachedPartition // the next context of the same colsHash
 }
 
-// partitionArrays are the Index and Tie arrays of one partition.
-type partitionArrays struct {
-	index []int32
-	tie   []bool
-}
-
-// takeArrays returns the scratch's arrays sized for an n-row relation,
-// contents unspecified. A scratch with none free cuts eight partitions'
-// arrays from one block of each kind.
-func (s *Scratch) takeArrays(n int) *partitionArrays {
-	s.mu.Lock()
-	if len(s.arrays) == 0 {
-		batch, index, tie := make([]partitionArrays, 8), make([]int32, 8*n), make([]bool, 8*n)
-		for i := range batch {
-			batch[i] = partitionArrays{index[i*n : (i+1)*n : (i+1)*n], tie[i*n : (i+1)*n : (i+1)*n]}
-			s.arrays = append(s.arrays, &batch[i])
-		}
-	}
-	arr := s.arrays[len(s.arrays)-1]
-	s.arrays = s.arrays[:len(s.arrays)-1]
-	s.mu.Unlock()
-	arr.index, arr.tie = sized(arr.index, n), sized(arr.tie, max(n-1, 0))
-	return arr
-}
-
-// NewSortCache builds a cache over r.
+// NewSortCache returns a cache over r: the one kept with the scratch r was
+// built on, or, when r was built on none or that cache is in use, the one of
+// a scratch taken from the free list, which Release gives back.
 func NewSortCache(r *Relation) *SortCache {
 	sc := r.sc
-	if sc == nil || r.views.Load() == &released {
+	if sc == nil || r.views.Load() == &released || !sc.cache.claim(r, sc) {
 		sc = TakeScratch()
+		sc.cache.claim(r, sc)
 	}
-	return &SortCache{r: r, sc: sc, t: sc.takeTable(),
-		views: r.viewsBuilt.Load(), rows: r.viewRows.Load(), compared: r.viewCompared.Load()}
+	return &sc.cache
+}
+
+// claim makes the cache, kept with sc, one over r unless it is in use.
+func (c *SortCache) claim(r *Relation, sc *Scratch) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.r != nil {
+		return false
+	}
+	c.r, c.sc, c.hits, c.misses, c.kernel = r, sc, 0, 0, KernelStats{}
+	c.views, c.rows, c.compared = r.viewsBuilt.Load(), r.viewRows.Load(), r.viewCompared.Load()
+	return true
+}
+
+// colsHash hashes a context's column positions (FNV-1a).
+func colsHash(x []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range x {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// find returns the entry of the context x, whose colsHash is h; c.mu is held.
+func (c *SortCache) find(h uint64, x []int) *cachedPartition {
+	for e := c.byHash[h]; e != nil; e = e.next {
+		if slices.Equal(e.key, x) {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert files an unbuilt entry, with its key, for the context x of
+// colsHash h; c.mu is held.
+func (c *SortCache) insert(h uint64, x []int) *cachedPartition {
+	e := &c.entries.cut(1)[0]
+	*e = cachedPartition{key: c.keys.cut(len(x)), next: c.byHash[h]}
+	copy(e.key, x)
+	c.byHash[h] = e
+	return e
+}
+
+// entry returns the context x's entry, filing an unbuilt one when there is
+// none, and counts x as asked when asked is set: a miss on its first ask, a
+// hit on every later one. c.mu is held.
+func (c *SortCache) entry(x []int, asked bool) *cachedPartition {
+	h := colsHash(x)
+	e := c.find(h, x)
+	if e == nil {
+		e = c.insert(h, x)
+	}
+	if asked {
+		if e.asked {
+			c.hits++
+		} else {
+			c.misses++
+		}
+		e.asked = true
+	}
+	return e
+}
+
+// arrays cuts a partition's Index and Tie from the cache's arenas.
+func (c *SortCache) arrays() ([]int32, []bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.index.cut(c.r.n), c.tie.cut(max(c.r.n-1, 0))
 }
 
 // Kernel reports the physical work of the cache's partitions and checks so
@@ -379,18 +425,8 @@ func (c *SortCache) CheckGroup(x []int, ys [][]int, kinds []ViolationKind) error
 	if err := c.inSchema(x); err != nil {
 		return err
 	}
-	h := colsHash(x)
 	c.mu.Lock()
-	e := c.t.find(h, x)
-	if e != nil && e.asked {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	if e == nil {
-		e = c.t.insert(h, x, cachedPartition{})
-	}
-	e.asked = true
+	e := c.entry(x, true)
 	probe := !e.noProbe && len(x) >= 2
 	c.mu.Unlock()
 
@@ -500,8 +536,8 @@ func (c *SortCache) probe(x []int, ys [][]int, kinds []ViolationKind, cost *Kern
 		return 0, false, nil
 	}
 	limit := n / probeShare
-	s := take(c.sc, &c.sc.sorts)
-	defer give(c.sc, &c.sc.sorts, s)
+	s := c.sc.takeSort()
+	defer c.sc.giveSort(s)
 	s.a, s.tie, s.ints, s.next = sized(s.a, limit), sized(s.tie, limit), sized(s.ints, limit), sized(s.next, card)
 	left := len(ys)
 	for want := probeFirst; left > 0; want *= probeGrowth {
@@ -630,25 +666,14 @@ func (c *SortCache) inSchema(x []int) error {
 // context is refined from (not asked, and so not counted). The positions are
 // in range.
 func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
-	h := colsHash(x)
 	c.mu.Lock()
-	e := c.t.find(h, x)
-	if asked {
-		if e != nil && e.asked {
-			c.hits++
-		} else {
-			c.misses++
-		}
-		if e != nil {
-			e.asked = true
-		}
-	}
-	found := e != nil && e.built
+	e := c.entry(x, asked)
+	built := e.built
 	c.mu.Unlock()
-	if found {
+	if built {
 		return &e.p, nil
 	}
-	built := cachedPartition{built: true, asked: asked}
+	var p SortedPartition
 	var cost KernelStats
 	if len(x) <= 1 {
 		var one [1]*colRanks
@@ -656,54 +681,48 @@ func (c *SortCache) get(x []int, asked bool) (*SortedPartition, error) {
 		if err != nil {
 			return nil, err
 		}
-		built.arr = c.sc.takeArrays(c.r.n)
-		s := take(c.sc, &c.sc.sorts)
-		c.r.sortInto(&built.p, cols, built.arr, s)
-		give(c.sc, &c.sc.sorts, s)
+		p.Index, p.Tie = c.arrays()
+		s := c.sc.takeSort()
+		c.r.sortInto(&p, cols, s)
+		c.sc.giveSort(s)
 		cost.SortedRows = uint64(c.r.n)
-	} else if err := c.refine(&built, x, &cost); err != nil {
+	} else if err := c.refine(&p, x, &cost); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	switch e = c.t.find(h, x); {
-	case e != nil && e.built:
-		// A concurrent miss won the publish: converge on it, and the losing
-		// copy, which nobody else has seen, gives its arrays back.
-		e.asked = e.asked || asked
-		if built.arr != nil {
-			give(c.sc, &c.sc.arrays, built.arr)
-		}
-	case e != nil:
-		// Asked for before, and decided on a prefix of its order.
-		e.p, e.arr, e.built = built.p, built.arr, true
-		c.t.partitions++
-		c.kernel.Add(cost)
-	default:
-		e = c.t.insert(h, x, built)
+	// A concurrent miss may have won the publish: then converge on it. The
+	// losing copy, which nobody else has seen, stays cut until Release.
+	if !e.built {
+		e.p, e.built = p, true
+		c.partitions++
 		c.kernel.Add(cost)
 	}
 	c.mu.Unlock()
 	return &e.p, nil
 }
 
-// Release gives the cache's table back to the scratch, with the arrays of
-// every partition the cache built, each once: a partition sharing its
-// prefix's arrays owns none, and a losing concurrent copy gave its own back
-// when it lost. A scratch the cache took from the free list goes back to it.
-// Neither the cache nor any partition it returned may be used after;
-// releasing again does nothing.
+// Release empties the cache's table and resets its arenas, and a scratch
+// the cache was taken with from the free list goes back to it. Neither the
+// cache nor any partition it returned may be used after; releasing again
+// does nothing.
 func (c *SortCache) Release() {
 	c.mu.Lock()
-	t := c.t
-	c.t = nil
+	r := c.r
+	if r != nil {
+		c.r, c.partitions = nil, 0
+		clear(c.byHash)
+		c.entries.reset(cachedPartition{})
+		c.keys.reset(-1)
+		c.index.reset(-1)
+		c.tie.reset(true)
+	}
 	c.mu.Unlock()
-	if t != nil {
-		c.sc.giveTable(t)
-		c.r.repay(c.sc)
+	if r != nil && c.sc != r.sc {
+		c.sc.Release()
 	}
 }
 
-// refine builds into e the partition of the context x = X·A from the
+// refine builds into q the partition of the context x = X·A from the
 // partitions of X and of [A], both through the cache: the order of X·A is the
 // order of X with each class of X ordered, stably, by A, and two neighbours
 // tie on X·A when they tie on X and on A — the partition refinement of
@@ -712,9 +731,9 @@ func (c *SortCache) Release() {
 // A's order, are dealt into the classes of X, so a class fills in A's order
 // with ties in row order — which is how every partition here orders its ties.
 // Where A cannot reorder anything — it is constant, or every class of X is
-// one row — the partition shares X's arrays and e owns none; otherwise e owns
-// the scratch's arrays it is built in. The work is counted into cost.
-func (c *SortCache) refine(e *cachedPartition, x []int, cost *KernelStats) error {
+// one row — the partition shares X's arrays; otherwise it is built in arrays
+// cut from the cache's arenas. The work is counted into cost.
+func (c *SortCache) refine(q *SortedPartition, x []int, cost *KernelStats) error {
 	px, err := c.get(x[:len(x)-1], false)
 	if err != nil {
 		return err
@@ -728,13 +747,13 @@ func (c *SortCache) refine(e *cachedPartition, x []int, cost *KernelStats) error
 	if err != nil {
 		return err
 	}
-	n, q := c.r.n, &e.p
+	n := c.r.n
 	q.Index, q.Tie, q.Groups = px.Index, px.Tie, px.Groups
 	if pa.Groups <= 1 || px.Groups == n {
 		return nil
 	}
-	s := take(c.sc, &c.sc.sorts)
-	defer give(c.sc, &c.sc.sorts, s)
+	s := c.sc.takeSort()
+	defer c.sc.giveSort(s)
 	// class[i] is the class of X row i belongs to, next[g] the slot the next
 	// row of class g goes to.
 	s.a, s.next = sized(s.a, n), sized(s.next, px.Groups)
@@ -748,8 +767,7 @@ func (c *SortCache) refine(e *cachedPartition, x []int, cost *KernelStats) error
 		}
 		class[i] = g
 	}
-	e.arr = c.sc.takeArrays(n)
-	q.Index, q.Tie = e.arr.index, e.arr.tie
+	q.Index, q.Tie = c.arrays()
 	copy(q.Tie, px.Tie)
 	for _, i := range pa.Index {
 		g := class[i]
@@ -788,5 +806,5 @@ func narrowTies(tie []bool, idx []int32, rank []int32) (ties int) {
 func (c *SortCache) Stats() (size int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.t.partitions, c.hits, c.misses
+	return c.partitions, c.hits, c.misses
 }

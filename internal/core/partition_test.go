@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSatisfiesWithMatchesSatisfies: for random relations and candidate ODs,
@@ -180,32 +181,49 @@ func relationWithConstant(rng *rand.Rand, rows, domain int) *Relation {
 	return r
 }
 
-// checkOwnership: every array a cache will release belongs to exactly one of
-// its partitions, and a partition owning none shares an owner's — so Release
-// returns each array once.
+// checkOwnership: no two partitions of the cache that have arrays of their
+// own overlap, and every other built partition shares its prefix's arrays —
+// so no partition's arrays are written by another's build.
 func checkOwnership(t *testing.T, c *SortCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	owners := make(map[*int32]bool)
-	entries := c.t.entries[:c.t.used]
-	for _, e := range entries {
-		if e.arr == nil {
-			continue
+	var owners []*cachedPartition
+	for _, head := range c.byHash {
+		for e := head; e != nil; e = e.next {
+			if !e.built || len(e.p.Index) == 0 {
+				continue
+			}
+			if k := len(e.key) - 1; k > 0 {
+				prefix := c.find(colsHash(e.key[:k]), e.key[:k])
+				if prefix == nil || !prefix.built {
+					t.Fatalf("partition %v is built and its prefix is not", e.key)
+				}
+				if &e.p.Index[0] == &prefix.p.Index[0] {
+					if len(e.p.Tie) > 0 && &e.p.Tie[0] != &prefix.p.Tie[0] {
+						t.Fatalf("partition %v shares its prefix's Index and not its Tie", e.key)
+					}
+					continue
+				}
+			}
+			for _, o := range owners {
+				if overlaps(e.p.Index, o.p.Index) || overlaps(e.p.Tie, o.p.Tie) {
+					t.Fatalf("partitions %v and %v, each with arrays of its own, overlap", e.key, o.key)
+				}
+			}
+			owners = append(owners, e)
 		}
-		if &e.p.Index[0] != &e.arr.index[0] || &e.p.Tie[0] != &e.arr.tie[0] {
-			t.Fatalf("partition %v does not use the arrays it owns", e.key)
-		}
-		if owners[&e.arr.index[0]] {
-			t.Fatalf("partition %v owns arrays another partition owns", e.key)
-		}
-		owners[&e.arr.index[0]] = true
 	}
-	for _, e := range entries {
-		if e.arr == nil && e.built && !owners[&e.p.Index[0]] {
-			t.Fatalf("partition %v shares arrays no partition owns", e.key)
-		}
+}
+
+// overlaps reports whether two slices share memory.
+func overlaps[T any](a, b []T) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
 	}
+	size := unsafe.Sizeof(a[0])
+	lo := func(s []T) uintptr { return uintptr(unsafe.Pointer(&s[0])) }
+	return lo(a) < lo(b)+uintptr(len(b))*size && lo(b) < lo(a)+uintptr(len(a))*size
 }
 
 // TestSortCacheConcurrent hammers one cache from many goroutines under -race,
@@ -419,20 +437,22 @@ func TestODStringOneAllocation(t *testing.T) {
 // its hash alone. No two contexts of a discovery-sized schema are known to
 // collide, so the hash is forced.
 func TestCacheTableChainsCollisions(t *testing.T) {
-	tbl := &cacheTable{byHash: make(map[uint64]*cachedPartition)}
+	c := NewSortCache(mustRel(t, L("A", "B", "C"), []int64{1, 2, 3}))
+	defer c.Release()
 	const h = 7
-	a := tbl.insert(h, []int{0, 1}, cachedPartition{built: true})
-	b := tbl.insert(h, []int{1, 0}, cachedPartition{})
-	if got := tbl.find(h, []int{0, 1}); got != a {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, b := c.insert(h, []int{0, 1}), c.insert(h, []int{1, 0})
+	if got := c.find(h, []int{0, 1}); got != a {
 		t.Fatalf("find([0 1]) = %p, want the entry of [0 1] (%p)", got, a)
 	}
-	if got := tbl.find(h, []int{1, 0}); got != b {
+	if got := c.find(h, []int{1, 0}); got != b {
 		t.Fatalf("find([1 0]) = %p, want the entry of [1 0] (%p)", got, b)
 	}
-	if got := tbl.find(h, []int{2}); got != nil {
+	if got := c.find(h, []int{2}); got != nil {
 		t.Fatalf("find([2]) = %p under a colliding hash, want nothing", got)
 	}
-	if tbl.partitions != 1 || tbl.used != 2 {
-		t.Fatalf("%d entries, %d built; want 2 and 1", tbl.used, tbl.partitions)
+	if c.entries.used != 2 {
+		t.Fatalf("%d entries, want 2", c.entries.used)
 	}
 }

@@ -506,16 +506,17 @@ func TestRankViewConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestRelationRelease: Release hands a relation's rank views' blocks to the
-// free list the next relation's scratch is taken from, with the scratch it
-// was built on, if any. Ordered operations on a released relation fail while
-// its cells stay readable, a second Release does nothing — of the relation
-// or of its scratch, which is then handed out once, not twice — and every
-// relation built after releases — of rows of mixed kinds or of integer
-// columns dense or sparse, longer or shorter than the last, built without a
-// scratch or on one taken as a server takes it, so that blocks come back
-// holding another relation's ranks — sorts, partitions and decides exactly as
-// the comparator does on its clone, which is never released.
+// TestRelationRelease: a relation built on a scratch cuts its rank views
+// from the scratch's arenas, which its Release, or the scratch's, resets for
+// the next relation built on it; releasing a sort cache over it leaves them
+// alone. Ordered operations on a released relation fail while its cells stay
+// readable, a second Release does nothing — of the relation or of its
+// scratch, which is then handed out once, not twice — and every relation
+// built after releases — of rows of mixed kinds or of integer columns dense
+// or sparse, longer or shorter than the last, built without a scratch or on
+// one taken as a server takes it, so that views are cut where another
+// relation's ranks were — sorts, partitions and decides exactly as the
+// comparator does on its clone, which is never released.
 func TestRelationRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	universe := L("A", "B", "C", "D")
@@ -551,6 +552,7 @@ func TestRelationRelease(t *testing.T) {
 		ref := r.Clone()
 		cache := NewSortCache(r)
 		var od OD
+		var wantIdx []int
 		for range 4 {
 			od = RandOD(rng, universe, 3)
 			want, err := sortedIndexOnCmp(ref, od.LHS)
@@ -560,6 +562,7 @@ func TestRelationRelease(t *testing.T) {
 			if got, err := r.SortedIndexOn(od.LHS); err != nil || !slices.Equal(got, want) {
 				t.Fatalf("trial %d: SortedIndexOn(%v) = %v, %v; comparator %v\n%s", trial, od.LHS, got, err, want, ref)
 			}
+			wantIdx = want
 			wantOK, wantV, err := satisfiesCmp(ref, od)
 			if err != nil {
 				t.Fatal(err)
@@ -575,7 +578,24 @@ func TestRelationRelease(t *testing.T) {
 				t.Fatalf("trial %d: SatisfiesWith(%s) = %v %+v, %v; comparator %v %+v\n%s", trial, od, gotOK, gotV, err, wantOK, wantV, ref)
 			}
 		}
+		// A second cache over the relation while the first is in use is
+		// another scratch's, and leaves the first's partitions alone.
+		want, err := sortPartitionOnCmp(ref, od.LHS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := NewSortCache(r)
+		if p, err := second.Get(od.LHS); err != nil || second == cache || !samePartition(p, want) {
+			t.Fatalf("trial %d: a second cache's partition over %v is %+v (%v), comparator %+v", trial, od.LHS, p, err, want)
+		}
+		second.Release()
+		if p, err := cache.Get(od.LHS); err != nil || !samePartition(p, want) {
+			t.Fatalf("trial %d: after a second cache's release, the first's partition over %v is %+v (%v), comparator %+v", trial, od.LHS, p, err, want)
+		}
 		cache.Release()
+		if got, err := r.SortedIndexOn(od.LHS); err != nil || !slices.Equal(got, wantIdx) {
+			t.Fatalf("trial %d: after the cache's release, SortedIndexOn(%v) = %v, %v; comparator %v\n%s", trial, od.LHS, got, err, wantIdx, ref)
+		}
 		if sc != nil {
 			sc.Release()
 			sc.Release()

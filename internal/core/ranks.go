@@ -15,13 +15,11 @@ import (
 // cells of the column compare exactly as their ranks do. start[k] counts the
 // rows ranked below k — the counting sort's bucket offsets, which depend on
 // the column alone and never on the order being refined; len(start)-1 is the
-// column's cardinality. Both are cut from block, which comes from a Scratch
-// and goes back to one: a colRanks is immutable from when it is built until
-// its relation's Release.
+// column's cardinality. Both are cut from one block: a colRanks is immutable
+// from when it is built until its relation's Release.
 type colRanks struct {
 	rank  []int32
 	start []int32
-	block []int32
 }
 
 // released is what a relation's views point to after Release.
@@ -53,50 +51,37 @@ func (r *Relation) ranksOf(c int) *colRanks {
 	return v.Load()
 }
 
-// lend returns the scratch an ordered operation reuses: the one the relation
-// was built on, or one taken from the free list, which repay gives back — so
-// that repeated runs over a relation built without a scratch reuse memory
-// too, and an idle relation holds nothing but its rank views.
-func (r *Relation) lend() *Scratch {
-	if r.sc != nil {
-		return r.sc
+// sorter lends an ordered operation a sort scratch, which doneSorting gives
+// back, from the scratch the relation was built on or from one taken from
+// the free list and given back with it — so that repeated runs over a
+// relation built without a scratch reuse memory too, and an idle relation
+// holds nothing but its rank views.
+func (r *Relation) sorter() (*Scratch, *sortScratch) {
+	sc := r.sc
+	if sc == nil {
+		sc = TakeScratch()
 	}
-	return TakeScratch()
+	return sc, sc.takeSort()
 }
 
-func (r *Relation) repay(sc *Scratch) {
+func (r *Relation) doneSorting(sc *Scratch, s *sortScratch) {
+	sc.giveSort(s)
 	if sc != r.sc {
 		sc.Release()
 	}
 }
 
-// sorter lends an ordered operation a sort scratch, which doneSorting gives
-// back.
-func (r *Relation) sorter() (*Scratch, *sortScratch) {
-	sc := r.lend()
-	return sc, take(sc, &sc.sorts)
-}
-
-func (r *Relation) doneSorting(sc *Scratch, s *sortScratch) {
-	give(sc, &sc.sorts, s)
-	r.repay(sc)
-}
-
-// Release ends the relation's ordered work and hands its rank views' blocks
-// on — with the scratch it was built on, or to the free list — so that the
-// next relation ranks without allocating: ordered operations on a released
-// relation fail, and cells stay readable. A second Release does nothing. No
-// ordered operation may run beside Release, and no SortedPartition of the
-// relation may be used after it.
+// Release ends the relation's ordered work, which fails from then on; cells
+// stay readable. A relation built on a scratch releases the scratch, whose
+// arenas the next relation ranks into; any other only marks its views
+// released. A second Release does nothing. No ordered operation may run
+// beside Release, and no SortedPartition of the relation may be used after.
 func (r *Relation) Release() {
-	if r.views.Load() == &released {
+	if r.sc == nil || r.views.Load() == &released {
+		r.views.Store(&released)
 		return
 	}
-	sc := r.lend()
-	sc.mu.Lock()
-	sc.rel = r
-	sc.mu.Unlock()
-	sc.Release()
+	r.sc.Release()
 }
 
 // ranksOn resolves the attributes of the lists x and y to their columns' rank
@@ -170,7 +155,7 @@ func (r *Relation) buildRanks(c int) (cr *colRanks, compared int) {
 				card++
 			}
 		}
-		cr = newColRanks(sc, n, card)
+		cr = r.newColRanks(card)
 		for i, v := range ints {
 			cr.rank[i] = table[uint64(v)-lo]
 		}
@@ -193,7 +178,7 @@ func (r *Relation) buildRanks(c int) (cr *colRanks, compared int) {
 	if n > 0 {
 		card++
 	}
-	cr = newColRanks(sc, n, card)
+	cr = r.newColRanks(card)
 	copy(cr.rank, ranks)
 	return cr.withStarts(), n
 }
@@ -233,14 +218,21 @@ func (r *Relation) cellOrder(c int, ints []int64) func(a, b int32) int {
 	}
 }
 
-// newColRanks returns the view of an n-row column of the given cardinality,
-// both arrays cut from one block of the scratch's, whatever its size before.
-// Only start is cleared, for withStarts to count into: every builder writes
-// each rank.
-func newColRanks(sc *Scratch, n int, card int32) *colRanks {
-	cr := take(sc, &sc.ranks)
-	cr.block = sized(cr.block, n+int(card)+1)
-	cr.rank, cr.start = cr.block[:n:n], cr.block[n:]
+// newColRanks returns the view of a column of the given cardinality, both
+// arrays cut from one block: from the arenas of the scratch the relation was
+// built on, whose Release resets them, or made. Only start is cleared, for
+// withStarts to count into: every builder writes each rank.
+func (r *Relation) newColRanks(card int32) (cr *colRanks) {
+	n, sc := r.n, r.sc
+	var block []int32
+	if sc != nil {
+		sc.mu.Lock()
+		cr, block = &sc.views.cut(1)[0], sc.blocks.cut(n+int(card)+1)
+		sc.mu.Unlock()
+	} else {
+		cr, block = new(colRanks), make([]int32, n+int(card)+1)
+	}
+	cr.rank, cr.start = block[:n:n], block[n:]
 	clear(cr.start)
 	return cr
 }

@@ -3,25 +3,24 @@ package core
 import (
 	"bytes"
 	"runtime"
-	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Scratch is every buffer a discovery request reuses (see the package
 // comment): the request body and integer cells, its relation's rank views,
-// partition arrays, sort scratch and SortCache table, and discover's run
-// block. Buffers are taken and given back under its one mutex.
+// the sort scratch, its SortCache whole, and discover's run block.
 type Scratch struct {
-	Body  bytes.Buffer // the request's bytes; its integer cells come from Ints
-	cells []int64
+	Body  bytes.Buffer // the request's bytes; its integer cells are cut by Ints
+	cells arena[int64]
 
 	mu       sync.Mutex
 	rel      *Relation // whose rank views the scratch holds
 	released bool
-	ranks    []*colRanks
-	arrays   []*partitionArrays
+	views    arena[colRanks]
+	blocks   arena[int32] // the views' ranks and bucket offsets
 	sorts    []*sortScratch
-	table    *cacheTable
+	cache    SortCache
 	run      any // discover's; core only holds it
 	runBytes int
 }
@@ -44,7 +43,7 @@ func TakeScratch() *Scratch {
 	defer free.mu.Unlock()
 	n := len(free.list)
 	if n == 0 {
-		return new(Scratch)
+		return &Scratch{cache: SortCache{byHash: make(map[uint64]*cachedPartition)}}
 	}
 	s := free.list[n-1]
 	free.list = free.list[:n-1]
@@ -56,9 +55,10 @@ func TakeScratch() *Scratch {
 }
 
 // Release ends the scratch's use: its relation's ordered operations fail
-// from then on, nothing cut from it may be used, and it is kept for the next
-// taker, in place of the longest kept when the free list is full, unless it
-// holds more than maxRetained. A second Release does nothing.
+// from then on, its views' arenas are reset, nothing cut from it may be
+// used, and it is kept for the next taker, in place of the longest kept when
+// the free list is full, unless it holds more than maxRetained. A second
+// Release does nothing.
 func (s *Scratch) Release() {
 	s.mu.Lock()
 	if s.released {
@@ -67,31 +67,20 @@ func (s *Scratch) Release() {
 	}
 	s.released = true
 	if s.rel != nil {
-		if views := s.rel.views.Swap(&released); views != nil && views != &released {
-			for i := range *views {
-				if cr := (*views)[i].Load(); cr != nil {
-					s.ranks = append(s.ranks, cr)
-				}
-			}
-		}
+		s.rel.views.Store(&released)
 		s.rel = nil
 	}
-	size := s.Body.Cap() + 8*cap(s.cells) + s.runBytes
-	for _, cr := range s.ranks {
-		size += 4 * cap(cr.block)
-		cr.poison()
-	}
-	for _, a := range s.arrays {
-		size += 5 * cap(a.index)
-		a.poison()
-	}
+	s.cells.reset(-1 << 62)
+	s.views.reset(colRanks{})
+	s.blocks.reset(-1)
+	c := &s.cache
+	size := s.Body.Cap() + s.cells.bytes() + s.runBytes + s.views.bytes() + s.blocks.bytes() +
+		c.entries.bytes() + c.keys.bytes() + c.index.bytes() + c.tie.bytes()
 	for _, o := range s.sorts {
 		size += 4*(cap(o.a)+cap(o.b)+cap(o.next)) + 8*cap(o.ints) + cap(o.tie)
-		o.poison()
 	}
 	if ScratchCheck {
 		fill(s.Body.Bytes(), '!')
-		fill(s.cells, -1<<62)
 	}
 	s.mu.Unlock()
 	if size > maxRetained {
@@ -107,15 +96,15 @@ func (s *Scratch) Release() {
 	}
 }
 
-// Ints returns n integer cells, the scratch's block reused whenever it is
-// large enough; the contents are unspecified.
+// Ints cuts n integer cells from the scratch, which its Release takes back;
+// the contents are unspecified.
 func (s *Scratch) Ints(n int) []int64 {
-	s.cells = sized(s.cells, n)
-	return s.cells
+	return s.cells.cut(n)
 }
 
-// NewRelationColumns is core.NewRelationColumns for a relation whose ordered
-// work reuses the scratch and which the scratch's Release releases.
+// NewRelationColumns is core.NewRelationColumns for a relation whose rank
+// views are cut from the scratch, whose ordered work reuses it, and which
+// the scratch's Release releases.
 func (s *Scratch) NewRelationColumns(attrs List, n int, cols []Column) (*Relation, error) {
 	r, err := NewRelationColumns(attrs, n, cols)
 	if err == nil {
@@ -137,57 +126,23 @@ func (s *Scratch) SwapRun(run any, size int) (held any) {
 	return held
 }
 
-// take pops a free buffer of the scratch's, making eight at once when there
-// is none: a cold scratch fills in a few allocations.
-func take[T any](s *Scratch, free *[]*T) *T {
+// takeSort pops a free sort scratch, or makes one: a sort scratch lives for
+// one call, and concurrent sorters each hold their own.
+func (s *Scratch) takeSort() *sortScratch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(*free) == 0 {
-		batch := make([]T, 8)
-		for i := range batch {
-			*free = append(*free, &batch[i])
-		}
+	n := len(s.sorts)
+	if n == 0 {
+		return new(sortScratch)
 	}
-	v := (*free)[len(*free)-1]
-	*free = (*free)[:len(*free)-1]
-	return v
+	o := s.sorts[n-1]
+	s.sorts = s.sorts[:n-1]
+	return o
 }
 
-// give returns a buffer to the scratch; in the scratchcheck build it is
-// poisoned first, so that a buffer given back while still read shows.
-func give[T any, P interface {
-	*T
-	poison()
-}](s *Scratch, free *[]*T, v P) {
-	v.poison()
-	s.mu.Lock()
-	*free = append(*free, v)
-	s.mu.Unlock()
-}
-
-// fill overwrites buf with v.
-func fill[T any](buf []T, v T) {
-	for i := range buf {
-		buf[i] = v
-	}
-}
-
-// The poison methods overwrite a buffer in the scratchcheck build, so that
-// whatever still reads it after it was given back reads garbage.
-func (cr *colRanks) poison() {
-	if ScratchCheck {
-		fill(cr.block, -1)
-	}
-}
-
-func (a *partitionArrays) poison() {
-	if ScratchCheck {
-		fill(a.index, -1)
-		fill(a.tie, true)
-	}
-}
-
-func (o *sortScratch) poison() {
+// giveSort returns a sort scratch; in the scratchcheck build it is poisoned
+// first, so that one given back while still read shows.
+func (s *Scratch) giveSort(o *sortScratch) {
 	if ScratchCheck {
 		fill(o.a, -1)
 		fill(o.b, -1)
@@ -195,83 +150,53 @@ func (o *sortScratch) poison() {
 		fill(o.ints, -1)
 		fill(o.tie, true)
 	}
-}
-
-// cacheTable is a SortCache's partitions by context, kept with the scratch
-// from one cache to the next — map buckets, entries and keys — so that a warm
-// cache allocates neither an entry nor a key.
-type cacheTable struct {
-	byHash     map[uint64]*cachedPartition // by colsHash; colliding contexts chain through next
-	entries    []*cachedPartition          // the first used are the cache's
-	used       int
-	partitions int // the used entries that are built
-}
-
-// takeTable hands a SortCache the scratch's table, or a new one when the
-// scratch holds none.
-func (s *Scratch) takeTable() (t *cacheTable) {
 	s.mu.Lock()
-	t, s.table = s.table, nil
-	s.mu.Unlock()
-	if t == nil {
-		t = &cacheTable{byHash: make(map[uint64]*cachedPartition)}
-	}
-	return t
-}
-
-// giveTable takes a released cache's table back, with the arrays its
-// partitions own, each once: a partition sharing its prefix's owns none.
-func (s *Scratch) giveTable(t *cacheTable) {
-	for _, e := range t.entries[:t.used] {
-		if e.arr != nil {
-			give(s, &s.arrays, e.arr)
-		}
-	}
-	t.used, t.partitions = 0, 0
-	clear(t.byHash)
-	s.mu.Lock()
-	if s.table == nil {
-		s.table = t
-	}
+	s.sorts = append(s.sorts, o)
 	s.mu.Unlock()
 }
 
-// colsHash hashes a context's column positions (FNV-1a).
-func colsHash(x []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range x {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
+// arena is a bump allocator: cut hands out the next n elements of its slab,
+// starting a slab as large as all cut so far when they do not fit. Its owner
+// resets it once no cut is used; a reset after cuts that outgrew the slab
+// makes one of exactly their size, so a warm arena cuts without allocating.
+type arena[T any] struct {
+	slab []T
+	off  int // the elements cut from slab
+	used int // the elements cut since the last reset
 }
 
-func (t *cacheTable) find(h uint64, x []int) *cachedPartition {
-	for e := t.byHash[h]; e != nil; e = e.next {
-		if slices.Equal(e.key, x) {
-			return e
-		}
+// cut returns the next n elements, contents unspecified.
+func (a *arena[T]) cut(n int) []T {
+	if a.off+n > len(a.slab) {
+		a.slab, a.off = make([]T, max(n, a.used)), 0
 	}
-	return nil
+	s := a.slab[a.off : a.off+n : a.off+n]
+	a.off += n
+	a.used += n
+	return s
 }
 
-// insert files built under the context x, in an entry of the table's own.
-// Entries are made as many at a time as the table holds, each with room for
-// a key of four positions.
-func (t *cacheTable) insert(h uint64, x []int, built cachedPartition) *cachedPartition {
-	if t.used == len(t.entries) {
-		batch, keys := make([]cachedPartition, max(t.used, 8)), make([]int, 4*max(t.used, 8))
-		for i := range batch {
-			batch[i].key = keys[4*i : 4*i : 4*i+4]
-			t.entries = append(t.entries, &batch[i])
-		}
+// reset takes back every cut. In the scratchcheck build it fills the slab
+// with poison first, so that whatever still reads a cut reads garbage.
+func (a *arena[T]) reset(poison T) {
+	if ScratchCheck {
+		fill(a.slab, poison)
 	}
-	e := t.entries[t.used]
-	t.used++
-	if built.built {
-		t.partitions++
+	if a.used > len(a.slab) {
+		a.slab = make([]T, a.used)
 	}
-	built.key, built.next = append(e.key[:0], x...), t.byHash[h]
-	*e = built
-	t.byHash[h] = e
-	return e
+	a.off, a.used = 0, 0
+}
+
+// bytes is the size of the arena's slab.
+func (a *arena[T]) bytes() int {
+	var zero T
+	return len(a.slab) * int(unsafe.Sizeof(zero))
+}
+
+// fill overwrites buf with v.
+func fill[T any](buf []T, v T) {
+	for i := range buf {
+		buf[i] = v
+	}
 }

@@ -207,26 +207,19 @@ func (t *instanceRows) intRows(p *rowsParser) bool {
 // for the rows the remaining bytes can hold: every row closes a bracket and
 // takes two bytes a cell, which bounds what a hostile body can make it
 // allocate to a small multiple of its own length. The integer columns are
-// cut from the scratch's one block, each capped at its share so that no
-// column can append into the next.
+// cut from the scratch's cells, each capped at its share so that no column
+// can append into the next.
 func (t *instanceRows) reserve(rest []byte) {
 	rows := 1 + min(bytes.Count(rest, []byte{']'}), len(rest)/(2*t.width+2))
-	k := 0
-	for _, c := range t.cols {
-		if c.ints != nil {
-			k++
-		}
-	}
-	block := t.sc.Ints(k * rows)
-	t.ints = k > 0 && k == len(t.cols)
+	t.ints = len(t.cols) > 0
 	for i := range t.cols {
 		switch c := &t.cols[i]; {
 		case c.ints != nil:
-			c.ints, block = append(block[:0:rows], c.ints...), block[rows:]
+			c.ints = append(t.sc.Ints(rows)[:0], c.ints...)
 		case c.floats != nil:
-			c.floats = slices.Grow(c.floats, rows)
+			c.floats, t.ints = slices.Grow(c.floats, rows), false
 		default:
-			c.strs = slices.Grow(c.strs, rows)
+			c.strs, t.ints = slices.Grow(c.strs, rows), false
 		}
 	}
 }

@@ -147,6 +147,38 @@ func TestFailedGroupAppliesNothing(t *testing.T) {
 	}
 }
 
+// TestWaitersWakeAfterApply: a group's waiters are woken only once the
+// Applier has returned, so an acknowledged write is already applied. The
+// Applier here holds the committer inside it; while it does, the group's
+// done channel must still be open.
+func TestWaitersWakeAfterApply(t *testing.T) {
+	s, _, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	s.OnCommit(func(recs []Record) []any {
+		close(entered)
+		<-gate
+		return make([]any, len(recs))
+	})
+	p, _, err := s.AppendBatch(mustODs(t, "[W] -> [V]"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	select {
+	case <-p.b.done:
+		t.Error("the group's waiters were woken before its Applier returned")
+	default:
+	}
+	close(gate)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompactNowWaitsForStaged: a synchronous compaction cuts at or past
 // every record staged before it was called — it waits for their group to
 // commit and publish, since its Source only reports what was applied.
