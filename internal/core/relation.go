@@ -17,9 +17,8 @@ import (
 // Value.Compare order — built lazily on the first ordered use of a column,
 // immutable from then on and dropped by AddRow. Readers may share a relation
 // across goroutines; AddRow may not run beside them. Ordered work reuses the
-// buffers of a Scratch, and Release hands the views' blocks on once that work
-// is done: from then on every ordered operation fails, and a second Release
-// does nothing.
+// buffers of a Scratch, and Release ends it once that work is done: from
+// then on every ordered operation fails, and a second Release does nothing.
 //
 // A relation is built from rows of Values (AddRow, NewRelationRows) or from
 // typed columns (NewRelationColumns). A columnar relation ranks its columns

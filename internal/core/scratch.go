@@ -55,10 +55,10 @@ func TakeScratch() *Scratch {
 }
 
 // Release ends the scratch's use: its relation's ordered operations fail
-// from then on, its views' arenas are reset, nothing cut from it may be
-// used, and it is kept for the next taker, in place of the longest kept when
-// the free list is full, unless it holds more than maxRetained. A second
-// Release does nothing.
+// from then on, its cells' and views' arenas are reset, nothing cut from it
+// may be used, and it is kept for the next taker, in place of the longest
+// kept when the free list is full, unless it holds more than maxRetained. A
+// second Release does nothing.
 func (s *Scratch) Release() {
 	s.mu.Lock()
 	if s.released {

@@ -2,6 +2,6 @@
 
 package core
 
-// ScratchCheck is set in the scratchcheck build, in which a buffer given back
-// to a Scratch, and a released Scratch whole, are poisoned.
+// ScratchCheck is set in the scratchcheck build, in which an arena's reset,
+// a sort scratch given back and a released Scratch's body poison them.
 const ScratchCheck = false

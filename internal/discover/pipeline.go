@@ -294,8 +294,8 @@ func pipeline(ctx context.Context, r *core.Relation, opts PipelineOptions, useTa
 	}
 	workers := workerCount(opts.Workers)
 	// The run's partitions are its own: every worker is done with them when
-	// it returns, so the cache gives them back for the next run, and the run
-	// block goes back to the cache's scratch first.
+	// it returns, so the cache's Release resets them for the next run, and
+	// the run block goes back to the cache's scratch first.
 	cache := core.NewSortCache(r)
 	defer cache.Release()
 	sc := cache.Scratch()

@@ -75,7 +75,7 @@
 // pipeline, whose workers have all returned, cancelled or not, and after the
 // summary line. The body buffer, the integer cells, the relation's rank views
 // and partitions and the pipeline's run block are all the scratch's, so none
-// is handed on while still read. The declared Content-Length sizes the body
+// is reset while still read. The declared Content-Length sizes the body
 // buffer only up to maxReserve (256 KiB): a client that declares 8 MB and
 // sends 40 bytes costs at most the reserve, and the buffer grows past it
 // only with the bytes that arrive.
